@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check-test chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample snapshot ci
+.PHONY: build vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample snapshot ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ race:
 # invariants, and the first violation fails the run loudly.
 check-test:
 	PASE_CHECK=1 $(GO) test ./...
+
+# Allocation-drift gate: three benchmark reference configurations at a
+# few hundred flows each, failing when bytes or objects allocated per
+# flow exceed the budgets committed in alloc_gate_test.go. Allocation
+# counts repeat almost exactly, so this is a hard test, not a timing
+# comparison; a dedicated process keeps other tests out of the counts.
+alloc-gate:
+	$(GO) test -run 'TestAllocGate' -count=1 -v .
 
 # A short randomized-fault soak under the forced invariant checker:
 # PASE runs through link flaps, packet loss/corruption, a lossy slow
@@ -131,4 +139,4 @@ manifest-sample:
 snapshot:
 	$(GO) run ./cmd/benchsnap
 
-ci: vet build test race check-test chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench
+ci: vet build test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench

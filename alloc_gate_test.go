@@ -1,0 +1,54 @@
+package pase_test
+
+import (
+	"runtime"
+	"testing"
+
+	"pase"
+	"pase/internal/check"
+)
+
+// TestAllocGate is the allocation-drift gate (`make alloc-gate`): three
+// of the benchmark's reference configurations at a few hundred flows,
+// each held to a committed budget of bytes and objects allocated per
+// flow. Allocation counts repeat to better than 1 part in 10^4 on one
+// toolchain, so unlike a timing comparison this can be a hard test.
+// Budgets sit about 25% above the values measured when the packet path
+// became allocation-free; a per-packet or per-event allocation creeping
+// back in overshoots them several times over (the closure-per-hop,
+// literal-per-packet path read 68–75 KB and 1620–2290 objects per flow
+// on these configurations).
+func TestAllocGate(t *testing.T) {
+	if check.Forced() {
+		t.Skip("the forced invariant checker allocates on its own; budgets are for unchecked runs")
+	}
+	for _, g := range []struct {
+		name           string
+		cfg            pase.SimConfig
+		bytes, objects float64 // per-flow budgets
+	}{
+		{"fig9a-dctcp", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 9800, 23},
+		{"fig9a-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 14000, 122},
+		{"incast256-expresspass", pase.SimConfig{Protocol: pase.ProtocolExpressPass, Scenario: pase.ScenarioIncast256, Load: 0.7, Stream: true, NumFlows: 400}, 3900, 40},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			g.cfg.Seed = 1
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rep, err := pase.Simulate(g.cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil || rep.Completed != g.cfg.NumFlows {
+				t.Fatalf("run failed: completed %d/%d, err %v", rep.Completed, g.cfg.NumFlows, err)
+			}
+			flows := float64(g.cfg.NumFlows)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / flows
+			objects := float64(after.Mallocs-before.Mallocs) / flows
+			t.Logf("%.0f B and %.1f objects allocated per flow (budget %.0f B, %.0f objects)", bytes, objects, g.bytes, g.objects)
+			if bytes > g.bytes || objects > g.objects {
+				t.Errorf("allocation per flow over budget: %.0f B (budget %.0f), %.1f objects (budget %.0f)",
+					bytes, g.bytes, objects, g.objects)
+			}
+		})
+	}
+}

@@ -42,6 +42,7 @@ const (
 	InvCreditPace   = "credit_pace"  // credits leave a credit-shaped queue no faster than the configured rate
 	InvRouteValid   = "route_valid"  // no route resolves onto a down link while an up one exists
 	InvRouteLoop    = "route_loop"   // every routed walk reaches its destination within the TTL
+	InvPktLive      = "pkt_live"     // no packet is sent, queued or delivered after its release to a pool
 )
 
 // Violation is one recorded invariant breach with its context.
@@ -323,6 +324,20 @@ func (c *Checker) RouteLoop(where string, flow uint64, dstRack, hops, ttl int, r
 	if !reached {
 		c.Reportf(InvRouteLoop, where, flow,
 			"walk toward rack %d not delivered after %d/%d hops", dstRack, hops, ttl)
+	}
+}
+
+// PktLive verifies packet ownership at a point a packet is handled
+// (port send, queue enqueue, host receive): released is the packet's
+// own record of having been returned to a pool. A breach means some
+// component kept a packet past the point it died and the free list may
+// already have reissued it.
+func (c *Checker) PktLive(where string, flow uint64, released bool) {
+	if c == nil {
+		return
+	}
+	if released {
+		c.Reportf(InvPktLive, where, flow, "packet used after its release to the pool")
 	}
 }
 

@@ -660,9 +660,7 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	bindCreditQueues(net)
 	if chk != nil {
 		for _, l := range net.Links {
-			if cq, ok := l.Port.Queue().(netem.Checkable); ok {
-				cq.AttachCheck(l.Port.Name, chk)
-			}
+			l.Port.AttachCheck(chk)
 		}
 	}
 	var inj *faults.Injector

@@ -159,9 +159,7 @@ func runPointSharded(cfg PointConfig) PointResult {
 	bindCreditQueues(net)
 	if chks != nil {
 		for _, l := range net.Links {
-			if cq, ok := l.Port.Queue().(netem.Checkable); ok {
-				cq.AttachCheck(l.Port.Name, chks[part.ShardOf(l.From)])
-			}
+			l.Port.AttachCheck(chks[part.ShardOf(l.From)])
 		}
 	}
 
@@ -181,8 +179,8 @@ func runPointSharded(cfg PointConfig) PointResult {
 	}
 	for _, l := range cut {
 		src, dst := part.ShardOf(l.From), part.ShardOf(l.To)
-		l.Port.SetRemote(func(at sim.Time, ctx *sim.Rank, k uint64, fn func()) {
-			se.Handoff(src, dst, at, ctx, k, fn)
+		l.Port.SetRemote(func(at sim.Time, ctx *sim.Rank, k uint64, a sim.Action, arg any) {
+			se.HandoffAction(src, dst, at, ctx, k, a, arg)
 		})
 	}
 

@@ -94,6 +94,9 @@ func (q *CreditQueue) CheckConservation() {
 
 // Enqueue implements Queue.
 func (q *CreditQueue) Enqueue(p *pkt.Packet) bool {
+	if q.chk != nil {
+		q.chk.PktLive(q.chkLabel, uint64(p.Flow), p.Released())
+	}
 	switch p.Type {
 	case pkt.Credit:
 		if q.credit.len() >= q.CreditLimit {

@@ -32,8 +32,13 @@ func (h *Host) SetPort(p *Port) { h.port = p }
 // Port returns the NIC port.
 func (h *Host) Port() *Port { return h.port }
 
-// Receive implements Node by delivering to the installed handler.
+// Receive implements Node by delivering to the installed handler. With
+// a checker on the NIC port, an arriving packet that was already
+// released is a pkt_live violation.
 func (h *Host) Receive(p *pkt.Packet, _ *Port) {
+	if pt := h.port; pt != nil && pt.chk != nil {
+		pt.chk.PktLive(h.name, uint64(p.Flow), p.Released())
+	}
 	if h.Handler != nil {
 		h.Handler(p)
 	}

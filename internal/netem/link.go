@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"pase/internal/check"
 	"pase/internal/pkt"
 	"pase/internal/sim"
 )
@@ -13,6 +14,7 @@ type Port struct {
 	Name string
 
 	eng   *sim.Engine
+	pool  *pkt.Pool // eng's packet free list: packets that die here return to it
 	queue Queue
 	rate  BitRate
 	delay sim.Duration
@@ -29,7 +31,11 @@ type Port struct {
 	// destination shard exactly where the serial engine would have put
 	// it. The propagation delay guarantees the delivery time is at
 	// least one lookahead past the transmitting window's start.
-	remote func(at sim.Time, ctx *sim.Rank, k uint64, fn func())
+	remote func(at sim.Time, ctx *sim.Rank, k uint64, a sim.Action, arg any)
+
+	// chk, when non-nil, verifies that no released packet is sent
+	// (pkt_live). Nil (the default) costs one pointer test per Send.
+	chk *check.Checker
 
 	// Faults, when set, lets a fault injector pause the transmitter
 	// (link down) and discard transmitted packets (loss/corruption).
@@ -63,7 +69,16 @@ type BlackholeObserver interface {
 // NewPort builds a port owned by node, draining q at rate with the
 // given one-way propagation delay.
 func NewPort(eng *sim.Engine, owner Node, q Queue, rate BitRate, delay sim.Duration) *Port {
-	return &Port{eng: eng, owner: owner, queue: q, rate: rate, delay: delay}
+	return &Port{eng: eng, pool: pkt.PoolOf(eng), owner: owner, queue: q, rate: rate, delay: delay}
+}
+
+// AttachCheck installs the run's invariant checker on the port and,
+// labelled with the port's name, on its queue (nil detaches).
+func (pt *Port) AttachCheck(c *check.Checker) {
+	pt.chk = c
+	if cq, ok := pt.queue.(Checkable); ok {
+		cq.AttachCheck(pt.Name, c)
+	}
 }
 
 // Connect wires two ports as the two directions of one full-duplex link.
@@ -92,10 +107,14 @@ func (pt *Port) Rate() BitRate { return pt.rate }
 func (pt *Port) PropDelay() sim.Duration { return pt.delay }
 
 // Send offers a packet to the egress queue and kicks the transmitter.
-// Drops are absorbed by the queue discipline (and its stats).
+// Drops are absorbed by the queue discipline (and its stats); a
+// rejected packet dies here and returns to the pool.
 func (pt *Port) Send(p *pkt.Packet) {
 	if pt.peer == nil {
 		panic("netem: Send on unconnected port " + pt.Name)
+	}
+	if pt.chk != nil {
+		pt.chk.PktLive(pt.Name, uint64(p.Flow), p.Released())
 	}
 	p.EnqAt = pt.eng.Now()
 	if !pt.queue.Enqueue(p) {
@@ -104,9 +123,32 @@ func (pt *Port) Send(p *pkt.Packet) {
 				bo.Blackholed(pt, p)
 			}
 		}
+		pt.pool.Put(p)
 		return
 	}
 	pt.pump()
+}
+
+// The port's two link events are pre-bound sim.Actions on the port
+// itself — same record, same tie-break slot as the closures they
+// replace, and nothing to allocate per hop. txDone fires on the
+// transmitting port when serialization ends; arrival fires on the
+// receiving port (on its owner's engine, also across shards) when the
+// packet it carries lands.
+type (
+	txDone  Port
+	arrival Port
+)
+
+func (a *txDone) Fire(any) {
+	pt := (*Port)(a)
+	pt.busy = false
+	pt.pump()
+}
+
+func (a *arrival) Fire(p any) {
+	pt := (*Port)(a)
+	pt.owner.Receive(p.(*pkt.Packet), pt)
 }
 
 // pump starts a transmission if the line is idle and a packet waits.
@@ -128,33 +170,29 @@ func (pt *Port) pump() {
 	pt.TxBytes += int64(p.Size)
 	// Line becomes free after serialization; the packet lands at the
 	// peer one propagation delay later.
-	pt.eng.Schedule(ser, func() {
-		pt.busy = false
-		pt.pump()
-	})
+	pt.eng.ScheduleAction(ser, (*txDone)(pt), nil)
 	if pt.Faults != nil && pt.Faults.Lose(pt, p) {
 		// Dropped or corrupted on the wire: bandwidth was consumed but
 		// the packet never reaches the peer.
+		pt.pool.Put(p)
 		return
 	}
 	if pt.remote != nil {
 		// Cross-shard link: consume the same child slot the Schedule
 		// call below would have, so the delivered event keeps its
-		// serial rank, and hand the delivery to the coordinator.
+		// serial rank, and hand the delivery to the coordinator. The
+		// packet changes owner with it: the peer's shard releases it.
 		ctx, k := pt.eng.ChildSlot()
-		pt.remote(pt.eng.Now().Add(ser+pt.delay), ctx, k, func() {
-			pt.peer.owner.Receive(p, pt.peer)
-		})
+		pt.remote(pt.eng.Now().Add(ser+pt.delay), ctx, k, (*arrival)(pt.peer), p)
 		return
 	}
-	pt.eng.Schedule(ser+pt.delay, func() {
-		pt.peer.owner.Receive(p, pt.peer)
-	})
+	pt.eng.ScheduleAction(ser+pt.delay, (*arrival)(pt.peer), p)
 }
 
 // SetRemote installs the cross-shard delivery hook; sharded runs call
-// it on the transmitting port of every cut link.
-func (pt *Port) SetRemote(f func(at sim.Time, ctx *sim.Rank, k uint64, fn func())) {
+// it on the transmitting port of every cut link and forward to
+// ShardedEngine.HandoffAction.
+func (pt *Port) SetRemote(f func(at sim.Time, ctx *sim.Rank, k uint64, a sim.Action, arg any)) {
 	pt.remote = f
 }
 

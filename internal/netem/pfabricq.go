@@ -53,6 +53,9 @@ func (f *PFabric) CheckConservation() {
 
 // Enqueue implements Queue.
 func (f *PFabric) Enqueue(p *pkt.Packet) bool {
+	if f.chk != nil {
+		f.chk.PktLive(f.chkLabel, uint64(p.Flow), p.Released())
+	}
 	if len(f.q) >= f.Limit {
 		vi := f.worst()
 		if vi < 0 || f.q[vi].Rank <= p.Rank {

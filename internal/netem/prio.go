@@ -80,6 +80,9 @@ func (q *Prio) band(p *pkt.Packet) int {
 
 // Enqueue implements Queue.
 func (q *Prio) Enqueue(p *pkt.Packet) bool {
+	if q.chk != nil {
+		q.chk.PktLive(q.chkLabel, uint64(p.Flow), p.Released())
+	}
 	b := q.band(p)
 	if q.PerBand {
 		if q.bands[b].len() >= q.Limit {

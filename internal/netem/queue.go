@@ -170,6 +170,9 @@ func (d *DropTail) CheckConservation() {
 
 // Enqueue implements Queue.
 func (d *DropTail) Enqueue(p *pkt.Packet) bool {
+	if d.chk != nil {
+		d.chk.PktLive(d.chkLabel, uint64(p.Flow), p.Released())
+	}
 	if d.q.len() >= d.Limit {
 		d.stats.drop(p)
 		return false
@@ -231,6 +234,9 @@ func (r *REDECN) CheckConservation() {
 
 // Enqueue implements Queue.
 func (r *REDECN) Enqueue(p *pkt.Packet) bool {
+	if r.chk != nil {
+		r.chk.PktLive(r.chkLabel, uint64(p.Flow), p.Released())
+	}
 	if r.q.len() >= r.Limit {
 		r.stats.drop(p)
 		return false

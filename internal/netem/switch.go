@@ -14,8 +14,12 @@ type Switch struct {
 	id    pkt.NodeID
 	name  string
 	ports []*Port
-	// nextHop maps destination host id -> egress port index.
-	nextHop map[pkt.NodeID]int
+	// nextHop[dst] is the egress port index for destination host dst,
+	// stored +1 so that 0 (and any id past the end) means "no entry".
+	// Host ids are dense from 0, so a slice gives every hop a bounds
+	// check instead of a map probe and every switch a table a fraction
+	// of a map's size.
+	nextHop []int32
 	// FlowRoute, when set, routes packets whose destination has no
 	// nextHop entry — multipath fabrics hash the flow id here (ECMP).
 	FlowRoute func(p *pkt.Packet) int
@@ -23,7 +27,7 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given id and name.
 func NewSwitch(id pkt.NodeID, name string) *Switch {
-	return &Switch{id: id, name: name, nextHop: make(map[pkt.NodeID]int)}
+	return &Switch{id: id, name: name}
 }
 
 // ID implements Node.
@@ -46,7 +50,18 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // SetRoute installs the egress port index for a destination host.
 func (s *Switch) SetRoute(dst pkt.NodeID, portIndex int) {
-	s.nextHop[dst] = portIndex
+	if int(dst) >= len(s.nextHop) {
+		s.nextHop = append(s.nextHop, make([]int32, int(dst)+1-len(s.nextHop))...)
+	}
+	s.nextHop[dst] = int32(portIndex) + 1
+}
+
+// route looks up the static egress port index for dst.
+func (s *Switch) route(dst pkt.NodeID) (int, bool) {
+	if uint(dst) >= uint(len(s.nextHop)) || s.nextHop[dst] == 0 {
+		return 0, false
+	}
+	return int(s.nextHop[dst]) - 1, true
 }
 
 // NextPort resolves the egress port a packet for (dst, flow) would
@@ -54,7 +69,7 @@ func (s *Switch) SetRoute(dst pkt.NodeID, portIndex int) {
 // walks use it to traverse the fabric off the data path. Returns nil
 // when the switch has no route (a model bug Receive would panic on).
 func (s *Switch) NextPort(dst pkt.NodeID, flow pkt.FlowID) *Port {
-	if idx, ok := s.nextHop[dst]; ok {
+	if idx, ok := s.route(dst); ok {
 		return s.ports[idx]
 	}
 	if s.FlowRoute == nil {
@@ -69,7 +84,7 @@ func (s *Switch) Receive(p *pkt.Packet, _ *Port) {
 	if p.Hops > 32 {
 		panic(fmt.Sprintf("netem: routing loop for %v at %s", p, s.name))
 	}
-	idx, ok := s.nextHop[p.Dst]
+	idx, ok := s.route(p.Dst)
 	if !ok {
 		if s.FlowRoute == nil {
 			panic(fmt.Sprintf("netem: %s has no route to node %d", s.name, p.Dst))

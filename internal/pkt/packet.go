@@ -68,7 +68,9 @@ const (
 
 // Packet is a single simulated packet. Packets are passed by pointer
 // and owned by whichever component currently holds them; they are not
-// copied as they traverse queues and links.
+// copied as they traverse queues and links. The transport layer draws
+// them from the engine's Pool and the component a packet dies at
+// releases it, so a handler must not retain one past its return.
 type Packet struct {
 	ID   uint64
 	Flow FlowID
@@ -121,6 +123,9 @@ type Packet struct {
 
 	// Hops counts the links traversed so far (TTL-style guard).
 	Hops int8
+
+	// origin is the pool bookkeeping (see pool.go).
+	origin origin
 }
 
 // IsControl reports whether the packet belongs to the arbitration

@@ -33,6 +33,12 @@ type Engine struct {
 	// events. It protects against accidental infinite event loops.
 	Limit uint64
 
+	// Local is per-engine state owned by a layer above sim (which sim
+	// cannot import): package pkt keeps the engine's packet free list
+	// here, so everything clocked by one engine shares one
+	// single-goroutine pool.
+	Local any
+
 	// Observability instruments, nil until Instrument is called. All
 	// are nil-safe no-ops, so the hot path carries them unconditionally.
 	obsFired   *obs.Counter
@@ -78,8 +84,11 @@ func (e *Engine) AttachCheck(c *check.Checker) { e.chk = c }
 
 // maxFree bounds the free list so a burst of scheduling does not pin
 // memory for the rest of the run. Records beyond the cap are left to
-// the garbage collector.
-const maxFree = 4096
+// the garbage collector. The cap sits above the calendar depth the
+// reference runs reach (sim/heap_depth peaks at 5371 on the fig-9a
+// DCTCP point): below it, every fire/schedule pair at that depth would
+// drop one record and allocate the next.
+const maxFree = 16384
 
 // compactMinDead is the floor below which Stop never triggers heap
 // compaction; above it, compaction runs once dead events outnumber
@@ -94,13 +103,31 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
+// Action is a pre-bound event target: the allocation-free alternative
+// to a closure for events a long-lived object schedules over and over
+// (a port's link events, a sender's timers). The receiver is the
+// target; arg is one pointer-shaped argument carried by the event
+// record (a pointer stored in an interface does not allocate). An
+// action event draws the same seq / rank child slot a closure event
+// scheduled by the same call would, so the two forms are
+// interchangeable without moving any tie-break.
+type Action interface{ Fire(arg any) }
+
+// funcAction runs a closure as an Action, so the calendar holds one
+// kind of record. A func value is pointer-shaped: the conversion is
+// free.
+type funcAction func()
+
+func (f funcAction) Fire(any) { f() }
+
 // event is one calendar entry. Records are owned by the engine and
 // recycled after they fire or are cancelled; outstanding Timer handles
 // detect reuse through the generation counter.
 type event struct {
 	at      Time
 	seq     uint64
-	fn      func()
+	act     Action
+	arg     any
 	eng     *Engine
 	gen     uint32
 	head    bool // AtHead event: wins timestamp ties against At events
@@ -134,7 +161,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev.stopped = true
-	ev.fn = nil // release the closure immediately
+	ev.act, ev.arg = nil, nil // release the target immediately
 	e := ev.eng
 	e.obsStopped.Inc()
 	e.dead++
@@ -156,19 +183,25 @@ func (t Timer) Deadline() Time { return t.at }
 // (fn runs at the current instant, after already-queued events for
 // this instant that were scheduled earlier).
 func (e *Engine) Schedule(d Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn)
+	return e.ScheduleAction(d, funcAction(fn), nil)
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it is
 // always a model bug.
 func (e *Engine) At(t Time, fn func()) Timer {
-	return e.schedule(t, fn, false)
+	return e.schedule(t, funcAction(fn), nil, false)
 }
 
-func (e *Engine) schedule(t Time, fn func(), head bool) Timer {
+// ScheduleAction runs a.Fire(arg) after delay d: Schedule without the
+// closure. Negative delays are treated as zero.
+func (e *Engine) ScheduleAction(d Duration, a Action, arg any) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return e.schedule(e.now.Add(d), a, arg, false)
+}
+
+func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -176,7 +209,7 @@ func (e *Engine) schedule(t Time, fn func(), head bool) Timer {
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.act, ev.arg = a, arg
 	ev.head = head
 	if e.ranked {
 		ev.ctx, ev.k = e.childSlot()
@@ -196,25 +229,36 @@ func (e *Engine) schedule(t Time, fn func(), head bool) Timer {
 // that order by jumping the tie-break. Like At, scheduling in the past
 // panics.
 func (e *Engine) AtHead(t Time, fn func()) Timer {
-	return e.schedule(t, fn, true)
+	return e.schedule(t, funcAction(fn), nil, true)
 }
 
-// alloc takes an event record off the free list, or makes one.
+// eventSlab is how many records an empty free list allocates at once:
+// a calendar growing to its working depth costs one object per slab
+// rather than one per record.
+const eventSlab = 32
+
+// alloc takes an event record off the free list, refilling it with a
+// fresh slab when it is empty.
 func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	if len(e.free) == 0 {
+		slab := make([]event, eventSlab)
+		for i := range slab {
+			slab[i].eng = e
+			e.free = append(e.free, &slab[i])
+		}
 	}
-	return &event{eng: e}
+	n := len(e.free)
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return ev
 }
 
 // recycle invalidates outstanding handles and returns the record to
 // the free list (or the garbage collector once the list is full).
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.act, ev.arg = nil, nil
 	ev.head = false
 	ev.stopped = false
 	ev.ctx = nil
@@ -253,7 +297,7 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.Executed++
 	e.obsFired.Inc()
-	fn := ev.fn
+	act, arg := ev.act, ev.arg
 	if e.ranked {
 		// The record is recycled before dispatch, so hold the event's
 		// own coordinates for lazy rank-node creation in childSlot.
@@ -262,12 +306,12 @@ func (e *Engine) Step() bool {
 		e.curK = 0
 		e.inEvent = true
 		e.recycle(ev)
-		fn()
+		act.Fire(arg)
 		e.inEvent = false
 		return true
 	}
 	e.recycle(ev)
-	fn()
+	act.Fire(arg)
 	return true
 }
 

@@ -198,7 +198,7 @@ func TestStaleHandleIsInert(t *testing.T) {
 
 func TestDrainedEngineRetainsNothing(t *testing.T) {
 	// A drained engine must hold no live closure references: every
-	// record is either on the bounded free list with a nil fn or was
+	// record is either on the bounded free list with a nil target or was
 	// released to the GC. This is the leak regression for the old
 	// eventHeap, which kept popped *Timer slots reachable via the
 	// backing array's capacity.
@@ -216,7 +216,7 @@ func TestDrainedEngineRetainsNothing(t *testing.T) {
 		t.Fatalf("free list = %d records, cap is %d", got, maxFree)
 	}
 	for _, ev := range e.free {
-		if ev.fn != nil {
+		if ev.act != nil || ev.arg != nil {
 			t.Fatal("recycled record still references its callback")
 		}
 	}

@@ -140,6 +140,10 @@ func (e *Engine) ChildSlot() (*Rank, uint64) {
 // so the event sorts against the destination shard's own events
 // exactly as it would have in a serial run.
 func (e *Engine) InjectAt(t Time, head bool, ctx *Rank, k uint64, fn func()) {
+	e.inject(t, head, ctx, k, funcAction(fn), nil)
+}
+
+func (e *Engine) inject(t Time, head bool, ctx *Rank, k uint64, a Action, arg any) {
 	if !e.ranked {
 		panic("sim: InjectAt on an unranked engine")
 	}
@@ -150,7 +154,7 @@ func (e *Engine) InjectAt(t Time, head bool, ctx *Rank, k uint64, fn func()) {
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.act, ev.arg = a, arg
 	ev.head = head
 	ev.ctx = ctx
 	ev.k = k

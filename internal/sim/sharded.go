@@ -81,14 +81,15 @@ type ShardedEngine struct {
 }
 
 // handoff is one buffered cross-shard event: delivery time, the rank
-// captured on the source shard, and the closure that performs the
-// delivery on the destination shard.
+// captured on the source shard, and the action (with its argument)
+// that performs the delivery on the destination shard.
 type handoff struct {
 	dst int
 	at  Time
 	ctx *Rank
 	k   uint64
-	fn  func()
+	act Action
+	arg any
 }
 
 // paddedU64 keeps per-worker done counters on distinct cache lines.
@@ -200,7 +201,15 @@ func (se *ShardedEngine) NewCoordRank(at Time, head bool, ctx *Rank, k uint64) *
 // serial position; at must be at least one lookahead past the window
 // start, which the propagation-delay bound guarantees.
 func (se *ShardedEngine) Handoff(src, dst int, at Time, ctx *Rank, k uint64, fn func()) {
-	se.outbox[src] = append(se.outbox[src], handoff{dst: dst, at: at, ctx: ctx, k: k, fn: fn})
+	se.HandoffAction(src, dst, at, ctx, k, funcAction(fn), nil)
+}
+
+// HandoffAction is Handoff for a pre-bound action: the delivered event
+// fires a.Fire(arg) on the destination shard. Whatever arg points to
+// changes owner with the event — the source shard must not touch it
+// after the call.
+func (se *ShardedEngine) HandoffAction(src, dst int, at Time, ctx *Rank, k uint64, a Action, arg any) {
+	se.outbox[src] = append(se.outbox[src], handoff{dst: dst, at: at, ctx: ctx, k: k, act: a, arg: arg})
 }
 
 // RequestStop asks the run to halt. During the serial tail this cuts
@@ -408,7 +417,7 @@ func (se *ShardedEngine) flushHandoffs() {
 			continue
 		}
 		for _, h := range se.outbox[src] {
-			se.engs[h.dst].InjectAt(h.at, false, h.ctx, h.k, h.fn)
+			se.engs[h.dst].inject(h.at, false, h.ctx, h.k, h.act, h.arg)
 			se.o.handoffs.Inc()
 		}
 		se.o.batch.Observe(int64(len(se.outbox[src])))
@@ -471,7 +480,7 @@ func (se *ShardedEngine) RunTail(deadline Time, hasDeadline bool) {
 		}
 		if len(se.outbox[best]) > 0 {
 			for _, h := range se.outbox[best] {
-				se.engs[h.dst].InjectAt(h.at, false, h.ctx, h.k, h.fn)
+				se.engs[h.dst].inject(h.at, false, h.ctx, h.k, h.act, h.arg)
 				se.o.handoffs.Inc()
 			}
 			se.outbox[best] = se.outbox[best][:0]

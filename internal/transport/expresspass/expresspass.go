@@ -121,6 +121,7 @@ type hostState struct {
 
 // creditState is the receiver-side state of one credited flow.
 type creditState struct {
+	host *hostState
 	flow pkt.FlowID
 	peer pkt.NodeID // the sender credits are paced toward
 	segs int32      // data packets the flow owes in total
@@ -219,6 +220,7 @@ func (h *hostState) onCreditReq(p *pkt.Packet) {
 		period = cfg.MinPeriod
 	}
 	cs = &creditState{
+		host:      h,
 		flow:      p.Flow,
 		peer:      p.Src,
 		segs:      p.Seq,
@@ -271,21 +273,23 @@ func (h *hostState) tick(cs *creditState) {
 	if now >= cs.periodEnd {
 		cs.update(now, h.maxRate, &h.sys.cfg)
 	}
-	h.st.Host.Send(&pkt.Packet{
-		ID:     h.st.NextPktID(),
-		Flow:   cs.flow,
-		Src:    h.st.Host.ID(),
-		Dst:    cs.peer,
-		Type:   pkt.Credit,
-		Size:   pkt.CreditSize,
-		CSeq:   cs.creditsSent,
-		SentAt: now,
-	})
+	p := h.st.NewPacket()
+	p.Flow = cs.flow
+	p.Dst = cs.peer
+	p.Type = pkt.Credit
+	p.Size = pkt.CreditSize
+	p.CSeq = cs.creditsSent
+	p.SentAt = now
+	h.st.Host.Send(p)
 	cs.creditsSent++
 	h.credits++
 	h.creditBytes += pkt.CreditSize
-	cs.timer = h.st.Eng.Schedule(cs.gap(&h.sys.cfg), func() { h.tick(cs) })
+	cs.timer = h.st.Eng.ScheduleAction(cs.gap(&h.sys.cfg), cs, nil)
 }
+
+// Fire implements sim.Action: the per-credit timer is pre-bound to the
+// flow's crediting state, so pacing credits allocates nothing.
+func (cs *creditState) Fire(any) { cs.host.tick(cs) }
 
 // gap returns the next credit spacing: the serialization time of the
 // data packet this credit triggers at the current credit rate, plus

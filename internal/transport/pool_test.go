@@ -1,0 +1,81 @@
+package transport_test
+
+import (
+	"testing"
+
+	"pase/internal/check"
+	"pase/internal/netem"
+	"pase/internal/pkt"
+	"pase/internal/sim"
+	"pase/internal/topology"
+	"pase/internal/transport"
+	"pase/internal/transport/dctcp"
+	"pase/internal/workload"
+)
+
+func redQueue(topology.QueueKind) netem.Queue { return netem.NewREDECN(225, 65) }
+
+// TestPacketPathAllocs pins the steady-state packet path: a
+// 1000-segment DCTCP flow between two hosts of one rack, wired as the
+// runner wires it, allocates at most 0.2 objects per delivered data
+// packet once packet pool and event free list are warm — data
+// segments, ACKs, link events and the per-ACK RTO re-arm are all
+// reused. What remains is per-flow state (sender, receiver, segment
+// maps). The parent of this pin read 11.2.
+func TestPacketPathAllocs(t *testing.T) {
+	const segments = 1000
+	net := topology.Build(sim.NewEngine(), topology.SingleRack(2, redQueue))
+	d := transport.NewDriver(net, dctcp.New(dctcp.DefaultConfig()))
+	flow := pkt.FlowID(0)
+	run := func() {
+		flow++
+		d.Schedule([]workload.FlowSpec{{ID: flow, Src: 0, Dst: 1, Size: segments * pkt.MSS, Start: net.Eng.Now()}})
+		sum, err := d.Run(net.Eng.Now().Add(10 * sim.Second))
+		if err != nil || sum.Completed != int(flow) {
+			t.Fatalf("flow %d did not complete: %+v, %v", flow, sum, err)
+		}
+	}
+	run() // warm-up: grows the pool, the free list and the queue rings
+	perPkt := testing.AllocsPerRun(5, run) / segments
+	t.Logf("%.3f allocations per delivered data packet", perPkt)
+	if perPkt > 0.2 {
+		t.Errorf("packet path allocates %.3f objects per delivered data packet, want <= 0.2", perPkt)
+	}
+}
+
+// TestRetainedPacketTripsPktLive breaks the ownership rule on purpose:
+// a handler keeps a packet past Stack.receive — which releases it —
+// and sends it again. The checker must say so.
+func TestRetainedPacketTripsPktLive(t *testing.T) {
+	eng := sim.NewEngine()
+	net := topology.Build(eng, topology.SingleRack(2, redQueue))
+	d := transport.NewDriver(net, dctcp.New(dctcp.DefaultConfig()))
+	chk := check.New(func() int64 { return int64(eng.Now()) })
+	for _, l := range net.Links {
+		l.Port.AttachCheck(chk)
+	}
+
+	var kept *pkt.Packet
+	rx := net.Host(1)
+	inner := rx.Handler
+	rx.Handler = func(p *pkt.Packet) {
+		if kept == nil && p.Type == pkt.Data {
+			kept = p
+		}
+		inner(p)
+	}
+	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: 20 * pkt.MSS}})
+	if sum, err := d.Run(sim.Time(sim.Second)); err != nil || sum.Completed != 1 {
+		t.Fatalf("flow did not complete: %+v, %v", sum, err)
+	}
+	if chk.Total() != 0 {
+		t.Fatalf("a clean run reported violations: %s", chk.Summary())
+	}
+	if kept == nil || !kept.Released() {
+		t.Fatal("Stack.receive must release the packet once its handler returns")
+	}
+	rx.Send(kept)
+	if chk.ByInvariant()[check.InvPktLive] == 0 {
+		t.Fatal("re-sending a retained packet did not trip pkt_live")
+	}
+}

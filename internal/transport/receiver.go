@@ -48,22 +48,18 @@ func (r *receiver) noteData(p *pkt.Packet) {
 }
 
 func (r *receiver) reply(p *pkt.Packet, typ pkt.Type, have bool) {
-	ack := &pkt.Packet{
-		ID:      r.st.nextPktID(),
-		Flow:    r.flow,
-		Src:     r.st.Host.ID(),
-		Dst:     p.Src,
-		Type:    typ,
-		Seq:     p.Seq,
-		Size:    pkt.HeaderSize,
-		Prio:    0, // feedback rides the top priority class
-		Rank:    0,
-		CumAck:  r.firstMissing,
-		SackSeq: p.Seq,
-		Echo:    p.CE,
-		Have:    have,
-		SentAt:  p.SentAt, // echoed timestamp for RTT sampling
-	}
+	// Prio and Rank stay zero: feedback rides the top priority class.
+	ack := r.st.NewPacket()
+	ack.Flow = r.flow
+	ack.Dst = p.Src
+	ack.Type = typ
+	ack.Seq = p.Seq
+	ack.Size = pkt.HeaderSize
+	ack.CumAck = r.firstMissing
+	ack.SackSeq = p.Seq
+	ack.Echo = p.CE
+	ack.Have = have
+	ack.SentAt = p.SentAt // echoed timestamp for RTT sampling
 	if typ == pkt.Ack {
 		ack.AckBytes = p.Size - pkt.HeaderSize
 	}

@@ -231,22 +231,26 @@ func (s *Sender) nextToSend() (int32, bool) {
 	return -1, false
 }
 
+// newPacket draws a packet of this flow from the pool and lets the
+// protocol stamp its header.
+func (s *Sender) newPacket(typ pkt.Type, seq, size int32) *pkt.Packet {
+	p := s.st.NewPacket()
+	p.Flow = s.Spec.ID
+	p.Dst = s.Spec.Dst
+	p.Type = typ
+	p.Seq = seq
+	p.Size = size
+	p.SentAt = s.Now()
+	s.ctrl.FillData(s, p)
+	return p
+}
+
 // transmit sends one segment.
 func (s *Sender) transmit(seq int32) {
 	resend := s.state[seq] == segLost
 	s.state[seq] = segInflight
 	s.inflight++
-	p := &pkt.Packet{
-		ID:     s.st.nextPktID(),
-		Flow:   s.Spec.ID,
-		Src:    s.Spec.Src,
-		Dst:    s.Spec.Dst,
-		Type:   pkt.Data,
-		Seq:    seq,
-		Size:   pkt.SegmentWireSize(s.Spec.Size, seq),
-		SentAt: s.Now(),
-	}
-	s.ctrl.FillData(s, p)
+	p := s.newPacket(pkt.Data, seq, pkt.SegmentWireSize(s.Spec.Size, seq))
 	if resend {
 		s.Retx++
 		s.retransmitted[seq] = true
@@ -289,7 +293,7 @@ func (s *Sender) pump() {
 	}
 	s.transmit(seq)
 	gap := s.Rate.Serialize(pkt.SegmentWireSize(s.Spec.Size, seq))
-	s.paceTimer = s.st.Eng.Schedule(gap, func() { s.pump() })
+	s.paceTimer = s.st.Eng.ScheduleAction(gap, (*paceAction)(s), nil)
 	s.armRTO()
 }
 
@@ -349,18 +353,7 @@ func (s *Sender) TransmitOne() bool {
 // carries the flow's segment count so the receiver-side credit engine
 // knows how much data the flow still owes.
 func (s *Sender) SendCreditRequest() {
-	p := &pkt.Packet{
-		ID:     s.st.nextPktID(),
-		Flow:   s.Spec.ID,
-		Src:    s.Spec.Src,
-		Dst:    s.Spec.Dst,
-		Type:   pkt.CreditReq,
-		Seq:    s.Segs,
-		Size:   pkt.CreditSize,
-		SentAt: s.Now(),
-	}
-	s.ctrl.FillData(s, p)
-	s.st.Host.Send(p)
+	s.st.Host.Send(s.newPacket(pkt.CreditReq, s.Segs, pkt.CreditSize))
 }
 
 // ArmRTO arms the retransmission timer if it is not already pending.
@@ -371,19 +364,8 @@ func (s *Sender) ArmRTO() { s.armRTO() }
 
 // SendProbe emits a PASE loss-discrimination probe for segment seq.
 func (s *Sender) SendProbe(seq int32) {
-	p := &pkt.Packet{
-		ID:     s.st.nextPktID(),
-		Flow:   s.Spec.ID,
-		Src:    s.Spec.Src,
-		Dst:    s.Spec.Dst,
-		Type:   pkt.Probe,
-		Seq:    seq,
-		Size:   pkt.HeaderSize,
-		SentAt: s.Now(),
-	}
-	s.ctrl.FillData(s, p)
 	s.st.obs.probes.Inc()
-	s.st.Host.Send(p)
+	s.st.Host.Send(s.newPacket(pkt.Probe, seq, pkt.HeaderSize))
 }
 
 // onAck processes an arriving Ack or ProbeAck.
@@ -513,8 +495,18 @@ func (s *Sender) armRTO() {
 	if s.rtoTimer.Pending() {
 		return
 	}
-	s.rtoTimer = s.st.Eng.Schedule(s.RTO(), func() { s.onTimeout() })
+	s.rtoTimer = s.st.Eng.ScheduleAction(s.RTO(), (*rtoAction)(s), nil)
 }
+
+// The sender's two timers are pre-bound sim.Actions on the sender, so
+// re-arming the RTO on every ACK allocates nothing.
+type (
+	rtoAction  Sender
+	paceAction Sender
+)
+
+func (a *rtoAction) Fire(any)  { (*Sender)(a).onTimeout() }
+func (a *paceAction) Fire(any) { (*Sender)(a).pump() }
 
 func (s *Sender) resetRTO() {
 	s.rtoTimer.Stop()

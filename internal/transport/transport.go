@@ -102,6 +102,7 @@ type Stack struct {
 	senders   map[pkt.FlowID]*Sender
 	receivers map[pkt.FlowID]*receiver
 	pool      []*Sender // free list of completed senders (Recycle mode)
+	pkts      *pkt.Pool // Eng's packet free list
 	pktID     uint64
 	obs       stackObs
 }
@@ -126,6 +127,7 @@ func NewStack(eng *sim.Engine, host *netem.Host) *Stack {
 	st := &Stack{
 		Eng:       eng,
 		Host:      host,
+		pkts:      pkt.PoolOf(eng),
 		senders:   make(map[pkt.FlowID]*Sender),
 		receivers: make(map[pkt.FlowID]*receiver),
 	}
@@ -142,15 +144,17 @@ func (st *Stack) Sender(id pkt.FlowID) *Sender { return st.senders[id] }
 // ActiveSenders returns the number of unfinished senders on this host.
 func (st *Stack) ActiveSenders() int { return len(st.senders) }
 
-func (st *Stack) nextPktID() uint64 {
+// NewPacket returns a zeroed packet from the engine's pool, stamped
+// with this host as source and the next per-host packet id. Protocol
+// subsystems that originate their own packets (ExpressPass credits)
+// draw from the same pool and id sequence as the stack's senders.
+func (st *Stack) NewPacket() *pkt.Packet {
+	p := st.pkts.Get()
 	st.pktID++
-	return st.pktID
+	p.ID = st.pktID
+	p.Src = st.Host.ID()
+	return p
 }
-
-// NextPktID hands out the next per-host packet id; protocol subsystems
-// that originate their own packets (ExpressPass credits) draw from the
-// same sequence as the stack's senders.
-func (st *Stack) NextPktID() uint64 { return st.nextPktID() }
 
 // StartFlow begins transmitting the given flow from this stack's host.
 func (st *Stack) StartFlow(spec workload.FlowSpec) *Sender {
@@ -168,7 +172,9 @@ func (st *Stack) StartFlow(spec workload.FlowSpec) *Sender {
 	return s
 }
 
-// receive demultiplexes an arriving packet.
+// receive demultiplexes an arriving packet. The packet dies here: it
+// returns to the pool once its handler is done, so no Control,
+// CtrlHandler, CreditHandler or OnData hook may retain it past return.
 func (st *Stack) receive(p *pkt.Packet) {
 	switch p.Type {
 	case pkt.Data, pkt.Probe:
@@ -189,6 +195,7 @@ func (st *Stack) receive(p *pkt.Packet) {
 			st.CreditHandler(p)
 		}
 	}
+	st.pkts.Put(p)
 }
 
 func (st *Stack) receiverFor(p *pkt.Packet) *receiver {
