@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: build vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample snapshot ci
+.PHONY: build vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
 
 build:
 	$(GO) build ./...
 
+# go vet, plus gofmt as a gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -134,9 +136,5 @@ obs-bench:
 # artifacts/ (CI uploads the manifest so every build carries a sample).
 manifest-sample:
 	$(GO) run ./cmd/paper -fig 9a -flows 120 -loads 0.5,0.8 -out artifacts -progress=false
-
-# Record a BENCH_<date>.json perf snapshot (see cmd/benchsnap).
-snapshot:
-	$(GO) run ./cmd/benchsnap
 
 ci: vet build test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench

@@ -61,7 +61,7 @@ func main() {
 		teEpoch   = flag.Duration("te-epoch", 0, "TE decision period (0 = 1ms default)")
 		abortAft  = flag.Duration("abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
 		stream    = flag.Bool("stream", false, "bounded-memory streaming run: iterator arrivals, recycled flow state, sketch quantiles")
-		shards    = flag.Int("shards", 0, "engine shards for the run (0/1 = serial; results and traces byte-identical at any setting; PASE/PDQ fall back to serial)")
+		shards    = flag.Int("shards", 0, "engine shards for the run (0/1 = serial; results and traces byte-identical at any setting; PASE/PDQ run serially and say so on stderr)")
 		scale     = flag.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
 		obs       = flag.Bool("obs", false, "collect run observability and write a manifest (see -manifest)")
 		chkFlag   = flag.Bool("check", false, "run with the runtime invariant checker; exit 1 on any violation")
@@ -227,6 +227,10 @@ func main() {
 			}
 			fmt.Printf("flow outcomes   %s (%d flows)\n", *outcomes, len(rep.FlowLog))
 		}
+	}
+
+	if why := reps[0].ShardFallback; why != "" {
+		fmt.Fprintf(os.Stderr, "pasesim: -shards %d ran on the serial engine (%s)\n", *shards, why)
 	}
 
 	if *chkFlag {

@@ -60,7 +60,8 @@ type Opts struct {
 	// independently-clocked engine shards (0 or 1 = serial). Results are
 	// byte-identical to serial runs at every setting; points that cannot
 	// shard (PASE, PDQ, spill-mode trace writers, single-atom
-	// topologies) silently fall back to the serial engine. Note the
+	// topologies) run on the serial engine and report why in
+	// PointResult.ShardFallback. Note the
 	// multiplicative core budget with Parallelism: a pooled figure runs
 	// up to Parallelism × Shards goroutines at once.
 	Shards int

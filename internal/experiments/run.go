@@ -218,8 +218,9 @@ type PointConfig struct {
 	// including trace output: traced runs shard too, recording into
 	// per-shard buffers merged in canonical order. Protocols with
 	// fabric-synchronous control planes (PASE, PDQ), spill-mode trace
-	// writers, and single-atom fabrics fall back to serial — the
-	// shard/fallback_serial counter records it when Obs is set.
+	// writers, and single-atom fabrics run on the serial engine
+	// instead: PointResult.ShardFallback names the reason (and, when Obs
+	// is set, so does the shard/fallback_serial counter).
 	Shards int
 }
 
@@ -252,12 +253,17 @@ type PointResult struct {
 	// set). In spill mode the flow traces have already streamed to the
 	// writer; Trace still carries control spans, stats and meta.
 	Trace *trace.RunTrace
+	// ShardFallback names why a PointConfig.Shards > 1 request ran on
+	// the serial engine: "pase", "pdq", "trace_spill" or "single_atom";
+	// "" when the run sharded or no sharding was asked for.
+	ShardFallback string
 }
 
 // scenarioSpec bundles what a scenario needs.
 type scenarioSpec struct {
-	topo func(newQueue func(topology.QueueKind) netem.Queue) topology.Config
-	// buildLS, when set, builds a leaf-spine fabric instead of a tree.
+	// tree is the tree fabric; buildLS, when set, builds a leaf-spine
+	// fabric instead. Both leave the queue factory to the runner.
+	tree      topology.Config
 	buildLS   *topology.LeafSpineConfig
 	pattern   func(n *topology.Network) workload.Pattern
 	sizes     workload.SizeDist
@@ -283,13 +289,13 @@ func teFailoverLS() topology.LeafSpineConfig {
 }
 
 func scenario(s Scenario) scenarioSpec {
-	if racks := ctrlScaleRacks(s); racks > 0 {
+	if racks := CtrlScaleRacksOf(s); racks > 0 {
 		return ctrlScaleSpec(racks)
 	}
 	switch s {
 	case LeftRight:
 		return scenarioSpec{
-			topo: topology.Baseline,
+			tree: topology.Baseline(nil),
 			pattern: func(n *topology.Network) workload.Pattern {
 				return workload.LeftRight{
 					Left:  workload.HostRange(0, 80),
@@ -305,9 +311,7 @@ func scenario(s Scenario) scenarioSpec {
 		}
 	case IntraRack:
 		return scenarioSpec{
-			topo: func(nq func(topology.QueueKind) netem.Queue) topology.Config {
-				return topology.SingleRack(IntraRackHosts, nq)
-			},
+			tree: topology.SingleRack(IntraRackHosts, nil),
 			pattern: func(n *topology.Network) workload.Pattern {
 				return workload.AllToAll{Hosts: workload.HostRange(0, IntraRackHosts)}
 			},
@@ -331,50 +335,13 @@ func scenario(s Scenario) scenarioSpec {
 		sp.deadlines = true
 		return sp
 	case LeafSpine:
-		ls := topology.DefaultLeafSpine(nil)
-		return scenarioSpec{
-			buildLS: &ls,
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.AllToAll{Hosts: workload.HostRange(0, ls.Leaves*ls.HostsPerLeaf)}
-			},
-			sizes: workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
-			// Load is defined against the total leaf-spine fabric
-			// capacity actually reachable by edge-limited hosts.
-			reference: netem.BitRate(ls.Leaves*ls.HostsPerLeaf) * netem.Gbps,
-			bgFlows:   BackgroundFlows,
-			markK:     MarkingThreshold,
-			qSize:     DCTCPQueueSize,
-			epoch:     200 * sim.Microsecond,
-		}
+		return leafSpineSpec(topology.DefaultLeafSpine(nil))
 	case LeafSpineWide:
 		ls := topology.DefaultLeafSpine(nil)
 		ls.Leaves, ls.Spines = 8, 4
-		return scenarioSpec{
-			buildLS: &ls,
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.AllToAll{Hosts: workload.HostRange(0, ls.Leaves*ls.HostsPerLeaf)}
-			},
-			sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
-			reference: netem.BitRate(ls.Leaves*ls.HostsPerLeaf) * netem.Gbps,
-			bgFlows:   BackgroundFlows,
-			markK:     MarkingThreshold,
-			qSize:     DCTCPQueueSize,
-			epoch:     200 * sim.Microsecond,
-		}
+		return leafSpineSpec(ls)
 	case TEFailover:
-		ls := teFailoverLS()
-		return scenarioSpec{
-			buildLS: &ls,
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.AllToAll{Hosts: workload.HostRange(0, ls.Leaves*ls.HostsPerLeaf)}
-			},
-			sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
-			reference: netem.BitRate(ls.Leaves*ls.HostsPerLeaf) * netem.Gbps,
-			bgFlows:   BackgroundFlows,
-			markK:     MarkingThreshold,
-			qSize:     DCTCPQueueSize,
-			epoch:     200 * sim.Microsecond,
-		}
+		return leafSpineSpec(teFailoverLS())
 	case Highspeed10:
 		return highspeedSpec(10*netem.Gbps, HighspeedHosts, DCTCPQueueSize, MarkingThreshold)
 	case Highspeed40:
@@ -389,7 +356,7 @@ func scenario(s Scenario) scenarioSpec {
 		return incastSpec(256, 100*netem.Gbps)
 	case Testbed:
 		return scenarioSpec{
-			topo: topology.Testbed,
+			tree: topology.Testbed(nil),
 			pattern: func(n *topology.Network) workload.Pattern {
 				return workload.LeftRight{
 					Left:  workload.HostRange(0, 9),
@@ -407,6 +374,26 @@ func scenario(s Scenario) scenarioSpec {
 	panic(fmt.Sprintf("experiments: unknown scenario %q", s))
 }
 
+// leafSpineSpec builds the all-to-all short-message scenario on the
+// leaf-spine fabric ls (per-flow ECMP; flows cross leaves).
+func leafSpineSpec(ls topology.LeafSpineConfig) scenarioSpec {
+	hosts := ls.Leaves * ls.HostsPerLeaf
+	return scenarioSpec{
+		buildLS: &ls,
+		pattern: func(n *topology.Network) workload.Pattern {
+			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
+		},
+		sizes: workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
+		// Load is defined against the total leaf-spine fabric
+		// capacity actually reachable by edge-limited hosts.
+		reference: netem.BitRate(hosts) * netem.Gbps,
+		bgFlows:   BackgroundFlows,
+		markK:     MarkingThreshold,
+		qSize:     DCTCPQueueSize,
+		epoch:     200 * sim.Microsecond,
+	}
+}
+
 // highspeedSpec builds a two-rack all-to-all scenario at the given
 // link rate: short propagation delays (as high-speed fabrics have) and
 // DCTCP-family buffers/thresholds scaled by the caller. Two racks
@@ -417,13 +404,10 @@ func scenario(s Scenario) scenarioSpec {
 // so the access links stay the bottleneck at every sweep rate.
 func highspeedSpec(rate netem.BitRate, hosts, qSize, markK int) scenarioSpec {
 	return scenarioSpec{
-		topo: func(nq func(topology.QueueKind) netem.Queue) topology.Config {
-			return topology.Config{
-				Racks: 2, HostsPerRack: hosts / 2, RacksPerAgg: 2,
-				EdgeRate: rate, FabricRate: netem.BitRate(hosts/2) * rate,
-				LinkDelay: HighspeedLinkDelay,
-				NewQueue:  nq,
-			}
+		tree: topology.Config{
+			Racks: 2, HostsPerRack: hosts / 2, RacksPerAgg: 2,
+			EdgeRate: rate, FabricRate: netem.BitRate(hosts/2) * rate,
+			LinkDelay: HighspeedLinkDelay,
 		},
 		pattern: func(n *topology.Network) workload.Pattern {
 			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
@@ -437,15 +421,11 @@ func highspeedSpec(rate netem.BitRate, hosts, qSize, markK int) scenarioSpec {
 	}
 }
 
-// CtrlScaleRacksOf reports the rack count a ctrlscale-family scenario
-// names (0 when s is not in the family) — the façade uses it to
-// validate parametric scenario names.
-func CtrlScaleRacksOf(s Scenario) int { return ctrlScaleRacks(s) }
-
-// ctrlScaleRacks parses the ctrlscale scenario family: "ctrlscale"
+// CtrlScaleRacksOf parses the ctrlscale scenario family: "ctrlscale"
 // (the default rack count) or "ctrlscale-<racks>". 0 means s is not
-// in the family.
-func ctrlScaleRacks(s Scenario) int {
+// in the family — the façade uses that to validate parametric
+// scenario names.
+func CtrlScaleRacksOf(s Scenario) int {
 	if s == CtrlScale {
 		return CtrlScaleDefaultRacks
 	}
@@ -475,13 +455,10 @@ func ctrlScaleSpec(racks int) scenarioSpec {
 	}
 	hosts := racks * CtrlScaleHostsPerRack
 	return scenarioSpec{
-		topo: func(nq func(topology.QueueKind) netem.Queue) topology.Config {
-			return topology.Config{
-				Racks: racks, HostsPerRack: CtrlScaleHostsPerRack, RacksPerAgg: rpa,
-				EdgeRate: netem.Gbps, FabricRate: 10 * netem.Gbps,
-				LinkDelay: HighspeedLinkDelay,
-				NewQueue:  nq,
-			}
+		tree: topology.Config{
+			Racks: racks, HostsPerRack: CtrlScaleHostsPerRack, RacksPerAgg: rpa,
+			EdgeRate: netem.Gbps, FabricRate: 10 * netem.Gbps,
+			LinkDelay: HighspeedLinkDelay,
 		},
 		pattern: func(n *topology.Network) workload.Pattern {
 			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
@@ -505,13 +482,10 @@ func ctrlScaleSpec(racks int) scenarioSpec {
 func incastSpec(senders int, rate netem.BitRate) scenarioSpec {
 	hosts := senders + 1
 	return scenarioSpec{
-		topo: func(nq func(topology.QueueKind) netem.Queue) topology.Config {
-			return topology.Config{
-				Racks: 1, HostsPerRack: hosts, RacksPerAgg: 1,
-				EdgeRate: rate, FabricRate: rate,
-				LinkDelay: HighspeedLinkDelay,
-				NewQueue:  nq,
-			}
+		tree: topology.Config{
+			Racks: 1, HostsPerRack: hosts, RacksPerAgg: 1,
+			EdgeRate: rate, FabricRate: rate,
+			LinkDelay: HighspeedLinkDelay,
 		},
 		pattern: func(n *topology.Network) workload.Pattern {
 			return workload.LeftRight{
@@ -597,33 +571,65 @@ func queueFactory(p Protocol, sp scenarioSpec, numQueues int, reg *obs.Registry)
 	}
 }
 
-// bindCreditQueues connects every CreditQueue to its port — engine
-// clock, transmitter kick and rate-derived pacing gap. Serial and
-// sharded builds call it at the same position so runs stay
-// byte-identical.
-func bindCreditQueues(net *topology.Network) {
-	for _, l := range net.Links {
-		if cq, ok := l.Port.Queue().(*netem.CreditQueue); ok {
-			cq.Bind(l.Port)
-		}
-	}
+// shardEnv is one engine shard's share of a run — everything that must
+// not be shared across shard goroutines (obs instruments, checkers,
+// fault RNG streams and trace buffers are not concurrent-safe). A
+// serial run is the one-environment case: its engine is a plain
+// sim.NewEngine and buf stays nil (stacks feed the driver's sink
+// directly).
+type shardEnv struct {
+	eng     *sim.Engine
+	reg     *obs.Registry
+	chk     *check.Checker
+	inj     *faults.Injector
+	flog    *trace.FlowLog
+	srec    *trace.ShardRecorder
+	sampler *trace.Sampler
+	buf     *bufSink
 }
 
-// RunPoint executes one simulation point.
+// partition decides whether a run shards. It returns the fabric
+// partition, or nil plus the reason a cfg.Shards > 1 request runs on
+// one engine ("" when none was made). PASE's arbitration and PDQ's
+// switch state are fabric-synchronous — senders call into shared
+// structures inline, with no link delay between shards to hide the
+// latency — so those runs keep the serial engine. Traced runs shard
+// (per-shard buffers, canonical merge), but spill-mode trace writers
+// stream to a single writer and stay serial. A single-atom fabric has
+// nothing to cut.
+func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
+	if cfg.Shards <= 1 {
+		return nil, ""
+	}
+	switch {
+	case cfg.Protocol == PASE:
+		return nil, "pase"
+	case cfg.Protocol == PDQ:
+		return nil, "pdq"
+	case cfg.Trace.spills():
+		return nil, "trace_spill"
+	}
+	var part *topology.Partition
+	if sp.buildLS != nil {
+		part = topology.PartitionLeafSpine(*sp.buildLS, cfg.Shards)
+	} else {
+		part = topology.PartitionTree(sp.tree, cfg.Shards)
+	}
+	if part.Shards < 2 {
+		return nil, "single_atom"
+	}
+	return part, ""
+}
+
+// RunPoint executes one simulation point: on one plain engine, or —
+// when cfg.Shards > 1 and partition allows it — across conservatively
+// synchronized engine shards. The wiring below is written once over a
+// slice of per-shard environments; only the drive loop at the end
+// differs. The relative order of the setup Schedule calls (fault
+// arming, route TE timers, protocol attach, samplers, arrivals) fixes
+// the events' rank slots and must not change: it is what keeps every
+// digest equal between one shard and many.
 func RunPoint(cfg PointConfig) PointResult {
-	if cfg.Shards > 1 {
-		if reason := shardFallback(cfg); reason != "" {
-			return runPointSerial(cfg, reason)
-		}
-		return runPointSharded(cfg)
-	}
-	return runPointSerial(cfg, "")
-}
-
-// runPointSerial is the single-engine path; fallback, when non-empty,
-// names why a sharded request degraded to serial (recorded in the obs
-// snapshot).
-func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	sp := scenario(cfg.Scenario)
 	numFlows := cfg.NumFlows
 	if numFlows == 0 {
@@ -633,109 +639,177 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	if numQueues == 0 {
 		numQueues = PASENumQueues
 	}
+	linkDelay := sp.tree.LinkDelay
+	if sp.buildLS != nil {
+		linkDelay = sp.buildLS.LinkDelay
+	}
 
-	var reg *obs.Registry
+	part, fallback := partition(cfg, sp)
+	shardOf := func(pkt.NodeID) int { return 0 }
+	envs := make([]shardEnv, 1)
+	var se *sim.ShardedEngine
+	if part == nil {
+		envs[0].eng = sim.NewEngine()
+	} else {
+		shardOf = part.ShardOfID
+		envs = make([]shardEnv, part.Shards)
+		var err error
+		if se, err = sim.NewShardedEngine(part.Shards, linkDelay); err != nil {
+			panic(err)
+		}
+		for i := range envs {
+			envs[i].eng = se.Shard(i)
+		}
+	}
+	envOf := func(id pkt.NodeID) *shardEnv { return &envs[shardOf(id)] }
+
+	// One registry per shard plus, when sharded, one for the
+	// coordinator; at one shard the coordinator's is the shard's. All
+	// stay nil without cfg.Obs (every obs call is nil-safe).
+	var coordReg *obs.Registry
 	if cfg.Obs {
-		reg = obs.NewRegistry()
+		for i := range envs {
+			envs[i].reg = obs.NewRegistry()
+		}
+		coordReg = envs[0].reg
+		if part != nil {
+			coordReg = obs.NewRegistry()
+			coordReg.Counter("shard/shards").Add(int64(part.Shards))
+			coordReg.Counter("shard/atoms").Add(int64(part.Atoms))
+		}
 	}
 	if fallback != "" {
-		reg.Counter("shard/fallback_serial").Inc()
-		reg.Counter("shard/fallback_serial/" + fallback).Inc()
+		coordReg.Counter("shard/fallback_serial").Inc()
+		coordReg.Counter("shard/fallback_serial/" + fallback).Inc()
 	}
-	eng := sim.NewEngine()
-	eng.Instrument(reg)
-	var chk *check.Checker
-	if cfg.Check || check.Forced() {
-		chk = check.New(func() int64 { return int64(eng.Now()) })
-		eng.AttachCheck(chk)
+	if se != nil {
+		se.Instrument(coordReg)
+	}
+	checked := cfg.Check || check.Forced()
+	for i := range envs {
+		e := envs[i].eng
+		e.Instrument(envs[i].reg)
+		if checked {
+			envs[i].chk = check.New(func() int64 { return int64(e.Now()) })
+			e.AttachCheck(envs[i].chk)
+		}
+	}
+
+	// Build the fabric: every node's ports live on its shard's engine
+	// and feed its shard's registry.
+	qf := make([]func(topology.QueueKind) netem.Queue, len(envs))
+	for i := range envs {
+		qf[i] = queueFactory(cfg.Protocol, sp, numQueues, envs[i].reg)
+	}
+	engineOf := func(o netem.Node) *sim.Engine { return envOf(o.ID()).eng }
+	queueFor := func(kind topology.QueueKind, o netem.Node) netem.Queue {
+		return qf[shardOf(o.ID())](kind)
 	}
 	var net *topology.Network
 	if sp.buildLS != nil {
 		ls := *sp.buildLS
-		ls.NewQueue = queueFactory(cfg.Protocol, sp, numQueues, reg)
-		net = topology.BuildLeafSpine(eng, ls)
+		ls.EngineOf, ls.NewQueueFor = engineOf, queueFor
+		net = topology.BuildLeafSpine(envs[0].eng, ls)
 	} else {
-		net = topology.Build(eng, sp.topo(queueFactory(cfg.Protocol, sp, numQueues, reg)))
+		tree := sp.tree
+		tree.EngineOf, tree.NewQueueFor = engineOf, queueFor
+		net = topology.Build(envs[0].eng, tree)
 	}
-	bindCreditQueues(net)
-	if chk != nil {
-		for _, l := range net.Links {
-			l.Port.AttachCheck(chk)
+	// Every CreditQueue learns its port (engine clock, transmitter kick,
+	// rate-derived pacing gap) and every port its shard's checker.
+	for _, l := range net.Links {
+		if cq, ok := l.Port.Queue().(*netem.CreditQueue); ok {
+			cq.Bind(l.Port)
+		}
+		if checked {
+			l.Port.AttachCheck(envOf(l.From.ID()).chk)
 		}
 	}
-	var inj *faults.Injector
+	if part != nil {
+		cutLinks(se, part, net)
+	}
+
+	// Fault injection: one injector per shard, each binding only the
+	// links its shard transmits on. Per-link RNG streams make the draw
+	// sequences independent of the shard count; crash timers arm on
+	// shard 0 only so the faults/arb_* counters keep their totals.
 	if !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(); err != nil {
 			panic(err)
 		}
-		inj = faults.NewInjector(eng, cfg.Faults, cfg.Seed)
-		inj.Instrument(reg)
-		for _, l := range net.Links {
-			inj.BindPort(l.ID, l.Port)
+		for i := range envs {
+			envs[i].inj = faults.NewInjector(envs[i].eng, cfg.Faults, cfg.Seed)
+			envs[i].inj.Instrument(envs[i].reg)
+			envs[i].inj.OmitCrashes = i > 0
 		}
-		inj.Arm()
+		for _, l := range net.Links {
+			envOf(l.From.ID()).inj.BindPort(l.ID, l.Port)
+		}
+		for i := range envs {
+			envs[i].inj.Arm()
+		}
 	}
 
-	// Routing control loop: attached right after fault arming in both
-	// the serial and sharded paths so its TE epoch timers hold the same
-	// setup rank slots. routeRec is bound later, once the recorder
-	// exists.
-	var routeRec func(ev trace.RouteEvent)
-	var routeCtl *route.Controller
-	if cfg.Route.Enabled() && net.IsLeafSpine() {
-		routeCtl = route.Attach(route.Params{
-			Net: net, Cfg: cfg.Route,
-			EngineOf: func(int) *sim.Engine { return eng },
-			Deliver: func(_ netem.Node, _ int, fn func()) {
-				eng.Schedule(net.Cfg.LinkDelay, fn)
-			},
-			ChkOf: func(int) *check.Checker { return chk },
-			RegOf: func(int) *obs.Registry { return reg },
-			Record: func(_ int, ev trace.RouteEvent) {
-				if routeRec != nil {
-					routeRec(ev)
-				}
-			},
-		})
-		if inj != nil && routeCtl != nil {
-			inj.OnLinkState = routeCtl.LinkState
+	// Routing control loop, attached right after fault arming so its TE
+	// epoch timers hold the same setup rank slots at every shard count.
+	// Cross-shard table updates ride the lookahead handoff with captured
+	// rank slots; the same-shard branch — the only one a serial run has
+	// — consumes the matching child slot via Schedule.
+	envOfRack := func(rack int) *shardEnv { return envOf(net.ToRs[rack].ID()) }
+	routeCtl := route.Attach(route.Params{
+		Net: net, Cfg: cfg.Route,
+		EngineOf: func(rack int) *sim.Engine { return envOfRack(rack).eng },
+		Deliver: func(from netem.Node, dstRack int, fn func()) {
+			ss, ds := shardOf(from.ID()), shardOf(net.ToRs[dstRack].ID())
+			e := envs[ss].eng
+			if ss == ds {
+				e.Schedule(linkDelay, fn)
+				return
+			}
+			ctx, k := e.ChildSlot()
+			se.Handoff(ss, ds, e.Now().Add(linkDelay), ctx, k, fn)
+		},
+		ChkOf:  func(rack int) *check.Checker { return envOfRack(rack).chk },
+		RegOf:  func(rack int) *obs.Registry { return envOfRack(rack).reg },
+		Record: func(rack int, ev trace.RouteEvent) { envOfRack(rack).srec.Route(ev) },
+	})
+	if routeCtl != nil {
+		for i := range envs {
+			if envs[i].inj != nil {
+				envs[i].inj.OnLinkState = routeCtl.LinkState
+			}
 		}
 	}
 
 	d := transport.NewDriver(net, nil)
-	d.Instrument(reg)
-	d.AttachCheck(chk)
+	d.InstrumentEach(func(h pkt.NodeID) *obs.Registry { return envOf(h).reg })
+	if checked {
+		d.ChkOf = func(src pkt.NodeID) *check.Checker { return envOf(src).chk }
+	}
 	if cfg.AbortAfter > 0 {
 		for _, st := range d.Stacks {
 			st.AbortAfter = cfg.AbortAfter
 		}
 	}
 
+	// PASE and PDQ reach this switch at one shard only (partition), so
+	// they wire against envs[0]. ExpressPass shards cleanly: every
+	// credit engine is per-host state driven by its host's shard engine,
+	// and Totals sums the hosts in stack (host-ID) order.
+	var newControl func(*transport.Sender) transport.Control
 	var pdqSys *pdq.System
 	var paseSys *arbitration.System
 	var paseT *endhost.Transport
 	var epSys *expresspass.System
 	switch cfg.Protocol {
 	case DCTCP:
-		c := DefaultDCTCP()
-		for _, st := range d.Stacks {
-			st.NewControl = dctcp.New(c)
-		}
+		newControl = dctcp.New(DefaultDCTCP())
 	case D2TCP:
-		c := DefaultD2TCP()
-		for _, st := range d.Stacks {
-			st.NewControl = d2tcp.New(c)
-		}
+		newControl = d2tcp.New(DefaultD2TCP())
 	case L2DCT:
-		c := DefaultL2DCT()
-		for _, st := range d.Stacks {
-			st.NewControl = l2dct.New(c)
-		}
+		newControl = l2dct.New(DefaultL2DCT())
 	case PFabric:
-		c := DefaultPFabric()
-		for _, st := range d.Stacks {
-			st.NewControl = pfabric.New(c)
-		}
+		newControl = pfabric.New(DefaultPFabric())
 	case PDQ:
 		c := DefaultPDQ()
 		c.EarlyTermination = sp.deadlines
@@ -747,7 +821,7 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	case PASE:
 		p := DefaultPASEParams()
 		p.Epoch = sp.epoch
-		p.CtrlPerHop = net.Cfg.LinkDelay + 5*sim.Microsecond
+		p.CtrlPerHop = linkDelay + 5*sim.Microsecond
 		p.NumQueues = numQueues
 		p.LocalOnly = cfg.PASE.LocalOnly
 		p.EarlyPruning = !cfg.PASE.NoPruning
@@ -769,66 +843,76 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 		ec.ReorderGuard = !cfg.PASE.NoReorderGuard
 		ec.TaskAware = cfg.PASE.TaskAware
 		paseSys, paseT = core.Attach(d, p, ec)
-		paseT.Instrument(reg)
-		paseSys.Instrument(reg)
-		if chk != nil {
-			paseSys.AttachCheck(chk)
+		paseT.Instrument(envs[0].reg)
+		paseSys.Instrument(envs[0].reg)
+		if checked {
+			paseSys.AttachCheck(envs[0].chk)
+		}
+		if inj := envs[0].inj; inj != nil {
+			paseSys.Faults = inj
+			inj.OnCrash = paseSys.Crash
+			inj.OnRestart = paseSys.Restore
 		}
 	default:
 		panic(fmt.Sprintf("experiments: unknown protocol %q", cfg.Protocol))
 	}
-	if inj != nil && paseSys != nil {
-		paseSys.Faults = inj
-		inj.OnCrash = paseSys.Crash
-		inj.OnRestart = paseSys.Restore
+	if newControl != nil {
+		for _, st := range d.Stacks {
+			st.NewControl = newControl
+		}
 	}
 
-	// Tracing hooks chain after protocol attach: PDQ and PASE claim
-	// OnFlowDone above, and the traces must observe those runs too.
-	// None of the hooks schedule events; only the sampler does, and it
-	// is created last so its setup slot mirrors the sharded path.
-	var flog *trace.FlowLog
-	var sampler *trace.Sampler
-	var rec *trace.Recorder
-	var srec *trace.ShardRecorder
-	var pstream *trace.PerfettoStream
+	// Tracing: one flow log, flight-recorder shard and sampler per
+	// environment, each touched only from its shard's goroutine and
+	// merged into the canonical order after the run. The hooks chain
+	// after protocol attach (PDQ and PASE claim OnFlowDone above, and
+	// the traces must observe those runs too) and never schedule
+	// events; only the samplers do, and they are created last, in shard
+	// order.
+	flogCap := traceCap(cfg.Trace.FlowLogCap, trace.DefaultFlowLogCap)
 	if cfg.Trace.FlowLog {
-		flog = &trace.FlowLog{Cap: traceCap(cfg.Trace.FlowLogCap, trace.DefaultFlowLogCap)}
-		if cfg.Trace.FlowLogWriter != nil {
-			if err := flog.SpillTo(cfg.Trace.FlowLogWriter); err != nil {
+		for i := range envs {
+			envs[i].flog = &trace.FlowLog{Cap: flogCap}
+		}
+		if w := cfg.Trace.FlowLogWriter; w != nil {
+			if err := envs[0].flog.SpillTo(w); err != nil {
 				panic(err)
 			}
 		}
 	}
+	var rec *trace.Recorder
 	if cfg.Trace.Spans {
 		rec = trace.NewRecorder(trace.RecorderConfig{
 			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed, FlowCap: cfg.Trace.FlowCap,
 		})
-		if cfg.Trace.SpanWriter != nil {
-			pstream = trace.NewPerfettoStream(cfg.Trace.SpanWriter)
-			rec.SpillTo(pstream)
+		if w := cfg.Trace.SpanWriter; w != nil {
+			rec.SpillTo(trace.NewPerfettoStream(w))
 		}
-		srec = rec.Shard(eng)
+		for i := range envs {
+			envs[i].srec = rec.Shard(envs[i].eng)
+		}
 		rec.SetMeta(traceMeta(cfg, net))
-		if routeCtl != nil {
-			routeRec = srec.Route
-		}
 		if paseT != nil {
-			wirePASETraceHooks(srec, paseT, paseSys)
+			wirePASETraceHooks(envs[0].srec, paseT, paseSys)
 		}
 	}
-	var flogOf func(pkt.NodeID) *trace.FlowLog
-	if flog != nil {
-		flogOf = func(pkt.NodeID) *trace.FlowLog { return flog }
-	}
-	var recOf func(pkt.NodeID) *trace.ShardRecorder
-	if srec != nil {
-		recOf = func(pkt.NodeID) *trace.ShardRecorder { return srec }
-	}
-	wireTraceHooks(cfg, d, flogOf, recOf)
+	wireTraceHooks(cfg, d, envOf)
+	sampCap := traceCap(cfg.Trace.SampleCap, trace.DefaultSampleCap)
 	if cfg.Trace.QueueSample > 0 {
-		sampler = trace.NewSampler(eng, cfg.Trace.QueueSample, trace.AllPorts(net))
-		sampler.Cap = traceCap(cfg.Trace.SampleCap, trace.DefaultSampleCap)
+		// Each shard samples the ports it clocks, carrying the run-wide
+		// port indices so the merged stream keeps the (At, Idx) order.
+		ports := make([][]*netem.Port, len(envs))
+		idx := make([][]int, len(envs))
+		for i, p := range trace.AllPorts(net) {
+			sh := shardOf(p.Owner().ID())
+			ports[sh] = append(ports[sh], p)
+			idx[sh] = append(idx[sh], i)
+		}
+		for i := range envs {
+			s := trace.NewSampler(envs[i].eng, cfg.Trace.QueueSample, ports[i])
+			s.Idx, s.Cap = idx[i], sampCap
+			envs[i].sampler = s
+		}
 	}
 
 	spec := workload.Spec{
@@ -845,28 +929,37 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 		spec.DeadlineMax = DeadlineHi
 	}
 	var sc *metrics.StreamCollector
-	var summary metrics.Summary
-	var err error
 	if cfg.Stream {
 		sc = metrics.NewStreamCollector(cfg.SketchEps)
 		d.UseSink(sc)
-		it := spec.Stream(sim.NewRand(cfg.Seed+1), 1)
-		d.ScheduleStream(it.Next)
+	}
+
+	// The drive loop is the one step with two arms, each the only loop
+	// that can run on its input: Engine.Run on one engine, barrier
+	// windows plus the serial tail on several.
+	var summary metrics.Summary
+	var err error
+	rng := sim.NewRand(cfg.Seed + 1)
+	switch {
+	case part != nil:
+		summary = driveSharded(se, d, part, envs, spec, rng, sc)
+	case cfg.Stream:
+		d.ScheduleStream(spec.Stream(rng, 1).Next)
 		summary, err = d.Run(0)
-	} else {
-		flows := spec.Generate(sim.NewRand(cfg.Seed+1), 1)
+	default:
+		flows := spec.Generate(rng, 1)
 		d.Schedule(flows)
-		span := flows[len(flows)-1].Start
-		summary, err = d.Run(span + sim.Time(10*sim.Second))
+		summary, err = d.Run(flows[len(flows)-1].Start + sim.Time(10*sim.Second))
 	}
 	if err != nil {
 		panic(err)
 	}
 
 	res := PointResult{
-		Summary: summary,
-		CDF:     d.Sink.CDF(200),
-		Queues:  net.QueueStatsTotal(),
+		Summary:       summary,
+		CDF:           d.Sink.CDF(200),
+		Queues:        net.QueueStatsTotal(),
+		ShardFallback: fallback,
 	}
 	if !cfg.Stream {
 		res.Records = d.Collector.Records()
@@ -886,38 +979,44 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	if epSys != nil {
 		res.CtrlMessages = epSys.Totals().Messages
 	}
-	if flog != nil {
-		if cfg.Trace.FlowLogWriter != nil {
-			if err := flog.FlushSpill(); err != nil {
-				panic(err)
-			}
-		} else {
-			// Canonicalize even in serial: execution order within one
-			// instant is not the (At, Flow, kind) order sharded merges
-			// produce, and the two must match byte for byte.
-			res.FlowEvents, _ = trace.MergeFlowEvents([]*trace.FlowLog{flog}, flog.Cap)
+	if cfg.Trace.FlowLogWriter != nil {
+		if err := envs[0].flog.FlushSpill(); err != nil {
+			panic(err)
 		}
+	} else if cfg.Trace.FlowLog {
+		// Canonicalize at one shard too: execution order within one
+		// instant is not the (At, Flow, kind) order a multi-shard merge
+		// produces, and the two must match byte for byte.
+		flogs := make([]*trace.FlowLog, len(envs))
+		for i := range envs {
+			flogs[i] = envs[i].flog
+		}
+		res.FlowEvents, _ = trace.MergeFlowEvents(flogs, flogCap)
 	}
-	if sampler != nil {
-		sampler.Stop()
-		res.QueueSamples, _ = trace.MergeQueueSamples([]*trace.Sampler{sampler}, sampler.Cap)
+	if cfg.Trace.QueueSample > 0 {
+		samplers := make([]*trace.Sampler, len(envs))
+		for i := range envs {
+			envs[i].sampler.Stop()
+			samplers[i] = envs[i].sampler
+		}
+		res.QueueSamples, _ = trace.MergeQueueSamples(samplers, sampCap)
 	}
 	if rec != nil {
 		rt := rec.Take()
 		rt.Queue = res.QueueSamples
-		if pstream != nil {
+		if cfg.Trace.SpanWriter != nil {
 			if err := rec.FinishSpill(rt); err != nil {
 				panic(err)
 			}
 		}
 		res.Trace = rt
 	}
-	if chk != nil && sc != nil && sc.Completed() > 0 {
-		sk := sc.Sketch()
-		chk.SketchBounds("metrics/stream",
-			int64(summary.P50), int64(summary.P99), sk.Min(), sk.Max())
-	}
-	if chk != nil {
+	if checked {
+		if sc != nil && sc.Completed() > 0 {
+			sk := sc.Sketch()
+			envs[0].chk.SketchBounds("metrics/stream",
+				int64(summary.P50), int64(summary.P99), sk.Min(), sk.Max())
+		}
 		// The fabric is quiet: verify every queue's end-state packet
 		// conservation, then fold the verdict into the result.
 		for _, l := range net.Links {
@@ -925,40 +1024,57 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 				cq.CheckConservation()
 			}
 		}
-		res.Violations = chk.Total()
-		res.CheckViolations = chk.Violations()
+		for i := range envs {
+			res.Violations += envs[i].chk.Total()
+			res.CheckViolations = append(res.CheckViolations, envs[i].chk.Violations()...)
+		}
 	}
-	if reg != nil {
-		scrapeRun(reg, eng, net, summary, paseSys, pdqSys, epSys)
-		scrapeCheck(reg, chk)
-		scrapeTrace(reg, res.Trace)
+	if cfg.Obs {
+		scrapeRun(coordReg, envs[0].eng, net, summary, paseSys, pdqSys, epSys)
+		scrapeCheck(coordReg, envs)
+		scrapeTrace(coordReg, res.Trace)
 		if sc != nil {
 			sk := sc.Sketch()
-			reg.Counter("metrics/sketch_adds").Add(sk.Count())
-			reg.Counter("metrics/sketch_buckets_used").Add(int64(sk.BucketsUsed()))
-			reg.Counter("metrics/stream_points").Inc()
+			coordReg.Counter("metrics/sketch_adds").Add(sk.Count())
+			coordReg.Counter("metrics/sketch_buckets_used").Add(int64(sk.BucketsUsed()))
+			coordReg.Counter("metrics/stream_points").Inc()
 		}
-		res.Obs = reg.Snapshot()
+		res.Obs = coordReg.Snapshot()
+		if part != nil {
+			snaps := make([]*obs.Snapshot, 0, len(envs)+1)
+			for i := range envs {
+				snaps = append(snaps, envs[i].reg.Snapshot())
+			}
+			res.Obs = obs.MergeAll(append(snaps, res.Obs))
+		}
 	}
-	if chk != nil && !cfg.Check && chk.Total() > 0 {
+	if checked && !cfg.Check && res.Violations > 0 {
 		// Forced mode (PASE_CHECK) with no caller looking at the
 		// verdict: fail loudly so a whole test pass acts as a tripwire.
-		panic("experiments: PASE_CHECK run failed: " + chk.Summary())
+		sums := ""
+		for i := range envs {
+			if envs[i].chk.Total() > 0 {
+				sums += envs[i].chk.Summary()
+			}
+		}
+		panic("experiments: PASE_CHECK run failed: " + sums)
 	}
 	return res
 }
 
-// scrapeCheck folds the checker's verdict into the registry so run
-// manifests carry it: check/violations totals every breach and
+// scrapeCheck folds the checkers' verdicts into the registry so run
+// manifests carry them: check/violations totals every breach and
 // check/violations/<invariant> splits them by invariant.
-func scrapeCheck(reg *obs.Registry, chk *check.Checker) {
-	if chk == nil {
+func scrapeCheck(reg *obs.Registry, envs []shardEnv) {
+	if envs[0].chk == nil {
 		return
 	}
 	reg.Counter("check/enabled").Inc()
-	reg.Counter("check/violations").Add(chk.Total())
-	for inv, n := range chk.ByInvariant() {
-		reg.Counter("check/violations/" + inv).Add(n)
+	for i := range envs {
+		reg.Counter("check/violations").Add(envs[i].chk.Total())
+		for inv, n := range envs[i].chk.ByInvariant() {
+			reg.Counter("check/violations/" + inv).Add(n)
+		}
 	}
 }
 
@@ -1060,16 +1176,12 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace) {
 }
 
 // wireTraceHooks installs the flow-log and flight-recorder hooks on the
-// driver, chaining after any protocol-installed completion hook.
-// flogOf/recOf route a flow to its shard's instances by source host
-// (constant in serial runs); either may be nil when that trace is off.
-// The hooks observe only — they never schedule events — so installing
-// them cannot perturb the simulation.
-func wireTraceHooks(cfg PointConfig, d *transport.Driver,
-	flogOf func(src pkt.NodeID) *trace.FlowLog,
-	recOf func(src pkt.NodeID) *trace.ShardRecorder) {
-
-	if flogOf == nil && recOf == nil {
+// driver, chaining after any protocol-installed completion hook. envOf
+// routes a flow to its shard's instances by source host. The hooks
+// observe only — they never schedule events — so installing them cannot
+// perturb the simulation (ShardRecorder methods are nil-safe).
+func wireTraceHooks(cfg PointConfig, d *transport.Driver, envOf func(src pkt.NodeID) *shardEnv) {
+	if !cfg.Trace.FlowLog && !cfg.Trace.Spans {
 		return
 	}
 	// PASE holds a new flow at the source until its first arbitration
@@ -1077,22 +1189,22 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 	held := cfg.Protocol == PASE || cfg.Protocol == ExpressPass
 	prevStart := d.OnFlowStart
 	d.OnFlowStart = func(s *transport.Sender) {
-		if flogOf != nil {
-			flogOf(s.Spec.Src).Add(trace.FlowEvent{
+		env := envOf(s.Spec.Src)
+		if env.flog != nil {
+			env.flog.Add(trace.FlowEvent{
 				At: s.Now(), Kind: "start",
 				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
 			})
 		}
-		if recOf != nil {
-			recOf(s.Spec.Src).FlowArrive(s.Spec.ID, s.Spec.Src, s.Spec.Dst, s.Spec.Size, 0, held)
-		}
+		env.srec.FlowArrive(s.Spec.ID, s.Spec.Src, s.Spec.Dst, s.Spec.Size, 0, held)
 		if prevStart != nil {
 			prevStart(s)
 		}
 	}
 	prevDone := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {
-		if flogOf != nil {
+		env := envOf(s.Spec.Src)
+		if env.flog != nil {
 			e := trace.FlowEvent{
 				At: s.Now(), Kind: "done",
 				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
@@ -1102,22 +1214,20 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 			} else {
 				e.FCT = s.FinishTime.Sub(s.Spec.Start)
 			}
-			flogOf(s.Spec.Src).Add(e)
+			env.flog.Add(e)
 		}
-		if recOf != nil {
-			recOf(s.Spec.Src).FlowEnd(s.Spec.ID, s.Aborted)
-		}
+		env.srec.FlowEnd(s.Spec.ID, s.Aborted)
 		if prevDone != nil {
 			prevDone(s)
 		}
 	}
-	if recOf != nil {
+	if cfg.Trace.Spans {
 		for _, st := range d.Stacks {
 			st.OnRetx = func(s *transport.Sender, seq int32) {
-				recOf(s.Spec.Src).Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
+				envOf(s.Spec.Src).srec.Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
 			}
 			st.OnTimeout = func(s *transport.Sender) {
-				recOf(s.Spec.Src).Mark(s.Spec.ID, trace.MarkTimeout, 0)
+				envOf(s.Spec.Src).srec.Mark(s.Spec.ID, trace.MarkTimeout, 0)
 			}
 		}
 	}
@@ -1126,7 +1236,7 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 // wirePASETraceHooks connects the PASE endpoint and the arbitration
 // hierarchy to the flight recorder: allocation grants, epoch (priority
 // queue) transitions, fallback/resync marks and every control-plane
-// half-exchange. Serial only — PASE never shards.
+// half-exchange. One shard only — PASE never shards.
 func wirePASETraceHooks(srec *trace.ShardRecorder, paseT *endhost.Transport, paseSys *arbitration.System) {
 	paseT.OnGrant = func(s *transport.Sender, q int8) {
 		srec.Mark(s.Spec.ID, trace.MarkGrant, int64(q))

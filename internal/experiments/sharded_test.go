@@ -61,11 +61,15 @@ func TestShardedDigestEquality(t *testing.T) {
 }
 
 // TestShardedFallback: PASE and PDQ cannot shard (fabric-synchronous
-// control planes); a Shards request must silently take the serial path,
-// produce the serial digest, and record the fallback when Obs is on.
+// control planes); a Shards request must take the serial path, produce
+// the serial digest, name the reason in the result whether or not Obs
+// is on, and count the fallback when it is.
 func TestShardedFallback(t *testing.T) {
-	for _, p := range []Protocol{PASE, PDQ} {
+	for p, why := range map[Protocol]string{PASE: "pase", PDQ: "pdq"} {
 		cfg := shardPoint(p, LeftRight)
+		if got := runShards(t, cfg, 4).ShardFallback; got != why {
+			t.Errorf("%s shards=4, Obs off: ShardFallback = %q, want %q", p, got, why)
+		}
 		cfg.Obs = true
 		want := digestResult(runShards(t, cfg, 0))
 		r := runShards(t, cfg, 4)
@@ -79,6 +83,15 @@ func TestShardedFallback(t *testing.T) {
 	}
 	// Single-atom topologies have nothing to cut.
 	cfg := shardPoint(DCTCP, IntraRack)
+	if got := runShards(t, cfg, 4).ShardFallback; got != "single_atom" {
+		t.Errorf("intra-rack shards=4, Obs off: ShardFallback = %q, want \"single_atom\"", got)
+	}
+	// A run that shards, or never asked to, reports no fallback.
+	for _, shards := range []int{0, 4} {
+		if got := runShards(t, shardPoint(DCTCP, LeftRight), shards).ShardFallback; got != "" {
+			t.Errorf("DCTCP left-right shards=%d: ShardFallback = %q, want none", shards, got)
+		}
+	}
 	cfg.Obs = true
 	want := digestResult(runShards(t, cfg, 0))
 	r := runShards(t, cfg, 4)

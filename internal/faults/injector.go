@@ -57,8 +57,8 @@ type Injector struct {
 
 	// reg backs the lazily created per-link blackhole counters (nil
 	// without Instrument).
-	reg             *obs.Registry
-	blackholedLink  map[int]*obs.Counter
+	reg            *obs.Registry
+	blackholedLink map[int]*obs.Counter
 
 	o struct {
 		linkDown, linkUp            *obs.Counter

@@ -56,9 +56,12 @@ type Driver struct {
 	// coordinator's stop request (an Engine.Stop on one shard would
 	// only halt that shard).
 	OnZero func()
-	// ChkOf, when set, selects the invariant checker for a completing
-	// flow by its source host — sharded runs keep one checker per
-	// shard, since a Checker is not concurrent-safe.
+	// ChkOf, when set, attaches the runtime invariant checker: every
+	// completed flow is verified against its physical completion-time
+	// lower bound — Size bytes cannot clear the path's bottleneck link
+	// faster than their serialization time there. The checker is
+	// selected by the flow's source host, since sharded runs keep one
+	// per shard (a Checker is not concurrent-safe).
 	ChkOf func(src pkt.NodeID) *check.Checker
 	// DropRx, when set, routes streaming-mode receiver release to the
 	// destination host's shard instead of mutating the destination
@@ -82,12 +85,12 @@ type Driver struct {
 	hasPending    bool
 	streamDrained bool
 	arrivalFn     func()
-
-	chk *check.Checker
 }
 
-// Instrument attaches run-wide observability to every stack. The
-// recorded streams:
+// InstrumentEach attaches observability to every stack, resolving the
+// registry by host: a sharded run gives every shard its own registry
+// (instruments are not concurrent-safe) and merges the snapshots; a
+// serial run returns the same one for every host. The recorded streams:
 //
 //	transport/retx          retransmitted data segments
 //	transport/timeouts      RTO firings
@@ -95,22 +98,6 @@ type Driver struct {
 //	transport/rate_updates  pacing-rate changes (SetRate calls)
 //	transport/aborts        flows the transport killed (deadline aborts,
 //	                        PDQ early termination)
-func (d *Driver) Instrument(reg *obs.Registry) {
-	o := stackObs{
-		retx:        reg.Counter("transport/retx"),
-		timeouts:    reg.Counter("transport/timeouts"),
-		probes:      reg.Counter("transport/probes"),
-		rateUpdates: reg.Counter("transport/rate_updates"),
-		aborts:      reg.Counter("transport/aborts"),
-	}
-	for _, st := range d.Stacks {
-		st.obs = o
-	}
-}
-
-// InstrumentEach attaches per-host observability, resolving the
-// registry by host — sharded runs give every shard its own registry
-// (instruments are not concurrent-safe) and merge the snapshots.
 func (d *Driver) InstrumentEach(regOf func(h pkt.NodeID) *obs.Registry) {
 	for _, st := range d.Stacks {
 		reg := regOf(st.Host.ID())
@@ -162,12 +149,6 @@ func (d *Driver) UseSink(sink metrics.Sink) {
 // Stack returns the stack of host id.
 func (d *Driver) Stack(id pkt.NodeID) *Stack { return d.Stacks[id] }
 
-// AttachCheck installs a runtime invariant checker: every completed
-// flow is verified against its physical completion-time lower bound —
-// Size bytes cannot clear the path's bottleneck link faster than their
-// serialization time there. Nil detaches (the default).
-func (d *Driver) AttachCheck(c *check.Checker) { d.chk = c }
-
 // checkFCT verifies one completed flow's FCT lower bound.
 func (d *Driver) checkFCT(chk *check.Checker, s *Sender) {
 	var bottleneck netem.BitRate
@@ -185,12 +166,8 @@ func (d *Driver) checkFCT(chk *check.Checker, s *Sender) {
 }
 
 func (d *Driver) flowDone(s *Sender) {
-	chk := d.chk
-	if d.ChkOf != nil {
-		chk = d.ChkOf(s.Spec.Src)
-	}
-	if chk != nil && !s.Aborted {
-		d.checkFCT(chk, s)
+	if d.ChkOf != nil && !s.Aborted {
+		d.checkFCT(d.ChkOf(s.Spec.Src), s)
 	}
 	if d.streaming {
 		if d.DropRx != nil {
@@ -303,21 +280,17 @@ func (d *Driver) Prime(n int) {
 
 // MarkStreaming switches the driver into streaming semantics (receiver
 // release on completion, stack-walk accounting) without installing an
-// iterator; the sharded runner injects arrivals itself and registers
-// each foreground flow with StreamArrival.
+// iterator; the sharded runner injects arrivals itself, registering
+// each foreground flow with Prime and starting it with StartArrival.
 func (d *Driver) MarkStreaming() {
 	d.streaming = true
 	d.walkUnfinished = true
 }
 
 // StartArrival starts flow f on its source stack at the current time —
-// the body of an externally scheduled arrival event. The foreground
-// count must have been primed (Prime for stored runs) or is registered
-// here (streaming runs).
-func (d *Driver) StartArrival(f workload.FlowSpec, primed bool) {
-	if !primed && !f.Background {
-		d.remaining.Add(1)
-	}
+// the body of an externally scheduled arrival event. A foreground
+// flow must have been registered with Prime first.
+func (d *Driver) StartArrival(f workload.FlowSpec) {
 	s := d.Stack(f.Src).StartFlow(f)
 	if d.OnFlowStart != nil {
 		d.OnFlowStart(s)

@@ -299,8 +299,9 @@ type SimConfig struct {
 	// every shard count — trace output included. Runs that cannot
 	// shard — PASE and PDQ (their control planes are
 	// fabric-synchronous), spill-mode trace writers, and single-rack
-	// topologies — silently fall back to the serial engine (the
-	// shard/fallback_serial counter records it when Obs is set).
+	// topologies — run on the serial engine instead and say so in
+	// Report.ShardFallback (and, when Obs is set, in the
+	// shard/fallback_serial counter).
 	Shards int
 	// Reroute enables failure rerouting on leaf-spine fabrics: link
 	// up/down events from the fault plan immediately rehash the
@@ -382,6 +383,11 @@ type Report struct {
 	Violations       int64
 	ViolationDetails []string
 
+	// ShardFallback names why a SimConfig.Shards > 1 request ran on the
+	// serial engine — "pase", "pdq", "trace_spill" or "single_atom" —
+	// and is empty when the run sharded or no sharding was asked for.
+	ShardFallback string
+
 	flowEvents   []trace.FlowEvent
 	queueSamples []trace.QueueSample
 	runTrace     *trace.RunTrace
@@ -453,6 +459,12 @@ type FlowOutcome struct {
 func normalize(cfg SimConfig) (SimConfig, error) {
 	if cfg.Load <= 0 || cfg.Load > 1 {
 		return cfg, fmt.Errorf("pase: Load must be in (0, 1], got %v", cfg.Load)
+	}
+	if cfg.NumFlows < 0 {
+		return cfg, fmt.Errorf("pase: NumFlows must not be negative, got %d", cfg.NumFlows)
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return cfg, fmt.Errorf("pase: %w", err)
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolPASE
@@ -579,6 +591,7 @@ func report(r experiments.PointResult, includeFlowLog bool) *Report {
 		Timeouts:      r.Summary.Timeouts,
 		Obs:           r.Obs,
 		Violations:    r.Violations,
+		ShardFallback: r.ShardFallback,
 		flowEvents:    r.FlowEvents,
 		queueSamples:  r.QueueSamples,
 		runTrace:      r.Trace,
@@ -772,6 +785,9 @@ func RunFigure(id string, opts FigureOpts) (*FigureData, error) {
 	fig, ok := experiments.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("pase: unknown figure %q (see ListFigures)", id)
+	}
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, fmt.Errorf("pase: %w", err)
 	}
 	res := fig.Run(expOpts(opts))
 	out := &FigureData{

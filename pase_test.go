@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pase"
+	"pase/internal/faults"
 )
 
 func TestSimulateValidation(t *testing.T) {
@@ -19,6 +20,21 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, Scenario: "moon-base"}); err == nil {
 		t.Fatal("unknown scenario must be rejected")
+	}
+	// Inputs the runner would otherwise panic on, rejected at the
+	// boundary instead.
+	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: -3}); err == nil {
+		t.Fatal("negative NumFlows must be rejected")
+	}
+	bad := &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 1.5}}}
+	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}); err == nil {
+		t.Fatal("out-of-range fault plan must be rejected")
+	}
+	if _, err := pase.SimulateSeeds(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}, 2, 1); err == nil {
+		t.Fatal("SimulateSeeds: out-of-range fault plan must be rejected")
+	}
+	if _, err := pase.RunFigure("13b", pase.FigureOpts{NumFlows: 10, Faults: bad}); err == nil {
+		t.Fatal("RunFigure: out-of-range fault plan must be rejected")
 	}
 }
 
