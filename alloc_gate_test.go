@@ -8,7 +8,7 @@ import (
 	"pase/internal/check"
 )
 
-// TestAllocGate is the allocation-drift gate (`make alloc-gate`): three
+// TestAllocGate is the allocation-drift gate (`make alloc-gate`): four
 // of the benchmark's reference configurations at a few hundred flows,
 // each held to a committed budget of bytes and objects allocated per
 // flow. Allocation counts repeat to better than 1 part in 10^4 on one
@@ -17,7 +17,9 @@ import (
 // became allocation-free; a per-packet or per-event allocation creeping
 // back in overshoots them several times over (the closure-per-hop,
 // literal-per-packet path read 68–75 KB and 1620–2290 objects per flow
-// on these configurations).
+// on these configurations). The sharded row holds rank mode to the same
+// standard: with a garbage rank node per scheduling event it read
+// 50.8 KB and 681 objects per flow.
 func TestAllocGate(t *testing.T) {
 	if check.Forced() {
 		t.Skip("the forced invariant checker allocates on its own; budgets are for unchecked runs")
@@ -30,6 +32,7 @@ func TestAllocGate(t *testing.T) {
 		{"fig9a-dctcp", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 9800, 23},
 		{"fig9a-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 14000, 122},
 		{"incast256-expresspass", pase.SimConfig{Protocol: pase.ProtocolExpressPass, Scenario: pase.ScenarioIncast256, Load: 0.7, Stream: true, NumFlows: 400}, 3900, 40},
+		{"leafspine-stream-shards2", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeafSpineWide, Load: 0.6, Stream: true, Shards: 2, NumFlows: 600}, 11000, 22},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			g.cfg.Seed = 1
@@ -40,6 +43,9 @@ func TestAllocGate(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			if err != nil || rep.Completed != g.cfg.NumFlows {
 				t.Fatalf("run failed: completed %d/%d, err %v", rep.Completed, g.cfg.NumFlows, err)
+			}
+			if rep.ShardFallback != "" {
+				t.Fatalf("a %d-shard request ran on the serial engine (%s): the budget would gate the wrong path", g.cfg.Shards, rep.ShardFallback)
 			}
 			flows := float64(g.cfg.NumFlows)
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / flows

@@ -45,7 +45,7 @@ func FuzzArbitrationTree(f *testing.F) {
 			b := (int(op>>3) + i) % racks
 			switch op >> 6 {
 			case 0, 1: // refresh climb with early pruning
-				steps := tr.ClimbPath(flow, a, b, op&1 == 0)
+				steps := tr.ClimbPath(nil, flow, a, b, op&1 == 0)
 				if len(steps) > tr.MaxDepth() {
 					t.Fatalf("op %d: path %d steps exceeds MaxDepth %d",
 						i, len(steps), tr.MaxDepth())

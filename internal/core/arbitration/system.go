@@ -178,6 +178,9 @@ type System struct {
 	// multi-level virtual aggregation trees that replace the flat
 	// delegation above the access links.
 	upTree, downTree *Tree
+	// climb is the scratch path every refresh and release climbs into
+	// (one system, one goroutine: a climb never outlives its caller).
+	climb []treeStep
 	// central, when Central is set, is the single-controller arm.
 	central *central
 	// nlevels is how many per-level instruments this configuration
@@ -653,7 +656,8 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 			if !srcSide {
 				other = c.src
 			}
-			steps := tr.ClimbPath(c.flow, rack, sys.net.RackOf(other), p.Delegation)
+			steps := tr.ClimbPath(sys.climb, c.flow, rack, sys.net.RackOf(other), p.Delegation)
+			sys.climb = steps
 			full := steps[len(steps)-1].depth
 			for _, st := range steps {
 				if p.EarlyPruning && worst.Queue >= p.PruneQueues {
@@ -795,7 +799,8 @@ func (c *Client) Release() {
 				if leaf == c.dst {
 					other = c.src
 				}
-				for _, st := range tr.ClimbPath(c.flow, rack, c.sys.net.RackOf(other), c.sys.P.Delegation) {
+				c.sys.climb = tr.ClimbPath(c.sys.climb, c.flow, rack, c.sys.net.RackOf(other), c.sys.P.Delegation)
+				for _, st := range c.sys.climb {
 					st.arb.Remove(c.flow)
 					hops = st.depth
 				}

@@ -225,10 +225,11 @@ func (t *Tree) meetLevel(a, b int) int {
 // stop before it, two messages cheaper — unless the meet is the
 // sharded root, which delegates nothing and is picked by flow hash.
 // Release mirrors the same path, so every registration is removed
-// where it was made.
-func (t *Tree) ClimbPath(flow pkt.FlowID, a, b int, delegation bool) []treeStep {
+// where it was made. The path is appended to steps[:0] — callers on
+// the refresh path pass a scratch slice so a climb allocates nothing.
+func (t *Tree) ClimbPath(steps []treeStep, flow pkt.FlowID, a, b int, delegation bool) []treeStep {
 	root := len(t.levels) - 1
-	steps := []treeStep{{arb: t.levels[0][a], depth: 1}}
+	steps = append(steps[:0], treeStep{arb: t.levels[0][a], depth: 1})
 	if a == b || root == 0 {
 		return steps
 	}

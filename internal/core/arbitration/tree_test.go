@@ -154,7 +154,7 @@ func TestTreeClimbPath(t *testing.T) {
 	flow := pkt.FlowID(7)
 
 	t.Run("same rack", func(t *testing.T) {
-		steps := tr.ClimbPath(flow, 3, 3, true)
+		steps := tr.ClimbPath(nil, flow, 3, 3, true)
 		if len(steps) != 1 || steps[0].arb != tr.Node(0, 3) || steps[0].depth != 1 {
 			t.Fatalf("intra-rack path = %+v, want only the level-0 node at depth 1", steps)
 		}
@@ -163,7 +163,7 @@ func TestTreeClimbPath(t *testing.T) {
 		// Racks 0 and 1 meet under level-1 node 0: the climb stops at
 		// rack 0's delegated slice of that parent — same depth as the
 		// level-0 stop, no extra hop.
-		steps := tr.ClimbPath(flow, 0, 1, true)
+		steps := tr.ClimbPath(nil, flow, 0, 1, true)
 		if len(steps) != 2 {
 			t.Fatalf("sibling path has %d steps, want 2", len(steps))
 		}
@@ -173,7 +173,7 @@ func TestTreeClimbPath(t *testing.T) {
 		}
 	})
 	t.Run("sibling racks no delegation", func(t *testing.T) {
-		steps := tr.ClimbPath(flow, 0, 1, false)
+		steps := tr.ClimbPath(nil, flow, 0, 1, false)
 		if len(steps) != 2 {
 			t.Fatalf("path has %d steps, want 2", len(steps))
 		}
@@ -184,7 +184,7 @@ func TestTreeClimbPath(t *testing.T) {
 	t.Run("cross fabric", func(t *testing.T) {
 		// Racks 0 and 15 only meet at the root; delegation stops at
 		// rack group 0's slice of the root, one hop cheaper.
-		steps := tr.ClimbPath(flow, 0, 15, true)
+		steps := tr.ClimbPath(nil, flow, 0, 15, true)
 		if len(steps) != 3 {
 			t.Fatalf("cross-fabric path has %d steps, want 3", len(steps))
 		}
@@ -199,15 +199,15 @@ func TestTreeClimbPath(t *testing.T) {
 		// With delegation off the two directions of an exchange must
 		// consult the same meet-level node, or feasibility would be
 		// checked against two different books.
-		ab := tr.ClimbPath(flow, 2, 9, false)
-		ba := tr.ClimbPath(flow, 9, 2, false)
+		ab := tr.ClimbPath(nil, flow, 2, 9, false)
+		ba := tr.ClimbPath(nil, flow, 9, 2, false)
 		if ab[len(ab)-1].arb != ba[len(ba)-1].arb {
 			t.Fatal("a→b and b→a climbs ended at different meet arbitrators")
 		}
 	})
 	t.Run("sharded root", func(t *testing.T) {
 		sh := newTestTree(HierarchyParams{FanOut: 4, TopShards: 2}, 16, nil)
-		steps := sh.ClimbPath(flow, 0, 15, true)
+		steps := sh.ClimbPath(nil, flow, 0, 15, true)
 		// A sharded root never delegates: full-depth climb onto the
 		// flow's hashed shard.
 		last := steps[len(steps)-1]
@@ -231,7 +231,7 @@ func TestTreeClimbPath(t *testing.T) {
 	})
 	t.Run("one rack degenerate", func(t *testing.T) {
 		one := newTestTree(HierarchyParams{FanOut: 2, TopShards: 4}, 1, nil)
-		steps := one.ClimbPath(flow, 0, 0, true)
+		steps := one.ClimbPath(nil, flow, 0, 0, true)
 		if len(steps) != 1 || steps[0].arb != one.Node(0, 0) {
 			t.Fatalf("degenerate path = %+v, want only the root", steps)
 		}
@@ -347,7 +347,7 @@ func TestTreePruneStopsClimb(t *testing.T) {
 	tr.Node(0, 0).Update(102, 20, 6*netem.Gbps)
 
 	probe := pkt.FlowID(999)
-	steps := tr.ClimbPath(probe, 0, 15, false)
+	steps := tr.ClimbPath(nil, probe, 0, 15, false)
 	if len(steps) != 3 {
 		t.Fatalf("cross-fabric climb has %d steps, want 3", len(steps))
 	}
@@ -380,7 +380,7 @@ func TestTreePruneStopsClimb(t *testing.T) {
 // marks them unreachable; Restore brings them back empty.
 func TestTreeCrashRestore(t *testing.T) {
 	tr := newTestTree(HierarchyParams{FanOut: 4, TopShards: 2}, 16, nil)
-	for _, st := range tr.ClimbPath(5, 0, 15, true) {
+	for _, st := range tr.ClimbPath(nil, 5, 0, 15, true) {
 		st.arb.Update(5, 100, netem.Gbps)
 	}
 	tr.Crash()

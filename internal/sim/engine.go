@@ -61,6 +61,8 @@ type Engine struct {
 	inEvent  bool
 	newRanks []*Rank // nodes created since the last barrier stamping
 	tailGidx *uint64 // non-nil in serial-tail mode: stamp at creation
+	rankFree *Rank   // recycled rank nodes, linked through ctx
+	rankLive int     // nodes taken and not yet released
 }
 
 // Instrument attaches run-wide observability to the engine. Passing a
@@ -261,8 +263,10 @@ func (e *Engine) recycle(ev *event) {
 	ev.act, ev.arg = nil, nil
 	ev.head = false
 	ev.stopped = false
-	ev.ctx = nil
-	ev.k = 0
+	if ev.ctx != nil {
+		ev.ctx.release()
+		ev.ctx = nil
+	}
 	if len(e.free) < maxFree {
 		e.free = append(e.free, ev)
 	}
@@ -300,14 +304,18 @@ func (e *Engine) Step() bool {
 	act, arg := ev.act, ev.arg
 	if e.ranked {
 		// The record is recycled before dispatch, so hold the event's
-		// own coordinates for lazy rank-node creation in childSlot.
+		// own coordinates — and its hold on the parent node — for lazy
+		// rank-node creation in childSlot.
 		e.cur = rankMeta{at: ev.at, head: ev.head, ctx: ev.ctx, k: ev.k}
-		e.curNode = nil
+		ev.ctx = nil
 		e.curK = 0
 		e.inEvent = true
 		e.recycle(ev)
 		act.Fire(arg)
 		e.inEvent = false
+		e.curNode.release()
+		e.cur.ctx.release()
+		e.curNode, e.cur.ctx = nil, nil
 		return true
 	}
 	e.recycle(ev)

@@ -13,26 +13,98 @@ package sim
 // the serial seq of an event is, by definition, the position of the
 // Schedule call that created it, i.e. (execution position of its
 // parent, call index), and execution position is itself (time, head,
-// seq) — the same recursion.
+// seq) — the same recursion. (It rests on events firing in key order,
+// so the one schedule it cannot express is a plain event calling
+// AtHead for its own instant: that child fires after an event it sorts
+// before. No model component does; the samplers and arrival chains
+// that use AtHead aim strictly later or run in head events.)
 //
 // Rank nodes are created lazily, only when an executing event actually
 // schedules a child. To keep chains from pinning the whole history in
 // memory, the sharded coordinator stamps every node created during a
 // window with a global index (gidx) at the window barrier, in serial
 // execution order, and drops the node's parent pointer: any later
-// comparison between stamped nodes is a single integer compare, and
-// the chain behind them becomes garbage. This is sound because windows
-// partition simulated time — two rank nodes with equal timestamps
-// belong to the same window and are therefore stamped together, so a
-// comparison never needs to walk past a stamped node.
+// comparison between stamped nodes is a single integer compare. This is
+// sound because windows partition simulated time — two rank nodes with
+// equal timestamps belong to the same window and are therefore stamped
+// together, so a comparison never needs to walk past a stamped node.
+//
+// Nodes are recycled, not garbage: each engine owns a slab-fed free
+// list and a node counts its holders in refs — the calendar records
+// whose ctx it is, the unstamped child nodes whose lineage runs through
+// it, the executing event (curNode, or cur.ctx for its parent), its
+// newRanks entry until the barrier stamps it, a buffered handoff. The
+// last release returns it to its owner. No lock is needed because a
+// node is touched only by its owner's goroutine, or by the coordinator
+// while every worker is parked at the barrier; a handoff therefore
+// never carries a pointer across shards (see ShardedEngine.deliver).
+// Coordinator-built nodes have no owner, are read by every shard, and
+// stay with the garbage collector.
 type Rank struct {
 	at   Time
 	head bool
-	ctx  *Rank
+	refs int32
+	ctx  *Rank // parent node; links the free list once released
 	k    uint64
 	// gidx, when nonzero, is the node's position in the global serial
 	// execution order; ctx is nil once it is assigned.
-	gidx uint64
+	gidx  uint64
+	owner *Engine
+}
+
+// rankFreed is the gidx of a released node on a checked engine: such a
+// node is never reused, so any later comparison against it panics
+// instead of silently reordering a tie.
+const rankFreed = ^uint64(0)
+
+// rankSlab is how many nodes an empty free list allocates at once.
+const rankSlab = 64
+
+// newRank takes a node off the engine's free list with one hold.
+func (e *Engine) newRank() *Rank {
+	if e.rankFree == nil {
+		slab := make([]Rank, rankSlab)
+		for i := range slab {
+			slab[i].owner, slab[i].ctx = e, e.rankFree
+			e.rankFree = &slab[i]
+		}
+	}
+	n := e.rankFree
+	e.rankFree, n.ctx = n.ctx, nil
+	n.refs = 1
+	e.rankLive++
+	return n
+}
+
+// hold adds a holder; nil and ownerless nodes are not counted.
+func (n *Rank) hold() *Rank {
+	if n != nil && n.owner != nil {
+		n.refs++
+	}
+	return n
+}
+
+// release drops one hold and returns the node to its owner's free list
+// with the last. A node is stamped (ctx nil) before its newRanks hold
+// goes, so a freed node never has a parent left to release.
+func (n *Rank) release() {
+	if n == nil || n.owner == nil {
+		return
+	}
+	if n.refs--; n.refs > 0 {
+		return
+	}
+	o := n.owner
+	if n.refs < 0 || n.ctx != nil {
+		panic("sim: rank node over-released")
+	}
+	o.rankLive--
+	if o.chk != nil {
+		n.gidx = rankFreed
+		return
+	}
+	*n = Rank{owner: o, ctx: o.rankFree}
+	o.rankFree = n
 }
 
 // rankLess orders two events by their schedule lineage: (c1, k1) and
@@ -40,7 +112,9 @@ type Rank struct {
 // parent means the event was scheduled during setup (or injected by
 // the coordinator with a setup slot); setup slots are globally ordered
 // by k and precede every event-scheduled slot, mirroring how setup
-// Schedule calls hold the smallest seq values in a serial run.
+// Schedule calls hold the smallest seq values in a serial run. Two
+// distinct nodes with one gidx are a handed-off parent and its
+// stand-ins: the same parent again.
 func rankLess(c1 *Rank, k1 uint64, c2 *Rank, k2 uint64) bool {
 	if c1 == c2 {
 		return k1 < k2
@@ -50,6 +124,12 @@ func rankLess(c1 *Rank, k1 uint64, c2 *Rank, k2 uint64) bool {
 	}
 	if c2 == nil {
 		return false
+	}
+	if c1.gidx == rankFreed || c2.gidx == rankFreed {
+		panic("sim: rank node compared after its last release")
+	}
+	if c1.gidx != 0 && c1.gidx == c2.gidx {
+		return k1 < k2
 	}
 	return rankNodeLess(c1, c2)
 }
@@ -94,9 +174,10 @@ func (e *Engine) EnableRank(setupCtr *uint64) {
 }
 
 // childSlot allocates the next (parent node, call index) pair for a
-// Schedule call on this engine. Outside event execution it burns a
-// shared setup slot; inside, it lazily materializes the executing
-// event's rank node and hands out consecutive call indices.
+// Schedule call on this engine, with a hold on the node for whoever
+// stores the pair. Outside event execution it burns a shared setup
+// slot; inside, it lazily materializes the executing event's rank node
+// and hands out consecutive call indices.
 func (e *Engine) childSlot() (*Rank, uint64) {
 	if !e.inEvent {
 		k := *e.setupCtr
@@ -104,22 +185,24 @@ func (e *Engine) childSlot() (*Rank, uint64) {
 		return nil, k
 	}
 	if e.curNode == nil {
-		n := &Rank{at: e.cur.at, head: e.cur.head, ctx: e.cur.ctx, k: e.cur.k}
+		n := e.newRank() // the hold is curNode's, dropped after dispatch
+		n.at, n.head, n.k = e.cur.at, e.cur.head, e.cur.k
 		if e.tailGidx != nil {
 			// Serial-tail mode: events execute in global order one at a
 			// time, so the node's position is known immediately and no
 			// lineage needs to be retained.
 			*e.tailGidx++
 			n.gidx = *e.tailGidx
-			n.ctx = nil
 		} else {
-			e.newRanks = append(e.newRanks, n)
+			// The event's hold on its parent becomes the node's.
+			n.ctx, e.cur.ctx = e.cur.ctx, nil
+			e.newRanks = append(e.newRanks, n.hold())
 		}
 		e.curNode = n
 	}
 	k := e.curK
 	e.curK++
-	return e.curNode, k
+	return e.curNode.hold(), k
 }
 
 // ChildSlot exposes slot allocation for cross-shard handoff capture: a
@@ -156,22 +239,11 @@ func (e *Engine) inject(t Time, head bool, ctx *Rank, k uint64, a Action, arg an
 	ev.seq = e.seq
 	ev.act, ev.arg = a, arg
 	ev.head = head
-	ev.ctx = ctx
+	ev.ctx = ctx.hold()
 	ev.k = k
 	e.events.push(ev)
 	e.obsSched.Inc()
 	e.obsHeap.Update(int64(len(e.events)))
-}
-
-// TakeNewRanks returns the rank nodes created since the previous call,
-// in creation order — which, within one window, is the shard's local
-// execution order and therefore already sorted by (at, head, rank).
-// The sharded coordinator merges these per-shard runs at each barrier
-// to stamp global indices.
-func (e *Engine) TakeNewRanks() []*Rank {
-	out := e.newRanks
-	e.newRanks = nil
-	return out
 }
 
 // SetTailStamp switches node creation into immediate-stamp mode (see

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +17,11 @@ import (
 // hard causality bound — an event executed in the window [T, T+L) can
 // affect another shard no earlier than T+L. The coordinator therefore
 // advances every shard through synchronized windows of width L
-// (a barrier-epoch protocol): workers drain their calendars up to the
-// window end concurrently, then the coordinator stamps the window's
-// rank nodes, releases buffered cross-shard handoffs, and opens the
-// next window.
+// (a barrier-epoch protocol): the coordinator drains shard 0's calendar
+// up to the window end itself while one worker goroutine per further
+// shard drains its own — N shards, N goroutines — then stamps the
+// window's rank nodes, releases buffered cross-shard handoffs, and
+// opens the next window.
 //
 // Determinism: every event carries a schedule-lineage rank (rank.go)
 // that totally orders timestamp ties exactly as the serial engine's
@@ -49,25 +51,26 @@ type ShardedEngine struct {
 	tail    bool
 	stopReq atomic.Bool
 
-	// Worker synchronization: a spin barrier. The coordinator
-	// publishes the window end, bumps epoch, and waits for every
-	// worker's done counter to catch up; workers spin (with Gosched
-	// back-off) between windows. Spinning keeps the per-window cost in
-	// the hundreds of nanoseconds — windows are one link delay of
-	// simulated time, so there are many.
+	// Worker synchronization: a spin barrier. The coordinator publishes
+	// the window end, bumps epoch, runs the shards that have no worker,
+	// and waits for every worker's done counter to catch up; workers
+	// spin (with Gosched back-off, which is what lets more shards than
+	// processors make progress) between windows. Spinning keeps the
+	// per-window cost in the hundreds of nanoseconds — windows are one
+	// link delay of simulated time, so there are many. Parking the
+	// waiters instead was measured and lost (EXPERIMENTS.md, PR 16).
 	//
-	// inline bypasses the workers entirely when only one OS thread can
-	// run (GOMAXPROCS=1): the coordinator drains each shard's window on
-	// its own goroutine, saving a context-switch round trip per window.
-	// Execution within a window is shard-independent, so the results
-	// are identical either way.
-	inline      bool
-	started     bool
-	quitting    atomic.Bool
-	epoch       atomic.Uint64
-	windowEnd   atomic.Int64
-	workerDone  []paddedU64
-	workerState []workerState
+	// workerDone[w] belongs to the worker of shard w+1. When only one
+	// OS thread can run (GOMAXPROCS=1) there are no workers and the
+	// coordinator drains every shard, saving a context-switch round
+	// trip per window. Execution within a window is shard-independent,
+	// so the results are identical either way.
+	started    bool
+	quitting   atomic.Bool
+	epoch      atomic.Uint64
+	windowEnd  atomic.Int64
+	workerDone []paddedU64
+	shardState []shardState
 
 	o struct {
 		windows   *obs.Counter
@@ -75,6 +78,7 @@ type ShardedEngine struct {
 		batch     *obs.Histogram
 		nullWins  *obs.Counter
 		stall     *obs.Counter
+		barrier   *obs.Counter
 		tailEvs   *obs.Counter
 		stallEach []*obs.Counter
 	}
@@ -98,14 +102,15 @@ type paddedU64 struct {
 	_ [56]byte
 }
 
-// workerState is written by its worker before publishing done and read
+// shardState is one shard's outcome of the current window, written by
+// whichever goroutine ran the shard before it publishes done and read
 // by the coordinator after observing done (the atomic pair orders the
 // accesses).
-type workerState struct {
+type shardState struct {
 	elapsed  time.Duration
 	stopped  bool
-	panicked any
-	_        [24]byte
+	panicked error
+	_        [32]byte
 }
 
 // NewShardedEngine builds n ranked engines under a shared setup
@@ -125,11 +130,12 @@ func NewShardedEngine(n int, lookahead Duration) (*ShardedEngine, error) {
 			"repartition so every cross-shard link has nonzero propagation delay", lookahead)
 	}
 	se := &ShardedEngine{
-		lookahead:   lookahead,
-		inline:      runtime.GOMAXPROCS(0) < 2,
-		outbox:      make([][]handoff, n),
-		workerDone:  make([]paddedU64, n),
-		workerState: make([]workerState, n),
+		lookahead:  lookahead,
+		outbox:     make([][]handoff, n),
+		shardState: make([]shardState, n),
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		se.workerDone = make([]paddedU64, n-1)
 	}
 	for i := 0; i < n; i++ {
 		e := NewEngine()
@@ -160,8 +166,14 @@ func (se *ShardedEngine) Now() Time { return se.now }
 //	shard/handoff_batch  per-(window, destination) handoff batch sizes
 //	shard/null_windows   (window, source) pairs with no handoffs — the
 //	                     barrier-epoch analogue of a null message
-//	shard/stall_ns       wall time shards spent waiting at barriers
+//	shard/stall_ns       wall time shards spent waiting at barriers:
+//	                     per window, the longest shard's run time minus
+//	                     the shard's own (shard 0, which the coordinator
+//	                     runs, included)
 //	shard/stall_ns/<i>   the same, split per shard
+//	shard/barrier_ns     coordinator wall time stamping ranks and
+//	                     releasing handoffs — the serial section every
+//	                     shard waits out
 //	shard/tail_events    events executed by the serial tail
 func (se *ShardedEngine) Instrument(reg *obs.Registry) {
 	se.o.windows = reg.Counter("shard/windows")
@@ -169,6 +181,7 @@ func (se *ShardedEngine) Instrument(reg *obs.Registry) {
 	se.o.batch = reg.Histogram("shard/handoff_batch")
 	se.o.nullWins = reg.Counter("shard/null_windows")
 	se.o.stall = reg.Counter("shard/stall_ns")
+	se.o.barrier = reg.Counter("shard/barrier_ns")
 	se.o.tailEvs = reg.Counter("shard/tail_events")
 	se.o.stallEach = se.o.stallEach[:0]
 	for i := range se.engs {
@@ -246,38 +259,39 @@ func (se *ShardedEngine) StepWindow(end Time) {
 	if se.tail {
 		panic("sim: StepWindow after RunTail")
 	}
-	if se.inline {
-		for _, eng := range se.engs {
-			if eng.RunBefore(end) {
-				panic("sim: Stop during a parallel window — the runner must enter the serial tail before any stop condition can fire")
-			}
+	workers := len(se.workerDone)
+	if !se.started {
+		se.started = true
+		for w := 0; w < workers; w++ {
+			go se.worker(w, se.epoch.Load()+1)
 		}
-	} else {
-		se.startWorkers()
-		se.windowEnd.Store(int64(end))
-		e := se.epoch.Add(1)
-		var maxElapsed time.Duration
-		for i := range se.workerDone {
-			spins := 0
-			for se.workerDone[i].v.Load() < e {
-				spins++
-				if spins > 256 {
-					runtime.Gosched()
-				}
-			}
-			st := &se.workerState[i]
-			if st.panicked != nil {
-				panic(st.panicked)
-			}
-			if st.stopped {
-				panic("sim: Stop during a parallel window — the runner must enter the serial tail before any stop condition can fire")
-			}
-			if st.elapsed > maxElapsed {
-				maxElapsed = st.elapsed
-			}
+	}
+	se.windowEnd.Store(int64(end))
+	e := se.epoch.Add(1)
+	for i := range se.engs {
+		if i == 0 || workers == 0 {
+			se.runShard(i, end)
 		}
-		for i := range se.workerState {
-			stall := int64(maxElapsed - se.workerState[i].elapsed)
+	}
+	for w := range se.workerDone {
+		await(&se.workerDone[w].v, e)
+	}
+	var longest time.Duration
+	for i := range se.shardState {
+		st := &se.shardState[i]
+		if st.panicked != nil {
+			panic(st.panicked)
+		}
+		if st.stopped {
+			panic("sim: Stop during a parallel window — the runner must enter the serial tail before any stop condition can fire")
+		}
+		if st.elapsed > longest {
+			longest = st.elapsed
+		}
+	}
+	if workers > 0 { // no workers, no waiting
+		for i := range se.shardState {
+			stall := int64(longest - se.shardState[i].elapsed)
 			se.o.stall.Add(stall)
 			if se.o.stallEach != nil {
 				se.o.stallEach[i].Add(stall)
@@ -288,56 +302,48 @@ func (se *ShardedEngine) StepWindow(end Time) {
 		panic("sim: stop requested during a parallel window — the runner must enter the serial tail before any stop condition can fire")
 	}
 	se.o.windows.Inc()
+	t0 := time.Now()
 	se.stampBarrier()
 	se.flushHandoffs()
+	se.o.barrier.Add(int64(time.Since(t0)))
 	se.now = end
 }
 
-func (se *ShardedEngine) startWorkers() {
-	if se.started {
-		return
-	}
-	se.started = true
-	for i := range se.engs {
-		go se.worker(i)
+// runShard drains shard i's window on the calling goroutine. A panic
+// in a model component is kept with the stack of the goroutine it
+// happened on: StepWindow re-raises it from the coordinator, whose own
+// stack has no faulting frame.
+func (se *ShardedEngine) runShard(i int, bound Time) {
+	st := &se.shardState[i]
+	t0 := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			st.panicked = fmt.Errorf("sim: shard %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+		st.elapsed = time.Since(t0)
+	}()
+	st.stopped = se.engs[i].RunBefore(bound)
+}
+
+// worker w runs shard w+1's window in every epoch from first on, until
+// shutdown.
+func (se *ShardedEngine) worker(w int, first uint64) {
+	for e := first; ; e++ {
+		await(&se.epoch, e)
+		if se.quitting.Load() {
+			se.workerDone[w].v.Store(e)
+			return
+		}
+		se.runShard(w+1, Time(se.windowEnd.Load()))
+		se.workerDone[w].v.Store(e)
 	}
 }
 
-func (se *ShardedEngine) worker(i int) {
-	eng := se.engs[i]
-	var last uint64
-	for {
-		spins := 0
-		for {
-			e := se.epoch.Load()
-			if e != last {
-				last = e
-				break
-			}
-			spins++
-			if spins > 256 {
-				runtime.Gosched()
-			}
-		}
-		if se.quitting.Load() {
-			se.workerDone[i].v.Store(last)
-			return
-		}
-		bound := Time(se.windowEnd.Load())
-		st := &se.workerState[i]
-		t0 := time.Now()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					st.panicked = r
-				}
-			}()
-			st.stopped = eng.RunBefore(bound)
-		}()
-		st.elapsed = time.Since(t0)
-		se.workerDone[i].v.Store(last)
-		if st.panicked != nil {
-			return
+// await spins until v has reached want.
+func await(v *atomic.Uint64, want uint64) {
+	for spins := 0; v.Load() < want; spins++ {
+		if spins > 256 {
+			runtime.Gosched()
 		}
 	}
 }
@@ -350,14 +356,8 @@ func (se *ShardedEngine) shutdownWorkers() {
 	}
 	se.quitting.Store(true)
 	e := se.epoch.Add(1)
-	for i := range se.workerDone {
-		spins := 0
-		for se.workerDone[i].v.Load() < e {
-			spins++
-			if spins > 256 {
-				runtime.Gosched()
-			}
-		}
+	for w := range se.workerDone {
+		await(&se.workerDone[w].v, e)
 	}
 	se.started = false
 }
@@ -371,8 +371,8 @@ func (se *ShardedEngine) shutdownWorkers() {
 func (se *ShardedEngine) stampBarrier() {
 	runs := se.runsBuf[:0]
 	for _, e := range se.engs {
-		if ns := e.TakeNewRanks(); len(ns) > 0 {
-			runs = append(runs, ns)
+		if len(e.newRanks) > 0 {
+			runs = append(runs, e.newRanks)
 		}
 	}
 	if len(se.coordRanks) > 0 {
@@ -396,13 +396,18 @@ func (se *ShardedEngine) stampBarrier() {
 	for _, n := range merged {
 		se.gidx++
 		n.gidx = se.gidx
+		n.ctx.release() // the lineage hold; the parent is stamped already
 		n.ctx = nil
+		n.release() // the newRanks hold
 	}
-	for i := range merged {
-		merged[i] = nil
-	}
+	clear(merged)
 	se.mergeBuf = merged[:0]
 	se.runsBuf = runs[:0]
+	for _, e := range se.engs {
+		clear(e.newRanks)
+		e.newRanks = e.newRanks[:0]
+	}
+	clear(se.coordRanks)
 	se.coordRanks = se.coordRanks[:0]
 }
 
@@ -416,13 +421,38 @@ func (se *ShardedEngine) flushHandoffs() {
 			se.o.nullWins.Inc()
 			continue
 		}
-		for _, h := range se.outbox[src] {
-			se.engs[h.dst].inject(h.at, false, h.ctx, h.k, h.act, h.arg)
-			se.o.handoffs.Inc()
-		}
 		se.o.batch.Observe(int64(len(se.outbox[src])))
-		se.outbox[src] = se.outbox[src][:0]
+		se.deliver(src)
 	}
+}
+
+// deliver injects outbox[src] and empties it, dropping what the backing
+// array still references. No pointer crosses shards: the rank a handoff
+// captured on the source shard is stamped by now (stampBarrier runs
+// first; the tail stamps at creation), so the event gets a stand-in
+// from the destination's own free list carrying (at, head, gidx) — all
+// a comparison reads of a stamped node — and the source node loses its
+// handoff hold. Consecutive handoffs of one event to one shard share a
+// stand-in, as they shared the node.
+func (se *ShardedEngine) deliver(src int) {
+	var from, to *Rank // the last source node and its stand-in
+	for _, h := range se.outbox[src] {
+		dst, ctx := se.engs[h.dst], h.ctx
+		if ctx != nil && ctx.owner != nil {
+			if ctx != from || to.owner != dst {
+				to.release()
+				from, to = ctx, dst.newRank()
+				to.at, to.head, to.gidx = ctx.at, ctx.head, ctx.gidx
+			}
+			ctx.release()
+			ctx = to
+		}
+		dst.inject(h.at, false, ctx, h.k, h.act, h.arg)
+		se.o.handoffs.Inc()
+	}
+	to.release() // newRank's hold: the calendar records have their own
+	clear(se.outbox[src])
+	se.outbox[src] = se.outbox[src][:0]
 }
 
 // EnterTail switches the run into exact serial execution: workers are
@@ -478,13 +508,7 @@ func (se *ShardedEngine) RunTail(deadline Time, hasDeadline bool) {
 		if eng.Stopped() {
 			se.stopReq.Store(true)
 		}
-		if len(se.outbox[best]) > 0 {
-			for _, h := range se.outbox[best] {
-				se.engs[h.dst].inject(h.at, false, h.ctx, h.k, h.act, h.arg)
-				se.o.handoffs.Inc()
-			}
-			se.outbox[best] = se.outbox[best][:0]
-		}
+		se.deliver(best)
 	}
 	if hasDeadline {
 		for _, e := range se.engs {

@@ -27,7 +27,8 @@ func TestNewShardedEngineErrors(t *testing.T) {
 // n hops, running the first parallelWindows barriers concurrently and
 // the rest on the serial tail. It returns the hop timestamps in
 // execution order. forceWorkers pins the worker-goroutine barrier path
-// even on a single-core machine (where inline mode is the default).
+// even on a single-core machine (where the coordinator runs every
+// shard by default).
 func pingPong(t *testing.T, n, parallelWindows int, forceWorkers bool) []Time {
 	t.Helper()
 	const lookahead = 100
@@ -36,7 +37,7 @@ func pingPong(t *testing.T, n, parallelWindows int, forceWorkers bool) []Time {
 		t.Fatal(err)
 	}
 	if forceWorkers {
-		se.inline = false
+		se.workerDone = make([]paddedU64, 1)
 	}
 	defer se.Close()
 
@@ -95,7 +96,7 @@ func TestShardedStopInParallelWindowPanics(t *testing.T) {
 				t.Fatal(err)
 			}
 			if forceWorkers {
-				se.inline = false
+				se.workerDone = make([]paddedU64, 1)
 			}
 			defer se.Close()
 			eng := se.Shard(0)
@@ -116,6 +117,7 @@ func TestShardedObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	se.workerDone = make([]paddedU64, 1) // stall is only defined with a worker to wait for
 	defer se.Close()
 	reg := obs.NewRegistry()
 	se.Instrument(reg)
@@ -162,9 +164,19 @@ func TestShardedObsCounters(t *testing.T) {
 	if counter("shard/null_windows") == 0 {
 		t.Error("shard/null_windows = 0, want > 0")
 	}
-	counter("shard/stall_ns")   // presence check
-	counter("shard/stall_ns/0") // per-shard split
-	counter("shard/stall_ns/1")
+	// The ping-pong leaves one shard idle each window, so somebody
+	// stalls in every one — shard 0, which the coordinator runs, counted
+	// like shard 1 — and the per-shard split adds up.
+	if counter("shard/stall_ns") <= 0 {
+		t.Error("shard/stall_ns = 0, want > 0")
+	}
+	if sum := counter("shard/stall_ns/0") + counter("shard/stall_ns/1"); sum != counter("shard/stall_ns") {
+		t.Errorf("shard/stall_ns/0 + /1 = %d, want shard/stall_ns = %d", sum, counter("shard/stall_ns"))
+	}
+	// Eight barriers stamped ranks and released handoffs.
+	if counter("shard/barrier_ns") <= 0 {
+		t.Error("shard/barrier_ns = 0, want > 0")
+	}
 }
 
 // TestShardedHandoffAllocs pins the steady-state handoff capture path
