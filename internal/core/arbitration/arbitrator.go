@@ -7,8 +7,9 @@
 package arbitration
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pase/internal/check"
 	"pase/internal/netem"
@@ -40,6 +41,46 @@ type entry struct {
 	decision Decision
 }
 
+// entryFreed is the lease of an entry returned under the invariant
+// checker: such a record never circulates again, so an allocation pass
+// that still reaches it is reading a stale pointer and reports it.
+const entryFreed sim.Time = -1 << 62
+
+// freeList recycles the control plane's two per-refresh record kinds
+// (arbitrator entries, reply records). One System, one goroutine: no
+// locking. Records come in slabs, so a growing working set costs one
+// object per slabSize records. A nil list is the allocator: get makes a
+// fresh record and put leaves it to the GC.
+type freeList[T any] struct{ free []*T }
+
+const slabSize = 32
+
+func (f *freeList[T]) get() *T {
+	if f == nil {
+		return new(T)
+	}
+	if len(f.free) == 0 {
+		slab := make([]T, slabSize)
+		for i := range slab {
+			f.free = append(f.free, &slab[i])
+		}
+	}
+	n := len(f.free) - 1
+	x := f.free[n]
+	f.free = f.free[:n]
+	return x
+}
+
+// put zeroes the record, so nothing of its last life reaches the next.
+func (f *freeList[T]) put(x *T) {
+	if f == nil {
+		return
+	}
+	var zero T
+	*x = zero
+	f.free = append(f.free, x)
+}
+
 // Arbitrator runs Algorithm 1 for one directed link. To keep the cost
 // of arbitration linear in the number of flows rather than quadratic,
 // allocations for all registered flows are recomputed in one sorted
@@ -59,9 +100,19 @@ type Arbitrator struct {
 	clock func() sim.Time
 
 	entries map[pkt.FlowID]*entry
-	sorted  []*entry // re-sorted each epoch
-	epoch   sim.Time // when the current allocation pass happened
-	period  sim.Duration
+	// sorted is rebuilt from entries at the head of every allocation
+	// pass and read only inside that pass: between a Remove and the next
+	// pass it may still point at an entry already back in the pool.
+	sorted []*entry
+	// pool is the owning System's entry free list; nil on a standalone
+	// arbitrator, whose entries come from and go back to the allocator.
+	pool   *freeList[entry]
+	epoch  sim.Time // when the current allocation pass happened
+	period sim.Duration
+
+	// published is the top-queue aggregate this arbitrator last reported
+	// to its delegating parent (rebalance's per-child scratch).
+	published netem.BitRate
 
 	// down marks a crashed arbitrator: soft state is gone and requests
 	// go unanswered until Restore.
@@ -89,6 +140,22 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 		entries:   make(map[pkt.FlowID]*entry),
 		period:    period,
 	}
+}
+
+// withPool makes a System's arbitrator draw its entries from pool.
+func (a *Arbitrator) withPool(pool *freeList[entry]) *Arbitrator {
+	a.pool = pool
+	return a
+}
+
+// release returns a deregistered or expired entry to the pool. Under the
+// invariant checker it is poisoned and retired instead.
+func (a *Arbitrator) release(e *entry) {
+	if a.chk != nil {
+		e.lease = entryFreed
+		return
+	}
+	a.pool.put(e)
 }
 
 // AttachCheck installs a runtime invariant checker: every allocation
@@ -126,8 +193,9 @@ func (a *Arbitrator) Flows() int { return len(a.entries) }
 // refreshes (§3.3 of the paper).
 func (a *Arbitrator) Crash() {
 	a.down = true
-	for id := range a.entries {
+	for id, e := range a.entries {
 		delete(a.entries, id)
+		a.release(e)
 	}
 	a.sorted = a.sorted[:0]
 	a.epoch = -1
@@ -150,7 +218,8 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 	now := a.clock()
 	e, ok := a.entries[flow]
 	if !ok {
-		e = &entry{flow: flow, tieBreak: flow}
+		e = a.pool.get()
+		e.flow, e.tieBreak = flow, flow
 		a.entries[flow] = e
 	}
 	e.key = key
@@ -165,20 +234,24 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 
 // Lookup returns the cached decision for a flow without refreshing it.
 func (a *Arbitrator) Lookup(flow pkt.FlowID) (Decision, bool) {
+	// The pass comes first: it may expire the flow, and an expired
+	// entry is back in the pool before it returns.
+	a.maybeRecompute(a.clock())
 	e, ok := a.entries[flow]
 	if !ok {
 		return Decision{}, false
 	}
-	a.maybeRecompute(a.clock())
 	return e.decision, true
 }
 
 // Remove deregisters a finished flow.
 func (a *Arbitrator) Remove(flow pkt.FlowID) {
-	if _, ok := a.entries[flow]; !ok {
+	e, ok := a.entries[flow]
+	if !ok {
 		return
 	}
 	delete(a.entries, flow)
+	a.release(e)
 	a.epoch = -1 // re-allocate promptly so successors move up
 }
 
@@ -195,11 +268,14 @@ func (a *Arbitrator) AggregateTopDemand(maxQueue int8) netem.BitRate {
 	return sum
 }
 
-func (a *Arbitrator) less(x, y *entry) bool {
-	if x.key != y.key {
-		return x.key < y.key
+// entryOrder is the allocation order, most urgent first. tieBreak is
+// unique per arbitrator, so the order is total and any correct sort
+// produces the same sequence.
+func entryOrder(x, y *entry) int {
+	if c := cmp.Compare(x.key, y.key); c != 0 {
+		return c
 	}
-	return x.tieBreak < y.tieBreak
+	return cmp.Compare(x.tieBreak, y.tieBreak)
 }
 
 // maybeRecompute refreshes every cached decision once per epoch.
@@ -214,11 +290,12 @@ func (a *Arbitrator) maybeRecompute(now sim.Time) {
 	for id, e := range a.entries {
 		if e.lease < now {
 			delete(a.entries, id)
+			a.release(e)
 			continue
 		}
 		a.sorted = append(a.sorted, e)
 	}
-	sort.Slice(a.sorted, func(i, j int) bool { return a.less(a.sorted[i], a.sorted[j]) })
+	slices.SortFunc(a.sorted, entryOrder)
 
 	// Algorithm 1, one pass: ADH accumulates the demand ahead of each
 	// flow.
@@ -240,6 +317,9 @@ func (a *Arbitrator) checkAllocation() {
 	var topSum netem.BitRate
 	for _, e := range a.sorted {
 		d := e.decision
+		if e.lease == entryFreed {
+			a.chk.Reportf(check.InvArbCapacity, a.chkLabel, uint64(e.flow), "allocation pass read a released entry")
+		}
 		a.chk.RefRate(a.chkLabel, uint64(e.flow), int64(d.Rref))
 		if d.Queue == 0 {
 			topSum += d.Rref

@@ -21,21 +21,18 @@ type central struct {
 	busyUntil sim.Time
 }
 
-// scheduleCentralSync charges the centralized arm its steady-state
+// centralSync charges the centralized arm its steady-state
 // bookkeeping: every epoch the controller refreshes fabric link state
 // (one update per directed link) and re-syncs every live allocation.
 // This is what makes central control bytes grow with fabric size even
 // at a fixed workload, while the hierarchy's distributed state needs
 // no such sweep.
-func (sys *System) scheduleCentralSync() {
-	sys.eng.Schedule(sys.P.Epoch, func() {
-		if sys.inflight > 0 {
-			n := int64(len(sys.net.Links)) + sys.inflight
-			sys.Stats.SyncMessages += n
-			sys.countMessages(n)
-		}
-		sys.scheduleCentralSync()
-	})
+func (sys *System) centralSync() {
+	if sys.inflight > 0 {
+		n := int64(len(sys.net.Links)) + sys.inflight
+		sys.Stats.SyncMessages += n
+		sys.countMessages(n)
+	}
 }
 
 // refreshCentral asks the controller for a whole-path allocation in a
@@ -77,8 +74,8 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 		merge(a.Update(c.flow, key, demand))
 	}
 	if !dead {
-		for _, l := range c.downPath {
-			a := sys.arbs[l.ID]
+		for i := len(c.dstClimb) - 1; i >= 0; i-- { // traversal order
+			a := sys.arbs[c.dstClimb[i].ID]
 			if a.Down() {
 				dead = true
 				break
@@ -114,18 +111,8 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 	}
 	sys.o.rtt[sys.lvl(hops)].Observe(int64(latency))
 	sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Latency: latency, Outcome: CtrlOK})
-	result := worst
-	sys.eng.Schedule(latency, func() {
-		if c.released {
-			return
-		}
-		// One response covers the whole path: both halves land at once.
-		c.srcHalf, c.dstHalf = result, result
-		c.haveSrc, c.haveDst = true, true
-		if c.OnUpdate != nil {
-			c.OnUpdate()
-		}
-	})
+	// One response covers the whole path: both halves land at once.
+	sys.respond(c, worst, true, true, latency)
 }
 
 // releaseCentral deregisters the flow from every path link in one
@@ -144,7 +131,7 @@ func (c *Client) releaseCentral() {
 	for _, l := range c.upPath {
 		sys.arbs[l.ID].Remove(c.flow)
 	}
-	for _, l := range c.downPath {
+	for _, l := range c.dstClimb {
 		sys.arbs[l.ID].Remove(c.flow)
 	}
 	sys.countRelease(len(c.upPath))

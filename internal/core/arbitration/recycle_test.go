@@ -1,0 +1,66 @@
+package arbitration
+
+import (
+	"strings"
+	"testing"
+
+	"pase/internal/check"
+	"pase/internal/netem"
+	"pase/internal/sim"
+)
+
+// TestReleasedEntryPoisoned: under the invariant checker an entry that
+// left the table is retired, not recycled, and an allocation pass that
+// still reaches it through a stale sorted pointer trips the checker
+// instead of silently reordering a neighbour's flows.
+func TestReleasedEntryPoisoned(t *testing.T) {
+	var pool freeList[entry]
+	_, a := newArb(netem.Gbps)
+	a.withPool(&pool)
+	a.AttachCheck(check.NewStrict(nil))
+	a.Update(1, 10, netem.Gbps)
+	a.Update(2, 20, netem.Gbps)
+	idle := len(pool.free)
+	a.Remove(2)
+	if len(pool.free) != idle {
+		t.Fatal("a released entry went back into circulation under the checker")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "released entry") {
+			t.Fatalf("pass over a stale sorted slice: recovered %v, want the released-entry violation", r)
+		}
+	}()
+	a.checkAllocation() // sorted still holds flow 2's entry: Remove does not rebuild it
+}
+
+// TestEntriesRecycleAcrossArbitrators: without a checker, entries freed
+// by Remove, lease expiry and Crash all go back to the shared list and
+// come out zeroed for whichever arbitrator registers a flow next.
+func TestEntriesRecycleAcrossArbitrators(t *testing.T) {
+	var pool freeList[entry]
+	var now sim.Time
+	clock := func() sim.Time { return now }
+	mk := func(id int) *Arbitrator {
+		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&pool)
+	}
+	a, b := mk(0), mk(1)
+	a.Update(1, 10, netem.Gbps)
+	a.Update(2, 20, netem.Gbps)
+	a.Update(3, 30, netem.Gbps)
+	idle := len(pool.free)
+	a.Remove(1)
+	now = now.Add(9 * 300 * sim.Microsecond) // past the 8-epoch lease
+	a.Update(3, 30, netem.Gbps)              // the pass expires flow 2
+	a.Crash()                                // and the wipe returns flow 3
+	if got := len(pool.free) - idle; got != 3 {
+		t.Fatalf("Remove + expiry + Crash returned %d entries, want 3", got)
+	}
+	for _, e := range pool.free {
+		if *e != (entry{}) {
+			t.Fatalf("a pooled entry kept state from its last life: %+v", *e)
+		}
+	}
+	if d := b.Update(7, 99, 300*netem.Mbps); d.Queue != 0 || d.Rref != 300*netem.Mbps || b.Flows() != 1 {
+		t.Fatalf("a recycled entry changed a fresh registration: %+v, %d flows", d, b.Flows())
+	}
+}

@@ -2,6 +2,7 @@ package arbitration
 
 import (
 	"fmt"
+	"slices"
 
 	"pase/internal/check"
 	"pase/internal/netem"
@@ -171,9 +172,13 @@ type System struct {
 	// virt maps (physical agg-core link ID, rack) -> the delegated
 	// virtual-slice arbitrator owned by that rack's ToR arbitrator.
 	virt map[virtKey]*Arbitrator
-	// children maps a delegated physical link ID to its per-rack
-	// virtual arbitrators, for share refresh.
-	children map[int][]*Arbitrator
+	// delegated lists, in link-ID order, every delegated physical link
+	// with its per-rack virtual arbitrators, for share refresh.
+	delegated []delegation
+	// entryPool feeds every arbitrator of the system; replyPool holds
+	// the response records between Refresh and delivery.
+	entryPool freeList[entry]
+	replyPool freeList[reply]
 	// upTree/downTree, when Hierarchy is enabled, are the directional
 	// multi-level virtual aggregation trees that replace the flat
 	// delegation above the access links.
@@ -195,6 +200,13 @@ type virtKey struct {
 	rack int
 }
 
+// delegation is one delegated agg-core link and the per-rack slices
+// its capacity is split into.
+type delegation struct {
+	link *topology.Link
+	kids []*Arbitrator
+}
+
 // NewSystem builds arbitrators for every directed link of the fabric
 // and, when delegation is on, virtual-slice arbitrators for the
 // agg-core links.
@@ -203,19 +215,18 @@ func NewSystem(net *topology.Network, p Params) *System {
 		panic("arbitration: NumQueues must be >= 2")
 	}
 	sys := &System{
-		P:        p,
-		net:      net,
-		eng:      net.Eng,
-		arbs:     make(map[int]*Arbitrator),
-		virt:     make(map[virtKey]*Arbitrator),
-		children: make(map[int][]*Arbitrator),
+		P:    p,
+		net:  net,
+		eng:  net.Eng,
+		arbs: make(map[int]*Arbitrator),
+		virt: make(map[virtKey]*Arbitrator),
 	}
 	clock := sys.eng.Now
 	baseRate := func(sim.Duration) netem.BitRate {
 		return netem.BitRate(float64(pkt.MTU*8) / p.Epoch.Seconds())
 	}(p.Epoch)
 	for _, l := range net.Links {
-		sys.arbs[l.ID] = NewArbitrator(l.ID, l.Capacity(), p.NumQueues, baseRate, p.Epoch, clock)
+		sys.arbs[l.ID] = NewArbitrator(l.ID, l.Capacity(), p.NumQueues, baseRate, p.Epoch, clock).withPool(&sys.entryPool)
 	}
 	sys.nlevels = CtrlLevels
 	switch {
@@ -224,7 +235,7 @@ func NewSystem(net *topology.Network, p Params) *System {
 		if sys.central.perReq <= 0 {
 			sys.central.perReq = CentralPerRequestDefault
 		}
-		sys.scheduleCentralSync()
+		sys.scheduleEpoch()
 	case p.Hierarchy.Enabled() && !p.LocalOnly && net.Cfg.Racks > 1 && len(net.Aggs) > 0:
 		// Deep hierarchy: two directional virtual aggregation trees
 		// sized from the fabric — a rack contributes its uplink-tier
@@ -243,14 +254,14 @@ func NewSystem(net *topology.Network, p Params) *System {
 			}
 		}
 		racks := net.Cfg.Racks
-		sys.upTree = NewTree(p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
-		sys.downTree = NewTree(p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
+		sys.upTree = newTree(&sys.entryPool, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
+		sys.downTree = newTree(&sys.entryPool, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
 		sys.nlevels = sys.upTree.MaxDepth() + 1
 		if sys.nlevels > MaxCtrlLevels {
 			sys.nlevels = MaxCtrlLevels
 		}
 		if p.Delegation {
-			sys.scheduleTreeShareRefresh()
+			sys.scheduleEpoch()
 		}
 	case p.Delegation && len(net.Aggs) > 0:
 		for _, l := range net.Links {
@@ -259,13 +270,15 @@ func NewSystem(net *topology.Network, p Params) *System {
 			}
 			racks := sys.racksUnderAggLink(l)
 			share := netem.BitRate(int64(l.Capacity()) / int64(len(racks)))
+			dg := delegation{link: l}
 			for _, rack := range racks {
-				va := NewArbitrator(-l.ID, share, p.NumQueues, baseRate, p.Epoch, clock)
+				va := NewArbitrator(-l.ID, share, p.NumQueues, baseRate, p.Epoch, clock).withPool(&sys.entryPool)
 				sys.virt[virtKey{l.ID, rack}] = va
-				sys.children[l.ID] = append(sys.children[l.ID], va)
+				dg.kids = append(dg.kids, va)
 			}
+			sys.delegated = append(sys.delegated, dg)
 		}
-		sys.scheduleShareRefresh()
+		sys.scheduleEpoch()
 	}
 	return sys
 }
@@ -290,74 +303,34 @@ func (sys *System) racksUnderAggLink(l *topology.Link) []int {
 	return racks
 }
 
-// scheduleShareRefresh periodically resizes delegated virtual links in
-// proportion to each child's top-queue demand, as §3.1.2 prescribes.
-func (sys *System) scheduleShareRefresh() {
-	sys.eng.Schedule(sys.P.Epoch, func() {
-		for linkID, kids := range sys.children {
-			// A crashed parent cannot answer share requests; children
-			// keep their last shares until it restarts.
-			if sys.arbs[linkID].Down() {
-				continue
-			}
-			// An idle delegation pair exchanges nothing.
-			busy := false
-			for _, va := range kids {
-				if va.Flows() > 0 {
-					busy = true
-					break
-				}
-			}
-			if !busy {
-				continue
-			}
-			capTotal := netem.BitRate(0)
-			for _, l := range sys.net.Links {
-				if l.ID == linkID {
-					capTotal = l.Capacity()
-					break
-				}
-			}
-			demands := make([]netem.BitRate, len(kids))
-			var sum netem.BitRate
-			for i, va := range kids {
-				d := va.AggregateTopDemand(sys.P.PruneQueues - 1)
-				demands[i] = d
-				sum += d
-			}
-			for i, va := range kids {
-				if sum == 0 {
-					va.SetCapacity(capTotal / netem.BitRate(len(kids)))
-				} else {
-					// Proportional share with a 10% floor so a quiet
-					// rack can restart quickly. Float math: the
-					// product of two multi-gigabit rates overflows
-					// int64.
-					share := netem.BitRate(float64(capTotal) * float64(demands[i]) / float64(sum))
-					floor := capTotal / netem.BitRate(10*len(kids))
-					if share < floor {
-						share = floor
-					}
-					va.SetCapacity(share)
-				}
-				// Child publishes aggregates, parent returns shares.
-				sys.countMessages(2)
-			}
-		}
-		sys.scheduleShareRefresh()
-	})
+// epochAction is the system's one periodic timer: each epoch it runs
+// the share refresh of whichever arm NewSystem configured — the central
+// controller's re-sync, the deep hierarchy's RefreshShares generalized
+// to every level pair, or the flat agg-core delegation of §3.1.2.
+type epochAction System
+
+func (sys *System) scheduleEpoch() {
+	sys.eng.ScheduleAction(sys.P.Epoch, (*epochAction)(sys), nil)
 }
 
-// scheduleTreeShareRefresh periodically resizes the deep hierarchy's
-// delegated slices and root shards to demand — scheduleShareRefresh
-// generalized to every level pair.
-func (sys *System) scheduleTreeShareRefresh() {
-	sys.eng.Schedule(sys.P.Epoch, func() {
-		count := func(n int64) { sys.countMessages(n) }
-		sys.upTree.RefreshShares(sys.P.PruneQueues, count)
-		sys.downTree.RefreshShares(sys.P.PruneQueues, count)
-		sys.scheduleTreeShareRefresh()
-	})
+func (a *epochAction) Fire(any) {
+	sys := (*System)(a)
+	switch {
+	case sys.central != nil:
+		sys.centralSync()
+	case sys.upTree != nil:
+		sys.upTree.RefreshShares(sys.P.PruneQueues, sys.countMessages)
+		sys.downTree.RefreshShares(sys.P.PruneQueues, sys.countMessages)
+	default:
+		for _, dg := range sys.delegated {
+			// A crashed parent cannot answer share requests; children
+			// keep their last shares until it restarts.
+			if !sys.arbs[dg.link.ID].Down() {
+				rebalance(dg.link.Capacity(), dg.kids, sys.P.PruneQueues, sys.countMessages)
+			}
+		}
+	}
+	sys.scheduleEpoch()
 }
 
 // treeFor picks the directional tree a half-exchange climbs (nil when
@@ -519,8 +492,11 @@ type Client struct {
 	src  pkt.NodeID
 	dst  pkt.NodeID
 
+	// upPath is the src half bottom-up; dstClimb is the dst half in the
+	// same bottom-up order (the reverse of the traversal order), computed
+	// once here because every refresh and the release climb it.
 	upPath   []*topology.Link
-	downPath []*topology.Link
+	dstClimb []*topology.Link
 
 	haveSrc, haveDst bool
 	srcHalf, dstHalf Decision
@@ -536,13 +512,54 @@ func (sys *System) NewClient(flow pkt.FlowID, src, dst pkt.NodeID) *Client {
 	sys.Stats.Setups++
 	sys.inflight++
 	sys.o.inflight.Update(sys.inflight)
+	dstClimb := slices.Clone(sys.net.PathDownFlow(src, dst, flow))
+	slices.Reverse(dstClimb)
 	return &Client{
 		sys:      sys,
 		flow:     flow,
 		src:      src,
 		dst:      dst,
 		upPath:   sys.net.PathUpFlow(src, dst, flow),
-		downPath: sys.net.PathDownFlow(src, dst, flow),
+		dstClimb: dstClimb,
+	}
+}
+
+// reply is one arbitration response between the refresh that computed
+// it and its delivery: a record per response, not a slot per client,
+// because a delayed or queued response can still be in flight when the
+// next refresh of the same half produces another.
+type reply struct {
+	c        *Client
+	d        Decision
+	src, dst bool // the halves this response answers (central: both)
+}
+
+// respond schedules a response's delivery after the modelled latency.
+func (sys *System) respond(c *Client, d Decision, src, dst bool, latency sim.Duration) {
+	r := sys.replyPool.get()
+	*r = reply{c, d, src, dst}
+	sys.eng.ScheduleAction(latency, (*replyAction)(sys), r)
+}
+
+// replyAction delivers a response: the record goes back first, so the
+// refresh OnUpdate may trigger finds it free.
+type replyAction System
+
+func (a *replyAction) Fire(arg any) {
+	r := arg.(*reply)
+	c, d, src, dst := r.c, r.d, r.src, r.dst
+	(*System)(a).replyPool.put(r)
+	if c.released {
+		return
+	}
+	if src {
+		c.srcHalf, c.haveSrc = d, true
+	}
+	if dst {
+		c.dstHalf, c.haveDst = d, true
+	}
+	if c.OnUpdate != nil {
+		c.OnUpdate()
 	}
 }
 
@@ -599,15 +616,9 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 	p := sys.P
 
 	// Bottom-up link order for this half.
-	var links []*topology.Link
-	if srcSide {
-		links = c.upPath
-	} else {
-		// downPath is top-down; walk it bottom-up.
-		links = make([]*topology.Link, len(c.downPath))
-		for i, l := range c.downPath {
-			links[len(c.downPath)-1-i] = l
-		}
+	links := c.upPath
+	if !srcSide {
+		links = c.dstClimb
 	}
 
 	leaf := c.src
@@ -728,7 +739,7 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 	if !srcSide {
 		// The destination half is initiated by the receiver after the
 		// setup reaches it and the result returns to the sender.
-		latency += sim.Duration(len(c.upPath)+len(c.downPath)) * sys.net.Cfg.LinkDelay * 2
+		latency += sim.Duration(len(c.upPath)+len(c.dstClimb)) * sys.net.Cfg.LinkDelay * 2
 	}
 	if fi != nil && remote {
 		if fi.DropResponse() {
@@ -741,22 +752,7 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 	}
 	sys.o.rtt[sys.lvl(depth)].Observe(int64(latency))
 	sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Latency: latency, Outcome: CtrlOK})
-	result := worst
-	sys.eng.Schedule(latency, func() {
-		if c.released {
-			return
-		}
-		if srcSide {
-			c.srcHalf = result
-			c.haveSrc = true
-		} else {
-			c.dstHalf = result
-			c.haveDst = true
-		}
-		if c.OnUpdate != nil {
-			c.OnUpdate()
-		}
-	})
+	sys.respond(c, worst, srcSide, !srcSide, latency)
 }
 
 // Release deregisters the flow everywhere (sent as one-way messages).
@@ -823,9 +819,5 @@ func (c *Client) Release() {
 		c.sys.countRelease(hops)
 	}
 	remove(c.upPath, c.src, true)
-	rev := make([]*topology.Link, len(c.downPath))
-	for i, l := range c.downPath {
-		rev[len(c.downPath)-1-i] = l
-	}
-	remove(rev, c.dst, false)
+	remove(c.dstClimb, c.dst, false)
 }

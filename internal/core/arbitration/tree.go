@@ -51,6 +51,10 @@ type Tree struct {
 	slices map[sliceKey]*Arbitrator
 
 	topCap netem.BitRate
+
+	// kids is RefreshShares' scratch, so a share refresh allocates
+	// nothing.
+	kids []*Arbitrator
 }
 
 type sliceKey struct {
@@ -84,6 +88,12 @@ const (
 // direction). numQueues/baseRate/period/clock configure the embedded
 // arbitrators exactly like physical ones.
 func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
+	return newTree(nil, h, racks, rackCap, topCap, numQueues, baseRate, period, clock, idBase)
+}
+
+// newTree is NewTree with every arbitrator drawing its entries from
+// pool (nil = the allocator).
+func newTree(pool *freeList[entry], h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
 	if !h.Enabled() || racks < 1 {
 		return nil
 	}
@@ -112,7 +122,7 @@ func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQue
 			row := make([]*Arbitrator, shards)
 			for s := range row {
 				id := idBase + lv*treeLevelStride + s
-				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock)
+				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(pool)
 			}
 			t.levels = append(t.levels, row)
 			continue
@@ -120,7 +130,7 @@ func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQue
 		row := make([]*Arbitrator, n)
 		for i := range row {
 			id := idBase + lv*treeLevelStride + i
-			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock)
+			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(pool)
 		}
 		t.levels = append(t.levels, row)
 	}
@@ -136,7 +146,7 @@ func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQue
 			kids := t.childCount(lv, p)
 			share := t.levels[lv][p].Capacity() / netem.BitRate(kids)
 			id := -(idBase + lv*treeLevelStride + c)
-			t.slices[sliceKey{lv, c}] = NewArbitrator(id, share, numQueues, baseRate, period, clock)
+			t.slices[sliceKey{lv, c}] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(pool)
 		}
 	}
 	return t
@@ -267,24 +277,25 @@ func (t *Tree) RefreshShares(prune int8, count func(int64)) {
 			if parent.Down() {
 				continue
 			}
-			kids := make([]*Arbitrator, 0, t.fanOut)
+			kids := t.kids[:0]
 			for c := p * t.fanOut; c < len(t.levels[lv-1]) && c < (p+1)*t.fanOut; c++ {
 				if s := t.slices[sliceKey{lv, c}]; s != nil {
 					kids = append(kids, s)
 				}
 			}
-			t.rebalance(parent.Capacity(), kids, prune, count)
+			t.kids = kids
+			rebalance(parent.Capacity(), kids, prune, count)
 		}
 	}
 	if root > 0 && t.shards > 1 {
-		t.rebalance(t.topCap, t.levels[root], prune, count)
+		rebalance(t.topCap, t.levels[root], prune, count)
 	}
 }
 
 // rebalance redistributes capTotal over the given arbitrators in
 // proportion to their aggregate top-queue demand, with a 10% floor so
 // a quiet child can restart quickly. Idle groups exchange nothing.
-func (t *Tree) rebalance(capTotal netem.BitRate, kids []*Arbitrator, prune int8, count func(int64)) {
+func rebalance(capTotal netem.BitRate, kids []*Arbitrator, prune int8, count func(int64)) {
 	if len(kids) == 0 {
 		return
 	}
@@ -298,20 +309,18 @@ func (t *Tree) rebalance(capTotal netem.BitRate, kids []*Arbitrator, prune int8,
 	if !busy {
 		return
 	}
-	demands := make([]netem.BitRate, len(kids))
 	var sum netem.BitRate
-	for i, k := range kids {
-		d := k.AggregateTopDemand(prune - 1)
-		demands[i] = d
-		sum += d
+	for _, k := range kids {
+		k.published = k.AggregateTopDemand(prune - 1)
+		sum += k.published
 	}
-	for i, k := range kids {
+	for _, k := range kids {
 		if sum == 0 {
 			k.SetCapacity(capTotal / netem.BitRate(len(kids)))
 		} else {
 			// Float math: the product of two multi-gigabit rates
 			// overflows int64.
-			share := netem.BitRate(float64(capTotal) * float64(demands[i]) / float64(sum))
+			share := netem.BitRate(float64(capTotal) * float64(k.published) / float64(sum))
 			floor := capTotal / netem.BitRate(10*len(kids))
 			if share < floor {
 				share = floor

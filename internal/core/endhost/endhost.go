@@ -241,29 +241,40 @@ func (c *control) scheduleRefresh(s *transport.Sender) {
 			period = cap
 		}
 	}
-	c.refreshTimer = s.Stack().Eng.Schedule(period, func() {
-		if c.stopped || s.Done {
-			return
+	c.refreshTimer = s.Stack().Eng.ScheduleAction(period, (*refreshAction)(c), s)
+}
+
+// The control's two timers are pre-bound sim.Actions on the control
+// with the sender as argument, so re-arming them every RTT allocates
+// nothing.
+type (
+	refreshAction control
+	probeAction   control
+)
+
+func (a *refreshAction) Fire(arg any) {
+	c, s := (*control)(a), arg.(*transport.Sender)
+	if c.stopped || s.Done {
+		return
+	}
+	if c.awaiting {
+		// The previous refresh went unanswered. Keep operating on
+		// the previous (queue, Rref) allocation, back off, and —
+		// past the deadline — degrade to DCTCP mode in the bottom
+		// queue (§3.3).
+		c.misses++
+		c.t.o.retries.Inc()
+		if c.started && !c.fallback {
+			c.t.o.reuse.Inc()
 		}
-		if c.awaiting {
-			// The previous refresh went unanswered. Keep operating on
-			// the previous (queue, Rref) allocation, back off, and —
-			// past the deadline — degrade to DCTCP mode in the bottom
-			// queue (§3.3).
-			c.misses++
-			c.t.o.retries.Inc()
-			if c.started && !c.fallback {
-				c.t.o.reuse.Inc()
-			}
-			if !c.fallback && c.t.Cfg.FallbackAfter > 0 &&
-				s.Now().Sub(c.lastHeard) > c.t.Cfg.FallbackAfter {
-				c.enterFallback(s)
-			}
+		if !c.fallback && c.t.Cfg.FallbackAfter > 0 &&
+			s.Now().Sub(c.lastHeard) > c.t.Cfg.FallbackAfter {
+			c.enterFallback(s)
 		}
-		c.awaiting = true
-		c.client.Refresh(c.key(s), c.demand(s))
-		c.scheduleRefresh(s)
-	})
+	}
+	c.awaiting = true
+	c.client.Refresh(c.key(s), c.demand(s))
+	c.scheduleRefresh(s)
 }
 
 // enterFallback degrades the flow to self-adjusting DCTCP-style rate
@@ -434,13 +445,16 @@ func (c *control) updateHold(s *transport.Sender) {
 // scheduleProbe keeps a bottom-queue flow alive with one header-only
 // probe per RTT (§4.3.2) instead of full data packets.
 func (c *control) scheduleProbe(s *transport.Sender) {
-	c.probeTimer = s.Stack().Eng.Schedule(s.RTT(), func() {
-		if c.stopped || s.Done || !c.probeMode {
-			return
-		}
-		s.SendProbe(s.FirstMissing())
-		c.scheduleProbe(s)
-	})
+	c.probeTimer = s.Stack().Eng.ScheduleAction(s.RTT(), (*probeAction)(c), s)
+}
+
+func (a *probeAction) Fire(arg any) {
+	c, s := (*control)(a), arg.(*transport.Sender)
+	if c.stopped || s.Done || !c.probeMode {
+		return
+	}
+	s.SendProbe(s.FirstMissing())
+	c.scheduleProbe(s)
 }
 
 // OnAck implements transport.Control: Algorithm 2's rate control.

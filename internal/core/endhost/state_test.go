@@ -223,3 +223,47 @@ func TestShutdownReleasesAndStops(t *testing.T) {
 	}
 	_ = pkt.MTU
 }
+
+// deafFabric loses every arbitration request, so a flow never hears
+// from the control plane.
+type deafFabric struct{}
+
+func (deafFabric) DropRequest() bool            { return true }
+func (deafFabric) DropResponse() bool           { return false }
+func (deafFabric) CtrlExtraDelay() sim.Duration { return 0 }
+
+// TestRefreshTimerAllocFree: a flow still waiting for its first grant
+// (every request lost, fallback off) does nothing but fire and re-arm
+// its refresh timer — retry bookkeeping, key and demand from the base
+// RTT, the refresh itself. Once the calendar is warm that allocates
+// nothing.
+func TestRefreshTimerAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	net := topology.Build(eng, topology.Baseline(func(topology.QueueKind) netem.Queue {
+		return netem.NewPrio(8, 500, 65)
+	}))
+	d := transport.NewDriver(net, nil)
+	sys := arbitration.NewSystem(net, arbitration.DefaultParams())
+	sys.Faults = deafFabric{}
+	cfg := DefaultConfig()
+	cfg.FallbackAfter = 0
+	Attach(d, sys, cfg)
+	s := d.Stack(0).StartFlow(workload.FlowSpec{ID: 1, Src: 0, Dst: 159, Size: 1 << 20})
+	c := s.CC.(*control)
+
+	tick := func() {
+		if err := eng.RunUntil(eng.Now().Add(cfg.RetryCap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		tick()
+	}
+	before := sys.Stats.Refreshes
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("a refresh-timer firing allocates %.0f objects, want 0", n)
+	}
+	if fired := sys.Stats.Refreshes - before; fired < 100 || c.started || !c.refreshTimer.Pending() {
+		t.Fatalf("%d refreshes in 101 retry periods (started=%v): the timer is not what was measured", fired, c.started)
+	}
+}

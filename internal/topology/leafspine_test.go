@@ -106,6 +106,28 @@ func TestLeafSpineBaseRTT(t *testing.T) {
 	}
 }
 
+// TestBaseRTTCountsHopsWithoutAPath: on both fabric kinds BaseRTT is
+// the hop count of the actual path, for every pair, and computing it
+// builds no path (senders ask on every send before the first sample).
+func TestBaseRTTCountsHopsWithoutAPath(t *testing.T) {
+	_, tree := buildBaseline(t)
+	_, ls := buildLS(t)
+	for _, n := range []*Network{tree, ls} {
+		hosts := pkt.NodeID(n.NumHosts())
+		for src := pkt.NodeID(0); src < hosts; src++ {
+			for dst := pkt.NodeID(0); dst < hosts; dst++ {
+				want := sim.Duration(2*len(n.PathFlow(src, dst, 0))) * n.Cfg.LinkDelay
+				if got := n.BaseRTT(src, dst); got != want {
+					t.Fatalf("leaf-spine=%v: BaseRTT(%d, %d) = %v, the path says %v", n.IsLeafSpine(), src, dst, got, want)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { n.BaseRTT(0, hosts-1) }); a != 0 {
+			t.Errorf("leaf-spine=%v: BaseRTT allocates %.0f objects, want 0", n.IsLeafSpine(), a)
+		}
+	}
+}
+
 func TestLeafSpineInvalidConfigPanics(t *testing.T) {
 	bad := []LeafSpineConfig{
 		{Leaves: 0, Spines: 1, HostsPerLeaf: 1, NewQueue: dtq, EdgeRate: netem.Gbps, FabricRate: netem.Gbps},

@@ -429,7 +429,18 @@ func (n *Network) DownLinks(h pkt.NodeID) []*Link { return n.downLinks[h] }
 // at these MTUs). On multipath fabrics every path between a pair has
 // the same hop count, so the flow choice does not matter.
 func (n *Network) BaseRTT(src, dst pkt.NodeID) sim.Duration {
-	hops := len(n.PathFlow(src, dst, 0))
+	// Hops are counted without building the path: a leaf-spine pair is
+	// host→leaf→host or host→leaf→spine→leaf→host, and a tree's halves
+	// are sub-slices of the per-host link tables.
+	var hops int
+	switch {
+	case !n.IsLeafSpine():
+		hops = len(n.PathUp(src, dst)) + len(n.PathDown(src, dst))
+	case n.RackOf(src) == n.RackOf(dst):
+		hops = 2
+	default:
+		hops = 4
+	}
 	return sim.Duration(2*hops) * n.Cfg.LinkDelay
 }
 

@@ -7,7 +7,8 @@ import (
 	"pase/internal/workload"
 )
 
-// segState tracks the lifecycle of one segment at the sender.
+// segState tracks the lifecycle of one segment at the sender: one of
+// the four states below, plus the segRetx flag.
 type segState uint8
 
 const (
@@ -15,6 +16,16 @@ const (
 	segInflight          // transmitted, not yet acknowledged or declared lost
 	segLost              // declared lost, waiting for retransmission
 	segAcked
+
+	// segRetx flags a segment that was retransmitted at least once (its
+	// ACKs yield no RTT sample).
+	segRetx segState = 1 << 7
+
+	// segStateInit caps the per-segment record a new flow starts with.
+	// The record grows to the highest sequence ever sent, so a 1 GiB
+	// background flow that sends a few thousand segments in a run never
+	// materialises the other 700 000.
+	segStateInit = 4096
 )
 
 // Default RTO bounds; protocols override the floor via Control.MinRTO.
@@ -71,6 +82,8 @@ type Sender struct {
 	// exponential backoff with a constant timeout (pFabric).
 	FixedRTO sim.Duration
 
+	// state holds the segments sent so far; an index past its end reads
+	// segUnsent (see seg / setSeg).
 	state      []segState
 	nextSeq    int32
 	cumAck     int32
@@ -81,8 +94,6 @@ type Sender struct {
 
 	dupAcks    int
 	recoverSeq int32
-
-	retransmitted []bool
 
 	srtt, rttvar sim.Duration
 	backoff      int
@@ -105,34 +116,51 @@ type Sender struct {
 
 func newSender(st *Stack, spec workload.FlowSpec) *Sender {
 	segs := pkt.DataPackets(spec.Size)
+	records := min(int(segs), segStateInit)
 	if n := len(st.pool); n > 0 {
 		s := st.pool[n-1]
 		st.pool[n-1] = nil
 		st.pool = st.pool[:n-1]
 		// Reset every field, keeping the segment slices' backing arrays.
 		*s = Sender{
-			st:            st,
-			Spec:          spec,
-			Segs:          segs,
-			state:         resetStates(s.state, int(segs)),
-			retransmitted: resetBools(s.retransmitted, int(segs)),
-			retxQ:         s.retxQ[:0],
-			Cwnd:          1,
-			SSThresh:      1 << 20,
-			lastProgress:  st.Eng.Now(),
+			st:           st,
+			Spec:         spec,
+			Segs:         segs,
+			state:        resetStates(s.state, records),
+			retxQ:        s.retxQ[:0],
+			Cwnd:         1,
+			SSThresh:     1 << 20,
+			lastProgress: st.Eng.Now(),
 		}
 		return s
 	}
 	return &Sender{
-		st:            st,
-		Spec:          spec,
-		Segs:          segs,
-		state:         make([]segState, segs),
-		retransmitted: make([]bool, segs),
-		Cwnd:          1,
-		SSThresh:      1 << 20,
-		lastProgress:  st.Eng.Now(),
+		st:           st,
+		Spec:         spec,
+		Segs:         segs,
+		state:        make([]segState, records),
+		Cwnd:         1,
+		SSThresh:     1 << 20,
+		lastProgress: st.Eng.Now(),
 	}
+}
+
+// seg returns the lifecycle state of a segment.
+func (s *Sender) seg(seq int32) segState {
+	if int(seq) >= len(s.state) {
+		return segUnsent
+	}
+	return s.state[seq] &^ segRetx
+}
+
+// setSeg moves a segment to a new lifecycle state, keeping its segRetx
+// flag and growing the record (doubling, up to Segs) to hold it.
+func (s *Sender) setSeg(seq int32, st segState) {
+	if int(seq) >= len(s.state) {
+		n := min(max(2*len(s.state), int(seq)+1), int(s.Segs))
+		s.state = append(s.state, make([]segState, n-len(s.state))...)
+	}
+	s.state[seq] = s.state[seq]&segRetx | st
 }
 
 // resetStates returns a zeroed segState slice of length n, reusing
@@ -144,19 +172,6 @@ func resetStates(prev []segState, n int) []segState {
 	prev = prev[:n]
 	for i := range prev {
 		prev[i] = segUnsent
-	}
-	return prev
-}
-
-// resetBools returns a zeroed bool slice of length n, reusing prev's
-// backing array when it is large enough.
-func resetBools(prev []bool, n int) []bool {
-	if cap(prev) < n {
-		return make([]bool, n)
-	}
-	prev = prev[:n]
-	for i := range prev {
-		prev[i] = false
 	}
 	return prev
 }
@@ -219,7 +234,7 @@ func (s *Sender) nextToSend() (int32, bool) {
 	for len(s.retxQ) > 0 {
 		seq := s.retxQ[0]
 		s.retxQ = s.retxQ[1:]
-		if s.state[seq] == segLost {
+		if s.seg(seq) == segLost {
 			return seq, true
 		}
 	}
@@ -247,13 +262,13 @@ func (s *Sender) newPacket(typ pkt.Type, seq, size int32) *pkt.Packet {
 
 // transmit sends one segment.
 func (s *Sender) transmit(seq int32) {
-	resend := s.state[seq] == segLost
-	s.state[seq] = segInflight
+	resend := s.seg(seq) == segLost
+	s.setSeg(seq, segInflight)
 	s.inflight++
 	p := s.newPacket(pkt.Data, seq, pkt.SegmentWireSize(s.Spec.Size, seq))
 	if resend {
 		s.Retx++
-		s.retransmitted[seq] = true
+		s.state[seq] |= segRetx
 		s.st.obs.retx.Inc()
 		if s.st.OnRetx != nil {
 			s.st.OnRetx(s, seq)
@@ -310,10 +325,10 @@ func (s *Sender) SetRate(r netem.BitRate) {
 // MarkLost declares an in-flight segment lost and queues it for
 // retransmission.
 func (s *Sender) MarkLost(seq int32) {
-	if seq < 0 || seq >= s.Segs || s.state[seq] != segInflight {
+	if seq < 0 || seq >= s.Segs || s.seg(seq) != segInflight {
 		return
 	}
-	s.state[seq] = segLost
+	s.setSeg(seq, segLost)
 	s.inflight--
 	s.retxQ = append(s.retxQ, seq)
 }
@@ -322,8 +337,8 @@ func (s *Sender) MarkLost(seq int32) {
 // in-flight segment is queued for retransmission.
 func (s *Sender) MarkAllInflightLost() {
 	for seq := s.cumAck; seq < s.nextSeq; seq++ {
-		if s.state[seq] == segInflight {
-			s.state[seq] = segLost
+		if s.seg(seq) == segInflight {
+			s.setSeg(seq, segLost)
 			s.retxQ = append(s.retxQ, seq)
 		}
 	}
@@ -368,6 +383,22 @@ func (s *Sender) SendProbe(seq int32) {
 	s.st.Host.Send(s.newPacket(pkt.Probe, seq, pkt.HeaderSize))
 }
 
+// ack records the delivery of one segment, reporting whether it was
+// news.
+func (s *Sender) ack(seq int32) bool {
+	st := s.seg(seq)
+	if st == segAcked {
+		return false
+	}
+	if st == segInflight {
+		s.inflight--
+	}
+	s.setSeg(seq, segAcked)
+	s.ackedCount++
+	s.ackedBytes += int64(pkt.SegmentWireSize(s.Spec.Size, seq) - pkt.HeaderSize)
+	return true
+}
+
 // onAck processes an arriving Ack or ProbeAck.
 func (s *Sender) onAck(p *pkt.Packet) {
 	if s.Done {
@@ -385,16 +416,10 @@ func (s *Sender) onAck(p *pkt.Packet) {
 
 	if p.SackSeq >= 0 && p.SackSeq < s.Segs {
 		seq := p.SackSeq
-		if s.state[seq] != segAcked {
-			if s.state[seq] == segInflight {
-				s.inflight--
-			}
-			s.state[seq] = segAcked
-			s.ackedCount++
-			s.ackedBytes += int64(pkt.SegmentWireSize(s.Spec.Size, seq) - pkt.HeaderSize)
+		if s.ack(seq) {
 			newly++
 		}
-		if !s.retransmitted[seq] && p.SentAt > 0 {
+		if s.state[seq]&segRetx == 0 && p.SentAt > 0 {
 			rttSample = s.Now().Sub(p.SentAt)
 			s.updateRTT(rttSample)
 		}
@@ -403,19 +428,13 @@ func (s *Sender) onAck(p *pkt.Packet) {
 	// were lost.
 	if p.CumAck > s.cumAck {
 		for seq := s.cumAck; seq < p.CumAck && seq < s.Segs; seq++ {
-			if s.state[seq] != segAcked {
-				if s.state[seq] == segInflight {
-					s.inflight--
-				}
-				s.state[seq] = segAcked
-				s.ackedCount++
-				s.ackedBytes += int64(pkt.SegmentWireSize(s.Spec.Size, seq) - pkt.HeaderSize)
+			if s.ack(seq) {
 				newly++
 			}
 		}
 	}
 	advanced := false
-	for s.cumAck < s.Segs && s.state[s.cumAck] == segAcked {
+	for s.cumAck < s.Segs && s.seg(s.cumAck) == segAcked {
 		s.cumAck++
 		advanced = true
 	}
@@ -440,7 +459,7 @@ func (s *Sender) onAck(p *pkt.Packet) {
 		s.dupAcks++
 		if !s.NoFastRetx && s.dupAcks >= 3 && s.cumAck >= s.recoverSeq {
 			// Fast retransmit of the first missing segment.
-			if s.state[s.cumAck] == segInflight {
+			if s.seg(s.cumAck) == segInflight {
 				s.MarkLost(s.cumAck)
 				s.recoverSeq = s.nextSeq
 				s.dupAcks = 0
@@ -562,30 +581,16 @@ func (s *Sender) AbsorbProbeAck(p *pkt.Packet) {
 	prevAcked := s.ackedCount
 	seq := p.SackSeq
 	if p.Have && seq >= 0 && seq < s.Segs {
-		if s.state[seq] != segAcked {
-			if s.state[seq] == segInflight {
-				s.inflight--
-			}
-			s.state[seq] = segAcked
-			s.ackedCount++
-			s.ackedBytes += int64(pkt.SegmentWireSize(s.Spec.Size, seq) - pkt.HeaderSize)
-		}
-	} else if seq >= 0 && seq < s.Segs && s.state[seq] == segInflight {
+		s.ack(seq)
+	} else {
 		s.MarkLost(seq)
 	}
 	if p.CumAck > s.cumAck {
 		for q := s.cumAck; q < p.CumAck && q < s.Segs; q++ {
-			if s.state[q] != segAcked {
-				if s.state[q] == segInflight {
-					s.inflight--
-				}
-				s.state[q] = segAcked
-				s.ackedCount++
-				s.ackedBytes += int64(pkt.SegmentWireSize(s.Spec.Size, q) - pkt.HeaderSize)
-			}
+			s.ack(q)
 		}
 	}
-	for s.cumAck < s.Segs && s.state[s.cumAck] == segAcked {
+	for s.cumAck < s.Segs && s.seg(s.cumAck) == segAcked {
 		s.cumAck++
 	}
 	if s.ackedCount > prevAcked {

@@ -271,3 +271,64 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSegmentRecordGrowsWithWhatWasSent: the per-segment record covers
+// the segments sent so far, not the flow — a 1 GiB background flow
+// starts with segStateInit records rather than 735 440 — and a flow
+// that outgrows its record completes exactly like one that never does,
+// retransmissions across the growth boundary included.
+func TestSegmentRecordGrowsWithWhatWasSent(t *testing.T) {
+	_, d, _ := testRig(t)
+	if s := start(t, d, 1<<30); len(s.state) != segStateInit || s.Segs < 700_000 {
+		t.Fatalf("a %d-segment flow starts with %d segment records, want %d", s.Segs, len(s.state), segStateInit)
+	}
+
+	const segs = 3*segStateInit + 100
+	net, d, ctrl := testRig(t)
+	ctrl.initCwnd = 64
+	// Lose one full window straddling the first growth step.
+	lose, lost := map[int32]bool{}, map[int32]bool{}
+	for seq := int32(segStateInit - 32); seq < segStateInit+32; seq++ {
+		lose[seq], lost[seq] = true, true
+	}
+	net.UpLinks(0)[0].Port.Faults = loseOnce(lose)
+	s := start(t, d, segs*pkt.MSS)
+	if len(s.state) != segStateInit {
+		t.Fatalf("record starts at %d, want %d", len(s.state), segStateInit)
+	}
+	if err := net.Eng.RunUntil(sim.Time(10 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done || s.AckedBytes() != segs*pkt.MSS {
+		t.Fatalf("done=%v with %d of %d bytes acknowledged", s.Done, s.AckedBytes(), segs*pkt.MSS)
+	}
+	if s.Retx < len(lost) || len(s.state) != segs {
+		t.Fatalf("%d retransmissions (want >= %d), %d segment records (want %d)", s.Retx, len(lost), len(s.state), segs)
+	}
+	retx := 0
+	for seq := range s.state {
+		if s.seg(int32(seq)) != segAcked {
+			t.Fatalf("segment %d ended in state %v", seq, s.seg(int32(seq)))
+		}
+		if s.state[seq]&segRetx != 0 {
+			retx++
+		} else if lost[int32(seq)] {
+			t.Fatalf("segment %d was lost in flight but is not flagged retransmitted", seq)
+		}
+	}
+	if retx == 0 || retx > s.Retx {
+		t.Fatalf("%d segments flagged retransmitted after %d retransmissions", retx, s.Retx)
+	}
+}
+
+// loseOnce drops the first transmission of each listed data segment.
+type loseOnce map[int32]bool
+
+func (loseOnce) Blocked(*netem.Port) bool { return false }
+func (l loseOnce) Lose(_ *netem.Port, p *pkt.Packet) bool {
+	if p.Type != pkt.Data || !l[p.Seq] {
+		return false
+	}
+	delete(l, p.Seq)
+	return true
+}

@@ -173,7 +173,8 @@ type PASEOptions struct {
 	// optimizations of §3.1.2.
 	NoPruning    bool
 	NoDelegation bool
-	// NumQueues overrides the switch priority-queue count (default 8).
+	// NumQueues overrides the switch priority-queue count (0 = the
+	// default of 8; otherwise 2 to 127).
 	NumQueues int
 	// DisableRefRate ignores the arbitrated reference rate
 	// (the PASE-DCTCP ablation of Fig 13a).
@@ -465,6 +466,11 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return cfg, fmt.Errorf("pase: %w", err)
+	}
+	if q := cfg.PASE.NumQueues; q != 0 && (q < 2 || q > 127) {
+		// Below 2 there is no class to demote into; above 127 the int8
+		// queue index of a Decision wraps.
+		return cfg, fmt.Errorf("pase: PASE.NumQueues must be 0 (default) or in [2, 127], got %d", q)
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolPASE

@@ -26,6 +26,19 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: -3}); err == nil {
 		t.Fatal("negative NumFlows must be rejected")
 	}
+	// 1 queue panicked in arbitration, a negative count in netem.Prio,
+	// and 128 and up wrapped the int8 queue index silently.
+	for _, q := range []int{1, -3, 128} {
+		_, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, PASE: pase.PASEOptions{NumQueues: q}})
+		if err == nil || !strings.Contains(err.Error(), "NumQueues") {
+			t.Fatalf("NumQueues %d: got %v, want an error naming the field", q, err)
+		}
+	}
+	for _, q := range []int{2, 127} {
+		if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, PASE: pase.PASEOptions{NumQueues: q}}); err != nil {
+			t.Fatalf("NumQueues %d is in range: %v", q, err)
+		}
+	}
 	bad := &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 1.5}}}
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}); err == nil {
 		t.Fatal("out-of-range fault plan must be rejected")
