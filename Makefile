@@ -26,7 +26,7 @@ race:
 check-test:
 	PASE_CHECK=1 $(GO) test ./...
 
-# Allocation-drift gate: five benchmark reference configurations at a
+# Allocation-drift gate: the seven benchmark reference configurations at a
 # few hundred flows each, failing when bytes or objects allocated per
 # flow exceed the budgets committed in alloc_gate_test.go. Allocation
 # counts repeat almost exactly, so this is a hard test, not a timing

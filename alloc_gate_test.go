@@ -8,24 +8,26 @@ import (
 	"pase/internal/check"
 )
 
-// TestAllocGate is the allocation-drift gate (`make alloc-gate`): five
-// of the benchmark's reference configurations at a few hundred flows,
+// TestAllocGate is the allocation-drift gate (`make alloc-gate`): the
+// benchmark's seven reference configurations at a few hundred flows,
 // each held to a committed budget of bytes and objects allocated per
 // flow. Allocation counts repeat to better than 1 part in 10^4 on one
 // toolchain, so unlike a timing comparison this can be a hard test.
-// Budgets sit about 25% above the values measured when the packet path
-// and then PASE's control path became allocation-free and senders
-// stopped materialising per-segment state they never touch; a
-// per-packet, per-event or per-refresh allocation creeping
-// back in overshoots them several times over (the closure-per-hop,
+// Budgets sit about 25% above the values measured once the packet
+// path, PASE's control path, rank mode and then flow turnover itself
+// (pooled senders, receivers and controls, one arrival chain, the
+// pFabric queue without its map) stopped allocating. What is left is
+// mostly the fabric's set-up spread over a few hundred flows — all but
+// 5% of ctrlscale-512's row — so anything per packet, per event, per
+// refresh or per flow creeping back overshoots: the closure-per-hop,
 // literal-per-packet path read 68–75 KB and 1620–2290 objects per flow
-// on these configurations; with a closure per arbitration reply, a
-// reflection-based sort per epoch and an entry per flow per link the
-// two PASE rows read 11.2 KB / 97.5 objects and 43.3 KB / 368). The
-// sharded row holds rank mode to the same standard: with a garbage rank
-// node per scheduling event it read 50.8 KB and 681 objects per flow.
-// ctrlscale-512's per-flow figures are mostly the 512-rack fabric's
-// set-up spread over 400 flows.
+// on these configurations; a closure per arbitration reply, a
+// reflection-based sort per epoch and an entry per flow per link put
+// the two PASE rows at 11.2 KB / 97.5 objects and 43.3 KB / 368; a
+// garbage rank node per scheduling event put the sharded row at
+// 50.8 KB / 681; and a sender, receiver, control, arrival closure and
+// one-bool-at-a-time arrival map per flow read 2.8 KB / 17.4 on
+// fig9a-dctcp and 4.1 KB / 21.9 on fig9a-pfabric.
 func TestAllocGate(t *testing.T) {
 	if check.Forced() {
 		t.Skip("the forced invariant checker allocates on its own; budgets are for unchecked runs")
@@ -35,11 +37,13 @@ func TestAllocGate(t *testing.T) {
 		cfg            pase.SimConfig
 		bytes, objects float64 // per-flow budgets
 	}{
-		{"fig9a-dctcp", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 3550, 22},
-		{"fig9a-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 4650, 30},
-		{"incast256-expresspass", pase.SimConfig{Protocol: pase.ProtocolExpressPass, Scenario: pase.ScenarioIncast256, Load: 0.7, Stream: true, NumFlows: 400}, 3800, 38},
-		{"leafspine-stream-shards2", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeafSpineWide, Load: 0.6, Stream: true, Shards: 2, NumFlows: 600}, 4770, 20},
-		{"ctrlscale512-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: "ctrlscale-512", Load: 0.6, NumFlows: 400}, 36300, 190},
+		{"fig9a-dctcp", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 2050, 11.6},
+		{"fig9a-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 3170, 20.4},
+		{"incast256-expresspass", pase.SimConfig{Protocol: pase.ProtocolExpressPass, Scenario: pase.ScenarioIncast256, Load: 0.7, Stream: true, NumFlows: 400}, 3300, 30},
+		{"leafspine-stream-shards2", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeafSpineWide, Load: 0.6, Stream: true, Shards: 2, NumFlows: 600}, 4430, 14.5},
+		{"ctrlscale512-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: "ctrlscale-512", Load: 0.6, NumFlows: 400}, 34900, 181},
+		{"leafspine-stream", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeafSpineWide, Load: 0.6, Stream: true, NumFlows: 600}, 3650, 10.9},
+		{"fig9a-pfabric", pase.SimConfig{Protocol: pase.ProtocolPFabric, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 3240, 10.6},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			g.cfg.Seed = 1

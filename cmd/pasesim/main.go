@@ -60,7 +60,7 @@ func main() {
 		teFlag    = flag.Bool("te", false, "leaf-spine fabrics: periodic traffic engineering, shifting hot ECMP buckets off loaded uplinks")
 		teEpoch   = flag.Duration("te-epoch", 0, "TE decision period (0 = 1ms default)")
 		abortAft  = flag.Duration("abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming run: iterator arrivals, recycled flow state, sketch quantiles")
+		stream    = flag.Bool("stream", false, "bounded-memory run: flow records fold into sketch quantiles instead of being kept")
 		shards    = flag.Int("shards", 0, "engine shards for the run (0/1 = serial; results and traces byte-identical at any setting; PASE/PDQ run serially and say so on stderr)")
 		scale     = flag.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
 		obs       = flag.Bool("obs", false, "collect run observability and write a manifest (see -manifest)")

@@ -201,13 +201,13 @@ type PointConfig struct {
 	// Aborted flows are excluded from AFCT and reported separately in
 	// the Summary. Zero disables aborts.
 	AbortAfter sim.Duration
-	// Stream runs the point through the bounded-memory path: arrivals
-	// are pulled from workload.Spec.Stream one at a time and flow
-	// records land in a metrics.StreamCollector, so memory is
-	// O(in-flight flows) instead of O(NumFlows). Flows, Completed,
-	// AFCT, MaxFCT, Retx and Timeouts are exactly the stored-mode
-	// values; P50/P99 and the CDF are within the sketch's ε. Records
-	// (per-flow outcomes) are not retained.
+	// Stream picks the bounded-memory sink: flow records land in a
+	// metrics.StreamCollector, so — arrivals being pulled from
+	// workload.Spec.Stream one at a time and flow state recycled in
+	// every run — memory is O(in-flight flows) instead of O(NumFlows).
+	// Flows, Completed, AFCT, MaxFCT, Retx and Timeouts are exactly the
+	// stored-mode values; P50/P99 and the CDF are within the sketch's ε.
+	// Records (per-flow outcomes) are not retained.
 	Stream bool
 	// SketchEps is the streaming quantile sketch's relative error
 	// bound (0 = metrics.DefaultSketchEps).
@@ -938,21 +938,15 @@ func RunPoint(cfg PointConfig) PointResult {
 	// that can run on its input: Engine.Run on one engine, barrier
 	// windows plus the serial tail on several.
 	var summary metrics.Summary
-	var err error
 	rng := sim.NewRand(cfg.Seed + 1)
-	switch {
-	case part != nil:
+	if part != nil {
 		summary = driveSharded(se, d, part, envs, spec, rng, sc)
-	case cfg.Stream:
+	} else {
 		d.ScheduleStream(spec.Stream(rng, 1).Next)
-		summary, err = d.Run(0)
-	default:
-		flows := spec.Generate(rng, 1)
-		d.Schedule(flows)
-		summary, err = d.Run(flows[len(flows)-1].Start + sim.Time(10*sim.Second))
-	}
-	if err != nil {
-		panic(err)
+		var err error
+		if summary, err = d.Run(0); err != nil {
+			panic(err)
+		}
 	}
 
 	res := PointResult{

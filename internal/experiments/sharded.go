@@ -74,8 +74,22 @@ func driveSharded(se *sim.ShardedEngine, d *transport.Driver, part *topology.Par
 			}
 		}
 	}
+	// A flow ends on its source's shard; its receiver is released on the
+	// destination's, one lookahead later when that is another shard.
+	lookahead := sim.Duration(se.Lookahead())
+	d.DropRx = func(src, dst pkt.NodeID, flow pkt.FlowID) {
+		ss, ds := part.ShardOfID(src), part.ShardOfID(dst)
+		if ss == ds {
+			d.Stacks[dst].DropReceiver(flow)
+			return
+		}
+		e := se.Shard(ss)
+		ctx, k := e.ChildSlot()
+		se.Handoff(ss, ds, e.Now().Add(lookahead), ctx, k, func() {
+			d.Stacks[dst].DropReceiver(flow)
+		})
+	}
 	if sc != nil {
-		d.MarkStreaming()
 		runShardedStream(se, d, part, spec.Stream(rng, 1), sc, drainBufs)
 		return sc.Summarize()
 	}
@@ -93,7 +107,6 @@ func driveSharded(se *sim.ShardedEngine, d *transport.Driver, part *topology.Par
 		f := f
 		se.Shard(part.ShardOfID(f.Src)).At(f.Start, func() { d.StartArrival(f) })
 	}
-	lookahead := sim.Duration(se.Lookahead())
 	lastArrival := flows[len(flows)-1].Start
 	for {
 		mp, ok := se.MinPendingTime()
@@ -151,18 +164,6 @@ func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology
 		}
 	}
 	lookahead := sim.Duration(se.Lookahead())
-	d.DropRx = func(src, dst pkt.NodeID, flow pkt.FlowID) {
-		ss, ds := part.ShardOfID(src), part.ShardOfID(dst)
-		if ss == ds {
-			d.Stacks[dst].DropReceiver(flow)
-			return
-		}
-		e := se.Shard(ss)
-		ctx, k := e.ChildSlot()
-		se.Handoff(ss, ds, e.Now().Add(lookahead), ctx, k, func() {
-			d.Stacks[dst].DropReceiver(flow)
-		})
-	}
 
 	var prevCtx *sim.Rank
 	prevK := slot0

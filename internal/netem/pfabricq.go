@@ -25,18 +25,24 @@ type PFabric struct {
 	Limit int
 	// Occ, when set, records post-enqueue occupancy (packets).
 	Occ      *obs.Histogram
-	q        []*pkt.Packet
+	q        []pfabricSlot
 	bytes    int64
 	stats    QueueStats
 	arr      uint64 // arrival counter for deterministic tie-breaks
-	arrOf    map[*pkt.Packet]uint64
 	chk      *check.Checker
 	chkLabel string
 }
 
+// pfabricSlot is one buffered packet with its arrival stamp, which
+// breaks every Rank and Seq tie.
+type pfabricSlot struct {
+	p   *pkt.Packet
+	arr uint64
+}
+
 // NewPFabric returns a pFabric queue bounded at limit packets.
 func NewPFabric(limit int) *PFabric {
-	return &PFabric{Limit: limit, arrOf: make(map[*pkt.Packet]uint64)}
+	return &PFabric{Limit: limit}
 }
 
 // AttachCheck implements Checkable.
@@ -58,17 +64,19 @@ func (f *PFabric) Enqueue(p *pkt.Packet) bool {
 	}
 	if len(f.q) >= f.Limit {
 		vi := f.worst()
-		if vi < 0 || f.q[vi].Rank <= p.Rank {
+		if vi < 0 || f.q[vi].p.Rank <= p.Rank {
 			f.stats.drop(p)
 			return false
 		}
-		victim := f.q[vi]
-		f.removeAt(vi)
-		f.stats.drop(victim)
+		f.stats.drop(f.removeAt(vi))
+	}
+	if f.q == nil {
+		// Sized once, on the port's first packet: most ports of a fabric
+		// never see one, and set-up should not pay for their buffers.
+		f.q = make([]pfabricSlot, 0, f.Limit)
 	}
 	f.arr++
-	f.arrOf[p] = f.arr
-	f.q = append(f.q, p)
+	f.q = append(f.q, pfabricSlot{p, f.arr})
 	f.bytes += int64(p.Size)
 	f.stats.accept(p)
 	f.stats.noteLen(len(f.q))
@@ -83,9 +91,9 @@ func (f *PFabric) Enqueue(p *pkt.Packet) bool {
 // breaking ties toward the most recent arrival), or -1 if empty.
 func (f *PFabric) worst() int {
 	best := -1
-	for i, p := range f.q {
-		if best < 0 || p.Rank > f.q[best].Rank ||
-			(p.Rank == f.q[best].Rank && f.arrOf[p] > f.arrOf[f.q[best]]) {
+	for i, s := range f.q {
+		if best < 0 || s.p.Rank > f.q[best].p.Rank ||
+			(s.p.Rank == f.q[best].p.Rank && s.arr > f.q[best].arr) {
 			best = i
 		}
 	}
@@ -99,34 +107,34 @@ func (f *PFabric) Dequeue() *pkt.Packet {
 	}
 	// Most urgent packet decides which flow transmits...
 	best := 0
-	for i, p := range f.q {
-		if p.Rank < f.q[best].Rank ||
-			(p.Rank == f.q[best].Rank && f.arrOf[p] < f.arrOf[f.q[best]]) {
+	for i, s := range f.q {
+		if s.p.Rank < f.q[best].p.Rank ||
+			(s.p.Rank == f.q[best].p.Rank && s.arr < f.q[best].arr) {
 			best = i
 		}
 	}
-	flow := f.q[best].Flow
+	flow := f.q[best].p.Flow
 	// ...but the flow's earliest segment goes first.
 	sel := best
-	for i, p := range f.q {
-		if p.Flow == flow && (p.Seq < f.q[sel].Seq ||
-			(p.Seq == f.q[sel].Seq && f.arrOf[p] < f.arrOf[f.q[sel]])) {
+	for i, s := range f.q {
+		if s.p.Flow == flow && (s.p.Seq < f.q[sel].p.Seq ||
+			(s.p.Seq == f.q[sel].p.Seq && s.arr < f.q[sel].arr)) {
 			sel = i
 		}
 	}
-	p := f.q[sel]
-	f.removeAt(sel)
 	f.stats.Dequeued++
-	return p
+	return f.removeAt(sel)
 }
 
-func (f *PFabric) removeAt(i int) {
-	p := f.q[i]
+// removeAt takes the packet in slot i out of the buffer.
+func (f *PFabric) removeAt(i int) *pkt.Packet {
+	p := f.q[i].p
 	f.bytes -= int64(p.Size)
-	delete(f.arrOf, p)
-	f.q[i] = f.q[len(f.q)-1]
-	f.q[len(f.q)-1] = nil
-	f.q = f.q[:len(f.q)-1]
+	last := len(f.q) - 1
+	f.q[i] = f.q[last]
+	f.q[last] = pfabricSlot{}
+	f.q = f.q[:last]
+	return p
 }
 
 func (f *PFabric) Len() int           { return len(f.q) }

@@ -84,6 +84,12 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // that dispatched event timestamps never run backwards.
 func (e *Engine) AttachCheck(c *check.Checker) { e.chk = c }
 
+// Checked reports whether a checker is attached. Layers that recycle
+// records on this engine retire them instead when it is (rank nodes
+// here, flow records in package transport), so a use after release is
+// caught rather than absorbed by the next owner.
+func (e *Engine) Checked() bool { return e.chk != nil }
+
 // maxFree bounds the free list so a burst of scheduling does not pin
 // memory for the rest of the run. Records beyond the cap are left to
 // the garbage collector. The cap sits above the calendar depth the

@@ -39,8 +39,10 @@ func DefaultConfig() Config {
 
 // New returns a Control factory.
 func New(cfg Config) func(*transport.Sender) transport.Control {
-	return func(*transport.Sender) transport.Control {
-		return &control{cfg: cfg}
+	return func(s *transport.Sender) transport.Control {
+		c := transport.ReuseControl[control](s)
+		*c = control{cfg: cfg}
+		return c
 	}
 }
 

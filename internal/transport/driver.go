@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pase/internal/check"
@@ -15,25 +16,22 @@ import (
 	"pase/internal/workload"
 )
 
-// streamGrace is how long a streaming run keeps simulating after the
-// last arrival before declaring the stragglers unfinished — the same
-// 10 s pad stored runs apply to the workload span.
-const streamGrace = sim.Duration(10 * sim.Second)
-
-// StreamGrace is the post-last-arrival grace period of streaming runs,
-// exported so the sharded runner's watchdog matches ScheduleStream's.
-const StreamGrace = streamGrace
+// StreamGrace is how long a run with no deadline of its own keeps
+// simulating after the last arrival before declaring the stragglers
+// unfinished (exported for the sharded runner's watchdog).
+const StreamGrace = sim.Duration(10 * sim.Second)
 
 // Driver runs a workload over a built fabric: it installs one Stack
-// per host, schedules flow arrivals, and stops the simulation when
+// per host, starts flows as they arrive, and stops the simulation when
 // every foreground flow has completed (or a deadline passes).
 //
-// Two scheduling modes exist. Schedule materializes every arrival up
-// front (O(flows) memory, the historical behavior). ScheduleStream
-// pulls arrivals from an iterator one at a time and keeps only the
-// next pending flow, which — combined with UseSink's bounded-memory
-// collector, sender recycling and receiver release — makes memory
-// O(in-flight flows) instead of O(total flows).
+// Arrivals are one chain in every run: the driver holds the next
+// pending flow and nothing else of the schedule, each arrival event
+// starts its flows and puts the following arrival on the calendar.
+// Schedule feeds the chain from a slice, ScheduleStream from an
+// iterator. Senders and receivers are records of a per-engine pool and
+// go back to it when their flow ends, so memory is O(flows in flight)
+// whatever the sink keeps.
 type Driver struct {
 	Eng    *sim.Engine
 	Net    *topology.Network
@@ -63,28 +61,24 @@ type Driver struct {
 	// selected by the flow's source host, since sharded runs keep one
 	// per shard (a Checker is not concurrent-safe).
 	ChkOf func(src pkt.NodeID) *check.Checker
-	// DropRx, when set, routes streaming-mode receiver release to the
-	// destination host's shard instead of mutating the destination
-	// stack inline from the completing (source-side) event.
+	// DropRx, when set, routes receiver release to the destination
+	// host's shard instead of mutating the destination stack inline
+	// from the completing (source-side) event.
 	DropRx func(src, dst pkt.NodeID, flow pkt.FlowID)
 
-	// remaining is atomic: in sharded runs flows complete concurrently
-	// on different shards.
+	// remaining counts the foreground flows primed and not yet ended.
+	// It is atomic: in sharded runs flows complete concurrently on
+	// different shards.
 	remaining atomic.Int64
-	started   []*Sender
-	// walkUnfinished forces unfinished() to walk the stacks' sender
-	// maps (sharded stored runs never populate started).
-	walkUnfinished bool
 
-	// Streaming-mode state: the iterator, the one pending arrival, and
-	// a reusable arrival closure (the hot path schedules no per-flow
-	// closures).
-	streaming     bool
-	streamNext    func() (workload.FlowSpec, bool)
-	pending       workload.FlowSpec
-	hasPending    bool
-	streamDrained bool
-	arrivalFn     func()
+	// The arrival chain: the source, the one pending arrival, whether
+	// Run was given a deadline, and the arrival event's closure (built
+	// once, so the chain schedules no per-flow closures).
+	next       func() (workload.FlowSpec, bool)
+	pending    workload.FlowSpec
+	hasPending bool
+	deadline   bool
+	arrivalFn  func()
 }
 
 // InstrumentEach attaches observability to every stack, resolving the
@@ -119,11 +113,17 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 		Collector: metrics.NewCollector(),
 	}
 	d.Sink = d.Collector
+	d.arrivalFn = d.onArrival
+	pools := make(map[*sim.Engine]*flowPool)
 	for _, h := range net.Hosts {
-		h := h
 		// A host's stack lives on the engine its NIC is clocked by —
-		// net.Eng normally, the host's shard engine in sharded runs.
-		st := NewStack(h.Port().Engine(), h)
+		// net.Eng normally, the host's shard engine in sharded runs —
+		// and shares that engine's flow pool.
+		eng := h.Port().Engine()
+		if pools[eng] == nil {
+			pools[eng] = &flowPool{eng: eng, limit: flowPoolCap}
+		}
+		st := newStack(eng, h, pools[eng])
 		st.NewControl = newControl
 		st.Collector = d.Sink
 		st.BaseRTT = func(dst pkt.NodeID) sim.Duration { return net.BaseRTT(h.ID(), dst) }
@@ -133,16 +133,13 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 	return d
 }
 
-// UseSink replaces the stored collector with a bounded-memory sink and
-// switches every stack into recycling mode: completed senders return
-// to a free list and receiver state is released on flow completion.
+// UseSink replaces the stored collector with a bounded-memory sink.
 // Call it before scheduling anything.
 func (d *Driver) UseSink(sink metrics.Sink) {
 	d.Collector = nil
 	d.Sink = sink
 	for _, st := range d.Stacks {
 		st.Collector = sink
-		st.Recycle = true
 	}
 }
 
@@ -169,23 +166,18 @@ func (d *Driver) flowDone(s *Sender) {
 	if d.ChkOf != nil && !s.Aborted {
 		d.checkFCT(d.ChkOf(s.Spec.Src), s)
 	}
-	if d.streaming {
-		if d.DropRx != nil {
-			d.DropRx(s.Spec.Src, s.Spec.Dst, s.Spec.ID)
-		} else {
-			d.Stacks[s.Spec.Dst].DropReceiver(s.Spec.ID)
-		}
+	if d.DropRx != nil {
+		d.DropRx(s.Spec.Src, s.Spec.Dst, s.Spec.ID)
+	} else {
+		d.Stacks[s.Spec.Dst].DropReceiver(s.Spec.ID)
 	}
-	if !s.Spec.Background {
-		// A streaming run may momentarily have zero flows in flight
-		// while arrivals are still pending; only stop once the
-		// iterator is exhausted too.
-		if d.remaining.Add(-1) == 0 {
-			if d.OnZero != nil {
-				d.OnZero()
-			} else if !d.streaming || d.streamDrained {
-				d.Eng.Stop()
-			}
+	// A run may momentarily have zero flows in flight while arrivals
+	// are still pending; only stop once the chain is exhausted too.
+	if !s.Spec.Background && d.remaining.Add(-1) == 0 {
+		if d.OnZero != nil {
+			d.OnZero()
+		} else if !d.hasPending {
+			d.Eng.Stop()
 		}
 	}
 	if d.OnFlowDone != nil {
@@ -193,103 +185,78 @@ func (d *Driver) flowDone(s *Sender) {
 	}
 }
 
-// Schedule queues the flow arrivals onto the engine.
+// Schedule feeds the arrival chain from a slice. The chain wants
+// non-decreasing Start, so it walks a copy stable-sorted by Start:
+// flows sharing a timestamp start in slice order.
 func (d *Driver) Schedule(flows []workload.FlowSpec) {
-	for _, f := range flows {
-		f := f
-		if !f.Background {
-			d.remaining.Add(1)
+	flows = slices.Clone(flows)
+	slices.SortStableFunc(flows, func(a, b workload.FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+	d.ScheduleStream(func() (f workload.FlowSpec, ok bool) {
+		if len(flows) == 0 {
+			return f, false
 		}
-		d.Eng.At(f.Start, func() {
-			s := d.Stack(f.Src).StartFlow(f)
-			d.started = append(d.started, s)
-			if d.OnFlowStart != nil {
-				d.OnFlowStart(s)
-			}
-		})
-	}
+		f, flows = flows[0], flows[1:]
+		return f, true
+	})
 }
 
-// ScheduleStream switches the driver to streaming mode: next is pulled
-// lazily, one arrival ahead of the simulation clock, so the schedule
-// never materializes. The iterator must yield flows in
-// non-decreasing Start order (workload.Spec.Stream does). Arrival
-// events go on the calendar with AtHead so they win timestamp ties
-// against in-flight packet and timer events — the order a materialized
-// schedule gets for free, since its arrivals hold lower sequence
-// numbers than anything enqueued mid-run.
+// ScheduleStream starts the arrival chain: next is pulled lazily, one
+// arrival ahead of the simulation clock, so the schedule never
+// materializes. The iterator must yield flows in non-decreasing Start
+// order (workload.Spec.Stream does). Arrival events go on the calendar
+// with AtHead so they win timestamp ties against in-flight packet and
+// timer events — the order a schedule laid out before the run would
+// get for free, its arrivals holding lower sequence numbers than
+// anything enqueued mid-run. One chain runs at a time: schedule again
+// only after the previous arrivals have all started.
 func (d *Driver) ScheduleStream(next func() (workload.FlowSpec, bool)) {
-	d.streaming = true
-	d.streamNext = next
-	d.arrivalFn = d.onArrival
-	f, ok := next()
-	if !ok {
-		d.streamDrained = true
-		return
+	if d.hasPending {
+		panic("transport: arrivals scheduled while earlier ones are pending")
 	}
-	d.pending = f
-	d.hasPending = true
-	d.Eng.AtHead(f.Start, d.arrivalFn)
+	d.next = next
+	if d.pending, d.hasPending = next(); d.hasPending {
+		d.Eng.AtHead(d.pending.Start, d.arrivalFn)
+	}
 }
 
 // onArrival starts the pending flow and schedules the next arrival.
 // Flows sharing one timestamp (a fan-in query's responses, the t=0
-// background flows) are started back-to-back within this one event:
-// that reproduces stored-mode event order, where all same-time arrival
-// events were enqueued before any event their processing schedules.
+// background flows) are started back-to-back within this one event, so
+// none of them sees an event the others' start scheduled; what follows
+// the batch goes on the calendar before its last flow starts.
 func (d *Driver) onArrival() {
 	for {
 		cur := d.pending
-		next, ok := d.streamNext()
-		if !ok {
-			d.hasPending = false
-			d.streamDrained = true
-			// Watchdog: give stragglers the same grace stored runs
-			// get past the last arrival, then cut the run.
-			d.Eng.At(cur.Start.Add(streamGrace), d.Eng.Stop)
-			d.startStreamFlow(cur)
+		d.pending, d.hasPending = d.next()
+		batch := d.hasPending && d.pending.Start == cur.Start
+		switch {
+		case batch:
+		case d.hasPending:
+			d.Eng.AtHead(d.pending.Start, d.arrivalFn)
+		case !d.deadline:
+			// Watchdog: give stragglers a grace period past the last
+			// arrival, then cut the run.
+			d.Eng.At(cur.Start.Add(StreamGrace), d.Eng.Stop)
+		}
+		if !cur.Background {
+			d.Prime(1)
+		}
+		d.StartArrival(cur)
+		if !batch {
 			return
 		}
-		d.pending = next
-		if next.Start != cur.Start {
-			d.Eng.AtHead(next.Start, d.arrivalFn)
-			d.startStreamFlow(cur)
-			return
-		}
-		d.startStreamFlow(cur)
 	}
 }
 
-func (d *Driver) startStreamFlow(f workload.FlowSpec) {
-	if !f.Background {
-		d.remaining.Add(1)
-	}
-	s := d.Stack(f.Src).StartFlow(f)
-	if d.OnFlowStart != nil {
-		d.OnFlowStart(s)
-	}
-}
-
-// Prime registers n foreground flows whose arrival events are
-// scheduled externally — the sharded runner places each arrival on its
-// source host's shard engine and starts it via StartArrival.
-func (d *Driver) Prime(n int) {
-	d.remaining.Add(int64(n))
-	d.walkUnfinished = true
-}
-
-// MarkStreaming switches the driver into streaming semantics (receiver
-// release on completion, stack-walk accounting) without installing an
-// iterator; the sharded runner injects arrivals itself, registering
-// each foreground flow with Prime and starting it with StartArrival.
-func (d *Driver) MarkStreaming() {
-	d.streaming = true
-	d.walkUnfinished = true
-}
+// Prime registers n foreground flows about to start: the chain as each
+// starts, the sharded runner — which places arrivals on the source
+// hosts' shard engines itself — as it injects them, so no shard sees
+// zero flows in flight while an injected arrival is still to fire.
+func (d *Driver) Prime(n int) { d.remaining.Add(int64(n)) }
 
 // StartArrival starts flow f on its source stack at the current time —
-// the body of an externally scheduled arrival event. A foreground
-// flow must have been registered with Prime first.
+// the body of an arrival event. A foreground flow must have been
+// registered with Prime first.
 func (d *Driver) StartArrival(f workload.FlowSpec) {
 	s := d.Stack(f.Src).StartFlow(f)
 	if d.OnFlowStart != nil {
@@ -297,71 +264,42 @@ func (d *Driver) StartArrival(f workload.FlowSpec) {
 	}
 }
 
-// Run executes until every scheduled foreground flow completes or
-// maxTime elapses (ignored in streaming mode, which bounds the run by
-// the last arrival plus a grace period), then records any unfinished
-// foreground flows as incomplete. It returns the summarized metrics.
+// Run executes until every scheduled foreground flow has completed or
+// the deadline passes — maxTime, or with maxTime zero a grace period
+// past the last arrival — then records any unfinished foreground flows
+// as incomplete. It returns the summarized metrics.
 func (d *Driver) Run(maxTime sim.Time) (metrics.Summary, error) {
-	if d.streaming {
-		if d.streamDrained && !d.hasPending {
-			return metrics.Summary{}, fmt.Errorf("transport: no foreground flows scheduled")
-		}
-		if err := d.Eng.Run(); err != nil {
-			return metrics.Summary{}, err
-		}
+	if !d.hasPending && d.remaining.Load() == 0 {
+		return metrics.Summary{}, fmt.Errorf("transport: no foreground flows scheduled")
+	}
+	var err error
+	if d.deadline = maxTime > 0; d.deadline {
+		err = d.Eng.RunUntil(maxTime)
 	} else {
-		if d.remaining.Load() == 0 {
-			return metrics.Summary{}, fmt.Errorf("transport: no foreground flows scheduled")
-		}
-		if err := d.Eng.RunUntil(maxTime); err != nil {
-			return metrics.Summary{}, err
-		}
+		err = d.Eng.Run()
+	}
+	if err != nil {
+		return metrics.Summary{}, err
 	}
 	d.FlushUnfinished()
 	return d.Sink.Summarize(), nil
 }
 
-// FlushUnfinished records every cut-off foreground flow into the sink.
-// Run does this for serial runs; the sharded runner calls it after
-// draining the shard engines.
+// FlushUnfinished records every foreground flow the run cut off —
+// whatever is still in the stacks' sender maps — into the sink, in
+// flow-id order. Run does this for serial runs; the sharded runner
+// calls it after draining the shard engines.
 func (d *Driver) FlushUnfinished() {
-	for _, s := range d.unfinished() {
-		d.Sink.Add(metrics.FlowRecord{
-			ID:       uint64(s.Spec.ID),
-			Task:     s.Spec.Task,
-			Size:     s.Spec.Size,
-			Start:    s.Spec.Start,
-			Deadline: s.Spec.Deadline,
-			Done:     false,
-			Retx:     s.Retx,
-			Timeouts: s.Timeouts,
-		})
-	}
-}
-
-// unfinished returns the foreground senders the run cut off, in flow-id
-// order. Stored mode reads the started list; streaming mode (which
-// retains no such list) walks the stacks' live sender maps.
-func (d *Driver) unfinished() []*Sender {
-	var out []*Sender
-	if !d.streaming && !d.walkUnfinished {
-		for _, s := range d.started {
-			if !s.Done && !s.Spec.Background {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
+	var cut []*Sender
 	for _, st := range d.Stacks {
 		for _, s := range st.senders {
-			if !s.Done && !s.Spec.Background {
-				out = append(out, s)
+			if !s.Spec.Background {
+				cut = append(cut, s)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.ID < out[j].Spec.ID })
-	return out
+	slices.SortFunc(cut, func(a, b *Sender) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
+	for _, s := range cut {
+		d.Sink.Add(s.record())
+	}
 }
-
-// Remaining returns how many foreground flows have not yet finished.
-func (d *Driver) Remaining() int { return int(d.remaining.Load()) }

@@ -4,12 +4,16 @@ import (
 	"testing"
 
 	"pase/internal/check"
+	"pase/internal/metrics"
 	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/transport"
+	"pase/internal/transport/d2tcp"
 	"pase/internal/transport/dctcp"
+	"pase/internal/transport/l2dct"
+	"pase/internal/transport/pfabric"
 	"pase/internal/workload"
 )
 
@@ -20,8 +24,9 @@ func redQueue(topology.QueueKind) netem.Queue { return netem.NewREDECN(225, 65) 
 // runner wires it, allocates at most 0.2 objects per delivered data
 // packet once packet pool and event free list are warm — data
 // segments, ACKs, link events and the per-ACK RTO re-arm are all
-// reused. What remains is per-flow state (sender, receiver, segment
-// maps). The parent of this pin read 11.2.
+// reused. What remains is Schedule's copy of its input and Run's
+// summary (TestFlowTurnoverAllocs pins the flow itself at zero). The
+// closure-per-hop, literal-per-packet path read 11.2.
 func TestPacketPathAllocs(t *testing.T) {
 	const segments = 1000
 	net := topology.Build(sim.NewEngine(), topology.SingleRack(2, redQueue))
@@ -40,6 +45,64 @@ func TestPacketPathAllocs(t *testing.T) {
 	t.Logf("%.3f allocations per delivered data packet", perPkt)
 	if perPkt > 0.2 {
 		t.Errorf("packet path allocates %.3f objects per delivered data packet, want <= 0.2", perPkt)
+	}
+}
+
+// TestFlowTurnoverAllocs pins flow turnover: one complete flow —
+// arrival, sender and receiver records, control, every packet, the
+// last ACK, the flow record — allocates nothing once the pools are
+// warm, for each protocol whose control goes round with its sender and
+// for both sinks. The arrivals are one endless chain, 10 ms apart, so
+// each measured call runs exactly one flow from start to finish.
+func TestFlowTurnoverAllocs(t *testing.T) {
+	const segments, gap = 40, 10 * sim.Millisecond
+	protocols := []struct {
+		name  string
+		queue func(topology.QueueKind) netem.Queue
+		ctl   func(*transport.Sender) transport.Control
+	}{
+		{"DCTCP", redQueue, dctcp.New(dctcp.DefaultConfig())},
+		{"D2TCP", redQueue, d2tcp.New(d2tcp.DefaultConfig())},
+		{"L2DCT", redQueue, l2dct.New(l2dct.DefaultConfig())},
+		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, pfabric.New(pfabric.DefaultConfig())},
+	}
+	for _, p := range protocols {
+		for _, sink := range []string{"stored", "stream"} {
+			t.Run(p.name+"/"+sink, func(t *testing.T) {
+				eng := sim.NewEngine()
+				net := topology.Build(eng, topology.SingleRack(2, p.queue))
+				d := transport.NewDriver(net, p.ctl)
+				completed := func() int { return len(d.Collector.Records()) }
+				if sink == "stream" {
+					sc := metrics.NewStreamCollector(0.01)
+					d.UseSink(sc)
+					completed = sc.Completed
+				}
+				var id pkt.FlowID
+				d.ScheduleStream(func() (workload.FlowSpec, bool) {
+					id++
+					return workload.FlowSpec{ID: id, Src: 0, Dst: 1, Size: segments * pkt.MSS, Start: sim.Time(id) * sim.Time(gap)}, true
+				})
+				one := func() {
+					if err := eng.RunUntil(eng.Now().Add(gap)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Warm-up: pools, event free list, queue rings, and room in
+				// the stored collector for every record the measurement adds.
+				const runs = 20
+				for i := 0; i < 2*runs || (sink == "stored" && cap(d.Collector.Records())-completed() < 2*runs); i++ {
+					one()
+				}
+				before := completed()
+				if allocs := testing.AllocsPerRun(runs, one); allocs != 0 {
+					t.Errorf("one flow allocates %.1f objects on a warm fabric, want 0", allocs)
+				}
+				if got := completed() - before; got != runs+1 {
+					t.Fatalf("%d flows completed over %d measured calls", got, runs+1)
+				}
+			})
+		}
 	}
 }
 

@@ -19,8 +19,12 @@ type receiver struct {
 	firstMissing int32
 }
 
+// newReceiver takes a record from the engine's flow pool and starts it
+// over; only the arrival map's backing array survives, emptied.
 func newReceiver(st *Stack, first *pkt.Packet) *receiver {
-	return &receiver{st: st, flow: first.Flow, src: first.Src}
+	r := take(&st.flows.receivers)
+	*r = receiver{st: st, flow: first.Flow, src: first.Src, got: r.got[:0]}
+	return r
 }
 
 func (r *receiver) have(seq int32) bool {
@@ -28,6 +32,9 @@ func (r *receiver) have(seq int32) bool {
 }
 
 func (r *receiver) onPacket(p *pkt.Packet) {
+	if r.st == nil {
+		panic("transport: receiver touched after its release")
+	}
 	switch p.Type {
 	case pkt.Data:
 		r.noteData(p)

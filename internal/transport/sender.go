@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"pase/internal/metrics"
 	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/sim"
@@ -114,35 +115,24 @@ type Sender struct {
 	FinishTime sim.Time
 }
 
+// newSender takes a record from the engine's flow pool and starts it
+// over: every field is reset except the slices' backing arrays and the
+// previous life's Control, which StartFlow hands to the factory.
 func newSender(st *Stack, spec workload.FlowSpec) *Sender {
 	segs := pkt.DataPackets(spec.Size)
-	records := min(int(segs), segStateInit)
-	if n := len(st.pool); n > 0 {
-		s := st.pool[n-1]
-		st.pool[n-1] = nil
-		st.pool = st.pool[:n-1]
-		// Reset every field, keeping the segment slices' backing arrays.
-		*s = Sender{
-			st:           st,
-			Spec:         spec,
-			Segs:         segs,
-			state:        resetStates(s.state, records),
-			retxQ:        s.retxQ[:0],
-			Cwnd:         1,
-			SSThresh:     1 << 20,
-			lastProgress: st.Eng.Now(),
-		}
-		return s
-	}
-	return &Sender{
+	s := take(&st.flows.senders)
+	*s = Sender{
 		st:           st,
 		Spec:         spec,
+		ctrl:         s.ctrl,
 		Segs:         segs,
-		state:        make([]segState, records),
+		state:        resetStates(s.state, min(int(segs), segStateInit)),
+		retxQ:        s.retxQ[:0],
 		Cwnd:         1,
 		SSThresh:     1 << 20,
 		lastProgress: st.Eng.Now(),
 	}
+	return s
 }
 
 // seg returns the lifecycle state of a segment.
@@ -170,14 +160,34 @@ func resetStates(prev []segState, n int) []segState {
 		return make([]segState, n)
 	}
 	prev = prev[:n]
-	for i := range prev {
-		prev[i] = segUnsent
-	}
+	clear(prev)
 	return prev
 }
 
 // Stack returns the owning stack.
 func (s *Sender) Stack() *Stack { return s.st }
+
+// ReuseControl is for NewControl factories: it returns the *C that s,
+// a recycled record, still holds from its previous life, or a new C.
+// The factory must overwrite every field. Only a control that owns
+// nothing able to outlive its flow may come back this way — no timer,
+// no closure, no in-flight record pointing at it; PDQ's, PASE's and
+// ExpressPass's do and are allocated per flow.
+func ReuseControl[C any](s *Sender) *C {
+	if c, ok := any(s.ctrl).(*C); ok {
+		return c
+	}
+	return new(C)
+}
+
+// ended reports whether the flow is over. A record the pool retired on
+// a checked engine has no stack: reaching one is a use after release.
+func (s *Sender) ended() bool {
+	if s.st == nil {
+		panic("transport: sender touched after its release")
+	}
+	return s.Done
+}
 
 // Now returns the current simulation time.
 func (s *Sender) Now() sim.Time { return s.st.Eng.Now() }
@@ -280,7 +290,7 @@ func (s *Sender) transmit(seq int32) {
 // trySend transmits as much as the window (or pacing rate) allows and
 // keeps the retransmission timer armed.
 func (s *Sender) trySend() {
-	if s.Done || s.Hold {
+	if s.ended() || s.Hold {
 		return
 	}
 	if s.Paced {
@@ -299,7 +309,7 @@ func (s *Sender) trySend() {
 
 // pump is the pacing loop: one packet per Rate-determined interval.
 func (s *Sender) pump() {
-	if s.Done || s.Hold || s.Rate <= 0 || s.paceTimer.Pending() {
+	if s.ended() || s.Hold || s.Rate <= 0 || s.paceTimer.Pending() {
 		return
 	}
 	seq, ok := s.nextToSend()
@@ -351,7 +361,7 @@ func (s *Sender) MarkAllInflightLost() {
 // arriving credit. It reports whether a segment went out; false means
 // the credit was wasted (flow done, held, or nothing eligible).
 func (s *Sender) TransmitOne() bool {
-	if s.Done || s.Hold {
+	if s.ended() || s.Hold {
 		return false
 	}
 	seq, ok := s.nextToSend()
@@ -401,7 +411,7 @@ func (s *Sender) ack(seq int32) bool {
 
 // onAck processes an arriving Ack or ProbeAck.
 func (s *Sender) onAck(p *pkt.Packet) {
-	if s.Done {
+	if s.ended() {
 		return
 	}
 	if p.Type == pkt.ProbeAck {
@@ -508,10 +518,7 @@ func (s *Sender) RTO() sim.Duration {
 }
 
 func (s *Sender) armRTO() {
-	if s.Done {
-		return
-	}
-	if s.rtoTimer.Pending() {
+	if s.ended() || s.rtoTimer.Pending() {
 		return
 	}
 	s.rtoTimer = s.st.Eng.ScheduleAction(s.RTO(), (*rtoAction)(s), nil)
@@ -533,7 +540,7 @@ func (s *Sender) resetRTO() {
 }
 
 func (s *Sender) onTimeout() {
-	if s.Done {
+	if s.ended() {
 		return
 	}
 	s.Timeouts++
@@ -575,7 +582,7 @@ func (s *Sender) Kick() { s.trySend() }
 // or delayed, so the segment is acknowledged; otherwise the data
 // packet itself was lost and is queued for retransmission.
 func (s *Sender) AbsorbProbeAck(p *pkt.Packet) {
-	if s.Done {
+	if s.ended() {
 		return
 	}
 	prevAcked := s.ackedCount
@@ -606,15 +613,11 @@ func (s *Sender) AbsorbProbeAck(p *pkt.Packet) {
 // Abort terminates the flow without completing it (used by PDQ's
 // Early Termination). The flow is recorded as incomplete.
 func (s *Sender) Abort() {
-	if s.Done {
+	if s.ended() {
 		return
 	}
-	s.Done = true
 	s.Aborted = true
-	s.FinishTime = s.Now()
-	s.rtoTimer.Stop()
-	s.paceTimer.Stop()
-	s.st.flowAborted(s)
+	s.finish()
 }
 
 func (s *Sender) finish() {
@@ -622,7 +625,27 @@ func (s *Sender) finish() {
 	s.FinishTime = s.Now()
 	s.rtoTimer.Stop()
 	s.paceTimer.Stop()
-	s.st.flowDone(s)
+	s.st.flowEnded(s)
+}
+
+// record is the flow's FlowRecord as of now: complete once it has
+// finished, incomplete while it runs or after an abort.
+func (s *Sender) record() metrics.FlowRecord {
+	r := metrics.FlowRecord{
+		ID:       uint64(s.Spec.ID),
+		Task:     s.Spec.Task,
+		Size:     s.Spec.Size,
+		Start:    s.Spec.Start,
+		Deadline: s.Spec.Deadline,
+		Done:     s.Done && !s.Aborted,
+		Aborted:  s.Aborted,
+		Retx:     s.Retx,
+		Timeouts: s.Timeouts,
+	}
+	if r.Done {
+		r.Finish = s.FinishTime
+	}
+	return r
 }
 
 // ProbeAckHandler is implemented by Controls that use SendProbe (PASE).

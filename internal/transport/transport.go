@@ -64,11 +64,6 @@ type Stack struct {
 	// Stored runs use *metrics.Collector; streaming runs install a
 	// bounded-memory StreamCollector.
 	Collector metrics.Sink
-	// Recycle, set by streaming runs, returns completed senders to a
-	// per-stack free list so steady-state flow turnover stops
-	// allocating. Safe because finish/Abort stop both sender timers and
-	// every protocol control is per-flow and deactivated on completion.
-	Recycle bool
 	// BaseRTT estimates the propagation RTT to a destination; used to
 	// seed RTO and window computations before any sample exists.
 	BaseRTT func(dst pkt.NodeID) sim.Duration
@@ -101,15 +96,11 @@ type Stack struct {
 
 	senders   map[pkt.FlowID]*Sender
 	receivers map[pkt.FlowID]*receiver
-	pool      []*Sender // free list of completed senders (Recycle mode)
+	flows     *flowPool // Eng's free flow records
 	pkts      *pkt.Pool // Eng's packet free list
 	pktID     uint64
 	obs       stackObs
 }
-
-// senderPoolCap bounds the per-stack free list so a burst of
-// concurrent flows cannot pin memory for the rest of the run.
-const senderPoolCap = 256
 
 // stackObs holds the transport-layer observability instruments. The
 // zero value (all nil) is the disabled state; every increment through
@@ -123,10 +114,17 @@ type stackObs struct {
 }
 
 // NewStack wires a Stack onto a host and installs its packet handler.
+// A stack built on its own owns a private flow pool; NewDriver's stacks
+// share one per engine.
 func NewStack(eng *sim.Engine, host *netem.Host) *Stack {
+	return newStack(eng, host, &flowPool{eng: eng, limit: flowPoolCap})
+}
+
+func newStack(eng *sim.Engine, host *netem.Host, flows *flowPool) *Stack {
 	st := &Stack{
 		Eng:       eng,
 		Host:      host,
+		flows:     flows,
 		pkts:      pkt.PoolOf(eng),
 		senders:   make(map[pkt.FlowID]*Sender),
 		receivers: make(map[pkt.FlowID]*receiver),
@@ -207,64 +205,33 @@ func (st *Stack) receiverFor(p *pkt.Packet) *receiver {
 	return r
 }
 
-// DropReceiver releases a flow's receiver state. Streaming runs call
-// it on flow completion so receiver memory stays bounded by the number
-// of in-flight flows; stored runs keep receivers for the run's
-// lifetime (the historical behavior).
-func (st *Stack) DropReceiver(id pkt.FlowID) { delete(st.receivers, id) }
-
-// recycle returns a finalized sender to the free list. Callers must
-// have stopped its timers (finish/Abort do) and run every completion
-// hook first.
-func (st *Stack) recycle(s *Sender) {
-	if st.Recycle && len(st.pool) < senderPoolCap {
-		st.pool = append(st.pool, s)
+// DropReceiver releases a flow's receiver record to the pool; the
+// driver calls it on the destination stack when the flow ends, so
+// receiver memory is bounded by the flows in flight. A retransmission
+// still on the wire then finds no receiver and gets a fresh one
+// (receiverFor), which acknowledges it and stays until the run ends.
+func (st *Stack) DropReceiver(id pkt.FlowID) {
+	if r, ok := st.receivers[id]; ok {
+		delete(st.receivers, id)
+		st.flows.putReceiver(r)
 	}
 }
 
-// flowDone finalizes a completed sender.
-func (st *Stack) flowDone(s *Sender) {
+// flowEnded finalizes a sender that completed or was killed: the flow
+// leaves the stack, its record goes to the collector (an aborted flow
+// is recorded as incomplete with the Aborted mark, so the Summary
+// reports it apart from flows the run merely cut off), the completion
+// hooks run, and the sender record goes back to the pool.
+func (st *Stack) flowEnded(s *Sender) {
 	delete(st.senders, s.Spec.ID)
+	if s.Aborted {
+		st.obs.aborts.Inc()
+	}
 	if st.Collector != nil && !s.Spec.Background {
-		st.Collector.Add(metrics.FlowRecord{
-			ID:       uint64(s.Spec.ID),
-			Task:     s.Spec.Task,
-			Size:     s.Spec.Size,
-			Start:    s.Spec.Start,
-			Finish:   s.FinishTime,
-			Deadline: s.Spec.Deadline,
-			Done:     true,
-			Retx:     s.Retx,
-			Timeouts: s.Timeouts,
-		})
+		st.Collector.Add(s.record())
 	}
 	if st.OnFlowDone != nil {
 		st.OnFlowDone(s)
 	}
-	st.recycle(s)
-}
-
-// flowAborted finalizes a killed flow: it is recorded as incomplete
-// with the Aborted mark, so the Summary reports it separately from
-// flows the run merely cut off.
-func (st *Stack) flowAborted(s *Sender) {
-	delete(st.senders, s.Spec.ID)
-	st.obs.aborts.Inc()
-	if st.Collector != nil && !s.Spec.Background {
-		st.Collector.Add(metrics.FlowRecord{
-			ID:       uint64(s.Spec.ID),
-			Task:     s.Spec.Task,
-			Size:     s.Spec.Size,
-			Start:    s.Spec.Start,
-			Deadline: s.Spec.Deadline,
-			Done:     false,
-			Aborted:  true,
-			Retx:     s.Retx,
-			Timeouts: s.Timeouts,
-		})
-	}
-	if st.OnFlowDone != nil {
-		st.OnFlowDone(s)
-	}
-	st.recycle(s)
+	st.flows.putSender(s)
 }

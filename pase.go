@@ -283,9 +283,9 @@ type SimConfig struct {
 	// draw from their own seeded RNG stream, so adding a zero-rate plan
 	// never perturbs workload or transport randomness.
 	Faults *FaultPlan
-	// Stream runs the point through the bounded-memory streaming path:
-	// arrivals come from the workload iterator, flow state is recycled,
-	// and metrics feed a quantile sketch instead of a per-flow store.
+	// Stream makes the point's memory bounded: metrics feed a quantile
+	// sketch instead of a per-flow store (arrivals come from the workload
+	// iterator and flow state is recycled in every run).
 	// Headline metrics (AFCT, throughput, loss) are identical to a
 	// stored run; P50/P99 and the CDF are within SketchEps. Streaming
 	// runs keep no per-flow records, so IncludeFlowLog yields an empty
@@ -687,10 +687,11 @@ type FigureOpts struct {
 	// of the figure that does not already carry its own (nil or empty
 	// = no faults, byte-identical output).
 	Faults *FaultPlan
-	// Stream runs every simulation point through the bounded-memory
-	// streaming path (workload iterator, recycled flow state, quantile
-	// sketch). AFCT/throughput/loss series are identical to stored
-	// runs; P50/P99 and CDF series are within SketchEps.
+	// Stream gives every simulation point the bounded-memory sink (a
+	// quantile sketch instead of per-flow records; the workload iterator
+	// and recycled flow state serve every run). AFCT/throughput/loss
+	// series are identical to stored runs; P50/P99 and CDF series are
+	// within SketchEps.
 	Stream bool
 	// SketchEps bounds the streaming quantile sketch's relative error
 	// (0 = the metrics package default, 0.005).
