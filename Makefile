@@ -31,8 +31,10 @@ check-test:
 # flow exceed the budgets committed in alloc_gate_test.go. Allocation
 # counts repeat almost exactly, so this is a hard test, not a timing
 # comparison; a dedicated process keeps other tests out of the counts.
+# TestSetupScalesWithLinks holds set-up linear in the fabric's links:
+# ctrlscale-2048 may cost at most 4.4x ctrlscale-512.
 alloc-gate:
-	$(GO) test -run 'TestAllocGate' -count=1 -v .
+	$(GO) test -run 'TestAllocGate|TestSetupScalesWithLinks' -count=1 -v .
 
 # A short randomized-fault soak under the forced invariant checker:
 # PASE runs through link flaps, packet loss/corruption, a lossy slow
@@ -120,7 +122,7 @@ ctrlscale-smoke:
 # BenchmarkFig09aCheckOverhead, so the instrumented and checked paths
 # are exercised too.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkFig03|BenchmarkFig09a|BenchmarkFig10a' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkFig03|BenchmarkFig09a|BenchmarkFig10a|BenchmarkSetup' -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/netem/
 
 bench:

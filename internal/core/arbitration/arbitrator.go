@@ -99,6 +99,8 @@ type Arbitrator struct {
 
 	clock func() sim.Time
 
+	// entries is made at the first registration: most links of a
+	// large fabric never carry a flow.
 	entries map[pkt.FlowID]*entry
 	// sorted is rebuilt from entries at the head of every allocation
 	// pass and read only inside that pass: between a Remove and the next
@@ -137,7 +139,6 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 		baseRate:  baseRate,
 		leaseDur:  8 * period,
 		clock:     clock,
-		entries:   make(map[pkt.FlowID]*entry),
 		period:    period,
 	}
 }
@@ -220,6 +221,9 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 	if !ok {
 		e = a.pool.get()
 		e.flow, e.tieBreak = flow, flow
+		if a.entries == nil {
+			a.entries = make(map[pkt.FlowID]*entry)
+		}
 		a.entries[flow] = e
 	}
 	e.key = key

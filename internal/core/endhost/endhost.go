@@ -117,8 +117,9 @@ func (t *Transport) Instrument(reg *obs.Registry) {
 // Attach installs PASE on every stack of the driver.
 func Attach(d *transport.Driver, sys *arbitration.System, cfg Config) *Transport {
 	t := &Transport{Sys: sys, Cfg: cfg}
+	newControl := t.NewControl
 	for _, st := range d.Stacks {
-		st.NewControl = t.NewControl
+		st.NewControl = newControl
 	}
 	prev := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {

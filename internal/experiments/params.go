@@ -134,6 +134,11 @@ const (
 // data-plane load.
 const (
 	CtrlScaleDefaultRacks = 64
+	// CtrlScaleMaxRacks is the largest fabric the façade accepts:
+	// set-up allocates about 8 KB per rack (16 MB at 2 048), so this
+	// keeps one run's fabric near 128 MB — and a mistyped rack count an
+	// error instead of an out-of-memory kill.
+	CtrlScaleMaxRacks     = 16384
 	CtrlScaleHostsPerRack = 2
 	CtrlScaleRacksPerAgg  = 8
 	CtrlScaleFanOut       = 4

@@ -86,8 +86,8 @@ func TestCreditQueueServiceOrder(t *testing.T) {
 func TestCreditQueuePacesOnPort(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewCreditQueue(10, 10, 10)
-	a := NewHost(0, "a")
-	b := NewHost(1, "b")
+	a := NewHost(0)
+	b := NewHost(1)
 	pa := NewPort(eng, a, q, Gbps, sim.Microsecond)
 	pb := NewPort(eng, b, NewDropTail(16), Gbps, sim.Microsecond)
 	Connect(pa, pb)
@@ -130,8 +130,8 @@ func TestCreditQueuePacesOnPort(t *testing.T) {
 func TestCreditQueueDataUnpaced(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewCreditQueue(10, 10, 10)
-	a := NewHost(0, "a")
-	b := NewHost(1, "b")
+	a := NewHost(0)
+	b := NewHost(1)
 	pa := NewPort(eng, a, q, Gbps, sim.Microsecond)
 	pb := NewPort(eng, b, NewDropTail(32), Gbps, sim.Microsecond)
 	Connect(pa, pb)

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"strconv"
+
 	"pase/internal/pkt"
 )
 
@@ -10,21 +12,21 @@ import (
 // delays and queueing, as the paper's endpoints do).
 type Host struct {
 	id      pkt.NodeID
-	name    string
 	port    *Port
 	Handler func(p *pkt.Packet)
 }
 
 // NewHost creates a host node.
-func NewHost(id pkt.NodeID, name string) *Host {
-	return &Host{id: id, name: name}
+func NewHost(id pkt.NodeID) *Host {
+	return &Host{id: id}
 }
 
 // ID implements Node.
 func (h *Host) ID() pkt.NodeID { return h.id }
 
-// Name returns the host's label.
-func (h *Host) Name() string { return h.name }
+// Name returns the host's label ("h7"), formatted on demand: only
+// diagnostics read it.
+func (h *Host) Name() string { return "h" + strconv.Itoa(int(h.id)) }
 
 // SetPort attaches the NIC port (done by the topology builder).
 func (h *Host) SetPort(p *Port) { h.port = p }
@@ -36,8 +38,8 @@ func (h *Host) Port() *Port { return h.port }
 // a checker on the NIC port, an arriving packet that was already
 // released is a pkt_live violation.
 func (h *Host) Receive(p *pkt.Packet, _ *Port) {
-	if pt := h.port; pt != nil && pt.chk != nil {
-		pt.chk.PktLive(h.name, uint64(p.Flow), p.Released())
+	if pt := h.port; pt != nil && pt.chk != nil && p.Released() {
+		pt.chk.PktLive(h.Name(), uint64(p.Flow), true)
 	}
 	if h.Handler != nil {
 		h.Handler(p)

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"strconv"
+
 	"pase/internal/check"
 	"pase/internal/pkt"
 	"pase/internal/sim"
@@ -10,9 +12,6 @@ import (
 // that clocks packets out at the port rate, followed by the link's
 // propagation delay. Full-duplex links are a pair of connected ports.
 type Port struct {
-	// Name labels the port for diagnostics ("tor0->agg0").
-	Name string
-
 	eng   *sim.Engine
 	pool  *pkt.Pool // eng's packet free list: packets that die here return to it
 	queue Queue
@@ -77,8 +76,26 @@ func NewPort(eng *sim.Engine, owner Node, q Queue, rate BitRate, delay sim.Durat
 func (pt *Port) AttachCheck(c *check.Checker) {
 	pt.chk = c
 	if cq, ok := pt.queue.(Checkable); ok {
-		cq.AttachCheck(pt.Name, c)
+		cq.AttachCheck(pt.Name(), c)
 	}
+}
+
+// Name labels the port for diagnostics by the nodes at its two ends
+// ("tor0->agg0"). It is formatted on demand — a run that neither
+// traces, checks nor panics never asks.
+func (pt *Port) Name() string {
+	name := nodeName(pt.owner) + "->"
+	if pt.peer != nil {
+		name += nodeName(pt.peer.owner)
+	}
+	return name
+}
+
+func nodeName(n Node) string {
+	if named, ok := n.(interface{ Name() string }); ok {
+		return named.Name()
+	}
+	return "node" + strconv.Itoa(int(n.ID()))
 }
 
 // Connect wires two ports as the two directions of one full-duplex link.
@@ -111,10 +128,10 @@ func (pt *Port) PropDelay() sim.Duration { return pt.delay }
 // rejected packet dies here and returns to the pool.
 func (pt *Port) Send(p *pkt.Packet) {
 	if pt.peer == nil {
-		panic("netem: Send on unconnected port " + pt.Name)
+		panic("netem: Send on unconnected port " + pt.Name())
 	}
-	if pt.chk != nil {
-		pt.chk.PktLive(pt.Name, uint64(p.Flow), p.Released())
+	if pt.chk != nil && p.Released() {
+		pt.chk.PktLive(pt.Name(), uint64(p.Flow), true)
 	}
 	p.EnqAt = pt.eng.Now()
 	if !pt.queue.Enqueue(p) {

@@ -102,9 +102,8 @@ func TestPortReleasesDeadPackets(t *testing.T) {
 // pkt_live violation; without one nothing is checked.
 func TestPktLiveAtPortAndHost(t *testing.T) {
 	eng := sim.NewEngine()
-	h := NewHost(1, "h1")
+	h := NewHost(1)
 	hp := NewPort(eng, h, NewDropTail(8), Gbps, sim.Microsecond)
-	hp.Name = "h1->sw"
 	sp := NewPort(eng, &countNode{}, NewDropTail(8), Gbps, sim.Microsecond)
 	Connect(hp, sp)
 	h.SetPort(hp)

@@ -109,20 +109,19 @@ func TestLinkIdleThenResume(t *testing.T) {
 
 func TestSwitchRouting(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := NewSwitch(100, "sw")
+	sw := NewSwitch(100, "sw", -1, 2)
 	dstA := &sink{id: 1, eng: eng}
 	dstB := &sink{id: 2, eng: eng}
 
-	mkLink := func(dst *sink) int {
+	mkLink := func(dst *sink) {
 		sp := NewPort(eng, sw, NewDropTail(100), Gbps, sim.Microsecond)
 		dp := NewPort(eng, dst, NewDropTail(100), Gbps, sim.Microsecond)
 		Connect(sp, dp)
-		return sw.AddPort(sp)
+		sw.AddPort(sp)
 	}
-	pa := mkLink(dstA)
-	pb := mkLink(dstB)
-	sw.SetRoute(1, pa)
-	sw.SetRoute(2, pb)
+	mkLink(dstA)
+	mkLink(dstB)
+	sw.SetDown(1, 2, 1)
 
 	sw.Receive(&pkt.Packet{Size: 100, Dst: 2}, nil)
 	sw.Receive(&pkt.Packet{Size: 100, Dst: 1}, nil)
@@ -136,19 +135,70 @@ func TestSwitchRouting(t *testing.T) {
 }
 
 func TestSwitchNoRoutePanics(t *testing.T) {
-	sw := NewSwitch(100, "sw")
+	sw := NewSwitch(100, "sw", -1, 0)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for missing route")
+		if got, want := recover(), "netem: sw has no route to node 42"; got != want {
+			t.Fatalf("panic %v, want %q", got, want)
 		}
 	}()
 	sw.Receive(&pkt.Packet{Dst: 42}, nil)
 }
 
+// TestSwitchRangeEdges walks the structural route's boundaries: hosts
+// [10, 16) sit two to a port behind ports 0-2, and everything else —
+// the id just below the range, the one just past it, a negative id —
+// takes the up port, then FlowRoute, then nothing.
+func TestSwitchRangeEdges(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(100, "agg", 3, 5)
+	for i := 0; i < 5; i++ {
+		sp := NewPort(eng, sw, NewDropTail(4), Gbps, sim.Microsecond)
+		Connect(sp, NewPort(eng, &sink{eng: eng}, NewDropTail(4), Gbps, sim.Microsecond))
+		sw.AddPort(sp)
+	}
+	sw.SetDown(10, 6, 2)
+	const none = -1
+	portOf := func(dst pkt.NodeID) int {
+		pt := sw.NextPort(dst, 7)
+		for i, p := range sw.Ports() {
+			if p == pt {
+				return i
+			}
+		}
+		return none
+	}
+	check := func(stage string, want map[pkt.NodeID]int) {
+		t.Helper()
+		for dst, port := range want {
+			if got := portOf(dst); got != port {
+				t.Errorf("%s: dst %d leaves by port %d, want %d", stage, dst, got, port)
+			}
+		}
+	}
+	below := map[pkt.NodeID]int{10: 0, 11: 0, 12: 1, 13: 1, 14: 2, 15: 2}
+	check("no up, no FlowRoute", below)
+	check("no up, no FlowRoute", map[pkt.NodeID]int{9: none, 16: none, 0: none, -1: none})
+
+	sw.FlowRoute = func(dst pkt.NodeID, flow pkt.FlowID) int { return 3 + int(flow)%2 }
+	check("FlowRoute", below)
+	check("FlowRoute", map[pkt.NodeID]int{9: 4, 16: 4, 0: 4})
+
+	sw.SetUp(3)
+	check("up", below)
+	check("up", map[pkt.NodeID]int{9: 3, 16: 3, 0: 3, -1: 3})
+
+	if got := sw.Name(); got != "agg3" {
+		t.Errorf("Name() = %q, want agg3", got)
+	}
+	if got := sw.Port(3).Name(); got != "agg3->node0" {
+		t.Errorf("port name %q, want agg3->node0", got)
+	}
+}
+
 func TestHopLoopGuard(t *testing.T) {
 	p := &pkt.Packet{Dst: 1, Hops: 100}
-	sw := NewSwitch(5, "sw")
-	sw.SetRoute(1, 0)
+	sw := NewSwitch(5, "sw", -1, 0)
+	sw.SetDown(1, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected loop-guard panic")

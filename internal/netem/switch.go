@@ -2,39 +2,53 @@ package netem
 
 import (
 	"fmt"
+	"strconv"
 
 	"pase/internal/pkt"
 )
 
 // Switch is an output-queued switch: packets arriving on any port are
-// routed (via the table installed by the topology) to an egress port
-// and enqueued there. All queueing behaviour lives in the egress
-// queue discipline.
+// routed to an egress port and enqueued there. All queueing behaviour
+// lives in the egress queue discipline.
+//
+// Routes are structural, not a table: hosts [first, first+count) hang
+// below the switch, per of them behind each of its leading ports in
+// host order (SetDown); every other destination leaves by the up port
+// (SetUp) or, on a switch without one, by FlowRoute. A switch's routing
+// state is five words whatever the fabric's size.
 type Switch struct {
 	id    pkt.NodeID
-	name  string
+	kind  string
+	index int
 	ports []*Port
-	// nextHop[dst] is the egress port index for destination host dst,
-	// stored +1 so that 0 (and any id past the end) means "no entry".
-	// Host ids are dense from 0, so a slice gives every hop a bounds
-	// check instead of a map probe and every switch a table a fraction
-	// of a map's size.
-	nextHop []int32
-	// FlowRoute, when set, routes packets whose destination has no
-	// nextHop entry — multipath fabrics hash the flow id here (ECMP).
-	FlowRoute func(p *pkt.Packet) int
+
+	first, count, per uint32
+	// up is the default egress port index, -1 when the switch has none.
+	up int32
+	// FlowRoute, when set, routes destinations that are neither below
+	// the switch nor covered by an up port — multipath fabrics hash the
+	// flow id here (ECMP).
+	FlowRoute func(dst pkt.NodeID, flow pkt.FlowID) int
 }
 
-// NewSwitch creates a switch with the given id and name.
-func NewSwitch(id pkt.NodeID, name string) *Switch {
-	return &Switch{id: id, name: name}
+// NewSwitch creates a switch that will carry the given number of ports.
+// Its name is kind followed by index ("tor3"), or kind alone when index
+// is negative ("core").
+func NewSwitch(id pkt.NodeID, kind string, index, ports int) *Switch {
+	return &Switch{id: id, kind: kind, index: index, ports: make([]*Port, 0, ports), up: -1}
 }
 
 // ID implements Node.
 func (s *Switch) ID() pkt.NodeID { return s.id }
 
-// Name returns the switch's human-readable label.
-func (s *Switch) Name() string { return s.name }
+// Name returns the switch's human-readable label, formatted on demand:
+// only diagnostics read it.
+func (s *Switch) Name() string {
+	if s.index < 0 {
+		return s.kind
+	}
+	return s.kind + strconv.Itoa(s.index)
+}
 
 // AddPort registers an egress port and returns its index.
 func (s *Switch) AddPort(p *Port) int {
@@ -48,20 +62,31 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // Ports returns all ports of the switch.
 func (s *Switch) Ports() []*Port { return s.ports }
 
-// SetRoute installs the egress port index for a destination host.
-func (s *Switch) SetRoute(dst pkt.NodeID, portIndex int) {
-	if int(dst) >= len(s.nextHop) {
-		s.nextHop = append(s.nextHop, make([]int32, int(dst)+1-len(s.nextHop))...)
-	}
-	s.nextHop[dst] = int32(portIndex) + 1
+// SetDown declares the hosts below the switch: ids [first, first+count),
+// per consecutive ids behind each port, ports 0, 1, … in host order.
+func (s *Switch) SetDown(first pkt.NodeID, count, per int) {
+	s.first, s.count, s.per = uint32(first), uint32(count), uint32(per)
 }
 
-// route looks up the static egress port index for dst.
-func (s *Switch) route(dst pkt.NodeID) (int, bool) {
-	if uint(dst) >= uint(len(s.nextHop)) || s.nextHop[dst] == 0 {
-		return 0, false
+// SetUp installs the egress port index for every destination that is
+// not below the switch.
+func (s *Switch) SetUp(portIndex int) { s.up = int32(portIndex) }
+
+// route resolves the egress port index for (dst, flow); ok is false
+// when the switch has no route.
+func (s *Switch) route(dst pkt.NodeID, flow pkt.FlowID) (int, bool) {
+	// One unsigned compare covers both ends of the range: an id below
+	// first wraps past count.
+	if off := uint32(dst) - s.first; off < s.count {
+		return int(off / s.per), true
 	}
-	return int(s.nextHop[dst]) - 1, true
+	if s.up >= 0 {
+		return int(s.up), true
+	}
+	if s.FlowRoute != nil {
+		return s.FlowRoute(dst, flow), true
+	}
+	return 0, false
 }
 
 // NextPort resolves the egress port a packet for (dst, flow) would
@@ -69,27 +94,22 @@ func (s *Switch) route(dst pkt.NodeID) (int, bool) {
 // walks use it to traverse the fabric off the data path. Returns nil
 // when the switch has no route (a model bug Receive would panic on).
 func (s *Switch) NextPort(dst pkt.NodeID, flow pkt.FlowID) *Port {
-	if idx, ok := s.route(dst); ok {
-		return s.ports[idx]
-	}
-	if s.FlowRoute == nil {
+	idx, ok := s.route(dst, flow)
+	if !ok {
 		return nil
 	}
-	return s.ports[s.FlowRoute(&pkt.Packet{Dst: dst, Flow: flow})]
+	return s.ports[idx]
 }
 
 // Receive implements Node: route and forward.
 func (s *Switch) Receive(p *pkt.Packet, _ *Port) {
 	p.Hops++
 	if p.Hops > 32 {
-		panic(fmt.Sprintf("netem: routing loop for %v at %s", p, s.name))
+		panic(fmt.Sprintf("netem: routing loop for %v at %s", p, s.Name()))
 	}
-	idx, ok := s.route(p.Dst)
+	idx, ok := s.route(p.Dst, p.Flow)
 	if !ok {
-		if s.FlowRoute == nil {
-			panic(fmt.Sprintf("netem: %s has no route to node %d", s.name, p.Dst))
-		}
-		idx = s.FlowRoute(p)
+		panic(fmt.Sprintf("netem: %s has no route to node %d", s.Name(), p.Dst))
 	}
 	s.ports[idx].Send(p)
 }

@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"fmt"
-
 	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/sim"
@@ -71,118 +69,48 @@ func BuildLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *Network {
 	if cfg.NewQueue == nil && cfg.NewQueueFor == nil {
 		panic("topology: LeafSpineConfig.NewQueue is required")
 	}
-	engOf := func(owner netem.Node) *sim.Engine {
-		if cfg.EngineOf != nil {
-			return cfg.EngineOf(owner)
-		}
-		return eng
-	}
-	queueFor := func(kind QueueKind, owner netem.Node) netem.Queue {
-		if cfg.NewQueueFor != nil {
-			return cfg.NewQueueFor(kind, owner)
-		}
-		return cfg.NewQueue(kind)
-	}
 	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
 		panic("topology: leaf-spine needs at least one leaf, spine and host")
 	}
-
-	n := &Network{
-		Eng: eng,
-		Cfg: Config{
-			Racks:        cfg.Leaves,
-			HostsPerRack: cfg.HostsPerLeaf,
-			EdgeRate:     cfg.EdgeRate,
-			FabricRate:   cfg.FabricRate,
-			LinkDelay:    cfg.LinkDelay,
-			NewQueue:     cfg.NewQueue,
-		},
-		upLinks:   make(map[pkt.NodeID][]*Link),
-		downLinks: make(map[pkt.NodeID][]*Link),
-		spineUp:   make(map[int][]*Link),
-		spineDown: make(map[int][]*Link),
-		lsLinks:   make(map[int]LeafSpineLink),
+	hosts, mesh := cfg.Leaves*cfg.HostsPerLeaf, cfg.Leaves*cfg.Spines
+	f := newFabric(eng, Config{
+		Racks:        cfg.Leaves,
+		HostsPerRack: cfg.HostsPerLeaf,
+		EdgeRate:     cfg.EdgeRate,
+		FabricRate:   cfg.FabricRate,
+		LinkDelay:    cfg.LinkDelay,
+		NewQueue:     cfg.NewQueue,
+		EngineOf:     cfg.EngineOf,
+		NewQueueFor:  cfg.NewQueueFor,
+	}, "leaf", cfg.HostsPerLeaf+cfg.Spines, 1, 2*(hosts+mesh))
+	f.Spines = make([]*netem.Switch, cfg.Spines)
+	for s := range f.Spines {
+		// Spines know every host's leaf: their down ports are added in
+		// leaf order below.
+		f.Spines[s] = netem.NewSwitch(pkt.NodeID(hosts+cfg.Leaves+s), "spine", s, cfg.Leaves)
+		f.Spines[s].SetDown(0, hosts, cfg.HostsPerLeaf)
 	}
-
-	numHosts := cfg.Leaves * cfg.HostsPerLeaf
-	nextID := pkt.NodeID(0)
-	for i := 0; i < numHosts; i++ {
-		n.Hosts = append(n.Hosts, netem.NewHost(nextID, fmt.Sprintf("h%d", i)))
-		nextID++
-	}
-	for l := 0; l < cfg.Leaves; l++ {
-		n.ToRs = append(n.ToRs, netem.NewSwitch(nextID, fmt.Sprintf("leaf%d", l)))
-		nextID++
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		n.Spines = append(n.Spines, netem.NewSwitch(nextID, fmt.Sprintf("spine%d", s)))
-		nextID++
-	}
-
-	link := func(level Level, up bool, port *netem.Port, from, to netem.Node) *Link {
-		l := &Link{ID: len(n.Links), Level: level, Up: up, Port: port, From: from, To: to}
-		n.Links = append(n.Links, l)
-		return l
-	}
-
-	// Host <-> leaf links.
-	for r, leaf := range n.ToRs {
-		for j := 0; j < cfg.HostsPerLeaf; j++ {
-			h := n.Hosts[r*cfg.HostsPerLeaf+j]
-			hp := netem.NewPort(engOf(h), h, queueFor(QueueHostNIC, h), cfg.EdgeRate, cfg.LinkDelay)
-			hp.Name = h.Name() + "->" + leaf.Name()
-			tp := netem.NewPort(engOf(leaf), leaf, queueFor(QueueSwitchDown, leaf), cfg.EdgeRate, cfg.LinkDelay)
-			tp.Name = leaf.Name() + "->" + h.Name()
-			netem.Connect(hp, tp)
-			h.SetPort(hp)
-			idx := leaf.AddPort(tp)
-			leaf.SetRoute(h.ID(), idx)
-
-			up := link(LevelHostToR, true, hp, h, leaf)
-			down := link(LevelHostToR, false, tp, leaf, h)
-			n.upLinks[h.ID()] = append(n.upLinks[h.ID()], up)
-			n.downLinks[h.ID()] = append(n.downLinks[h.ID()], down)
-		}
-	}
+	f.spineUp, f.spineDown = make([]*Link, mesh), make([]*Link, mesh)
+	f.routes = make([]*RouteTable, cfg.Leaves)
 
 	// Leaf <-> spine mesh with per-flow ECMP at the leaves.
-	for r, leaf := range n.ToRs {
-		leaf := leaf
-		var spinePorts []int
-		for s, spine := range n.Spines {
-			tp := netem.NewPort(engOf(leaf), leaf, queueFor(QueueSwitchUp, leaf), cfg.FabricRate, cfg.LinkDelay)
-			tp.Name = leaf.Name() + "->" + spine.Name()
-			sp := netem.NewPort(engOf(spine), spine, queueFor(QueueSwitchDown, spine), cfg.FabricRate, cfg.LinkDelay)
-			sp.Name = spine.Name() + "->" + leaf.Name()
-			netem.Connect(tp, sp)
-			upIdx := leaf.AddPort(tp)
-			downIdx := spine.AddPort(sp)
-			spinePorts = append(spinePorts, upIdx)
-
-			up := link(LevelToRSpine, true, tp, leaf, spine)
-			down := link(LevelToRSpine, false, sp, spine, leaf)
-			n.spineUp[r] = append(n.spineUp[r], up)
-			n.spineDown[r] = append(n.spineDown[r], down)
-			n.lsLinks[up.ID] = LeafSpineLink{Rack: r, Spine: s, Up: true}
-			n.lsLinks[down.ID] = LeafSpineLink{Rack: r, Spine: s, Up: false}
-
-			// Spines know every host's leaf.
-			for j := 0; j < cfg.HostsPerLeaf; j++ {
-				spine.SetRoute(n.Hosts[r*cfg.HostsPerLeaf+j].ID(), downIdx)
-			}
+	for r, leaf := range f.ToRs {
+		spinePorts := make([]int, cfg.Spines)
+		for s, spine := range f.Spines {
+			spinePorts[s] = len(leaf.Ports())
+			f.spineUp[r*cfg.Spines+s], f.spineDown[r*cfg.Spines+s] = f.connect(LevelToRSpine, leaf, spine, QueueSwitchUp, cfg.FabricRate)
 		}
 		// Remote destinations route through the leaf's runtime ECMP
 		// table; as built (clean, no failures) this is exactly the
-		// ECMPSpine hash the closed-over closure used to apply.
+		// ECMPSpine hash.
 		rt := NewRouteTable(r, spinePorts, cfg.Leaves)
-		n.routes = append(n.routes, rt)
+		f.routes[r] = rt
 		hostsPerLeaf := cfg.HostsPerLeaf
-		leaf.FlowRoute = func(p *pkt.Packet) int {
-			return rt.PickPort(int(p.Dst)/hostsPerLeaf, p.Flow)
+		leaf.FlowRoute = func(dst pkt.NodeID, flow pkt.FlowID) int {
+			return rt.PickPort(int(dst)/hostsPerLeaf, flow)
 		}
 	}
-
-	return n
+	return f.Network
 }
 
 // ECMPSpine is the fabric-wide ECMP hash: flow id -> spine index.
@@ -204,14 +132,14 @@ func (n *Network) PathUpFlow(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
 	if !n.IsLeafSpine() {
 		return n.PathUp(src, dst)
 	}
-	hostUp := n.upLinks[src][:1]
+	hostUp := n.UpLinks(src)
 	if n.RackOf(src) == n.RackOf(dst) {
 		return hostUp
 	}
 	spine := n.routeSpine(n.RackOf(src), n.RackOf(dst), flow)
 	out := make([]*Link, 0, 2)
 	out = append(out, hostUp...)
-	out = append(out, n.spineUp[n.RackOf(src)][spine])
+	out = append(out, n.SpineUpLinks(n.RackOf(src))[spine])
 	return out
 }
 
@@ -230,13 +158,13 @@ func (n *Network) PathDownFlow(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
 	if !n.IsLeafSpine() {
 		return n.PathDown(src, dst)
 	}
-	hostDown := n.downLinks[dst][:1]
+	hostDown := n.DownLinks(dst)
 	if n.RackOf(src) == n.RackOf(dst) {
 		return hostDown
 	}
 	spine := n.routeSpine(n.RackOf(src), n.RackOf(dst), flow)
 	out := make([]*Link, 0, 2)
-	out = append(out, n.spineDown[n.RackOf(dst)][spine])
+	out = append(out, n.SpineDownLinks(n.RackOf(dst))[spine])
 	out = append(out, hostDown...)
 	return out
 }

@@ -1,0 +1,186 @@
+package topology
+
+import (
+	"slices"
+	"testing"
+
+	"pase/internal/netem"
+	"pase/internal/pkt"
+	"pase/internal/sim"
+)
+
+// The structural-route differential: switches route by a host range
+// and the Network keeps paths in flat arrays, both filled from the
+// builders' arithmetic. These tests rebuild the same answers from
+// Links alone — who is wired to whom — and compare.
+
+var structuralShapes = []struct {
+	name  string
+	build func() *Network
+}{
+	{"single-rack", func() *Network { return Build(sim.NewEngine(), SingleRack(5, dtq)) }},
+	{"baseline-4x40", func() *Network { return Build(sim.NewEngine(), Baseline(dtq)) }},
+	{"6x2-3-per-agg", func() *Network { return Build(sim.NewEngine(), treeShape(6, 2, 3)) }},
+	// A prime rack count leaves no divisor but 1: one agg per rack.
+	{"7x3-prime", func() *Network { return Build(sim.NewEngine(), treeShape(7, 3, 1)) }},
+	{"leaf-spine-4x3x5", func() *Network {
+		cfg := DefaultLeafSpine(dtq)
+		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 4, 3, 5
+		return BuildLeafSpine(sim.NewEngine(), cfg)
+	}},
+}
+
+func treeShape(racks, hostsPerRack, racksPerAgg int) Config {
+	cfg := Baseline(dtq)
+	cfg.Racks, cfg.HostsPerRack, cfg.RacksPerAgg = racks, hostsPerRack, racksPerAgg
+	return cfg
+}
+
+// refUp derives host h's climb from Links: follow the one up link out
+// of each node until a node has none (the top) or several (a leaf's
+// mesh, which is chosen per flow).
+func refUp(n *Network, h pkt.NodeID) []*Link {
+	var out []*Link
+	var at netem.Node = n.Hosts[h]
+	for {
+		var next []*Link
+		for _, l := range n.Links {
+			if l.Up && l.From == at {
+				next = append(next, l)
+			}
+		}
+		if len(next) != 1 {
+			return out
+		}
+		out = append(out, next[0])
+		at = next[0].To
+	}
+}
+
+// linkBetween finds the directed link from → to in Links.
+func linkBetween(t *testing.T, n *Network, from, to netem.Node) *Link {
+	t.Helper()
+	for _, l := range n.Links {
+		if l.From == from && l.To == to {
+			return l
+		}
+	}
+	t.Fatalf("no link from node %d to node %d", from.ID(), to.ID())
+	return nil
+}
+
+// refDown is the climb mirrored: the same hops top-down, each in the
+// opposite direction.
+func refDown(t *testing.T, n *Network, h pkt.NodeID) []*Link {
+	var out []*Link
+	for _, l := range refUp(n, h) {
+		out = append(out, linkBetween(t, n, l.To, l.From))
+	}
+	slices.Reverse(out)
+	return out
+}
+
+func TestPathArraysMatchLinks(t *testing.T) {
+	for _, shape := range structuralShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			n := shape.build()
+			hosts := pkt.NodeID(n.NumHosts())
+			ups, downs := make([][]*Link, hosts), make([][]*Link, hosts)
+			for h := pkt.NodeID(0); h < hosts; h++ {
+				ups[h], downs[h] = refUp(n, h), refDown(t, n, h)
+				if !slices.Equal(n.UpLinks(h), ups[h]) {
+					t.Fatalf("UpLinks(%d) = %v, Links say %v", h, n.UpLinks(h), ups[h])
+				}
+				if !slices.Equal(n.DownLinks(h), downs[h]) {
+					t.Fatalf("DownLinks(%d) = %v, Links say %v", h, n.DownLinks(h), downs[h])
+				}
+			}
+			for src := pkt.NodeID(0); src < hosts; src++ {
+				for dst := pkt.NodeID(0); dst < hosts; dst++ {
+					if src == dst {
+						continue
+					}
+					for flow := pkt.FlowID(1); flow <= 3; flow++ {
+						wantUp, wantDown := ups[src], downs[dst]
+						if n.IsLeafSpine() {
+							if n.RackOf(src) != n.RackOf(dst) {
+								spine := n.Spines[ECMPSpine(flow, len(n.Spines))]
+								wantUp = append(slices.Clone(wantUp), linkBetween(t, n, n.ToRs[n.RackOf(src)], spine))
+								wantDown = append([]*Link{linkBetween(t, n, spine, n.ToRs[n.RackOf(dst)])}, wantDown...)
+							}
+						} else {
+							// The halves meet at the first switch both climbs share.
+							m := 0
+							for ups[src][m].To != ups[dst][m].To {
+								m++
+							}
+							wantUp, wantDown = wantUp[:m+1], wantDown[len(wantDown)-(m+1):]
+							if !slices.Equal(n.PathUp(src, dst), wantUp) || !slices.Equal(n.PathDown(src, dst), wantDown) {
+								t.Fatalf("PathUp/PathDown(%d, %d) = %v / %v, Links say %v / %v",
+									src, dst, n.PathUp(src, dst), n.PathDown(src, dst), wantUp, wantDown)
+							}
+							if !slices.Equal(n.Path(src, dst), append(slices.Clone(wantUp), wantDown...)) {
+								t.Fatalf("Path(%d, %d) = %v, Links say %v then %v", src, dst, n.Path(src, dst), wantUp, wantDown)
+							}
+						}
+						if !slices.Equal(n.PathUpFlow(src, dst, flow), wantUp) || !slices.Equal(n.PathDownFlow(src, dst, flow), wantDown) {
+							t.Fatalf("PathUpFlow/PathDownFlow(%d, %d, %d) = %v / %v, Links say %v / %v",
+								src, dst, flow, n.PathUpFlow(src, dst, flow), n.PathDownFlow(src, dst, flow), wantUp, wantDown)
+						}
+					}
+				}
+			}
+			for r, leaf := range n.ToRs {
+				for s, spine := range n.Spines {
+					if up, down := linkBetween(t, n, leaf, spine), linkBetween(t, n, spine, leaf); n.SpineUpLinks(r)[s] != up || n.SpineDownLinks(r)[s] != down {
+						t.Fatalf("SpineUpLinks/SpineDownLinks(%d)[%d] = %v / %v, Links say %v / %v",
+							r, s, n.SpineUpLinks(r)[s], n.SpineDownLinks(r)[s], up, down)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStructuralRoutesFollowPaths: at every switch, for every
+// destination host, NextPort is the port of the link the path names
+// there — and the walk covers every (switch, destination) pair.
+func TestStructuralRoutesFollowPaths(t *testing.T) {
+	for _, shape := range structuralShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			n := shape.build()
+			hosts := pkt.NodeID(n.NumHosts())
+			type hop struct {
+				sw  *netem.Switch
+				dst pkt.NodeID
+			}
+			seen := map[hop]bool{}
+			for src := pkt.NodeID(0); src < hosts; src++ {
+				for dst := pkt.NodeID(0); dst < hosts; dst++ {
+					if src == dst {
+						continue
+					}
+					for flow := pkt.FlowID(1); flow <= 8; flow++ {
+						for _, l := range n.PathFlow(src, dst, flow) {
+							sw, ok := l.From.(*netem.Switch)
+							if !ok {
+								continue
+							}
+							if got := sw.NextPort(dst, flow); got != l.Port {
+								t.Fatalf("%s routes (dst %d, flow %d) to %s, the path takes %s", sw.Name(), dst, flow, got.Name(), l.Port.Name())
+							}
+							seen[hop{sw, dst}] = true
+						}
+					}
+				}
+			}
+			switches := len(n.ToRs) + len(n.Aggs) + len(n.Spines)
+			if n.Core != nil {
+				switches++
+			}
+			if want := switches * int(hosts); len(seen) != want {
+				t.Fatalf("checked %d (switch, destination) pairs, the fabric has %d", len(seen), want)
+			}
+		})
+	}
+}

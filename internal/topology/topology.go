@@ -5,11 +5,12 @@
 // single-rack variants used by the intra-rack experiments, and the
 // 10-node "testbed" configuration.
 //
-// Besides wiring nodes and installing static up/down routes, the
-// package assigns every directed link an ID and level and can
-// enumerate the links on the path between two hosts split into the
-// source-up half and the destination-down half — exactly the structure
-// PASE's bottom-up arbitration operates on (§3.1.2 of the paper).
+// Besides wiring nodes and declaring each switch's structural route
+// (the host range below it), the package assigns every directed link
+// an ID and level and can enumerate the links on the path between two
+// hosts split into the source-up half and the destination-down half —
+// exactly the structure PASE's bottom-up arbitration operates on
+// (§3.1.2 of the paper).
 package topology
 
 import (
@@ -159,20 +160,20 @@ type Network struct {
 
 	Links []*Link
 
-	// upLinks[h] lists host h's links toward the core, edge first.
-	upLinks map[pkt.NodeID][]*Link
-	// downLinks[h] lists the links from the core down to host h, in
-	// top-down order.
-	downLinks map[pkt.NodeID][]*Link
-	// spineUp[rack][spine] / spineDown[rack][spine] hold the leaf-spine
-	// mesh links (leaf-spine fabrics only).
-	spineUp   map[int][]*Link
-	spineDown map[int][]*Link
+	// levels is how many links a host has toward the top of the
+	// fabric: treeLevels on a multi-rack tree, 1 on a single rack and
+	// on leaf-spine fabrics (whose mesh hop is per flow).
+	levels int
+	// up[h*levels+i] is host h's i-th link toward the core, edge first;
+	// down[h*levels+i] its i-th link from the core, top first. The
+	// builder writes each slot once, in its final place.
+	up, down []*Link
+	// spineUp[rack*spines+s] / spineDown[rack*spines+s] hold the
+	// leaf-spine mesh links (leaf-spine fabrics only).
+	spineUp, spineDown []*Link
 	// routes[rack] is each leaf's runtime ECMP route table (leaf-spine
-	// fabrics only; nil on trees). lsLinks classifies the fabric mesh
-	// links by (rack, spine, direction) for the routing control loop.
-	routes  []*RouteTable
-	lsLinks map[int]LeafSpineLink
+	// fabrics only; nil on trees).
+	routes []*RouteTable
 }
 
 // LeafSpineLink classifies one directed leaf-spine fabric link.
@@ -183,11 +184,16 @@ type LeafSpineLink struct {
 	Up bool
 }
 
-// LeafSpineLinkInfo classifies a link ID on a leaf-spine fabric;
-// ok is false for host links and tree fabrics.
+// LeafSpineLinkInfo classifies a link ID on a leaf-spine fabric — the
+// inverse of LeafSpineConfig.UplinkID / DownlinkID; ok is false for
+// host links and tree fabrics.
 func (n *Network) LeafSpineLinkInfo(id int) (LeafSpineLink, bool) {
-	l, ok := n.lsLinks[id]
-	return l, ok
+	k := id - 2*len(n.Hosts)
+	if !n.IsLeafSpine() || k < 0 || id >= len(n.Links) {
+		return LeafSpineLink{}, false
+	}
+	pair, spines := k/2, len(n.Spines)
+	return LeafSpineLink{Rack: pair / spines, Spine: pair % spines, Up: k%2 == 0}, true
 }
 
 // RouteTable returns the runtime route table of a leaf (nil on tree
@@ -201,164 +207,136 @@ func (n *Network) RouteTable(rack int) *RouteTable {
 
 // SpineUpLinks returns rack's leaf→spine links indexed by spine
 // (leaf-spine fabrics only).
-func (n *Network) SpineUpLinks(rack int) []*Link { return n.spineUp[rack] }
+func (n *Network) SpineUpLinks(rack int) []*Link { return row(n.spineUp, rack, len(n.Spines)) }
 
 // SpineDownLinks returns the spine→leaf links toward rack, indexed by
 // spine (leaf-spine fabrics only).
-func (n *Network) SpineDownLinks(rack int) []*Link { return n.spineDown[rack] }
+func (n *Network) SpineDownLinks(rack int) []*Link { return row(n.spineDown, rack, len(n.Spines)) }
+
+// row returns row i of a flat table of width-wide rows, capped so an
+// append by the caller cannot reach the next row.
+func row(flat []*Link, i, width int) []*Link { return flat[i*width : (i+1)*width : (i+1)*width] }
+
+// fabric is a Network under construction: what Build and
+// BuildLeafSpine share.
+type fabric struct {
+	*Network
+	engOf    func(owner netem.Node) *sim.Engine
+	queueFor func(kind QueueKind, owner netem.Node) netem.Queue
+	// slab holds the fabric's Link records, one allocation sized from
+	// the config; Links points into it.
+	slab []Link
+}
+
+// newFabric starts a Network with its rack tier, which trees and
+// leaf-spine fabrics wire alike: the hosts, one torKind switch of
+// torPorts ports per rack, and the host links. links is the fabric's
+// directed-link count, levels the Network field.
+func newFabric(eng *sim.Engine, cfg Config, torKind string, torPorts, levels, links int) *fabric {
+	hosts := cfg.Racks * cfg.HostsPerRack
+	f := &fabric{
+		Network: &Network{
+			Eng: eng, Cfg: cfg, levels: levels,
+			Hosts: make([]*netem.Host, hosts),
+			ToRs:  make([]*netem.Switch, cfg.Racks),
+			Links: make([]*Link, 0, links),
+			up:    make([]*Link, hosts*levels),
+			down:  make([]*Link, hosts*levels),
+		},
+		engOf:    func(netem.Node) *sim.Engine { return eng },
+		queueFor: func(kind QueueKind, _ netem.Node) netem.Queue { return cfg.NewQueue(kind) },
+		slab:     make([]Link, links),
+	}
+	if cfg.EngineOf != nil {
+		f.engOf = cfg.EngineOf
+	}
+	if cfg.NewQueueFor != nil {
+		f.queueFor = cfg.NewQueueFor
+	}
+	for r := range f.ToRs {
+		tor := netem.NewSwitch(pkt.NodeID(hosts+r), torKind, r, torPorts)
+		first := r * cfg.HostsPerRack
+		tor.SetDown(pkt.NodeID(first), cfg.HostsPerRack, 1)
+		for i := first; i < first+cfg.HostsPerRack; i++ {
+			f.Hosts[i] = netem.NewHost(pkt.NodeID(i))
+			f.up[i*levels], f.down[(i+1)*levels-1] = f.connect(LevelHostToR, f.Hosts[i], tor, QueueHostNIC, cfg.EdgeRate)
+		}
+		f.ToRs[r] = tor
+	}
+	return f
+}
+
+// connect wires a full-duplex link between lower and the switch above
+// it and returns its two directions. Ports are added in call order, so
+// a switch whose down links are connected first, in host order, has
+// them at ports 0, 1, … — what Switch.SetDown's range rule relies on.
+func (f *fabric) connect(level Level, lower netem.Node, upper *netem.Switch, lowerKind QueueKind, rate netem.BitRate) (up, down *Link) {
+	lp := netem.NewPort(f.engOf(lower), lower, f.queueFor(lowerKind, lower), rate, f.Cfg.LinkDelay)
+	hp := netem.NewPort(f.engOf(upper), upper, f.queueFor(QueueSwitchDown, upper), rate, f.Cfg.LinkDelay)
+	netem.Connect(lp, hp)
+	switch lo := lower.(type) {
+	case *netem.Host:
+		lo.SetPort(lp)
+	case *netem.Switch:
+		lo.AddPort(lp)
+	}
+	upper.AddPort(hp)
+	return f.link(level, true, lp, lower, upper), f.link(level, false, hp, upper, lower)
+}
+
+func (f *fabric) link(level Level, up bool, port *netem.Port, from, to netem.Node) *Link {
+	l := &f.slab[len(f.Links)]
+	*l = Link{ID: len(f.Links), Level: level, Up: up, Port: port, From: from, To: to}
+	f.Links = append(f.Links, l)
+	return l
+}
+
+// treeLevels is a multi-rack tree's height in links: host-ToR, ToR-agg,
+// agg-core.
+const treeLevels = 3
 
 // Build wires the fabric described by cfg onto the engine.
 func Build(eng *sim.Engine, cfg Config) *Network {
 	if cfg.NewQueue == nil && cfg.NewQueueFor == nil {
 		panic("topology: Config.NewQueue is required")
 	}
-	engOf := func(owner netem.Node) *sim.Engine {
-		if cfg.EngineOf != nil {
-			return cfg.EngineOf(owner)
-		}
-		return eng
-	}
-	queueFor := func(kind QueueKind, owner netem.Node) netem.Queue {
-		if cfg.NewQueueFor != nil {
-			return cfg.NewQueueFor(kind, owner)
-		}
-		return cfg.NewQueue(kind)
-	}
 	if cfg.Racks < 1 || cfg.HostsPerRack < 1 {
 		panic("topology: need at least one rack and one host")
 	}
-	if cfg.Racks > 1 && (cfg.RacksPerAgg < 1 || cfg.Racks%cfg.RacksPerAgg != 0) {
+	if cfg.Racks == 1 {
+		return newFabric(eng, cfg, "tor", cfg.HostsPerRack, 1, 2*cfg.HostsPerRack).Network
+	}
+	if cfg.RacksPerAgg < 1 || cfg.Racks%cfg.RacksPerAgg != 0 {
 		panic("topology: Racks must be a multiple of RacksPerAgg")
 	}
-
-	n := &Network{
-		Eng:       eng,
-		Cfg:       cfg,
-		upLinks:   make(map[pkt.NodeID][]*Link),
-		downLinks: make(map[pkt.NodeID][]*Link),
+	hosts, aggs := cfg.Racks*cfg.HostsPerRack, cfg.Racks/cfg.RacksPerAgg
+	perAgg := cfg.RacksPerAgg * cfg.HostsPerRack
+	f := newFabric(eng, cfg, "tor", cfg.HostsPerRack+1, treeLevels, 2*(hosts+cfg.Racks+aggs))
+	f.Aggs = make([]*netem.Switch, aggs)
+	for a := range f.Aggs {
+		f.Aggs[a] = netem.NewSwitch(pkt.NodeID(hosts+cfg.Racks+a), "agg", a, cfg.RacksPerAgg+1)
+		f.Aggs[a].SetDown(pkt.NodeID(a*perAgg), perAgg, cfg.HostsPerRack)
 	}
+	f.Core = netem.NewSwitch(pkt.NodeID(hosts+cfg.Racks+aggs), "core", -1, aggs)
+	f.Core.SetDown(0, hosts, perAgg)
 
-	numHosts := cfg.Racks * cfg.HostsPerRack
-	nextID := pkt.NodeID(0)
-	for i := 0; i < numHosts; i++ {
-		n.Hosts = append(n.Hosts, netem.NewHost(nextID, fmt.Sprintf("h%d", i)))
-		nextID++
-	}
-	for r := 0; r < cfg.Racks; r++ {
-		n.ToRs = append(n.ToRs, netem.NewSwitch(nextID, fmt.Sprintf("tor%d", r)))
-		nextID++
-	}
-	multiTier := cfg.Racks > 1
-	var numAggs int
-	if multiTier {
-		numAggs = cfg.Racks / cfg.RacksPerAgg
-		for a := 0; a < numAggs; a++ {
-			n.Aggs = append(n.Aggs, netem.NewSwitch(nextID, fmt.Sprintf("agg%d", a)))
-			nextID++
-		}
-		n.Core = netem.NewSwitch(nextID, "core")
-		nextID++
-	}
-
-	link := func(level Level, up bool, port *netem.Port, from, to netem.Node) *Link {
-		l := &Link{ID: len(n.Links), Level: level, Up: up, Port: port, From: from, To: to}
-		n.Links = append(n.Links, l)
-		return l
-	}
-
-	// Host <-> ToR links.
-	for r, tor := range n.ToRs {
-		for j := 0; j < cfg.HostsPerRack; j++ {
-			h := n.Hosts[r*cfg.HostsPerRack+j]
-			hp := netem.NewPort(engOf(h), h, queueFor(QueueHostNIC, h), cfg.EdgeRate, cfg.LinkDelay)
-			hp.Name = h.Name() + "->" + tor.Name()
-			tp := netem.NewPort(engOf(tor), tor, queueFor(QueueSwitchDown, tor), cfg.EdgeRate, cfg.LinkDelay)
-			tp.Name = tor.Name() + "->" + h.Name()
-			netem.Connect(hp, tp)
-			h.SetPort(hp)
-			idx := tor.AddPort(tp)
-			tor.SetRoute(h.ID(), idx)
-
-			up := link(LevelHostToR, true, hp, h, tor)
-			down := link(LevelHostToR, false, tp, tor, h)
-			n.upLinks[h.ID()] = append(n.upLinks[h.ID()], up)
-			n.downLinks[h.ID()] = append(n.downLinks[h.ID()], down)
+	// Every switch's down ports are in place before its up port is
+	// added: ToR <-> Agg links, then Agg <-> Core.
+	for r, tor := range f.ToRs {
+		tor.SetUp(len(tor.Ports()))
+		up, down := f.connect(LevelToRAgg, tor, f.Aggs[r/cfg.RacksPerAgg], QueueSwitchUp, cfg.FabricRate)
+		for i := r * cfg.HostsPerRack; i < (r+1)*cfg.HostsPerRack; i++ {
+			f.up[i*treeLevels+1], f.down[i*treeLevels+1] = up, down
 		}
 	}
-
-	if multiTier {
-		// ToR <-> Agg links.
-		for r, tor := range n.ToRs {
-			agg := n.Aggs[r/cfg.RacksPerAgg]
-			tp := netem.NewPort(engOf(tor), tor, queueFor(QueueSwitchUp, tor), cfg.FabricRate, cfg.LinkDelay)
-			tp.Name = tor.Name() + "->" + agg.Name()
-			ap := netem.NewPort(engOf(agg), agg, queueFor(QueueSwitchDown, agg), cfg.FabricRate, cfg.LinkDelay)
-			ap.Name = agg.Name() + "->" + tor.Name()
-			netem.Connect(tp, ap)
-			torUpIdx := tor.AddPort(tp)
-			aggDownIdx := agg.AddPort(ap)
-
-			up := link(LevelToRAgg, true, tp, tor, agg)
-			down := link(LevelToRAgg, false, ap, agg, tor)
-
-			for j := 0; j < cfg.HostsPerRack; j++ {
-				h := n.Hosts[r*cfg.HostsPerRack+j]
-				n.upLinks[h.ID()] = append(n.upLinks[h.ID()], up)
-				// Will be prepended below the agg-core link later;
-				// build order: we append and fix ordering at the end.
-				n.downLinks[h.ID()] = append(n.downLinks[h.ID()], down)
-				agg.SetRoute(h.ID(), aggDownIdx)
-			}
-			// Default route for foreign destinations from this ToR.
-			for _, h := range n.Hosts {
-				if h.ID()/pkt.NodeID(cfg.HostsPerRack) != pkt.NodeID(r) {
-					tor.SetRoute(h.ID(), torUpIdx)
-				}
-			}
-		}
-
-		// Agg <-> Core links.
-		for a, agg := range n.Aggs {
-			ap := netem.NewPort(engOf(agg), agg, queueFor(QueueSwitchUp, agg), cfg.FabricRate, cfg.LinkDelay)
-			ap.Name = agg.Name() + "->core"
-			cp := netem.NewPort(engOf(n.Core), n.Core, queueFor(QueueSwitchDown, n.Core), cfg.FabricRate, cfg.LinkDelay)
-			cp.Name = "core->" + agg.Name()
-			netem.Connect(ap, cp)
-			aggUpIdx := agg.AddPort(ap)
-			coreDownIdx := n.Core.AddPort(cp)
-
-			up := link(LevelAggCore, true, ap, agg, n.Core)
-			down := link(LevelAggCore, false, cp, n.Core, agg)
-
-			aggFirstHost := a * cfg.RacksPerAgg * cfg.HostsPerRack
-			aggLastHost := (a+1)*cfg.RacksPerAgg*cfg.HostsPerRack - 1
-			for _, h := range n.Hosts {
-				inSubtree := int(h.ID()) >= aggFirstHost && int(h.ID()) <= aggLastHost
-				if inSubtree {
-					n.upLinks[h.ID()] = append(n.upLinks[h.ID()], up)
-					n.downLinks[h.ID()] = append(n.downLinks[h.ID()], down)
-					n.Core.SetRoute(h.ID(), coreDownIdx)
-				} else {
-					agg.SetRoute(h.ID(), aggUpIdx)
-				}
-			}
-		}
-
-		// downLinks were appended edge-first; the down half must read
-		// top-down (core->agg, agg->tor, tor->host).
-		for id, links := range n.downLinks {
-			reverse(links)
-			n.downLinks[id] = links
+	for a, agg := range f.Aggs {
+		agg.SetUp(len(agg.Ports()))
+		up, down := f.connect(LevelAggCore, agg, f.Core, QueueSwitchUp, cfg.FabricRate)
+		for i := a * perAgg; i < (a+1)*perAgg; i++ {
+			f.up[i*treeLevels+2], f.down[i*treeLevels] = up, down
 		}
 	}
-
-	return n
-}
-
-func reverse(ls []*Link) {
-	for i, j := 0, len(ls)-1; i < j; i, j = i+1, j-1 {
-		ls[i], ls[j] = ls[j], ls[i]
-	}
+	return f.Network
 }
 
 // NumHosts returns the number of hosts in the fabric.
@@ -395,16 +373,14 @@ func (n *Network) meetLevel(src, dst pkt.NodeID) int {
 // PathUp returns the links of the source-side half of the src->dst
 // path: from src's NIC upward, ending at the meeting switch.
 func (n *Network) PathUp(src, dst pkt.NodeID) []*Link {
-	m := n.meetLevel(src, dst)
-	return n.upLinks[src][:m+1]
+	return n.UpLinks(src)[:n.meetLevel(src, dst)+1]
 }
 
 // PathDown returns the links of the destination-side half, in
 // top-down order starting just below the meeting switch.
 func (n *Network) PathDown(src, dst pkt.NodeID) []*Link {
-	m := n.meetLevel(src, dst)
-	down := n.downLinks[dst]
-	return down[len(down)-(m+1):]
+	down := n.DownLinks(dst)
+	return down[len(down)-(n.meetLevel(src, dst)+1):]
 }
 
 // Path returns every directed link a packet from src to dst traverses,
@@ -419,10 +395,10 @@ func (n *Network) Path(src, dst pkt.NodeID) []*Link {
 }
 
 // UpLinks returns all links from host h toward the core (edge first).
-func (n *Network) UpLinks(h pkt.NodeID) []*Link { return n.upLinks[h] }
+func (n *Network) UpLinks(h pkt.NodeID) []*Link { return row(n.up, int(h), n.levels) }
 
 // DownLinks returns all links from the core down to host h (top-down).
-func (n *Network) DownLinks(h pkt.NodeID) []*Link { return n.downLinks[h] }
+func (n *Network) DownLinks(h pkt.NodeID) []*Link { return row(n.down, int(h), n.levels) }
 
 // BaseRTT returns the zero-queueing round-trip time between two hosts,
 // counting propagation only (serialization is load-dependent and small

@@ -221,6 +221,9 @@ type Sampler struct {
 	eng   *sim.Engine
 	every sim.Duration
 	ports []*netem.Port
+	// names[i] is ports[i]'s label, formatted at its first non-empty
+	// sample.
+	names []string
 	// Idx maps ports[i] to its run-wide index (nil = identity). Set
 	// before the run.
 	Idx []int
@@ -238,7 +241,7 @@ func NewSampler(eng *sim.Engine, every sim.Duration, ports []*netem.Port) *Sampl
 	if every <= 0 {
 		panic("trace: non-positive sampling interval")
 	}
-	s := &Sampler{eng: eng, every: every, ports: ports}
+	s := &Sampler{eng: eng, every: every, ports: ports, names: make([]string, len(ports))}
 	s.schedule()
 	return s
 }
@@ -280,8 +283,11 @@ func (s *Sampler) schedule() {
 			if s.Idx != nil {
 				idx = s.Idx[i]
 			}
+			if s.names[i] == "" {
+				s.names[i] = p.Name()
+			}
 			s.add(QueueSample{
-				At: now, Port: p.Name, Idx: idx, Len: q.Len(), Bytes: q.Bytes(),
+				At: now, Port: s.names[i], Idx: idx, Len: q.Len(), Bytes: q.Bytes(),
 			})
 		}
 		s.schedule()

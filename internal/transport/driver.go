@@ -114,8 +114,11 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 	}
 	d.Sink = d.Collector
 	d.arrivalFn = d.onArrival
+	d.Stacks = make([]*Stack, len(net.Hosts))
+	// What every stack shares is made once, not once per host.
+	baseRTT, flowDone := net.BaseRTT, d.flowDone
 	pools := make(map[*sim.Engine]*flowPool)
-	for _, h := range net.Hosts {
+	for i, h := range net.Hosts {
 		// A host's stack lives on the engine its NIC is clocked by —
 		// net.Eng normally, the host's shard engine in sharded runs —
 		// and shares that engine's flow pool.
@@ -126,9 +129,9 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 		st := newStack(eng, h, pools[eng])
 		st.NewControl = newControl
 		st.Collector = d.Sink
-		st.BaseRTT = func(dst pkt.NodeID) sim.Duration { return net.BaseRTT(h.ID(), dst) }
-		st.OnFlowDone = d.flowDone
-		d.Stacks = append(d.Stacks, st)
+		st.BaseRTT = baseRTT
+		st.OnFlowDone = flowDone
+		d.Stacks[i] = st
 	}
 	return d
 }

@@ -215,7 +215,7 @@ func (h *hostState) onCreditReq(p *pkt.Packet) {
 		return
 	}
 	cfg := &h.sys.cfg
-	period := h.st.BaseRTT(p.Src)
+	period := h.st.BaseRTT(h.st.Host.ID(), p.Src)
 	if period < cfg.MinPeriod {
 		period = cfg.MinPeriod
 	}

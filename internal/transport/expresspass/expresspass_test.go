@@ -39,10 +39,10 @@ func TestCreditFlowCompletes(t *testing.T) {
 	for _, l := range net.Links {
 		st := l.Port.Queue().Stats()
 		if st.DroppedData != 0 {
-			t.Errorf("%s dropped %d data packets, want 0", l.Port.Name, st.DroppedData)
+			t.Errorf("%s dropped %d data packets, want 0", l.Port.Name(), st.DroppedData)
 		}
 		if q := l.Port.Queue().(*netem.CreditQueue); q.DataLen() != 0 {
-			t.Errorf("%s still queues %d data packets", l.Port.Name, q.DataLen())
+			t.Errorf("%s still queues %d data packets", l.Port.Name(), q.DataLen())
 		}
 	}
 	tot := sys.Totals()

@@ -173,8 +173,9 @@ func Attach(d *transport.Driver, cfg Config) *System {
 	for _, l := range d.Net.Links {
 		sys.allocs[l.ID] = NewAllocator(l.Capacity(), &sys.cfg)
 	}
+	newControl := sys.newControl
 	for _, st := range d.Stacks {
-		st.NewControl = sys.newControl
+		st.NewControl = newControl
 	}
 	prev := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {

@@ -193,7 +193,7 @@ func (s *Sender) ended() bool {
 func (s *Sender) Now() sim.Time { return s.st.Eng.Now() }
 
 // BaseRTT returns the propagation RTT to the flow's destination.
-func (s *Sender) BaseRTT() sim.Duration { return s.st.BaseRTT(s.Spec.Dst) }
+func (s *Sender) BaseRTT() sim.Duration { return s.st.BaseRTT(s.Spec.Src, s.Spec.Dst) }
 
 // RTT returns the smoothed RTT estimate, falling back to BaseRTT
 // before the first sample.

@@ -64,9 +64,9 @@ type Stack struct {
 	// Stored runs use *metrics.Collector; streaming runs install a
 	// bounded-memory StreamCollector.
 	Collector metrics.Sink
-	// BaseRTT estimates the propagation RTT to a destination; used to
+	// BaseRTT estimates the propagation RTT between two hosts; used to
 	// seed RTO and window computations before any sample exists.
-	BaseRTT func(dst pkt.NodeID) sim.Duration
+	BaseRTT func(src, dst pkt.NodeID) sim.Duration
 	// AbortAfter, when positive, kills any flow that has gone this long
 	// without forward progress (no segment newly acknowledged): the next
 	// RTO firing past the deadline aborts it instead of retrying
@@ -94,6 +94,8 @@ type Stack struct {
 	OnRetx    func(s *Sender, seq int32)
 	OnTimeout func(s *Sender)
 
+	// senders and receivers are made at the first flow that needs
+	// them: most hosts of a large fabric never see one.
 	senders   map[pkt.FlowID]*Sender
 	receivers map[pkt.FlowID]*receiver
 	flows     *flowPool // Eng's free flow records
@@ -121,14 +123,7 @@ func NewStack(eng *sim.Engine, host *netem.Host) *Stack {
 }
 
 func newStack(eng *sim.Engine, host *netem.Host, flows *flowPool) *Stack {
-	st := &Stack{
-		Eng:       eng,
-		Host:      host,
-		flows:     flows,
-		pkts:      pkt.PoolOf(eng),
-		senders:   make(map[pkt.FlowID]*Sender),
-		receivers: make(map[pkt.FlowID]*receiver),
-	}
+	st := &Stack{Eng: eng, Host: host, flows: flows, pkts: pkt.PoolOf(eng)}
 	host.Handler = st.receive
 	return st
 }
@@ -163,6 +158,9 @@ func (st *Stack) StartFlow(spec workload.FlowSpec) *Sender {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", spec.ID))
 	}
 	s := newSender(st, spec)
+	if st.senders == nil {
+		st.senders = make(map[pkt.FlowID]*Sender)
+	}
 	st.senders[spec.ID] = s
 	s.ctrl = st.NewControl(s)
 	s.ctrl.Init(s)
@@ -200,6 +198,9 @@ func (st *Stack) receiverFor(p *pkt.Packet) *receiver {
 	r, ok := st.receivers[p.Flow]
 	if !ok {
 		r = newReceiver(st, p)
+		if st.receivers == nil {
+			st.receivers = make(map[pkt.FlowID]*receiver)
+		}
 		st.receivers[p.Flow] = r
 	}
 	return r

@@ -475,8 +475,13 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolPASE
 	}
+	racksFrom := "Scenario"
 	if cfg.Racks > 0 {
+		racksFrom = "Racks"
 		cfg.Scenario = Scenario(fmt.Sprintf("%s-%d", experiments.CtrlScale, cfg.Racks))
+	}
+	if err := checkRacks(racksFrom, experiments.CtrlScaleRacksOf(experiments.Scenario(cfg.Scenario))); err != nil {
+		return cfg, err
 	}
 	if cfg.Scenario == "" {
 		cfg.Scenario = ScenarioIntraRack
@@ -722,6 +727,15 @@ type FigureOpts struct {
 	Racks int
 }
 
+// checkRacks rejects a ctrlscale rack count above the ceiling, naming
+// the field it came in by.
+func checkRacks(field string, racks int) error {
+	if racks > experiments.CtrlScaleMaxRacks {
+		return fmt.Errorf("pase: %s asks for %d ctrlscale racks, at most %d are supported", field, racks, experiments.CtrlScaleMaxRacks)
+	}
+	return nil
+}
+
 // expOpts maps the public options onto the experiment runner's.
 func expOpts(o FigureOpts) experiments.Opts {
 	return experiments.Opts{NumFlows: o.NumFlows, Seed: o.Seed, Seeds: o.Seeds,
@@ -795,6 +809,9 @@ func RunFigure(id string, opts FigureOpts) (*FigureData, error) {
 	}
 	if err := opts.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("pase: %w", err)
+	}
+	if err := checkRacks("Racks", opts.Racks); err != nil {
+		return nil, err
 	}
 	res := fig.Run(expOpts(opts))
 	out := &FigureData{

@@ -1,10 +1,12 @@
 package pase_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pase"
+	"pase/internal/experiments"
 	"pase/internal/faults"
 )
 
@@ -38,6 +40,23 @@ func TestSimulateValidation(t *testing.T) {
 		if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, PASE: pase.PASEOptions{NumQueues: q}}); err != nil {
 			t.Fatalf("NumQueues %d is in range: %v", q, err)
 		}
+	}
+	// A rack count past the ceiling is an error naming the field it
+	// came in by, not a fabric that does not fit in memory.
+	tooMany := experiments.CtrlScaleMaxRacks + 1
+	_, errRacks := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Racks: tooMany})
+	_, errScenario := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Scenario: pase.Scenario(fmt.Sprintf("ctrlscale-%d", tooMany))})
+	_, errFigure := pase.RunFigure("ctrlscale", pase.FigureOpts{NumFlows: 10, Racks: tooMany})
+	for _, c := range []struct {
+		field string
+		err   error
+	}{{"Racks", errRacks}, {"Scenario", errScenario}, {"Racks", errFigure}} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.field+" asks for") {
+			t.Fatalf("%d racks by %s: got %v, want an error naming the field", tooMany, c.field, c.err)
+		}
+	}
+	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Racks: 16}); err != nil {
+		t.Fatalf("Racks 16 is in range: %v", err)
 	}
 	bad := &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 1.5}}}
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}); err == nil {
