@@ -80,7 +80,7 @@ func BenchmarkFig09aObsOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	snap := fig.Snapshot()
+	snap := fig.Obs
 	if snap == nil || len(snap.Counters) == 0 {
 		b.Fatal("Obs run produced no snapshot")
 	}
@@ -119,12 +119,12 @@ func BenchmarkFig09aTraceOverhead(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		fig, err = pase.RunFigure("9a", pase.FigureOpts{
-			NumFlows: 250, Seed: 1, Loads: []float64{0.5, 0.8}, Obs: true, Trace: true})
+			NumFlows: 250, Seed: 1, Loads: []float64{0.5, 0.8}, Obs: true, Trace: pase.TraceConfig{Spans: true}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	snap := fig.Snapshot()
+	snap := fig.Obs
 	if snap == nil || snap.Counters["trace/flows_started"] == 0 {
 		b.Fatal("traced run recorded no flows")
 	}

@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		figID     = flag.String("fig", "", "figure id to regenerate (1, 2, 3, 4, 9a..13b, probing, task, leafspine, robust, scale, highspeed, te, ctrlscale)")
+		figID     = flag.String("fig", "", "figure id to regenerate: "+figureIDs())
 		all       = flag.Bool("all", false, "regenerate every figure")
 		list      = flag.Bool("list", false, "list the available figures")
 		flows     = flag.Int("flows", 2000, "foreground flows per simulation point")
@@ -72,7 +72,7 @@ func main() {
 	}
 	opts := pase.FigureOpts{NumFlows: *flows, Seed: *seed, Seeds: *seeds,
 		Parallelism: *parallel, Obs: *obs, Check: *chkFlag, Stream: *stream,
-		Shards: *shards, Trace: *traceOn, TraceSampleN: *traceN,
+		Shards: *shards, Trace: pase.TraceConfig{Spans: *traceOn, SampleN: *traceN},
 		Ctrl: *ctrl, Racks: *racks}
 	if *faultSpec != "" {
 		plan, err := pase.ParseFaults(*faultSpec)
@@ -165,6 +165,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
+}
+
+// figureIDs lists the registered figure ids for the -fig help.
+func figureIDs() string {
+	var ids []string
+	for _, f := range pase.ListFigures() {
+		ids = append(ids, f.ID)
+	}
+	return cliutil.Join(ids)
 }
 
 // writeFile creates path and streams fn into it.

@@ -26,12 +26,13 @@ import (
 
 	"pase"
 	"pase/internal/cliutil"
+	"pase/internal/experiments"
 )
 
 func main() {
 	var (
-		protocol  = flag.String("protocol", "PASE", "transport: DCTCP, D2TCP, L2DCT, pFabric, PDQ, PASE, ExpressPass")
-		scenario  = flag.String("scenario", "intra-rack", "scenario: left-right, intra-rack, intra-rack-large, worker-agg, deadline, testbed, leaf-spine, leaf-spine-wide, te-failover, highspeed-10, highspeed-40, highspeed-100, highspeed-shallow, incast-64, incast-256, ctrlscale[-<racks>]")
+		protocol  = flag.String("protocol", "PASE", "transport: "+cliutil.Join(pase.Protocols()))
+		scenario  = flag.String("scenario", "intra-rack", "scenario: "+cliutil.Join(pase.Scenarios())+" (or ctrlscale-<racks>)")
 		load      = flag.Float64("load", 0.7, "offered load in (0,1]")
 		flows     = flag.Int("flows", 2000, "number of foreground flows")
 		seed      = flag.Uint64("seed", 1, "workload seed")
@@ -93,25 +94,18 @@ func main() {
 	}
 
 	cfg := pase.SimConfig{
-		IncludeFlowLog: *outcomes != "",
-		Protocol:       pase.Protocol(*protocol),
-		Scenario:       pase.Scenario(*scenario),
-		Load:           *load,
-		NumFlows:       *flows,
-		Seed:           *seed,
-		Obs:            *obs,
-		Check:          *chkFlag,
-		Stream:         *stream,
-		Shards:         *shards,
-		Reroute:        *reroute,
-		TE:             *teFlag,
-		TEEpoch:        *teEpoch,
-		AbortAfter:     *abortAft,
-		FlowTrace:      *flowLog != "",
-		SpanTrace:      *traceOut != "",
-		TraceSampleN:   *traceN,
-		Ctrl:           *ctrl,
-		Racks:          *racks,
+		Protocol:   pase.Protocol(*protocol),
+		Scenario:   pase.Scenario(*scenario),
+		Load:       *load,
+		NumFlows:   *flows,
+		Seed:       *seed,
+		Obs:        *obs,
+		Check:      *chkFlag,
+		Stream:     *stream,
+		Shards:     *shards,
+		Route:      pase.RouteConfig{Reroute: *reroute, TE: *teFlag, Epoch: pase.Duration(*teEpoch)},
+		AbortAfter: pase.Duration(*abortAft),
+		Trace:      pase.TraceConfig{FlowLog: *flowLog != "", Spans: *traceOut != "", SampleN: *traceN},
 		PASE: pase.PASEOptions{
 			LocalOnly:      *localOnly,
 			NoPruning:      *noPrune,
@@ -121,12 +115,22 @@ func main() {
 			DisableProbing: *noProbing,
 			HierFanOut:     *fanOut,
 			HierTopShards:  *shardsTop,
+			Central:        *ctrl == "central",
 		},
+	}
+	if *ctrl != "" && *ctrl != "hierarchy" && *ctrl != "central" {
+		fail(fmt.Errorf("-ctrl %q: want \"hierarchy\" or \"central\"", *ctrl))
+	}
+	if *racks > 0 {
+		if *racks > experiments.CtrlScaleMaxRacks {
+			fail(fmt.Errorf("-racks asks for %d ctrlscale racks, at most %d are supported", *racks, experiments.CtrlScaleMaxRacks))
+		}
+		cfg.Scenario = pase.Scenario(fmt.Sprintf("%s-%d", pase.ScenarioCtrlScale, *racks))
 	}
 	if *queueLog != "" || *traceOut != "" {
 		// -trace also samples queues: the occupancies become counter
 		// tracks in the Perfetto output.
-		cfg.QueueTrace = *queueInt
+		cfg.Trace.QueueSample = pase.Duration(*queueInt)
 	}
 	if *faultSpec != "" {
 		plan, err := pase.ParseFaults(*faultSpec)
@@ -155,11 +159,11 @@ func main() {
 		return w
 	}
 	if *traceSp {
-		cfg.TraceSpill = openSpill(*traceOut)
+		cfg.Trace.SpanWriter = openSpill(*traceOut)
 	}
 	flowLogSpills := *stream && *flowLog != "" && *shards <= 1
 	if flowLogSpills {
-		cfg.FlowTraceSpill = openSpill(*flowLog)
+		cfg.Trace.FlowLogWriter = openSpill(*flowLog)
 	}
 
 	stopCPU, err := cliutil.StartCPUProfile(*cpuProf)
@@ -175,8 +179,7 @@ func main() {
 			fail(fmt.Errorf("-flowlog/-queuetrace/-outcomes/-trace need a single run; drop -seeds"))
 		}
 		meter := cliutil.NewProgress(fmt.Sprintf("%s @ %.0f%%", *protocol, *load*100), *progress)
-		cfg.Progress = meter.Update
-		reps, err = pase.SimulateSeeds(cfg, *seeds, *parallel)
+		reps, err = pase.SimulateSeeds(cfg, *seeds, *parallel, meter.Update)
 		meter.Done()
 		if err != nil {
 			fail(err)
@@ -222,10 +225,11 @@ func main() {
 			fmt.Printf("queue trace     %s (%d samples, every %v)\n", *queueLog, rep.QueueTraceLen(), *queueInt)
 		}
 		if *outcomes != "" {
-			if err := writeFlowOutcomes(*outcomes, rep.FlowLog); err != nil {
+			outs := rep.FlowLog()
+			if err := writeFlowOutcomes(*outcomes, outs); err != nil {
 				fail(err)
 			}
-			fmt.Printf("flow outcomes   %s (%d flows)\n", *outcomes, len(rep.FlowLog))
+			fmt.Printf("flow outcomes   %s (%d flows)\n", *outcomes, len(outs))
 		}
 	}
 

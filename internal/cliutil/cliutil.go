@@ -1,6 +1,7 @@
 // Package cliutil holds the small pieces shared by the command-line
-// front ends: a throttled stderr progress meter and pprof profile
-// setup. Nothing here touches the simulation itself.
+// front ends: a throttled stderr progress meter, pprof profile setup
+// and flag help built from the registries. Nothing here touches the
+// simulation itself.
 package cliutil
 
 import (
@@ -8,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 )
@@ -32,7 +34,7 @@ func NewProgress(label string, enabled bool) *Progress {
 }
 
 // Update is shaped to be used directly as a FigureOpts.Progress /
-// SimConfig.Progress callback. Safe for concurrent use.
+// SimulateSeeds progress callback. Safe for concurrent use.
 func (p *Progress) Update(done, total int) {
 	if p == nil || !p.enabled || total <= 0 {
 		return
@@ -103,4 +105,14 @@ func WriteMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
+}
+
+// Join lists registry names comma-separated for a flag's help text,
+// so the help cannot drift from what the code accepts.
+func Join[S ~string](names []S) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = string(n)
+	}
+	return strings.Join(out, ", ")
 }

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"pase/internal/faults"
 	"pase/internal/metrics"
@@ -70,13 +71,13 @@ type Opts struct {
 	// recorded traces themselves are dropped — but the flight
 	// recorder's retention stats (trace/*) and PASE's per-level
 	// arbitration RTT histograms (arb/rtt/*) land in the merged Obs
-	// snapshot. Spill writers are rejected here: points run
+	// snapshot. Spill writers are dropped here: points run
 	// concurrently and a single writer cannot be shared.
 	Trace TraceConfig
 	// Ctrl forces every PASE point onto one control plane: "central"
 	// swaps in the single-controller arm, "" (or "hierarchy") keeps
-	// the default arbitration hierarchy. Figures that sweep both arms
-	// themselves (ctrlscale) clear it.
+	// the default arbitration hierarchy. The ctrlscale figure, which
+	// sweeps both arms itself, reads it as an arm filter.
 	Ctrl string
 	// Racks caps the ctrlscale figure's rack sweep (0 = the full
 	// 16 → 2048 sweep). Other figures ignore it.
@@ -126,96 +127,50 @@ type Result struct {
 	Violations int64
 }
 
-// Figure is a registered experiment.
+// Figure is a registered experiment. A row's variants (one per
+// protocol or PASE arm, on its scenario) each sweep the loads, and the
+// seed-averaged metric per point is a curve — or, with cdfLoad set,
+// each variant's FCT CDF at that load is. Other figures set compute.
+// Rows hold no calls: the table stays static data, so binaries that
+// never run a figure do not link the figure code.
 type Figure struct {
 	ID    string
-	Title string
-	Run   func(o Opts) *Result
+	Title string // the registry listing's title
+
+	title          string // the regenerated figure's title
+	xlabel, ylabel string
+	scenario       Scenario
+	protos         []Protocol // one variant per protocol, named after it
+	arms           []paseArm  // or one PASE variant per arm
+	loads          []float64  // load sweep (nil = DefaultLoads; Opts.Loads overrides)
+	metric         func(PointResult) float64
+	cdfLoad        float64
+	seeds          int // fixed seeds per point, overriding Opts.Seeds
+	notes          []string
+	annotate       func(*Result) // adds notes computed from the series
+	compute        func(o Opts) *Result
 }
 
-// variant is one curve's configuration.
-type variant struct {
+// paseArm is a named PASE ablation variant.
+type paseArm struct {
 	name string
-	cfg  func(load float64, o Opts) PointConfig
+	opts PASEOptions
 }
 
-func proto(p Protocol, s Scenario) variant {
-	return variant{name: string(p), cfg: func(load float64, o Opts) PointConfig {
-		return PointConfig{Protocol: p, Scenario: s, Load: load, Seed: o.Seed, NumFlows: o.NumFlows}
-	}}
-}
-
-func paseVariant(name string, s Scenario, opts PASEOptions) variant {
-	return variant{name: name, cfg: func(load float64, o Opts) PointConfig {
-		return PointConfig{Protocol: PASE, Scenario: s, Load: load, Seed: o.Seed, NumFlows: o.NumFlows, PASE: opts}
-	}}
-}
-
-// sweep runs each variant across the loads and extracts one metric,
-// averaging over o.seeds() runs per point. The whole
-// (variant × load × seed) grid fans out over the point pool. The
-// returned extras carry the grid's merged observability.
-func sweep(vs []variant, loads []float64, o Opts, metric func(PointResult) float64) ([]Series, *pointExtras) {
-	seeds := o.seeds()
-	cfgs := make([]PointConfig, 0, len(vs)*len(loads)*seeds)
-	for _, v := range vs {
-		for _, load := range loads {
-			for k := 0; k < seeds; k++ {
-				so := o
-				so.Seed = o.Seed + uint64(k)
-				cfgs = append(cfgs, v.cfg(load, so))
-			}
-		}
+// variants lists the row's curves: name and point configuration, the
+// figure filling in load, seed and flow count.
+func (f Figure) variants() ([]string, []PointConfig) {
+	var names []string
+	var cfgs []PointConfig
+	for _, p := range f.protos {
+		names = append(names, string(p))
+		cfgs = append(cfgs, PointConfig{Protocol: p, Scenario: f.scenario})
 	}
-	ys, ex := mapPoints(cfgs, o, metric)
-	out := make([]Series, len(vs))
-	idx := 0
-	for i, v := range vs {
-		s := Series{Name: v.name}
-		for _, load := range loads {
-			var sum float64
-			for k := 0; k < seeds; k++ {
-				sum += ys[idx]
-				idx++
-			}
-			s.X = append(s.X, load*100)
-			s.Y = append(s.Y, sum/float64(seeds))
-		}
-		out[i] = s
+	for _, a := range f.arms {
+		names = append(names, a.name)
+		cfgs = append(cfgs, PointConfig{Protocol: PASE, Scenario: f.scenario, PASE: a.opts})
 	}
-	return out, ex
-}
-
-// sweepResult assembles the common figure shape from a sweep.
-func sweepResult(id, title, xlabel, ylabel string, vs []variant, loads []float64, o Opts, metric func(PointResult) float64) *Result {
-	series, ex := sweep(vs, loads, o, metric)
-	res := &Result{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, Series: series}
-	ex.fill(res)
-	return res
-}
-
-// cdfSeries runs each variant at one load and returns FCT CDFs.
-func cdfSeries(vs []variant, load float64, o Opts) ([]Series, *pointExtras) {
-	cfgs := make([]PointConfig, len(vs))
-	for i, v := range vs {
-		cfgs[i] = v.cfg(load, o)
-	}
-	ex := newPointExtras(len(cfgs))
-	rs := make([]PointResult, len(cfgs))
-	forEachPoint(cfgs, o, func(i int, r PointResult) {
-		rs[i] = r
-		ex.observe(i, r)
-	})
-	out := make([]Series, len(vs))
-	for i, v := range vs {
-		s := Series{Name: v.name}
-		for _, p := range rs[i].CDF {
-			s.X = append(s.X, p.Value.Millis())
-			s.Y = append(s.Y, p.Fraction)
-		}
-		out[i] = s
-	}
-	return out, ex
+	return names, cfgs
 }
 
 func afctMS(r PointResult) float64      { return r.Summary.AFCT.Millis() }
@@ -223,32 +178,96 @@ func p99MS(r PointResult) float64       { return r.Summary.P99.Millis() }
 func appTput(r PointResult) float64     { return r.Summary.AppThroughput }
 func lossRatePct(r PointResult) float64 { return r.LossRate * 100 }
 
+const (
+	loadX     = "Offered load (%)"
+	afctY     = "AFCT (ms)"
+	deadlineY = "Fraction of deadlines met"
+)
+
 // Figures is the per-paper-figure experiment registry.
 var Figures = []Figure{
-	{ID: "1", Title: "App throughput vs load: self-adjusting endpoints vs pFabric (deadline workload)", Run: fig1},
-	{ID: "2", Title: "AFCT vs load: PDQ vs DCTCP (flow switching overhead)", Run: fig2},
-	{ID: "3", Title: "Toy example: local prioritization stalls flow 3 (pFabric) vs PASE", Run: fig3},
-	{ID: "4", Title: "pFabric loss rate vs load (intra-rack all-to-all)", Run: fig4},
-	{ID: "9a", Title: "AFCT vs load: PASE vs L2DCT vs DCTCP (left-right)", Run: fig9a},
-	{ID: "9b", Title: "FCT CDF at 70% load (left-right): PASE vs L2DCT vs DCTCP", Run: fig9b},
-	{ID: "9c", Title: "App throughput vs load: PASE vs D2TCP vs DCTCP (deadlines)", Run: fig9c},
-	{ID: "10a", Title: "99th percentile FCT vs load: PASE vs pFabric (left-right)", Run: fig10a},
-	{ID: "10b", Title: "FCT CDF at 70% load (left-right): PASE vs pFabric", Run: fig10b},
-	{ID: "10c", Title: "AFCT vs load: PASE vs pFabric (all-to-all intra-rack)", Run: fig10c},
-	{ID: "11a", Title: "AFCT improvement from arbitration optimizations (left-right)", Run: fig11a},
-	{ID: "11b", Title: "Control overhead reduction from arbitration optimizations (left-right)", Run: fig11b},
-	{ID: "12a", Title: "End-to-end vs local-only arbitration (left-right)", Run: fig12a},
-	{ID: "12b", Title: "AFCT vs number of priority queues (left-right)", Run: fig12b},
-	{ID: "13a", Title: "PASE vs PASE-DCTCP: value of the reference rate (intra-rack)", Run: fig13a},
-	{ID: "13b", Title: "Testbed: PASE vs DCTCP AFCT", Run: fig13b},
-	{ID: "probing", Title: "Probing ablation at high load (intra-rack all-to-all)", Run: figProbing},
-	{ID: "task", Title: "Extension: task-aware arbitration (Baraat-style FIFO across tasks, §3.1.1)", Run: figTask},
-	{ID: "leafspine", Title: "Extension: PASE on a multipath leaf-spine fabric with per-flow ECMP", Run: figLeafSpine},
-	{ID: "robust", Title: "Robustness: AFCT vs control-plane failure severity, PASE vs DCTCP baseline", Run: figRobust},
-	{ID: "scale", Title: "Extension: streaming million-flow scale sweep (leaf-spine)", Run: figScale},
-	{ID: "highspeed", Title: "Extension: ExpressPass vs PASE vs DCTCP on high-speed links", Run: figHighspeed},
-	{ID: "te", Title: "Robustness: reactive rerouting + hotspot TE under fabric-link failures (te-failover)", Run: figTE},
-	{ID: "ctrlscale", Title: "Extension: control plane at datacenter scale — arbitration hierarchy vs centralized", Run: figCtrlScale},
+	{ID: "1", Title: "App throughput vs load: self-adjusting endpoints vs pFabric (deadline workload)",
+		title: "Application throughput (deadline workload)", xlabel: loadX, ylabel: deadlineY,
+		scenario: Deadline, protos: []Protocol{PFabric, D2TCP, DCTCP}, metric: appTput},
+	{ID: "2", Title: "AFCT vs load: PDQ vs DCTCP (flow switching overhead)",
+		title: "AFCT: PDQ vs DCTCP (intra-rack all-to-all)", xlabel: loadX, ylabel: afctY,
+		scenario: IntraRackLarge, protos: []Protocol{PDQ, DCTCP}, metric: afctMS},
+	{ID: "3", Title: "Toy example: local prioritization stalls flow 3 (pFabric) vs PASE", compute: fig3},
+	{ID: "4", Title: "pFabric loss rate vs load (intra-rack all-to-all)",
+		title: "pFabric loss rate", xlabel: loadX, ylabel: "Loss rate (%)",
+		scenario: WorkerAgg, protos: []Protocol{PFabric}, loads: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}, metric: lossRatePct},
+	{ID: "9a", Title: "AFCT vs load: PASE vs L2DCT vs DCTCP (left-right)",
+		title: "AFCT (left-right inter-rack)", xlabel: loadX, ylabel: afctY,
+		scenario: LeftRight, protos: []Protocol{PASE, L2DCT, DCTCP}, metric: afctMS},
+	{ID: "9b", Title: "FCT CDF at 70% load (left-right): PASE vs L2DCT vs DCTCP",
+		title: "FCT CDF at 70% load (left-right)", xlabel: "FCT (ms)", ylabel: "Fraction of flows",
+		scenario: LeftRight, protos: []Protocol{PASE, L2DCT, DCTCP}, cdfLoad: 0.7},
+	{ID: "9c", Title: "App throughput vs load: PASE vs D2TCP vs DCTCP (deadlines)",
+		title: "Application throughput (deadline workload)", xlabel: loadX, ylabel: deadlineY,
+		scenario: Deadline, protos: []Protocol{PASE, D2TCP, DCTCP}, metric: appTput},
+	{ID: "10a", Title: "99th percentile FCT vs load: PASE vs pFabric (left-right)",
+		title: "99th percentile FCT (left-right)", xlabel: loadX, ylabel: "99th-pct FCT (ms)",
+		scenario: LeftRight, protos: []Protocol{PASE, PFabric}, metric: p99MS},
+	{ID: "10b", Title: "FCT CDF at 70% load (left-right): PASE vs pFabric",
+		title: "FCT CDF at 70% load (left-right)", xlabel: "FCT (ms)", ylabel: "Fraction of flows",
+		scenario: LeftRight, protos: []Protocol{PASE, PFabric}, cdfLoad: 0.7},
+	{ID: "10c", Title: "AFCT vs load: PASE vs pFabric (all-to-all intra-rack)",
+		title: "AFCT (all-to-all intra-rack)", xlabel: loadX, ylabel: afctY,
+		scenario: WorkerAgg, protos: []Protocol{PASE, PFabric}, metric: afctMS,
+		annotate: improvementNote},
+	{ID: "11a", Title: "AFCT improvement from arbitration optimizations (left-right)",
+		compute: func(o Opts) *Result { return fig11(o, true) }},
+	{ID: "11b", Title: "Control overhead reduction from arbitration optimizations (left-right)",
+		compute: func(o Opts) *Result { return fig11(o, false) }},
+	// Local-only arbitration is bimodal: runs where an overload episode
+	// overflows a buffer pay 200 ms recovery tails, others look fine.
+	// Three seeds per point show the expected cost rather than one
+	// lucky (or unlucky) draw.
+	{ID: "12a", Title: "End-to-end vs local-only arbitration (left-right)",
+		title: "End-to-end vs local-only arbitration (left-right)", xlabel: loadX, ylabel: afctY,
+		scenario: LeftRight, arms: []paseArm{
+			{"Arbitration=ON", PASEOptions{}},
+			{"Arbitration=OFF", PASEOptions{LocalOnly: true}},
+		},
+		loads: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}, metric: afctMS, seeds: 3, notes: []string{"each point averages 3 seeds"}},
+	{ID: "12b", Title: "AFCT vs number of priority queues (left-right)",
+		title: "AFCT vs number of priority queues (left-right)", xlabel: loadX, ylabel: afctY,
+		scenario: LeftRight, arms: []paseArm{
+			{"3 Queues", PASEOptions{NumQueues: 3}},
+			{"4 Queues", PASEOptions{NumQueues: 4}},
+			{"6 Queues", PASEOptions{NumQueues: 6}},
+			{"8 Queues", PASEOptions{NumQueues: 8}},
+		},
+		metric: afctMS},
+	{ID: "13a", Title: "PASE vs PASE-DCTCP: value of the reference rate (intra-rack)",
+		title: "Reference rate ablation (intra-rack, U[100,500] KB)", xlabel: loadX, ylabel: afctY,
+		scenario: IntraRackLarge, arms: []paseArm{
+			{"PASE", PASEOptions{}},
+			{"PASE-DCTCP", PASEOptions{DisableRefRate: true}},
+		},
+		metric: afctMS},
+	{ID: "13b", Title: "Testbed: PASE vs DCTCP AFCT",
+		title: "Testbed (simulated): PASE vs DCTCP", xlabel: loadX, ylabel: afctY,
+		scenario: Testbed, protos: []Protocol{PASE, DCTCP}, metric: afctMS},
+	{ID: "probing", Title: "Probing ablation at high load (intra-rack all-to-all)",
+		title: "Probing ablation (intra-rack all-to-all)", xlabel: loadX, ylabel: afctY,
+		scenario: WorkerAgg, arms: []paseArm{
+			{"probing on", PASEOptions{}},
+			{"probing off", PASEOptions{DisableProbing: true}},
+		},
+		loads: []float64{0.8, 0.9}, metric: afctMS},
+	{ID: "task", Title: "Extension: task-aware arbitration (Baraat-style FIFO across tasks, §3.1.1)", compute: figTask},
+	// PASE's per-link arbitration composes with per-flow ECMP because
+	// the control plane arbitrates exactly the links the flow's hash
+	// selects.
+	{ID: "leafspine", Title: "Extension: PASE on a multipath leaf-spine fabric with per-flow ECMP",
+		title: "Leaf-spine fabric with per-flow ECMP (extension)", xlabel: loadX, ylabel: afctY,
+		scenario: LeafSpine, protos: []Protocol{PASE, DCTCP, PFabric}, loads: []float64{0.2, 0.4, 0.6, 0.8}, metric: afctMS},
+	{ID: "robust", Title: "Robustness: AFCT vs control-plane failure severity, PASE vs DCTCP baseline", compute: figRobust},
+	{ID: "scale", Title: "Extension: streaming million-flow scale sweep (leaf-spine)", compute: figScale},
+	{ID: "highspeed", Title: "Extension: ExpressPass vs PASE vs DCTCP on high-speed links", compute: figHighspeed},
+	{ID: "te", Title: "Robustness: reactive rerouting + hotspot TE under fabric-link failures (te-failover)", compute: figTE},
+	{ID: "ctrlscale", Title: "Extension: control plane at datacenter scale — arbitration hierarchy vs centralized", compute: figCtrlScale},
 }
 
 // Lookup returns the figure with the given ID.
@@ -261,72 +280,80 @@ func Lookup(id string) (Figure, bool) {
 	return Figure{}, false
 }
 
-func fig1(o Opts) *Result {
-	vs := []variant{proto(PFabric, Deadline), proto(D2TCP, Deadline), proto(DCTCP, Deadline)}
-	return sweepResult("1", "Application throughput (deadline workload)",
-		"Offered load (%)", "Fraction of deadlines met", vs, o.loads(DefaultLoads), o, appTput)
-}
-
-func fig2(o Opts) *Result {
-	vs := []variant{proto(PDQ, IntraRackLarge), proto(DCTCP, IntraRackLarge)}
-	return sweepResult("2", "AFCT: PDQ vs DCTCP (intra-rack all-to-all)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-}
-
-func fig4(o Opts) *Result {
-	vs := []variant{proto(PFabric, WorkerAgg)}
-	loads := o.loads(append(append([]float64{}, DefaultLoads...), 0.95))
-	return sweepResult("4", "pFabric loss rate",
-		"Offered load (%)", "Loss rate (%)", vs, loads, o, lossRatePct)
-}
-
-func fig9a(o Opts) *Result {
-	vs := []variant{proto(PASE, LeftRight), proto(L2DCT, LeftRight), proto(DCTCP, LeftRight)}
-	return sweepResult("9a", "AFCT (left-right inter-rack)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-}
-
-func fig9b(o Opts) *Result {
-	vs := []variant{proto(PASE, LeftRight), proto(L2DCT, LeftRight), proto(DCTCP, LeftRight)}
-	series, ex := cdfSeries(vs, 0.7, o)
-	res := &Result{
-		ID: "9b", Title: "FCT CDF at 70% load (left-right)",
-		XLabel: "FCT (ms)", YLabel: "Fraction of flows",
-		Series: series,
+// Run regenerates the figure. A row's (variant × load × seed) grid
+// fans out over the point pool in that order; each curve point is the
+// mean of its seeds' metric.
+func (f Figure) Run(o Opts) *Result {
+	if f.compute != nil {
+		return f.compute(o)
+	}
+	loads, seeds := o.loads(f.loads), o.seeds()
+	if len(loads) == 0 {
+		loads = DefaultLoads
+	}
+	if f.seeds > 0 {
+		seeds = f.seeds
+	}
+	if f.cdfLoad > 0 {
+		loads, seeds = []float64{f.cdfLoad}, 1
+	}
+	names, vcfgs := f.variants()
+	cfgs := make([]PointConfig, 0, len(vcfgs)*len(loads)*seeds)
+	for _, v := range vcfgs {
+		for _, load := range loads {
+			for k := 0; k < seeds; k++ {
+				c := v
+				c.Load, c.Seed, c.NumFlows = load, o.Seed+uint64(k), o.NumFlows
+				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	res := &Result{ID: f.ID, Title: f.title, XLabel: f.xlabel, YLabel: f.ylabel,
+		Series: make([]Series, len(names)), Notes: slices.Clone(f.notes)}
+	var ex *pointExtras
+	if f.cdfLoad > 0 {
+		ex = newPointExtras(len(cfgs))
+		cdfs := make([][]metrics.CDFPoint, len(cfgs))
+		forEachPoint(cfgs, o, func(i int, r PointResult) {
+			cdfs[i] = r.CDF
+			ex.observe(i, r)
+		})
+		for i, name := range names {
+			s := Series{Name: name}
+			for _, p := range cdfs[i] {
+				s.X = append(s.X, p.Value.Millis())
+				s.Y = append(s.Y, p.Fraction)
+			}
+			res.Series[i] = s
+		}
+	} else {
+		var ys []float64
+		ys, ex = mapPoints(cfgs, o, f.metric)
+		idx := 0
+		for i, name := range names {
+			s := Series{Name: name}
+			for _, load := range loads {
+				var sum float64
+				for k := 0; k < seeds; k++ {
+					sum += ys[idx]
+					idx++
+				}
+				s.X = append(s.X, load*100)
+				s.Y = append(s.Y, sum/float64(seeds))
+			}
+			res.Series[i] = s
+		}
 	}
 	ex.fill(res)
+	if f.annotate != nil {
+		f.annotate(res)
+	}
 	return res
 }
 
-func fig9c(o Opts) *Result {
-	vs := []variant{proto(PASE, Deadline), proto(D2TCP, Deadline), proto(DCTCP, Deadline)}
-	return sweepResult("9c", "Application throughput (deadline workload)",
-		"Offered load (%)", "Fraction of deadlines met", vs, o.loads(DefaultLoads), o, appTput)
-}
-
-func fig10a(o Opts) *Result {
-	vs := []variant{proto(PASE, LeftRight), proto(PFabric, LeftRight)}
-	return sweepResult("10a", "99th percentile FCT (left-right)",
-		"Offered load (%)", "99th-pct FCT (ms)", vs, o.loads(DefaultLoads), o, p99MS)
-}
-
-func fig10b(o Opts) *Result {
-	vs := []variant{proto(PASE, LeftRight), proto(PFabric, LeftRight)}
-	series, ex := cdfSeries(vs, 0.7, o)
-	res := &Result{
-		ID: "10b", Title: "FCT CDF at 70% load (left-right)",
-		XLabel: "FCT (ms)", YLabel: "Fraction of flows",
-		Series: series,
-	}
-	ex.fill(res)
-	return res
-}
-
-func fig10c(o Opts) *Result {
-	vs := []variant{proto(PASE, WorkerAgg), proto(PFabric, WorkerAgg)}
-	res := sweepResult("10c", "AFCT (all-to-all intra-rack)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-	// The paper annotates per-load % improvement of PASE over pFabric.
+// improvementNote annotates figure 10c the way the paper does: the
+// per-load % improvement of PASE (series 0) over pFabric (series 1).
+func improvementNote(res *Result) {
 	var imp []string
 	for i := range res.Series[0].X {
 		pf, pa := res.Series[1].Y[i], res.Series[0].Y[i]
@@ -335,11 +362,7 @@ func fig10c(o Opts) *Result {
 		}
 	}
 	res.Notes = append(res.Notes, "PASE improvement over pFabric: "+fmt.Sprint(imp))
-	return res
 }
-
-func fig11a(o Opts) *Result { return fig11(o, true) }
-func fig11b(o Opts) *Result { return fig11(o, false) }
 
 func fig11(o Opts, afct bool) *Result {
 	// Average a few seeds per point: the high-load AFCT deltas are a
@@ -374,20 +397,15 @@ func fig11(o Opts, afct bool) *Result {
 			offMsgs += samples[idx+1].msgs
 			idx += 2
 		}
-		xs = append(xs, load*100)
-		if afct {
-			if offAFCT > 0 {
-				ys = append(ys, (offAFCT-onAFCT)/offAFCT*100)
-			} else {
-				ys = append(ys, 0)
-			}
-		} else {
-			if offMsgs > 0 {
-				ys = append(ys, (offMsgs-onMsgs)/offMsgs*100)
-			} else {
-				ys = append(ys, 0)
-			}
+		on, off := onAFCT, offAFCT
+		if !afct {
+			on, off = onMsgs, offMsgs
 		}
+		y := 0.0
+		if off > 0 {
+			y = (off - on) / off * 100
+		}
+		xs, ys = append(xs, load*100), append(ys, y)
 	}
 	id, ylabel := "11a", "AFCT improvement (%)"
 	if !afct {
@@ -395,97 +413,26 @@ func fig11(o Opts, afct bool) *Result {
 	}
 	res := &Result{
 		ID: id, Title: "Early pruning + delegation (left-right)",
-		XLabel: "Offered load (%)", YLabel: ylabel,
+		XLabel: loadX, YLabel: ylabel,
 		Series: []Series{{Name: "optimizations", X: xs, Y: ys}},
 	}
 	ex.fill(res)
 	return res
 }
 
-func fig12a(o Opts) *Result {
-	// Local-only arbitration is bimodal: runs where an overload
-	// episode overflows a buffer pay 200 ms recovery tails, others
-	// look fine. Average a few seeds per point so the series shows
-	// the expected cost rather than one lucky (or unlucky) draw.
-	const seeds = 3
-	loads := o.loads(append(append([]float64{}, DefaultLoads...), 0.95))
-	arms := []struct {
-		name string
-		opts PASEOptions
-	}{
-		{"Arbitration=ON", PASEOptions{}},
-		{"Arbitration=OFF", PASEOptions{LocalOnly: true}},
-	}
-	cfgs := make([]PointConfig, 0, len(arms)*len(loads)*seeds)
-	for _, arm := range arms {
-		for _, load := range loads {
-			for seed := uint64(0); seed < seeds; seed++ {
-				cfgs = append(cfgs, PointConfig{Protocol: PASE, Scenario: LeftRight,
-					Load: load, Seed: o.Seed + seed, NumFlows: o.NumFlows, PASE: arm.opts})
-			}
+// sameX reports whether every series shares the first one's X grid
+// (sweeps do; CDF curves have their own Xs).
+func (r *Result) sameX() bool {
+	for _, s := range r.Series[1:] {
+		if !slices.Equal(s.X, r.Series[0].X) {
+			return false
 		}
 	}
-	ys, ex := mapPoints(cfgs, o, afctMS)
-	series := make([]Series, len(arms))
-	idx := 0
-	for i, arm := range arms {
-		s := Series{Name: arm.name}
-		for _, load := range loads {
-			var sum float64
-			for seed := 0; seed < seeds; seed++ {
-				sum += ys[idx]
-				idx++
-			}
-			s.X = append(s.X, load*100)
-			s.Y = append(s.Y, sum/seeds)
-		}
-		series[i] = s
-	}
-	res := &Result{
-		ID: "12a", Title: "End-to-end vs local-only arbitration (left-right)",
-		XLabel: "Offered load (%)", YLabel: "AFCT (ms)",
-		Series: series,
-		Notes:  []string{fmt.Sprintf("each point averages %d seeds", seeds)},
-	}
-	ex.fill(res)
-	return res
+	return true
 }
 
-func fig12b(o Opts) *Result {
-	var vs []variant
-	for _, q := range []int{3, 4, 6, 8} {
-		vs = append(vs, paseVariant(fmt.Sprintf("%d Queues", q), LeftRight, PASEOptions{NumQueues: q}))
-	}
-	return sweepResult("12b", "AFCT vs number of priority queues (left-right)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-}
-
-func fig13a(o Opts) *Result {
-	vs := []variant{
-		paseVariant("PASE", IntraRackLarge, PASEOptions{}),
-		paseVariant("PASE-DCTCP", IntraRackLarge, PASEOptions{DisableRefRate: true}),
-	}
-	return sweepResult("13a", "Reference rate ablation (intra-rack, U[100,500] KB)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-}
-
-func fig13b(o Opts) *Result {
-	vs := []variant{proto(PASE, Testbed), proto(DCTCP, Testbed)}
-	return sweepResult("13b", "Testbed (simulated): PASE vs DCTCP",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads(DefaultLoads), o, afctMS)
-}
-
-func figProbing(o Opts) *Result {
-	vs := []variant{
-		paseVariant("probing on", WorkerAgg, PASEOptions{}),
-		paseVariant("probing off", WorkerAgg, PASEOptions{DisableProbing: true}),
-	}
-	loads := o.loads([]float64{0.8, 0.9})
-	return sweepResult("probing", "Probing ablation (intra-rack all-to-all)",
-		"Offered load (%)", "AFCT (ms)", vs, loads, o, afctMS)
-}
-
-// Render formats a Result as aligned text columns, one row per X value.
+// Render formats a Result as aligned text columns: one row per X
+// value, or one block per series when the X grids differ.
 func (r *Result) Render() string {
 	out := fmt.Sprintf("Figure %s: %s\n", r.ID, r.Title)
 	out += fmt.Sprintf("%-14s", r.XLabel)
@@ -493,23 +440,7 @@ func (r *Result) Render() string {
 		out += fmt.Sprintf(" %16s", s.Name)
 	}
 	out += fmt.Sprintf("   (%s)\n", r.YLabel)
-
-	// Collect the union of X values (CDF curves have distinct Xs; for
-	// those, render each series' own rows).
-	sameX := true
-	for _, s := range r.Series[1:] {
-		if len(s.X) != len(r.Series[0].X) {
-			sameX = false
-			break
-		}
-		for i := range s.X {
-			if s.X[i] != r.Series[0].X[i] {
-				sameX = false
-				break
-			}
-		}
-	}
-	if sameX {
+	if r.sameX() {
 		for i := range r.Series[0].X {
 			out += fmt.Sprintf("%-14.4g", r.Series[0].X[i])
 			for _, s := range r.Series {
@@ -520,12 +451,7 @@ func (r *Result) Render() string {
 	} else {
 		for _, s := range r.Series {
 			out += fmt.Sprintf("-- %s --\n", s.Name)
-			idx := make([]int, len(s.X))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Ints(idx)
-			for _, i := range idx {
+			for i := range s.X {
 				out += fmt.Sprintf("%-14.4g %16.4g\n", s.X[i], s.Y[i])
 			}
 		}
@@ -534,6 +460,43 @@ func (r *Result) Render() string {
 		out += "note: " + n + "\n"
 	}
 	return out
+}
+
+// WriteTSV dumps the figure as tab-separated columns (one X column,
+// one column per series). Series with differing X grids (CDFs) are
+// emitted as separate blocks. Writes go through a buffer whose first
+// error sticks, so the Flush error covers every write.
+func (r *Result) WriteTSV(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# Figure %s: %s\n", r.ID, r.Title)
+	if r.sameX() {
+		fmt.Fprintf(bw, "# %s", r.XLabel)
+		for _, s := range r.Series {
+			fmt.Fprintf(bw, "\t%s", s.Name)
+		}
+		fmt.Fprintf(bw, "\t(%s)\n", r.YLabel)
+		for i := range r.Series[0].X {
+			fmt.Fprintf(bw, "%g", r.Series[0].X[i])
+			for _, s := range r.Series {
+				fmt.Fprintf(bw, "\t%g", s.Y[i])
+			}
+			fmt.Fprintln(bw)
+		}
+	} else {
+		for _, s := range r.Series {
+			fmt.Fprintf(bw, "# %s: %s vs %s\n", s.Name, r.XLabel, r.YLabel)
+			for i := range s.X {
+				fmt.Fprintf(bw, "%g\t%g\n", s.X[i], s.Y[i])
+			}
+		}
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(bw, "# note: %s\n", n)
+	}
+	if r.Points > 0 {
+		fmt.Fprintf(bw, "# totals: points=%d retx=%d timeouts=%d\n", r.Points, r.Retx, r.Timeouts)
+	}
+	return bw.Flush()
 }
 
 // figTask exercises the criterion swap §3.1.1 names: arbitrating by
@@ -594,70 +557,6 @@ func figTask(o Opts) *Result {
 	return res
 }
 
-// WriteTSV dumps the figure as tab-separated columns (one X column,
-// one column per series). Series with differing X grids (CDFs) are
-// emitted as separate blocks.
-func (r *Result) WriteTSV(w io.Writer) error {
-	sameX := true
-	for _, s := range r.Series[1:] {
-		if len(s.X) != len(r.Series[0].X) {
-			sameX = false
-			break
-		}
-		for i := range s.X {
-			if s.X[i] != r.Series[0].X[i] {
-				sameX = false
-				break
-			}
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# Figure %s: %s\n", r.ID, r.Title); err != nil {
-		return err
-	}
-	if sameX {
-		fmt.Fprintf(w, "# %s", r.XLabel)
-		for _, s := range r.Series {
-			fmt.Fprintf(w, "\t%s", s.Name)
-		}
-		fmt.Fprintf(w, "\t(%s)\n", r.YLabel)
-		for i := range r.Series[0].X {
-			fmt.Fprintf(w, "%g", r.Series[0].X[i])
-			for _, s := range r.Series {
-				fmt.Fprintf(w, "\t%g", s.Y[i])
-			}
-			fmt.Fprintln(w)
-		}
-	} else {
-		for _, s := range r.Series {
-			fmt.Fprintf(w, "# %s: %s vs %s\n", s.Name, r.XLabel, r.YLabel)
-			for i := range s.X {
-				fmt.Fprintf(w, "%g\t%g\n", s.X[i], s.Y[i])
-			}
-		}
-	}
-	for _, n := range r.Notes {
-		if _, err := fmt.Fprintf(w, "# note: %s\n", n); err != nil {
-			return err
-		}
-	}
-	if r.Points > 0 {
-		if _, err := fmt.Fprintf(w, "# totals: points=%d retx=%d timeouts=%d\n",
-			r.Points, r.Retx, r.Timeouts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// figLeafSpine runs the protocols on the two-tier multipath fabric:
-// PASE's per-link arbitration composes with per-flow ECMP because the
-// control plane arbitrates exactly the links the flow's hash selects.
-func figLeafSpine(o Opts) *Result {
-	vs := []variant{proto(PASE, LeafSpine), proto(DCTCP, LeafSpine), proto(PFabric, LeafSpine)}
-	return sweepResult("leafspine", "Leaf-spine fabric with per-flow ECMP (extension)",
-		"Offered load (%)", "AFCT (ms)", vs, o.loads([]float64{0.2, 0.4, 0.6, 0.8}), o, afctMS)
-}
-
 // figScale sweeps the flow count two decades up to one million on the
 // leaf-spine fabric, PASE vs DCTCP, with every point on the streaming
 // path: arrivals come from the workload iterator, flow state is
@@ -680,10 +579,7 @@ func figScale(o Opts) *Result {
 			counts[i] = 10
 		}
 	}
-	load := 0.6
-	if len(o.Loads) > 0 {
-		load = o.Loads[0]
-	}
+	load := o.loads([]float64{0.6})[0]
 	protos := []Protocol{PASE, DCTCP}
 	cfgs := make([]PointConfig, 0, len(protos)*len(counts))
 	for _, p := range protos {
@@ -740,10 +636,7 @@ func figScale(o Opts) *Result {
 //
 // o.Loads[0] (default 0.6) fixes the offered load for the rate sweep.
 func figHighspeed(o Opts) *Result {
-	load := 0.6
-	if len(o.Loads) > 0 {
-		load = o.Loads[0]
-	}
+	load := o.loads([]float64{0.6})[0]
 	rates := []struct {
 		gbps float64
 		s    Scenario
@@ -833,10 +726,7 @@ func figCtrlScale(o Opts) *Result {
 	// instead.
 	armFilter := o.Ctrl
 	o.Ctrl = ""
-	load := 0.6
-	if len(o.Loads) > 0 {
-		load = o.Loads[0]
-	}
+	load := o.loads([]float64{0.6})[0]
 	flows := o.NumFlows
 	if flows <= 0 {
 		flows = 400

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,6 +46,10 @@ const (
 	// data queues bounded by construction.
 	ExpressPass Protocol = "ExpressPass"
 )
+
+// Protocols lists every transport, in the order the façade and the
+// CLI help list them.
+var Protocols = []Protocol{DCTCP, D2TCP, L2DCT, PFabric, PDQ, PASE, ExpressPass}
 
 // Scenario names an evaluation setting from §4.
 type Scenario string
@@ -98,52 +103,60 @@ const (
 	Incast256        Scenario = "incast-256"
 	// CtrlScale is the control-plane-at-scale family: "ctrlscale" is
 	// the 64-rack default and "ctrlscale-<racks>" picks the rack count
-	// (the ctrlscale figure sweeps 16 → 2048). A fixed aggregate
-	// workload spreads all-to-all over a growing fabric, so the data
-	// plane's job stays comparable while the control plane's span
-	// grows — the axis the figure measures. PASE runs the deep
-	// hierarchy here by default (fan-out 4, sharded root).
+	// (up to CtrlScaleMaxRacks; the ctrlscale figure sweeps 16 → 2048).
+	// A fixed aggregate workload spreads all-to-all over a growing
+	// fabric, so the data plane's job stays comparable while the
+	// control plane's span grows — the axis the figure measures. PASE
+	// runs the deep hierarchy here by default (fan-out 4, sharded root).
 	CtrlScale Scenario = "ctrlscale"
 )
 
-// PASEOptions select PASE ablations.
+// PASEOptions toggle PASE's internal mechanisms (ablations); other
+// protocols ignore them.
 type PASEOptions struct {
-	LocalOnly      bool // Fig 12a: host-local arbitration only
-	NoPruning      bool // Fig 11: disable early pruning
-	NoDelegation   bool // Fig 11: disable delegation
-	NumQueues      int  // Fig 12b: 0 = default (8)
-	DisableRefRate bool // Fig 13a: PASE-DCTCP
-	DisableProbing bool // §4.3.2 ablation
-	NoReorderGuard bool
+	LocalOnly      bool // Fig 12a: arbitrate the hosts' access links only
+	NoPruning      bool // Fig 11: disable early pruning (§3.1.2)
+	NoDelegation   bool // Fig 11: disable delegation (§3.1.2)
+	NumQueues      int  // Fig 12b: switch priority queues (0 = 8; else 2 to 127)
+	DisableRefRate bool // Fig 13a: ignore the reference rate (PASE-DCTCP)
+	DisableProbing bool // §4.3.2: no probe-based loss recovery
+	NoReorderGuard bool // skip draining before priority promotions
 	// TaskAware swaps the scheduling criterion from remaining size to
-	// task id for task-carrying flows (Baraat-style; §3.1.1).
+	// task id for task-carrying flows (Baraat-style FIFO; §3.1.1).
 	TaskAware bool
 	// Central swaps the arbitration hierarchy for the fully
-	// centralized comparison arm (one controller computes whole-path
-	// allocations; hierarchy, delegation and pruning are ignored).
+	// centralized comparison arm: one controller behind the core
+	// computes whole-path allocations in a single serialized exchange
+	// (Shah & Xie-style). Hierarchy, delegation and pruning are
+	// ignored.
 	Central bool
 	// HierFanOut / HierTopShards override the scenario's deep-
-	// hierarchy shape (0 = keep the scenario default; most scenarios
-	// default to the classic flat 3-tier climb).
+	// hierarchy shape — aggregation-tree fan-out and replicated root
+	// shards (0 = scenario default; most scenarios default to the
+	// classic flat 3-tier climb, ctrlscale to fan-out 4, 2 shards).
 	HierFanOut    int
 	HierTopShards int
 }
 
 // TraceConfig selects optional per-point tracing.
 type TraceConfig struct {
-	// FlowLog records flow start/done/abort events.
+	// FlowLog records flow start/done/abort events (write them with
+	// Report.WriteFlowTrace).
 	FlowLog bool
 	// QueueSample, when positive, samples every queue's occupancy at
-	// this interval.
+	// this interval (Report.WriteQueueTrace).
 	QueueSample sim.Duration
 	// Spans enables the span-based flight recorder: per-flow lifecycle
 	// spans (wait-for-control, transmission epochs per priority queue,
 	// retx/timeout/fallback marks) plus control-plane exchange spans,
-	// merged into PointResult.Trace in canonical order.
+	// merged into PointResult.Trace in canonical order (export with
+	// Report.WritePerfetto). Traced runs shard and stream like untraced
+	// ones, and the exported bytes are identical at every shard count.
 	Spans bool
-	// SampleN keeps 1 in N flow traces (0 or 1 = every flow). Flows
-	// that misbehaved — retransmissions, timeouts, fallback, abort —
-	// are always kept regardless of the draw.
+	// SampleN keeps 1 in N flow traces (0 or 1 = every flow),
+	// seed-driven so re-runs trace the same flows. Flows that
+	// misbehaved — retransmissions, timeouts, fallback, abort — are
+	// always kept regardless of the draw.
 	SampleN int
 	// FlowCap / FlowLogCap / SampleCap bound the retained flow traces,
 	// flow-log events and queue samples (0 = package defaults).
@@ -166,17 +179,22 @@ func (t TraceConfig) Enabled() bool { return t.FlowLog || t.QueueSample > 0 || t
 // streams have a single writer, so spilling runs stay serial.
 func (t TraceConfig) spills() bool { return t.FlowLogWriter != nil || t.SpanWriter != nil }
 
-// PointConfig is one (protocol, scenario, load) simulation.
+// PointConfig is one (protocol, scenario, load) simulation — the one
+// run configuration, which the pase façade exposes as SimConfig.
 type PointConfig struct {
 	Protocol Protocol
 	Scenario Scenario
-	Load     float64
-	Seed     uint64
+	// Load is the offered load in (0, 1] relative to the scenario's
+	// bottleneck capacity.
+	Load float64
+	// Seed makes runs reproducible; equal seeds give identical runs.
+	Seed uint64
 	// NumFlows is the number of foreground flows (0 = 2000).
 	NumFlows int
-	PASE     PASEOptions
+	// PASE holds the PASE ablation switches.
+	PASE PASEOptions
 	// Obs attaches an observability Registry to the run and returns
-	// its Snapshot in the result.
+	// its Snapshot in the result. Off, the hot path costs nil checks.
 	Obs bool
 	// Check attaches the runtime invariant checker to the run: queue
 	// conservation/capacity/ordering, ECN marking, arbitration
@@ -185,7 +203,7 @@ type PointConfig struct {
 	// snapshot when Obs is also set). The PASE_CHECK environment
 	// variable force-enables this for every run.
 	Check bool
-	// Trace selects flow-event and queue-occupancy tracing.
+	// Trace selects flow-event, queue-occupancy and span tracing.
 	Trace TraceConfig
 	// Faults is the run's fault-injection plan. Nil or empty leaves the
 	// run byte-identical to a fault-free one (the injector is never
@@ -265,7 +283,7 @@ type scenarioSpec struct {
 	// fabric instead. Both leave the queue factory to the runner.
 	tree      topology.Config
 	buildLS   *topology.LeafSpineConfig
-	pattern   func(n *topology.Network) workload.Pattern
+	pattern   workload.Pattern
 	sizes     workload.SizeDist
 	reference netem.BitRate
 	deadlines bool
@@ -279,111 +297,114 @@ type scenarioSpec struct {
 	hier arbitration.HierarchyParams
 }
 
-// teFailoverLS is the te-failover fabric: DefaultLeafSpine widened to
-// three spines. The te figure's fault plans compute link IDs from it,
-// so the scenario and the plans share one shape.
+// teFailoverLS is the te-failover fabric. The te figure's fault
+// plans compute link IDs from it, so they read the scenario's own.
 func teFailoverLS() topology.LeafSpineConfig {
-	ls := topology.DefaultLeafSpine(nil)
-	ls.Spines = 3
-	return ls
+	sp, _ := lookupScenario(TEFailover)
+	return *sp.buildLS
 }
 
-func scenario(s Scenario) scenarioSpec {
+type scenarioEntry struct {
+	name Scenario
+	spec scenarioSpec
+}
+
+// scenarioTable is every named scenario, in the order the façade and
+// the CLI help list them; the ctrlscale family's "ctrlscale-<racks>"
+// members parse separately (CtrlScaleRacksOf).
+var scenarioTable = []scenarioEntry{
+	{LeftRight, scenarioSpec{
+		tree:      topology.Baseline(nil),
+		pattern:   workload.LeftRight{Left: workload.HostRange(0, 80), Right: workload.HostRange(80, 160)},
+		sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
+		reference: leftRightReference,
+		bgFlows:   BackgroundFlows,
+		markK:     MarkingThreshold,
+		qSize:     DCTCPQueueSize,
+		epoch:     300 * sim.Microsecond,
+	}},
+	{IntraRack, intraRackSpec(ShortFlowMin, ShortFlowMax, 0, false)},
+	{IntraRackLarge, intraRackSpec(DeadlineFlowMin, DeadlineFlowMax, 0, false)},
+	{WorkerAgg, intraRackSpec(ShortFlowMin, ShortFlowMax, WorkerFanin, false)},
+	{Deadline, intraRackSpec(DeadlineFlowMin, DeadlineFlowMax, 0, true)},
+	{Testbed, scenarioSpec{
+		tree:      topology.Testbed(nil),
+		pattern:   workload.LeftRight{Left: workload.HostRange(0, 9), Right: []pkt.NodeID{9}},
+		sizes:     workload.UniformSize{Min: DeadlineFlowMin, Max: DeadlineFlowMax},
+		reference: netem.Gbps, // the server's access link
+		bgFlows:   1,
+		markK:     20,
+		qSize:     100,
+		epoch:     250 * sim.Microsecond,
+	}},
+	{LeafSpine, leafSpineSpec(4, 2)},
+	{LeafSpineWide, leafSpineSpec(8, 4)},
+	{TEFailover, leafSpineSpec(4, 3)}, // three spines: ECMP off the easy modulus
+	{Highspeed10, highspeedSpec(10*netem.Gbps, HighspeedHosts, DCTCPQueueSize, MarkingThreshold)},
+	{Highspeed40, highspeedSpec(40*netem.Gbps, HighspeedHosts, 4*DCTCPQueueSize, 4*MarkingThreshold)},
+	{Highspeed100, highspeedSpec(100*netem.Gbps, HighspeedHosts, 10*DCTCPQueueSize, 10*MarkingThreshold)},
+	{HighspeedShallow, highspeedSpec(100*netem.Gbps, HighspeedHosts, ShallowQueueSize, ShallowMarkK)},
+	{Incast64, incastSpec(64, 100*netem.Gbps)},
+	{Incast256, incastSpec(256, 100*netem.Gbps)},
+	{CtrlScale, ctrlScaleSpec(CtrlScaleDefaultRacks)},
+}
+
+// Scenarios lists every named scenario in table order.
+func Scenarios() []Scenario {
+	out := make([]Scenario, len(scenarioTable))
+	for i, e := range scenarioTable {
+		out[i] = e.name
+	}
+	return out
+}
+
+// KnownScenario reports whether s names a scenario: a table entry or
+// a "ctrlscale-<racks>" family member.
+func KnownScenario(s Scenario) bool {
+	return slices.ContainsFunc(scenarioTable, func(e scenarioEntry) bool { return e.name == s }) ||
+		CtrlScaleRacksOf(s) > 0
+}
+
+func lookupScenario(s Scenario) (scenarioSpec, bool) {
+	for _, e := range scenarioTable {
+		if e.name == s {
+			return e.spec, true
+		}
+	}
 	if racks := CtrlScaleRacksOf(s); racks > 0 {
-		return ctrlScaleSpec(racks)
+		return ctrlScaleSpec(racks), true
 	}
-	switch s {
-	case LeftRight:
-		return scenarioSpec{
-			tree: topology.Baseline(nil),
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.LeftRight{
-					Left:  workload.HostRange(0, 80),
-					Right: workload.HostRange(80, 160),
-				}
-			},
-			sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
-			reference: leftRightReference,
-			bgFlows:   BackgroundFlows,
-			markK:     MarkingThreshold,
-			qSize:     DCTCPQueueSize,
-			epoch:     300 * sim.Microsecond,
-		}
-	case IntraRack:
-		return scenarioSpec{
-			tree: topology.SingleRack(IntraRackHosts, nil),
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.AllToAll{Hosts: workload.HostRange(0, IntraRackHosts)}
-			},
-			sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
-			reference: intraRackReference(IntraRackHosts),
-			bgFlows:   BackgroundFlows,
-			markK:     MarkingThreshold,
-			qSize:     DCTCPQueueSize,
-			epoch:     100 * sim.Microsecond,
-		}
-	case IntraRackLarge:
-		sp := scenario(IntraRack)
-		sp.sizes = workload.UniformSize{Min: DeadlineFlowMin, Max: DeadlineFlowMax}
-		return sp
-	case WorkerAgg:
-		sp := scenario(IntraRack)
-		sp.fanin = WorkerFanin
-		return sp
-	case Deadline:
-		sp := scenario(IntraRackLarge)
-		sp.deadlines = true
-		return sp
-	case LeafSpine:
-		return leafSpineSpec(topology.DefaultLeafSpine(nil))
-	case LeafSpineWide:
-		ls := topology.DefaultLeafSpine(nil)
-		ls.Leaves, ls.Spines = 8, 4
-		return leafSpineSpec(ls)
-	case TEFailover:
-		return leafSpineSpec(teFailoverLS())
-	case Highspeed10:
-		return highspeedSpec(10*netem.Gbps, HighspeedHosts, DCTCPQueueSize, MarkingThreshold)
-	case Highspeed40:
-		return highspeedSpec(40*netem.Gbps, HighspeedHosts, 4*DCTCPQueueSize, 4*MarkingThreshold)
-	case Highspeed100:
-		return highspeedSpec(100*netem.Gbps, HighspeedHosts, 10*DCTCPQueueSize, 10*MarkingThreshold)
-	case HighspeedShallow:
-		return highspeedSpec(100*netem.Gbps, HighspeedHosts, ShallowQueueSize, ShallowMarkK)
-	case Incast64:
-		return incastSpec(64, 100*netem.Gbps)
-	case Incast256:
-		return incastSpec(256, 100*netem.Gbps)
-	case Testbed:
-		return scenarioSpec{
-			tree: topology.Testbed(nil),
-			pattern: func(n *topology.Network) workload.Pattern {
-				return workload.LeftRight{
-					Left:  workload.HostRange(0, 9),
-					Right: []pkt.NodeID{9},
-				}
-			},
-			sizes:     workload.UniformSize{Min: DeadlineFlowMin, Max: DeadlineFlowMax},
-			reference: netem.Gbps, // the server's access link
-			bgFlows:   1,
-			markK:     20,
-			qSize:     100,
-			epoch:     250 * sim.Microsecond,
-		}
-	}
-	panic(fmt.Sprintf("experiments: unknown scenario %q", s))
+	return scenarioSpec{}, false
 }
 
-// leafSpineSpec builds the all-to-all short-message scenario on the
-// leaf-spine fabric ls (per-flow ECMP; flows cross leaves).
-func leafSpineSpec(ls topology.LeafSpineConfig) scenarioSpec {
+// intraRackSpec is the 20-host single rack, all-to-all, with flow
+// sizes U[minSize, maxSize], worker fan-in and deadlines as given.
+func intraRackSpec(minSize, maxSize int64, fanin int, deadlines bool) scenarioSpec {
+	return scenarioSpec{
+		tree:      topology.SingleRack(IntraRackHosts, nil),
+		pattern:   workload.AllToAll{Hosts: workload.HostRange(0, IntraRackHosts)},
+		sizes:     workload.UniformSize{Min: minSize, Max: maxSize},
+		reference: intraRackReference(IntraRackHosts),
+		deadlines: deadlines,
+		fanin:     fanin,
+		bgFlows:   BackgroundFlows,
+		markK:     MarkingThreshold,
+		qSize:     DCTCPQueueSize,
+		epoch:     100 * sim.Microsecond,
+	}
+}
+
+// leafSpineSpec builds the all-to-all short-message scenario on
+// DefaultLeafSpine resized to leaves × spines (per-flow ECMP; flows
+// cross leaves).
+func leafSpineSpec(leaves, spines int) scenarioSpec {
+	ls := topology.DefaultLeafSpine(nil)
+	ls.Leaves, ls.Spines = leaves, spines
 	hosts := ls.Leaves * ls.HostsPerLeaf
 	return scenarioSpec{
 		buildLS: &ls,
-		pattern: func(n *topology.Network) workload.Pattern {
-			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
-		},
-		sizes: workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
+		pattern: workload.AllToAll{Hosts: workload.HostRange(0, hosts)},
+		sizes:   workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		// Load is defined against the total leaf-spine fabric
 		// capacity actually reachable by edge-limited hosts.
 		reference: netem.BitRate(hosts) * netem.Gbps,
@@ -409,9 +430,7 @@ func highspeedSpec(rate netem.BitRate, hosts, qSize, markK int) scenarioSpec {
 			EdgeRate: rate, FabricRate: netem.BitRate(hosts/2) * rate,
 			LinkDelay: HighspeedLinkDelay,
 		},
-		pattern: func(n *topology.Network) workload.Pattern {
-			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
-		},
+		pattern:   workload.AllToAll{Hosts: workload.HostRange(0, hosts)},
 		sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		reference: netem.BitRate(hosts) * rate,
 		bgFlows:   BackgroundFlows,
@@ -460,9 +479,7 @@ func ctrlScaleSpec(racks int) scenarioSpec {
 			EdgeRate: netem.Gbps, FabricRate: 10 * netem.Gbps,
 			LinkDelay: HighspeedLinkDelay,
 		},
-		pattern: func(n *topology.Network) workload.Pattern {
-			return workload.AllToAll{Hosts: workload.HostRange(0, hosts)}
-		},
+		pattern:   workload.AllToAll{Hosts: workload.HostRange(0, hosts)},
 		sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		reference: CtrlScaleReference,
 		deadlines: true,
@@ -487,12 +504,7 @@ func incastSpec(senders int, rate netem.BitRate) scenarioSpec {
 			EdgeRate: rate, FabricRate: rate,
 			LinkDelay: HighspeedLinkDelay,
 		},
-		pattern: func(n *topology.Network) workload.Pattern {
-			return workload.LeftRight{
-				Left:  workload.HostRange(0, senders),
-				Right: []pkt.NodeID{pkt.NodeID(senders)},
-			}
-		},
+		pattern:   workload.LeftRight{Left: workload.HostRange(0, senders), Right: []pkt.NodeID{pkt.NodeID(senders)}},
 		sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		reference: rate, // the receiver's access link
 		markK:     MarkingThreshold,
@@ -630,7 +642,10 @@ func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 // the events' rank slots and must not change: it is what keeps every
 // digest equal between one shard and many.
 func RunPoint(cfg PointConfig) PointResult {
-	sp := scenario(cfg.Scenario)
+	sp, ok := lookupScenario(cfg.Scenario)
+	if !ok {
+		panic(fmt.Sprintf("experiments: unknown scenario %q", cfg.Scenario))
+	}
 	numFlows := cfg.NumFlows
 	if numFlows == 0 {
 		numFlows = 2000
@@ -916,7 +931,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	}
 
 	spec := workload.Spec{
-		Pattern:         sp.pattern(net),
+		Pattern:         sp.pattern,
 		Sizes:           sp.sizes,
 		Load:            cfg.Load,
 		Reference:       sp.reference,

@@ -110,12 +110,13 @@ func TestStreamParallelDeterminism(t *testing.T) {
 // plots is an exact sum, not a sketch estimate.
 func TestStreamFig9aTSVIdentical(t *testing.T) {
 	opts := Opts{NumFlows: 300, Seed: 1, Loads: []float64{0.5, 0.7}, Parallelism: 2}
+	fig9a, _ := Lookup("9a")
 	var stored, streamed bytes.Buffer
-	if err := fig9a(opts).WriteTSV(&stored); err != nil {
+	if err := fig9a.Run(opts).WriteTSV(&stored); err != nil {
 		t.Fatal(err)
 	}
 	opts.Stream = true
-	if err := fig9a(opts).WriteTSV(&streamed); err != nil {
+	if err := fig9a.Run(opts).WriteTSV(&streamed); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stored.Bytes(), streamed.Bytes()) {

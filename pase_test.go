@@ -44,25 +44,41 @@ func TestSimulateValidation(t *testing.T) {
 	// A rack count past the ceiling is an error naming the field it
 	// came in by, not a fabric that does not fit in memory.
 	tooMany := experiments.CtrlScaleMaxRacks + 1
-	_, errRacks := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Racks: tooMany})
 	_, errScenario := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Scenario: pase.Scenario(fmt.Sprintf("ctrlscale-%d", tooMany))})
 	_, errFigure := pase.RunFigure("ctrlscale", pase.FigureOpts{NumFlows: 10, Racks: tooMany})
 	for _, c := range []struct {
 		field string
 		err   error
-	}{{"Racks", errRacks}, {"Scenario", errScenario}, {"Racks", errFigure}} {
+	}{{"Scenario", errScenario}, {"Racks", errFigure}} {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.field+" asks for") {
 			t.Fatalf("%d racks by %s: got %v, want an error naming the field", tooMany, c.field, c.err)
 		}
 	}
-	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Racks: 16}); err != nil {
-		t.Fatalf("Racks 16 is in range: %v", err)
+	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Scenario: "ctrlscale-16"}); err != nil {
+		t.Fatalf("16 racks is in range: %v", err)
+	}
+	// RunFigure checks its Opts through the same function Simulate
+	// uses; each of these used to panic in a worker, plot an
+	// impossible point, or run silently with the input ignored.
+	for _, c := range []struct {
+		field string
+		opts  pase.FigureOpts
+	}{
+		{"Loads", pase.FigureOpts{NumFlows: 10, Loads: []float64{0}}},
+		{"Loads", pase.FigureOpts{NumFlows: 10, Loads: []float64{0.5, 1.5}}},
+		{"NumFlows", pase.FigureOpts{NumFlows: -5, Loads: []float64{0.5}}},
+		{"Seeds", pase.FigureOpts{NumFlows: 10, Seeds: -1, Loads: []float64{0.5}}},
+		{"Ctrl", pase.FigureOpts{NumFlows: 10, Ctrl: "centrl", Loads: []float64{0.5}}},
+	} {
+		if _, err := pase.RunFigure("13b", c.opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("RunFigure(%+v): got %v, want an error naming %s", c.opts, err, c.field)
+		}
 	}
 	bad := &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 1.5}}}
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}); err == nil {
 		t.Fatal("out-of-range fault plan must be rejected")
 	}
-	if _, err := pase.SimulateSeeds(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}, 2, 1); err == nil {
+	if _, err := pase.SimulateSeeds(pase.SimConfig{Load: 0.5, NumFlows: 10, Faults: bad}, 2, 1, nil); err == nil {
 		t.Fatal("SimulateSeeds: out-of-range fault plan must be rejected")
 	}
 	if _, err := pase.RunFigure("13b", pase.FigureOpts{NumFlows: 10, Faults: bad}); err == nil {
