@@ -14,6 +14,7 @@ import (
 	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -46,41 +47,6 @@ type entry struct {
 // that still reaches it is reading a stale pointer and reports it.
 const entryFreed sim.Time = -1 << 62
 
-// freeList recycles the control plane's two per-refresh record kinds
-// (arbitrator entries, reply records). One System, one goroutine: no
-// locking. Records come in slabs, so a growing working set costs one
-// object per slabSize records. A nil list is the allocator: get makes a
-// fresh record and put leaves it to the GC.
-type freeList[T any] struct{ free []*T }
-
-const slabSize = 32
-
-func (f *freeList[T]) get() *T {
-	if f == nil {
-		return new(T)
-	}
-	if len(f.free) == 0 {
-		slab := make([]T, slabSize)
-		for i := range slab {
-			f.free = append(f.free, &slab[i])
-		}
-	}
-	n := len(f.free) - 1
-	x := f.free[n]
-	f.free = f.free[:n]
-	return x
-}
-
-// put zeroes the record, so nothing of its last life reaches the next.
-func (f *freeList[T]) put(x *T) {
-	if f == nil {
-		return
-	}
-	var zero T
-	*x = zero
-	f.free = append(f.free, x)
-}
-
 // Arbitrator runs Algorithm 1 for one directed link. To keep the cost
 // of arbitration linear in the number of flows rather than quadratic,
 // allocations for all registered flows are recomputed in one sorted
@@ -108,7 +74,7 @@ type Arbitrator struct {
 	sorted []*entry
 	// pool is the owning System's entry free list; nil on a standalone
 	// arbitrator, whose entries come from and go back to the allocator.
-	pool   *freeList[entry]
+	pool   *pool.List[entry]
 	epoch  sim.Time // when the current allocation pass happened
 	period sim.Duration
 
@@ -143,9 +109,9 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 	}
 }
 
-// withPool makes a System's arbitrator draw its entries from pool.
-func (a *Arbitrator) withPool(pool *freeList[entry]) *Arbitrator {
-	a.pool = pool
+// withPool makes a System's arbitrator draw its entries from l.
+func (a *Arbitrator) withPool(l *pool.List[entry]) *Arbitrator {
+	a.pool = l
 	return a
 }
 
@@ -156,7 +122,7 @@ func (a *Arbitrator) release(e *entry) {
 		e.lease = entryFreed
 		return
 	}
-	a.pool.put(e)
+	a.pool.Put(e)
 }
 
 // AttachCheck installs a runtime invariant checker: every allocation
@@ -219,8 +185,8 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 	now := a.clock()
 	e, ok := a.entries[flow]
 	if !ok {
-		e = a.pool.get()
-		e.flow, e.tieBreak = flow, flow
+		e = a.pool.Take()
+		*e = entry{flow: flow, tieBreak: flow}
 		if a.entries == nil {
 			a.entries = make(map[pkt.FlowID]*entry)
 		}

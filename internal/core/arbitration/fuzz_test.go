@@ -1,11 +1,13 @@
 package arbitration
 
 import (
+	"math"
 	"testing"
 
 	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -40,11 +42,11 @@ func FuzzArbitrator(f *testing.F) {
 		a := NewArbitrator(0, capacity, numQueues, base, 300*sim.Microsecond,
 			func() sim.Time { return now })
 		a.AttachCheck(check.NewStrict(func() int64 { return int64(now) }))
-		var pool freeList[entry]
+		free := pool.New[entry](32, math.MaxInt32)
 		twin := NewArbitrator(0, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&pool)
+			func() sim.Time { return now }).withPool(&free)
 		neighbour := NewArbitrator(1, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&pool)
+			func() sim.Time { return now }).withPool(&free)
 
 		for i, op := range data[2:] {
 			flow := pkt.FlowID(op%13 + 1)

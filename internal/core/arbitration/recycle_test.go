@@ -1,11 +1,13 @@
 package arbitration
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"pase/internal/check"
 	"pase/internal/netem"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -14,15 +16,15 @@ import (
 // still reaches it through a stale sorted pointer trips the checker
 // instead of silently reordering a neighbour's flows.
 func TestReleasedEntryPoisoned(t *testing.T) {
-	var pool freeList[entry]
+	free := pool.New[entry](32, math.MaxInt32)
 	_, a := newArb(netem.Gbps)
-	a.withPool(&pool)
+	a.withPool(&free)
 	a.AttachCheck(check.NewStrict(nil))
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
-	idle := len(pool.free)
+	idle := free.Len()
 	a.Remove(2)
-	if len(pool.free) != idle {
+	if free.Len() != idle {
 		t.Fatal("a released entry went back into circulation under the checker")
 	}
 	defer func() {
@@ -35,32 +37,31 @@ func TestReleasedEntryPoisoned(t *testing.T) {
 
 // TestEntriesRecycleAcrossArbitrators: without a checker, entries freed
 // by Remove, lease expiry and Crash all go back to the shared list and
-// come out zeroed for whichever arbitrator registers a flow next.
+// start over whole for whichever arbitrator registers a flow next.
 func TestEntriesRecycleAcrossArbitrators(t *testing.T) {
-	var pool freeList[entry]
+	free := pool.New[entry](32, math.MaxInt32)
 	var now sim.Time
 	clock := func() sim.Time { return now }
 	mk := func(id int) *Arbitrator {
-		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&pool)
+		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&free)
 	}
 	a, b := mk(0), mk(1)
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
 	a.Update(3, 30, netem.Gbps)
-	idle := len(pool.free)
+	idle := free.Len()
 	a.Remove(1)
 	now = now.Add(9 * 300 * sim.Microsecond) // past the 8-epoch lease
 	a.Update(3, 30, netem.Gbps)              // the pass expires flow 2
 	a.Crash()                                // and the wipe returns flow 3
-	if got := len(pool.free) - idle; got != 3 {
+	if got := free.Len() - idle; got != 3 {
 		t.Fatalf("Remove + expiry + Crash returned %d entries, want 3", got)
-	}
-	for _, e := range pool.free {
-		if *e != (entry{}) {
-			t.Fatalf("a pooled entry kept state from its last life: %+v", *e)
-		}
 	}
 	if d := b.Update(7, 99, 300*netem.Mbps); d.Queue != 0 || d.Rref != 300*netem.Mbps || b.Flows() != 1 {
 		t.Fatalf("a recycled entry changed a fresh registration: %+v, %d flows", d, b.Flows())
+	}
+	want := entry{flow: 7, key: 99, tieBreak: 7, demand: 300 * netem.Mbps, lease: now.Add(b.leaseDur), decision: Decision{Rref: 300 * netem.Mbps}}
+	if e := b.entries[7]; *e != want {
+		t.Fatalf("a recycled entry kept state from its last life: %+v, want %+v", *e, want)
 	}
 }

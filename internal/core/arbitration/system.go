@@ -2,12 +2,14 @@ package arbitration
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/obs"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 	"pase/internal/topology"
 )
@@ -176,9 +178,11 @@ type System struct {
 	// with its per-rack virtual arbitrators, for share refresh.
 	delegated []delegation
 	// entryPool feeds every arbitrator of the system; replyPool holds
-	// the response records between Refresh and delivery.
-	entryPool freeList[entry]
-	replyPool freeList[reply]
+	// the response records between Refresh and delivery. Neither is
+	// capped: both are bounded by the flows in flight (times the links
+	// a climb visits, for entries).
+	entryPool pool.List[entry]
+	replyPool pool.List[reply]
 	// upTree/downTree, when Hierarchy is enabled, are the directional
 	// multi-level virtual aggregation trees that replace the flat
 	// delegation above the access links.
@@ -215,11 +219,13 @@ func NewSystem(net *topology.Network, p Params) *System {
 		panic("arbitration: NumQueues must be >= 2")
 	}
 	sys := &System{
-		P:    p,
-		net:  net,
-		eng:  net.Eng,
-		arbs: make(map[int]*Arbitrator),
-		virt: make(map[virtKey]*Arbitrator),
+		P:         p,
+		net:       net,
+		eng:       net.Eng,
+		arbs:      make(map[int]*Arbitrator),
+		virt:      make(map[virtKey]*Arbitrator),
+		entryPool: pool.New[entry](32, math.MaxInt32),
+		replyPool: pool.New[reply](32, math.MaxInt32),
 	}
 	clock := sys.eng.Now
 	baseRate := func(sim.Duration) netem.BitRate {
@@ -536,7 +542,7 @@ type reply struct {
 
 // respond schedules a response's delivery after the modelled latency.
 func (sys *System) respond(c *Client, d Decision, src, dst bool, latency sim.Duration) {
-	r := sys.replyPool.get()
+	r := sys.replyPool.Take()
 	*r = reply{c, d, src, dst}
 	sys.eng.ScheduleAction(latency, (*replyAction)(sys), r)
 }
@@ -548,7 +554,8 @@ type replyAction System
 func (a *replyAction) Fire(arg any) {
 	r := arg.(*reply)
 	c, d, src, dst := r.c, r.d, r.src, r.dst
-	(*System)(a).replyPool.put(r)
+	*r = reply{}
+	(*System)(a).replyPool.Put(r)
 	if c.released {
 		return
 	}

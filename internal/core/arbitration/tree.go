@@ -4,6 +4,7 @@ import (
 	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -93,7 +94,7 @@ func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQue
 
 // newTree is NewTree with every arbitrator drawing its entries from
 // pool (nil = the allocator).
-func newTree(pool *freeList[entry], h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
+func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
 	if !h.Enabled() || racks < 1 {
 		return nil
 	}
@@ -122,7 +123,7 @@ func newTree(pool *freeList[entry], h HierarchyParams, racks int, rackCap, topCa
 			row := make([]*Arbitrator, shards)
 			for s := range row {
 				id := idBase + lv*treeLevelStride + s
-				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(pool)
+				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(entries)
 			}
 			t.levels = append(t.levels, row)
 			continue
@@ -130,7 +131,7 @@ func newTree(pool *freeList[entry], h HierarchyParams, racks int, rackCap, topCa
 		row := make([]*Arbitrator, n)
 		for i := range row {
 			id := idBase + lv*treeLevelStride + i
-			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(pool)
+			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(entries)
 		}
 		t.levels = append(t.levels, row)
 	}
@@ -146,7 +147,7 @@ func newTree(pool *freeList[entry], h HierarchyParams, racks int, rackCap, topCa
 			kids := t.childCount(lv, p)
 			share := t.levels[lv][p].Capacity() / netem.BitRate(kids)
 			id := -(idBase + lv*treeLevelStride + c)
-			t.slices[sliceKey{lv, c}] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(pool)
+			t.slices[sliceKey{lv, c}] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries)
 		}
 	}
 	return t

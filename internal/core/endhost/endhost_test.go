@@ -3,7 +3,6 @@ package endhost_test
 import (
 	"testing"
 
-	"pase/internal/core"
 	"pase/internal/core/arbitration"
 	"pase/internal/core/endhost"
 	"pase/internal/netem"
@@ -31,7 +30,8 @@ func paseRack(n int, modP func(*arbitration.Params), modC func(*endhost.Config))
 	if modC != nil {
 		modC(&cfg)
 	}
-	sys, _ := core.Attach(d, p, cfg)
+	sys := arbitration.NewSystem(net, p)
+	endhost.Attach(d, sys, cfg)
 	return d, sys
 }
 
@@ -155,7 +155,8 @@ func TestInterRackViaFabric(t *testing.T) {
 	eng := sim.NewEngine()
 	net := topology.Build(eng, topology.Baseline(prioQ))
 	d := transport.NewDriver(net, nil)
-	sys, _ := core.Attach(d, arbitration.DefaultParams(), endhost.DefaultConfig())
+	sys := arbitration.NewSystem(net, arbitration.DefaultParams())
+	endhost.Attach(d, sys, endhost.DefaultConfig())
 	d.Schedule([]workload.FlowSpec{
 		{ID: 1, Src: 0, Dst: 159, Size: 200_000, Start: 0}, // cross-core
 		{ID: 2, Src: 1, Dst: 41, Size: 200_000, Start: 0},  // same agg
@@ -194,7 +195,7 @@ func TestPASEBeatsDCTCPShortAgainstLong(t *testing.T) {
 	pase := short(func(d *transport.Driver) {
 		p := arbitration.DefaultParams()
 		p.Epoch = 100 * sim.Microsecond
-		core.Attach(d, p, endhost.DefaultConfig())
+		endhost.Attach(d, arbitration.NewSystem(d.Net, p), endhost.DefaultConfig())
 	})
 	dc := short(func(d *transport.Driver) {
 		for _, st := range d.Stacks {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"pase/internal/check"
-	"pase/internal/core"
 	"pase/internal/core/arbitration"
 	"pase/internal/core/endhost"
 	"pase/internal/faults"
@@ -857,7 +856,8 @@ func RunPoint(cfg PointConfig) PointResult {
 		ec.Probing = !cfg.PASE.DisableProbing
 		ec.ReorderGuard = !cfg.PASE.NoReorderGuard
 		ec.TaskAware = cfg.PASE.TaskAware
-		paseSys, paseT = core.Attach(d, p, ec)
+		paseSys = arbitration.NewSystem(net, p)
+		paseT = endhost.Attach(d, paseSys, ec)
 		paseT.Instrument(envs[0].reg)
 		paseSys.Instrument(envs[0].reg)
 		if checked {

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"pase/internal/core"
+	"pase/internal/core/arbitration"
+	"pase/internal/core/endhost"
 	"pase/internal/netem"
 	"pase/internal/sim"
 	"pase/internal/topology"
@@ -43,7 +44,7 @@ func RunToy(p Protocol) [3]sim.Duration {
 	case PASE:
 		params := DefaultPASEParams()
 		params.Epoch = 100 * sim.Microsecond
-		core.Attach(d, params, DefaultPASEEndhost())
+		endhost.Attach(d, arbitration.NewSystem(net, params), DefaultPASEEndhost())
 	}
 	d.Schedule([]workload.FlowSpec{
 		{ID: 1, Src: 0, Dst: 2, Size: 500_000, Start: 0},

@@ -129,3 +129,30 @@ func TestPktLiveAtPortAndHost(t *testing.T) {
 		t.Fatalf("a literal packet tripped the checker: total = %d", got)
 	}
 }
+
+// TestCheckedPoolRetiresPackets: on a checked engine a released packet
+// is never issued again, so a holder that kept it past its release
+// still holds a released packet and sending it trips pkt_live, rather
+// than passing as whichever flow's packet the pool would have reissued.
+func TestCheckedPoolRetiresPackets(t *testing.T) {
+	eng := sim.NewEngine()
+	chk := check.New(nil)
+	eng.AttachCheck(chk)
+	h := NewHost(1)
+	hp := NewPort(eng, h, NewDropTail(8), Gbps, sim.Microsecond)
+	Connect(hp, NewPort(eng, &countNode{}, NewDropTail(8), Gbps, sim.Microsecond))
+	h.SetPort(hp)
+	hp.AttachCheck(chk)
+
+	pl := pkt.PoolOf(eng)
+	stale := pl.Get()
+	stale.Size = pkt.HeaderSize
+	pl.Put(stale)
+	if next := pl.Get(); next == stale {
+		t.Fatal("a checked pool reissued a released packet")
+	}
+	h.Send(stale)
+	if chk.ByInvariant()[check.InvPktLive] == 0 {
+		t.Fatal("sending a released packet on a checked engine did not trip pkt_live")
+	}
+}

@@ -1,6 +1,9 @@
 package pkt
 
-import "pase/internal/sim"
+import (
+	"pase/internal/pool"
+	"pase/internal/sim"
+)
 
 // origin records where a packet came from and whether it is still
 // owned by someone. The zero value is a literal: a &Packet{} built by
@@ -13,14 +16,12 @@ const (
 	released               // handed back by Put; must not be touched
 )
 
-// Pool is a free list of packets for one engine. It is used by that
+// Pool is the packet free list of one engine. It is used by that
 // engine's goroutine only: there is one per shard, and a packet that
 // crosses shards is released into the pool of the shard it dies on.
 //
 // A nil *Pool is valid: Get allocates and Put discards.
-type Pool struct {
-	free []*Packet
-}
+type Pool pool.List[Packet]
 
 // poolCap bounds the free list, like the engine's record list, so a
 // burst does not pin memory for the rest of the run; packets released
@@ -28,36 +29,27 @@ type Pool struct {
 const poolCap = 16384
 
 // PoolOf returns the packet pool of an engine, creating it on first
-// use. Ports and stacks resolve it once at construction.
+// use. Ports and stacks resolve it once at construction. On a checked
+// engine the pool is in checked mode and retires every packet it is
+// handed, so a stale holder keeps a released packet and pkt_live
+// reports its next use.
 func PoolOf(e *sim.Engine) *Pool {
 	if pl, ok := e.Local.(*Pool); ok {
 		return pl
 	}
-	pl := &Pool{}
+	limit := poolCap
+	if e.Checked() {
+		limit = 0
+	}
+	l := pool.New[Packet](32, limit)
+	pl := (*Pool)(&l)
 	e.Local = pl
 	return pl
 }
 
-// slabSize is how many packets an empty pool allocates at once: a
-// pool warming up to a flow's window costs one object per slab rather
-// than one per packet.
-const slabSize = 32
-
 // Get returns a zeroed packet the caller owns.
 func (pl *Pool) Get() *Packet {
-	if pl == nil {
-		return &Packet{origin: live}
-	}
-	if len(pl.free) == 0 {
-		slab := make([]Packet, slabSize)
-		for i := range slab {
-			pl.free = append(pl.free, &slab[i])
-		}
-	}
-	n := len(pl.free)
-	p := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
+	p := (*pool.List[Packet])(pl).Take()
 	*p = Packet{origin: live}
 	return p
 }
@@ -72,9 +64,7 @@ func (pl *Pool) Put(p *Packet) {
 	}
 	p.origin = released
 	p.Ctrl = nil
-	if pl != nil && len(pl.free) < poolCap {
-		pl.free = append(pl.free, p)
-	}
+	(*pool.List[Packet])(pl).Put(p)
 }
 
 // Released reports whether the packet has been handed back to a pool;

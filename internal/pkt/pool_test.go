@@ -1,13 +1,19 @@
 package pkt
 
 import (
+	"strings"
 	"testing"
 
+	"pase/internal/check"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
+// idle reports how many packets a pool holds for reuse.
+func idle(pl *Pool) int { return (*pool.List[Packet])(pl).Len() }
+
 func TestPoolReusesAndZeroes(t *testing.T) {
-	pl := &Pool{}
+	pl := PoolOf(sim.NewEngine())
 	p := pl.Get()
 	p.Flow, p.Seq, p.CE, p.Ctrl = 7, 3, true, "hdr"
 	pl.Put(p)
@@ -27,51 +33,22 @@ func TestPoolReusesAndZeroes(t *testing.T) {
 }
 
 func TestPoolDoublePutIsNoOp(t *testing.T) {
-	pl := &Pool{}
+	pl := PoolOf(sim.NewEngine())
 	p := pl.Get()
 	pl.Put(p)
-	n := len(pl.free)
+	n := idle(pl)
 	pl.Put(p)
-	if len(pl.free) != n {
-		t.Fatalf("a second Put grew the free list from %d to %d", n, len(pl.free))
+	if idle(pl) != n {
+		t.Fatalf("a second Put grew the free list from %d to %d", n, idle(pl))
 	}
 }
 
 func TestPoolIgnoresLiterals(t *testing.T) {
-	pl := &Pool{}
+	pl := PoolOf(sim.NewEngine())
 	p := &Packet{Flow: 1}
 	pl.Put(p)
-	if len(pl.free) != 0 || p.Released() || p.Flow != 1 {
+	if idle(pl) != 0 || p.Released() || p.Flow != 1 {
 		t.Fatal("a literal packet must pass through Put untouched")
-	}
-}
-
-func TestPoolCap(t *testing.T) {
-	pl := &Pool{}
-	ps := make([]*Packet, poolCap+10)
-	for i := range ps {
-		ps[i] = pl.Get()
-	}
-	for _, p := range ps {
-		pl.Put(p)
-	}
-	if len(pl.free) != poolCap {
-		t.Fatalf("free list = %d, want the cap %d", len(pl.free), poolCap)
-	}
-	if !ps[len(ps)-1].Released() {
-		t.Fatal("a packet released past the cap is still released")
-	}
-}
-
-func TestNilPool(t *testing.T) {
-	var pl *Pool
-	p := pl.Get()
-	if p == nil || p.Released() {
-		t.Fatal("nil pool must still issue a live packet")
-	}
-	pl.Put(p)
-	if !p.Released() {
-		t.Fatal("nil pool must still mark the packet released")
 	}
 }
 
@@ -85,20 +62,24 @@ func TestPoolOfIsPerEngine(t *testing.T) {
 	}
 }
 
+// TestLateCheckerPanics: a pool reads Engine.Checked when it is made,
+// so a checker attached afterwards would leave it recycling packets;
+// AttachCheck refuses it.
+func TestLateCheckerPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	PoolOf(eng)
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "AttachCheck after") {
+			t.Fatalf("late AttachCheck: recovered %q, want its panic", r)
+		}
+	}()
+	eng.AttachCheck(check.New(nil))
+}
+
 func TestPoolAllocs(t *testing.T) {
-	pl := &Pool{}
+	pl := PoolOf(sim.NewEngine())
 	pl.Put(pl.Get())
 	if allocs := testing.AllocsPerRun(1000, func() { pl.Put(pl.Get()) }); allocs != 0 {
 		t.Errorf("warm Get+Put allocates %.1f times, want 0", allocs)
-	}
-	// A cold pool grows by slabs: far fewer objects than packets.
-	cold := testing.AllocsPerRun(10, func() {
-		pl := &Pool{}
-		for i := 0; i < 4*slabSize; i++ {
-			pl.Get()
-		}
-	})
-	if cold > 16 {
-		t.Errorf("issuing %d packets from a cold pool allocates %.0f objects, want slabs", 4*slabSize, cold)
 	}
 }

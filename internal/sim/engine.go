@@ -5,6 +5,7 @@ import (
 
 	"pase/internal/check"
 	"pase/internal/obs"
+	"pase/internal/pool"
 )
 
 // Engine is the discrete-event simulation core. It owns the virtual
@@ -22,9 +23,9 @@ import (
 type Engine struct {
 	now     Time
 	events  eventHeap
-	free    []*event // recycled records, capped at maxFree
-	dead    int      // stopped events still sitting in the heap
-	seq     uint64   // monotonically increasing tie-breaker
+	free    pool.List[event] // recycled records, capped at maxFree
+	dead    int              // stopped events still sitting in the heap
+	seq     uint64           // monotonically increasing tie-breaker
 	stopped bool
 	// Executed counts the number of events dispatched so far; it is
 	// exposed for tests and for runaway-simulation guards.
@@ -33,10 +34,10 @@ type Engine struct {
 	// events. It protects against accidental infinite event loops.
 	Limit uint64
 
-	// Local is per-engine state owned by a layer above sim (which sim
-	// cannot import): package pkt keeps the engine's packet free list
-	// here, so everything clocked by one engine shares one
-	// single-goroutine pool.
+	// Local is per-engine state owned by a layer above sim, which sim
+	// cannot import: package pkt keeps the engine's packet pool here
+	// (pkt.PoolOf), so every port and stack clocked by one engine
+	// shares one single-goroutine pool.
 	Local any
 
 	// Observability instruments, nil until Instrument is called. All
@@ -81,13 +82,22 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 
 // AttachCheck attaches a runtime invariant checker to the engine;
 // passing nil detaches it (the default state). The engine verifies
-// that dispatched event timestamps never run backwards.
-func (e *Engine) AttachCheck(c *check.Checker) { e.chk = c }
+// that dispatched event timestamps never run backwards. The packet
+// pool reads Checked when it is made, so attaching a checker to an
+// unchecked engine after a layer has made its Local state panics rather
+// than leave that pool recycling.
+func (e *Engine) AttachCheck(c *check.Checker) {
+	if c != nil && e.chk == nil && e.Local != nil {
+		panic("sim: AttachCheck after the engine's pools were made; attach the checker before building on the engine")
+	}
+	e.chk = c
+}
 
-// Checked reports whether a checker is attached. Layers that recycle
-// records on this engine retire them instead when it is (rank nodes
-// here, flow records in package transport), so a use after release is
-// caught rather than absorbed by the next owner.
+// Checked reports whether a checker is attached. Records recycled on
+// this engine are then retired instead, so a use after release is
+// caught rather than absorbed by the next owner: rank nodes, packets
+// (pkt.PoolOf) and flow records (package transport). Event records
+// always recycle; a stale Timer is caught by its generation.
 func (e *Engine) Checked() bool { return e.chk != nil }
 
 // maxFree bounds the free list so a burst of scheduling does not pin
@@ -105,7 +115,7 @@ const compactMinDead = 64
 
 // NewEngine returns an Engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{free: pool.New[event](32, maxFree)}
 }
 
 // Now returns the current simulated time.
@@ -214,7 +224,10 @@ func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := e.alloc()
+	ev := e.free.Take()
+	if ev.eng == nil { // a record's first life; it never changes engine
+		ev.eng = e
+	}
 	ev.at = t
 	ev.seq = e.seq
 	ev.act, ev.arg = a, arg
@@ -240,30 +253,9 @@ func (e *Engine) AtHead(t Time, fn func()) Timer {
 	return e.schedule(t, funcAction(fn), nil, true)
 }
 
-// eventSlab is how many records an empty free list allocates at once:
-// a calendar growing to its working depth costs one object per slab
-// rather than one per record.
-const eventSlab = 32
-
-// alloc takes an event record off the free list, refilling it with a
-// fresh slab when it is empty.
-func (e *Engine) alloc() *event {
-	if len(e.free) == 0 {
-		slab := make([]event, eventSlab)
-		for i := range slab {
-			slab[i].eng = e
-			e.free = append(e.free, &slab[i])
-		}
-	}
-	n := len(e.free)
-	ev := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
-	return ev
-}
-
 // recycle invalidates outstanding handles and returns the record to
-// the free list (or the garbage collector once the list is full).
+// the free list (or the garbage collector once the list is full). The
+// generation survives: it is what makes a stale Timer inert.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.act, ev.arg = nil, nil
@@ -273,9 +265,7 @@ func (e *Engine) recycle(ev *event) {
 		ev.ctx.release()
 		ev.ctx = nil
 	}
-	if len(e.free) < maxFree {
-		e.free = append(e.free, ev)
-	}
+	e.free.Put(ev)
 }
 
 // peek discards dead records until the earliest live event surfaces,
@@ -388,9 +378,6 @@ func (e *Engine) compact() {
 	e.dead = 0
 	e.events.heapify()
 }
-
-// freeLen reports the free-list size (test hook).
-func (e *Engine) freeLen() int { return len(e.free) }
 
 // heapLen reports the calendar size including dead records (test hook).
 func (e *Engine) heapLen() int { return len(e.events) }

@@ -212,11 +212,11 @@ func TestDrainedEngineRetainsNothing(t *testing.T) {
 	if got := e.heapLen(); got != 0 {
 		t.Fatalf("drained heap holds %d records", got)
 	}
-	if got := e.freeLen(); got > maxFree {
+	if got := e.free.Len(); got > maxFree {
 		t.Fatalf("free list = %d records, cap is %d", got, maxFree)
 	}
-	for _, ev := range e.free {
-		if ev.act != nil || ev.arg != nil {
+	for e.free.Len() > 0 {
+		if ev := e.free.Take(); ev.act != nil || ev.arg != nil {
 			t.Fatal("recycled record still references its callback")
 		}
 	}

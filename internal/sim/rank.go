@@ -234,7 +234,10 @@ func (e *Engine) inject(t Time, head bool, ctx *Rank, k uint64, a Action, arg an
 		panic("sim: injecting event before now")
 	}
 	e.seq++
-	ev := e.alloc()
+	ev := e.free.Take()
+	if ev.eng == nil {
+		ev.eng = e
+	}
 	ev.at = t
 	ev.seq = e.seq
 	ev.act, ev.arg = a, arg

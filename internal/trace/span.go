@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -352,6 +353,7 @@ func (r *Recorder) Shard(eng *sim.Engine) *ShardRecorder {
 		r:    r,
 		eng:  eng,
 		live: make(map[pkt.FlowID]*FlowTrace),
+		free: pool.New[FlowTrace](1, 1024),
 		done: make([]*FlowTrace, 0, 16),
 		ctrl: make([]CtrlSpan, 0, 16),
 	}
@@ -367,7 +369,7 @@ type ShardRecorder struct {
 	eng *sim.Engine
 
 	live map[pkt.FlowID]*FlowTrace
-	free []*FlowTrace // recycled traces of sampled-out flows
+	free pool.List[FlowTrace] // recycled traces of sampled-out and shed flows
 
 	// Committed ring: done grows to FlowCap, then donePos wraps.
 	done    []*FlowTrace
@@ -417,9 +419,8 @@ func (s *ShardRecorder) FlowArrive(f pkt.FlowID, src, dst pkt.NodeID, size int64
 	}
 	s.started++
 	now := s.eng.Now()
-	ft := s.alloc()
-	ft.Flow, ft.Src, ft.Dst, ft.Size = f, src, dst, size
-	ft.Start = now
+	ft := s.free.Take()
+	*ft = FlowTrace{Flow: f, Src: src, Dst: dst, Size: size, Start: now, Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
 	kind := SpanXfer
 	if held {
 		kind = SpanWait
@@ -501,7 +502,7 @@ func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
 	}
 	if !ft.Flagged && !s.r.Sampled(f) {
 		s.sampledOut++
-		s.recycle(ft)
+		s.free.Put(ft)
 		return
 	}
 	if ps := s.r.spill; ps != nil {
@@ -517,7 +518,7 @@ func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
 	if len(s.done) < cap {
 		s.done = append(s.done, ft)
 	} else {
-		s.recycle(s.done[s.donePos%int64(cap)])
+		s.free.Put(s.done[s.donePos%int64(cap)])
 		s.done[s.donePos%int64(cap)] = ft
 	}
 	s.donePos++
@@ -528,7 +529,7 @@ func (s *ShardRecorder) flushSpill(ps *PerfettoStream) {
 	sort.Slice(grp, func(i, j int) bool { return grp[i].Flow < grp[j].Flow })
 	ps.Flows(grp)
 	for _, ft := range grp {
-		s.recycle(ft)
+		s.free.Put(ft)
 	}
 	s.spillGrp = s.spillGrp[:0]
 }
@@ -561,27 +562,6 @@ func (s *ShardRecorder) Route(ev RouteEvent) {
 		s.route[s.routePos%int64(cap)] = ev
 	}
 	s.routePos++
-}
-
-// alloc reuses a recycled trace or makes one.
-func (s *ShardRecorder) alloc() *FlowTrace {
-	if n := len(s.free); n > 0 {
-		ft := s.free[n-1]
-		s.free = s.free[:n-1]
-		return ft
-	}
-	return &FlowTrace{}
-}
-
-// maxFreeTraces bounds the recycling list.
-const maxFreeTraces = 1024
-
-func (s *ShardRecorder) recycle(ft *FlowTrace) {
-	if len(s.free) >= maxFreeTraces {
-		return
-	}
-	*ft = FlowTrace{Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
-	s.free = append(s.free, ft)
 }
 
 // ring returns the retained ring contents oldest-first.

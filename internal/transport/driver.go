@@ -124,7 +124,7 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 		// and shares that engine's flow pool.
 		eng := h.Port().Engine()
 		if pools[eng] == nil {
-			pools[eng] = &flowPool{eng: eng, limit: flowPoolCap}
+			pools[eng] = newFlowPool(eng)
 		}
 		st := newStack(eng, h, pools[eng])
 		st.NewControl = newControl

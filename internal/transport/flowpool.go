@@ -1,6 +1,9 @@
 package transport
 
-import "pase/internal/sim"
+import (
+	"pase/internal/pool"
+	"pase/internal/sim"
+)
 
 // flowPool holds one engine's free flow records: the senders and
 // receivers of finished flows, waiting for the next flow any stack on
@@ -15,9 +18,8 @@ import "pase/internal/sim"
 // that start flows and full on the ones that finish them.
 type flowPool struct {
 	eng       *sim.Engine
-	limit     int // per list; tests lower it
-	senders   []*Sender
-	receivers []*receiver
+	senders   pool.List[Sender]
+	receivers pool.List[receiver]
 }
 
 // flowPoolCap bounds each list so a burst of concurrent flows cannot
@@ -25,16 +27,11 @@ type flowPool struct {
 // garbage collector.
 const flowPoolCap = 1024
 
-// take pops a released record to overwrite, or allocates one.
-func take[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return x
+// newFlowPool makes an engine's flow pool. Records are made one at a
+// time: a run allocates as many as it has flows in flight at its peak,
+// and a slab would round that up by up to a slab of large records.
+func newFlowPool(eng *sim.Engine) *flowPool {
+	return &flowPool{eng: eng, senders: pool.New[Sender](1, flowPoolCap), receivers: pool.New[receiver](1, flowPoolCap)}
 }
 
 // putSender takes back a finished sender whose timers are stopped and
@@ -46,15 +43,15 @@ func take[T any](free *[]*T) *T {
 func (pl *flowPool) putSender(s *Sender) {
 	if pl.eng.Checked() {
 		s.st = nil
-	} else if len(pl.senders) < pl.limit {
-		pl.senders = append(pl.senders, s)
+		return
 	}
+	pl.senders.Put(s)
 }
 
 func (pl *flowPool) putReceiver(r *receiver) {
 	if pl.eng.Checked() {
 		r.st = nil
-	} else if len(pl.receivers) < pl.limit {
-		pl.receivers = append(pl.receivers, r)
+		return
 	}
+	pl.receivers.Put(r)
 }

@@ -9,6 +9,7 @@ import (
 	"pase/internal/metrics"
 	"pase/internal/netem"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/workload"
@@ -41,11 +42,12 @@ func TestNothingSurvivesALife(t *testing.T) {
 		t.Fatalf("first life ended with retx=%d srtt=%v state=%d acked=%d", s1.Retx, s1.srtt, len(s1.state), s1.ackedCount)
 	}
 	pl := d.Stack(1).flows
-	if len(pl.senders) != 1 || len(pl.receivers) != 1 || len(d.Stack(1).receivers) != 0 {
+	if pl.senders.Len() != 1 || pl.receivers.Len() != 1 || len(d.Stack(1).receivers) != 0 {
 		t.Fatalf("after one flow the pool holds %d senders and %d receivers, stack 1 %d receivers; want 1, 1, 0",
-			len(pl.senders), len(pl.receivers), len(d.Stack(1).receivers))
+			pl.senders.Len(), pl.receivers.Len(), len(d.Stack(1).receivers))
 	}
-	r1 := pl.receivers[0]
+	r1 := pl.receivers.Take()
+	pl.receivers.Put(r1)
 
 	ctrl.initCwnd = 1
 	var s2 *Sender
@@ -80,14 +82,15 @@ func TestNothingSurvivesALife(t *testing.T) {
 	if probeAck == nil || probeAck.Have || probeAck.Flow != 2 {
 		t.Fatalf("probe for an unseen segment answered %+v, want Have=false", probeAck)
 	}
-	if r2 := pl.receivers[0]; r2 != r1 || r2.flow != 2 || len(r2.got) != 3 {
+	r2 := pl.receivers.Take()
+	if r2 != r1 || r2.flow != 2 || len(r2.got) != 3 {
 		t.Fatalf("second flow's receiver: reused=%v flow=%d arrivals=%d, want the same record, flow 2, 3", r2 == r1, r2.flow, len(r2.got))
 	}
 }
 
 // TestPoolDifferential: the same lossy 500-flow workload with every
-// record falling to the allocator (pool limit 0) and with the pool at
-// its normal limit produces identical flow records.
+// record falling to the allocator (lists capped at 0) and with the
+// lists at their normal cap produces identical flow records.
 func TestPoolDifferential(t *testing.T) {
 	run := func(limit int) ([]metrics.FlowRecord, metrics.Summary, int) {
 		eng := sim.NewEngine()
@@ -97,7 +100,7 @@ func TestPoolDifferential(t *testing.T) {
 		ctrl := &nopControl{initCwnd: 16, minRTO: 2 * sim.Millisecond}
 		d := NewDriver(net, func(*Sender) Control { return ctrl })
 		pl := d.Stack(0).flows
-		pl.limit = limit
+		pl.senders, pl.receivers = pool.New[Sender](1, limit), pool.New[receiver](1, limit)
 		spec := workload.Spec{
 			Pattern:   workload.AllToAll{Hosts: workload.HostRange(0, 6)},
 			Sizes:     workload.UniformSize{Min: 2_000, Max: 198_000},
@@ -110,7 +113,7 @@ func TestPoolDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Collector.Records(), sum, len(pl.senders) + len(pl.receivers)
+		return d.Collector.Records(), sum, pl.senders.Len() + pl.receivers.Len()
 	}
 	want, wantSum, idle := run(0)
 	if idle != 0 {
@@ -148,7 +151,7 @@ func TestLateRetransmissionGetsFreshReceiver(t *testing.T) {
 	}
 	net.Host(1).Handler(&pkt.Packet{Type: pkt.Data, Flow: 1, Src: 0, Dst: 1, Seq: 7, Size: pkt.MTU, SentAt: 1})
 	ghost := rx.receivers[1]
-	if ghost == nil || len(rx.flows.receivers) != 0 {
+	if ghost == nil || rx.flows.receivers.Len() != 0 {
 		t.Fatal("the late segment should have drawn the released record from the pool")
 	}
 	if ghost.firstMissing != 0 || len(ghost.got) != 8 || ghost.have(6) || !ghost.have(7) {
@@ -172,8 +175,9 @@ func TestLateRetransmissionGetsFreshReceiver(t *testing.T) {
 // afterwards panics instead of acting on whichever flow would have
 // reused the record.
 func TestReleasedRecordsPoisoned(t *testing.T) {
-	net, d, _ := testRig(t)
-	net.Eng.AttachCheck(check.New(func() int64 { return int64(net.Eng.Now()) }))
+	eng := sim.NewEngine()
+	eng.AttachCheck(check.New(func() int64 { return int64(eng.Now()) }))
+	net, d, _ := testRigOn(t, eng)
 	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: 20 * pkt.MSS}})
 	for d.Stack(1).receivers[1] == nil && net.Eng.Step() {
 	}
@@ -185,7 +189,7 @@ func TestReleasedRecordsPoisoned(t *testing.T) {
 		t.Fatalf("flow 1 did not complete: %+v, %v", sum, err)
 	}
 	pl := d.Stack(0).flows
-	if len(pl.senders)+len(pl.receivers) != 0 {
+	if pl.senders.Len()+pl.receivers.Len() != 0 {
 		t.Fatal("a released record went back into circulation under the checker")
 	}
 	d.OnFlowStart = func(s *Sender) {

@@ -22,7 +22,7 @@ type receiver struct {
 // newReceiver takes a record from the engine's flow pool and starts it
 // over; only the arrival map's backing array survives, emptied.
 func newReceiver(st *Stack, first *pkt.Packet) *receiver {
-	r := take(&st.flows.receivers)
+	r := st.flows.receivers.Take()
 	*r = receiver{st: st, flow: first.Flow, src: first.Src, got: r.got[:0]}
 	return r
 }

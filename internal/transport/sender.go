@@ -120,7 +120,7 @@ type Sender struct {
 // previous life's Control, which StartFlow hands to the factory.
 func newSender(st *Stack, spec workload.FlowSpec) *Sender {
 	segs := pkt.DataPackets(spec.Size)
-	s := take(&st.flows.senders)
+	s := st.flows.senders.Take()
 	*s = Sender{
 		st:           st,
 		Spec:         spec,

@@ -36,7 +36,13 @@ func (c *nopControl) MinRTO(*Sender) sim.Duration                     { return c
 
 func testRig(t *testing.T) (*topology.Network, *Driver, *nopControl) {
 	t.Helper()
-	net := topology.Build(sim.NewEngine(), topology.SingleRack(2, func(topology.QueueKind) netem.Queue {
+	return testRigOn(t, sim.NewEngine())
+}
+
+// testRigOn is testRig on a given engine, for one with a checker attached.
+func testRigOn(t *testing.T, eng *sim.Engine) (*topology.Network, *Driver, *nopControl) {
+	t.Helper()
+	net := topology.Build(eng, topology.SingleRack(2, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(1000)
 	}))
 	ctrl := &nopControl{}

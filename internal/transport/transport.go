@@ -119,7 +119,7 @@ type stackObs struct {
 // A stack built on its own owns a private flow pool; NewDriver's stacks
 // share one per engine.
 func NewStack(eng *sim.Engine, host *netem.Host) *Stack {
-	return newStack(eng, host, &flowPool{eng: eng, limit: flowPoolCap})
+	return newStack(eng, host, newFlowPool(eng))
 }
 
 func newStack(eng *sim.Engine, host *netem.Host, flows *flowPool) *Stack {
