@@ -206,7 +206,57 @@ func TestGoldenPerfettoTrace(t *testing.T) {
 	if !json.Valid(got) {
 		t.Fatal("exported trace is not valid JSON")
 	}
-	golden := filepath.Join("testdata", "golden_trace.json")
+	checkGolden(t, "golden_trace.json", got)
+}
+
+// TestGoldenTraceTSV pins the flow-event and queue-sample TSVs of a
+// small serial traced run, the way TestGoldenPerfettoTrace pins its
+// Perfetto bytes. Regenerate with PASE_UPDATE=1.
+func TestGoldenTraceTSV(t *testing.T) {
+	r := RunPoint(PointConfig{
+		Protocol: DCTCP, Scenario: LeftRight, Load: 0.6, Seed: 1, NumFlows: 40,
+		Trace: TraceConfig{FlowLog: true, QueueSample: 200 * sim.Microsecond},
+	})
+	var events, samples bytes.Buffer
+	if err := trace.WriteFlowEvents(&events, r.FlowEvents); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteQueueSamples(&samples, r.QueueSamples); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.FlowEvents) == 0 || len(r.QueueSamples) == 0 {
+		t.Fatalf("traced run recorded %d flow events, %d queue samples", len(r.FlowEvents), len(r.QueueSamples))
+	}
+	checkGolden(t, "flow_events.tsv", events.Bytes())
+	checkGolden(t, "queue_samples.tsv", samples.Bytes())
+}
+
+// TestFlowLogSpillMatchesBuffered: a serial streaming run that spills
+// its flow events to TraceConfig.FlowLogWriter writes exactly the bytes
+// the buffered run's flow events export to — the TSV twin of the trace
+// package's TestSpillMatchesBuffered.
+func TestFlowLogSpillMatchesBuffered(t *testing.T) {
+	cfg := tracedPoint()
+	cfg.Stream = true
+	var want bytes.Buffer
+	if err := trace.WriteFlowEvents(&want, RunPoint(cfg).FlowEvents); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	cfg.Trace.FlowLogWriter = &got
+	if r := RunPoint(cfg); len(r.FlowEvents) != 0 {
+		t.Fatalf("spilling run retained %d flow events", len(r.FlowEvents))
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("spilled flow-event TSV differs from buffered (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under PASE_UPDATE=1; review the diff like any golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("PASE_UPDATE") != "" {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -219,7 +269,7 @@ func TestGoldenPerfettoTrace(t *testing.T) {
 		t.Fatalf("%v (regenerate with PASE_UPDATE=1)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("trace bytes diverged from %s (%d vs %d bytes); regenerate with PASE_UPDATE=1 and review",
+		t.Fatalf("bytes diverged from %s (%d vs %d bytes); regenerate with PASE_UPDATE=1 and review",
 			golden, len(got), len(want))
 	}
 }
