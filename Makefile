@@ -59,17 +59,24 @@ shard-smoke:
 	$(GO) test -race -run 'TestSharded' -count=1 ./internal/experiments/ ./internal/sim/
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
 
-# Flight-recorder smoke: the traced-run determinism pins (Perfetto
-# bytes identical at shards 0-4, stream/stored, faulted chaos, golden
-# trace) under the forced invariant checker, then one checked, sharded,
-# streamed, faulted traced run end to end whose trace the pasetrace
-# analyzer must validate and digest (exit 0).
+# Recorder smoke: the traced-run determinism pins (Perfetto bytes
+# identical at shards 0-4, stream/stored, faulted chaos, golden trace
+# and TSVs, spilled == buffered) under the forced invariant checker,
+# then one checked, sharded, streamed, faulted traced run end to end
+# whose trace the pasetrace analyzer must validate and digest (exit 0),
+# and one serial streamed run that spills the flow-event TSV and writes
+# the queue TSV, each of which must start with its header.
 trace-smoke:
 	mkdir -p artifacts
-	PASE_CHECK=1 $(GO) test -run 'TestTraced|TestPASETrace|TestTraceSampling|TestGoldenPerfetto' -count=1 -v ./internal/experiments/ ./internal/trace/
+	PASE_CHECK=1 $(GO) test -run 'TestTraced|TestPASETrace|TestTraceSampling|TestGoldenPerfetto|TestGoldenTraceTSV|TestFlowLogSpill|TestSpillMatchesBuffered|TestRecorderCaps' -count=1 -v ./internal/experiments/ ./internal/trace/
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -shards 4 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
+	rm -f artifacts/flows.tsv artifacts/q.tsv
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario left-right -load 0.7 -flows 2000 -stream -check \
+		-flowlog artifacts/flows.tsv -queuetrace artifacts/q.tsv -progress=false
+	test "$$(head -1 artifacts/flows.tsv)" = "$$(printf '# time_ns\tkind\tflow\tsrc\tdst\tsize\tfct_ns')"
+	test "$$(head -1 artifacts/q.tsv)" = "$$(printf '# time_ns\tport\tqlen\tqbytes')"
 
 # Each fuzz target gets a short budget over its committed seed corpus
 # (testdata/fuzz/) — a CI-sized smoke that still explores beyond the

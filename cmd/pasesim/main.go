@@ -204,7 +204,7 @@ func main() {
 				if err := writeTo(*flowLog, rep.WriteFlowTrace); err != nil {
 					fail(err)
 				}
-				fmt.Printf("flow trace      %s (%d events)\n", *flowLog, rep.FlowTraceLen())
+				fmt.Printf("flow trace      %s (%d events%s)\n", *flowLog, rep.FlowTraceLen(), evicted(rep.FlowTraceEvicted()))
 			}
 		}
 		if *traceOut != "" {
@@ -222,7 +222,7 @@ func main() {
 			if err := writeTo(*queueLog, rep.WriteQueueTrace); err != nil {
 				fail(err)
 			}
-			fmt.Printf("queue trace     %s (%d samples, every %v)\n", *queueLog, rep.QueueTraceLen(), *queueInt)
+			fmt.Printf("queue trace     %s (%d samples%s, every %v)\n", *queueLog, rep.QueueTraceLen(), evicted(rep.QueueTraceEvicted()), *queueInt)
 		}
 		if *outcomes != "" {
 			outs := rep.FlowLog()
@@ -269,6 +269,15 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "pasesim:", err)
 	os.Exit(1)
+}
+
+// evicted notes how many trace records a retention cap shed, so a
+// truncated TSV is not reported as complete.
+func evicted(n int64) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d evicted", n)
 }
 
 // printReport dumps one run's headline metrics.

@@ -137,7 +137,10 @@ type PASEOptions struct {
 	HierTopShards int
 }
 
-// TraceConfig selects optional per-point tracing.
+// TraceConfig selects optional per-point tracing: which tracks of the
+// run's one recorder are on. Each track keeps its newest records, up
+// to the trace package's Default*Cap; what a cap sheds is counted in
+// PointResult.TraceStats.
 type TraceConfig struct {
 	// FlowLog records flow start/done/abort events (write them with
 	// Report.WriteFlowTrace).
@@ -145,8 +148,8 @@ type TraceConfig struct {
 	// QueueSample, when positive, samples every queue's occupancy at
 	// this interval (Report.WriteQueueTrace).
 	QueueSample sim.Duration
-	// Spans enables the span-based flight recorder: per-flow lifecycle
-	// spans (wait-for-control, transmission epochs per priority queue,
+	// Spans enables the span tracks: per-flow lifecycle spans
+	// (wait-for-control, transmission epochs per priority queue,
 	// retx/timeout/fallback marks) plus control-plane exchange spans,
 	// merged into PointResult.Trace in canonical order (export with
 	// Report.WritePerfetto). Traced runs shard and stream like untraced
@@ -157,11 +160,6 @@ type TraceConfig struct {
 	// misbehaved — retransmissions, timeouts, fallback, abort — are
 	// always kept regardless of the draw.
 	SampleN int
-	// FlowCap / FlowLogCap / SampleCap bound the retained flow traces,
-	// flow-log events and queue samples (0 = package defaults).
-	FlowCap    int
-	FlowLogCap int
-	SampleCap  int
 	// FlowLogWriter, with FlowLog, streams flow events to this writer
 	// as canonical TSV instead of retaining them — the bounded-memory
 	// pairing for Stream runs. Serial only (forces the serial engine).
@@ -263,10 +261,13 @@ type PointResult struct {
 	// the retained details.
 	Violations      int64
 	CheckViolations []check.Violation
-	// FlowEvents / QueueSamples hold the optional traces.
+	// FlowEvents / QueueSamples are the recording's flow-event and
+	// queue tracks, each in canonical order; TraceStats counts what the
+	// recorder kept and shed (zero unless a TraceConfig track was on).
 	FlowEvents   []trace.FlowEvent
 	QueueSamples []trace.QueueSample
-	// Trace is the flight recording (nil unless TraceConfig.Spans was
+	TraceStats   trace.TraceStats
+	// Trace is the whole recording (nil unless TraceConfig.Spans was
 	// set). In spill mode the flow traces have already streamed to the
 	// writer; Trace still carries control spans, stats and meta.
 	Trace *trace.RunTrace
@@ -589,14 +590,12 @@ func queueFactory(p Protocol, sp scenarioSpec, numQueues int, reg *obs.Registry)
 // sim.NewEngine and buf stays nil (stacks feed the driver's sink
 // directly).
 type shardEnv struct {
-	eng     *sim.Engine
-	reg     *obs.Registry
-	chk     *check.Checker
-	inj     *faults.Injector
-	flog    *trace.FlowLog
-	srec    *trace.ShardRecorder
-	sampler *trace.Sampler
-	buf     *bufSink
+	eng  *sim.Engine
+	reg  *obs.Registry
+	chk  *check.Checker
+	inj  *faults.Injector
+	srec *trace.ShardRecorder
+	buf  *bufSink
 }
 
 // partition decides whether a run shards. It returns the fabric
@@ -637,9 +636,9 @@ func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 // synchronized engine shards. The wiring below is written once over a
 // slice of per-shard environments; only the drive loop at the end
 // differs. The relative order of the setup Schedule calls (fault
-// arming, route TE timers, protocol attach, samplers, arrivals) fixes
-// the events' rank slots and must not change: it is what keeps every
-// digest equal between one shard and many.
+// arming, route TE timers, protocol attach, the recorder's queue track,
+// arrivals) fixes the events' rank slots and must not change: it is
+// what keeps every digest equal between one shard and many.
 func RunPoint(cfg PointConfig) PointResult {
 	sp, ok := lookupScenario(cfg.Scenario)
 	if !ok {
@@ -877,45 +876,31 @@ func RunPoint(cfg PointConfig) PointResult {
 		}
 	}
 
-	// Tracing: one flow log, flight-recorder shard and sampler per
-	// environment, each touched only from its shard's goroutine and
-	// merged into the canonical order after the run. The hooks chain
-	// after protocol attach (PDQ and PASE claim OnFlowDone above, and
-	// the traces must observe those runs too) and never schedule
-	// events; only the samplers do, and they are created last, in shard
-	// order.
-	flogCap := traceCap(cfg.Trace.FlowLogCap, trace.DefaultFlowLogCap)
-	if cfg.Trace.FlowLog {
-		for i := range envs {
-			envs[i].flog = &trace.FlowLog{Cap: flogCap}
-		}
-		if w := cfg.Trace.FlowLogWriter; w != nil {
-			if err := envs[0].flog.SpillTo(w); err != nil {
-				panic(err)
-			}
-		}
-	}
+	// Tracing: one recorder shard per environment, each touched only
+	// from its shard's goroutine and merged into the canonical order
+	// after the run. The hooks chain after protocol attach (PDQ and PASE
+	// claim OnFlowDone above, and the traces must observe those runs
+	// too) and never schedule events; only the queue track does, and it
+	// starts last, in shard order.
 	var rec *trace.Recorder
-	if cfg.Trace.Spans {
+	if cfg.Trace.Enabled() {
 		rec = trace.NewRecorder(trace.RecorderConfig{
-			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed, FlowCap: cfg.Trace.FlowCap,
+			Events: cfg.Trace.FlowLog, Spans: cfg.Trace.Spans,
+			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed,
+			EventWriter: cfg.Trace.FlowLogWriter, SpanWriter: cfg.Trace.SpanWriter,
 		})
-		if w := cfg.Trace.SpanWriter; w != nil {
-			rec.SpillTo(trace.NewPerfettoStream(w))
-		}
 		for i := range envs {
 			envs[i].srec = rec.Shard(envs[i].eng)
 		}
 		rec.SetMeta(traceMeta(cfg, net))
-		if paseT != nil {
+		if paseT != nil && cfg.Trace.Spans {
 			wirePASETraceHooks(envs[0].srec, paseT, paseSys)
 		}
 	}
 	wireTraceHooks(cfg, d, envOf)
-	sampCap := traceCap(cfg.Trace.SampleCap, trace.DefaultSampleCap)
 	if cfg.Trace.QueueSample > 0 {
 		// Each shard samples the ports it clocks, carrying the run-wide
-		// port indices so the merged stream keeps the (At, Idx) order.
+		// port indices so the merged track keeps the (At, Idx) order.
 		ports := make([][]*netem.Port, len(envs))
 		idx := make([][]int, len(envs))
 		for i, p := range trace.AllPorts(net) {
@@ -924,9 +909,7 @@ func RunPoint(cfg PointConfig) PointResult {
 			idx[sh] = append(idx[sh], i)
 		}
 		for i := range envs {
-			s := trace.NewSampler(envs[i].eng, cfg.Trace.QueueSample, ports[i])
-			s.Idx, s.Cap = idx[i], sampCap
-			envs[i].sampler = s
+			envs[i].srec.SampleQueues(cfg.Trace.QueueSample, ports[i], idx[i])
 		}
 	}
 
@@ -988,37 +971,15 @@ func RunPoint(cfg PointConfig) PointResult {
 	if epSys != nil {
 		res.CtrlMessages = epSys.Totals().Messages
 	}
-	if cfg.Trace.FlowLogWriter != nil {
-		if err := envs[0].flog.FlushSpill(); err != nil {
-			panic(err)
-		}
-	} else if cfg.Trace.FlowLog {
-		// Canonicalize at one shard too: execution order within one
-		// instant is not the (At, Flow, kind) order a multi-shard merge
-		// produces, and the two must match byte for byte.
-		flogs := make([]*trace.FlowLog, len(envs))
-		for i := range envs {
-			flogs[i] = envs[i].flog
-		}
-		res.FlowEvents, _ = trace.MergeFlowEvents(flogs, flogCap)
-	}
-	if cfg.Trace.QueueSample > 0 {
-		samplers := make([]*trace.Sampler, len(envs))
-		for i := range envs {
-			envs[i].sampler.Stop()
-			samplers[i] = envs[i].sampler
-		}
-		res.QueueSamples, _ = trace.MergeQueueSamples(samplers, sampCap)
-	}
 	if rec != nil {
 		rt := rec.Take()
-		rt.Queue = res.QueueSamples
-		if cfg.Trace.SpanWriter != nil {
-			if err := rec.FinishSpill(rt); err != nil {
-				panic(err)
-			}
+		if err := rec.FinishSpill(rt); err != nil {
+			panic(err)
 		}
-		res.Trace = rt
+		res.FlowEvents, res.QueueSamples, res.TraceStats = rt.Events, rt.Queue, rt.Stats
+		if cfg.Trace.Spans {
+			res.Trace = rt
+		}
 	}
 	if checked {
 		if sc != nil && sc.Completed() > 0 {
@@ -1041,7 +1002,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	if cfg.Obs {
 		scrapeRun(coordReg, envs[0].eng, net, summary, paseSys, pdqSys, epSys)
 		scrapeCheck(coordReg, envs)
-		scrapeTrace(coordReg, res.Trace)
+		scrapeTrace(coordReg, res)
 		if sc != nil {
 			sk := sc.Sketch()
 			coordReg.Counter("metrics/sketch_adds").Add(sk.Count())
@@ -1145,14 +1106,6 @@ func scrapeRun(reg *obs.Registry, eng *sim.Engine, net *topology.Network,
 	}
 }
 
-// traceCap resolves a retention-cap config value against its default.
-func traceCap(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
 // traceMeta describes the run for the trace header.
 func traceMeta(cfg PointConfig, net *topology.Network) trace.Meta {
 	return trace.Meta{
@@ -1162,13 +1115,22 @@ func traceMeta(cfg PointConfig, net *topology.Network) trace.Meta {
 	}
 }
 
-// scrapeTrace folds the flight recorder's retention stats into the
-// registry so run manifests report what the trace kept and shed.
-func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace) {
+// scrapeTrace folds the recorder's retention stats into the registry
+// so run manifests report what the trace kept and shed.
+func scrapeTrace(reg *obs.Registry, res PointResult) {
+	st := res.TraceStats
+	// Only runs past a cap count these, so other manifests keep their
+	// bytes.
+	if st.EventsEvicted > 0 {
+		reg.Counter("trace/flow_events_evicted").Add(st.EventsEvicted)
+	}
+	if st.SamplesEvicted > 0 {
+		reg.Counter("trace/queue_samples_evicted").Add(st.SamplesEvicted)
+	}
+	rt := res.Trace
 	if rt == nil {
 		return
 	}
-	st := rt.Stats
 	reg.Counter("trace/flows_started").Add(st.FlowsStarted)
 	reg.Counter("trace/flows_final").Add(st.FlowsFinal)
 	reg.Counter("trace/flows_sampled_out").Add(st.FlowsSampledOut)
@@ -1184,11 +1146,11 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace) {
 	}
 }
 
-// wireTraceHooks installs the flow-log and flight-recorder hooks on the
-// driver, chaining after any protocol-installed completion hook. envOf
-// routes a flow to its shard's instances by source host. The hooks
-// observe only — they never schedule events — so installing them cannot
-// perturb the simulation (ShardRecorder methods are nil-safe).
+// wireTraceHooks installs the recorder's lifecycle hooks on the driver,
+// one recorder call per event, chaining after any protocol-installed
+// completion hook. envOf routes a flow to its shard's recorder by
+// source host. The hooks observe only — they never schedule events —
+// so installing them cannot perturb the simulation.
 func wireTraceHooks(cfg PointConfig, d *transport.Driver, envOf func(src pkt.NodeID) *shardEnv) {
 	if !cfg.Trace.FlowLog && !cfg.Trace.Spans {
 		return
@@ -1196,36 +1158,23 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver, envOf func(src pkt.Nod
 	// PASE holds a new flow at the source until its first arbitration
 	// response; every other protocol transmits immediately.
 	held := cfg.Protocol == PASE || cfg.Protocol == ExpressPass
+	event := func(s *transport.Sender) trace.FlowEvent {
+		return trace.FlowEvent{Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size}
+	}
 	prevStart := d.OnFlowStart
 	d.OnFlowStart = func(s *transport.Sender) {
-		env := envOf(s.Spec.Src)
-		if env.flog != nil {
-			env.flog.Add(trace.FlowEvent{
-				At: s.Now(), Kind: "start",
-				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
-			})
-		}
-		env.srec.FlowArrive(s.Spec.ID, s.Spec.Src, s.Spec.Dst, s.Spec.Size, 0, held)
+		envOf(s.Spec.Src).srec.FlowArrive(event(s), 0, held)
 		if prevStart != nil {
 			prevStart(s)
 		}
 	}
 	prevDone := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {
-		env := envOf(s.Spec.Src)
-		if env.flog != nil {
-			e := trace.FlowEvent{
-				At: s.Now(), Kind: "done",
-				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
-			}
-			if s.Aborted {
-				e.Kind = "abort"
-			} else {
-				e.FCT = s.FinishTime.Sub(s.Spec.Start)
-			}
-			env.flog.Add(e)
+		e := event(s)
+		if !s.Aborted {
+			e.FCT = s.FinishTime.Sub(s.Spec.Start)
 		}
-		env.srec.FlowEnd(s.Spec.ID, s.Aborted)
+		envOf(s.Spec.Src).srec.FlowEnd(e, s.Aborted)
 		if prevDone != nil {
 			prevDone(s)
 		}

@@ -26,11 +26,11 @@ const (
 	pidRoute  = 4
 )
 
-// PerfettoStream writes trace-event JSON incrementally: Begin, any
+// perfettoStream writes trace-event JSON incrementally: Begin, any
 // number of Flows calls (flow traces in canonical order), Finish. The
 // spill path of the Recorder drives it flow-group by flow-group; the
 // buffered path drives it once via RunTrace.WritePerfetto.
-type PerfettoStream struct {
+type perfettoStream struct {
 	b     *bufio.Writer
 	n     int // events written (comma bookkeeping)
 	arrow int // flow-arrow id allocator
@@ -38,14 +38,14 @@ type PerfettoStream struct {
 	err   error
 }
 
-// NewPerfettoStream wraps w; nothing is written until Begin.
-func NewPerfettoStream(w io.Writer) *PerfettoStream {
-	return &PerfettoStream{b: bufio.NewWriter(w)}
+// newPerfettoStream wraps w; nothing is written until Begin.
+func newPerfettoStream(w io.Writer) *perfettoStream {
+	return &perfettoStream{b: bufio.NewWriter(w)}
 }
 
 // Begin writes the header and process metadata. Must be called once,
 // before any Flows call.
-func (ps *PerfettoStream) Begin(meta Meta) {
+func (ps *perfettoStream) Begin(meta Meta) {
 	if ps.began {
 		return
 	}
@@ -59,7 +59,7 @@ func (ps *PerfettoStream) Begin(meta Meta) {
 }
 
 // event writes one comma-separated JSON object.
-func (ps *PerfettoStream) event(format string, args ...any) {
+func (ps *perfettoStream) event(format string, args ...any) {
 	if ps.n > 0 {
 		ps.b.WriteString(",\n")
 	} else {
@@ -77,7 +77,7 @@ func ts(ns int64) string {
 
 // Flows emits the events of a batch of flow traces (already in
 // canonical order).
-func (ps *PerfettoStream) Flows(fts []*FlowTrace) {
+func (ps *perfettoStream) Flows(fts []*FlowTrace) {
 	for _, ft := range fts {
 		dur := int64(ft.End.Sub(ft.Start))
 		ps.event(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":"flow %d","cat":"flow","args":{"src":%d,"dst":%d,"size":%d,"flagged":%t,"aborted":%t,"truncated":%d}}`,
@@ -100,9 +100,9 @@ func (ps *PerfettoStream) Flows(fts []*FlowTrace) {
 
 // Finish writes the control-plane, queue and routing sections, closes
 // the JSON and flushes. It returns the first underlying write error.
-func (ps *PerfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []RouteEvent) error {
+func (ps *perfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []RouteEvent) error {
 	if !ps.began {
-		panic("trace: PerfettoStream.Finish before Begin")
+		panic("trace: perfettoStream.Finish before Begin")
 	}
 	for _, c := range ctrl {
 		side := "dst"
@@ -145,7 +145,7 @@ func (ps *PerfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []R
 // The output is byte-identical for byte-identical traces — shard count
 // and parallelism never change it.
 func (rt *RunTrace) WritePerfetto(w io.Writer) error {
-	ps := NewPerfettoStream(w)
+	ps := newPerfettoStream(w)
 	ps.Begin(rt.Meta)
 	ps.Flows(rt.Flows)
 	return ps.Finish(rt.Ctrl, rt.Queue, rt.Route)

@@ -1,41 +1,47 @@
 package trace
 
 import (
-	"sort"
+	"bufio"
+	"cmp"
+	"io"
 
+	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
-// Span-based flight recorder (trace v2).
+// The recorder: one capture path for every track.
 //
-// The recorder captures where a flow's time went — waiting for the
-// control plane, transmitting on an assigned priority queue — plus the
-// control-plane exchanges themselves, as spans on the simulated clock.
-// It is built to the same contract as the rest of the run machinery:
+// It captures where a flow's time went — waiting for the control
+// plane, transmitting on an assigned priority queue — plus the
+// control-plane exchanges, the routing updates, the flows' lifecycle
+// events and the queues' occupancy, on the simulated clock. It is built
+// to the same contract as the rest of the run machinery:
 //
 //   - Deterministic. A run traced at any shard count or GOMAXPROCS
 //     produces byte-identical output: each shard records into its own
-//     buffers (no cross-goroutine state), and Take merges them in a
-//     canonical order — flow traces by (End, Flow), control spans by
-//     (Start, Flow, side, level) — that both the serial engine and the
-//     sharded engine reproduce exactly.
-//   - Bounded. Live flows cost O(in-flight): a flow's spans accumulate
-//     only while it is open, and at completion the trace is either
-//     committed to a fixed-capacity ring (evicting the oldest) or
-//     recycled. Per-flow span/mark counts are capped too.
+//     rings (no cross-goroutine state), and Take merges each track in
+//     its canonical order — flow events by (At, Flow, kind), flow
+//     traces by (End, Flow), control spans by (Start, Flow, side,
+//     level), queue samples by (At, Idx) — that both the serial engine
+//     and the sharded engine reproduce exactly.
+//   - Bounded. Every track is a newest-N ring. Live flows cost
+//     O(in-flight): a flow's spans accumulate only while it is open,
+//     and at completion the trace is either committed to the ring
+//     (recycling the one it evicts) or recycled. Per-flow span/mark
+//     counts are capped too.
 //   - Production-shaped. Seed-driven sampling keeps 1 in N flows; a
 //     flow that misbehaved (retransmissions, timeouts, control-plane
 //     fallback, abort) is always kept regardless of the sample draw,
 //     so the interesting traces survive aggressive sampling.
 //
-// In spill mode (SpillTo) committed traces stream straight into a
-// PerfettoStream in completion order instead of being retained — the
-// bounded-memory path for serial streaming runs. The stream flushes
-// completion-time tie groups sorted by flow ID, so its byte output
-// matches the buffered path's canonical (End, Flow) order exactly
-// (as long as the buffered run stays under FlowCap).
+// In spill mode (RecorderConfig.EventWriter / SpanWriter) flow events
+// stream out as TSV and committed flow traces as Perfetto JSON while
+// the run goes, instead of being retained — the bounded-memory path for
+// serial streaming runs. Both flush same-instant groups in canonical
+// order, so their bytes match the buffered views exactly (as long as
+// the buffered run stays under the caps).
 
 // SpanKind classifies one phase of a flow's lifetime.
 type SpanKind uint8
@@ -262,11 +268,14 @@ type TraceStats struct {
 	SpansTruncated  int64 // spans/marks over the per-flow cap (kept flows)
 	CtrlTotal       int64
 	CtrlEvicted     int64
+	EventsEvicted   int64 // flow events pushed out by EventCap
+	SamplesEvicted  int64 // queue samples pushed out by SampleCap
 }
 
-// Recorder defaults. FlowCap bounds retained flow traces run-wide,
-// MaxPerFlow bounds one flow's spans and marks (each), CtrlCap bounds
-// retained control spans.
+// Recorder defaults, one newest-N cap per track: FlowCap bounds
+// retained flow traces run-wide, MaxPerFlow one flow's spans and marks
+// (each), CtrlCap control spans, EventCap flow events and SampleCap
+// queue samples.
 const (
 	DefaultFlowCap    = 1 << 17
 	DefaultMaxPerFlow = 256
@@ -274,118 +283,147 @@ const (
 	// DefaultRouteCap bounds retained routing-control events; route
 	// updates are rare (failures and one TE move per epoch per leaf),
 	// so the ring almost never wraps.
-	DefaultRouteCap = 1 << 16
+	DefaultRouteCap  = 1 << 16
+	DefaultEventCap  = 1 << 18
+	DefaultSampleCap = 1 << 18
 )
 
-// RecorderConfig parameterizes a Recorder. Zero values take the
-// defaults above; SampleN <= 1 keeps every flow.
+// RecorderConfig parameterizes a Recorder. Zero caps take the defaults
+// above; SampleN <= 1 keeps every flow.
 type RecorderConfig struct {
-	// SampleN keeps 1 in N flows (seed-driven, per-flow deterministic).
-	// Flagged flows are always kept.
+	// Events records the flow-event track: every flow's start and its
+	// done or abort. Spans records the span tracks: flow spans and
+	// marks, control spans and route events. A track left off costs
+	// nothing; the queue track is on once a shard's SampleQueues runs.
+	Events bool
+	Spans  bool
+	// SampleN keeps 1 in N flow traces (seed-driven, per-flow
+	// deterministic). Flagged flows are always kept.
 	SampleN int
 	// Seed drives the sampling hash; use the run seed so re-runs trace
 	// the same flows.
-	Seed       uint64
-	FlowCap    int
-	MaxPerFlow int
-	CtrlCap    int
-	RouteCap   int
+	Seed uint64
+	// EventWriter, with Events, streams the flow events as canonical
+	// TSV instead of retaining them; SpanWriter, with Spans, streams
+	// committed flow traces as Perfetto JSON. A spilling recorder has
+	// one shard, since each stream has one writer.
+	EventWriter io.Writer
+	SpanWriter  io.Writer
+	FlowCap     int
+	MaxPerFlow  int
+	CtrlCap     int
+	RouteCap    int
+	EventCap    int
+	SampleCap   int
 }
 
-// Recorder owns a run's flight recording: one ShardRecorder per engine
-// shard (a serial run has exactly one) and the merge that produces the
+// Recorder owns a run's recording: one ShardRecorder per engine shard
+// (a serial run has exactly one) and the merge that produces the
 // canonical RunTrace.
 type Recorder struct {
 	cfg    RecorderConfig
 	shards []*ShardRecorder
 	meta   Meta
-	spill  *PerfettoStream
+	// The spill streams, nil unless the config asked for them.
+	events *bufio.Writer
+	spans  *perfettoStream
 }
 
-// NewRecorder builds a recorder, applying config defaults.
+// NewRecorder builds a recorder, applying config defaults. A spilled
+// flow-event stream gets its header now.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.FlowCap <= 0 {
-		cfg.FlowCap = DefaultFlowCap
+	cfg.FlowCap = cmp.Or(cfg.FlowCap, DefaultFlowCap)
+	cfg.MaxPerFlow = cmp.Or(cfg.MaxPerFlow, DefaultMaxPerFlow)
+	cfg.CtrlCap = cmp.Or(cfg.CtrlCap, DefaultCtrlCap)
+	cfg.RouteCap = cmp.Or(cfg.RouteCap, DefaultRouteCap)
+	cfg.EventCap = cmp.Or(cfg.EventCap, DefaultEventCap)
+	cfg.SampleCap = cmp.Or(cfg.SampleCap, DefaultSampleCap)
+	r := &Recorder{cfg: cfg}
+	if cfg.Events && cfg.EventWriter != nil {
+		r.events = bufio.NewWriter(cfg.EventWriter)
+		writeFlowHeader(r.events)
 	}
-	if cfg.MaxPerFlow <= 0 {
-		cfg.MaxPerFlow = DefaultMaxPerFlow
+	if cfg.Spans && cfg.SpanWriter != nil {
+		r.spans = newPerfettoStream(cfg.SpanWriter)
 	}
-	if cfg.CtrlCap <= 0 {
-		cfg.CtrlCap = DefaultCtrlCap
-	}
-	if cfg.RouteCap <= 0 {
-		cfg.RouteCap = DefaultRouteCap
-	}
-	return &Recorder{cfg: cfg}
+	return r
 }
 
 // SetMeta records the run description; in spill mode it also opens the
-// output stream (the Perfetto header carries the meta, so it must be
+// span stream (the Perfetto header carries the meta, so it must be
 // known before the first flow commits).
 func (r *Recorder) SetMeta(m Meta) {
 	m.SampleN = r.cfg.SampleN
 	m.Seed = r.cfg.Seed
 	r.meta = m
-	if r.spill != nil {
-		r.spill.Begin(m)
+	if r.spans != nil {
+		r.spans.Begin(m)
 	}
-}
-
-// SpillTo switches the recorder into spill mode: committed flow traces
-// stream into ps at completion instead of being retained, keeping
-// memory O(in-flight). Only single-shard recorders may spill (the
-// stream has one writer); call before Shard.
-func (r *Recorder) SpillTo(ps *PerfettoStream) {
-	if len(r.shards) > 1 {
-		panic("trace: SpillTo on a multi-shard recorder")
-	}
-	r.spill = ps
 }
 
 // Shard creates the recorder for one engine shard. Each shard's
 // methods are called only from that shard's goroutine; shards share
 // nothing mutable.
 func (r *Recorder) Shard(eng *sim.Engine) *ShardRecorder {
-	if r.spill != nil && len(r.shards) > 0 {
+	if (r.events != nil || r.spans != nil) && len(r.shards) > 0 {
 		panic("trace: spill-mode recorder is single-shard")
 	}
+	cfg := &r.cfg
 	s := &ShardRecorder{
-		r:    r,
-		eng:  eng,
-		live: make(map[pkt.FlowID]*FlowTrace),
-		free: pool.New[FlowTrace](1, 1024),
-		done: make([]*FlowTrace, 0, 16),
-		ctrl: make([]CtrlSpan, 0, 16),
+		r: r, eng: eng,
+		events: Ring[FlowEvent]{Cap: cfg.EventCap},
+		done:   Ring[*FlowTrace]{Cap: cfg.FlowCap},
+		ctrl:   Ring[CtrlSpan]{Cap: cfg.CtrlCap},
+		route:  Ring[RouteEvent]{Cap: cfg.RouteCap},
+		queue:  Ring[QueueSample]{Cap: cfg.SampleCap},
+	}
+	if cfg.Spans {
+		s.live = make(map[pkt.FlowID]*FlowTrace)
+		s.free = pool.New[FlowTrace](1, 1024)
+	}
+	if r.events != nil {
+		s.eventSpill = &group[FlowEvent]{at: eventAt, less: eventLess, flush: func(es []FlowEvent) {
+			for _, e := range es {
+				writeFlowEvent(r.events, e)
+			}
+		}}
+	}
+	if r.spans != nil {
+		s.traceSpill = &group[*FlowTrace]{at: traceEnd, less: traceLess, flush: func(fts []*FlowTrace) {
+			r.spans.Flows(fts)
+			for _, ft := range fts {
+				s.free.Put(ft)
+			}
+		}}
 	}
 	r.shards = append(r.shards, s)
 	return s
 }
 
-// ShardRecorder records flow and control spans for one engine shard.
-// All methods are nil-safe no-ops, so call sites can stay
-// unconditional when tracing is off.
+// ShardRecorder records one engine shard's tracks. Its recording
+// methods are nil-safe no-ops, so call sites can stay unconditional
+// when tracing is off.
 type ShardRecorder struct {
 	r   *Recorder
 	eng *sim.Engine
 
+	// The tracks' rings. done holds committed flow traces; the one it
+	// evicts goes back to free.
+	events Ring[FlowEvent]
+	done   Ring[*FlowTrace]
+	ctrl   Ring[CtrlSpan]
+	route  Ring[RouteEvent]
+	queue  Ring[QueueSample]
+
+	// Open flow traces and recycled ones (sampled-out and shed flows);
+	// both stay empty, and live nil, without the span tracks.
 	live map[pkt.FlowID]*FlowTrace
-	free pool.List[FlowTrace] // recycled traces of sampled-out and shed flows
+	free pool.List[FlowTrace]
 
-	// Committed ring: done grows to FlowCap, then donePos wraps.
-	done    []*FlowTrace
-	donePos int64
-
-	// Spill-mode tie group: commits sharing one End timestamp, flushed
-	// sorted by flow ID when the clock moves past them.
-	spillGrp []*FlowTrace
-
-	// Ctrl ring, same shape as done.
-	ctrl    []CtrlSpan
-	ctrlPos int64
-
-	// Route ring, same shape as ctrl.
-	route    []RouteEvent
-	routePos int64
+	// Spill mode: the flow events and committed traces of the current
+	// instant, flushed in canonical order once the clock moves on.
+	eventSpill *group[FlowEvent]
+	traceSpill *group[*FlowTrace]
 
 	started    int64
 	sampledOut int64
@@ -410,23 +448,41 @@ func (r *Recorder) Sampled(f pkt.FlowID) bool {
 	return sampleHash(r.cfg.Seed, f)%uint64(r.cfg.SampleN) == 0
 }
 
-// FlowArrive opens a flow's trace. held reports whether the flow is
-// waiting for a control-plane allocation (PASE's hold-at-source);
-// otherwise it is transmitting immediately at prio.
-func (s *ShardRecorder) FlowArrive(f pkt.FlowID, src, dst pkt.NodeID, size int64, prio int, held bool) {
+// event records e on the flow-event track, stamped now as kind.
+func (s *ShardRecorder) event(e FlowEvent, kind string) {
+	if !s.r.cfg.Events {
+		return
+	}
+	e.At, e.Kind = s.eng.Now(), kind
+	if s.eventSpill != nil {
+		s.eventSpill.add(e)
+		return
+	}
+	s.events.Add(e)
+}
+
+// FlowArrive records a flow's arrival: e (Flow, Src, Dst, Size) as its
+// "start" event, and the opening of its trace. held reports whether the
+// flow is waiting for a control-plane allocation (PASE's
+// hold-at-source); otherwise it is transmitting immediately at prio.
+func (s *ShardRecorder) FlowArrive(e FlowEvent, prio int, held bool) {
 	if s == nil {
+		return
+	}
+	s.event(e, "start")
+	if s.live == nil {
 		return
 	}
 	s.started++
 	now := s.eng.Now()
 	ft := s.free.Take()
-	*ft = FlowTrace{Flow: f, Src: src, Dst: dst, Size: size, Start: now, Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
+	*ft = FlowTrace{Flow: e.Flow, Src: e.Src, Dst: e.Dst, Size: e.Size, Start: now, Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
 	kind := SpanXfer
 	if held {
 		kind = SpanWait
 	}
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: kind, Prio: prio})
-	s.live[f] = ft
+	s.live[e.Flow] = ft
 }
 
 // Epoch records a transmission-epoch transition: the current phase
@@ -475,12 +531,20 @@ func (s *ShardRecorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
 	ft.Marks = append(ft.Marks, Mark{At: s.eng.Now(), Kind: kind, Arg: arg})
 }
 
-// FlowEnd closes a flow's trace and commits or discards it: flagged
-// flows and flows passing the sample draw are kept, the rest recycle.
-func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
+// FlowEnd records a flow's end: e (Flow, Src, Dst, Size, and FCT
+// unless aborted) as its "done" or "abort" event, and the closing of
+// its trace, which is committed or discarded: flagged flows and flows
+// passing the sample draw are kept, the rest recycle.
+func (s *ShardRecorder) FlowEnd(e FlowEvent, aborted bool) {
 	if s == nil {
 		return
 	}
+	kind := "done"
+	if aborted {
+		kind = "abort"
+	}
+	s.event(e, kind)
+	f := e.Flow
 	ft := s.live[f]
 	if ft == nil {
 		return
@@ -505,94 +569,110 @@ func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
 		s.free.Put(ft)
 		return
 	}
-	if ps := s.r.spill; ps != nil {
-		// Commits arrive in clock order; flush the previous End-tie
-		// group (sorted by flow ID) once the clock moves past it.
-		if n := len(s.spillGrp); n > 0 && s.spillGrp[0].End != ft.End {
-			s.flushSpill(ps)
-		}
-		s.spillGrp = append(s.spillGrp, ft)
+	if s.traceSpill != nil {
+		s.traceSpill.add(ft)
 		return
 	}
-	cap := s.r.cfg.FlowCap
-	if len(s.done) < cap {
-		s.done = append(s.done, ft)
-	} else {
-		s.free.Put(s.done[s.donePos%int64(cap)])
-		s.done[s.donePos%int64(cap)] = ft
+	if old := s.done.Add(ft); old != nil {
+		s.free.Put(old)
 	}
-	s.donePos++
 }
 
-func (s *ShardRecorder) flushSpill(ps *PerfettoStream) {
-	grp := s.spillGrp
-	sort.Slice(grp, func(i, j int) bool { return grp[i].Flow < grp[j].Flow })
-	ps.Flows(grp)
-	for _, ft := range grp {
-		s.free.Put(ft)
+// traceLess is the canonical (End, Flow) order of flow traces.
+func traceLess(a, b *FlowTrace) bool {
+	if a.End != b.End {
+		return a.End < b.End
 	}
-	s.spillGrp = s.spillGrp[:0]
+	return a.Flow < b.Flow
 }
+
+func traceEnd(ft *FlowTrace) sim.Time { return ft.End }
 
 // Ctrl records one control-plane exchange.
 func (s *ShardRecorder) Ctrl(cs CtrlSpan) {
 	if s == nil {
 		return
 	}
-	cap := s.r.cfg.CtrlCap
-	if len(s.ctrl) < cap {
-		s.ctrl = append(s.ctrl, cs)
-	} else {
-		s.ctrl[s.ctrlPos%int64(cap)] = cs
-	}
-	s.ctrlPos++
+	s.ctrl.Add(cs)
 }
 
-// Route records one routing-control update. Call on the shard whose
-// leaf table changed; a run that never reroutes records nothing and
-// its trace bytes stay identical to a build without routing control.
+// ctrlLess is the canonical (Start, Flow, side, level) order of control
+// spans, source halves first.
+func ctrlLess(a, b CtrlSpan) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Flow != b.Flow {
+		return a.Flow < b.Flow
+	}
+	if a.SrcSide != b.SrcSide {
+		return a.SrcSide
+	}
+	return a.Level < b.Level
+}
+
+// Route records one routing-control update on the span tracks. Call on
+// the shard whose leaf table changed; a run that never reroutes records
+// nothing and its trace bytes stay identical to a build without routing
+// control.
 func (s *ShardRecorder) Route(ev RouteEvent) {
-	if s == nil {
+	if s == nil || !s.r.cfg.Spans {
 		return
 	}
-	cap := s.r.cfg.RouteCap
-	if len(s.route) < cap {
-		s.route = append(s.route, ev)
-	} else {
-		s.route[s.routePos%int64(cap)] = ev
-	}
-	s.routePos++
+	s.route.Add(ev)
 }
 
-// ring returns the retained ring contents oldest-first.
-func ringTraces(buf []*FlowTrace, pos int64, cap int) []*FlowTrace {
-	if pos <= int64(len(buf)) {
-		return buf
+// routeLess is the canonical (At, Rack, Kind, Spine, Arg) order of
+// route events.
+func routeLess(a, b RouteEvent) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	at := int(pos % int64(cap))
-	out := make([]*FlowTrace, 0, len(buf))
-	out = append(out, buf[at:]...)
-	return append(out, buf[:at]...)
+	if a.Rack != b.Rack {
+		return a.Rack < b.Rack
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Spine != b.Spine {
+		return a.Spine < b.Spine
+	}
+	return a.Arg < b.Arg
 }
 
-func ringCtrl(buf []CtrlSpan, pos int64, cap int) []CtrlSpan {
-	if pos <= int64(len(buf)) {
-		return buf
+// SampleQueues starts the queue track: every interval it records the
+// occupancy of each non-empty port in ports (idle queues are implied,
+// which keeps the track sparse). Ticks run at the head of their instant
+// (AtHead), so a sample reads the queue state at the start of the tick
+// time regardless of how same-instant packet events interleave — serial
+// and sharded runs observe the same state. idx[i] is ports[i]'s
+// run-wide index (see AllPorts); nil means the identity.
+func (s *ShardRecorder) SampleQueues(every sim.Duration, ports []*netem.Port, idx []int) {
+	if every <= 0 {
+		panic("trace: non-positive sampling interval")
 	}
-	at := int(pos % int64(cap))
-	out := make([]CtrlSpan, 0, len(buf))
-	out = append(out, buf[at:]...)
-	return append(out, buf[:at]...)
-}
-
-func ringRoute(buf []RouteEvent, pos int64, cap int) []RouteEvent {
-	if pos <= int64(len(buf)) {
-		return buf
+	// names[i] is ports[i]'s label, formatted at its first sample.
+	names := make([]string, len(ports))
+	var tick func()
+	tick = func() {
+		now := s.eng.Now()
+		for i, p := range ports {
+			q := p.Queue()
+			if q.Len() == 0 {
+				continue
+			}
+			if names[i] == "" {
+				names[i] = p.Name()
+			}
+			sm := QueueSample{At: now, Port: names[i], Idx: i, Len: q.Len(), Bytes: q.Bytes()}
+			if idx != nil {
+				sm.Idx = idx[i]
+			}
+			s.queue.Add(sm)
+		}
+		s.eng.AtHead(now.Add(every), tick)
 	}
-	at := int(pos % int64(cap))
-	out := make([]RouteEvent, 0, len(buf))
-	out = append(out, buf[at:]...)
-	return append(out, buf[:at]...)
+	s.eng.AtHead(s.eng.Now().Add(every), tick)
 }
 
 // RunTrace is a run's merged flight recording in canonical order:
@@ -601,101 +681,66 @@ func ringRoute(buf []RouteEvent, pos int64, cap int) []RouteEvent {
 // identical at every shard count and parallelism (up to the capacity
 // caps; see Stats for what was shed).
 type RunTrace struct {
-	Meta  Meta
-	Flows []*FlowTrace
-	Ctrl  []CtrlSpan
-	Queue []QueueSample
+	Meta Meta
+	// Events holds the flow-event track in canonical (At, Flow, kind)
+	// order. Digest leaves it out: it pins the span and queue tracks
+	// the Perfetto export shows.
+	Events []FlowEvent
+	Flows  []*FlowTrace
+	Ctrl   []CtrlSpan
+	Queue  []QueueSample
 	// Route holds the routing-control events in canonical
 	// (At, Rack, Kind, Spine, Arg) order; empty unless the run rerouted.
 	Route []RouteEvent
 	Stats TraceStats
 }
 
-// Take merges every shard's buffers into the canonical RunTrace. Call
-// once, after the run. In spill mode the flows are already gone to the
-// stream; Take returns the control spans, stats and meta, and the
+// Take merges every shard's tracks into the canonical RunTrace. Call
+// once, after the run. In spill mode the flow events and traces are
+// already gone to their streams (Take flushes the last instant's); the
 // caller finishes with FinishSpill.
 func (r *Recorder) Take() *RunTrace {
 	rt := &RunTrace{Meta: r.meta}
-	var flows []*FlowTrace
-	for _, s := range r.shards {
-		if r.spill != nil && len(s.spillGrp) > 0 {
-			s.flushSpill(r.spill)
-		}
-		flows = append(flows, ringTraces(s.done, s.donePos, r.cfg.FlowCap)...)
-		rt.Ctrl = append(rt.Ctrl, ringCtrl(s.ctrl, s.ctrlPos, r.cfg.CtrlCap)...)
-		rt.Route = append(rt.Route, ringRoute(s.route, s.routePos, r.cfg.RouteCap)...)
-		rt.Stats.FlowsStarted += s.started
-		rt.Stats.FlowsSampledOut += s.sampledOut
-		rt.Stats.FlowsUnfinished += int64(len(s.live))
-		rt.Stats.CtrlTotal += s.ctrlPos
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].End != flows[j].End {
-			return flows[i].End < flows[j].End
-		}
-		return flows[i].Flow < flows[j].Flow
-	})
-	// Run-wide cap: keep the most recent FlowCap by (End, Flow). Any
-	// survivor is necessarily among the newest FlowCap of its own
-	// shard's ring, so per-shard eviction never changes this set and
-	// the output stays shard-count-invariant.
-	if len(flows) > r.cfg.FlowCap {
-		flows = flows[len(flows)-r.cfg.FlowCap:]
-	}
-	rt.Flows = flows
-	sort.Slice(rt.Ctrl, func(i, j int) bool {
-		a, b := rt.Ctrl[i], rt.Ctrl[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Flow != b.Flow {
-			return a.Flow < b.Flow
-		}
-		if a.SrcSide != b.SrcSide {
-			return a.SrcSide
-		}
-		return a.Level < b.Level
-	})
-	if len(rt.Ctrl) > r.cfg.CtrlCap {
-		rt.Ctrl = rt.Ctrl[len(rt.Ctrl)-r.cfg.CtrlCap:]
-	}
-	sort.Slice(rt.Route, func(i, j int) bool {
-		a, b := rt.Route[i], rt.Route[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Rack != b.Rack {
-			return a.Rack < b.Rack
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Spine != b.Spine {
-			return a.Spine < b.Spine
-		}
-		return a.Arg < b.Arg
-	})
-	if len(rt.Route) > r.cfg.RouteCap {
-		rt.Route = rt.Route[len(rt.Route)-r.cfg.RouteCap:]
-	}
 	st := &rt.Stats
+	for _, s := range r.shards {
+		if s.eventSpill != nil {
+			s.eventSpill.done()
+		}
+		if s.traceSpill != nil {
+			s.traceSpill.done()
+		}
+		st.FlowsStarted += s.started
+		st.FlowsSampledOut += s.sampledOut
+		st.FlowsUnfinished += int64(len(s.live))
+		st.CtrlTotal += s.ctrl.Added()
+	}
+	rt.Events, st.EventsEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[FlowEvent] { return &s.events }, eventLess)
+	rt.Flows, _ = newest(r.shards, func(s *ShardRecorder) *Ring[*FlowTrace] { return &s.done }, traceLess)
+	rt.Ctrl, st.CtrlEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[CtrlSpan] { return &s.ctrl }, ctrlLess)
+	rt.Route, _ = newest(r.shards, func(s *ShardRecorder) *Ring[RouteEvent] { return &s.route }, routeLess)
+	rt.Queue, st.SamplesEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[QueueSample] { return &s.queue }, sampleLess)
 	st.FlowsFinal = int64(len(rt.Flows))
 	st.FlowsEvicted = st.FlowsStarted - st.FlowsSampledOut - st.FlowsUnfinished - st.FlowsFinal
 	for _, ft := range rt.Flows {
 		st.SpansTruncated += ft.Truncated
 	}
-	st.CtrlEvicted = st.CtrlTotal - int64(len(rt.Ctrl))
 	return rt
 }
 
-// FinishSpill completes a spill-mode stream: the control spans and
-// queue samples land after the flow sections, and the JSON closes.
+// FinishSpill completes the spill streams: the flow-event TSV flushes,
+// and the Perfetto stream gets the control spans, queue samples and
+// route events after its flow sections and closes. It returns the first
+// write error; a recorder that spills nothing returns nil.
 func (r *Recorder) FinishSpill(rt *RunTrace) error {
-	if r.spill == nil {
-		panic("trace: FinishSpill without SpillTo")
+	if r.events != nil {
+		if err := r.events.Flush(); err != nil {
+			return err
+		}
 	}
-	return r.spill.Finish(rt.Ctrl, rt.Queue, rt.Route)
+	if r.spans != nil {
+		return r.spans.Finish(rt.Ctrl, rt.Queue, rt.Route)
+	}
+	return nil
 }
 
 // Digest folds the trace's canonical content into one FNV-1a hash —

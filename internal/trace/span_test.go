@@ -20,8 +20,9 @@ func driveFlows(t *testing.T, rec *trace.Recorder, n int, flag func(int) bool) {
 	for i := 0; i < n; i++ {
 		i := i
 		f := pkt.FlowID(i + 1)
+		e := trace.FlowEvent{Flow: f, Src: pkt.NodeID(i), Dst: pkt.NodeID(i + 1), Size: 1000}
 		eng.Schedule(sim.Duration(i)*sim.Microsecond, func() {
-			s.FlowArrive(f, pkt.NodeID(i), pkt.NodeID(i+1), 1000, 0, false)
+			s.FlowArrive(e, 0, false)
 		})
 		eng.Schedule(sim.Duration(i)*sim.Microsecond+5*sim.Microsecond, func() {
 			s.Epoch(f, 1)
@@ -30,7 +31,7 @@ func driveFlows(t *testing.T, rec *trace.Recorder, n int, flag func(int) bool) {
 			}
 		})
 		eng.Schedule(sim.Duration(i)*sim.Microsecond+10*sim.Microsecond, func() {
-			s.FlowEnd(f, false)
+			s.FlowEnd(e, false)
 		})
 	}
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
@@ -44,7 +45,7 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 	// different set, and flagged flows survive regardless of the draw.
 	const n, sampleN = 400, 4
 	take := func(seed uint64, flag func(int) bool) *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{SampleN: sampleN, Seed: seed})
+		rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: sampleN, Seed: seed})
 		driveFlows(t, rec, n, flag)
 		return rec.Take()
 	}
@@ -76,7 +77,7 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 
 func TestRecorderRingEviction(t *testing.T) {
 	const n, cap = 100, 16
-	rec := trace.NewRecorder(trace.RecorderConfig{FlowCap: cap})
+	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, FlowCap: cap})
 	driveFlows(t, rec, n, nil)
 	rt := rec.Take()
 	if len(rt.Flows) != cap {
@@ -95,15 +96,16 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderMaxPerFlow(t *testing.T) {
 	const perFlow = 8
-	rec := trace.NewRecorder(trace.RecorderConfig{MaxPerFlow: perFlow})
+	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, MaxPerFlow: perFlow})
 	eng := sim.NewEngine()
 	s := rec.Shard(eng)
-	eng.Schedule(0, func() { s.FlowArrive(1, 0, 1, 1000, 0, false) })
+	e := trace.FlowEvent{Flow: 1, Src: 0, Dst: 1, Size: 1000}
+	eng.Schedule(0, func() { s.FlowArrive(e, 0, false) })
 	for i := 0; i < 3*perFlow; i++ {
 		prio := i % 2 // alternate so every Epoch is a real transition
 		eng.Schedule(sim.Duration(i+1)*sim.Microsecond, func() { s.Epoch(1, prio) })
 	}
-	eng.Schedule(100*sim.Microsecond, func() { s.FlowEnd(1, false) })
+	eng.Schedule(100*sim.Microsecond, func() { s.FlowEnd(e, false) })
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestSpillMatchesBuffered(t *testing.T) {
 		driveFlows(t, rec, 50, func(i int) bool { return i%5 == 0 })
 	}
 
-	buffered := trace.NewRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
+	buffered := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3})
 	buffered.SetMeta(meta)
 	run(buffered)
 	var want bytes.Buffer
@@ -138,8 +140,7 @@ func TestSpillMatchesBuffered(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	spill := trace.NewRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
-	spill.SpillTo(trace.NewPerfettoStream(&got))
+	spill := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3, SpanWriter: &got})
 	spill.SetMeta(meta)
 	run(spill)
 	rt := spill.Take()
@@ -156,7 +157,7 @@ func TestSpillMatchesBuffered(t *testing.T) {
 }
 
 func TestPerfettoValidJSON(t *testing.T) {
-	rec := trace.NewRecorder(trace.RecorderConfig{})
+	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
 	rec.SetMeta(trace.Meta{Proto: "PASE", Scenario: "test", NICBps: 1e9})
 	driveFlows(t, rec, 10, func(i int) bool { return i == 3 })
 	rt := rec.Take()
@@ -197,7 +198,7 @@ func TestPerfettoValidJSON(t *testing.T) {
 
 func TestRunTraceDigestSensitivity(t *testing.T) {
 	mk := func() *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{})
+		rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
 		driveFlows(t, rec, 5, nil)
 		return rec.Take()
 	}

@@ -216,6 +216,7 @@ type Report struct {
 	records      []metrics.FlowRecord
 	flowEvents   []trace.FlowEvent
 	queueSamples []trace.QueueSample
+	traceStats   trace.TraceStats
 	runTrace     *trace.RunTrace
 }
 
@@ -244,6 +245,12 @@ func (r *Report) FlowLog() []FlowOutcome {
 // recorded (zero unless SimConfig.Trace asked for it).
 func (r *Report) FlowTraceLen() int  { return len(r.flowEvents) }
 func (r *Report) QueueTraceLen() int { return len(r.queueSamples) }
+
+// FlowTraceEvicted and QueueTraceEvicted report how many flow events
+// and queue samples the trace's retention caps shed; when nonzero, the
+// TSV holds only the newest.
+func (r *Report) FlowTraceEvicted() int64  { return r.traceStats.EventsEvicted }
+func (r *Report) QueueTraceEvicted() int64 { return r.traceStats.SamplesEvicted }
 
 // SpanTraceLen reports how many flow traces the flight recorder kept
 // (zero unless SimConfig.Trace.Spans was set; zero in spill mode, where
@@ -414,6 +421,7 @@ func report(r experiments.PointResult) *Report {
 		records:       r.Records,
 		flowEvents:    r.FlowEvents,
 		queueSamples:  r.QueueSamples,
+		traceStats:    r.TraceStats,
 		runTrace:      r.Trace,
 	}
 	for _, v := range r.CheckViolations {
