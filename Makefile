@@ -5,6 +5,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# pins runs `go test -count=1 -v $(2)` with the environment $(1) and
+# fails when go test fails or when its -run pattern selected no TestPins
+# subtest: go test exits 0 on "no tests to run". The log goes to a temp
+# file, not through a pipe, so go test's exit status is kept.
+pins = log=$$(mktemp) && { $(1) $(GO) test -count=1 -v $(2) >$$log 2>&1; st=$$?; cat $$log; \
+	n=$$(grep -c -- '--- PASS: TestPins/[^/ ]*/' $$log); rm -f $$log; \
+	echo "$$n TestPins subtests passed"; [ $$st -eq 0 ] && [ $$n -gt 0 ]; }
+
 # go vet, plus gofmt as a gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
@@ -39,9 +47,9 @@ alloc-gate:
 # A short randomized-fault soak under the forced invariant checker:
 # PASE runs through link flaps, packet loss/corruption, a lossy slow
 # control plane and periodic arbitrator crashes, and must finish every
-# flow with zero invariant violations (plus the determinism re-run).
+# flow with zero invariant violations (plus the chaos pins' re-runs).
 chaos-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestChaos' -count=1 -v ./internal/experiments/
+	$(call pins,PASE_CHECK=1,-run 'TestChaos|TestPins/chaos' ./internal/experiments/)
 
 # The streaming scale sweep at 10^5 flows with invariants force-enabled
 # and a hard 256 MB Go-heap ceiling: a dedicated test process (so no
@@ -50,16 +58,16 @@ chaos-smoke:
 scale-smoke:
 	PASE_CHECK=1 PASE_SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke' -count=1 -v ./internal/experiments/
 
-# Sharded-engine smoke: the serial-equality pins (digests, golden TSV,
-# streaming, faults, GOMAXPROCS) under the forced invariant checker,
+# Sharded-engine smoke: every pin's shards=N twins (digests, figure
+# TSV, traces, faults, GOMAXPROCS) under the forced invariant checker,
 # the race detector over the worker-barrier machinery, and one
 # 10^5-flow sharded streaming run end to end.
 shard-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestSharded' -count=1 -v ./internal/experiments/ ./internal/sim/
-	$(GO) test -race -run 'TestSharded' -count=1 ./internal/experiments/ ./internal/sim/
+	$(call pins,PASE_CHECK=1,-run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
+	$(call pins,,-race -run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
 
-# Recorder smoke: the traced-run determinism pins (Perfetto bytes
+# Recorder smoke: the trace-* and traced-* pins (Perfetto bytes
 # identical at shards 0-4, stream/stored, faulted chaos, golden trace
 # and TSVs, spilled == buffered) under the forced invariant checker,
 # then one checked, sharded, streamed, faulted traced run end to end
@@ -68,7 +76,7 @@ shard-smoke:
 # the queue TSV, each of which must start with its header.
 trace-smoke:
 	mkdir -p artifacts
-	PASE_CHECK=1 $(GO) test -run 'TestTraced|TestPASETrace|TestTraceSampling|TestGoldenPerfetto|TestGoldenTraceTSV|TestFlowLogSpill|TestSpillMatchesBuffered|TestRecorderCaps' -count=1 -v ./internal/experiments/ ./internal/trace/
+	$(call pins,PASE_CHECK=1,-run 'TestTraced|TestPASETrace|TestTraceSampling|TestSpillMatchesBuffered|TestRecorderCaps|TestPins/trace' ./internal/experiments/ ./internal/trace/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -shards 4 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
@@ -98,7 +106,7 @@ fuzz-smoke:
 # invariant checker — credit_pace included — then one checked
 # 10^5-flow 100 Gbps incast run end to end.
 highspeed-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestConformanceDigest|TestShardedDigestEquality|TestExpressPass|TestHighspeed' -count=1 -v ./internal/experiments/
+	$(call pins,PASE_CHECK=1,-run 'TestExpressPass|TestHighspeed|TestPins/(conformance|sharded|expresspass)' ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -flows 100000 -stream -check -progress=false
 
 # Routing-control-loop gate: the route-table unit pins (clean == pure
@@ -108,7 +116,7 @@ highspeed-smoke:
 # (route_valid / route_loop included), then one checked rerouted run
 # through a real uplink outage end to end.
 te-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestRouteTable|TestECMPSpine|TestLeafSpineLinkID|TestTE' -count=1 -v ./internal/topology/ ./internal/experiments/
+	$(call pins,PASE_CHECK=1,-run 'TestRouteTable|TestECMPSpine|TestLeafSpineLinkID|TestTE|TestPins/^te-' ./internal/topology/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
 		-reroute -te -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 
@@ -119,7 +127,7 @@ te-smoke:
 # 512-rack run per arm end to end — the hierarchy at datacenter scale
 # and the centralized comparison on the same fabric.
 ctrlscale-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestTree|FuzzArbitrationTree|TestCtrlPlane|TestCtrlScale' -count=1 -v ./internal/core/arbitration/ ./internal/experiments/
+	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|TestCtrlScale|TestPins/ctrlplane' ./internal/core/arbitration/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
 

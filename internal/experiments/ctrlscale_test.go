@@ -5,100 +5,6 @@ import (
 	"testing"
 )
 
-// The control-plane conformance suite pins the arbitration hierarchy
-// and the centralized comparison arm the same way conformance_test.go
-// pins the transports: one small deterministic ctrlscale fabric, full
-// behavior digest, zero checker violations. A moved digest means the
-// control plane schedules differently — intended changes re-pin (run
-// with -run TestCtrlPlaneConformanceDigest -v and copy the "got"
-// values), unintended ones are regressions.
-
-// ctrlConformancePoint is the pinned scenario: the 16-rack ctrlscale
-// fabric at 80% load — small enough to run in well under a second per
-// arm, cross-rack enough that refreshes climb the full hierarchy.
-func ctrlConformancePoint(opt PASEOptions) PointConfig {
-	return PointConfig{
-		Protocol: PASE,
-		Scenario: Scenario("ctrlscale-16"),
-		Load:     0.8,
-		Seed:     7,
-		NumFlows: 120,
-		Check:    true,
-		PASE:     opt,
-	}
-}
-
-// ctrlArms are the pinned control-plane configurations: the default
-// hierarchy the ctrlscale spec picks (fan-out 4, 2 root shards), a
-// deep binary hierarchy (fan-out 2 → five levels over 16 racks,
-// stressing multi-level delegation and pruning), and the centralized
-// scheduler arm.
-var ctrlArms = []struct {
-	name   string
-	opt    PASEOptions
-	digest uint64
-}{
-	{"hierarchy", PASEOptions{}, 0x5a742fd1a07e478a},
-	{"deep-hierarchy", PASEOptions{HierFanOut: 2, HierTopShards: 1}, 0xb64ec0ba9f614e94},
-	{"central", PASEOptions{Central: true}, 0x27a4d1242feb3758},
-}
-
-func TestCtrlPlaneConformanceDigest(t *testing.T) {
-	for _, arm := range ctrlArms {
-		arm := arm
-		t.Run(arm.name, func(t *testing.T) {
-			t.Parallel()
-			r := RunPoint(ctrlConformancePoint(arm.opt))
-			if r.Violations != 0 {
-				t.Fatalf("invariant checker reported %d violations:\n%v",
-					r.Violations, r.CheckViolations)
-			}
-			if r.Summary.Completed == 0 {
-				t.Fatal("no flows completed")
-			}
-			got := digestResult(r)
-			if got != arm.digest {
-				t.Errorf("behavior digest changed: got %#x, want %#x", got, arm.digest)
-			}
-		})
-	}
-}
-
-// TestCtrlPlaneDeterminism re-runs the deep-hierarchy arm — the one
-// with the most control-plane machinery in play — and requires an
-// identical digest.
-func TestCtrlPlaneDeterminism(t *testing.T) {
-	cfg := ctrlConformancePoint(ctrlArms[1].opt)
-	a := digestResult(RunPoint(cfg))
-	b := digestResult(RunPoint(cfg))
-	if a != b {
-		t.Fatalf("same config, different digests: %#x vs %#x", a, b)
-	}
-}
-
-// TestCtrlPlaneShardEquality runs the hierarchy arm across engine
-// shard counts 0 through 4 and requires byte-identical digests: the
-// sharded single-run engine must not change arbitration behavior.
-func TestCtrlPlaneShardEquality(t *testing.T) {
-	var want uint64
-	for shards := 0; shards <= 4; shards++ {
-		cfg := ctrlConformancePoint(PASEOptions{})
-		cfg.Shards = shards
-		r := RunPoint(cfg)
-		if r.Violations != 0 {
-			t.Fatalf("shards=%d: %d checker violations", shards, r.Violations)
-		}
-		got := digestResult(r)
-		if shards == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("shards=%d digest %#x differs from serial %#x", shards, got, want)
-		}
-	}
-}
-
 // TestCtrlScaleAcceptance pins the scaling claim the ctrlscale figure
 // makes: with the workload held fixed, the hierarchy's control-message
 // count grows sub-linearly in fabric size while the centralized arm's

@@ -4,17 +4,15 @@ import (
 	"math"
 	"testing"
 
-	"pase/internal/faults"
 	"pase/internal/metrics"
-	"pase/internal/sim"
 )
 
-// ExpressPass conformance: beyond the pinned digest (conformance_test)
-// and the sharded equality sweep (sharded_test), the credit transport
-// must stream exactly like it stores, shard byte-identically under
-// fault chaos, and hold its construction guarantee — zero data-plane
-// drops with a bounded queue peak — in the massive-incast scenarios
-// where window-based transports overrun shallow buffers.
+// ExpressPass conformance: beyond its pins (conformance-ExpressPass,
+// sharded-ExpressPass-*, expresspass-faults in pins_test.go), the credit
+// transport must stream exactly like it stores and hold its
+// construction guarantee — zero data-plane drops with a bounded queue
+// peak — in the massive-incast scenarios where window-based transports
+// overrun shallow buffers.
 
 // TestExpressPassStreamMatchesStored: the streaming collector path must
 // agree exactly with the stored path on every sum-derived metric and
@@ -51,33 +49,6 @@ func TestExpressPassStreamMatchesStored(t *testing.T) {
 	} {
 		if math.Abs(float64(q.got-q.exact)) > eps*float64(q.exact)+1 {
 			t.Fatalf("%s: stream %d vs stored %d beyond eps %g", q.name, q.got, q.exact, eps)
-		}
-	}
-}
-
-// TestExpressPassFaultedDigest: link flaps, drops and corruption must
-// not break sharded determinism — the faulted digest is identical at
-// every shard count (credits and credit requests lost to faults are
-// recovered by the sender's RTO re-request).
-func TestExpressPassFaultedDigest(t *testing.T) {
-	cfg := shardPoint(ExpressPass, LeftRight)
-	cfg.Faults = &faults.Plan{
-		Seed: 3,
-		Links: []faults.LinkFault{
-			{Link: -1, At: 2 * sim.Millisecond, For: 300 * sim.Microsecond, Every: 5 * sim.Millisecond},
-		},
-		Loss: []faults.LossFault{
-			{Link: -1, Class: faults.Any, Rate: 0.02},
-			{Link: -1, Class: faults.DataClass, Corrupt: 0.01},
-		},
-	}
-	want := digestResult(runShards(t, cfg, 0))
-	if rerun := digestResult(runShards(t, cfg, 0)); rerun != want {
-		t.Fatalf("faulted serial run not deterministic: %#x vs %#x", rerun, want)
-	}
-	for _, shards := range []int{2, 4} {
-		if got := digestResult(runShards(t, cfg, shards)); got != want {
-			t.Errorf("shards=%d: faulted digest %#x, want serial %#x", shards, got, want)
 		}
 	}
 }

@@ -3,56 +3,47 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
 
 // The pool's contract: parallel execution must be invisible in the
 // output. These tests run down-scaled figures serially and with 8
-// workers and require byte-identical Series; `go test -race` over this
-// file doubles as the data-race check on the pool.
+// workers and require byte-identical TSVs, merged snapshots and raw
+// results; `go test -race` over this file doubles as the data-race
+// check on the pool. None stores a value: each compares two runs.
 
-func seriesEqual(t *testing.T, name string, serial, parallel []Series) {
+// sameTSV requires figure id to render byte-identical TSVs under a and b.
+func sameTSV(t *testing.T, id string, a, b Opts) {
 	t.Helper()
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("%s: parallel series diverge from serial\nserial:   %+v\nparallel: %+v",
-			name, serial, parallel)
+	ta, tb := tsvOut.run(t, input{fig: id, opts: a}), tsvOut.run(t, input{fig: id, opts: b})
+	if !bytes.Equal(ta, tb) {
+		t.Fatalf("figure %s: TSVs diverge\n%s\nvs\n%s", id, ta, tb)
 	}
 }
 
-func figSerialVsParallel(t *testing.T, id string, o Opts) {
+// serialVsPool requires o to render the same at 1 and n workers.
+func serialVsPool(t *testing.T, id string, o Opts, n int) {
 	t.Helper()
-	fig, ok := Lookup(id)
-	if !ok {
-		t.Fatalf("figure %s missing", id)
-	}
-	so := o
-	so.Parallelism = 1
-	po := o
-	po.Parallelism = 8
-	serial := fig.Run(so)
-	parallel := fig.Run(po)
-	seriesEqual(t, "figure "+id, serial.Series, parallel.Series)
-	if !reflect.DeepEqual(serial.Notes, parallel.Notes) {
-		t.Fatalf("figure %s: notes diverge: %v vs %v", id, serial.Notes, parallel.Notes)
-	}
+	p := o
+	o.Parallelism, p.Parallelism = 1, n
+	sameTSV(t, id, o, p)
 }
 
 // Figure 9a: a plain metric sweep (3 variants × loads).
 func TestParallelDeterminismFig9a(t *testing.T) {
-	figSerialVsParallel(t, "9a", Opts{NumFlows: 80, Seed: 5, Loads: []float64{0.4, 0.7}})
+	serialVsPool(t, "9a", Opts{NumFlows: 80, Seed: 5, Loads: []float64{0.4, 0.7}}, 8)
 }
 
 // Figure 9b: the CDF path, where whole distributions must match.
 func TestParallelDeterminismFig9b(t *testing.T) {
-	figSerialVsParallel(t, "9b", Opts{NumFlows: 80, Seed: 5})
+	serialVsPool(t, "9b", Opts{NumFlows: 80, Seed: 5}, 8)
 }
 
-// Figure 11a: the pruning+delegation ablation with its paired
-// on/off runs and multi-seed averaging.
+// Figure 11a: the pruning+delegation ablation with its paired on/off
+// runs and multi-seed averaging.
 func TestParallelDeterminismAblation11a(t *testing.T) {
-	figSerialVsParallel(t, "11a", Opts{NumFlows: 60, Seed: 5, Loads: []float64{0.7}})
+	serialVsPool(t, "11a", Opts{NumFlows: 60, Seed: 5, Loads: []float64{0.7}}, 8)
 }
 
 // The run manifests promise that the merged observability snapshot is

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"runtime"
@@ -78,51 +77,21 @@ func TestStreamSketchCounters(t *testing.T) {
 	}
 }
 
-// TestStreamParallelDeterminism runs the scale figure grid twice at
-// different parallelism settings: the assembled series must be
-// identical, streaming included.
+// TestStreamParallelDeterminism runs the streaming scale sweep at two
+// pool sizes: the rendered series must be identical.
 func TestStreamParallelDeterminism(t *testing.T) {
-	opts := func(par int) Opts {
-		return Opts{NumFlows: 1000, Seed: 1, Loads: []float64{0.5}, Parallelism: par}
-	}
-	serial := figScale(opts(1))
-	pooled := figScale(opts(4))
-	if len(serial.Series) != len(pooled.Series) {
-		t.Fatalf("series counts diverge: %d vs %d", len(serial.Series), len(pooled.Series))
-	}
-	for i := range serial.Series {
-		a, b := serial.Series[i], pooled.Series[i]
-		if a.Name != b.Name {
-			t.Fatalf("series %d name %q vs %q", i, a.Name, b.Name)
-		}
-		for j := range a.Y {
-			if a.X[j] != b.X[j] || a.Y[j] != b.Y[j] {
-				t.Fatalf("series %q point %d diverges across parallelism: (%g,%g) vs (%g,%g)",
-					a.Name, j, a.X[j], a.Y[j], b.X[j], b.Y[j])
-			}
-		}
-	}
+	serialVsPool(t, "scale", Opts{NumFlows: 1000, Seed: 1, Loads: []float64{0.5}}, 4)
 }
 
 // TestStreamFig9aTSVIdentical pins storage-independence end to end: an
-// AFCT sweep figure rendered from streaming points must be
-// byte-identical to the stored-mode TSV, because every series value it
-// plots is an exact sum, not a sketch estimate.
+// AFCT sweep rendered from streaming points is byte-identical to the
+// stored-mode TSV, because every value it plots is an exact sum, not a
+// sketch estimate.
 func TestStreamFig9aTSVIdentical(t *testing.T) {
-	opts := Opts{NumFlows: 300, Seed: 1, Loads: []float64{0.5, 0.7}, Parallelism: 2}
-	fig9a, _ := Lookup("9a")
-	var stored, streamed bytes.Buffer
-	if err := fig9a.Run(opts).WriteTSV(&stored); err != nil {
-		t.Fatal(err)
-	}
-	opts.Stream = true
-	if err := fig9a.Run(opts).WriteTSV(&streamed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stored.Bytes(), streamed.Bytes()) {
-		t.Fatalf("fig9a TSV diverges under -stream:\nstored:\n%s\nstreamed:\n%s",
-			stored.String(), streamed.String())
-	}
+	stored := Opts{NumFlows: 300, Seed: 1, Loads: []float64{0.5, 0.7}, Parallelism: 2}
+	streamed := stored
+	streamed.Stream = true
+	sameTSV(t, "9a", stored, streamed)
 }
 
 // TestScaleSmoke is the CI gate for the scale figure (`make

@@ -8,8 +8,8 @@ import (
 
 // Tests for the reactive routing control loop on the te-failover
 // scenario: failure rerouting keeps flows alive through uplink
-// outages, frozen ECMP strands them, and the whole loop shards
-// byte-identically.
+// outages and frozen ECMP strands them. The te-reroute and te-idle pins
+// (pins_test.go) hold the loop repeatable and shard-identical.
 
 // teChaosPoint is the te figure's stress point at test scale: PASE on
 // the 4-leaf × 3-spine fabric with every leaf's spine-0 uplink failing
@@ -92,44 +92,5 @@ func TestTEFrozenRoutingStrands(t *testing.T) {
 	}
 	if survival := float64(sum.Completed) / float64(sum.Flows); survival >= 0.95 {
 		t.Errorf("frozen-routing survival %.3f unexpectedly high — chaos plan is not biting", survival)
-	}
-}
-
-// TestTEShardedEquality pins the control loop's sharding contract:
-// route updates ride the conservative-lookahead handoff, so a DCTCP
-// te-failover run with reroute + TE + faults + aborts produces the
-// exact serial digest at every shard count. (PASE pins the serial
-// fallback path instead — TestShardedFallback.)
-func TestTEShardedEquality(t *testing.T) {
-	cfg := teChaosPoint(DCTCP, route.Config{Reroute: true, TE: true})
-	cfg.Obs = false
-	want := digestResult(runShards(t, cfg, 0))
-	if rerun := digestResult(runShards(t, cfg, 0)); rerun != want {
-		t.Fatalf("serial te-failover run not deterministic: %#x vs %#x", rerun, want)
-	}
-	for _, shards := range []int{1, 2, 3, 4} {
-		if got := digestResult(runShards(t, cfg, shards)); got != want {
-			t.Errorf("shards=%d: digest %#x, want serial %#x", shards, got, want)
-		}
-	}
-}
-
-// TestTENonInterference: with the loop off, no faults and no abort
-// deadline, the te-failover scenario is an ordinary deterministic
-// point — the route machinery idle in the path must not perturb
-// repeat runs or the sharded digest.
-func TestTENonInterference(t *testing.T) {
-	cfg := PointConfig{
-		Protocol: DCTCP, Scenario: TEFailover,
-		Load: 0.6, Seed: 1, NumFlows: 200, Check: true,
-	}
-	want := digestResult(runShards(t, cfg, 0))
-	if rerun := digestResult(runShards(t, cfg, 0)); rerun != want {
-		t.Fatalf("idle te-failover point not deterministic: %#x vs %#x", rerun, want)
-	}
-	for _, shards := range []int{2, 4} {
-		if got := digestResult(runShards(t, cfg, shards)); got != want {
-			t.Errorf("shards=%d: digest %#x, want serial %#x", shards, got, want)
-		}
 	}
 }
