@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSketch$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRankOrder$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
 
 # ExpressPass conformance gate: the credit transport's digest suite
 # (pinned digest, sharded equality at 0-4 shards, stream==stored,
