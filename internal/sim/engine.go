@@ -16,15 +16,16 @@ import (
 // one goroutine, which keeps event execution deterministic. Distinct
 // engines share nothing and may run on distinct goroutines.
 //
-// Internally the calendar is a 4-ary min-heap of recycled event
-// records: cancellation is O(1) lazy deletion (the record is marked
-// dead and discarded when it surfaces), and fired or dead records
-// return to a bounded free list instead of the garbage collector.
+// Internally the calendar is a window of time buckets with a 4-ary
+// min-heap behind it (calendar.go), holding recycled event records:
+// cancellation is O(1) lazy deletion (the record is marked dead and
+// discarded when it surfaces), and fired or dead records return to a
+// bounded free list instead of the garbage collector.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	cal     calendar
 	free    pool.List[event] // recycled records, capped at maxFree
-	dead    int              // stopped events still sitting in the heap
+	dead    int              // stopped events still in the calendar
 	seq     uint64           // monotonically increasing tie-breaker
 	stopped bool
 	// Executed counts the number of events dispatched so far; it is
@@ -102,15 +103,17 @@ func (e *Engine) Checked() bool { return e.chk != nil }
 
 // maxFree bounds the free list so a burst of scheduling does not pin
 // memory for the rest of the run. Records beyond the cap are left to
-// the garbage collector. The cap sits above the calendar depth the
-// reference runs reach (sim/heap_depth peaks at 5371 on the fig-9a
-// DCTCP point): below it, every fire/schedule pair at that depth would
-// drop one record and allocate the next.
+// the garbage collector. A cap below a run's calendar depth would drop
+// records each time the calendar drains and allocate them again as it
+// refills; above it, the list only ever holds records the run once had
+// pending, so the head room costs nothing. The reference runs peak at
+// 713–3 027 entries (sim.heap_depth_max, 784–1 100 on the stored fig-9a
+// and ctrlscale-512 runs); 16 384 leaves 5× for deeper scenarios.
 const maxFree = 16384
 
-// compactMinDead is the floor below which Stop never triggers heap
+// compactMinDead is the floor below which Stop never triggers
 // compaction; above it, compaction runs once dead events outnumber
-// live ones, keeping the heap at most ~2× the live event count.
+// live ones, keeping the calendar at most ~2× the live event count.
 const compactMinDead = 64
 
 // NewEngine returns an Engine with the clock at zero.
@@ -150,6 +153,7 @@ type event struct {
 	gen     uint32
 	head    bool // AtHead event: wins timestamp ties against At events
 	stopped bool
+	next    *event // the bucket list, while the record sits in one
 
 	// Ranked-mode lineage: the node of the event whose execution
 	// scheduled this one (nil = setup slot) and the call index within
@@ -183,7 +187,7 @@ func (t Timer) Stop() bool {
 	e := ev.eng
 	e.obsStopped.Inc()
 	e.dead++
-	if e.dead > compactMinDead && e.dead > len(e.events)-e.dead {
+	if e.dead > compactMinDead && e.dead > e.cal.n-e.dead {
 		e.compact()
 	}
 	return true
@@ -223,6 +227,17 @@ func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	var ctx *Rank
+	var k uint64
+	if e.ranked {
+		ctx, k = e.childSlot()
+	}
+	ev := e.enqueue(t, a, arg, head, ctx, k)
+	return Timer{ev: ev, gen: ev.gen, at: t}
+}
+
+// enqueue fills a record and files it in the calendar.
+func (e *Engine) enqueue(t Time, a Action, arg any, head bool, ctx *Rank, k uint64) *event {
 	e.seq++
 	ev := e.free.Take()
 	if ev.eng == nil { // a record's first life; it never changes engine
@@ -232,13 +247,11 @@ func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 	ev.seq = e.seq
 	ev.act, ev.arg = a, arg
 	ev.head = head
-	if e.ranked {
-		ev.ctx, ev.k = e.childSlot()
-	}
-	e.events.push(ev)
+	ev.ctx, ev.k = ctx, k
+	e.cal.push(ev)
 	e.obsSched.Inc()
-	e.obsHeap.Update(int64(len(e.events)))
-	return Timer{ev: ev, gen: ev.gen, at: t}
+	e.obsHeap.Update(int64(e.cal.n))
+	return ev
 }
 
 // AtHead runs fn at absolute time t, ahead of every At/Schedule event
@@ -271,16 +284,15 @@ func (e *Engine) recycle(ev *event) {
 // peek discards dead records until the earliest live event surfaces,
 // returning nil when the calendar holds no live events.
 func (e *Engine) peek() *event {
-	for len(e.events) > 0 {
-		ev := e.events[0]
-		if !ev.stopped {
+	for {
+		ev := e.cal.min()
+		if ev == nil || !ev.stopped {
 			return ev
 		}
-		e.events.popTop()
+		e.cal.pop()
 		e.dead--
 		e.recycle(ev)
 	}
-	return nil
 }
 
 // Step executes the single earliest pending event. It reports false
@@ -290,7 +302,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.events.popTop()
+	e.cal.pop()
 	if e.chk != nil {
 		e.chk.Monotonic("sim/engine", int64(e.now), int64(ev.at))
 	}
@@ -357,53 +369,56 @@ func (e *Engine) RunUntil(deadline Time) error {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of live (not cancelled) events queued.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+func (e *Engine) Pending() int { return e.cal.n - e.dead }
 
-// compact filters dead records out of the heap in one O(n) pass and
-// re-establishes the heap property, bounding the memory cancelled
-// events can hold.
+// compact filters dead records out of the calendar in one O(n) pass,
+// bounding the memory cancelled events can hold.
 func (e *Engine) compact() {
-	live := e.events[:0]
-	for _, ev := range e.events {
+	e.cal.filter(func(ev *event) bool {
 		if ev.stopped {
-			e.recycle(ev)
-			continue
+			e.recycle(ev) // clears stopped
+			return false
 		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = live
+		return true
+	})
 	e.dead = 0
-	e.events.heapify()
 }
 
 // heapLen reports the calendar size including dead records (test hook).
-func (e *Engine) heapLen() int { return len(e.events) }
+func (e *Engine) heapLen() int { return e.cal.n }
 
-// eventHeap is a 4-ary min-heap ordered by (time, head, seq): AtHead
+// less is the engine's one event order, (time, head, seq): AtHead
 // events sort before At events at the same instant, and seq breaks the
 // remaining ties in FIFO scheduling order. Since every (time, seq) key
-// is unique the pop order is a total order — runs are deterministic
-// regardless of heap shape. The wider node fans out fewer cache-missed
-// levels per sift than a binary heap, which is what the hot path pays.
-type eventHeap []*event
-
-func (h eventHeap) less(a, b *event) bool {
+// is unique the order is total — runs are deterministic regardless of
+// calendar shape. It inlines into every sift and sort; only a
+// timestamp tie pays a call.
+func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
+	return tieLess(a, b)
+}
+
+// tieLess orders two events of one instant: head first, then seq — or,
+// on a ranked engine, the cross-shard schedule lineage instead of the
+// shard-local seq (see rank.go). Kept out of line so less inlines.
+//
+//go:noinline
+func tieLess(a, b *event) bool {
 	if a.head != b.head {
 		return a.head
 	}
 	if a.eng.ranked {
-		// Sharded runs: break the tie with the cross-shard schedule
-		// lineage instead of the shard-local seq (see rank.go).
 		return rankLess(a.ctx, a.k, b.ctx, b.k)
 	}
 	return a.seq < b.seq
 }
+
+// eventHeap is a 4-ary min-heap in less order: the calendar's overflow,
+// past the bucket window. The wider node fans out fewer cache-missed
+// levels per sift than a binary heap.
+type eventHeap []*event
 
 func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
@@ -426,7 +441,7 @@ func (h eventHeap) siftUp(i int) {
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(ev, h[parent]) {
+		if !less(ev, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
@@ -450,11 +465,11 @@ func (h eventHeap) siftDown(i int) {
 		}
 		min = first
 		for c := first + 1; c < last; c++ {
-			if h.less(h[c], h[min]) {
+			if less(h[c], h[min]) {
 				min = c
 			}
 		}
-		if !h.less(h[min], ev) {
+		if !less(h[min], ev) {
 			break
 		}
 		h[i] = h[min]

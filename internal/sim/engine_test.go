@@ -245,6 +245,32 @@ func TestCancellationHeavyHeapCompacts(t *testing.T) {
 	}
 }
 
+// TestMixedHorizonAllocs pins a warm engine under fig-9a's horizon mix
+// at zero allocations, through everything the calendar does besides
+// bucketing: sorted inserts into the current bucket, overflow pushes,
+// migration into the window and compaction of cancelled timers.
+func TestMixedHorizonAllocs(t *testing.T) {
+	m := newMixedLoad(256)
+	for i := 0; i < 50_000; i++ {
+		m.op()
+	}
+	far, compactions := m.far.fired, m.compactions
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 100; i++ {
+			m.op()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("mixed schedule+fire allocates %.2f times per 100 ops, want 0", allocs)
+	}
+	if m.far.fired == far {
+		t.Error("no event from past the window fired: migration was not exercised")
+	}
+	if m.compactions == compactions {
+		t.Error("no compaction ran: cancelled timers were not exercised")
+	}
+}
+
 func TestStopMidHeap(t *testing.T) {
 	// Cancel an event in the middle of the heap and check the rest
 	// still fire in order.

@@ -233,20 +233,7 @@ func (e *Engine) inject(t Time, head bool, ctx *Rank, k uint64, a Action, arg an
 	if t < e.now {
 		panic("sim: injecting event before now")
 	}
-	e.seq++
-	ev := e.free.Take()
-	if ev.eng == nil {
-		ev.eng = e
-	}
-	ev.at = t
-	ev.seq = e.seq
-	ev.act, ev.arg = a, arg
-	ev.head = head
-	ev.ctx = ctx.hold()
-	ev.k = k
-	e.events.push(ev)
-	e.obsSched.Inc()
-	e.obsHeap.Update(int64(len(e.events)))
+	e.enqueue(t, a, arg, head, ctx.hold(), k)
 }
 
 // SetTailStamp switches node creation into immediate-stamp mode (see
