@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"pase/internal/check"
@@ -184,11 +186,17 @@ func FuzzCreditQueue(f *testing.F) {
 
 // FuzzPfabricQueue exercises the pFabric shared buffer: priority
 // eviction under overflow, rank-ordered scheduling with the
-// starvation-prevention rule, and exact byte/packet accounting.
+// starvation-prevention rule, and exact byte/packet accounting. Every
+// operation is replayed on pfabricModel, the discipline's rules
+// restated with sorts, and the two must accept, evict and dequeue the
+// same packets. Ranks run negative and tie often; bit 6 of an op turns
+// the arrival into a retransmission, an older Seq of its flow.
 func FuzzPfabricQueue(f *testing.F) {
 	f.Add([]byte{3, 0x01, 0x42, 0x83, 0x24, 0xc5, 0x66})
 	f.Add([]byte{1, 0xff, 0x00, 0x80, 0x7f, 0x81})
 	f.Add([]byte{6, 0x11, 0x12, 0x13, 0x94, 0x15, 0x96, 0x17})
+	f.Add([]byte{10, 0x01, 0x41, 0x81, 0x08})                                          // limit 0
+	f.Add([]byte{4, 0x05, 0x09, 0x0d, 0x4b, 0x47, 0x85, 0x4f, 0x88, 0x4d, 0x81, 0x82}) // retransmissions
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -196,12 +204,16 @@ func FuzzPfabricQueue(f *testing.F) {
 		limit := int(data[0]) % 10
 		q := NewPFabric(limit)
 		q.AttachCheck("fuzz/pfabric", check.NewStrict(fuzzClock))
+		ref := &pfabricModel{limit: limit}
 
 		live := map[*pkt.Packet]bool{}
 		var seq int32
-		for _, op := range data[1:] {
+		for i, op := range data[1:] {
 			if op&0x80 != 0 {
 				p := q.Dequeue()
+				if want := ref.dequeue(); p != want {
+					t.Fatalf("op %d: dequeued %v, model %v", i, p, want)
+				}
 				if p == nil {
 					if q.Len() != 0 {
 						t.Fatal("nil dequeue from non-empty queue")
@@ -214,23 +226,43 @@ func FuzzPfabricQueue(f *testing.F) {
 				delete(live, p)
 				continue
 			}
-			seq++
+			pseq := seq + 1
+			if op&0x40 != 0 {
+				pseq = seq - 2*int32(op&0x07) // retransmission
+			} else {
+				seq++
+			}
 			p := &pkt.Packet{
-				Flow: pkt.FlowID(op % 4), Seq: seq, Type: pkt.Data,
+				Flow: pkt.FlowID(op % 4), Seq: pseq, Type: pkt.Data,
 				Rank: int64(op&0x3f) - 8, // negative ranks included
 				Size: pkt.MTU, ECT: true,
 			}
-			if q.Enqueue(p) {
+			ok := q.Enqueue(p)
+			if want := ref.enqueue(p); ok != want {
+				t.Fatalf("op %d: Enqueue(%v) = %v, model %v", i, p, ok, want)
+			}
+			if ok {
 				live[p] = true
+			}
+			// Eviction: the buffer must hold exactly the model's packets.
+			if len(q.q) != len(ref.q) {
+				t.Fatalf("op %d: %d packets buffered, model %d", i, len(q.q), len(ref.q))
+			}
+			for _, s := range q.q {
+				if !ref.holds(s.p) {
+					t.Fatalf("op %d: buffer holds %v, evicted in the model", i, s.p)
+				}
 			}
 		}
 		if q.Len() > limit {
 			t.Fatalf("len %d > limit %d", q.Len(), limit)
 		}
 		// live overcounts by the eviction victims; drain and strike out.
-		drained := 0
 		for {
 			p := q.Dequeue()
+			if want := ref.dequeue(); p != want {
+				t.Fatalf("drain: dequeued %v, model %v", p, want)
+			}
 			if p == nil {
 				break
 			}
@@ -238,7 +270,6 @@ func FuzzPfabricQueue(f *testing.F) {
 				t.Fatal("drained a packet that was never accepted")
 			}
 			delete(live, p)
-			drained++
 		}
 		if q.Bytes() != 0 {
 			t.Fatalf("drained queue reports %d bytes", q.Bytes())
@@ -254,3 +285,70 @@ func FuzzPfabricQueue(f *testing.F) {
 		q.CheckConservation()
 	})
 }
+
+// pfabricModel is the pFabric discipline's reference: the buffer in
+// arrival order, and each decision a sort of a copy of it.
+//
+//   - A full buffer evicts its least urgent packet — largest Rank, the
+//     latest arrival among equals — when the arrival's Rank is
+//     strictly smaller; otherwise it drops the arrival.
+//   - Dequeue finds the most urgent packet — smallest Rank, the
+//     earliest arrival among equals — and sends its flow's lowest Seq,
+//     the earliest arrival among equal Seqs.
+type pfabricModel struct {
+	limit int
+	q     []*pkt.Packet // arrival order
+}
+
+func (m *pfabricModel) enqueue(p *pkt.Packet) bool {
+	if len(m.q) >= m.limit {
+		if len(m.q) == 0 {
+			return false
+		}
+		byUrgency := m.sorted(func(a, b int) bool { return m.q[a].Rank < m.q[b].Rank })
+		victim := byUrgency[len(byUrgency)-1]
+		if victim.Rank <= p.Rank {
+			return false
+		}
+		m.remove(victim)
+	}
+	m.q = append(m.q, p)
+	return true
+}
+
+func (m *pfabricModel) dequeue() *pkt.Packet {
+	if len(m.q) == 0 {
+		return nil
+	}
+	flow := m.sorted(func(a, b int) bool { return m.q[a].Rank < m.q[b].Rank })[0].Flow
+	var mine []*pkt.Packet
+	for _, p := range m.q {
+		if p.Flow == flow {
+			mine = append(mine, p)
+		}
+	}
+	sort.SliceStable(mine, func(a, b int) bool { return mine[a].Seq < mine[b].Seq })
+	m.remove(mine[0])
+	return mine[0]
+}
+
+// sorted returns the buffer stably sorted by less: arrival order
+// breaks every tie.
+func (m *pfabricModel) sorted(less func(a, b int) bool) []*pkt.Packet {
+	idx := make([]int, len(m.q))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+	out := make([]*pkt.Packet, len(idx))
+	for i, j := range idx {
+		out[i] = m.q[j]
+	}
+	return out
+}
+
+func (m *pfabricModel) remove(p *pkt.Packet) {
+	m.q = slices.DeleteFunc(m.q, func(x *pkt.Packet) bool { return x == p })
+}
+
+func (m *pfabricModel) holds(p *pkt.Packet) bool { return slices.Contains(m.q, p) }

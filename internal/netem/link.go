@@ -21,7 +21,11 @@ type Port struct {
 	peer  *Port
 	owner Node
 
+	// busy is set while a transmission runs; done is the key of its
+	// completion, filed as a txDone event only once a packet waits for
+	// the line (see pump).
 	busy bool
+	done sim.Slot
 
 	// remote, when set, replaces the in-line delivery Schedule with a
 	// cross-shard handoff (sharded runs): the packet's arrival at the
@@ -149,9 +153,10 @@ func (pt *Port) Send(p *pkt.Packet) {
 // The port's two link events are pre-bound sim.Actions on the port
 // itself — same record, same tie-break slot as the closures they
 // replace, and nothing to allocate per hop. txDone fires on the
-// transmitting port when serialization ends; arrival fires on the
-// receiving port (on its owner's engine, also across shards) when the
-// packet it carries lands.
+// transmitting port when serialization ends, if a packet waits for
+// the line by then; arrival fires on the receiving port (on its
+// owner's engine, also across shards) when the packet it carries
+// lands.
 type (
 	txDone  Port
 	arrival Port
@@ -169,9 +174,26 @@ func (a *arrival) Fire(p any) {
 }
 
 // pump starts a transmission if the line is idle and a packet waits.
+//
+// A transmission reserves its completion's slot in the event order
+// and files the txDone event only when there is work for it: a packet
+// still queued behind this one, a packet lost on the wire (so a run
+// that drains still ends on the completion's clock), or a Send or Kick
+// that meets the busy line before the slot's key. One that comes after
+// the key clears busy itself and goes on, which is all the txDone would
+// have done: it would have found the queue empty.
 func (pt *Port) pump() {
 	if pt.busy {
-		return
+		switch {
+		case pt.done.Filed(): // txDone clears busy and pumps
+			return
+		case !pt.eng.Passed(pt.done):
+			if pt.queue.Len() > 0 {
+				pt.eng.File(&pt.done, (*txDone)(pt), nil)
+			}
+			return
+		}
+		pt.busy = false
 	}
 	if pt.Faults != nil && pt.Faults.Blocked(pt) {
 		return
@@ -187,10 +209,14 @@ func (pt *Port) pump() {
 	pt.TxBytes += int64(p.Size)
 	// Line becomes free after serialization; the packet lands at the
 	// peer one propagation delay later.
-	pt.eng.ScheduleAction(ser, (*txDone)(pt), nil)
+	pt.done = pt.eng.Reserve(ser, (*txDone)(pt), nil)
+	if pt.queue.Len() > 0 {
+		pt.eng.File(&pt.done, (*txDone)(pt), nil)
+	}
 	if pt.Faults != nil && pt.Faults.Lose(pt, p) {
 		// Dropped or corrupted on the wire: bandwidth was consumed but
 		// the packet never reaches the peer.
+		pt.eng.File(&pt.done, (*txDone)(pt), nil)
 		pt.pool.Put(p)
 		return
 	}

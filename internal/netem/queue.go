@@ -82,7 +82,9 @@ func (s *QueueStats) noteLen(n int) {
 }
 
 // fifo is a slice-backed ring buffer of packets, the building block of
-// the disciplines below.
+// the disciplines below. len(buf) is zero or a power of two — grow
+// starts it at 16 and doubles it — so an index wraps with a mask, not a
+// division.
 type fifo struct {
 	buf   []*pkt.Packet
 	head  int
@@ -98,7 +100,7 @@ func (f *fifo) push(p *pkt.Packet) {
 	if f.n == len(f.buf) {
 		f.grow()
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = p
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
 	f.n++
 	f.bytes += int64(p.Size)
 }
@@ -109,7 +111,7 @@ func (f *fifo) pop() *pkt.Packet {
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
 	f.bytes -= int64(p.Size)
 	return p
@@ -120,7 +122,7 @@ func (f *fifo) popTail() *pkt.Packet {
 	if f.n == 0 {
 		return nil
 	}
-	i := (f.head + f.n - 1) % len(f.buf)
+	i := (f.head + f.n - 1) & (len(f.buf) - 1)
 	p := f.buf[i]
 	f.buf[i] = nil
 	f.n--
@@ -135,7 +137,7 @@ func (f *fifo) grow() {
 	}
 	nb := make([]*pkt.Packet, size)
 	for i := 0; i < f.n; i++ {
-		nb[i] = f.buf[(f.head+i)%len(f.buf)]
+		nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 	}
 	f.buf = nb
 	f.head = 0

@@ -66,6 +66,73 @@ func TestFIFOWraparound(t *testing.T) {
 	}
 }
 
+// TestFifoMatchesSliceModel drives the ring through runs of pushes,
+// pops and tail pops — across the wrap, through each doubling and back
+// down to empty — and checks it against a plain slice after every
+// operation: same packets in the same order, same bytes, and a buffer
+// whose length stays a power of two.
+func TestFifoMatchesSliceModel(t *testing.T) {
+	var f fifo
+	var model []*pkt.Packet
+	state := uint64(0x9e3779b97f4a7c15)
+	rnd := func(n int) int {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return int(state % uint64(n))
+	}
+	seq := int32(0)
+	for step := 0; step < 20000; step++ {
+		// The push share drifts in phases so the ring fills past several
+		// doublings, then drains to empty and refills off a moved head.
+		pushPct := 70
+		if step/500%2 == 1 {
+			pushPct = 30
+		}
+		switch r := rnd(100); {
+		case r < pushPct:
+			seq++
+			p := &pkt.Packet{Seq: seq, Size: 40 + int32(rnd(1460))}
+			f.push(p)
+			model = append(model, p)
+		case r < pushPct+(100-pushPct)*2/3:
+			got := f.pop()
+			var want *pkt.Packet
+			if len(model) > 0 {
+				want, model = model[0], model[1:]
+			}
+			if got != want {
+				t.Fatalf("step %d: pop = %v, want %v", step, got, want)
+			}
+		default:
+			got := f.popTail()
+			var want *pkt.Packet
+			if n := len(model); n > 0 {
+				want, model = model[n-1], model[:n-1]
+			}
+			if got != want {
+				t.Fatalf("step %d: popTail = %v, want %v", step, got, want)
+			}
+		}
+		if n := len(f.buf); n&(n-1) != 0 {
+			t.Fatalf("step %d: ring length %d is not a power of two", step, n)
+		}
+		var bytes int64
+		for i, p := range model {
+			if got := f.buf[(f.head+i)&(len(f.buf)-1)]; got != p {
+				t.Fatalf("step %d: slot %d holds %v, want %v", step, i, got, p)
+			}
+			bytes += int64(p.Size)
+		}
+		if f.len() != len(model) || f.size() != bytes || f.empty() != (len(model) == 0) {
+			t.Fatalf("step %d: len %d size %d, model %d and %d", step, f.len(), f.size(), len(model), bytes)
+		}
+	}
+	if len(f.buf) < 64 {
+		t.Fatalf("ring grew to %d only; the test should pass several doublings", len(f.buf))
+	}
+}
+
 func TestREDECNMarksAboveK(t *testing.T) {
 	q := NewREDECN(100, 5)
 	for i := int32(0); i < 10; i++ {

@@ -28,11 +28,21 @@ type Engine struct {
 	dead    int              // stopped events still in the calendar
 	seq     uint64           // monotonically increasing tie-breaker
 	stopped bool
+	// pastAt/pastSeq locate the engine for Passed: every At event of
+	// instant pastAt with a seq below pastSeq has gone by. Step sets
+	// them to the latest At event it dispatched — At events of one
+	// instant fire in seq order, since a later one draws a larger seq
+	// — and a drained run to everything scheduled so far.
+	pastAt  Time
+	pastSeq uint64
 	// Executed counts the number of events dispatched so far; it is
-	// exposed for tests and for runaway-simulation guards.
+	// exposed for tests and for runaway-simulation guards. It counts
+	// filed events only, so a reserved slot that was never filed
+	// (Reserve) adds nothing.
 	Executed uint64
 	// Limit, when non-zero, aborts Run with an error after that many
-	// events. It protects against accidental infinite event loops.
+	// events. It protects against accidental infinite event loops; no
+	// model component sets it, only tests.
 	Limit uint64
 
 	// Local is per-engine state owned by a layer above sim, which sim
@@ -71,7 +81,7 @@ type Engine struct {
 // nil registry detaches it (the default state). The recorded streams:
 //
 //	sim/events_fired      events dispatched by Step
-//	sim/events_scheduled  events added by At/Schedule
+//	sim/events_scheduled  events added by At/Schedule/File
 //	sim/timers_stopped    successful Timer.Stop cancellations
 //	sim/heap_depth        calendar depth high-watermark (incl. dead)
 func (e *Engine) Instrument(reg *obs.Registry) {
@@ -223,6 +233,66 @@ func (e *Engine) ScheduleAction(d Duration, a Action, arg any) Timer {
 	return e.schedule(e.now.Add(d), a, arg, false)
 }
 
+// Slot is a reserved place in the event order: the key an event
+// scheduled by ScheduleAction at the moment of the Reserve call would
+// have had. Until File files it, nothing is in the calendar.
+type Slot struct {
+	at    Time
+	seq   uint64
+	filed bool
+}
+
+// Filed reports whether the slot's event is in the calendar (or has
+// fired from it).
+func (s Slot) Filed() bool { return s.filed }
+
+// Reserve draws the key ScheduleAction(d, a, arg) would draw now —
+// same time, same seq — without filing an event: a port's transmit
+// completion, which has work to do only if a packet waits for the
+// line by then. File files it later at exactly that key; Passed tells
+// whether the engine has gone past it. A ranked engine cannot hand a
+// rank child slot out later, so there Reserve files a.Fire(arg) at
+// once.
+func (e *Engine) Reserve(d Duration, a Action, arg any) Slot {
+	if d < 0 {
+		d = 0
+	}
+	if e.ranked {
+		tm := e.schedule(e.now.Add(d), a, arg, false)
+		return Slot{at: tm.at, seq: tm.ev.seq, filed: true}
+	}
+	e.seq++
+	return Slot{at: e.now.Add(d), seq: e.seq}
+}
+
+// File schedules a.Fire(arg) at the slot's key, so it sorts where the
+// event ScheduleAction would have filed at reservation time does. A
+// filed slot stays filed: filing it again does nothing. Filing a slot
+// the engine has passed panics, like scheduling in the past.
+func (e *Engine) File(s *Slot, a Action, arg any) {
+	if s.filed {
+		return
+	}
+	if e.Passed(*s) {
+		panic(fmt.Sprintf("sim: filing a slot at %v that the engine has passed (now %v)", s.at, e.now))
+	}
+	s.filed = true
+	e.file(s.at, s.seq, a, arg, false, nil, 0)
+}
+
+// Passed reports whether the engine has gone past an unfiled slot's
+// key: an event filed there would have fired already. Between events,
+// the events of the current instant that the last Run, RunUntil or
+// Step drained count as gone by. A filed slot's own event acts at the
+// key; on a ranked engine every slot is filed.
+func (e *Engine) Passed(s Slot) bool {
+	return e.now > s.at || s.at == e.pastAt && s.seq < e.pastSeq
+}
+
+// drained records that every event scheduled so far for the current
+// instant has gone by.
+func (e *Engine) drained() { e.pastAt, e.pastSeq = e.now, e.seq+1 }
+
 func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -236,15 +306,20 @@ func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 	return Timer{ev: ev, gen: ev.gen, at: t}
 }
 
-// enqueue fills a record and files it in the calendar.
+// enqueue draws the next seq and files an event with it.
 func (e *Engine) enqueue(t Time, a Action, arg any, head bool, ctx *Rank, k uint64) *event {
 	e.seq++
+	return e.file(t, e.seq, a, arg, head, ctx, k)
+}
+
+// file fills a record and files it in the calendar.
+func (e *Engine) file(t Time, seq uint64, a Action, arg any, head bool, ctx *Rank, k uint64) *event {
 	ev := e.free.Take()
 	if ev.eng == nil { // a record's first life; it never changes engine
 		ev.eng = e
 	}
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.act, ev.arg = a, arg
 	ev.head = head
 	ev.ctx, ev.k = ctx, k
@@ -296,10 +371,12 @@ func (e *Engine) peek() *event {
 }
 
 // Step executes the single earliest pending event. It reports false
-// when the calendar holds no live events.
+// when the calendar holds no live events; everything scheduled for
+// the current instant has then gone by (Passed).
 func (e *Engine) Step() bool {
 	ev := e.peek()
 	if ev == nil {
+		e.drained()
 		return false
 	}
 	e.cal.pop()
@@ -307,6 +384,9 @@ func (e *Engine) Step() bool {
 		e.chk.Monotonic("sim/engine", int64(e.now), int64(ev.at))
 	}
 	e.now = ev.at
+	if !ev.head {
+		e.pastAt, e.pastSeq = ev.at, ev.seq
+	}
 	e.Executed++
 	e.obsFired.Inc()
 	act, arg := ev.act, ev.arg
@@ -346,7 +426,9 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil processes events with timestamps <= deadline, then advances
-// the clock to the deadline. Events scheduled beyond it stay queued.
+// the clock to the deadline. Events scheduled beyond it stay queued;
+// unless Stop cut the run short, everything scheduled so far for the
+// deadline has then gone by (Passed).
 func (e *Engine) RunUntil(deadline Time) error {
 	e.stopped = false
 	for !e.stopped {
@@ -361,6 +443,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 	}
 	if e.now < deadline {
 		e.now = deadline
+	}
+	if !e.stopped {
+		e.drained()
 	}
 	return nil
 }
