@@ -6,7 +6,7 @@ import (
 )
 
 // The calendar is a window of fixed-width time buckets in front of the
-// 4-ary heap. A fig-9a DCTCP run schedules 96 % of its events at most
+// 4-ary heap. A fig-9a DCTCP run files 95 % of its events at most
 // 64 µs ahead — link, queue and pacing delays — and almost all the
 // rest 8–16 ms ahead, its retransmission timers. So the window covers
 // bucketCount × 2^bucketShift ns ≈ 131 µs: the short horizons land in
