@@ -49,7 +49,7 @@ alloc-gate:
 # control plane and periodic arbitrator crashes, and must finish every
 # flow with zero invariant violations (plus the chaos pins' re-runs).
 chaos-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestChaos|TestPins/chaos' ./internal/experiments/)
+	$(call pins,PASE_CHECK=1,-run 'TestChaos|TestPins/(chaos|figure-robust-axis)' ./internal/experiments/)
 
 # The streaming scale sweep at 10^5 flows with invariants force-enabled
 # and a hard 256 MB Go-heap ceiling: a dedicated test process (so no
@@ -107,7 +107,7 @@ fuzz-smoke:
 # invariant checker — credit_pace included — then one checked
 # 10^5-flow 100 Gbps incast run end to end.
 highspeed-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestExpressPass|TestHighspeed|TestPins/(conformance|sharded|expresspass)' ./internal/experiments/)
+	$(call pins,PASE_CHECK=1,-run 'TestExpressPass|TestHighspeed|TestPins/(conformance|sharded|expresspass|figure-highspeed-axis)' ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -flows 100000 -stream -check -progress=false
 
 # Routing-control-loop gate: the route-table unit pins (clean == pure
@@ -117,7 +117,7 @@ highspeed-smoke:
 # (route_valid / route_loop included), then one checked rerouted run
 # through a real uplink outage end to end.
 te-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestRouteTable|TestECMPSpine|TestLeafSpineLinkID|TestTE|TestPins/^te-' ./internal/topology/ ./internal/experiments/)
+	$(call pins,PASE_CHECK=1,-run 'TestRouteTable|TestECMPSpine|TestLeafSpineLinkID|TestTE|TestPins/(^te-|^figure-te-axis)' ./internal/topology/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
 		-reroute -te -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 
@@ -128,7 +128,7 @@ te-smoke:
 # 512-rack run per arm end to end — the hierarchy at datacenter scale
 # and the centralized comparison on the same fabric.
 ctrlscale-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|TestCtrlScale|TestPins/ctrlplane' ./internal/core/arbitration/ ./internal/experiments/)
+	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|TestCtrlScale|TestPins/(ctrlplane|figure-ctrlscale-axis)' ./internal/core/arbitration/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
 

@@ -47,6 +47,7 @@ type pin struct {
 	// twins are variants, each a "+"-joined list of twin kinds (see
 	// applyTwin), whose output must equal the stored value.
 	twins    []string
+	flat     []string // series an -axis golden may hold constant along x
 	protects string
 	mover    string // the ROADMAP item allowed to move the value
 }
@@ -126,6 +127,28 @@ func pinTable() []pin {
 		ps = append(ps, pin{name: "figure-" + f.ID, out: tsvOut, file: "figures/" + f.ID + ".tsv",
 			input:    input{fig: f.ID, opts: Opts{NumFlows: 30, Seed: 1, Loads: []float64{0.5}}},
 			protects: "figure " + f.ID + "'s grid, metric, notes and TSV layout", mover: mover})
+	}
+	// The 30-flow goldens leave these figures' x axes flat or unswept;
+	// each -axis row runs its figure at a size where the axis moves
+	// every series but the flat ones: a baseline the axis leaves alone,
+	// or a curve whose claim is that it stays level.
+	for _, a := range []struct {
+		id   string
+		opts Opts
+		flat []string
+	}{
+		{"te", Opts{NumFlows: 200, Seed: 1}, []string{"PASE+TE"}},
+		{"robust", Opts{NumFlows: 80, Seed: 1}, []string{"DCTCP (no faults)"}},
+		{"scale", Opts{NumFlows: 1000, Seed: 1, Loads: []float64{0.5}}, nil},
+		{"task", Opts{NumFlows: 60, Seed: 1}, nil},
+		{"ctrlscale", Opts{NumFlows: 30, Seed: 1, Racks: 100, Ctrl: "central"}, nil},
+		{"11a", Opts{NumFlows: 60, Seed: 1, Loads: []float64{0.3, 0.8}}, nil},
+		{"11b", Opts{NumFlows: 60, Seed: 1, Loads: []float64{0.3, 0.8}}, nil},
+		{"highspeed", Opts{NumFlows: 30, Seed: 1}, nil},
+	} {
+		ps = append(ps, pin{name: "figure-" + a.id + "-axis", out: tsvOut, file: "figures/" + a.id + "-axis.tsv",
+			input: input{fig: a.id, opts: a.opts}, flat: a.flat,
+			protects: "figure " + a.id + "'s x axis, at a size where every series but the flat ones moves", mover: "item 6"})
 	}
 	ps = append(ps,
 		pin{name: "trace-perfetto", out: perfettoOut, file: "golden_trace.json",
@@ -382,8 +405,9 @@ func readKeys(t *testing.T) map[string]string {
 }
 
 // checkRegistry fails on two rows with one name, on a pins.tsv key no
-// file-less row names, and on a file under testdata/ (outside fuzz/)
-// that no row owns — a deleted row must take its value with it.
+// file-less row names, on a file under testdata/ (outside fuzz/) that
+// no row owns — a deleted row must take its value with it — and on an
+// -axis golden with a series, flat ones aside, constant along x.
 func checkRegistry(t *testing.T, keys map[string]string) {
 	rows := map[string]pin{}
 	owned := map[string]bool{"pins.tsv": true}
@@ -393,6 +417,13 @@ func checkRegistry(t *testing.T, keys map[string]string) {
 		}
 		rows[p.name] = p
 		owned[p.file] = true
+		if strings.HasSuffix(p.name, "-axis") {
+			for _, s := range flatSeries(p.stored(keys)) {
+				if !slices.Contains(p.flat, s) {
+					t.Errorf("testdata/%s: series %q is constant along x", p.file, s)
+				}
+			}
+		}
 	}
 	for k := range keys {
 		if p, ok := rows[k]; !ok || p.file != "" {
@@ -414,6 +445,33 @@ func checkRegistry(t *testing.T, keys map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flatSeries names the series of a one-grid figure TSV whose value is
+// the same at every x.
+func flatSeries(tsv []byte) []string {
+	var names []string
+	var rows [][]string
+	for _, l := range strings.Split(string(tsv), "\n") {
+		f := strings.Split(l, "\t")
+		switch {
+		case names == nil && len(f) > 2 && strings.HasPrefix(l, "# "):
+			names = f[1 : len(f)-1]
+		case l != "" && !strings.HasPrefix(l, "#"):
+			rows = append(rows, f[1:])
+		}
+	}
+	var flat []string
+	for i, name := range names {
+		same := len(rows) > 0
+		for _, r := range rows {
+			same = same && len(r) == len(names) && r[i] == rows[0][i]
+		}
+		if same {
+			flat = append(flat, name)
+		}
+	}
+	return flat
 }
 
 const (
