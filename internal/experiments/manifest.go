@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -161,4 +164,69 @@ func (m *Manifest) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
+}
+
+// Render formats a Result as aligned text columns: one row per X
+// value, or one block per series when the X grids differ.
+func (r *Result) Render() string {
+	var b strings.Builder
+	r.write(&b, false)
+	return b.String()
+}
+
+// WriteTSV dumps the figure as tab-separated columns (one X column,
+// one column per series), then its totals. Series with differing X
+// grids (CDFs) are emitted as separate blocks. Writes go through a
+// buffer whose first error sticks, so the Flush error covers every
+// write.
+func (r *Result) WriteTSV(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	r.write(bw, true)
+	if r.Points > 0 {
+		fmt.Fprintf(bw, "# totals: points=%d retx=%d timeouts=%d\n", r.Points, r.Retx, r.Timeouts)
+	}
+	return bw.Flush()
+}
+
+// write lays r out as Render's aligned columns or as WriteTSV's
+// tab-separated ones, whose title, header and notes are "# " comments.
+// Series sharing the first one's X grid (sweeps do; CDF curves have
+// their own) make one table.
+func (r *Result) write(w io.Writer, tsv bool) {
+	com, head, name, unit, x, y := "", "%-14s", " %16s", "   (%s)\n", "%-14.4g", " %16.4g"
+	if tsv {
+		com, head, name, unit, x, y = "# ", "# %s", "\t%s", "\t(%s)\n", "%g", "\t%g"
+	}
+	fmt.Fprintf(w, com+"Figure %s: %s\n", r.ID, r.Title)
+	table := !slices.ContainsFunc(r.Series, func(s Series) bool { return !slices.Equal(s.X, r.Series[0].X) })
+	if table || !tsv {
+		fmt.Fprintf(w, head, r.XLabel)
+		for _, s := range r.Series {
+			fmt.Fprintf(w, name, s.Name)
+		}
+		fmt.Fprintf(w, unit, r.YLabel)
+	}
+	if table {
+		for i, xi := range r.Series[0].X {
+			fmt.Fprintf(w, x, xi)
+			for _, s := range r.Series {
+				fmt.Fprintf(w, y, s.Y[i])
+			}
+			fmt.Fprintln(w)
+		}
+	} else {
+		for _, s := range r.Series {
+			if tsv {
+				fmt.Fprintf(w, "# %s: %s vs %s\n", s.Name, r.XLabel, r.YLabel)
+			} else {
+				fmt.Fprintf(w, "-- %s --\n", s.Name)
+			}
+			for i := range s.X {
+				fmt.Fprintf(w, x+y+"\n", s.X[i], s.Y[i])
+			}
+		}
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, com+"note: %s\n", n)
+	}
 }

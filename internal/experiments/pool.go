@@ -22,7 +22,7 @@ import (
 // observability for every point; o.Progress (if set) is called after
 // each point completes, possibly from a worker goroutine.
 func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
-	if o.Obs || o.Check || o.Faults != nil || o.Stream || o.Shards > 1 || o.Trace.Enabled() || o.Ctrl == "central" {
+	if o.Obs || o.Check || o.Faults != nil || o.Stream || o.SketchEps != 0 || o.Shards > 1 || o.Trace.Enabled() || o.Ctrl == "central" {
 		for i := range cfgs {
 			cfgs[i].Obs = cfgs[i].Obs || o.Obs
 			cfgs[i].Check = cfgs[i].Check || o.Check
@@ -101,57 +101,21 @@ func RunPointsOpts(cfgs []PointConfig, o Opts) []PointResult {
 	return out
 }
 
-// pointExtras collects the cross-point observability of one pool run:
-// per-point snapshots (merged in input order afterwards, so the result
-// is independent of scheduling) and the retransmission totals every
-// figure reports. Workers write disjoint indices; no locking needed.
-type pointExtras struct {
-	snaps      []*obs.Snapshot
-	retx       []int64
-	timeouts   []int64
-	violations []int64
-}
-
-func newPointExtras(n int) *pointExtras {
-	return &pointExtras{
-		snaps:      make([]*obs.Snapshot, n),
-		retx:       make([]int64, n),
-		timeouts:   make([]int64, n),
-		violations: make([]int64, n),
-	}
-}
-
-// observe records point i's contribution. Safe to call concurrently
-// for distinct i.
-func (e *pointExtras) observe(i int, r PointResult) {
-	e.snaps[i] = r.Obs
-	e.retx[i] = r.Summary.Retx
-	e.timeouts[i] = r.Summary.Timeouts
-	e.violations[i] = r.Violations
-}
-
-// fill merges the collected extras into the figure result.
-func (e *pointExtras) fill(res *Result) {
-	res.Obs = obs.MergeAll(e.snaps)
-	res.Points = len(e.snaps)
-	for i := range e.snaps {
-		res.Retx += e.retx[i]
-		res.Timeouts += e.timeouts[i]
-		res.Violations += e.violations[i]
-	}
-}
-
-// mapPoints is RunPoints for callers that only keep one scalar per
-// point: the metric is applied inside the worker, so the full
+// mapPoints runs every point through keep inside its worker, so the
 // per-point Records/CDF payloads are released as soon as each point
-// finishes instead of being retained for the whole grid. The returned
-// extras carry each point's snapshot and retransmission totals.
-func mapPoints(cfgs []PointConfig, o Opts, metric func(PointResult) float64) ([]float64, *pointExtras) {
-	out := make([]float64, len(cfgs))
-	ex := newPointExtras(len(cfgs))
+// finishes instead of being retained for the whole grid, and totals
+// the grid into res: point count, retransmissions, violations and the
+// snapshots merged in input order (so independent of scheduling).
+// Workers write disjoint indices; no locking needed.
+func mapPoints(cfgs []PointConfig, o Opts, res *Result, keep func(i int, r PointResult)) {
+	snaps := make([]*obs.Snapshot, len(cfgs))
+	totals := make([][3]int64, len(cfgs))
 	forEachPoint(cfgs, o, func(i int, r PointResult) {
-		out[i] = metric(r)
-		ex.observe(i, r)
+		keep(i, r)
+		snaps[i], totals[i] = r.Obs, [3]int64{r.Summary.Retx, r.Summary.Timeouts, r.Violations}
 	})
-	return out, ex
+	res.Obs, res.Points = obs.MergeAll(snaps), len(cfgs)
+	for _, t := range totals {
+		res.Retx, res.Timeouts, res.Violations = res.Retx+t[0], res.Timeouts+t[1], res.Violations+t[2]
+	}
 }

@@ -148,7 +148,12 @@ func TestMapPointsMatchesRunPoints(t *testing.T) {
 		{Protocol: PASE, Scenario: IntraRack, Load: 0.6, Seed: 2, NumFlows: 50},
 	}
 	full := RunPoints(cfgs, 1)
-	ys, _ := mapPoints(cfgs, Opts{Parallelism: 4}, afctMS)
+	ys := make([]float64, len(cfgs))
+	var res Result
+	mapPoints(cfgs, Opts{Parallelism: 4}, &res, func(i int, r PointResult) { ys[i] = afctMS(r) })
+	if res.Points != len(cfgs) || res.Retx != full[0].Summary.Retx+full[1].Summary.Retx {
+		t.Fatalf("mapPoints totals: %d points, %d retx", res.Points, res.Retx)
+	}
 	for i := range cfgs {
 		if ys[i] != afctMS(full[i]) {
 			t.Fatalf("point %d: mapPoints %v vs RunPoints %v", i, ys[i], afctMS(full[i]))

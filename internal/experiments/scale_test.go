@@ -108,7 +108,8 @@ func TestScaleSmoke(t *testing.T) {
 	} else if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := figScale(Opts{NumFlows: top, Seed: 1})
+	fig, _ := Lookup("scale")
+	res := fig.Run(Opts{NumFlows: top, Seed: 1})
 	if res.Points != 6 {
 		t.Fatalf("scale figure ran %d points, want 6", res.Points)
 	}

@@ -94,3 +94,29 @@ func TestTEFrozenRoutingStrands(t *testing.T) {
 		t.Errorf("frozen-routing survival %.3f unexpectedly high — chaos plan is not biting", survival)
 	}
 }
+
+// TestTESeedsAverage holds the te figure to Opts.Seeds: each point of
+// a two-seed run is the mean of the one-seed runs at Seed and Seed+1.
+func TestTESeedsAverage(t *testing.T) {
+	fig, _ := Lookup("te")
+	run := func(seed uint64, seeds int) *Result {
+		return fig.Run(Opts{NumFlows: 120, Seed: seed, Seeds: seeds})
+	}
+	both, one, two := run(1, 2), run(1, 1), run(2, 1)
+	if both.Points != 2*one.Points {
+		t.Fatalf("two seeds ran %d points, one seed %d", both.Points, one.Points)
+	}
+	moved := false
+	for i, s := range both.Series {
+		for j, y := range s.Y {
+			a, b := one.Series[i].Y[j], two.Series[i].Y[j]
+			moved = moved || a != b
+			if y != (a+b)/2 {
+				t.Errorf("%s at x=%g: two-seed mean %v, want (%v+%v)/2", s.Name, s.X[j], y, a, b)
+			}
+		}
+	}
+	if !moved {
+		t.Error("seeds 1 and 2 agree at every point, so the mean proves nothing")
+	}
+}

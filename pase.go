@@ -311,9 +311,9 @@ type FlowOutcome struct {
 
 // validate is the one check of what Simulate and RunFigure both take
 // in, naming the offending field: every load in (0, 1], no negative
-// flow or seed count, a valid fault plan, a known control plane and a
-// ctrlscale rack count within the ceiling. Simulate passes its config
-// as a one-load Opts.
+// flow, seed or rack count, a valid fault plan, a known control plane
+// and a ctrlscale rack count within the ceiling. Simulate passes its
+// config as a one-load Opts.
 func validate(o FigureOpts, loadField, racksField string) error {
 	for _, l := range o.Loads {
 		if !(l > 0 && l <= 1) {
@@ -331,6 +331,9 @@ func validate(o FigureOpts, loadField, racksField string) error {
 	}
 	if o.Ctrl != "" && o.Ctrl != "hierarchy" && o.Ctrl != "central" {
 		return fmt.Errorf("pase: unknown Ctrl %q (want \"hierarchy\" or \"central\")", o.Ctrl)
+	}
+	if o.Racks < 0 {
+		return fmt.Errorf("pase: %s must not be negative, got %d", racksField, o.Racks)
 	}
 	if o.Racks > experiments.CtrlScaleMaxRacks {
 		return fmt.Errorf("pase: %s asks for %d ctrlscale racks, at most %d are supported", racksField, o.Racks, experiments.CtrlScaleMaxRacks)

@@ -69,6 +69,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"NumFlows", pase.FigureOpts{NumFlows: -5, Loads: []float64{0.5}}},
 		{"Seeds", pase.FigureOpts{NumFlows: 10, Seeds: -1, Loads: []float64{0.5}}},
 		{"Ctrl", pase.FigureOpts{NumFlows: 10, Ctrl: "centrl", Loads: []float64{0.5}}},
+		{"Racks", pase.FigureOpts{NumFlows: 10, Racks: -1, Loads: []float64{0.5}}},
 	} {
 		if _, err := pase.RunFigure("13b", c.opts); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Fatalf("RunFigure(%+v): got %v, want an error naming %s", c.opts, err, c.field)
