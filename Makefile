@@ -95,7 +95,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCreditQueue$$' -fuzztime 10s ./internal/netem/
 	$(GO) test -run '^$$' -fuzz '^FuzzArbitrator$$' -fuzztime 10s ./internal/core/arbitration/
 	$(GO) test -run '^$$' -fuzz '^FuzzArbitrationTree$$' -fuzztime 10s ./internal/core/arbitration/
-	$(GO) test -run '^$$' -fuzz '^FuzzEmpiricalCDF$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSketch$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRankOrder$$' -fuzztime 10s ./internal/sim/

@@ -16,6 +16,17 @@ func newArb(c netem.BitRate) (*sim.Engine, *Arbitrator) {
 	return eng, a
 }
 
+// lookup returns a's cached decision for flow without refreshing it,
+// after the recompute pass that may expire it.
+func lookup(a *Arbitrator, flow pkt.FlowID) (Decision, bool) {
+	a.maybeRecompute(a.clock())
+	e, ok := a.entries[flow]
+	if !ok {
+		return Decision{}, false
+	}
+	return e.decision, true
+}
+
 func TestSingleFlowTopQueueFullRate(t *testing.T) {
 	_, a := newArb(netem.Gbps)
 	d := a.Update(1, 1000, netem.Gbps)
@@ -49,7 +60,7 @@ func TestSaturatedFlowsDropToLowerQueues(t *testing.T) {
 		a.Update(pkt.FlowID(i+1), int64(i), netem.Gbps)
 	}
 	for i := 0; i < 10; i++ {
-		d, ok := a.Lookup(pkt.FlowID(i + 1))
+		d, ok := lookup(a, pkt.FlowID(i+1))
 		if !ok {
 			t.Fatalf("flow %d missing", i+1)
 		}
@@ -73,11 +84,11 @@ func TestRemovePromotesSuccessor(t *testing.T) {
 	_, a := newArb(netem.Gbps)
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
-	if d, _ := a.Lookup(2); d.Queue != 1 {
+	if d, _ := lookup(a, 2); d.Queue != 1 {
 		t.Fatalf("flow 2 should start in queue 1, got %d", d.Queue)
 	}
 	a.Remove(1)
-	if d, _ := a.Lookup(2); d.Queue != 0 || d.Rref != netem.Gbps {
+	if d, _ := lookup(a, 2); d.Queue != 0 || d.Rref != netem.Gbps {
 		t.Fatalf("after removal flow 2 got %+v, want top/line-rate", d)
 	}
 }
@@ -96,7 +107,7 @@ func TestLeaseExpiry(t *testing.T) {
 	if a.Flows() != 1 {
 		t.Fatalf("flows = %d, want 1 (flow 1 lease-expired)", a.Flows())
 	}
-	if d, _ := a.Lookup(2); d.Queue != 0 {
+	if d, _ := lookup(a, 2); d.Queue != 0 {
 		t.Fatalf("survivor queue = %d, want 0", d.Queue)
 	}
 }
@@ -111,7 +122,7 @@ func TestDeadlineKeyPrecedesSizeKey(t *testing.T) {
 	if d.Queue != 0 {
 		t.Fatalf("deadline flow queue = %d, want 0", d.Queue)
 	}
-	if d, _ := a.Lookup(1); d.Queue != 1 {
+	if d, _ := lookup(a, 1); d.Queue != 1 {
 		t.Fatalf("size flow queue = %d, want 1", d.Queue)
 	}
 }
@@ -120,11 +131,11 @@ func TestSetCapacityRecomputes(t *testing.T) {
 	_, a := newArb(netem.Gbps)
 	a.Update(1, 10, 600*netem.Mbps)
 	a.Update(2, 20, 600*netem.Mbps)
-	if d, _ := a.Lookup(2); d.Queue != 0 {
+	if d, _ := lookup(a, 2); d.Queue != 0 {
 		t.Fatalf("flow 2 queue = %d, want 0 (600+600 > C but ADH=600 < C)", d.Queue)
 	}
 	a.SetCapacity(500 * netem.Mbps)
-	if d, _ := a.Lookup(2); d.Queue != 1 {
+	if d, _ := lookup(a, 2); d.Queue != 1 {
 		t.Fatalf("after shrink flow 2 queue = %d, want 1", d.Queue)
 	}
 }
@@ -143,7 +154,7 @@ func TestArbitratorMonotonicity(t *testing.T) {
 		}
 		prevQ := int8(0)
 		for i := range demandsRaw {
-			d, ok := a.Lookup(pkt.FlowID(i + 1))
+			d, ok := lookup(a, pkt.FlowID(i+1))
 			if !ok {
 				return false
 			}
@@ -279,8 +290,8 @@ func TestDelegatedShareTracksDemand(t *testing.T) {
 	if aggCore == nil {
 		t.Fatal("agg-core link not found")
 	}
-	va0 := sys.VirtualArbitrator(aggCore.ID, 0) // rack 0's slice
-	va1 := sys.VirtualArbitrator(aggCore.ID, 1)
+	va0 := sys.virt[virtKey{aggCore.ID, 0}] // rack 0's slice
+	va1 := sys.virt[virtKey{aggCore.ID, 1}]
 	if va0 == nil || va1 == nil {
 		t.Fatal("virtual arbitrators missing")
 	}

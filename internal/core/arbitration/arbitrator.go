@@ -202,18 +202,6 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 	return e.decision
 }
 
-// Lookup returns the cached decision for a flow without refreshing it.
-func (a *Arbitrator) Lookup(flow pkt.FlowID) (Decision, bool) {
-	// The pass comes first: it may expire the flow, and an expired
-	// entry is back in the pool before it returns.
-	a.maybeRecompute(a.clock())
-	e, ok := a.entries[flow]
-	if !ok {
-		return Decision{}, false
-	}
-	return e.decision, true
-}
-
 // Remove deregisters a finished flow.
 func (a *Arbitrator) Remove(flow pkt.FlowID) {
 	e, ok := a.entries[flow]

@@ -21,8 +21,8 @@ func TestCrashWipesSoftState(t *testing.T) {
 	if a.Flows() != 0 {
 		t.Fatalf("crash kept %d entries, want 0", a.Flows())
 	}
-	if _, ok := a.Lookup(1); ok {
-		t.Fatal("Lookup found a flow after the soft-state wipe")
+	if _, ok := lookup(a, 1); ok {
+		t.Fatal("lookup found a flow after the soft-state wipe")
 	}
 }
 

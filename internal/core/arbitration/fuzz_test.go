@@ -82,11 +82,11 @@ func FuzzArbitrator(f *testing.F) {
 						x.Restore()
 					}
 				default:
-					d, ok := a.Lookup(flow)
+					d, ok := lookup(a, flow)
 					if ok && d.Rref < 0 {
 						t.Fatalf("op %d: lookup returned negative Rref", i)
 					}
-					if got, gotOK := twin.Lookup(flow); got != d || gotOK != ok {
+					if got, gotOK := lookup(twin, flow); got != d || gotOK != ok {
 						t.Fatalf("op %d: pooled lookup (%+v, %v), oracle (%+v, %v)", i, got, gotOK, d, ok)
 					}
 				}

@@ -28,10 +28,10 @@ func FuzzArbitrationTree(f *testing.F) {
 		racks := 1 + int(data[0])%32
 		h := HierarchyParams{FanOut: 2 + int(data[1])%4, TopShards: int(data[2]) % 3}
 		var now sim.Time
-		tr := NewTree(h, racks, testRackCap, testTopCap, testQueues, testBase,
+		tr := newTree(nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
 			testPeriod, func() sim.Time { return now }, TreeUpIDBase)
 		if tr == nil {
-			t.Fatal("NewTree returned nil for enabled params")
+			t.Fatal("newTree returned nil for enabled params")
 		}
 		tr.AttachCheck(check.NewStrict(func() int64 { return int64(now) }))
 		const prune = int8(2)
@@ -88,7 +88,7 @@ func FuzzArbitrationTree(f *testing.F) {
 			case 2: // release along the registered path
 				for _, st := range live[flow] {
 					st.arb.Remove(flow)
-					if _, ok := st.arb.Lookup(flow); ok {
+					if _, ok := lookup(st.arb, flow); ok {
 						t.Fatalf("op %d: flow survived its release", i)
 					}
 				}
@@ -100,11 +100,11 @@ func FuzzArbitrationTree(f *testing.F) {
 				case 1:
 					tr.RefreshShares(prune, nil)
 				case 2:
-					lv := int(op>>2) % tr.Levels()
-					tr.Node(lv, int(op>>4)%tr.NodesAt(lv)).Crash()
+					lv := int(op>>2) % len(tr.levels)
+					tr.levels[lv][int(op>>4)%len(tr.levels[lv])].Crash()
 				case 3:
-					lv := int(op>>2) % tr.Levels()
-					tr.Node(lv, int(op>>4)%tr.NodesAt(lv)).Restore()
+					lv := int(op>>2) % len(tr.levels)
+					tr.levels[lv][int(op>>4)%len(tr.levels[lv])].Restore()
 				}
 			}
 		}

@@ -474,21 +474,9 @@ func (sys *System) Restore(link int) {
 	}
 }
 
-// Arbitrator exposes the per-link arbitrator (tests, inspection).
+// Arbitrator exposes the per-link arbitrator, so end-host tests can
+// check that finished flows leave no arbitration state behind.
 func (sys *System) Arbitrator(linkID int) *Arbitrator { return sys.arbs[linkID] }
-
-// VirtualArbitrator exposes a delegated slice (tests).
-func (sys *System) VirtualArbitrator(linkID, rack int) *Arbitrator {
-	return sys.virt[virtKey{linkID, rack}]
-}
-
-// UpTree and DownTree expose the deep-hierarchy aggregation trees
-// (nil unless Params.Hierarchy is enabled on a multi-rack fabric).
-func (sys *System) UpTree() *Tree   { return sys.upTree }
-func (sys *System) DownTree() *Tree { return sys.downTree }
-
-// Centralized reports whether the system runs the centralized arm.
-func (sys *System) Centralized() bool { return sys.central != nil }
 
 // Client is the per-flow handle the PASE transport uses to obtain and
 // refresh its priority queue and reference rate.

@@ -83,17 +83,12 @@ const (
 	TreeDownIDBase = 1 << 25
 )
 
-// NewTree builds one directional aggregation tree over `racks` racks.
-// rackCap is the capacity a single rack's uplink tier contributes;
-// topCap bounds every aggregate (the core's bisection in that
-// direction). numQueues/baseRate/period/clock configure the embedded
-// arbitrators exactly like physical ones.
-func NewTree(h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
-	return newTree(nil, h, racks, rackCap, topCap, numQueues, baseRate, period, clock, idBase)
-}
-
-// newTree is NewTree with every arbitrator drawing its entries from
-// pool (nil = the allocator).
+// newTree builds one directional aggregation tree over `racks` racks,
+// every arbitrator drawing its entries from pool (nil = the
+// allocator). rackCap is the capacity a single rack's uplink tier
+// contributes; topCap bounds every aggregate (the core's bisection in
+// that direction). numQueues/baseRate/period/clock configure the
+// embedded arbitrators exactly like physical ones.
 func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
 	if !h.Enabled() || racks < 1 {
 		return nil
@@ -188,27 +183,9 @@ func (t *Tree) childCount(lv, p int) int {
 	return n
 }
 
-// Levels is the number of aggregation levels (≥ 1; 1 means a single
-// degenerate root over one rack).
-func (t *Tree) Levels() int { return len(t.levels) }
-
 // MaxDepth is the control-hop depth of a full, non-delegated climb to
 // the root (the access link is depth 0, level-0 nodes depth 1).
 func (t *Tree) MaxDepth() int { return len(t.levels) }
-
-// NodesAt returns how many arbitrators level lv holds.
-func (t *Tree) NodesAt(lv int) int { return len(t.levels[lv]) }
-
-// Node returns the level-lv arbitrator at index i.
-func (t *Tree) Node(lv, i int) *Arbitrator { return t.levels[lv][i] }
-
-// Slice returns the delegated slice of the level-lv parent owned by
-// child index c at level lv-1 (nil when the parent is the sharded
-// root, or out of range).
-func (t *Tree) Slice(lv, c int) *Arbitrator { return t.slices[sliceKey{lv, c}] }
-
-// Shards is the replicated-root shard count (1 = single root).
-func (t *Tree) Shards() int { return t.shards }
 
 // ShardOf hashes a flow onto a root shard.
 func (t *Tree) ShardOf(flow pkt.FlowID) int {

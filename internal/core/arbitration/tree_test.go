@@ -20,7 +20,7 @@ func newTestTree(h HierarchyParams, racks int, clock func() sim.Time) *Tree {
 	if clock == nil {
 		clock = func() sim.Time { return 0 }
 	}
-	return NewTree(h, racks, testRackCap, testTopCap, testQueues, testBase,
+	return newTree(nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
 		testPeriod, clock, TreeUpIDBase)
 }
 
@@ -42,7 +42,7 @@ func TestTreeDisabled(t *testing.T) {
 			t.Errorf("%s: Enabled() = true, want false", tc.name)
 		}
 		if tr := newTestTree(tc.h, tc.racks, nil); tr != nil {
-			t.Errorf("%s: NewTree returned a tree, want nil", tc.name)
+			t.Errorf("%s: newTree returned a tree, want nil", tc.name)
 		}
 	}
 }
@@ -72,35 +72,35 @@ func TestTreeConstruction(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := newTestTree(tc.h, tc.racks, nil)
 			if tr == nil {
-				t.Fatal("NewTree returned nil for enabled params")
+				t.Fatal("newTree returned nil for enabled params")
 			}
-			if got := tr.Levels(); got != len(tc.wantLevels) {
-				t.Fatalf("Levels() = %d, want %d", got, len(tc.wantLevels))
+			if got := len(tr.levels); got != len(tc.wantLevels) {
+				t.Fatalf("levels = %d, want %d", got, len(tc.wantLevels))
 			}
 			if got := tr.MaxDepth(); got != len(tc.wantLevels) {
 				t.Fatalf("MaxDepth() = %d, want %d", got, len(tc.wantLevels))
 			}
-			root := tr.Levels() - 1
+			root := len(tr.levels) - 1
 			sharded := tc.h.TopShards > 1 && root > 0
 			for lv, want := range tc.wantLevels {
-				if got := tr.NodesAt(lv); got != want {
-					t.Fatalf("NodesAt(%d) = %d, want %d", lv, got, want)
+				if got := len(tr.levels[lv]); got != want {
+					t.Fatalf("level %d holds %d nodes, want %d", lv, got, want)
 				}
 			}
 			// Node capacities: a level-lv node covering k racks carries
 			// min(k·rackCap, topCap); root shards split topCap equally.
 			span := 1
-			for lv := 0; lv < tr.Levels(); lv++ {
+			for lv := 0; lv < len(tr.levels); lv++ {
 				if lv == root && sharded {
 					each := testTopCap / netem.BitRate(tc.h.TopShards)
-					for s := 0; s < tr.NodesAt(lv); s++ {
-						if got := tr.Node(lv, s).Capacity(); got != each {
+					for s := 0; s < len(tr.levels[lv]); s++ {
+						if got := tr.levels[lv][s].Capacity(); got != each {
 							t.Fatalf("shard %d capacity %v, want %v", s, got, each)
 						}
 					}
 					break
 				}
-				for i := 0; i < tr.NodesAt(lv); i++ {
+				for i := 0; i < len(tr.levels[lv]); i++ {
 					covered := tc.racks - i*span
 					if covered > span {
 						covered = span
@@ -109,7 +109,7 @@ func TestTreeConstruction(t *testing.T) {
 					if want > testTopCap {
 						want = testTopCap
 					}
-					if got := tr.Node(lv, i).Capacity(); got != want {
+					if got := tr.levels[lv][i].Capacity(); got != want {
 						t.Fatalf("level %d node %d capacity %v, want %v", lv, i, got, want)
 					}
 				}
@@ -119,24 +119,24 @@ func TestTreeConstruction(t *testing.T) {
 			// parent, sized by an equal split; none under a sharded root.
 			for lv := 1; lv <= root; lv++ {
 				if lv == root && sharded {
-					for c := 0; c < tr.NodesAt(lv-1); c++ {
-						if tr.Slice(lv, c) != nil {
+					for c := 0; c < len(tr.levels[lv-1]); c++ {
+						if tr.slices[sliceKey{lv, c}] != nil {
 							t.Fatalf("sharded root delegated a slice to child %d", c)
 						}
 					}
 					continue
 				}
-				for c := 0; c < tr.NodesAt(lv-1); c++ {
-					s := tr.Slice(lv, c)
+				for c := 0; c < len(tr.levels[lv-1]); c++ {
+					s := tr.slices[sliceKey{lv, c}]
 					if s == nil {
 						t.Fatalf("missing slice for level-%d child %d", lv, c)
 					}
 					p := c / tc.h.FanOut
-					kids := tr.NodesAt(lv-1) - p*tc.h.FanOut
+					kids := len(tr.levels[lv-1]) - p*tc.h.FanOut
 					if kids > tc.h.FanOut {
 						kids = tc.h.FanOut
 					}
-					want := tr.Node(lv, p).Capacity() / netem.BitRate(kids)
+					want := tr.levels[lv][p].Capacity() / netem.BitRate(kids)
 					if got := s.Capacity(); got != want {
 						t.Fatalf("slice (%d,%d) capacity %v, want %v", lv, c, got, want)
 					}
@@ -155,7 +155,7 @@ func TestTreeClimbPath(t *testing.T) {
 
 	t.Run("same rack", func(t *testing.T) {
 		steps := tr.ClimbPath(nil, flow, 3, 3, true)
-		if len(steps) != 1 || steps[0].arb != tr.Node(0, 3) || steps[0].depth != 1 {
+		if len(steps) != 1 || steps[0].arb != tr.levels[0][3] || steps[0].depth != 1 {
 			t.Fatalf("intra-rack path = %+v, want only the level-0 node at depth 1", steps)
 		}
 	})
@@ -168,7 +168,7 @@ func TestTreeClimbPath(t *testing.T) {
 			t.Fatalf("sibling path has %d steps, want 2", len(steps))
 		}
 		last := steps[1]
-		if !last.delegated || last.arb != tr.Slice(1, 0) || last.depth != 1 {
+		if !last.delegated || last.arb != tr.slices[sliceKey{1, 0}] || last.depth != 1 {
 			t.Fatalf("sibling meet = %+v, want delegated slice (1,0) at depth 1", last)
 		}
 	})
@@ -177,7 +177,7 @@ func TestTreeClimbPath(t *testing.T) {
 		if len(steps) != 2 {
 			t.Fatalf("path has %d steps, want 2", len(steps))
 		}
-		if steps[1].delegated || steps[1].arb != tr.Node(1, 0) || steps[1].depth != 2 {
+		if steps[1].delegated || steps[1].arb != tr.levels[1][0] || steps[1].depth != 2 {
 			t.Fatalf("meet = %+v, want level-1 node 0 at depth 2", steps[1])
 		}
 	})
@@ -188,10 +188,10 @@ func TestTreeClimbPath(t *testing.T) {
 		if len(steps) != 3 {
 			t.Fatalf("cross-fabric path has %d steps, want 3", len(steps))
 		}
-		if steps[1].arb != tr.Node(1, 0) || steps[1].depth != 2 {
+		if steps[1].arb != tr.levels[1][0] || steps[1].depth != 2 {
 			t.Fatalf("step 1 = %+v, want level-1 node 0 at depth 2", steps[1])
 		}
-		if !steps[2].delegated || steps[2].arb != tr.Slice(2, 0) || steps[2].depth != 2 {
+		if !steps[2].delegated || steps[2].arb != tr.slices[sliceKey{2, 0}] || steps[2].depth != 2 {
 			t.Fatalf("step 2 = %+v, want delegated root slice (2,0) at depth 2", steps[2])
 		}
 	})
@@ -214,15 +214,15 @@ func TestTreeClimbPath(t *testing.T) {
 		if last.delegated {
 			t.Fatal("sharded root produced a delegated stop")
 		}
-		want := sh.Node(2, sh.ShardOf(flow))
+		want := sh.levels[2][sh.ShardOf(flow)]
 		if last.arb != want || last.depth != 3 {
 			t.Fatalf("root stop = %+v, want shard %d at depth 3", last, sh.ShardOf(flow))
 		}
 		// The shard choice is per-flow and stable.
 		for f := pkt.FlowID(1); f < 100; f++ {
 			s := sh.ShardOf(f)
-			if s < 0 || s >= sh.Shards() {
-				t.Fatalf("ShardOf(%d) = %d outside [0,%d)", f, s, sh.Shards())
+			if s < 0 || s >= sh.shards {
+				t.Fatalf("ShardOf(%d) = %d outside [0,%d)", f, s, sh.shards)
 			}
 			if s != sh.ShardOf(f) {
 				t.Fatalf("ShardOf(%d) unstable", f)
@@ -232,7 +232,7 @@ func TestTreeClimbPath(t *testing.T) {
 	t.Run("one rack degenerate", func(t *testing.T) {
 		one := newTestTree(HierarchyParams{FanOut: 2, TopShards: 4}, 1, nil)
 		steps := one.ClimbPath(nil, flow, 0, 0, true)
-		if len(steps) != 1 || steps[0].arb != one.Node(0, 0) {
+		if len(steps) != 1 || steps[0].arb != one.levels[0][0] {
 			t.Fatalf("degenerate path = %+v, want only the root", steps)
 		}
 	})
@@ -260,22 +260,22 @@ func TestTreeRefreshShares(t *testing.T) {
 		// Child 0 demands 30G, child 1 demands 10G, children 2 and 3
 		// stay idle: shares go 30/10, idle kids land on the 1G floor
 		// (40G/(10·4)).
-		tr.Slice(1, 0).Update(1, 100, 30*netem.Gbps)
-		tr.Slice(1, 1).Update(2, 100, 10*netem.Gbps)
+		tr.slices[sliceKey{1, 0}].Update(1, 100, 30*netem.Gbps)
+		tr.slices[sliceKey{1, 1}].Update(2, 100, 10*netem.Gbps)
 		var msgs int64
 		tr.RefreshShares(2, func(n int64) { msgs += n })
 		if msgs != 8 {
 			t.Fatalf("busy parent exchanged %d messages, want 2 per child = 8", msgs)
 		}
-		if got := tr.Slice(1, 0).Capacity(); got != 30*netem.Gbps {
+		if got := tr.slices[sliceKey{1, 0}].Capacity(); got != 30*netem.Gbps {
 			t.Fatalf("slice 0 capacity %v, want 30Gbps", got)
 		}
-		if got := tr.Slice(1, 1).Capacity(); got != 10*netem.Gbps {
+		if got := tr.slices[sliceKey{1, 1}].Capacity(); got != 10*netem.Gbps {
 			t.Fatalf("slice 1 capacity %v, want 10Gbps", got)
 		}
 		floor := 40 * netem.Gbps / netem.BitRate(10*4)
 		for c := 2; c < 4; c++ {
-			if got := tr.Slice(1, c).Capacity(); got != floor {
+			if got := tr.slices[sliceKey{1, c}].Capacity(); got != floor {
 				t.Fatalf("idle slice %d capacity %v, want floor %v", c, got, floor)
 			}
 		}
@@ -285,11 +285,11 @@ func TestTreeRefreshShares(t *testing.T) {
 		tr := newTestTree(HierarchyParams{FanOut: 4}, 4, clock)
 		// A registered flow with zero demand keeps the group busy but
 		// contributes no aggregate: capacity splits evenly.
-		tr.Slice(1, 0).Update(1, 100, 0)
+		tr.slices[sliceKey{1, 0}].Update(1, 100, 0)
 		tr.RefreshShares(2, nil)
 		want := 40 * netem.Gbps / 4
 		for c := 0; c < 4; c++ {
-			if got := tr.Slice(1, c).Capacity(); got != want {
+			if got := tr.slices[sliceKey{1, c}].Capacity(); got != want {
 				t.Fatalf("slice %d capacity %v, want equal split %v", c, got, want)
 			}
 		}
@@ -297,33 +297,33 @@ func TestTreeRefreshShares(t *testing.T) {
 
 	t.Run("pruned demand excluded", func(t *testing.T) {
 		tr := newTestTree(HierarchyParams{FanOut: 4}, 4, clock)
-		s := tr.Slice(1, 0)
+		s := tr.slices[sliceKey{1, 0}]
 		// Two high-priority flows fill the slice's 10G default share;
 		// a third, worse-keyed flow lands below the prune threshold and
 		// must not inflate the published aggregate.
 		s.Update(1, 10, 6*netem.Gbps)
 		s.Update(2, 20, 6*netem.Gbps)
 		s.Update(3, 30, 50*netem.Gbps) // ADH 12G ≥ 10G cap → queue ≥ 1
-		tr.Slice(1, 1).Update(4, 10, 12*netem.Gbps)
+		tr.slices[sliceKey{1, 1}].Update(4, 10, 12*netem.Gbps)
 		tr.RefreshShares(1, nil) // prune at queue 1: only queue-0 demand counts
 		// Aggregates: slice 0 publishes 12G (not 62G), slice 1 12G —
 		// equal shares of the 40G parent.
-		if got, want := tr.Slice(1, 0).Capacity(), 20*netem.Gbps; got != want {
+		if got, want := tr.slices[sliceKey{1, 0}].Capacity(), 20*netem.Gbps; got != want {
 			t.Fatalf("slice 0 capacity %v, want %v (pruned flow excluded)", got, want)
 		}
-		if got, want := tr.Slice(1, 1).Capacity(), 20*netem.Gbps; got != want {
+		if got, want := tr.slices[sliceKey{1, 1}].Capacity(), 20*netem.Gbps; got != want {
 			t.Fatalf("slice 1 capacity %v, want %v", got, want)
 		}
 	})
 
 	t.Run("crashed parent skipped", func(t *testing.T) {
 		tr := newTestTree(HierarchyParams{FanOut: 2}, 4, clock) // levels 4,2,1
-		tr.Node(1, 0).Crash()
-		tr.Slice(1, 0).Update(1, 100, 5*netem.Gbps)
-		before := tr.Slice(1, 0).Capacity()
+		tr.levels[1][0].Crash()
+		tr.slices[sliceKey{1, 0}].Update(1, 100, 5*netem.Gbps)
+		before := tr.slices[sliceKey{1, 0}].Capacity()
 		var msgs int64
 		tr.RefreshShares(2, func(n int64) { msgs += n })
-		if got := tr.Slice(1, 0).Capacity(); got != before {
+		if got := tr.slices[sliceKey{1, 0}].Capacity(); got != before {
 			t.Fatalf("crashed parent rebalanced its children: %v → %v", before, got)
 		}
 		if msgs != 0 {
@@ -343,8 +343,8 @@ func TestTreePruneStopsClimb(t *testing.T) {
 	// Saturate rack 0's level-0 node (10G) with two better-keyed flows
 	// so the probe flow's ADH (12G) pushes it to queue 1 at the first
 	// stop of a cross-fabric climb.
-	tr.Node(0, 0).Update(101, 10, 6*netem.Gbps)
-	tr.Node(0, 0).Update(102, 20, 6*netem.Gbps)
+	tr.levels[0][0].Update(101, 10, 6*netem.Gbps)
+	tr.levels[0][0].Update(102, 20, 6*netem.Gbps)
 
 	probe := pkt.FlowID(999)
 	steps := tr.ClimbPath(nil, probe, 0, 15, false)
@@ -363,14 +363,14 @@ func TestTreePruneStopsClimb(t *testing.T) {
 		t.Fatalf("climb stopped after %d steps, want pruned at the first", stopped)
 	}
 	for _, st := range steps[stopped:] {
-		if _, ok := st.arb.Lookup(probe); ok {
+		if _, ok := lookup(st.arb, probe); ok {
 			t.Fatalf("pruned flow registered above the stop (link %d)", st.arb.LinkID)
 		}
 	}
 	// The pruned flow still holds a registration (and a decision) at
 	// every level it did reach.
 	for _, st := range steps[:stopped] {
-		if _, ok := st.arb.Lookup(probe); !ok {
+		if _, ok := lookup(st.arb, probe); !ok {
 			t.Fatalf("flow missing below the prune point (link %d)", st.arb.LinkID)
 		}
 	}

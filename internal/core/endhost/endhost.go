@@ -175,8 +175,6 @@ type control struct {
 	stopped      bool
 }
 
-func (c *control) Name() string { return "PASE" }
-
 // bottomQueue returns the lowest-priority class index.
 func (c *control) bottomQueue() int8 { return int8(c.t.Sys.P.NumQueues - 1) }
 

@@ -89,7 +89,7 @@ func TestSJFOrderingAcrossFlows(t *testing.T) {
 		t.Fatalf("completed = %d, want 3", s.Completed)
 	}
 	fct := map[uint64]sim.Duration{}
-	for _, r := range d.Collector.Completed() {
+	for _, r := range d.Collector.Records() {
 		fct[r.ID] = r.FCT()
 	}
 	if !(fct[3] < fct[2] && fct[2] < fct[1]) {
@@ -117,7 +117,7 @@ func TestDeadlineEDF(t *testing.T) {
 		t.Fatalf("completed = %d", s.Completed)
 	}
 	fct := map[uint64]sim.Duration{}
-	for _, r := range d.Collector.Completed() {
+	for _, r := range d.Collector.Records() {
 		fct[r.ID] = r.FCT()
 	}
 	if fct[2] >= fct[1] {

@@ -87,14 +87,9 @@ func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
 	wg.Wait()
 }
 
-// RunPoints executes every config across the pool and returns the
+// RunPointsOpts executes every config across the pool under o —
+// parallelism, observability and a progress callback — and returns the
 // results in input order.
-func RunPoints(cfgs []PointConfig, parallelism int) []PointResult {
-	return RunPointsOpts(cfgs, Opts{Parallelism: parallelism})
-}
-
-// RunPointsOpts is RunPoints with full Opts control — parallelism,
-// observability and a progress callback.
 func RunPointsOpts(cfgs []PointConfig, o Opts) []PointResult {
 	out := make([]PointResult, len(cfgs))
 	forEachPoint(cfgs, o, func(i int, r PointResult) { out[i] = r })

@@ -111,8 +111,8 @@ func TestRunPointsOrderAndCompleteness(t *testing.T) {
 				Load: load, Seed: 3, NumFlows: 50})
 		}
 	}
-	serial := RunPoints(cfgs, 1)
-	parallel := RunPoints(cfgs, 8)
+	serial := RunPointsOpts(cfgs, Opts{Parallelism: 1})
+	parallel := RunPointsOpts(cfgs, Opts{Parallelism: 8})
 	if len(serial) != len(cfgs) || len(parallel) != len(cfgs) {
 		t.Fatalf("result count: serial=%d parallel=%d want %d",
 			len(serial), len(parallel), len(cfgs))
@@ -128,14 +128,14 @@ func TestRunPointsOrderAndCompleteness(t *testing.T) {
 }
 
 func TestRunPointsEdgeCases(t *testing.T) {
-	if got := RunPoints(nil, 4); len(got) != 0 {
+	if got := RunPointsOpts(nil, Opts{Parallelism: 4}); len(got) != 0 {
 		t.Fatalf("empty input should yield empty output, got %d", len(got))
 	}
 	one := []PointConfig{{Protocol: DCTCP, Scenario: IntraRack, Load: 0.5, Seed: 1, NumFlows: 40}}
 	// More workers than work, zero (= GOMAXPROCS) and negative
 	// parallelism must all behave.
 	for _, par := range []int{-1, 0, 1, 16} {
-		got := RunPoints(one, par)
+		got := RunPointsOpts(one, Opts{Parallelism: par})
 		if len(got) != 1 || got[0].Summary.Completed != 40 {
 			t.Fatalf("parallelism %d: %+v", par, got[0].Summary)
 		}
@@ -147,7 +147,7 @@ func TestMapPointsMatchesRunPoints(t *testing.T) {
 		{Protocol: DCTCP, Scenario: IntraRack, Load: 0.4, Seed: 2, NumFlows: 50},
 		{Protocol: PASE, Scenario: IntraRack, Load: 0.6, Seed: 2, NumFlows: 50},
 	}
-	full := RunPoints(cfgs, 1)
+	full := RunPointsOpts(cfgs, Opts{Parallelism: 1})
 	ys := make([]float64, len(cfgs))
 	var res Result
 	mapPoints(cfgs, Opts{Parallelism: 4}, &res, func(i int, r PointResult) { ys[i] = afctMS(r) })
@@ -156,7 +156,7 @@ func TestMapPointsMatchesRunPoints(t *testing.T) {
 	}
 	for i := range cfgs {
 		if ys[i] != afctMS(full[i]) {
-			t.Fatalf("point %d: mapPoints %v vs RunPoints %v", i, ys[i], afctMS(full[i]))
+			t.Fatalf("point %d: mapPoints %v vs RunPointsOpts %v", i, ys[i], afctMS(full[i]))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"pase/internal/faults"
 	"pase/internal/sim"
+	"pase/internal/trace"
 )
 
 // The flight recorder's contract is the same as the rest of the run
@@ -86,8 +87,11 @@ func TestPASETraceCtrlAndHistograms(t *testing.T) {
 	}
 	var waits, grants int
 	for _, ft := range r.Trace.Flows {
-		if ft.WaitCtrl() > 0 {
-			waits++
+		for _, sp := range ft.Spans {
+			if sp.Kind == trace.SpanWait && sp.End > sp.Start {
+				waits++
+				break
+			}
 		}
 		for _, m := range ft.Marks {
 			if m.Kind.String() == "grant" {

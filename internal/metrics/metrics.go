@@ -69,17 +69,6 @@ func (c *Collector) Add(r FlowRecord) { c.records = append(c.records, r) }
 // Records returns everything collected so far.
 func (c *Collector) Records() []FlowRecord { return c.records }
 
-// Completed returns only the flows that finished.
-func (c *Collector) Completed() []FlowRecord {
-	out := make([]FlowRecord, 0, len(c.records))
-	for _, r := range c.records {
-		if r.Done {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Summary condenses a run into the paper's headline numbers.
 type Summary struct {
 	Flows     int
@@ -281,16 +270,4 @@ func TaskOrderInversions(tasks []TaskRecord) int {
 		}
 	}
 	return inv
-}
-
-// Mean returns the arithmetic mean of a slice of durations.
-func Mean(ds []sim.Duration) sim.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, d := range ds {
-		sum += int64(d)
-	}
-	return sim.Duration(sum / int64(len(ds)))
 }

@@ -112,15 +112,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("mean of empty should be 0")
-	}
-	if Mean([]sim.Duration{2, 4, 6}) != 4 {
-		t.Fatal("mean wrong")
-	}
-}
-
 func TestEmptySummarize(t *testing.T) {
 	s := NewCollector().Summarize()
 	if s.Flows != 0 || s.AFCT != 0 || s.AppThroughput != 0 {

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // DefaultSketchEps is the relative quantile error the streaming
 // collector guarantees when the caller does not choose one: 0.5%.
@@ -20,9 +17,9 @@ const DefaultSketchEps = 0.005
 //     rounding, and the bucket's midpoint is reported.
 //
 // Unlike sampling sketches (GK, P²) the bucket layout is a pure
-// function of ε, so Add order never matters, Merge is a commutative
-// bucket-wise sum, and equal inputs give bit-equal state — the
-// properties the simulator's determinism contract needs. Memory is
+// function of ε, so Add order never matters and equal inputs give
+// bit-equal state — the properties the simulator's determinism
+// contract needs. Memory is
 // fixed at allocation: (65-m)·2^m buckets (≈58 KB at the default ε).
 //
 // The zero value is not usable; call NewQuantileSketch.
@@ -55,9 +52,6 @@ func NewQuantileSketch(eps float64) *QuantileSketch {
 		counts: make([]int64, (65-int(m))<<m),
 	}
 }
-
-// Epsilon returns the sketch's configured relative error bound.
-func (s *QuantileSketch) Epsilon() float64 { return 1 / float64(int64(1)<<(s.mbits+1)) }
 
 // Count returns how many samples have been added.
 func (s *QuantileSketch) Count() int64 { return s.count }
@@ -166,33 +160,4 @@ func (s *QuantileSketch) Quantile(p float64) int64 {
 		rank = s.count
 	}
 	return s.valueAtRank(rank)
-}
-
-// Merge folds other into s bucket-wise. Both sketches must share the
-// same ε (bucket layout); Merge is commutative and associative, so any
-// merge order over the same multiset of samples yields identical
-// state.
-func (s *QuantileSketch) Merge(other *QuantileSketch) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if other.mbits != s.mbits {
-		panic(fmt.Sprintf("metrics: merging sketches with different eps (%d vs %d mantissa bits)", s.mbits, other.mbits))
-	}
-	if s.count == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.count += other.count
-	for idx, n := range other.counts {
-		if n == 0 {
-			continue
-		}
-		if s.counts[idx] == 0 {
-			s.used++
-		}
-		s.counts[idx] += n
-	}
 }

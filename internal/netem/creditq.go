@@ -173,9 +173,3 @@ func (q *CreditQueue) Len() int { return q.data.len() + q.ctrl.len() + q.credit.
 func (q *CreditQueue) Bytes() int64 { return q.data.size() + q.ctrl.size() + q.credit.size() }
 
 func (q *CreditQueue) Stats() *QueueStats { return &q.stats }
-
-// DataLen exposes the data-class occupancy (tests assert its bound).
-func (q *CreditQueue) DataLen() int { return q.data.len() }
-
-// CreditLen exposes the credit-class occupancy.
-func (q *CreditQueue) CreditLen() int { return q.credit.len() }

@@ -30,8 +30,8 @@ func TestCreditQueueClassBounds(t *testing.T) {
 		q.Enqueue(creditPkt(i))
 		q.Enqueue(ctrlPkt(i))
 	}
-	if q.DataLen() != 2 || q.CreditLen() != 1 {
-		t.Fatalf("data=%d credit=%d, want 2/1", q.DataLen(), q.CreditLen())
+	if q.data.len() != 2 || q.credit.len() != 1 {
+		t.Fatalf("data=%d credit=%d, want 2/1", q.data.len(), q.credit.len())
 	}
 	st := q.Stats()
 	if st.DroppedData != 2 || st.DroppedCredit != 2 {

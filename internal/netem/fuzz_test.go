@@ -59,8 +59,8 @@ func FuzzPrioQueue(f *testing.F) {
 		// each band.
 		if q.PerBand {
 			for b := 0; b < bands; b++ {
-				if q.BandLen(b) > limit {
-					t.Fatalf("band %d holds %d > limit %d", b, q.BandLen(b), limit)
+				if q.bands[b].len() > limit {
+					t.Fatalf("band %d holds %d > limit %d", b, q.bands[b].len(), limit)
 				}
 			}
 		} else if q.Len() > limit {
@@ -70,7 +70,7 @@ func FuzzPrioQueue(f *testing.F) {
 		// must agree with each other and with the per-band sums.
 		total := 0
 		for b := 0; b < bands; b++ {
-			total += q.BandLen(b)
+			total += q.bands[b].len()
 		}
 		if total != q.Len() {
 			t.Fatalf("band sum %d != Len %d", total, q.Len())
@@ -157,9 +157,9 @@ func FuzzCreditQueue(f *testing.F) {
 				bytes += int64(p.Size)
 			}
 		}
-		if q.DataLen() > dataLim || q.CreditLen() > credLim {
+		if q.data.len() > dataLim || q.credit.len() > credLim {
 			t.Fatalf("class over bound: data %d/%d credit %d/%d",
-				q.DataLen(), dataLim, q.CreditLen(), credLim)
+				q.data.len(), dataLim, q.credit.len(), credLim)
 		}
 		if q.Bytes() != bytes {
 			t.Fatalf("Bytes() = %d, shadow ledger %d", q.Bytes(), bytes)

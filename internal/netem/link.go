@@ -246,12 +246,3 @@ func (pt *Port) Kick() { pt.pump() }
 // BusyTime returns the accumulated transmitter-active time; divided by
 // elapsed simulated time it gives the port's utilization.
 func (pt *Port) BusyTime() sim.Duration { return pt.busyTime }
-
-// Utilization reports the fraction of [0, now] the transmitter was busy.
-func (pt *Port) Utilization() float64 {
-	now := pt.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(pt.busyTime) / float64(now)
-}

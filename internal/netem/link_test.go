@@ -83,7 +83,7 @@ func TestLinkBackToBackPackets(t *testing.T) {
 			t.Fatalf("reordered: index %d has seq %d", i, dst.got[i].Seq)
 		}
 	}
-	if u := port.Utilization(); u < 0.77 || u > 0.79 {
+	if u := float64(port.BusyTime()) / float64(eng.Now()); u < 0.77 || u > 0.79 {
 		// 36µs busy over 46µs total ≈ 0.7826
 		t.Fatalf("utilization = %v, want ≈0.78", u)
 	}

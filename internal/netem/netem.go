@@ -23,7 +23,6 @@ type BitRate int64
 
 // Common rates.
 const (
-	Kbps BitRate = 1e3
 	Mbps BitRate = 1e6
 	Gbps BitRate = 1e9
 )

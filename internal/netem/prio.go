@@ -165,7 +165,3 @@ func (q *Prio) Dequeue() *pkt.Packet {
 func (q *Prio) Len() int           { return q.total }
 func (q *Prio) Bytes() int64       { return q.bytes }
 func (q *Prio) Stats() *QueueStats { return &q.stats }
-
-// BandLen returns the occupancy of one band (exported for tests and
-// for the micro-benchmarks that inspect queue composition).
-func (q *Prio) BandLen(b int) int { return q.bands[b].len() }

@@ -18,7 +18,7 @@ func TestPrioBandClampBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		q := NewPrio(4, 16, 50)
 		q.Enqueue(mkpkt(1, 0, tc.prio, 0))
-		if got := q.BandLen(tc.band); got != 1 {
+		if got := q.bands[tc.band].len(); got != 1 {
 			t.Errorf("prio %d: band %d len = %d, want 1", tc.prio, tc.band, got)
 		}
 	}
@@ -70,8 +70,8 @@ func TestPrioPushOutVictimSelection(t *testing.T) {
 	if !q.Enqueue(mkpkt(5, 0, 0, 0)) {
 		t.Fatal("high-priority arrival must push out")
 	}
-	if q.BandLen(3) != 1 {
-		t.Fatalf("band 3 len = %d, want 1", q.BandLen(3))
+	if q.bands[3].len() != 1 {
+		t.Fatalf("band 3 len = %d, want 1", q.bands[3].len())
 	}
 	// The oldest band-3 packet survived.
 	var last *pkt.Packet

@@ -186,8 +186,8 @@ func TestPrioClampsBand(t *testing.T) {
 	q := NewPrio(4, 100, 50)
 	q.Enqueue(mkpkt(1, 0, 9, 0))  // clamps to band 3
 	q.Enqueue(mkpkt(2, 0, -2, 0)) // clamps to band 0
-	if q.BandLen(3) != 1 || q.BandLen(0) != 1 {
-		t.Fatalf("clamping failed: band0=%d band3=%d", q.BandLen(0), q.BandLen(3))
+	if q.bands[3].len() != 1 || q.bands[0].len() != 1 {
+		t.Fatalf("clamping failed: band0=%d band3=%d", q.bands[0].len(), q.bands[3].len())
 	}
 }
 
@@ -342,17 +342,15 @@ func TestSwitchDB(t *testing.T) {
 	if len(CommoditySwitches) != 5 {
 		t.Fatalf("Table 2 has 5 switches, got %d", len(CommoditySwitches))
 	}
-	if MinCommodityQueues() != 3 {
-		t.Fatalf("min queues = %d, want 3 (Dell S4810)", MinCommodityQueues())
-	}
-	if MaxCommodityQueues() != 10 {
-		t.Fatalf("max queues = %d, want 10 (Broadcom BCM56820)", MaxCommodityQueues())
-	}
-	ecn := 0
+	ecn, lo, hi := 0, CommoditySwitches[0].Queues, CommoditySwitches[0].Queues
 	for _, s := range CommoditySwitches {
 		if s.ECN {
 			ecn++
 		}
+		lo, hi = min(lo, s.Queues), max(hi, s.Queues)
+	}
+	if lo != 3 || hi != 10 {
+		t.Fatalf("queues span %d..%d, want 3 (Dell S4810) .. 10 (Broadcom BCM56820)", lo, hi)
 	}
 	if ecn != 4 {
 		t.Fatalf("ECN-capable = %d, want 4", ecn)

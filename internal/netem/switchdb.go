@@ -19,27 +19,3 @@ var CommoditySwitches = []CommoditySwitch{
 	{Model: "EX3300", Vendor: "Juniper", Queues: 5, ECN: false},
 	{Model: "S4810", Vendor: "Dell", Queues: 3, ECN: true},
 }
-
-// MinCommodityQueues is the smallest per-interface queue count in the
-// survey; experiment configs that claim deployability must fit it or
-// explicitly justify a larger choice.
-func MinCommodityQueues() int {
-	min := CommoditySwitches[0].Queues
-	for _, s := range CommoditySwitches[1:] {
-		if s.Queues < min {
-			min = s.Queues
-		}
-	}
-	return min
-}
-
-// MaxCommodityQueues is the largest per-interface queue count surveyed.
-func MaxCommodityQueues() int {
-	max := CommoditySwitches[0].Queues
-	for _, s := range CommoditySwitches[1:] {
-		if s.Queues > max {
-			max = s.Queues
-		}
-	}
-	return max
-}

@@ -44,21 +44,13 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge tracks an instantaneous level and its high-watermark. Only the
-// maximum survives into snapshots: unlike a last-value gauge it merges
+// Gauge tracks the high-watermark of an instantaneous level. Only the
+// maximum is kept: unlike a last-value gauge it merges
 // deterministically (max is commutative) and it is what capacity
 // questions — deepest calendar, fullest queue — actually need.
 type Gauge struct {
-	cur, max int64
-	seen     bool
+	max  int64
+	seen bool
 }
 
 // Update records the current level. No-op on a nil Gauge.
@@ -66,27 +58,10 @@ func (g *Gauge) Update(v int64) {
 	if g == nil {
 		return
 	}
-	g.cur = v
 	if !g.seen || v > g.max {
 		g.max = v
 		g.seen = true
 	}
-}
-
-// Value returns the most recent level (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cur
-}
-
-// Max returns the high-watermark (0 for nil or never-updated).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
 }
 
 // histBuckets is the fixed bucket count of every Histogram: bucket 0
@@ -126,22 +101,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketOf(v)]++
-}
-
-// Count returns how many values were observed (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observed values (0 for nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Registry is the per-run instrument namespace. Instruments are

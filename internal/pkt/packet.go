@@ -128,10 +128,6 @@ type Packet struct {
 	origin origin
 }
 
-// IsControl reports whether the packet belongs to the arbitration
-// control plane rather than the data plane.
-func (p *Packet) IsControl() bool { return p.Type == Ctrl }
-
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s flow=%d %d->%d seq=%d size=%dB prio=%d rank=%d",
 		p.Type, p.Flow, p.Src, p.Dst, p.Seq, p.Size, p.Prio, p.Rank)

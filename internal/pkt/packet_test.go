@@ -65,14 +65,3 @@ func TestTypeString(t *testing.T) {
 		t.Fatal("unknown type should still format")
 	}
 }
-
-func TestIsControl(t *testing.T) {
-	p := &Packet{Type: Ctrl}
-	if !p.IsControl() {
-		t.Fatal("Ctrl packet should be control")
-	}
-	p.Type = Data
-	if p.IsControl() {
-		t.Fatal("Data packet should not be control")
-	}
-}

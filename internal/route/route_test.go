@@ -174,7 +174,7 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 	f := newFixture(t, Config{Reroute: true})
 	const orphan, dead = 2, 1
 
-	f.ctl.LinkState(f.ls.DownlinkID(orphan, dead), true)
+	f.ctl.LinkState(f.ls.UplinkID(orphan, dead)+1, true)
 	if want := []int{0, 1, 2, 3}; !slices.Equal(f.delivers, want) {
 		t.Fatalf("Deliver calls went to racks %v, want %v", f.delivers, want)
 	}

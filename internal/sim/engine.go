@@ -180,7 +180,6 @@ type event struct {
 type Timer struct {
 	ev  *event
 	gen uint32
-	at  Time
 }
 
 // Stop cancels the timer. It reports whether the timer was still
@@ -207,9 +206,6 @@ func (t Timer) Stop() bool {
 func (t Timer) Pending() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.stopped
 }
-
-// Deadline returns the time at which the timer fires (or fired).
-func (t Timer) Deadline() Time { return t.at }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero
 // (fn runs at the current instant, after already-queued events for
@@ -257,12 +253,13 @@ func (e *Engine) Reserve(d Duration, a Action, arg any) Slot {
 	if d < 0 {
 		d = 0
 	}
+	at := e.now.Add(d)
 	if e.ranked {
-		tm := e.schedule(e.now.Add(d), a, arg, false)
-		return Slot{at: tm.at, seq: tm.ev.seq, filed: true}
+		tm := e.schedule(at, a, arg, false)
+		return Slot{at: at, seq: tm.ev.seq, filed: true}
 	}
 	e.seq++
-	return Slot{at: e.now.Add(d), seq: e.seq}
+	return Slot{at: at, seq: e.seq}
 }
 
 // File schedules a.Fire(arg) at the slot's key, so it sorts where the
@@ -303,7 +300,7 @@ func (e *Engine) schedule(t Time, a Action, arg any, head bool) Timer {
 		ctx, k = e.childSlot()
 	}
 	ev := e.enqueue(t, a, arg, head, ctx, k)
-	return Timer{ev: ev, gen: ev.gen, at: t}
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // enqueue draws the next seq and files an event with it.
@@ -452,9 +449,6 @@ func (e *Engine) RunUntil(deadline Time) error {
 
 // Stop makes Run return after the event currently executing.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending returns the number of live (not cancelled) events queued.
-func (e *Engine) Pending() int { return e.cal.n - e.dead }
 
 // compact filters dead records out of the calendar in one O(n) pass,
 // bounding the memory cancelled events can hold.

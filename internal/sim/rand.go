@@ -59,11 +59,6 @@ func (r *Rand) UniformInt(lo, hi int64) int64 {
 	return lo + r.Int63n(hi-lo+1)
 }
 
-// Uniform returns a uniform float64 in [lo, hi).
-func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Exp returns an exponentially distributed float64 with the given mean.
 func (r *Rand) Exp(mean float64) float64 {
 	u := r.Float64()

@@ -223,7 +223,7 @@ func checkRankOrder(t testing.TB, seed uint64, shards int, checked bool) {
 			}
 		}
 	}
-	stopped := got.se.StopRequested()
+	stopped := got.se.stopReq.Load()
 	for s := 0; s < shards; s++ {
 		e := got.se.Shard(s)
 		if e.rankLive < 0 || (!stopped && e.rankLive != 0) {

@@ -232,9 +232,6 @@ func (se *ShardedEngine) HandoffAction(src, dst int, at Time, ctx *Rank, k uint6
 // condition can fire) and panics at the next barrier.
 func (se *ShardedEngine) RequestStop() { se.stopReq.Store(true) }
 
-// StopRequested reports whether RequestStop was called.
-func (se *ShardedEngine) StopRequested() bool { return se.stopReq.Load() }
-
 // MinPendingTime returns the earliest pending event time across all
 // shards. Valid only between windows (workers quiescent).
 func (se *ShardedEngine) MinPendingTime() (Time, bool) {

@@ -44,14 +44,8 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Millis reports the duration as a floating-point number of milliseconds.
 func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
 
-// Micros reports the duration as a floating-point number of microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // DurationOf converts a time.Duration into a simulated Duration.
 func DurationOf(d time.Duration) Duration { return Duration(d) }
-
-// Seconds builds a Duration from a floating-point number of seconds.
-func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 
 func (t Time) String() string {
 	return fmt.Sprintf("%.6fs", float64(t)/float64(Second))

@@ -57,11 +57,6 @@ func (cfg LeafSpineConfig) UplinkID(rack, spine int) int {
 	return 2*cfg.Leaves*cfg.HostsPerLeaf + 2*(rack*cfg.Spines+spine)
 }
 
-// DownlinkID returns the link ID of the spine→rack downlink.
-func (cfg LeafSpineConfig) DownlinkID(rack, spine int) int {
-	return cfg.UplinkID(rack, spine) + 1
-}
-
 // BuildLeafSpine wires a leaf-spine fabric. The returned Network
 // reuses the tree Network type: leaves populate ToRs, spines populate
 // Spines, and the flow-aware path methods dispatch on the fabric kind.

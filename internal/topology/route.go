@@ -70,9 +70,6 @@ func NewRouteTable(rack int, ports []int, racks int) *RouteTable {
 	return &RouteTable{rack: rack, spines: spines, racks: racks, ports: ports, state: st}
 }
 
-// Rack returns the leaf this table routes for.
-func (t *RouteTable) Rack() int { return t.rack }
-
 // Spines returns the number of spine uplinks.
 func (t *RouteTable) Spines() int { return t.spines }
 

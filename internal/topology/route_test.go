@@ -194,9 +194,9 @@ func TestRouteTableTotalBlackhole(t *testing.T) {
 	}
 }
 
-// TestLeafSpineLinkIDHelpers pins UplinkID/DownlinkID against the IDs
-// BuildLeafSpine actually assigns, via the fabric's own link
-// classification.
+// TestLeafSpineLinkIDHelpers pins UplinkID, and the downlink at the
+// next ID, against the IDs BuildLeafSpine actually assigns, via the
+// fabric's own link classification.
 func TestLeafSpineLinkIDHelpers(t *testing.T) {
 	cfg := DefaultLeafSpine(dtq)
 	cfg.Spines = 3
@@ -207,9 +207,9 @@ func TestLeafSpineLinkIDHelpers(t *testing.T) {
 			if !ok || up != (LeafSpineLink{Rack: r, Spine: s, Up: true}) {
 				t.Fatalf("UplinkID(%d,%d): info=%+v ok=%v", r, s, up, ok)
 			}
-			down, ok := n.LeafSpineLinkInfo(cfg.DownlinkID(r, s))
+			down, ok := n.LeafSpineLinkInfo(cfg.UplinkID(r, s) + 1)
 			if !ok || down != (LeafSpineLink{Rack: r, Spine: s, Up: false}) {
-				t.Fatalf("DownlinkID(%d,%d): info=%+v ok=%v", r, s, down, ok)
+				t.Fatalf("downlink (%d,%d): info=%+v ok=%v", r, s, down, ok)
 			}
 		}
 	}

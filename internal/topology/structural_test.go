@@ -119,8 +119,8 @@ func TestPathArraysMatchLinks(t *testing.T) {
 								t.Fatalf("PathUp/PathDown(%d, %d) = %v / %v, Links say %v / %v",
 									src, dst, n.PathUp(src, dst), n.PathDown(src, dst), wantUp, wantDown)
 							}
-							if !slices.Equal(n.Path(src, dst), append(slices.Clone(wantUp), wantDown...)) {
-								t.Fatalf("Path(%d, %d) = %v, Links say %v then %v", src, dst, n.Path(src, dst), wantUp, wantDown)
+							if !slices.Equal(slices.Concat(n.PathUp(src, dst), n.PathDown(src, dst)), append(slices.Clone(wantUp), wantDown...)) {
+								t.Fatalf("Path(%d, %d) = %v, Links say %v then %v", src, dst, slices.Concat(n.PathUp(src, dst), n.PathDown(src, dst)), wantUp, wantDown)
 							}
 						}
 						if !slices.Equal(n.PathUpFlow(src, dst, flow), wantUp) || !slices.Equal(n.PathDownFlow(src, dst, flow), wantDown) {

@@ -185,7 +185,8 @@ type LeafSpineLink struct {
 }
 
 // LeafSpineLinkInfo classifies a link ID on a leaf-spine fabric — the
-// inverse of LeafSpineConfig.UplinkID / DownlinkID; ok is false for
+// inverse of LeafSpineConfig.UplinkID (a downlink's ID is its uplink's
+// plus one); ok is false for
 // host links and tree fabrics.
 func (n *Network) LeafSpineLinkInfo(id int) (LeafSpineLink, bool) {
 	k := id - 2*len(n.Hosts)
@@ -383,17 +384,6 @@ func (n *Network) PathDown(src, dst pkt.NodeID) []*Link {
 	return down[len(down)-(n.meetLevel(src, dst)+1):]
 }
 
-// Path returns every directed link a packet from src to dst traverses,
-// in traversal order.
-func (n *Network) Path(src, dst pkt.NodeID) []*Link {
-	up := n.PathUp(src, dst)
-	down := n.PathDown(src, dst)
-	out := make([]*Link, 0, len(up)+len(down))
-	out = append(out, up...)
-	out = append(out, down...)
-	return out
-}
-
 // UpLinks returns all links from host h toward the core (edge first).
 func (n *Network) UpLinks(h pkt.NodeID) []*Link { return row(n.up, int(h), n.levels) }
 
@@ -482,36 +472,6 @@ func (n *Network) HostQueueStats() netem.QueueStats {
 		total.EnqueuedData += s.EnqueuedData
 		total.DroppedData += s.DroppedData
 		total.Marked += s.Marked
-	}
-	return total
-}
-
-// TxDataTotal sums transmitted packets across all ports; used with
-// QueueStatsTotal for loss-rate metrics.
-func (n *Network) TxDataTotal() int64 {
-	var total int64
-	for _, h := range n.Hosts {
-		total += h.Port().TxPackets
-	}
-	for _, sw := range n.ToRs {
-		for _, p := range sw.Ports() {
-			total += p.TxPackets
-		}
-	}
-	for _, sw := range n.Aggs {
-		for _, p := range sw.Ports() {
-			total += p.TxPackets
-		}
-	}
-	if n.Core != nil {
-		for _, p := range n.Core.Ports() {
-			total += p.TxPackets
-		}
-	}
-	for _, sw := range n.Spines {
-		for _, p := range sw.Ports() {
-			total += p.TxPackets
-		}
 	}
 	return total
 }

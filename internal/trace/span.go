@@ -133,28 +133,6 @@ type FlowTrace struct {
 	Truncated int64
 }
 
-// WaitCtrl sums the time the flow spent waiting for the control plane.
-func (ft *FlowTrace) WaitCtrl() sim.Duration {
-	var d sim.Duration
-	for _, s := range ft.Spans {
-		if s.Kind == SpanWait {
-			d += s.End.Sub(s.Start)
-		}
-	}
-	return d
-}
-
-// Xfer sums the time the flow spent in transmission epochs.
-func (ft *FlowTrace) Xfer() sim.Duration {
-	var d sim.Duration
-	for _, s := range ft.Spans {
-		if s.Kind == SpanXfer {
-			d += s.End.Sub(s.Start)
-		}
-	}
-	return d
-}
-
 // RouteKind classifies one routing-control-plane event.
 type RouteKind uint8
 

@@ -56,8 +56,6 @@ type control struct {
 	cutEnd    int32
 }
 
-func (c *control) Name() string { return "D2TCP" }
-
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
 	c.alpha = c.cfg.AlphaInit

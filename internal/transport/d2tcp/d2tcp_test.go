@@ -65,7 +65,7 @@ func TestTightDeadlineFlowWins(t *testing.T) {
 		t.Fatalf("completed = %d", s.Completed)
 	}
 	var tightFCT, looseFCT sim.Duration
-	for _, r := range d.Collector.Completed() {
+	for _, r := range d.Collector.Records() {
 		if r.ID == 1 {
 			tightFCT = r.FCT()
 		} else {

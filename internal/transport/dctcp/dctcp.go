@@ -65,8 +65,6 @@ type control struct {
 	cutEnd int32
 }
 
-func (c *control) Name() string { return "DCTCP" }
-
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
 	c.Alpha = c.cfg.AlphaInit

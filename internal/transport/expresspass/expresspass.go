@@ -341,8 +341,6 @@ type control struct {
 	sys *System
 }
 
-func (c *control) Name() string { return "ExpressPass" }
-
 // Init implements transport.Control: pacing mode with rate zero means
 // the framework never self-transmits — data leaves only through
 // TransmitOne when a credit arrives.

@@ -41,8 +41,8 @@ func TestCreditFlowCompletes(t *testing.T) {
 		if st.DroppedData != 0 {
 			t.Errorf("%s dropped %d data packets, want 0", l.Port.Name(), st.DroppedData)
 		}
-		if q := l.Port.Queue().(*netem.CreditQueue); q.DataLen() != 0 {
-			t.Errorf("%s still queues %d data packets", l.Port.Name(), q.DataLen())
+		if n := l.Port.Queue().Len(); n != 0 {
+			t.Errorf("%s still queues %d packets", l.Port.Name(), n)
 		}
 	}
 	tot := sys.Totals()

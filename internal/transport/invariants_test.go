@@ -93,8 +93,10 @@ func TestCollectorSizeAccounting(t *testing.T) {
 			return false
 		}
 		var got int64
-		for _, rec := range d.Collector.Completed() {
-			got += rec.Size
+		for _, rec := range d.Collector.Records() {
+			if rec.Done {
+				got += rec.Size
+			}
 		}
 		return got == want
 	}

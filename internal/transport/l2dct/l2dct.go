@@ -69,8 +69,6 @@ type control struct {
 	cutEnd    int32
 }
 
-func (c *control) Name() string { return "L2DCT" }
-
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
 	c.alpha = c.cfg.AlphaInit

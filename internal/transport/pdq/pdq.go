@@ -100,10 +100,6 @@ func (a *Allocator) Remove(flow pkt.FlowID) {
 	a.dirty = true
 }
 
-// Flows returns the number of registered flows (for tests and
-// overhead accounting).
-func (a *Allocator) Flows() int { return len(a.flows) }
-
 // allocate recomputes every flow's grant: criticality order, greedy
 // capacity assignment, then Early Start.
 func (a *Allocator) allocate(rtt sim.Duration) {
@@ -187,9 +183,6 @@ func Attach(d *transport.Driver, cfg Config) *System {
 	return sys
 }
 
-// Allocator returns the allocator of a link (for tests).
-func (sys *System) Allocator(linkID int) *Allocator { return sys.allocs[linkID] }
-
 func (sys *System) newControl(s *transport.Sender) transport.Control {
 	return &control{sys: sys}
 }
@@ -212,8 +205,6 @@ type control struct {
 	syncTimer sim.Timer
 	stopped   bool
 }
-
-func (c *control) Name() string { return "PDQ" }
 
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {

@@ -1,4 +1,4 @@
-package pdq_test
+package pdq
 
 import (
 	"testing"
@@ -8,23 +8,22 @@ import (
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/transport"
-	"pase/internal/transport/pdq"
 	"pase/internal/workload"
 )
 
-func rack(n int) (*topology.Network, *transport.Driver, *pdq.System) {
+func rack(n int) (*topology.Network, *transport.Driver, *System) {
 	net := topology.Build(sim.NewEngine(), topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(225)
 	}))
 	d := transport.NewDriver(net, nil)
-	sys := pdq.Attach(d, pdq.DefaultConfig())
+	sys := Attach(d, DefaultConfig())
 	return net, d, sys
 }
 
 func TestAllocatorSJFOrdering(t *testing.T) {
-	cfg := pdq.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.EarlyStartRTTs = 0 // isolate the greedy allocation
-	a := pdq.NewAllocator(netem.Gbps, &cfg)
+	a := NewAllocator(netem.Gbps, &cfg)
 	rtt := 100 * sim.Microsecond
 	a.Update(1, 1_000_000, 0, netem.Gbps, rtt)
 	a.Update(2, 10_000, 0, netem.Gbps, rtt)
@@ -39,9 +38,9 @@ func TestAllocatorSJFOrdering(t *testing.T) {
 }
 
 func TestAllocatorEDFBeatsSJF(t *testing.T) {
-	cfg := pdq.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.EarlyStartRTTs = 0
-	a := pdq.NewAllocator(netem.Gbps, &cfg)
+	a := NewAllocator(netem.Gbps, &cfg)
 	rtt := 100 * sim.Microsecond
 	// Larger flow but with a deadline must precede a shorter flow
 	// without one.
@@ -53,8 +52,8 @@ func TestAllocatorEDFBeatsSJF(t *testing.T) {
 }
 
 func TestAllocatorEarlyStart(t *testing.T) {
-	cfg := pdq.DefaultConfig() // EarlyStartRTTs = 2
-	a := pdq.NewAllocator(netem.Gbps, &cfg)
+	cfg := DefaultConfig() // EarlyStartRTTs = 2
+	a := NewAllocator(netem.Gbps, &cfg)
 	rtt := 100 * sim.Microsecond
 	// Top flow has only ~1 packet left: drains in ~12µs < 2 RTTs, so
 	// the next flow should be granted too (Early Start).
@@ -65,17 +64,17 @@ func TestAllocatorEarlyStart(t *testing.T) {
 }
 
 func TestAllocatorRemove(t *testing.T) {
-	cfg := pdq.DefaultConfig()
-	a := pdq.NewAllocator(netem.Gbps, &cfg)
+	cfg := DefaultConfig()
+	a := NewAllocator(netem.Gbps, &cfg)
 	rtt := 100 * sim.Microsecond
 	a.Update(1, 1_000_000, 0, netem.Gbps, rtt)
 	a.Update(2, 2_000_000, 0, netem.Gbps, rtt)
-	if a.Flows() != 2 {
-		t.Fatalf("flows = %d", a.Flows())
+	if len(a.flows) != 2 {
+		t.Fatalf("flows = %d", len(a.flows))
 	}
 	a.Remove(1)
-	if a.Flows() != 1 {
-		t.Fatalf("flows after remove = %d", a.Flows())
+	if len(a.flows) != 1 {
+		t.Fatalf("flows after remove = %d", len(a.flows))
 	}
 	if got := a.Update(2, 2_000_000, 0, netem.Gbps, rtt); got != netem.Gbps {
 		t.Fatalf("surviving flow granted %v, want full rate", got)
@@ -115,7 +114,7 @@ func TestPreemptionShortFirst(t *testing.T) {
 		t.Fatalf("completed = %d, want 2", s.Completed)
 	}
 	var shortFCT, longFCT sim.Duration
-	for _, r := range d.Collector.Completed() {
+	for _, r := range d.Collector.Records() {
 		if r.ID == 2 {
 			shortFCT = r.FCT()
 		} else {
@@ -134,7 +133,7 @@ func TestPreemptionShortFirst(t *testing.T) {
 }
 
 func TestEarlyTerminationKillsDoomedFlow(t *testing.T) {
-	net, d, _ := rackWithCfg(4, func(c *pdq.Config) { c.EarlyTermination = true })
+	net, d, _ := rackWithCfg(4, func(c *Config) { c.EarlyTermination = true })
 	_ = net
 	// 2 MB needs 16ms at line rate; 5ms deadline is impossible.
 	d.Schedule([]workload.FlowSpec{
@@ -153,14 +152,14 @@ func TestEarlyTerminationKillsDoomedFlow(t *testing.T) {
 	}
 }
 
-func rackWithCfg(n int, mod func(*pdq.Config)) (*topology.Network, *transport.Driver, *pdq.System) {
+func rackWithCfg(n int, mod func(*Config)) (*topology.Network, *transport.Driver, *System) {
 	net := topology.Build(sim.NewEngine(), topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(225)
 	}))
 	d := transport.NewDriver(net, nil)
-	cfg := pdq.DefaultConfig()
+	cfg := DefaultConfig()
 	mod(&cfg)
-	sys := pdq.Attach(d, cfg)
+	sys := Attach(d, cfg)
 	return net, d, sys
 }
 

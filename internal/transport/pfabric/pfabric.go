@@ -57,8 +57,6 @@ type control struct {
 	consecutive int // consecutive timeouts since the last ACK
 }
 
-func (c *control) Name() string { return "pFabric" }
-
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
 	c.cap = c.cfg.InitCwnd

@@ -204,9 +204,6 @@ func (s *Sender) RTT() sim.Duration {
 	return s.BaseRTT()
 }
 
-// SRTT returns the raw smoothed RTT (0 if unsampled).
-func (s *Sender) SRTT() sim.Duration { return s.srtt }
-
 // AckedBytes returns how many payload bytes have been acknowledged.
 func (s *Sender) AckedBytes() int64 { return s.ackedBytes }
 
@@ -564,13 +561,6 @@ func (s *Sender) onTimeout() {
 	s.MarkAllInflightLost()
 	s.trySend()
 	s.armRTO()
-}
-
-// ForceTimeoutRecovery runs the framework's default timeout recovery;
-// protocols that partially handle OnTimeout can call it.
-func (s *Sender) ForceTimeoutRecovery() {
-	s.MarkAllInflightLost()
-	s.trySend()
 }
 
 // Kick resumes transmission after an external event (arbitration

@@ -18,7 +18,6 @@ type nopControl struct {
 	timeouts int
 }
 
-func (c *nopControl) Name() string { return "nop" }
 func (c *nopControl) Init(s *Sender) {
 	if c.initCwnd == 0 {
 		c.initCwnd = 4

@@ -26,8 +26,6 @@ import (
 // well-defined points; it manipulates the Sender's window, rate,
 // priority and timers through the Sender's exported surface.
 type Control interface {
-	// Name identifies the protocol in logs and results.
-	Name() string
 	// Init is called once when the flow starts, before any
 	// transmission. It must set the initial window (or pacing rate).
 	Init(s *Sender)
@@ -115,13 +113,8 @@ type stackObs struct {
 	aborts      *obs.Counter
 }
 
-// NewStack wires a Stack onto a host and installs its packet handler.
-// A stack built on its own owns a private flow pool; NewDriver's stacks
-// share one per engine.
-func NewStack(eng *sim.Engine, host *netem.Host) *Stack {
-	return newStack(eng, host, newFlowPool(eng))
-}
-
+// newStack wires a Stack onto a host, drawing flow state from flows,
+// and installs its packet handler.
 func newStack(eng *sim.Engine, host *netem.Host, flows *flowPool) *Stack {
 	st := &Stack{Eng: eng, Host: host, flows: flows, pkts: pkt.PoolOf(eng)}
 	host.Handler = st.receive
@@ -133,9 +126,6 @@ func (st *Stack) NICRate() netem.BitRate { return st.Host.Port().Rate() }
 
 // Sender returns the sender for a flow, or nil.
 func (st *Stack) Sender(id pkt.FlowID) *Sender { return st.senders[id] }
-
-// ActiveSenders returns the number of unfinished senders on this host.
-func (st *Stack) ActiveSenders() int { return len(st.senders) }
 
 // NewPacket returns a zeroed packet from the engine's pool, stamped
 // with this host as source and the next per-host packet id. Protocol

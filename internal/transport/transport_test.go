@@ -110,7 +110,7 @@ func TestFairSharingTwoFlows(t *testing.T) {
 	if s.Completed != 2 {
 		t.Fatalf("completed = %d, want 2", s.Completed)
 	}
-	recs := d.Collector.Completed()
+	recs := d.Collector.Records()
 	f1, f2 := recs[0].FCT().Seconds(), recs[1].FCT().Seconds()
 	ideal := float64(2*size*8) / 1e9 // both flows through one 1Gbps link
 	slower := math.Max(f1, f2)

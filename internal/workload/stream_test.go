@@ -3,11 +3,9 @@ package workload
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"pase/internal/netem"
-	"pase/internal/pkt"
 	"pase/internal/sim"
 )
 
@@ -59,13 +57,13 @@ func streamSpecs() map[string]Spec {
 			Load: 0.6, Reference: 10 * netem.Gbps, NumFlows: 3000,
 		},
 		"fanin-19": {
-			Pattern: AllToAll{Hosts: hosts}, Sizes: FixedSize(20_000),
+			Pattern: AllToAll{Hosts: hosts}, Sizes: UniformSize{Min: 20_000, Max: 20_000},
 			Load: 0.7, Reference: 10 * netem.Gbps, NumFlows: 2000, Fanin: 19,
 		},
 		"fanin-truncated-batch": {
 			// NumFlows not divisible by Fanin: the last query event is
 			// cut short mid-batch.
-			Pattern: AllToAll{Hosts: hosts}, Sizes: FixedSize(20_000),
+			Pattern: AllToAll{Hosts: hosts}, Sizes: UniformSize{Min: 20_000, Max: 20_000},
 			Load: 0.7, Reference: 10 * netem.Gbps, NumFlows: 100, Fanin: 19,
 		},
 		"deadlines-and-background": {
@@ -76,16 +74,12 @@ func streamSpecs() map[string]Spec {
 			DeadlineMax:     sim.Duration(25 * sim.Millisecond),
 			BackgroundFlows: 2,
 		},
-		"exp-sizes": {
-			Pattern: AllToAll{Hosts: hosts}, Sizes: ExpSize{MeanBytes: 50_000},
-			Load: 0.5, Reference: 10 * netem.Gbps, NumFlows: 500,
-		},
 		"one-flow": {
-			Pattern: AllToAll{Hosts: hosts}, Sizes: FixedSize(1_000),
+			Pattern: AllToAll{Hosts: hosts}, Sizes: UniformSize{Min: 1_000, Max: 1_000},
 			Load: 0.5, Reference: 10 * netem.Gbps, NumFlows: 1,
 		},
 		"zero-flows": {
-			Pattern: AllToAll{Hosts: hosts}, Sizes: FixedSize(1_000),
+			Pattern: AllToAll{Hosts: hosts}, Sizes: UniformSize{Min: 1_000, Max: 1_000},
 			Load: 0.5, Reference: 10 * netem.Gbps, NumFlows: 0,
 		},
 	}
@@ -116,25 +110,6 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesGenerateFixedPairs covers the stateful pattern:
-// FixedPairs mutates a cursor on every Pair call, so each generator
-// needs its own instance.
-func TestStreamMatchesGenerateFixedPairs(t *testing.T) {
-	mk := func() Spec {
-		return Spec{
-			Pattern: &FixedPairs{Pairs: [][2]pkt.NodeID{{0, 1}, {2, 3}, {1, 2}}},
-			Sizes:   FixedSize(10_000),
-			Load:    0.5, Reference: 10 * netem.Gbps, NumFlows: 50,
-			BackgroundFlows: 1,
-		}
-	}
-	gen := mk().Generate(sim.NewRand(7), 1)
-	got := drain(mk().Stream(sim.NewRand(7), 1))
-	if !reflect.DeepEqual(gen, got) {
-		t.Fatalf("fixed-pairs sequences diverge:\n gen    %v\n stream %v", gen, got)
-	}
-}
-
 // TestStreamStartsNonDecreasing pins the contract ScheduleStream
 // relies on: arrival timestamps never run backwards.
 func TestStreamStartsNonDecreasing(t *testing.T) {
@@ -158,7 +133,7 @@ func TestStreamStartsNonDecreasing(t *testing.T) {
 // huge workload must not materialize the rest.
 func TestStreamIsLazy(t *testing.T) {
 	spec := Spec{
-		Pattern: AllToAll{Hosts: HostRange(0, 20)}, Sizes: FixedSize(10_000),
+		Pattern: AllToAll{Hosts: HostRange(0, 20)}, Sizes: UniformSize{Min: 10_000, Max: 10_000},
 		Load: 0.6, Reference: 10 * netem.Gbps, NumFlows: 1 << 30,
 	}
 	st := spec.Stream(sim.NewRand(1), 1)

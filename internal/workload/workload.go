@@ -1,8 +1,8 @@
 // Package workload synthesizes the traffic the paper evaluates on:
-// Poisson flow arrivals with configurable size distributions, the
-// three traffic patterns used in the evaluation (intra-rack
-// all-to-all, left-right inter-rack, worker-aggregator), optional
-// per-flow deadlines, and long-lived background flows.
+// Poisson flow arrivals with uniform flow sizes, the three traffic
+// patterns used in the evaluation (intra-rack all-to-all, left-right
+// inter-rack, worker-aggregator), optional per-flow deadlines, and
+// long-lived background flows.
 package workload
 
 import (
@@ -63,48 +63,9 @@ func (u UniformSize) Mean() float64 { return float64(u.Min+u.Max) / 2 }
 
 func (u UniformSize) String() string { return fmt.Sprintf("U[%d,%d]B", u.Min, u.Max) }
 
-// FixedSize always draws the same size.
-type FixedSize int64
-
-// Sample implements SizeDist.
-func (f FixedSize) Sample(*sim.Rand) int64 { return int64(f) }
-
-// Mean implements SizeDist.
-func (f FixedSize) Mean() float64 { return float64(f) }
-
-func (f FixedSize) String() string { return fmt.Sprintf("%dB", int64(f)) }
-
-// ExpSize draws exponentially distributed sizes with the given mean,
-// clamped below at MinBytes (one packet by default).
-type ExpSize struct {
-	MeanBytes float64
-	MinBytes  int64
-}
-
-// Sample implements SizeDist.
-func (e ExpSize) Sample(r *sim.Rand) int64 {
-	v := int64(r.Exp(e.MeanBytes))
-	min := e.MinBytes
-	if min <= 0 {
-		min = 1
-	}
-	if v < min {
-		v = min
-	}
-	return v
-}
-
-// Mean implements SizeDist.
-func (e ExpSize) Mean() float64 { return e.MeanBytes }
-
-func (e ExpSize) String() string { return fmt.Sprintf("Exp(%.0fB)", e.MeanBytes) }
-
 // Pattern picks (src, dst) pairs for arriving flows.
 type Pattern interface {
 	Pair(r *sim.Rand) (src, dst pkt.NodeID)
-	// Senders lists the hosts that can originate flows (used to place
-	// background flows).
-	Senders() []pkt.NodeID
 	String() string
 }
 
@@ -117,9 +78,6 @@ type AllToAll struct {
 
 // Pair implements Pattern.
 func (a AllToAll) Pair(r *sim.Rand) (pkt.NodeID, pkt.NodeID) {
-	if len(a.Hosts) < 2 {
-		panic("workload: AllToAll needs at least two hosts")
-	}
 	si := r.Intn(len(a.Hosts))
 	di := r.Intn(len(a.Hosts) - 1)
 	if di >= si {
@@ -127,9 +85,6 @@ func (a AllToAll) Pair(r *sim.Rand) (pkt.NodeID, pkt.NodeID) {
 	}
 	return a.Hosts[si], a.Hosts[di]
 }
-
-// Senders implements Pattern.
-func (a AllToAll) Senders() []pkt.NodeID { return a.Hosts }
 
 func (a AllToAll) String() string { return fmt.Sprintf("all-to-all(%d hosts)", len(a.Hosts)) }
 
@@ -143,43 +98,12 @@ type LeftRight struct {
 
 // Pair implements Pattern.
 func (lr LeftRight) Pair(r *sim.Rand) (pkt.NodeID, pkt.NodeID) {
-	if len(lr.Left) == 0 || len(lr.Right) == 0 {
-		panic("workload: LeftRight needs non-empty sides")
-	}
 	return lr.Left[r.Intn(len(lr.Left))], lr.Right[r.Intn(len(lr.Right))]
 }
-
-// Senders implements Pattern.
-func (lr LeftRight) Senders() []pkt.NodeID { return lr.Left }
 
 func (lr LeftRight) String() string {
 	return fmt.Sprintf("left-right(%d->%d hosts)", len(lr.Left), len(lr.Right))
 }
-
-// FixedPairs cycles deterministically through an explicit pair list
-// (used by micro-benchmarks and the Figure 3 toy scenario).
-type FixedPairs struct {
-	Pairs [][2]pkt.NodeID
-	next  int
-}
-
-// Pair implements Pattern.
-func (fp *FixedPairs) Pair(*sim.Rand) (pkt.NodeID, pkt.NodeID) {
-	p := fp.Pairs[fp.next%len(fp.Pairs)]
-	fp.next++
-	return p[0], p[1]
-}
-
-// Senders implements Pattern.
-func (fp *FixedPairs) Senders() []pkt.NodeID {
-	var out []pkt.NodeID
-	for _, p := range fp.Pairs {
-		out = append(out, p[0])
-	}
-	return out
-}
-
-func (fp *FixedPairs) String() string { return fmt.Sprintf("fixed(%d pairs)", len(fp.Pairs)) }
 
 // Spec is a complete workload description.
 type Spec struct {
@@ -216,12 +140,51 @@ type Spec struct {
 	BackgroundSize int64
 }
 
+// Validate reports the first precondition s breaks: a pattern with
+// two hosts to pair (AllToAll) or a host on each side (LeftRight),
+// uniform sizes of at least one byte with Min ≤ Max, a Load in (0, 1],
+// a positive Reference, non-negative flow counts, ordered deadline
+// bounds, and Fanin only over AllToAll. Generate and Stream panic on a
+// Spec that fails it: an invalid Spec built inside the program is a
+// bug, so input from outside is checked here first.
+func (s Spec) Validate() error {
+	switch p := s.Pattern.(type) {
+	case AllToAll:
+		if len(p.Hosts) < 2 {
+			return fmt.Errorf("workload: AllToAll needs at least two hosts, has %d", len(p.Hosts))
+		}
+	case LeftRight:
+		if len(p.Left) == 0 || len(p.Right) == 0 {
+			return fmt.Errorf("workload: LeftRight needs a host on each side, has %d and %d", len(p.Left), len(p.Right))
+		}
+	case nil:
+		return fmt.Errorf("workload: Spec has no Pattern")
+	}
+	if _, ok := s.Pattern.(AllToAll); s.Fanin > 1 && !ok {
+		return fmt.Errorf("workload: Fanin %d requires the AllToAll pattern, not %v", s.Fanin, s.Pattern)
+	}
+	if s.Sizes == nil {
+		return fmt.Errorf("workload: Spec has no Sizes")
+	}
+	if u, ok := s.Sizes.(UniformSize); ok && (u.Min < 1 || u.Max < u.Min) {
+		return fmt.Errorf("workload: sizes %v need 1 <= Min <= Max", u)
+	}
+	switch {
+	case !(s.Load > 0 && s.Load <= 1):
+		return fmt.Errorf("workload: Load %v is outside (0, 1]", s.Load)
+	case s.Reference <= 0:
+		return fmt.Errorf("workload: Reference %v is not positive", s.Reference)
+	case s.NumFlows < 0 || s.BackgroundFlows < 0:
+		return fmt.Errorf("workload: NumFlows %d and BackgroundFlows %d must not be negative", s.NumFlows, s.BackgroundFlows)
+	case s.DeadlineMax > 0 && (s.DeadlineMin < 0 || s.DeadlineMin > s.DeadlineMax):
+		return fmt.Errorf("workload: deadlines [%v, %v] need 0 <= DeadlineMin <= DeadlineMax", s.DeadlineMin, s.DeadlineMax)
+	}
+	return nil
+}
+
 // ArrivalRate returns the Poisson arrival rate (flows/sec) implied by
 // the offered load.
 func (s Spec) ArrivalRate() float64 {
-	if s.Load <= 0 || s.Reference <= 0 {
-		panic("workload: Spec needs positive Load and Reference")
-	}
 	meanBits := s.Sizes.Mean() * 8
 	return s.Load * float64(s.Reference) / meanBits
 }
@@ -229,6 +192,9 @@ func (s Spec) ArrivalRate() float64 {
 // Generate materializes the workload: background flows at t=0 followed
 // by NumFlows Poisson arrivals. IDs start at firstID and increase.
 func (s Spec) Generate(r *sim.Rand, firstID pkt.FlowID) []FlowSpec {
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	var out []FlowSpec
 	id := firstID
 
@@ -260,10 +226,7 @@ func (s Spec) Generate(r *sim.Rand, firstID pkt.FlowID) []FlowSpec {
 			i++
 			continue
 		}
-		a2a, ok := s.Pattern.(AllToAll)
-		if !ok {
-			panic("workload: Fanin requires the AllToAll pattern")
-		}
+		a2a := s.Pattern.(AllToAll)
 		dst := a2a.Hosts[aggNext%len(a2a.Hosts)]
 		aggNext++
 		task := uint64(aggNext) // tasks numbered in arrival order
@@ -307,6 +270,9 @@ type Stream struct {
 // Stream returns an iterator yielding the flow sequence of
 // Generate(r, firstID) one FlowSpec at a time.
 func (s Spec) Stream(r *sim.Rand, firstID pkt.FlowID) *Stream {
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	st := &Stream{spec: s, r: r, id: firstID, bgLeft: s.BackgroundFlows}
 	st.bgSize = s.BackgroundSize
 	if st.bgSize == 0 {
@@ -344,10 +310,7 @@ func (st *Stream) Next() (FlowSpec, bool) {
 			st.emitted++
 			return f, true
 		}
-		a2a, ok := s.Pattern.(AllToAll)
-		if !ok {
-			panic("workload: Fanin requires the AllToAll pattern")
-		}
+		a2a := s.Pattern.(AllToAll)
 		dst := a2a.Hosts[st.aggNext%len(a2a.Hosts)]
 		st.aggNext++
 		task := uint64(st.aggNext)

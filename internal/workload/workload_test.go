@@ -30,16 +30,6 @@ func TestUniformSize(t *testing.T) {
 	}
 }
 
-func TestExpSizeClamped(t *testing.T) {
-	r := sim.NewRand(3)
-	d := ExpSize{MeanBytes: 100, MinBytes: 50}
-	for i := 0; i < 1000; i++ {
-		if v := d.Sample(r); v < 50 {
-			t.Fatalf("sample %d below clamp", v)
-		}
-	}
-}
-
 func TestAllToAllNeverSelfPair(t *testing.T) {
 	r := sim.NewRand(2)
 	p := AllToAll{Hosts: HostRange(0, 20)}
@@ -83,16 +73,6 @@ func TestLeftRightSides(t *testing.T) {
 		if s >= 80 || d < 80 {
 			t.Fatalf("pair (%d,%d) crosses sides wrongly", s, d)
 		}
-	}
-}
-
-func TestFixedPairsCycle(t *testing.T) {
-	p := &FixedPairs{Pairs: [][2]pkt.NodeID{{1, 2}, {3, 4}}}
-	s1, d1 := p.Pair(nil)
-	s2, d2 := p.Pair(nil)
-	s3, _ := p.Pair(nil)
-	if s1 != 1 || d1 != 2 || s2 != 3 || d2 != 4 || s3 != 1 {
-		t.Fatal("fixed pairs should cycle in order")
 	}
 }
 
@@ -151,7 +131,7 @@ func TestGenerate(t *testing.T) {
 func TestGenerateArrivalRateEmpirical(t *testing.T) {
 	s := Spec{
 		Pattern:   AllToAll{Hosts: HostRange(0, 10)},
-		Sizes:     FixedSize(100000),
+		Sizes:     UniformSize{Min: 100000, Max: 100000},
 		Load:      0.8,
 		Reference: 10 * netem.Gbps,
 		NumFlows:  20000,
@@ -194,5 +174,52 @@ func TestHostRange(t *testing.T) {
 	hr := HostRange(3, 6)
 	if len(hr) != 3 || hr[0] != 3 || hr[2] != 5 {
 		t.Fatalf("HostRange = %v", hr)
+	}
+}
+
+// TestValidate: each precondition rejects its own bad Spec, and a
+// Generate on it panics rather than emitting flows.
+func TestValidate(t *testing.T) {
+	ok := func() Spec {
+		return Spec{
+			Pattern: AllToAll{Hosts: HostRange(0, 4)}, Sizes: UniformSize{Min: 1, Max: 10},
+			Load: 1, Reference: netem.Gbps, NumFlows: 3,
+		}
+	}
+	if err := ok().Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	bad := map[string]func(*Spec){
+		"one host":         func(s *Spec) { s.Pattern = AllToAll{Hosts: HostRange(0, 1)} },
+		"empty side":       func(s *Spec) { s.Pattern = LeftRight{Left: HostRange(0, 1)} },
+		"no pattern":       func(s *Spec) { s.Pattern = nil },
+		"fanin left-right": func(s *Spec) { s.Pattern = LeftRight{Left: HostRange(0, 1), Right: HostRange(1, 2)}; s.Fanin = 4 },
+		"no sizes":         func(s *Spec) { s.Sizes = nil },
+		"min above max":    func(s *Spec) { s.Sizes = UniformSize{Min: 5000, Max: 100} },
+		"zero-byte flows":  func(s *Spec) { s.Sizes = UniformSize{Min: 0, Max: 100} },
+		"zero load":        func(s *Spec) { s.Load = 0 },
+		"load above one":   func(s *Spec) { s.Load = 1.5 },
+		"negative ref":     func(s *Spec) { s.Reference = -netem.Gbps },
+		"negative flows":   func(s *Spec) { s.NumFlows = -3 },
+		"negative bg":      func(s *Spec) { s.BackgroundFlows = -1 },
+		"deadlines swapped": func(s *Spec) {
+			s.DeadlineMin, s.DeadlineMax = 25*sim.Millisecond, 5*sim.Millisecond
+		},
+	}
+	for name, mutate := range bad {
+		s := ok()
+		mutate(&s)
+		if s.Validate() == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Generate did not panic", name)
+				}
+			}()
+			s.Generate(sim.NewRand(1), 1)
+		}()
 	}
 }
