@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"pase/internal/core/arbitration"
 	"pase/internal/faults"
 	"pase/internal/route"
 	"pase/internal/sim"
@@ -85,10 +86,22 @@ func pinTable() []pin {
 	}
 	// A control-plane row runs the 16-rack ctrlscale fabric at 80% load,
 	// cross-rack enough that refreshes climb the whole hierarchy.
+	ctrlCfg := func(opt PASEOptions) PointConfig {
+		return PointConfig{Protocol: PASE, Scenario: Scenario("ctrlscale-16"), Load: 0.8, Seed: 7, NumFlows: 120, Check: true, PASE: opt}
+	}
 	ctrl := func(arm string, opt PASEOptions, what string, twins ...string) pin {
-		cfg := PointConfig{Protocol: PASE, Scenario: Scenario("ctrlscale-16"), Load: 0.8, Seed: 7, NumFlows: 120, Check: true, PASE: opt}
-		return pin{name: "ctrlplane-" + arm, out: digestOut, input: point(cfg), twins: twins,
+		return pin{name: "ctrlplane-" + arm, out: digestOut, input: point(ctrlCfg(opt)), twins: twins,
 			protects: what + " on ctrlscale-16, every flow outcome and queue total", mover: "item 6"}
+	}
+	// An arbstats row pins the control plane's own counts, which no
+	// digest covers: a fig-9a left-right point climbs the flat 3-tier
+	// arm, a ctrlscale-16 point the hierarchy or the central arm.
+	arbstats := func(arm string, cfg PointConfig, what string) pin {
+		return pin{name: "arbstats-" + arm, out: arbstatsOut, file: "arbstats/" + arm + ".txt", input: point(cfg),
+			protects: "the control-plane counts (arbitration.Stats, arb/msgs/level*) of " + what, mover: "item 6"}
+	}
+	flat := func(opt PASEOptions) PointConfig {
+		return PointConfig{Protocol: PASE, Scenario: LeftRight, Load: 0.8, Seed: 1, NumFlows: 300, Check: true, PASE: opt}
 	}
 	goldenTrace := func(tc TraceConfig) input {
 		return point(PointConfig{Protocol: DCTCP, Scenario: LeftRight, Load: 0.6, Seed: 1, NumFlows: 40, Trace: tc})
@@ -113,6 +126,12 @@ func pinTable() []pin {
 		ctrl("hierarchy", PASEOptions{}, "the default arbitration hierarchy (fan-out 4, 2 root shards), untouched by engine sharding", shards...),
 		ctrl("deep-hierarchy", PASEOptions{HierFanOut: 2, HierTopShards: 1}, "a five-level binary hierarchy's delegation and pruning", "rerun"),
 		ctrl("central", PASEOptions{Central: true}, "the centralized arm's queueing and per-epoch sync"),
+		arbstats("flat", flat(PASEOptions{}), "the flat 3-tier climb with delegation and early pruning"),
+		arbstats("flat-nodelegation", flat(PASEOptions{NoDelegation: true}), "the flat climb without delegation"),
+		arbstats("flat-localonly", flat(PASEOptions{LocalOnly: true}), "access-link-only arbitration (Fig 12a)"),
+		arbstats("hierarchy", ctrlCfg(PASEOptions{}), "the default arbitration hierarchy"),
+		arbstats("deep-hierarchy", ctrlCfg(PASEOptions{HierFanOut: 2, HierTopShards: 1}), "a five-level binary hierarchy"),
+		arbstats("central", ctrlCfg(PASEOptions{Central: true}), "the centralized arm"),
 		{name: "fig9a-100x2", out: tsvOut, file: "fig9a-100x2.tsv",
 			input:    input{fig: "9a", opts: Opts{NumFlows: 100, Seed: 1, Seeds: 2, Loads: []float64{0.5}, Check: true}},
 			twins:    []string{"shards=3", "empty-plan", "zero-plan"},
@@ -214,6 +233,21 @@ var (
 			t.Fatal(err)
 		}
 		return buf.Bytes()
+	}}
+	arbstatsOut = out{"arbitration stats", func(t *testing.T, in input) []byte {
+		cfg := in.cfg
+		cfg.Obs = true
+		ctr := runChecked(t, cfg).Obs.Counters
+		var b bytes.Buffer
+		for _, k := range []string{"setups", "refreshes", "releases", "messages", "bytes", "delegated", "pruned", "prune_saved_msgs", "sync_messages"} {
+			fmt.Fprintf(&b, "arb/%s\t%d\n", k, ctr["arb/"+k])
+		}
+		for d := 0; d < arbitration.MaxCtrlLevels; d++ {
+			if v, ok := ctr[fmt.Sprintf("arb/msgs/level%d", d)]; ok {
+				fmt.Fprintf(&b, "arb/msgs/level%d\t%d\n", d, v)
+			}
+		}
+		return b.Bytes()
 	}}
 	perfettoOut = out{"Perfetto JSON", func(t *testing.T, in input) []byte {
 		b, _ := perfettoBytes(t, in.cfg)
