@@ -188,7 +188,7 @@ func ExampleSimulate_ablation() {
 	// variant                                    AFCT      p99 FCT  ctrl msgs
 	// full PASE (left-right, 80%)              3.21ms      14.48ms      18586
 	// no pruning/delegation                    3.02ms      13.17ms      33824
-	// arbitrate access links only               8.5ms     206.13ms       1000
+	// arbitrate access links only               8.5ms     206.13ms          0
 	// 3 priority queues                        5.16ms      48.31ms      33684
 	// full PASE (rack, 40%)                    6.07ms      25.45ms          0
 	// no reference rate (PASE-DCTCP)           6.36ms      21.78ms          0
