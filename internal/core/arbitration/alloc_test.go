@@ -109,7 +109,7 @@ func TestTreeRefreshSharesAllocFree(t *testing.T) {
 	var now sim.Time
 	tr := newTestTree(HierarchyParams{FanOut: 4, TopShards: 2}, 64, func() sim.Time { return now })
 	for c := 0; c < 64; c++ {
-		tr.slices[sliceKey{1, c}].Update(pkt.FlowID(c+1), int64(c), netem.BitRate(c+1)*netem.Gbps)
+		tr.slices[0][c].Update(pkt.FlowID(c+1), int64(c), netem.BitRate(c+1)*netem.Gbps)
 	}
 	for s := 0; s < tr.shards; s++ {
 		tr.levels[len(tr.levels)-1][s].Update(pkt.FlowID(100+s), 1, netem.Gbps)

@@ -33,12 +33,13 @@ func FuzzArbitrationTree(f *testing.F) {
 		if tr == nil {
 			t.Fatal("newTree returned nil for enabled params")
 		}
-		tr.AttachCheck(check.NewStrict(func() int64 { return int64(now) }))
+		chk := check.NewStrict(func() int64 { return int64(now) })
+		tr.ForEach(func(a *Arbitrator) { a.AttachCheck(chk) })
 		const prune = int8(2)
 
 		// live remembers the exact path prefix each flow registered on,
 		// so releases retrace it — the invariant the real system keeps.
-		live := make(map[pkt.FlowID][]treeStep)
+		live := make(map[pkt.FlowID][]stop)
 		for i, op := range data[3:] {
 			flow := pkt.FlowID(op%23 + 1)
 			a := int(op) % racks

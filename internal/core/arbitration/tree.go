@@ -1,7 +1,6 @@
 package arbitration
 
 import (
-	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/pool"
@@ -45,31 +44,14 @@ type Tree struct {
 	// covering racks [i·FanOut^lv, (i+1)·FanOut^lv). The last level is
 	// the root: a single node, or `shards` replicated shard nodes.
 	levels [][]*Arbitrator
-	// slices maps (parent level lv, child index at level lv-1) to the
-	// delegated virtual slice of that parent the child's arbitrator
-	// owns. A sharded root delegates nothing (its children would each
-	// need a slice of every shard).
-	slices map[sliceKey]*Arbitrator
+	// slices is shaped like levels: slices[lv][i] is the delegated
+	// virtual slice of its parent that node i of level lv owns, so one
+	// parent's slices are a contiguous run. The root's row is empty, and
+	// so is the row under a sharded root, which delegates nothing (its
+	// children would each need a slice of every shard).
+	slices [][]*Arbitrator
 
 	topCap netem.BitRate
-
-	// kids is RefreshShares' scratch, so a share refresh allocates
-	// nothing.
-	kids []*Arbitrator
-}
-
-type sliceKey struct {
-	level int // parent level
-	child int // child index at level-1
-}
-
-// treeStep is one stop of a bottom-up climb: the arbitrator to
-// consult, the control-hop depth reaching it costs, and whether it is
-// a delegated slice (owned by the previous stop, so no extra hop).
-type treeStep struct {
-	arb       *Arbitrator
-	depth     int
-	delegated bool
 }
 
 // Link-ID bases keep tree arbitrator labels (used by the invariant
@@ -101,7 +83,6 @@ func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, t
 		fanOut: h.FanOut,
 		shards: shards,
 		racks:  racks,
-		slices: make(map[sliceKey]*Arbitrator),
 		topCap: topCap,
 	}
 	// Level sizes: racks, ceil(racks/F), ... , 1.
@@ -133,17 +114,19 @@ func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, t
 	// Delegated slices: every non-sharded parent hands each child a
 	// virtual slice sized by an equal split (the share refresh resizes
 	// them to demand).
+	t.slices = make([][]*Arbitrator, len(t.levels))
 	for lv := 1; lv <= root; lv++ {
 		if lv == root && shards > 1 {
 			break
 		}
-		for c := range t.levels[lv-1] {
+		row := make([]*Arbitrator, len(t.levels[lv-1]))
+		for c := range row {
 			p := c / h.FanOut
-			kids := t.childCount(lv, p)
-			share := t.levels[lv][p].Capacity() / netem.BitRate(kids)
+			share := t.levels[lv][p].Capacity() / netem.BitRate(len(t.under(t.levels[lv-1], p)))
 			id := -(idBase + lv*treeLevelStride + c)
-			t.slices[sliceKey{lv, c}] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries)
+			row[c] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries)
 		}
+		t.slices[lv-1] = row
 	}
 	return t
 }
@@ -174,13 +157,10 @@ func (t *Tree) span(lv int) int {
 	return s
 }
 
-// childCount is the number of level-(lv-1) children under parent p.
-func (t *Tree) childCount(lv, p int) int {
-	n := len(t.levels[lv-1]) - p*t.fanOut
-	if n > t.fanOut {
-		n = t.fanOut
-	}
-	return n
+// under returns the run of a child-level row (nodes or slices) that
+// sits under parent p.
+func (t *Tree) under(row []*Arbitrator, p int) []*Arbitrator {
+	return row[p*t.fanOut : min((p+1)*t.fanOut, len(row))]
 }
 
 // MaxDepth is the control-hop depth of a full, non-delegated climb to
@@ -213,11 +193,11 @@ func (t *Tree) meetLevel(a, b int) int {
 // stop before it, two messages cheaper — unless the meet is the
 // sharded root, which delegates nothing and is picked by flow hash.
 // Release mirrors the same path, so every registration is removed
-// where it was made. The path is appended to steps[:0] — callers on
-// the refresh path pass a scratch slice so a climb allocates nothing.
-func (t *Tree) ClimbPath(steps []treeStep, flow pkt.FlowID, a, b int, delegation bool) []treeStep {
+// where it was made. The path is appended to steps — callers on the
+// refresh path pass a scratch slice so a climb allocates nothing.
+func (t *Tree) ClimbPath(steps []stop, flow pkt.FlowID, a, b int, delegation bool) []stop {
 	root := len(t.levels) - 1
-	steps = append(steps[:0], treeStep{arb: t.levels[0][a], depth: 1})
+	steps = append(steps, stop{arb: t.levels[0][a], depth: 1})
 	if a == b || root == 0 {
 		return steps
 	}
@@ -226,16 +206,14 @@ func (t *Tree) ClimbPath(steps []treeStep, flow pkt.FlowID, a, b int, delegation
 	for lv := 1; lv <= m; lv++ {
 		atRoot := lv == root
 		if lv == m && delegation && !(atRoot && t.shards > 1) {
-			if s := t.slices[sliceKey{lv, a / span}]; s != nil {
-				steps = append(steps, treeStep{arb: s, depth: lv, delegated: true})
-				break
-			}
+			steps = append(steps, stop{arb: t.slices[lv-1][a/span], depth: lv, delegated: true})
+			break
 		}
 		idx := a / (span * t.fanOut)
 		if atRoot && t.shards > 1 {
 			idx = t.ShardOf(flow)
 		}
-		steps = append(steps, treeStep{arb: t.levels[lv][idx], depth: lv + 1})
+		steps = append(steps, stop{arb: t.levels[lv][idx], depth: lv + 1})
 		span *= t.fanOut
 	}
 	return steps
@@ -255,14 +233,7 @@ func (t *Tree) RefreshShares(prune int8, count func(int64)) {
 			if parent.Down() {
 				continue
 			}
-			kids := t.kids[:0]
-			for c := p * t.fanOut; c < len(t.levels[lv-1]) && c < (p+1)*t.fanOut; c++ {
-				if s := t.slices[sliceKey{lv, c}]; s != nil {
-					kids = append(kids, s)
-				}
-			}
-			t.kids = kids
-			rebalance(parent.Capacity(), kids, prune, count)
+			rebalance(parent.Capacity(), t.under(t.slices[lv-1], p), prune, count)
 		}
 	}
 	if root > 0 && t.shards > 1 {
@@ -315,21 +286,11 @@ func rebalance(capTotal netem.BitRate, kids []*Arbitrator, prune int8, count fun
 // ForEach visits every arbitrator of the tree — nodes, shards and
 // delegated slices.
 func (t *Tree) ForEach(f func(*Arbitrator)) {
-	for _, row := range t.levels {
-		for _, a := range row {
-			f(a)
+	for _, rows := range [2][][]*Arbitrator{t.levels, t.slices} {
+		for _, row := range rows {
+			for _, a := range row {
+				f(a)
+			}
 		}
 	}
-	for _, s := range t.slices {
-		f(s)
-	}
 }
-
-// AttachCheck installs the invariant checker on every tree arbitrator.
-func (t *Tree) AttachCheck(c *check.Checker) {
-	t.ForEach(func(a *Arbitrator) { a.AttachCheck(c) })
-}
-
-// Crash wipes every tree arbitrator; Restore brings them back empty.
-func (t *Tree) Crash()   { t.ForEach((*Arbitrator).Crash) }
-func (t *Tree) Restore() { t.ForEach((*Arbitrator).Restore) }
