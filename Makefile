@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCreditQueue$$' -fuzztime 10s ./internal/netem/
 	$(GO) test -run '^$$' -fuzz '^FuzzArbitrator$$' -fuzztime 10s ./internal/core/arbitration/
 	$(GO) test -run '^$$' -fuzz '^FuzzArbitrationTree$$' -fuzztime 10s ./internal/core/arbitration/
+	$(GO) test -run '^$$' -fuzz '^FuzzClimb$$' -fuzztime 10s ./internal/core/arbitration/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSketch$$' -fuzztime 10s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzRankOrder$$' -fuzztime 10s ./internal/sim/
@@ -120,14 +121,15 @@ te-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
 		-reroute -te -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 
-# Arbitration-control-plane gate: the hierarchy unit suite and tree
-# fuzzer seeds, the control-plane conformance pins (hierarchy /
-# deep-hierarchy / centralized digests, shard equality, scaling
-# acceptance) under the forced invariant checker, then one checked
+# Arbitration-control-plane gate: the hierarchy unit suite, the tree
+# and System-climb fuzzer seeds, the control-plane conformance pins
+# (hierarchy / deep-hierarchy / centralized digests, shard equality,
+# scaling acceptance) and the arbstats count pins under the forced
+# invariant checker, then one checked
 # 512-rack run per arm end to end — the hierarchy at datacenter scale
 # and the centralized comparison on the same fabric.
 ctrlscale-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|TestCtrlScale|TestPins/(ctrlplane|figure-ctrlscale-axis)' ./internal/core/arbitration/ ./internal/experiments/)
+	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|FuzzClimb|TestCtrlScale|TestPins/(ctrlplane|arbstats|figure-ctrlscale-axis)' ./internal/core/arbitration/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
 
