@@ -39,7 +39,6 @@ func FuzzPrioQueue(f *testing.F) {
 		mode := data[3]
 		q := NewPrio(bands, limit, k)
 		q.PerBand = mode&1 != 0
-		q.DisablePushOut = mode&2 != 0
 		q.AttachCheck("fuzz/prio", check.NewStrict(fuzzClock))
 
 		var seq int32

@@ -16,18 +16,16 @@ import (
 // the newest packet from the lowest-priority non-empty band strictly
 // below b ("push-out"); if no such band exists the arrival itself is
 // dropped. Commodity shared-buffer switches approximate this with
-// per-class dynamic thresholds; the flag DisablePushOut reverts to
-// plain shared drop-tail for ablation.
+// per-class dynamic thresholds.
 //
 // Marking: an arriving ECN-capable packet is marked when its own
 // band's occupancy is at or above K. Per-band marking keeps the many
 // one-packet windows parked in the bottom band (PASE's paused flows)
 // from spuriously marking top-band traffic.
 type Prio struct {
-	Limit          int
-	K              int
-	Bands          int
-	DisablePushOut bool
+	Limit int
+	K     int
+	Bands int
 	// PerBand gives every band its own Limit-packet queue instead of
 	// sharing one buffer — the Linux PRIO/CBQ arrangement of the
 	// paper's testbed, where each class has an independent qdisc.
@@ -90,7 +88,7 @@ func (q *Prio) Enqueue(p *pkt.Packet) bool {
 			return false
 		}
 	} else if q.total >= q.Limit {
-		if q.DisablePushOut || !q.pushOutBelow(b) {
+		if !q.pushOutBelow(b) {
 			q.stats.drop(p)
 			return false
 		}

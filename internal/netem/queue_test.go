@@ -230,16 +230,6 @@ func TestPrioFullLowPriorityArrivalDropped(t *testing.T) {
 	}
 }
 
-func TestPrioDisablePushOut(t *testing.T) {
-	q := NewPrio(2, 2, 50)
-	q.DisablePushOut = true
-	q.Enqueue(mkpkt(1, 0, 1, 0))
-	q.Enqueue(mkpkt(1, 1, 1, 0))
-	if q.Enqueue(mkpkt(2, 0, 0, 0)) {
-		t.Fatal("with push-out disabled a full buffer drops all arrivals")
-	}
-}
-
 func TestPFabricDropsLeastUrgent(t *testing.T) {
 	q := NewPFabric(3)
 	q.Enqueue(mkpkt(1, 0, 0, 100))
