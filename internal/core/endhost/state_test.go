@@ -267,3 +267,35 @@ func TestRefreshTimerAllocFree(t *testing.T) {
 		t.Fatalf("%d refreshes in 101 retry periods (started=%v): the timer is not what was measured", fired, c.started)
 	}
 }
+
+// TestFallbackTimeoutHalvesSSThresh: a flow that gave up on a silent
+// control plane runs DCTCP's law, and DCTCP halves its slow-start
+// threshold on a timeout before restarting from one segment — or the
+// flow slow-starts straight back to a stale threshold.
+func TestFallbackTimeoutHalvesSSThresh(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	s, c := r.startFlow(t, workload.FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1 << 30})
+	if err := r.eng.RunUntil(sim.Time(100 * sim.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.started || c.fallback {
+		t.Fatalf("flow should run on its grant first (started=%v fallback=%v)", c.started, c.fallback)
+	}
+	// The rig's arbitration is all rack-local, which control faults
+	// never drop, so silence the control plane at the flow: answers
+	// still come, but the flow no longer hears them.
+	c.client.OnUpdate = func() {}
+	if err := r.eng.RunUntil(r.eng.Now().Add(r.t.Cfg.FallbackAfter + 2*r.t.Cfg.RetryCap)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.fallback {
+		t.Fatalf("flow should have fallen back after %d unanswered refreshes", c.misses)
+	}
+	before := s.Cwnd
+	if c.OnTimeout(s) {
+		t.Fatal("a fallback flow retransmits on a timeout; it does not probe")
+	}
+	if want := max(before/2, 2); s.SSThresh != want || s.Cwnd != 1 {
+		t.Fatalf("timeout at cwnd %v left ssthresh=%v cwnd=%v, want %v and 1", before, s.SSThresh, s.Cwnd, want)
+	}
+}
