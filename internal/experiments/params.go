@@ -10,10 +10,8 @@ import (
 	"pase/internal/core/endhost"
 	"pase/internal/netem"
 	"pase/internal/sim"
-	"pase/internal/transport/d2tcp"
 	"pase/internal/transport/dctcp"
 	"pase/internal/transport/expresspass"
-	"pase/internal/transport/l2dct"
 	"pase/internal/transport/pdq"
 	"pase/internal/transport/pfabric"
 )
@@ -47,14 +45,9 @@ var (
 	ShallowMarkK     = 20
 )
 
-// DefaultDCTCP returns Table 3's DCTCP configuration.
+// DefaultDCTCP returns Table 3's configuration of DCTCP, D2TCP and
+// L2DCT (minRTO 10 ms).
 func DefaultDCTCP() dctcp.Config { return dctcp.DefaultConfig() }
-
-// DefaultD2TCP returns Table 3's D2TCP configuration.
-func DefaultD2TCP() d2tcp.Config { return d2tcp.DefaultConfig() }
-
-// DefaultL2DCT returns Table 3's L2DCT configuration (minRTO 10 ms).
-func DefaultL2DCT() l2dct.Config { return l2dct.DefaultConfig() }
 
 // DefaultPFabric returns Table 3's pFabric configuration
 // (initCwnd 38 pkts, minRTO 1 ms).

@@ -20,10 +20,8 @@ import (
 	"pase/internal/topology"
 	"pase/internal/trace"
 	"pase/internal/transport"
-	"pase/internal/transport/d2tcp"
 	"pase/internal/transport/dctcp"
 	"pase/internal/transport/expresspass"
-	"pase/internal/transport/l2dct"
 	"pase/internal/transport/pdq"
 	"pase/internal/transport/pfabric"
 	"pase/internal/workload"
@@ -818,9 +816,9 @@ func RunPoint(cfg PointConfig) PointResult {
 	case DCTCP:
 		newControl = dctcp.New(DefaultDCTCP())
 	case D2TCP:
-		newControl = d2tcp.New(DefaultD2TCP())
+		newControl = dctcp.NewD2TCP(DefaultDCTCP())
 	case L2DCT:
-		newControl = l2dct.New(DefaultL2DCT())
+		newControl = dctcp.NewL2DCT(DefaultDCTCP())
 	case PFabric:
 		newControl = pfabric.New(DefaultPFabric())
 	case PDQ:

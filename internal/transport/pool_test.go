@@ -10,9 +10,7 @@ import (
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/transport"
-	"pase/internal/transport/d2tcp"
 	"pase/internal/transport/dctcp"
-	"pase/internal/transport/l2dct"
 	"pase/internal/transport/pfabric"
 	"pase/internal/workload"
 )
@@ -62,8 +60,8 @@ func TestFlowTurnoverAllocs(t *testing.T) {
 		ctl   func(*transport.Sender) transport.Control
 	}{
 		{"DCTCP", redQueue, dctcp.New(dctcp.DefaultConfig())},
-		{"D2TCP", redQueue, d2tcp.New(d2tcp.DefaultConfig())},
-		{"L2DCT", redQueue, l2dct.New(l2dct.DefaultConfig())},
+		{"D2TCP", redQueue, dctcp.NewD2TCP(dctcp.DefaultConfig())},
+		{"L2DCT", redQueue, dctcp.NewL2DCT(dctcp.DefaultConfig())},
 		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, pfabric.New(pfabric.DefaultConfig())},
 	}
 	for _, p := range protocols {
