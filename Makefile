@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: build vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
+.PHONY: build loc vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines outside bench/, per package and in total: the size
+# every design change is judged by.
+loc:
+	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
+	wc -l $$files | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+		n[d == "" ? "." : d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2; \
+	cat $$files | wc -l | xargs printf '%7d total\n'
 
 # pins runs `go test -count=1 -v $(2)` with the environment $(1) and
 # fails when go test fails or when its -run pattern selected no TestPins
@@ -158,4 +166,4 @@ manifest-sample:
 	$(GO) run ./cmd/paper -fig 9a -flows 120 -loads 0.5,0.8 -out artifacts -progress=false
 
 # The same stages, in the same order, as .github/workflows/ci.yml.
-ci: vet build test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample
+ci: vet build loc test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample
