@@ -87,6 +87,37 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsOutOfRange holds the values Simulate used to
+// reinterpret without a word: a fan-out of 1 switched the deep
+// hierarchy off, and the negative ones ran as if unset.
+func TestSimulateRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   pase.SimConfig
+	}{
+		{"PASE.HierFanOut", pase.SimConfig{PASE: pase.PASEOptions{HierFanOut: 1}}},
+		{"PASE.HierFanOut", pase.SimConfig{PASE: pase.PASEOptions{HierFanOut: -3}}},
+		{"PASE.HierTopShards", pase.SimConfig{PASE: pase.PASEOptions{HierTopShards: -3}}},
+		{"Trace.SampleN", pase.SimConfig{Trace: pase.TraceConfig{SampleN: -3}}},
+		{"AbortAfter", pase.SimConfig{AbortAfter: -pase.Duration(1)}},
+		{"Route.Epoch", pase.SimConfig{Route: pase.RouteConfig{TE: true, Epoch: -pase.Duration(1)}}},
+	} {
+		c.cfg.Load, c.cfg.NumFlows, c.cfg.Scenario = 0.5, 10, "ctrlscale-16"
+		if _, err := pase.Simulate(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: got %v, want an error naming the field", c.field, err)
+		}
+	}
+	_, err := pase.RunFigure("13b", pase.FigureOpts{NumFlows: 10, Trace: pase.TraceConfig{SampleN: -3}})
+	if err == nil || !strings.Contains(err.Error(), "Trace.SampleN") {
+		t.Errorf("RunFigure Trace.SampleN: got %v, want an error naming the field", err)
+	}
+	for _, ok := range []pase.PASEOptions{{HierFanOut: 2}, {HierTopShards: 1}} {
+		if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Scenario: "ctrlscale-16", PASE: ok}); err != nil {
+			t.Errorf("%+v is in range: %v", ok, err)
+		}
+	}
+}
+
 func TestSimulateDefaults(t *testing.T) {
 	rep, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 50, Seed: 1})
 	if err != nil {
