@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
+.PHONY: build loc vet test cli-reject race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,35 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Every flag value pasesim and paper must refuse, as "arguments|name":
+# each invocation must exit 1 and name its flag or config field on
+# stderr. The small -flows keeps a value that slips through short.
+CLI_REJECT = \
+	"pasesim -racks -4|-racks" \
+	"pasesim -scale -5|-scale" \
+	"pasesim -seeds -2|-seeds" \
+	"pasesim -scenario ctrlscale-16 -hier-fanout 1|PASE.HierFanOut" \
+	"pasesim -hier-fanout -3|PASE.HierFanOut" \
+	"pasesim -hier-shards -3|PASE.HierTopShards" \
+	"pasesim -trace-sample -3|Trace.SampleN" \
+	"pasesim -abort-after -1ms|AbortAfter" \
+	"pasesim -te-epoch -1ms|Route.Epoch" \
+	"paper -fig 3 -scale -1|-scale" \
+	"paper -fig 3 -trace-sample -3|Trace.SampleN"
+
+# Builds both CLIs once and runs every CLI_REJECT invocation in a temp
+# directory, so a run that slips through leaves no output behind.
+cli-reject:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/ ./cmd/pasesim ./cmd/paper || exit 1; \
+	bad=0; for c in $(CLI_REJECT); do \
+		args=$${c%|*}; want=$${c##*|}; \
+		(cd $$dir && ./$$args -flows 20 -progress=false >/dev/null 2>err); st=$$?; \
+		if [ $$st -ne 1 ] || ! grep -qF -- "$$want" $$dir/err; then \
+			echo "FAIL $$args: exit $$st, stderr: $$(cat $$dir/err)"; bad=1; \
+		else echo "ok   $$args: $$(cat $$dir/err)"; fi; \
+	done; exit $$bad
 
 # The parallel point pool and the experiment determinism tests under
 # the race detector; sim is included because the engine is what the
@@ -166,4 +195,4 @@ manifest-sample:
 	$(GO) run ./cmd/paper -fig 9a -flows 120 -loads 0.5,0.8 -out artifacts -progress=false
 
 # The same stages, in the same order, as .github/workflows/ci.yml.
-ci: vet build loc test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample
+ci: vet build loc test cli-reject race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample

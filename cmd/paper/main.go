@@ -65,6 +65,10 @@ func main() {
 		return
 	}
 
+	if *scale < 0 {
+		fmt.Fprintf(os.Stderr, "paper: -scale must not be negative, got %d\n", *scale)
+		os.Exit(1)
+	}
 	if *scale > 0 {
 		*figID = "scale"
 		*flows = *scale

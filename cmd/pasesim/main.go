@@ -73,6 +73,15 @@ func main() {
 	)
 	flag.Parse()
 
+	if *racks < 0 {
+		fail(fmt.Errorf("-racks must not be negative, got %d", *racks))
+	}
+	if *scale < 0 {
+		fail(fmt.Errorf("-scale must not be negative, got %d", *scale))
+	}
+	if *seeds < 1 {
+		fail(fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
+	}
 	if *manifest != "" {
 		*obs = true
 	}
