@@ -5,19 +5,17 @@ import (
 	"pase/internal/sim"
 )
 
-// CentralPerRequestDefault is the controller's per-request service
-// time when Params.CentralPerRequest is left zero: roughly what a
-// tuned single-box scheduler spends computing one whole-path
-// allocation (Shah & Xie report handling on the order of 10^6
-// allocations per second).
-const CentralPerRequestDefault = 1 * sim.Microsecond
+// centralPerRequest is the controller's per-request service time:
+// roughly what a tuned single-box scheduler spends computing one
+// whole-path allocation (Shah & Xie report handling on the order of
+// 10^6 allocations per second).
+const centralPerRequest = 1 * sim.Microsecond
 
 // central models the fully centralized comparison arm: one controller
 // seated behind the core computes whole-path allocations. Requests
 // serialize at the single box, so each carries the controller's
 // queueing delay on top of the propagation to it and back.
 type central struct {
-	perReq    sim.Duration
 	busyUntil sim.Time
 }
 
@@ -72,7 +70,7 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 	if ctr.busyUntil > begin {
 		begin = ctr.busyUntil
 	}
-	ctr.busyUntil = begin.Add(ctr.perReq)
+	ctr.busyUntil = begin.Add(centralPerRequest)
 	sys.o.centralQ.Observe(int64(begin.Sub(arrive)))
 	latency := ctr.busyUntil.Sub(start) + sim.Duration(hops)*sys.P.CtrlPerHop
 	if fi != nil {

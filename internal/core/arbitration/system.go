@@ -14,15 +14,18 @@ import (
 	"pase/internal/topology"
 )
 
+// pruneQueues is early pruning's cut-off: a flow a lower-level
+// arbitrator maps below the top pruneQueues queues goes no higher (the
+// paper finds the top two a good balance).
+const pruneQueues = 2
+
 // Params configures the control plane.
 type Params struct {
 	// NumQueues is the number of switch priority queues (Table 3: 8).
 	NumQueues int
-	// EarlyPruning stops propagating a flow's arbitration upward once
-	// a lower-level arbitrator maps it below the top PruneQueues
-	// queues (the paper finds the top two a good balance).
+	// EarlyPruning stops a flow's arbitration climbing once a
+	// lower-level arbitrator maps it below the top pruneQueues queues.
 	EarlyPruning bool
-	PruneQueues  int8
 	// Delegation lets ToR-level arbitrators manage virtual slices of
 	// the agg-core links, cutting a hop off inter-rack arbitration.
 	Delegation bool
@@ -47,9 +50,6 @@ type Params struct {
 	// whole-path allocations in a single serialized exchange
 	// (Hierarchy, delegation and pruning are ignored).
 	Central bool
-	// CentralPerRequest is the central controller's per-request
-	// service time (0 = CentralPerRequestDefault).
-	CentralPerRequest sim.Duration
 }
 
 // DefaultParams returns the paper's configuration.
@@ -57,9 +57,7 @@ func DefaultParams() Params {
 	return Params{
 		NumQueues:    8,
 		EarlyPruning: true,
-		PruneQueues:  2,
 		Delegation:   true,
-		LocalOnly:    false,
 		Epoch:        300 * sim.Microsecond,
 		CtrlPerHop:   30 * sim.Microsecond,
 	}
@@ -235,10 +233,7 @@ func NewSystem(net *topology.Network, p Params) *System {
 	sys.nlevels = CtrlLevels
 	switch {
 	case p.Central:
-		sys.central = &central{perReq: p.CentralPerRequest}
-		if sys.central.perReq <= 0 {
-			sys.central.perReq = CentralPerRequestDefault
-		}
+		sys.central = &central{}
 		sys.scheduleEpoch()
 	case p.Hierarchy.Enabled() && !p.LocalOnly && net.Cfg.Racks > 1 && len(net.Aggs) > 0:
 		// Deep hierarchy: two directional virtual aggregation trees
@@ -305,14 +300,14 @@ func (a *epochAction) Fire(any) {
 	case sys.central != nil:
 		sys.centralSync()
 	case sys.upTree != nil:
-		sys.upTree.RefreshShares(sys.P.PruneQueues, sys.countMessages)
-		sys.downTree.RefreshShares(sys.P.PruneQueues, sys.countMessages)
+		sys.upTree.RefreshShares(pruneQueues, sys.countMessages)
+		sys.downTree.RefreshShares(pruneQueues, sys.countMessages)
 	default:
 		for id, kids := range sys.slices {
 			// A crashed parent cannot answer share requests; children
 			// keep their last shares until it restarts.
 			if kids != nil && !sys.arbs[id].Down() {
-				rebalance(sys.net.Links[id].Capacity(), kids, sys.P.PruneQueues, sys.countMessages)
+				rebalance(sys.net.Links[id].Capacity(), kids, pruneQueues, sys.countMessages)
 			}
 		}
 	}
@@ -518,13 +513,13 @@ func (sys *System) treeFor(srcSide bool) *Tree {
 // worst decision met, the depth of the last stop reached, and whether
 // a crashed arbitrator broke the climb. With prune set, early pruning
 // stops the climb above the first stop once the flow has fallen out of
-// the top PruneQueues queues; it saves two messages per hop between the
+// the top pruneQueues queues; it saves two messages per hop between the
 // depth reached and the last stop's.
 func (c *Client) update(stops []stop, key int64, demand netem.BitRate, prune bool) (worst Decision, depth int, dead bool) {
 	sys := c.sys
 	worst = best
 	for i, st := range stops {
-		if i > 0 && prune && worst.Queue >= sys.P.PruneQueues {
+		if i > 0 && prune && worst.Queue >= pruneQueues {
 			sys.Stats.Pruned++
 			sys.Stats.PruneSavedMsgs += int64(2 * (stops[len(stops)-1].depth - depth))
 			break

@@ -16,12 +16,22 @@ import (
 	"pase/internal/transport/dctcp"
 )
 
-// Config holds PASE transport parameters (Table 3).
+// PASE transport parameters (Table 3).
+const (
+	// minRTOTop is the timeout floor for flows in the top queue;
+	// minRTOLow for every other queue.
+	minRTOTop = 10 * sim.Millisecond
+	minRTOLow = 200 * sim.Millisecond
+	// refreshRTTs is the arbitration refresh period in flow RTTs.
+	refreshRTTs = 1
+	// retryCap bounds the exponential backoff of arbitration-request
+	// retries after missed responses (§3.3: soft-state refreshes double
+	// their period per miss up to this cap).
+	retryCap = 2 * sim.Millisecond
+)
+
+// Config holds the PASE transport's switches.
 type Config struct {
-	// MinRTOTop is the timeout floor for flows in the top queue
-	// (10 ms in Table 3); MinRTOLow for every other queue (200 ms).
-	MinRTOTop sim.Duration
-	MinRTOLow sim.Duration
 	// Probing replaces data retransmissions with header-only probes
 	// for flows in lower-priority queues, and parks bottom-queue
 	// flows on one probe per RTT instead of one data packet (§4.3.2).
@@ -37,12 +47,6 @@ type Config struct {
 	// tasks) for flows that carry one — the alternative §3.1.1 of the
 	// paper names explicitly. Deadlines still take precedence.
 	TaskAware bool
-	// RefreshRTTs is the arbitration refresh period in flow RTTs.
-	RefreshRTTs float64
-	// RetryCap bounds the exponential backoff of arbitration-request
-	// retries after missed responses (§3.3: soft-state refreshes double
-	// their period per miss up to this cap).
-	RetryCap sim.Duration
 	// FallbackAfter is how long a flow tolerates arbitration silence —
 	// reusing its previous (queue, Rref) allocation — before it falls
 	// back to self-adjusting DCTCP-style rate control in the lowest
@@ -56,13 +60,9 @@ type Config struct {
 // DefaultConfig returns the paper's parameterization.
 func DefaultConfig() Config {
 	return Config{
-		MinRTOTop:     10 * sim.Millisecond,
-		MinRTOLow:     200 * sim.Millisecond,
 		Probing:       true,
 		ReorderGuard:  true,
 		UseRefRate:    true,
-		RefreshRTTs:   1,
-		RetryCap:      2 * sim.Millisecond,
 		FallbackAfter: sim.Millisecond,
 	}
 }
@@ -221,17 +221,17 @@ func (c *control) demand(s *transport.Sender) netem.BitRate {
 }
 
 func (c *control) scheduleRefresh(s *transport.Sender) {
-	period := sim.Duration(c.t.Cfg.RefreshRTTs * float64(s.RTT()))
+	period := sim.Duration(refreshRTTs * float64(s.RTT()))
 	// Capped exponential backoff: each consecutive unanswered refresh
-	// doubles the retry period, up to RetryCap. With no misses the
+	// doubles the retry period, up to retryCap. With no misses the
 	// period is exactly the paper's refresh interval, whatever the
 	// measured RTT.
 	if c.misses > 0 {
-		for i := 0; i < c.misses && period < c.t.Cfg.RetryCap; i++ {
+		for i := 0; i < c.misses && period < retryCap; i++ {
 			period *= 2
 		}
-		if cap := c.t.Cfg.RetryCap; cap > 0 && period > cap {
-			period = cap
+		if period > retryCap {
+			period = retryCap
 		}
 	}
 	c.refreshTimer = s.Stack().Eng.ScheduleAction(period, (*refreshAction)(c), s)
@@ -562,9 +562,9 @@ func (c *control) FillData(s *transport.Sender, p *pkt.Packet) {
 // classes, and a 200 ms floor would stall them for the whole outage.
 func (c *control) MinRTO(*transport.Sender) sim.Duration {
 	if c.fallback || c.activePrio == 0 {
-		return c.t.Cfg.MinRTOTop
+		return minRTOTop
 	}
-	return c.t.Cfg.MinRTOLow
+	return minRTOLow
 }
 
 // shutdown releases arbitration state when the flow ends.

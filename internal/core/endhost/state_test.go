@@ -252,7 +252,7 @@ func TestRefreshTimerAllocFree(t *testing.T) {
 	c := s.CC.(*control)
 
 	tick := func() {
-		if err := eng.RunUntil(eng.Now().Add(cfg.RetryCap)); err != nil {
+		if err := eng.RunUntil(eng.Now().Add(retryCap)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestFallbackTimeoutHalvesSSThresh(t *testing.T) {
 	// never drop, so silence the control plane at the flow: answers
 	// still come, but the flow no longer hears them.
 	c.client.OnUpdate = func() {}
-	if err := r.eng.RunUntil(r.eng.Now().Add(r.t.Cfg.FallbackAfter + 2*r.t.Cfg.RetryCap)); err != nil {
+	if err := r.eng.RunUntil(r.eng.Now().Add(r.t.Cfg.FallbackAfter + 2*retryCap)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.fallback {

@@ -54,11 +54,9 @@ type Opts struct {
 	// Stream runs every point through the bounded-memory streaming
 	// path (workload iterator + quantile-sketch collector). Headline
 	// sweep metrics (AFCT, app throughput, loss) are identical to
-	// stored runs; P50/P99 and CDFs are within SketchEps.
+	// stored runs; P50/P99 and CDFs are within the sketch's
+	// metrics.DefaultSketchEps.
 	Stream bool
-	// SketchEps overrides the streaming sketch's relative error bound
-	// (0 = metrics.DefaultSketchEps).
-	SketchEps float64
 	// Shards splits every point's fabric across this many
 	// independently-clocked engine shards (0 or 1 = serial). Results are
 	// byte-identical to serial runs at every setting; points that cannot
@@ -195,7 +193,6 @@ type cells struct {
 	xs      []float64
 	load    float64
 	flows   int
-	eps     float64 // Opts.SketchEps
 	seeds   int
 	metrics []metric
 	sums    [][][]float64 // [arm][x][metric]
@@ -426,7 +423,7 @@ func (f Figure) Run(o Opts) *Result {
 	if f.compute != nil {
 		return f.compute(o)
 	}
-	c := cells{load: 0.6, flows: cmp.Or(o.NumFlows, f.flows), eps: o.SketchEps, seeds: cmp.Or(f.seeds, max(o.Seeds, 1))}
+	c := cells{load: 0.6, flows: cmp.Or(o.NumFlows, f.flows), seeds: cmp.Or(f.seeds, max(o.Seeds, 1))}
 	if len(o.Loads) > 0 {
 		c.load = o.Loads[0]
 	}
@@ -612,7 +609,7 @@ func taskNote(res *Result, c cells) {
 
 func scaleNote(res *Result, c cells) {
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("offered load %.0f%%; streaming collector, quantile sketch eps=%g", c.load*100, cmp.Or(c.eps, metrics.DefaultSketchEps)),
+		fmt.Sprintf("offered load %.0f%%; streaming collector, quantile sketch eps=%g", c.load*100, metrics.DefaultSketchEps),
 		"memory is O(in-flight flows): see the run manifest's peak_rss_bytes")
 }
 

@@ -63,10 +63,8 @@ type ManifestParams struct {
 	// (empty when no faults were injected).
 	Faults string `json:"faults,omitempty"`
 	// Stream records that the run used the bounded-memory streaming
-	// path; SketchEps is the quantile sketch's relative error bound
-	// (0 = metrics.DefaultSketchEps).
-	Stream    bool    `json:"stream,omitempty"`
-	SketchEps float64 `json:"sketch_eps,omitempty"`
+	// path.
+	Stream bool `json:"stream,omitempty"`
 	// Shards records the per-point engine shard count (0/1 = serial;
 	// results are byte-identical either way).
 	Shards int `json:"shards,omitempty"`
@@ -108,7 +106,6 @@ func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.
 			Loads:       o.Loads,
 			Parallelism: o.Parallelism,
 			Stream:      o.Stream,
-			SketchEps:   o.SketchEps,
 			Shards:      o.Shards,
 		},
 		PeakRSSBytes: peakRSS(),

@@ -7,13 +7,8 @@ package experiments
 
 import (
 	"pase/internal/core/arbitration"
-	"pase/internal/core/endhost"
 	"pase/internal/netem"
 	"pase/internal/sim"
-	"pase/internal/transport/dctcp"
-	"pase/internal/transport/expresspass"
-	"pase/internal/transport/pdq"
-	"pase/internal/transport/pfabric"
 )
 
 // Table 3 of the paper — default per-protocol parameters.
@@ -45,30 +40,9 @@ var (
 	ShallowMarkK     = 20
 )
 
-// DefaultDCTCP returns Table 3's configuration of DCTCP, D2TCP and
-// L2DCT (minRTO 10 ms).
-func DefaultDCTCP() dctcp.Config { return dctcp.DefaultConfig() }
-
-// DefaultPFabric returns Table 3's pFabric configuration
-// (initCwnd 38 pkts, minRTO 1 ms).
-func DefaultPFabric() pfabric.Config { return pfabric.DefaultConfig() }
-
-// DefaultPDQ returns the PDQ configuration with all flow-switching
-// optimizations on.
-func DefaultPDQ() pdq.Config { return pdq.DefaultConfig() }
-
 // DefaultPASEParams returns Table 3's PASE arbitration parameters
 // (8 queues, pruning past the top two, delegation on).
 func DefaultPASEParams() arbitration.Params { return arbitration.DefaultParams() }
-
-// DefaultPASEEndhost returns Table 3's PASE transport parameters
-// (minRTO 10 ms top queue / 200 ms others, probing on).
-func DefaultPASEEndhost() endhost.Config { return endhost.DefaultConfig() }
-
-// DefaultExpressPass returns the ExpressPass parameterization from Cho
-// et al. (target credit waste 0.125, w ∈ [0.01, 0.5], jittered credit
-// pacing).
-func DefaultExpressPass() expresspass.Config { return expresspass.DefaultConfig() }
 
 // Default sweep used across figures.
 var DefaultLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}

@@ -219,12 +219,10 @@ type PointConfig struct {
 	// workload.Spec.Stream one at a time and flow state recycled in
 	// every run — memory is O(in-flight flows) instead of O(NumFlows).
 	// Flows, Completed, AFCT, MaxFCT, Retx and Timeouts are exactly the
-	// stored-mode values; P50/P99 and the CDF are within the sketch's ε.
-	// Records (per-flow outcomes) are not retained.
+	// stored-mode values; P50/P99 and the CDF are within the sketch's
+	// ε, metrics.DefaultSketchEps. Records (per-flow outcomes) are not
+	// retained.
 	Stream bool
-	// SketchEps is the streaming quantile sketch's relative error
-	// bound (0 = metrics.DefaultSketchEps).
-	SketchEps float64
 	// Shards splits the single run across this many engine shards
 	// synchronized by conservative lookahead (0 or 1 = serial).
 	// Results are byte-identical to serial at every shard count —
@@ -814,21 +812,17 @@ func RunPoint(cfg PointConfig) PointResult {
 	var epSys *expresspass.System
 	switch cfg.Protocol {
 	case DCTCP:
-		newControl = dctcp.New(DefaultDCTCP())
+		newControl = dctcp.New(dctcp.DefaultConfig())
 	case D2TCP:
-		newControl = dctcp.NewD2TCP(DefaultDCTCP())
+		newControl = dctcp.NewD2TCP(dctcp.DefaultConfig())
 	case L2DCT:
-		newControl = dctcp.NewL2DCT(DefaultDCTCP())
+		newControl = dctcp.NewL2DCT(dctcp.DefaultConfig())
 	case PFabric:
-		newControl = pfabric.New(DefaultPFabric())
+		newControl = pfabric.New()
 	case PDQ:
-		c := DefaultPDQ()
-		c.EarlyTermination = sp.deadlines
-		pdqSys = pdq.Attach(d, c)
+		pdqSys = pdq.Attach(d, sp.deadlines)
 	case ExpressPass:
-		c := DefaultExpressPass()
-		c.Seed = cfg.Seed
-		epSys = expresspass.Attach(d, c)
+		epSys = expresspass.Attach(d, cfg.Seed)
 	case PASE:
 		p := DefaultPASEParams()
 		p.Epoch = sp.epoch
@@ -848,7 +842,7 @@ func RunPoint(cfg PointConfig) PointResult {
 			p.Central = true
 			p.Hierarchy = arbitration.HierarchyParams{}
 		}
-		ec := DefaultPASEEndhost()
+		ec := endhost.DefaultConfig()
 		ec.UseRefRate = !cfg.PASE.DisableRefRate
 		ec.Probing = !cfg.PASE.DisableProbing
 		ec.ReorderGuard = !cfg.PASE.NoReorderGuard
@@ -926,7 +920,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	}
 	var sc *metrics.StreamCollector
 	if cfg.Stream {
-		sc = metrics.NewStreamCollector(cfg.SketchEps)
+		sc = metrics.NewStreamCollector(metrics.DefaultSketchEps)
 		d.UseSink(sc)
 	}
 

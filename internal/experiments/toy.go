@@ -37,14 +37,13 @@ func RunToy(p Protocol) [3]sim.Duration {
 	d := transport.NewDriver(net, nil)
 	switch p {
 	case PFabric:
-		c := DefaultPFabric()
 		for _, st := range d.Stacks {
-			st.NewControl = pfabric.New(c)
+			st.NewControl = pfabric.New()
 		}
 	case PASE:
 		params := DefaultPASEParams()
 		params.Epoch = 100 * sim.Microsecond
-		endhost.Attach(d, arbitration.NewSystem(net, params), DefaultPASEEndhost())
+		endhost.Attach(d, arbitration.NewSystem(net, params), endhost.DefaultConfig())
 	}
 	d.Schedule([]workload.FlowSpec{
 		{ID: 1, Src: 0, Dst: 2, Size: 500_000, Start: 0},

@@ -38,9 +38,6 @@ func TestSerializeMath(t *testing.T) {
 	if d := (10 * Gbps).Serialize(1500); d != 1200*sim.Nanosecond {
 		t.Fatalf("10Gbps serialize = %v, want 1.2µs", d)
 	}
-	if got := Gbps.BytesPer(sim.Millisecond); got != 125000 {
-		t.Fatalf("BytesPer = %d, want 125000", got)
-	}
 }
 
 func TestLinkDeliveryTiming(t *testing.T) {

@@ -46,11 +46,6 @@ func (r BitRate) Serialize(size int32) sim.Duration {
 	return sim.Duration(int64(size) * 8 * int64(sim.Second) / int64(r))
 }
 
-// BytesPer returns how many bytes rate r delivers in duration d.
-func (r BitRate) BytesPer(d sim.Duration) int64 {
-	return int64(r) * int64(d) / (8 * int64(sim.Second))
-}
-
 // Node is anything that terminates a link: a host or a switch.
 type Node interface {
 	ID() pkt.NodeID

@@ -41,21 +41,21 @@ import (
 	"pase/internal/trace"
 )
 
-// Default control-loop parameters.
+// Control-loop parameters.
 const (
 	// DefaultEpoch is the TE measurement window.
 	DefaultEpoch = sim.Millisecond
-	// DefaultHysteresis is the minimum utilization gap (fraction of
-	// line rate) between the hottest and coldest spine before a bucket
+	// hysteresis is the minimum utilization gap (fraction of line
+	// rate) between the hottest and coldest spine before a bucket
 	// moves.
-	DefaultHysteresis = 0.10
-	// DefaultDwell is the minimum time between moves of one bucket.
-	DefaultDwell = 5 * sim.Millisecond
+	hysteresis = 0.10
+	// dwell is the minimum time between moves of one bucket.
+	dwell = 5 * sim.Millisecond
 	// walkTTL bounds the route-validity forwarding walks.
 	walkTTL = 8
 )
 
-// Config selects which control loops run and with what constants.
+// Config selects which control loops run and their TE epoch.
 // The zero value disables the controller entirely.
 type Config struct {
 	// Reroute reacts to link failures (both directions of the
@@ -63,28 +63,12 @@ type Config struct {
 	Reroute bool
 	// TE runs the periodic hotspot traffic-engineering epoch.
 	TE bool
-	// Epoch, Hysteresis and Dwell tune TE; zero values take the
-	// package defaults.
-	Epoch      sim.Duration
-	Hysteresis float64
-	Dwell      sim.Duration
+	// Epoch is the TE decision period (0 = DefaultEpoch).
+	Epoch sim.Duration
 }
 
 // Enabled reports whether any control loop is requested.
 func (c Config) Enabled() bool { return c.Reroute || c.TE }
-
-func (c Config) withDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = DefaultEpoch
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = DefaultHysteresis
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = DefaultDwell
-	}
-	return c
-}
 
 // Params wires a Controller into one run. The per-rack accessors let
 // sharded runs hand each leaf its own shard's engine, registry,
@@ -114,7 +98,7 @@ type Params struct {
 // Controller owns the per-leaf control state. One per run.
 type Controller struct {
 	p     Params
-	cfg   Config
+	epoch sim.Duration // the TE period: Cfg.Epoch, or DefaultEpoch
 	racks []*rackCtl
 }
 
@@ -151,7 +135,10 @@ func Attach(p Params) *Controller {
 	if !p.Cfg.Enabled() || !p.Net.IsLeafSpine() || p.Net.RouteTable(0) == nil {
 		return nil
 	}
-	c := &Controller{p: p, cfg: p.Cfg.withDefaults()}
+	c := &Controller{p: p, epoch: p.Cfg.Epoch}
+	if c.epoch <= 0 {
+		c.epoch = DefaultEpoch
+	}
 	racks := p.Net.Cfg.Racks
 	for r := 0; r < racks; r++ {
 		rc := &rackCtl{
@@ -174,10 +161,9 @@ func Attach(p Params) *Controller {
 		rc.o.teMoves = reg.Counter("route/te_moves")
 		c.racks = append(c.racks, rc)
 	}
-	if c.cfg.TE && c.racks[0].tbl.Spines() > 1 {
+	if p.Cfg.TE && c.racks[0].tbl.Spines() > 1 {
 		for _, rc := range c.racks {
-			rc := rc
-			rc.eng.Schedule(c.cfg.Epoch, rc.tick)
+			rc.eng.Schedule(c.epoch, rc.tick)
 		}
 	}
 	return c
@@ -188,7 +174,7 @@ func Attach(p Params) *Controller {
 // links are not reroutable (a host has one NIC) and are left to the
 // transports' loss recovery.
 func (c *Controller) LinkState(link int, down bool) {
-	if c == nil || !c.cfg.Reroute {
+	if c == nil || !c.p.Cfg.Reroute {
 		return
 	}
 	info, ok := c.p.Net.LeafSpineLinkInfo(link)
@@ -262,14 +248,13 @@ func (rc *rackCtl) dstState(q, s int, down bool) {
 // tick is one TE epoch on one leaf: measure, maybe move one bucket,
 // re-arm.
 func (rc *rackCtl) tick() {
-	cfg := rc.c.cfg
 	rc.o.teEpochs.Inc()
 	t := rc.tbl
 	hot, cold := -1, -1
 	var hotU, coldU float64
 	for s := 0; s < t.Spines(); s++ {
 		busy := rc.upPorts[s].BusyTime()
-		u := float64(busy-rc.lastBusy[s]) / float64(cfg.Epoch)
+		u := float64(busy-rc.lastBusy[s]) / float64(rc.c.epoch)
 		rc.lastBusy[s] = busy
 		if !t.SpineUp(s) {
 			continue
@@ -281,13 +266,13 @@ func (rc *rackCtl) tick() {
 			cold, coldU = s, u
 		}
 	}
-	if hot != -1 && cold != -1 && hot != cold && hotU-coldU > cfg.Hysteresis {
+	if hot != -1 && cold != -1 && hot != cold && hotU-coldU > hysteresis {
 		now := rc.eng.Now()
 		for b := 0; b < t.Buckets(); b++ {
 			if t.BucketSpine(b) != hot {
 				continue
 			}
-			if rc.lastMoved[b] != 0 && now.Sub(rc.lastMoved[b]) < cfg.Dwell {
+			if rc.lastMoved[b] != 0 && now.Sub(rc.lastMoved[b]) < dwell {
 				continue
 			}
 			t.SetOverride(b, cold)
@@ -300,7 +285,7 @@ func (rc *rackCtl) tick() {
 			break
 		}
 	}
-	rc.eng.Schedule(cfg.Epoch, rc.tick)
+	rc.eng.Schedule(rc.c.epoch, rc.tick)
 }
 
 // validate re-verifies the table's routing invariants after an edit:

@@ -29,55 +29,35 @@ import (
 	"pase/internal/transport"
 )
 
-// Config holds the credit engine's parameters.
-type Config struct {
-	// TargetLoss is the credit-waste fraction the feedback loop aims
-	// for (the paper's alpha, 0.125).
-	TargetLoss float64
-	// WMax / WMin bound the aggressiveness weight of the
+// The credit engine's parameters, as in the paper.
+const (
+	// targetLoss is the credit-waste fraction the feedback loop aims
+	// for (the paper's alpha).
+	targetLoss = 0.125
+	// wMax / wMin bound the aggressiveness weight of the
 	// increase/decrease rule.
-	WMax float64
-	WMin float64
-	// InitRatio sets a new flow's initial credit rate as a fraction of
+	wMax = 0.5
+	wMin = 0.01
+	// initRatio sets a new flow's initial credit rate as a fraction of
 	// the line ceiling.
-	InitRatio float64
-	// MinRate floors the per-flow credit rate so a starved flow keeps
-	// probing.
-	MinRate netem.BitRate
-	// Jitter is the fractional bound of the deterministic per-credit
-	// release jitter (0.125 = up to 12.5% of the credit gap).
-	Jitter float64
-	// MinPeriod floors the per-flow feedback update period (the period
+	initRatio = 0.5
+	// minRate floors the per-flow credit rate so a starved flow keeps
+	// probing: its ~1.2 ms credit gap stays well inside idleTimeout,
+	// so its crediting state never idles out.
+	minRate = 10 * netem.Mbps
+	// jitter is the fractional bound of the deterministic per-credit
+	// release jitter (up to 12.5% of the credit gap).
+	jitter = 0.125
+	// minPeriod floors the per-flow feedback update period (the period
 	// is otherwise the flow's base RTT).
-	MinPeriod sim.Duration
-	// IdleTimeout stops crediting a flow that has neither requested
+	minPeriod = 50 * sim.Microsecond
+	// idleTimeout stops crediting a flow that has neither requested
 	// credits nor delivered data for this long; the sender's RTO
 	// re-opens the flow if it still owes data.
-	IdleTimeout sim.Duration
-	// MinRTO floors the sender's retransmission timeout.
-	MinRTO sim.Duration
-	// Seed derives the per-flow jitter streams; runs with equal seeds
-	// are identical.
-	Seed uint64
-}
-
-// DefaultConfig returns the paper's parameterization.
-func DefaultConfig() Config {
-	return Config{
-		TargetLoss: 0.125,
-		WMax:       0.5,
-		WMin:       0.01,
-		InitRatio:  0.5,
-		// At 10 Mbps the credit gap is ~1.2 ms, safely inside
-		// IdleTimeout — a floored flow keeps probing instead of letting
-		// its crediting state idle out.
-		MinRate:     10 * netem.Mbps,
-		Jitter:      0.125,
-		MinPeriod:   50 * sim.Microsecond,
-		IdleTimeout: 5 * sim.Millisecond,
-		MinRTO:      10 * sim.Millisecond,
-	}
-}
+	idleTimeout = 5 * sim.Millisecond
+	// minRTO floors the sender's retransmission timeout.
+	minRTO = 10 * sim.Millisecond
+)
 
 // Totals aggregates the credit plane's cost across every host, summed
 // in host-ID order so the result is deterministic at any shard count.
@@ -99,7 +79,9 @@ type Totals struct {
 // the receive side and a credit-gated Control per flow on the send
 // side.
 type System struct {
-	cfg   Config
+	// seed derives the per-flow jitter streams; runs with equal seeds
+	// are identical.
+	seed  uint64
 	hosts []*hostState // in driver stack (host-ID) order
 }
 
@@ -147,9 +129,10 @@ type creditState struct {
 	stopped bool
 }
 
-// Attach installs ExpressPass on every stack of the driver.
-func Attach(d *transport.Driver, cfg Config) *System {
-	sys := &System{cfg: cfg}
+// Attach installs ExpressPass on every stack of the driver, seeding
+// the credit jitter with seed.
+func Attach(d *transport.Driver, seed uint64) *System {
+	sys := &System{seed: seed}
 	for _, st := range d.Stacks {
 		h := &hostState{
 			sys:   sys,
@@ -159,7 +142,7 @@ func Attach(d *transport.Driver, cfg Config) *System {
 				float64(pkt.MTU+pkt.CreditSize),
 		}
 		sys.hosts = append(sys.hosts, h)
-		st.NewControl = sys.newControl
+		st.NewControl = newControl
 		st.CreditHandler = h.onCreditPkt
 		st.OnData = h.onData
 	}
@@ -180,9 +163,7 @@ func (sys *System) Totals() Totals {
 	return t
 }
 
-func (sys *System) newControl(s *transport.Sender) transport.Control {
-	return &control{sys: sys}
-}
+func newControl(*transport.Sender) transport.Control { return &control{} }
 
 // onCreditPkt handles the two credit-plane packet kinds at this host.
 func (h *hostState) onCreditPkt(p *pkt.Packet) {
@@ -211,25 +192,24 @@ func (h *hostState) onCreditReq(p *pkt.Packet) {
 	cs, ok := h.flows[p.Flow]
 	if ok {
 		// A retransmitted request: keep the engine running longer.
-		cs.stopAt = now.Add(h.sys.cfg.IdleTimeout)
+		cs.stopAt = now.Add(idleTimeout)
 		return
 	}
-	cfg := &h.sys.cfg
 	period := h.st.BaseRTT(h.st.Host.ID(), p.Src)
-	if period < cfg.MinPeriod {
-		period = cfg.MinPeriod
+	if period < minPeriod {
+		period = minPeriod
 	}
 	cs = &creditState{
 		host:      h,
 		flow:      p.Flow,
 		peer:      p.Src,
 		segs:      p.Seq,
-		rate:      h.maxRate * cfg.InitRatio,
-		w:         cfg.WMax,
-		rng:       sim.NewRand(cfg.Seed ^ 0xc3ed17).Split(uint64(p.Flow)),
+		rate:      h.maxRate * initRatio,
+		w:         wMax,
+		rng:       sim.NewRand(h.sys.seed ^ 0xc3ed17).Split(uint64(p.Flow)),
 		period:    period,
 		periodEnd: now.Add(period),
-		stopAt:    now.Add(cfg.IdleTimeout),
+		stopAt:    now.Add(idleTimeout),
 	}
 	h.flows[p.Flow] = cs
 	h.tick(cs)
@@ -246,7 +226,7 @@ func (h *hostState) onData(p *pkt.Packet) {
 	if p.CSeq+1 > cs.ackCredits {
 		cs.ackCredits = p.CSeq + 1
 	}
-	cs.stopAt = h.st.Eng.Now().Add(h.sys.cfg.IdleTimeout)
+	cs.stopAt = h.st.Eng.Now().Add(idleTimeout)
 	if cs.dataRcvd >= int64(cs.segs) {
 		h.drop(cs)
 	}
@@ -271,7 +251,7 @@ func (h *hostState) tick(cs *creditState) {
 		return
 	}
 	if now >= cs.periodEnd {
-		cs.update(now, h.maxRate, &h.sys.cfg)
+		cs.update(now, h.maxRate)
 	}
 	p := h.st.NewPacket()
 	p.Flow = cs.flow
@@ -284,7 +264,7 @@ func (h *hostState) tick(cs *creditState) {
 	cs.creditsSent++
 	h.credits++
 	h.creditBytes += pkt.CreditSize
-	cs.timer = h.st.Eng.ScheduleAction(cs.gap(&h.sys.cfg), cs, nil)
+	cs.timer = h.st.Eng.ScheduleAction(cs.gap(), cs, nil)
 }
 
 // Fire implements sim.Action: the per-credit timer is pre-bound to the
@@ -294,9 +274,9 @@ func (cs *creditState) Fire(any) { cs.host.tick(cs) }
 // gap returns the next credit spacing: the serialization time of the
 // data packet this credit triggers at the current credit rate, plus
 // deterministic jitter to break incast symmetry.
-func (cs *creditState) gap(cfg *Config) sim.Duration {
+func (cs *creditState) gap() sim.Duration {
 	base := netem.BitRate(cs.rate).Serialize(pkt.MTU)
-	return base + sim.Duration(float64(base)*cfg.Jitter*cs.rng.Float64())
+	return base + sim.Duration(float64(base)*jitter*cs.rng.Float64())
 }
 
 // update runs the paper's per-period feedback: measure credit loss
@@ -305,7 +285,7 @@ func (cs *creditState) gap(cfg *Config) sim.Duration {
 // regains aggressiveness) or decrease multiplicatively (w halves so
 // the next increase is cautious). Credits still in flight contribute
 // nothing — the echoed credit sequence tells the two apart.
-func (cs *creditState) update(now sim.Time, maxRate float64, cfg *Config) {
+func (cs *creditState) update(now sim.Time, maxRate float64) {
 	sent := cs.ackCredits - cs.baseAck
 	got := cs.dataRcvd - cs.baseData
 	if sent > 0 {
@@ -313,21 +293,21 @@ func (cs *creditState) update(now sim.Time, maxRate float64, cfg *Config) {
 		if loss < 0 {
 			loss = 0
 		}
-		if loss <= cfg.TargetLoss {
-			cs.w = (cs.w + cfg.WMax) / 2
-			cs.rate = (1-cs.w)*cs.rate + cs.w*maxRate*(1+cfg.TargetLoss)
+		if loss <= targetLoss {
+			cs.w = (cs.w + wMax) / 2
+			cs.rate = (1-cs.w)*cs.rate + cs.w*maxRate*(1+targetLoss)
 		} else {
-			cs.rate = cs.rate * (1 - loss) * (1 + cfg.TargetLoss)
+			cs.rate = cs.rate * (1 - loss) * (1 + targetLoss)
 			cs.w = cs.w / 2
-			if cs.w < cfg.WMin {
-				cs.w = cfg.WMin
+			if cs.w < wMin {
+				cs.w = wMin
 			}
 		}
 		if cs.rate > maxRate {
 			cs.rate = maxRate
 		}
-		if cs.rate < float64(cfg.MinRate) {
-			cs.rate = float64(cfg.MinRate)
+		if cs.rate < float64(minRate) {
+			cs.rate = float64(minRate)
 		}
 	}
 	cs.baseAck, cs.baseData = cs.ackCredits, cs.dataRcvd
@@ -337,15 +317,12 @@ func (cs *creditState) update(now sim.Time, maxRate float64, cfg *Config) {
 // control is the sender-side protocol hook: transmission is entirely
 // credit-gated, so the control only opens the flow, re-opens it on
 // timeout, and stamps headers.
-type control struct {
-	sys *System
-}
+type control struct{}
 
 // Init implements transport.Control: pacing mode with rate zero means
 // the framework never self-transmits — data leaves only through
 // TransmitOne when a credit arrives.
 func (c *control) Init(s *transport.Sender) {
-	s.CC = c
 	s.Paced = true
 	s.Rate = 0
 	s.SendCreditRequest()
@@ -378,4 +355,4 @@ func (c *control) FillData(s *transport.Sender, p *pkt.Packet) {
 }
 
 // MinRTO implements transport.Control.
-func (c *control) MinRTO(*transport.Sender) sim.Duration { return c.sys.cfg.MinRTO }
+func (c *control) MinRTO(*transport.Sender) sim.Duration { return minRTO }

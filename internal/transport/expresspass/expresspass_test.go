@@ -22,7 +22,7 @@ func rig(t *testing.T) (*topology.Network, *transport.Driver, *System) {
 		l.Port.Queue().(*netem.CreditQueue).Bind(l.Port)
 	}
 	d := transport.NewDriver(net, nil)
-	return net, d, Attach(d, DefaultConfig())
+	return net, d, Attach(d, 0)
 }
 
 // TestCreditFlowCompletes: one flow between two hosts finishes on

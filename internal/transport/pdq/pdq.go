@@ -15,7 +15,7 @@
 // The implementation includes PDQ's two published mitigations:
 //
 //   - Early Start: while the drain time of the flows already granted
-//     on a link is under EarlyStartRTTs round trips, the next queued
+//     on a link is under earlyStartRTTs round trips, the next queued
 //     flow is granted capacity too, overlapping its ramp-up with the
 //     current flow's tail.
 //   - Early Termination: a deadline flow that provably cannot finish
@@ -32,30 +32,17 @@ import (
 	"pase/internal/transport"
 )
 
-// Config holds PDQ parameters.
-type Config struct {
-	// SyncEvery is the header-exchange cadence as a multiple of the
+// PDQ parameters, with all switching-overhead optimizations enabled
+// (as in the paper's Fig. 2).
+const (
+	// syncEvery is the header-exchange cadence as a multiple of the
 	// flow RTT.
-	SyncEvery float64
-	// EarlyStartRTTs is K in PDQ's Early Start rule.
-	EarlyStartRTTs float64
-	// EarlyTermination kills deadline flows that can no longer finish
-	// on time.
-	EarlyTermination bool
-	// MinRTO floors the retransmission timeout.
-	MinRTO sim.Duration
-}
-
-// DefaultConfig returns the standard parameterization with all
-// switching-overhead optimizations enabled (as in the paper's Fig. 2).
-func DefaultConfig() Config {
-	return Config{
-		SyncEvery:        1,
-		EarlyStartRTTs:   2,
-		EarlyTermination: false,
-		MinRTO:           10 * sim.Millisecond,
-	}
-}
+	syncEvery = 1
+	// earlyStartRTTs is K in PDQ's Early Start rule.
+	earlyStartRTTs = 2
+	// minRTO floors the retransmission timeout.
+	minRTO = 10 * sim.Millisecond
+)
 
 // entry is per-flow state at one link allocator.
 type entry struct {
@@ -70,13 +57,11 @@ type entry struct {
 type Allocator struct {
 	capacity netem.BitRate
 	flows    map[pkt.FlowID]*entry
-	cfg      *Config
-	dirty    bool
 }
 
 // NewAllocator returns an allocator for a link of the given capacity.
-func NewAllocator(capacity netem.BitRate, cfg *Config) *Allocator {
-	return &Allocator{capacity: capacity, flows: make(map[pkt.FlowID]*entry), cfg: cfg}
+func NewAllocator(capacity netem.BitRate) *Allocator {
+	return &Allocator{capacity: capacity, flows: make(map[pkt.FlowID]*entry)}
 }
 
 // Update publishes a flow's current state and returns its allocated
@@ -97,7 +82,6 @@ func (a *Allocator) Update(flow pkt.FlowID, remaining int64, deadline sim.Time, 
 // Remove deregisters a finished or killed flow.
 func (a *Allocator) Remove(flow pkt.FlowID) {
 	delete(a.flows, flow)
-	a.dirty = true
 }
 
 // allocate recomputes every flow's grant: criticality order, greedy
@@ -139,7 +123,7 @@ func (a *Allocator) allocate(rtt sim.Duration) {
 			if grant > 0 {
 				drain += sim.Duration(float64(e.remaining*8) / float64(grant) * float64(sim.Second))
 			}
-		case drain < sim.Duration(a.cfg.EarlyStartRTTs*float64(rtt)):
+		case drain < sim.Duration(earlyStartRTTs*float64(rtt)):
 			// Early Start: the link frees up within the signalling
 			// horizon; let this flow begin now.
 			e.granted = e.demand
@@ -153,8 +137,10 @@ func (a *Allocator) allocate(rtt sim.Duration) {
 // System wires PDQ onto a driver: one allocator per directed link and
 // one paced Control per flow.
 type System struct {
-	cfg Config
-	net *topology.Network
+	// earlyTermination kills deadline flows that can no longer finish
+	// on time.
+	earlyTermination bool
+	net              *topology.Network
 
 	allocs map[int]*Allocator // by link ID
 
@@ -163,11 +149,12 @@ type System struct {
 	SyncMessages int64
 }
 
-// Attach installs PDQ on every stack of the driver.
-func Attach(d *transport.Driver, cfg Config) *System {
-	sys := &System{cfg: cfg, net: d.Net, allocs: make(map[int]*Allocator)}
+// Attach installs PDQ on every stack of the driver; earlyTermination
+// turns on PDQ's Early Termination.
+func Attach(d *transport.Driver, earlyTermination bool) *System {
+	sys := &System{earlyTermination: earlyTermination, net: d.Net, allocs: make(map[int]*Allocator)}
 	for _, l := range d.Net.Links {
-		sys.allocs[l.ID] = NewAllocator(l.Capacity(), &sys.cfg)
+		sys.allocs[l.ID] = NewAllocator(l.Capacity())
 	}
 	newControl := sys.newControl
 	for _, st := range d.Stacks {
@@ -237,7 +224,7 @@ func (c *control) scheduleSync(s *transport.Sender, delay sim.Duration) {
 				s.SetRate(rate)
 			})
 		})
-		c.scheduleSync(s, sim.Duration(c.sys.cfg.SyncEvery*float64(rtt)))
+		c.scheduleSync(s, sim.Duration(syncEvery*float64(rtt)))
 	})
 }
 
@@ -255,7 +242,7 @@ func (c *control) sync(s *transport.Sender, rtt sim.Duration) netem.BitRate {
 	}
 	c.sys.SyncMessages += int64(len(c.path))
 
-	if c.sys.cfg.EarlyTermination && s.Spec.Deadline != 0 {
+	if c.sys.earlyTermination && s.Spec.Deadline != 0 {
 		left := s.Spec.Deadline.Sub(s.Now())
 		need := sim.Duration(float64(remaining*8) / float64(s.Stack().NICRate()) * float64(sim.Second))
 		if left <= 0 || need > left {
@@ -299,4 +286,4 @@ func (c *control) FillData(s *transport.Sender, p *pkt.Packet) {
 }
 
 // MinRTO implements transport.Control.
-func (c *control) MinRTO(*transport.Sender) sim.Duration { return c.sys.cfg.MinRTO }
+func (c *control) MinRTO(*transport.Sender) sim.Duration { return minRTO }

@@ -11,20 +11,13 @@ import (
 	"pase/internal/workload"
 )
 
-func rack(n int) (*topology.Network, *transport.Driver, *System) {
-	net := topology.Build(sim.NewEngine(), topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
-		return netem.NewDropTail(225)
-	}))
-	d := transport.NewDriver(net, nil)
-	sys := Attach(d, DefaultConfig())
-	return net, d, sys
-}
+func rack(n int) (*topology.Network, *transport.Driver, *System) { return rackWithCfg(n, false) }
 
 func TestAllocatorSJFOrdering(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EarlyStartRTTs = 0 // isolate the greedy allocation
-	a := NewAllocator(netem.Gbps, &cfg)
-	rtt := 100 * sim.Microsecond
+	a := NewAllocator(netem.Gbps)
+	// A 1 ns RTT isolates the greedy allocation: no drain fits in the
+	// Early Start horizon.
+	rtt := sim.Nanosecond
 	a.Update(1, 1_000_000, 0, netem.Gbps, rtt)
 	a.Update(2, 10_000, 0, netem.Gbps, rtt)
 	// Flow 2 is shorter: it should now hold the full link and flow 1
@@ -38,10 +31,8 @@ func TestAllocatorSJFOrdering(t *testing.T) {
 }
 
 func TestAllocatorEDFBeatsSJF(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EarlyStartRTTs = 0
-	a := NewAllocator(netem.Gbps, &cfg)
-	rtt := 100 * sim.Microsecond
+	a := NewAllocator(netem.Gbps)
+	rtt := sim.Nanosecond // no Early Start, as above
 	// Larger flow but with a deadline must precede a shorter flow
 	// without one.
 	a.Update(1, 1_000_000, sim.Time(5*sim.Millisecond), netem.Gbps, rtt)
@@ -52,8 +43,7 @@ func TestAllocatorEDFBeatsSJF(t *testing.T) {
 }
 
 func TestAllocatorEarlyStart(t *testing.T) {
-	cfg := DefaultConfig() // EarlyStartRTTs = 2
-	a := NewAllocator(netem.Gbps, &cfg)
+	a := NewAllocator(netem.Gbps) // earlyStartRTTs = 2
 	rtt := 100 * sim.Microsecond
 	// Top flow has only ~1 packet left: drains in ~12µs < 2 RTTs, so
 	// the next flow should be granted too (Early Start).
@@ -64,8 +54,7 @@ func TestAllocatorEarlyStart(t *testing.T) {
 }
 
 func TestAllocatorRemove(t *testing.T) {
-	cfg := DefaultConfig()
-	a := NewAllocator(netem.Gbps, &cfg)
+	a := NewAllocator(netem.Gbps)
 	rtt := 100 * sim.Microsecond
 	a.Update(1, 1_000_000, 0, netem.Gbps, rtt)
 	a.Update(2, 2_000_000, 0, netem.Gbps, rtt)
@@ -133,7 +122,7 @@ func TestPreemptionShortFirst(t *testing.T) {
 }
 
 func TestEarlyTerminationKillsDoomedFlow(t *testing.T) {
-	net, d, _ := rackWithCfg(4, func(c *Config) { c.EarlyTermination = true })
+	net, d, _ := rackWithCfg(4, true)
 	_ = net
 	// 2 MB needs 16ms at line rate; 5ms deadline is impossible.
 	d.Schedule([]workload.FlowSpec{
@@ -152,14 +141,12 @@ func TestEarlyTerminationKillsDoomedFlow(t *testing.T) {
 	}
 }
 
-func rackWithCfg(n int, mod func(*Config)) (*topology.Network, *transport.Driver, *System) {
+func rackWithCfg(n int, earlyTermination bool) (*topology.Network, *transport.Driver, *System) {
 	net := topology.Build(sim.NewEngine(), topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(225)
 	}))
 	d := transport.NewDriver(net, nil)
-	cfg := DefaultConfig()
-	mod(&cfg)
-	sys := Attach(d, cfg)
+	sys := Attach(d, earlyTermination)
 	return net, d, sys
 }
 

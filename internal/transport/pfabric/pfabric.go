@@ -20,57 +20,38 @@ import (
 	"pase/internal/transport"
 )
 
-// Config holds pFabric parameters (Table 3 of the PASE paper).
-type Config struct {
-	// InitCwnd is the initial (and cap) window in segments; 0 derives
-	// 1.5× the bandwidth-delay product at flow start, mirroring the
-	// paper's "start at line rate".
-	InitCwnd float64
-	// RTO is the fixed retransmission timeout (~3×RTT; Table 3: 1 ms).
-	RTO sim.Duration
-	// ProbeAfter is the number of consecutive timeouts after which the
+// Table 3's pFabric parameters.
+const (
+	// initCwnd is the initial (and cap) window in segments, the
+	// paper's "start at line rate". A float constant, so initCwnd/2
+	// stays a float division.
+	initCwnd = 38.0
+	// rto is the fixed retransmission timeout (~3×RTT).
+	rto = sim.Millisecond
+	// probeAfter is the number of consecutive timeouts after which the
 	// flow enters probe mode (window 1).
-	ProbeAfter int
-}
-
-// DefaultConfig returns Table 3's parameterization.
-func DefaultConfig() Config {
-	return Config{
-		InitCwnd:   38,
-		RTO:        sim.Millisecond,
-		ProbeAfter: 5,
-	}
-}
+	probeAfter = 5
+)
 
 // New returns a Control factory.
-func New(cfg Config) func(*transport.Sender) transport.Control {
+func New() func(*transport.Sender) transport.Control {
 	return func(s *transport.Sender) transport.Control {
 		c := transport.ReuseControl[control](s)
-		*c = control{cfg: cfg}
+		*c = control{}
 		return c
 	}
 }
 
 type control struct {
-	cfg         Config
-	cap         float64
 	consecutive int // consecutive timeouts since the last ACK
 }
 
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
-	c.cap = c.cfg.InitCwnd
-	if c.cap <= 0 {
-		bdp := float64(s.Stack().NICRate().BytesPer(s.BaseRTT())) / float64(pkt.MTU)
-		c.cap = 1.5 * bdp
-		if c.cap < 2 {
-			c.cap = 2
-		}
-	}
-	s.Cwnd = c.cap
-	s.SSThresh = c.cap
+	s.Cwnd = initCwnd
+	s.SSThresh = initCwnd
 	s.NoFastRetx = true
-	s.FixedRTO = c.cfg.RTO
+	s.FixedRTO = rto
 }
 
 // OnAck implements transport.Control: slow-start back toward the
@@ -80,10 +61,10 @@ func (c *control) Init(s *transport.Sender) {
 func (c *control) OnAck(s *transport.Sender, _ *pkt.Packet, newly int32, _ sim.Duration) {
 	if newly > 0 {
 		c.consecutive = 0
-		if s.Cwnd < c.cap {
+		if s.Cwnd < initCwnd {
 			s.Cwnd += float64(newly) // exponential per RTT
-			if s.Cwnd > c.cap {
-				s.Cwnd = c.cap
+			if s.Cwnd > initCwnd {
+				s.Cwnd = initCwnd
 			}
 		}
 	}
@@ -94,17 +75,14 @@ func (c *control) OnAck(s *transport.Sender, _ *pkt.Packet, newly int32, _ sim.D
 func (c *control) OnLoss(*transport.Sender) {}
 
 // OnTimeout implements transport.Control: re-enter slow start; after
-// ProbeAfter consecutive timeouts, fall to a one-packet probe window.
+// probeAfter consecutive timeouts, fall to a one-packet probe window.
 func (c *control) OnTimeout(s *transport.Sender) bool {
 	c.consecutive++
-	if c.consecutive >= c.cfg.ProbeAfter {
+	if c.consecutive >= probeAfter {
 		s.Cwnd = 1 // probe mode
 		return false
 	}
-	s.Cwnd = c.cap / 2
-	if s.Cwnd < 1 {
-		s.Cwnd = 1
-	}
+	s.Cwnd = initCwnd / 2
 	return false
 }
 
@@ -117,4 +95,4 @@ func (c *control) FillData(s *transport.Sender, p *pkt.Packet) {
 }
 
 // MinRTO implements transport.Control (unused: FixedRTO is set).
-func (c *control) MinRTO(*transport.Sender) sim.Duration { return c.cfg.RTO }
+func (c *control) MinRTO(*transport.Sender) sim.Duration { return rto }

@@ -22,7 +22,7 @@ func pfRack(n int) *topology.Network {
 
 func TestLoneFlowFast(t *testing.T) {
 	net := pfRack(2)
-	d := transport.NewDriver(net, pfabric.New(pfabric.DefaultConfig()))
+	d := transport.NewDriver(net, pfabric.New())
 	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: 150_000, Start: 0}})
 	s, err := d.Run(sim.Time(sim.Second))
 	if err != nil {
@@ -39,7 +39,7 @@ func TestShortPreemptsLong(t *testing.T) {
 	// same receiver must finish almost as if the long flow were absent
 	// (remaining-size priority ⇒ strict preemption in the fabric).
 	net := pfRack(4)
-	d := transport.NewDriver(net, pfabric.New(pfabric.DefaultConfig()))
+	d := transport.NewDriver(net, pfabric.New())
 	d.Schedule([]workload.FlowSpec{
 		{ID: 1, Src: 0, Dst: 2, Size: 1 << 30, Start: 0, Background: true},
 		{ID: 2, Src: 1, Dst: 2, Size: 50_000, Start: sim.Time(10 * sim.Millisecond)},
@@ -63,7 +63,7 @@ func TestHighLoadAllToAllCausesLosses(t *testing.T) {
 	// line-rate senders collide at downstream edge links and shed a
 	// substantial fraction of packets.
 	net := pfRack(10)
-	d := transport.NewDriver(net, pfabric.New(pfabric.DefaultConfig()))
+	d := transport.NewDriver(net, pfabric.New())
 	spec := workload.Spec{
 		Pattern:   workload.AllToAll{Hosts: workload.HostRange(0, 10)},
 		Sizes:     workload.UniformSize{Min: 2_000, Max: 198_000},
@@ -97,7 +97,7 @@ func TestRankIsRemainingSize(t *testing.T) {
 	net := topology.Build(eng, topology.SingleRack(2, func(k topology.QueueKind) netem.Queue {
 		return netem.NewPFabric(76)
 	}))
-	d := transport.NewDriver(net, pfabric.New(pfabric.DefaultConfig()))
+	d := transport.NewDriver(net, pfabric.New())
 	// Tap packets at the receiving host.
 	recvHost := net.Host(1)
 	inner := recvHost.Handler
@@ -119,20 +119,5 @@ func TestRankIsRemainingSize(t *testing.T) {
 	}
 	if last := ranks[len(ranks)-1]; last >= ranks[0] {
 		t.Fatalf("rank must shrink (first %d, last %d)", ranks[0], last)
-	}
-}
-
-func TestAutoInitCwndFromBDP(t *testing.T) {
-	cfg := pfabric.DefaultConfig()
-	cfg.InitCwnd = 0 // derive from BDP
-	net := pfRack(2)
-	d := transport.NewDriver(net, pfabric.New(cfg))
-	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: 150_000, Start: 0}})
-	s, err := d.Run(sim.Time(sim.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Completed != 1 || s.AFCT > 3*sim.Millisecond {
-		t.Fatalf("auto-BDP run: %+v", s)
 	}
 }

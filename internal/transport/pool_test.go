@@ -62,7 +62,7 @@ func TestFlowTurnoverAllocs(t *testing.T) {
 		{"DCTCP", redQueue, dctcp.New(dctcp.DefaultConfig())},
 		{"D2TCP", redQueue, dctcp.NewD2TCP(dctcp.DefaultConfig())},
 		{"L2DCT", redQueue, dctcp.NewL2DCT(dctcp.DefaultConfig())},
-		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, pfabric.New(pfabric.DefaultConfig())},
+		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, pfabric.New()},
 	}
 	for _, p := range protocols {
 		for _, sink := range []string{"stored", "stream"} {
