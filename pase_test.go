@@ -1,9 +1,12 @@
 package pase_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"pase"
 	"pase/internal/experiments"
@@ -184,5 +187,39 @@ func TestListFiguresAndRun(t *testing.T) {
 	text := fig.Render()
 	if !strings.Contains(text, "PASE") || !strings.Contains(text, "DCTCP") {
 		t.Fatalf("render missing series names:\n%s", text)
+	}
+}
+
+// TestSimManifestGolden pins the manifest pasesim writes: the recorded
+// SimConfig fields, the seed count and the report totals. Fields the
+// manifest does not record (Check, Route, AbortAfter, PASE, Trace) are
+// set too and must stay out. PASE_UPDATE=1 rewrites the file.
+func TestSimManifestGolden(t *testing.T) {
+	plan, err := pase.ParseFaults("loss:link=*,class=data,rate=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.7, NumFlows: 150, Seed: 3,
+		Check: true, Faults: plan, Route: pase.RouteConfig{Reroute: true}, AbortAfter: pase.Duration(time.Millisecond),
+		Stream: true, Shards: 2, Trace: pase.TraceConfig{Spans: true}, PASE: pase.PASEOptions{NoPruning: true}}
+	reps := []*pase.Report{{Retransmits: 5, Timeouts: 1}, {Retransmits: 7, Timeouts: 2}}
+	m := pase.NewSimManifest("pasesim", cfg, reps, 2, time.Now(), time.Second)
+	m.GitRev, m.GoVersion, m.Started, m.WallClockMS, m.PeakRSSBytes, m.HeapSysBytes = "", "", "", 0, 0, 0
+	var got bytes.Buffer
+	if err := m.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/sim-manifest.json"
+	if os.Getenv("PASE_UPDATE") != "" {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v; pin it with PASE_UPDATE=1", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("manifest differs from %s; got:\n%s", path, got.Bytes())
 	}
 }
