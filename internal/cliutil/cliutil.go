@@ -1,11 +1,13 @@
 // Package cliutil holds the small pieces shared by the command-line
-// front ends: a throttled stderr progress meter, pprof profile setup
-// and flag help built from the registries. Nothing here touches the
-// simulation itself.
+// front ends: a throttled stderr progress meter, pprof profile setup,
+// buffered output files and flag help built from the registries.
+// Nothing here touches the simulation itself.
 package cliutil
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -105,6 +107,36 @@ func WriteMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
+}
+
+// CreateFile creates path behind a buffer. finish flushes the buffer,
+// closes the file and returns the first error of the two.
+func CreateFile(path string) (w io.Writer, finish func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	bw := bufio.NewWriter(f)
+	return bw, func() error {
+		if err := bw.Flush(); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
+
+// WriteFile creates path and streams fn into it through a buffer.
+func WriteFile(path string, fn func(w io.Writer) error) error {
+	w, finish, err := CreateFile(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(w); err != nil {
+		finish()
+		return err
+	}
+	return finish()
 }
 
 // Join lists registry names comma-separated for a flag's help text,

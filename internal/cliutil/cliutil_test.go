@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,5 +125,23 @@ func TestProfilesUnwritablePath(t *testing.T) {
 	}
 	if err := WriteMemProfile(bad); err == nil {
 		t.Error("WriteMemProfile on a missing directory returned no error")
+	}
+}
+
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.txt")
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "hello\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "hello\n" {
+		t.Fatalf("read back %q, %v", b, err)
+	}
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); err != boom {
+		t.Errorf("fn's error: got %v, want %v", err, boom)
+	}
+	if err := WriteFile(filepath.Join(dir, "no-such-dir", "x"), func(io.Writer) error { return nil }); err == nil {
+		t.Error("WriteFile into a missing directory returned no error")
 	}
 }

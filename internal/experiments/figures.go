@@ -16,47 +16,48 @@ import (
 )
 
 // Opts scales an experiment run: fewer flows for quick looks and
-// benchmarks, more for smooth curves.
+// benchmarks, more for smooth curves. Its json tags pick the fields a
+// run manifest records as its params.
 type Opts struct {
 	// NumFlows per point (0 = 2000).
-	NumFlows int
+	NumFlows int `json:"num_flows,omitempty"`
 	// Seed for workload generation.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Seeds averages every figure point over this many consecutive
 	// seeds starting at Seed (0 or 1 = single run). Figures that fix
 	// their seeds (11a, 11b, 12a and robust average three) and CDF
 	// figures (one) ignore it.
-	Seeds int
+	Seeds int `json:"seeds,omitempty"`
 	// Loads overrides the figure's load sweep when non-empty; a figure
 	// sweeping another axis runs at Loads[0] unless it fixes its load.
-	Loads []float64
+	Loads []float64 `json:"loads,omitempty"`
 	// Parallelism bounds how many simulation points run concurrently
 	// (0 = GOMAXPROCS, 1 = serial). Points are hermetic and results
 	// are reassembled in input order, so the produced Series are
 	// identical at every setting.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Obs attaches an observability Registry to every point; the
 	// merged Snapshot lands in Result.Obs (merged in input order, so
 	// it is byte-identical at every Parallelism setting).
-	Obs bool
+	Obs bool `json:"-"`
 	// Check runs every point with the runtime invariant checker
 	// attached; Result.Violations totals the breaches across the grid
 	// (and the merged Obs snapshot, when Obs is also set, carries the
 	// per-invariant split under check/violations/*).
-	Check bool
+	Check bool `json:"-"`
 	// Progress, when set, is called after each simulation point
 	// completes, possibly from a worker goroutine — it must be safe
 	// for concurrent use.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// Faults applies a fault-injection plan to every point that does
 	// not carry its own. Nil (the default) runs fault-free.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty"`
 	// Stream runs every point through the bounded-memory streaming
 	// path (workload iterator + quantile-sketch collector). Headline
 	// sweep metrics (AFCT, app throughput, loss) are identical to
 	// stored runs; P50/P99 and CDFs are within the sketch's
 	// metrics.DefaultSketchEps.
-	Stream bool
+	Stream bool `json:"stream,omitempty"`
 	// Shards splits every point's fabric across this many
 	// independently-clocked engine shards (0 or 1 = serial). Results are
 	// byte-identical to serial runs at every setting; points that cannot
@@ -65,7 +66,7 @@ type Opts struct {
 	// PointResult.ShardFallback. Note the
 	// multiplicative core budget with Parallelism: a pooled figure runs
 	// up to Parallelism × Shards goroutines at once.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Trace applies a trace configuration to every point that does not
 	// carry its own. Figure grids keep only scalars per point, so the
 	// recorded traces themselves are dropped — but the flight
@@ -73,16 +74,16 @@ type Opts struct {
 	// arbitration RTT histograms (arb/rtt/*) land in the merged Obs
 	// snapshot. Spill writers are dropped here: points run
 	// concurrently and a single writer cannot be shared.
-	Trace TraceConfig
+	Trace TraceConfig `json:"-"`
 	// Ctrl forces every PASE point onto one control plane: "central"
 	// swaps in the single-controller arm, "" (or "hierarchy") keeps
 	// the default arbitration hierarchy. The ctrlscale figure, which
 	// sweeps both arms itself, reads it as an arm filter.
-	Ctrl string
+	Ctrl string `json:"-"`
 	// Racks caps the ctrlscale figure's rack sweep (0 = the full
 	// 16 → 2048 sweep; negative is an error at pase.RunFigure). Other
 	// figures ignore it.
-	Racks int
+	Racks int `json:"-"`
 }
 
 // Series is one curve of a figure.

@@ -31,7 +31,8 @@ type Manifest struct {
 	Started     string  `json:"started,omitempty"`
 	WallClockMS float64 `json:"wall_clock_ms"`
 
-	Params ManifestParams `json:"params"`
+	// Params is the run's Opts; its json tags pick the fields recorded.
+	Params Opts `json:"params"`
 
 	// Points / Retx / Timeouts summarize the grid.
 	Points   int   `json:"points"`
@@ -50,24 +51,6 @@ type Manifest struct {
 	// simulation point (input-order merge; identical bytes at every
 	// parallelism setting).
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
-}
-
-// ManifestParams is the serializable subset of Opts.
-type ManifestParams struct {
-	NumFlows    int       `json:"num_flows,omitempty"`
-	Seed        uint64    `json:"seed"`
-	Seeds       int       `json:"seeds,omitempty"`
-	Loads       []float64 `json:"loads,omitempty"`
-	Parallelism int       `json:"parallelism,omitempty"`
-	// Faults is the canonical fault-plan spec applied to the run
-	// (empty when no faults were injected).
-	Faults string `json:"faults,omitempty"`
-	// Stream records that the run used the bounded-memory streaming
-	// path.
-	Stream bool `json:"stream,omitempty"`
-	// Shards records the per-point engine shard count (0/1 = serial;
-	// results are byte-identical either way).
-	Shards int `json:"shards,omitempty"`
 }
 
 // GitRev returns the VCS revision baked into the binary by the Go
@@ -95,27 +78,19 @@ func GitRev() string {
 // NewManifest assembles the manifest for one figure run.
 func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.Duration) *Manifest {
 	m := &Manifest{
-		Tool:        tool,
-		GitRev:      GitRev(),
-		Started:     started.UTC().Format(time.RFC3339),
-		WallClockMS: float64(wall) / float64(time.Millisecond),
-		Params: ManifestParams{
-			NumFlows:    o.NumFlows,
-			Seed:        o.Seed,
-			Seeds:       o.Seeds,
-			Loads:       o.Loads,
-			Parallelism: o.Parallelism,
-			Stream:      o.Stream,
-			Shards:      o.Shards,
-		},
+		Tool:         tool,
+		GitRev:       GitRev(),
+		Started:      started.UTC().Format(time.RFC3339),
+		WallClockMS:  float64(wall) / float64(time.Millisecond),
+		Params:       o,
 		PeakRSSBytes: peakRSS(),
+	}
+	if o.Faults.Empty() {
+		m.Params.Faults = nil // a plan that injects nothing is not recorded
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.HeapSysBytes = ms.HeapSys
-	if !o.Faults.Empty() {
-		m.Params.Faults = o.Faults.String()
-	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		m.GoVersion = bi.GoVersion
 	}

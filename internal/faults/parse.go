@@ -95,6 +95,10 @@ func Parse(spec string) (*Plan, error) {
 	return p, p.Validate()
 }
 
+// MarshalText renders the plan as String does, so a run manifest
+// records it as its spec.
+func (p *Plan) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // String renders the plan in the spec grammar; Parse(p.String()) is
 // the identity (the fuzz target's oracle).
 func (p *Plan) String() string {
