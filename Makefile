@@ -42,8 +42,14 @@ CLI_REJECT = \
 	"pasesim -trace-sample -3|Trace.SampleN" \
 	"pasesim -abort-after -1ms|AbortAfter" \
 	"pasesim -te-epoch -1ms|Route.Epoch" \
+	"pasesim -scale 60 -flows 30|-scale sets the flow count; drop -flows" \
+	"pasesim -racks 16 -scenario left-right|-racks picks the scenario; drop -scenario" \
+	"pasesim -seeds 2 -cdf|-cdf need a single run; drop -seeds" \
 	"paper -fig 3 -scale -1|-scale" \
-	"paper -fig 3 -trace-sample -3|Trace.SampleN"
+	"paper -fig 3 -trace-sample -3|Trace.SampleN" \
+	"paper -fig 3 -scale 20|-scale picks the figure and its flow count; drop -fig" \
+	"paper -all -scale 20|-scale picks the figure and its flow count; drop -all" \
+	"paper -scale 20 -flows 30|-scale picks the figure and its flow count; drop -flows"
 
 # Builds both CLIs once and runs every CLI_REJECT invocation in a temp
 # directory, so a run that slips through leaves no output behind.
