@@ -32,8 +32,8 @@ func TestTable3(t *testing.T) {
 			pf, is := q.(*netem.PFabric)
 			ok = is && pf.Limit == 76
 		case PDQ:
-			dt, is := q.(*netem.DropTail)
-			ok = is && dt.Limit == 225
+			dt, is := q.(*netem.REDECN) // drop-tail: a threshold at the limit never marks
+			ok = is && dt.Limit == 225 && dt.K >= dt.Limit
 		case PASE:
 			pr, is := q.(*netem.Prio)
 			ok = is && pr.Bands == 8 && pr.Limit == 500 && pr.K == 65 && !pr.PerBand

@@ -143,65 +143,6 @@ func (f *fifo) grow() {
 	f.head = 0
 }
 
-// DropTail is a plain FIFO queue with a fixed packet-count limit.
-type DropTail struct {
-	Limit int
-	// Occ, when set, records post-enqueue occupancy (packets). A nil
-	// histogram is a no-op; queues of one kind may share one instrument.
-	Occ      *obs.Histogram
-	q        fifo
-	stats    QueueStats
-	chk      *check.Checker
-	chkLabel string
-}
-
-// NewDropTail returns a FIFO bounded at limit packets.
-func NewDropTail(limit int) *DropTail {
-	return &DropTail{Limit: limit}
-}
-
-// AttachCheck implements Checkable.
-func (d *DropTail) AttachCheck(label string, c *check.Checker) {
-	d.chkLabel, d.chk = label, c
-}
-
-// CheckConservation implements Checkable.
-func (d *DropTail) CheckConservation() {
-	d.chk.Conservation(d.chkLabel, d.stats.Enqueued, d.stats.Dequeued, d.stats.Dropped, d.q.len())
-}
-
-// Enqueue implements Queue.
-func (d *DropTail) Enqueue(p *pkt.Packet) bool {
-	if d.chk != nil {
-		d.chk.PktLive(d.chkLabel, uint64(p.Flow), p.Released())
-	}
-	if d.q.len() >= d.Limit {
-		d.stats.drop(p)
-		return false
-	}
-	d.q.push(p)
-	d.stats.accept(p)
-	d.stats.noteLen(d.q.len())
-	d.Occ.Observe(int64(d.q.len()))
-	if d.chk != nil {
-		d.chk.QueueCap(d.chkLabel, d.q.len(), d.Limit)
-	}
-	return true
-}
-
-// Dequeue implements Queue.
-func (d *DropTail) Dequeue() *pkt.Packet {
-	p := d.q.pop()
-	if p != nil {
-		d.stats.Dequeued++
-	}
-	return p
-}
-
-func (d *DropTail) Len() int           { return d.q.len() }
-func (d *DropTail) Bytes() int64       { return d.q.size() }
-func (d *DropTail) Stats() *QueueStats { return &d.stats }
-
 // REDECN is the DCTCP-style active queue: a FIFO that sets the CE
 // codepoint on an arriving ECN-capable packet whenever the
 // instantaneous queue length is at or above the marking threshold K
@@ -223,6 +164,11 @@ type REDECN struct {
 func NewREDECN(limit, k int) *REDECN {
 	return &REDECN{Limit: limit, K: k}
 }
+
+// NewDropTail returns a plain FIFO bounded at limit packets: a REDECN
+// whose threshold is its limit never marks, because Enqueue drops at
+// the limit before it tests the threshold.
+func NewDropTail(limit int) *REDECN { return NewREDECN(limit, limit) }
 
 // AttachCheck implements Checkable.
 func (r *REDECN) AttachCheck(label string, c *check.Checker) {

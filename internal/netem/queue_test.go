@@ -25,10 +25,13 @@ func TestDropTailFIFOAndLimit(t *testing.T) {
 	if q.Stats().Dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", q.Stats().Dropped)
 	}
+	if q.Stats().Marked != 0 {
+		t.Fatalf("marked = %d ECN-capable packets, want 0", q.Stats().Marked)
+	}
 	for i := int32(0); i < 3; i++ {
 		p := q.Dequeue()
-		if p.Seq != i {
-			t.Fatalf("dequeue order broken: got seq %d want %d", p.Seq, i)
+		if p.Seq != i || p.CE {
+			t.Fatalf("dequeue order broken or packet marked: got seq %d (CE %v) want %d", p.Seq, p.CE, i)
 		}
 	}
 	if q.Dequeue() != nil {
