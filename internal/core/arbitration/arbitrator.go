@@ -13,6 +13,7 @@ import (
 
 	"pase/internal/check"
 	"pase/internal/netem"
+	"pase/internal/obs"
 	"pase/internal/pkt"
 	"pase/internal/pool"
 	"pase/internal/sim"
@@ -42,6 +43,9 @@ type entry struct {
 	decision Decision
 }
 
+// leaseEpochs is how many epochs an entry outlives its last update.
+const leaseEpochs = 8
+
 // entryFreed is the lease of an entry returned under the invariant
 // checker: such a record never circulates again, so an allocation pass
 // that still reaches it is reading a stale pointer and reports it.
@@ -61,7 +65,6 @@ type Arbitrator struct {
 	capacity  netem.BitRate
 	numQueues int
 	baseRate  netem.BitRate
-	leaseDur  sim.Duration
 
 	clock func() sim.Time
 
@@ -88,6 +91,9 @@ type Arbitrator struct {
 
 	chk      *check.Checker
 	chkLabel string
+	// obsSorted counts the entries each allocation pass sorts
+	// (arb/entries_sorted); nil-safe.
+	obsSorted *obs.Counter
 }
 
 // NewArbitrator builds an arbitrator for a link of the given capacity.
@@ -103,7 +109,6 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 		capacity:  capacity,
 		numQueues: numQueues,
 		baseRate:  baseRate,
-		leaseDur:  8 * period,
 		clock:     clock,
 		period:    period,
 	}
@@ -194,7 +199,7 @@ func (a *Arbitrator) Update(flow pkt.FlowID, key int64, demand netem.BitRate) De
 	}
 	e.key = key
 	e.demand = demand
-	e.lease = now.Add(a.leaseDur)
+	e.lease = now.Add(leaseEpochs * a.period)
 	// A registration leaves len(sorted) != len(entries), which forces
 	// maybeRecompute to run a full pass immediately — newcomers never
 	// wait for an epoch edge.
@@ -254,6 +259,7 @@ func (a *Arbitrator) maybeRecompute(now sim.Time) {
 		a.sorted = append(a.sorted, e)
 	}
 	slices.SortFunc(a.sorted, entryOrder)
+	a.obsSorted.Add(int64(len(a.sorted)))
 
 	// Algorithm 1, one pass: ADH accumulates the demand ahead of each
 	// flow.

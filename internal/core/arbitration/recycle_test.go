@@ -60,7 +60,7 @@ func TestEntriesRecycleAcrossArbitrators(t *testing.T) {
 	if d := b.Update(7, 99, 300*netem.Mbps); d.Queue != 0 || d.Rref != 300*netem.Mbps || b.Flows() != 1 {
 		t.Fatalf("a recycled entry changed a fresh registration: %+v, %d flows", d, b.Flows())
 	}
-	want := entry{flow: 7, key: 99, tieBreak: 7, demand: 300 * netem.Mbps, lease: now.Add(b.leaseDur), decision: Decision{Rref: 300 * netem.Mbps}}
+	want := entry{flow: 7, key: 99, tieBreak: 7, demand: 300 * netem.Mbps, lease: now.Add(leaseEpochs * b.period), decision: Decision{Rref: 300 * netem.Mbps}}
 	if e := b.entries[7]; *e != want {
 		t.Fatalf("a recycled entry kept state from its last life: %+v, want %+v", *e, want)
 	}

@@ -347,10 +347,13 @@ func (sys *System) lvl(d int) int {
 // Instrument attaches control-plane observability to the system: the
 // arbitration round-trip log2-histograms split by hierarchy level
 // (arb/rtt/level<d>, nanoseconds), the live-allocation gauge
-// (arb/inflight_allocs, current + high-watermark) and the fault
-// outcome counters. A nil registry detaches (the default; every
+// (arb/inflight_allocs, current + high-watermark), the fault outcome
+// counters and the entries every arbitrator's allocation passes sort
+// (arb/entries_sorted). A nil registry detaches (the default; every
 // instrument is nil-safe).
 func (sys *System) Instrument(reg *obs.Registry) {
+	sorted := reg.Counter("arb/entries_sorted")
+	sys.visit(-1, func(a *Arbitrator) { a.obsSorted = sorted })
 	for d := 0; d < sys.nlevels; d++ {
 		sys.o.rtt[d] = reg.Histogram(fmt.Sprintf("arb/rtt/level%d", d))
 		sys.o.msgs[d] = reg.Counter(fmt.Sprintf("arb/msgs/level%d", d))

@@ -527,6 +527,7 @@ func queueFactory(p Protocol, sp scenarioSpec, numQueues int, reg *obs.Registry)
 		return func(kind topology.QueueKind) netem.Queue {
 			q := netem.NewPFabric(PFabricQueueSize)
 			q.Occ = occOf(reg, kind)
+			q.Scanned = reg.Counter("queue/pfabric/slots_scanned")
 			return q
 		}
 	case PDQ:

@@ -24,17 +24,20 @@ import (
 type PFabric struct {
 	Limit int
 	// Occ, when set, records post-enqueue occupancy (packets).
-	Occ      *obs.Histogram
+	Occ *obs.Histogram
+	// Scanned, when set, counts the buffer slots the linear scans
+	// visit, one Add per scan.
+	Scanned  *obs.Counter
 	q        []pfabricSlot
 	bytes    int64
 	stats    QueueStats
-	arr      uint64 // arrival counter for deterministic tie-breaks
 	chk      *check.Checker
 	chkLabel string
 }
 
 // pfabricSlot is one buffered packet with its arrival stamp, which
-// breaks every Rank and Seq tie.
+// breaks every Rank and Seq tie: the queue's accepted-packet count
+// (QueueStats.Enqueued) once the packet is counted.
 type pfabricSlot struct {
 	p   *pkt.Packet
 	arr uint64
@@ -75,10 +78,9 @@ func (f *PFabric) Enqueue(p *pkt.Packet) bool {
 		// never see one, and set-up should not pay for their buffers.
 		f.q = make([]pfabricSlot, 0, f.Limit)
 	}
-	f.arr++
-	f.q = append(f.q, pfabricSlot{p, f.arr})
-	f.bytes += int64(p.Size)
 	f.stats.accept(p)
+	f.q = append(f.q, pfabricSlot{p, uint64(f.stats.Enqueued)})
+	f.bytes += int64(p.Size)
 	f.stats.noteLen(len(f.q))
 	f.Occ.Observe(int64(len(f.q)))
 	if f.chk != nil {
@@ -90,6 +92,7 @@ func (f *PFabric) Enqueue(p *pkt.Packet) bool {
 // worst returns the index of the least urgent packet (largest Rank,
 // breaking ties toward the most recent arrival), or -1 if empty.
 func (f *PFabric) worst() int {
+	f.Scanned.Add(int64(len(f.q)))
 	best := -1
 	for i, s := range f.q {
 		if best < 0 || s.p.Rank > f.q[best].p.Rank ||
@@ -105,6 +108,7 @@ func (f *PFabric) Dequeue() *pkt.Packet {
 	if len(f.q) == 0 {
 		return nil
 	}
+	f.Scanned.Add(int64(2 * len(f.q))) // the two scans below
 	// Most urgent packet decides which flow transmits...
 	best := 0
 	for i, s := range f.q {

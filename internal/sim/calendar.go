@@ -3,6 +3,8 @@ package sim
 import (
 	"math/bits"
 	"slices"
+
+	"pase/internal/obs"
 )
 
 // The calendar is a window of fixed-width time buckets in front of the
@@ -41,6 +43,9 @@ type calendar struct {
 	buckets [bucketCount]*event
 	occ     [bucketCount / 64]uint64 // bit s set: buckets[s] is non-empty
 	over    eventHeap                // entries past the window
+	// overflow counts pushes past the window (sim/scheduled_overflow);
+	// nil-safe.
+	overflow *obs.Counter
 }
 
 // push files ev by its bucket: into cur in order, onto a window
@@ -60,6 +65,7 @@ func (c *calendar) push(ev *event) {
 		c.link(ev, b)
 	default:
 		c.over.push(ev)
+		c.overflow.Inc()
 	}
 }
 

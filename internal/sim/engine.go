@@ -83,11 +83,13 @@ type Engine struct {
 //	sim/events_fired      events dispatched by Step
 //	sim/events_scheduled  events added by At/Schedule/File
 //	sim/timers_stopped    successful Timer.Stop cancellations
+//	sim/scheduled_overflow  events filed past the calendar window
 //	sim/heap_depth        calendar depth high-watermark (incl. dead)
 func (e *Engine) Instrument(reg *obs.Registry) {
 	e.obsFired = reg.Counter("sim/events_fired")
 	e.obsSched = reg.Counter("sim/events_scheduled")
 	e.obsStopped = reg.Counter("sim/timers_stopped")
+	e.cal.overflow = reg.Counter("sim/scheduled_overflow")
 	e.obsHeap = reg.Gauge("sim/heap_depth")
 }
 
