@@ -148,6 +148,7 @@ func pinTable() []pin {
 		workcounts("fig9a-pase", fig9a(PASE), "item 6"),
 		workcounts("fig9a-pfabric", fig9a(PFabric), "none"),
 		workcounts("ctrlscale-16", ctrlCfg(PASEOptions{}), "item 6"),
+		workcounts("pdq", PointConfig{Protocol: PDQ, Scenario: IntraRack, Load: 0.8, Seed: 7, NumFlows: 120, Check: true}, "item 6"),
 		{name: "fig9a-100x2", out: tsvOut, file: "fig9a-100x2.tsv",
 			input:    input{fig: "9a", opts: Opts{NumFlows: 100, Seed: 1, Seeds: 2, Loads: []float64{0.5}, Check: true}},
 			twins:    []string{"shards=3", "empty-plan", "zero-plan"},
