@@ -9,9 +9,9 @@ import (
 )
 
 // TestAllocGate is the allocation-drift gate (`make alloc-gate`): the
-// benchmark's seven reference configurations at a few hundred flows,
-// each held to a committed budget of bytes and objects allocated per
-// flow. Allocation counts repeat to better than 1 part in 10^4 on one
+// benchmark's seven reference configurations and PDQ at a few hundred
+// flows, each held to a committed budget of bytes and objects allocated
+// per flow. Allocation counts repeat to better than 1 part in 10^4 on one
 // toolchain, so unlike a timing comparison this can be a hard test.
 // Budgets sit about 25% above the values measured once the packet
 // path, PASE's control path, rank mode and then flow turnover itself
@@ -31,7 +31,10 @@ import (
 // garbage rank node per scheduling event put the sharded row at
 // 50.8 KB / 681; and a sender, receiver, control, arrival closure and
 // one-bool-at-a-time arrival map per flow read 2.8 KB / 17.4 on
-// fig9a-dctcp and 4.1 KB / 21.9 on fig9a-pfabric.
+// fig9a-dctcp and 4.1 KB / 21.9 on fig9a-pfabric; and PDQ's own
+// per-link allocator (a map, a fresh slice and a reflective sort per
+// sync) read 56.3 KB / 517 on fig9a-pdq, and three closures per sync on
+// PASE's arbitrator still 4.8 KB / 91.4.
 func TestAllocGate(t *testing.T) {
 	if check.Forced() {
 		t.Skip("the forced invariant checker allocates on its own; budgets are for unchecked runs")
@@ -48,6 +51,7 @@ func TestAllocGate(t *testing.T) {
 		{"ctrlscale512-pase", pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: "ctrlscale-512", Load: 0.6, NumFlows: 400}, 16800, 97},
 		{"leafspine-stream", pase.SimConfig{Protocol: pase.ProtocolDCTCP, Scenario: pase.ScenarioLeafSpineWide, Load: 0.6, Stream: true, NumFlows: 600}, 3650, 10.9},
 		{"fig9a-pfabric", pase.SimConfig{Protocol: pase.ProtocolPFabric, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 3240, 10.6},
+		{"fig9a-pdq", pase.SimConfig{Protocol: pase.ProtocolPDQ, Scenario: pase.ScenarioLeftRight, Load: 0.8, NumFlows: 600}, 2440, 18.4},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			bytes, objects := allocsOf(t, g.cfg)
