@@ -110,11 +110,16 @@ var flagTable = []flagRow{
 	{flag: "trace-sample", args: fig("-trace", "-trace-sample", "4"), ids: fig9a,
 		opts: func(o *pase.FigureOpts) { o.Trace = pase.TraceConfig{Spans: true, SampleN: 4} }},
 	{flag: "trace-sample", args: fig("-trace-sample", "-3"), reject: "Trace.SampleN"},
+	{flag: "trace-sample", args: []string{"-fig", "3", "-flows", "20", "-trace-sample", "-3"}, reject: "Trace.SampleN"},
 	{flag: "scale", args: []string{"-scale", "20"}, ids: []string{"scale"}, opts: func(o *pase.FigureOpts) { o.Stream = true }},
 	{flag: "scale", args: []string{"-scale", "-1"}, reject: "-scale"},
 	{flag: "scale", args: []string{"-fig", "3", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -fig"},
 	{flag: "scale", args: []string{"-all", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -all"},
 	{flag: "scale", args: []string{"-scale", "20", "-flows", "15"}, reject: "-scale picks the figure and its flow count; drop -flows"},
+	{flag: "scale", args: []string{"-fig", "3", "-flows", "20", "-scale", "-1"}, reject: "-scale"},
+	{flag: "scale", args: []string{"-fig", "3", "-flows", "20", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -fig"},
+	{flag: "scale", args: []string{"-all", "-flows", "20", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -all"},
+	{flag: "scale", args: []string{"-flows", "20", "-scale", "20", "-flows", "30"}, reject: "-scale picks the figure and its flow count; drop -flows"},
 	{flag: "ctrl", args: fig("-ctrl", "central"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Ctrl = "central" }},
 	{flag: "ctrl", args: fig("-ctrl", "ring"), reject: "Ctrl"},
 	{flag: "racks", args: []string{"-fig", "ctrlscale", "-flows", "20", "-racks", "16"}, ids: []string{"ctrlscale"}, opts: func(o *pase.FigureOpts) { o.Racks = 16 }},

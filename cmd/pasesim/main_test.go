@@ -112,6 +112,7 @@ var flagTable = []flagRow{
 	{flag: "hier-fanout", args: small("-scenario", "ctrlscale-16", "-hier-fanout", "2"),
 		cfg: func(c *pase.SimConfig) { c.Scenario, c.PASE.HierFanOut = "ctrlscale-16", 2 }},
 	{flag: "hier-fanout", args: small("-hier-fanout", "-3"), reject: "PASE.HierFanOut"},
+	{flag: "hier-fanout", args: small("-scenario", "ctrlscale-16", "-hier-fanout", "1"), reject: "PASE.HierFanOut"},
 	{flag: "hier-shards", args: small("-scenario", "ctrlscale-16", "-hier-shards", "3"),
 		cfg: func(c *pase.SimConfig) { c.Scenario, c.PASE.HierTopShards = "ctrlscale-16", 3 }},
 	{flag: "hier-shards", args: small("-hier-shards", "-3"), reject: "PASE.HierTopShards"},
@@ -157,6 +158,8 @@ var flagTable = []flagRow{
 	{flag: "scale", args: []string{"-scale", "30"}, cfg: func(c *pase.SimConfig) { c.NumFlows, c.Stream = 30, true }},
 	{flag: "scale", args: []string{"-scale", "-5"}, reject: "-scale"},
 	{flag: "scale", args: []string{"-scale", "30", "-flows", "15"}, reject: "-scale sets the flow count; drop -flows"},
+	{flag: "scale", args: small("-scale", "-5"), reject: "-scale"},
+	{flag: "scale", args: small("-scale", "60", "-flows", "30"), reject: "-scale sets the flow count; drop -flows"},
 	{flag: "obs", args: small("-obs"), cfg: func(c *pase.SimConfig) { c.Obs = true },
 		out: wrote("pasesim.manifest.json", "{\n  \"tool\": \"pasesim\"")},
 	{flag: "check", args: small("-check"), cfg: func(c *pase.SimConfig) { c.Check = true }, out: contains("invariants      clean")},
