@@ -75,10 +75,23 @@ func TestFig2Crossover(t *testing.T) {
 
 // Figure 3: the toy example. PASE must not be worse for any flow, and
 // flow 3 (link-disjoint from flow 1) must finish near its parallel
-// optimum under PASE.
+// optimum under PASE. Both runs are checked.
 func TestFig3Toy(t *testing.T) {
-	pf := RunToy(PFabric)
-	pa := RunToy(PASE)
+	fcts := func(p Protocol) (out [3]sim.Duration) {
+		r := RunPoint(PointConfig{Protocol: p, Scenario: toy, Check: true})
+		if r.Violations != 0 {
+			t.Fatalf("toy %s: %d invariant violations:\n%v", p, r.Violations, r.CheckViolations)
+		}
+		if r.Summary.Completed != len(out) {
+			t.Fatalf("toy %s: %d of %d flows completed", p, r.Summary.Completed, len(out))
+		}
+		for _, rec := range r.Records {
+			out[rec.ID-1] = rec.FCT()
+		}
+		return out
+	}
+	pf := fcts(PFabric)
+	pa := fcts(PASE)
 	// Flow 1 (highest priority) is unaffected in both.
 	if pf[0] > 6*sim.Millisecond || pa[0] > 6*sim.Millisecond {
 		t.Errorf("toy: flow 1 should be near 4ms: pFabric %v, PASE %v", pf[0], pa[0])

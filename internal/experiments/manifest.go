@@ -154,9 +154,7 @@ func (r *Result) Render() string {
 func (r *Result) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	r.write(bw, true)
-	if r.Points > 0 {
-		fmt.Fprintf(bw, "# totals: points=%d retx=%d timeouts=%d\n", r.Points, r.Retx, r.Timeouts)
-	}
+	fmt.Fprintf(bw, "# totals: points=%d retx=%d timeouts=%d\n", r.Points, r.Retx, r.Timeouts)
 	return bw.Flush()
 }
 

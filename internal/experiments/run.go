@@ -291,6 +291,9 @@ type scenarioSpec struct {
 	// hier is the deep arbitration hierarchy PASE uses on this
 	// scenario (zero = classic flat 3-tier climb).
 	hier arbitration.HierarchyParams
+	// flows, when set, is the whole foreground workload, run in place
+	// of the Poisson stream the fields above describe.
+	flows []workload.FlowSpec
 }
 
 // teFailoverLS is the te-failover fabric. The te figure's fault
@@ -361,7 +364,29 @@ func KnownScenario(s Scenario) bool {
 		CtrlScaleRacksOf(s) > 0
 }
 
+// toy is Figure 3's example, which no CLI offers: one rack, hosts
+// {0: src1, 1: src2, 2: dst1, 3: dst2}. Flow 1 (src1→dst1, 0.5 MB) is
+// most urgent, flow 2 (src2→dst1, 0.75 MB) medium, flow 3 (src2→dst2,
+// 1 MB) least. Flows 1 and 2 share dst1's downlink, flows 2 and 3
+// src2's uplink; flows 1 and 3 are link-disjoint.
+const toy Scenario = "toy"
+
+var toySpec = scenarioSpec{
+	tree: topology.SingleRack(4, nil),
+	flows: []workload.FlowSpec{
+		{ID: 1, Src: 0, Dst: 2, Size: 500_000},
+		{ID: 2, Src: 1, Dst: 2, Size: 750_000},
+		{ID: 3, Src: 1, Dst: 3, Size: 1_000_000},
+	},
+	markK: MarkingThreshold,
+	qSize: DCTCPQueueSize,
+	epoch: 100 * sim.Microsecond,
+}
+
 func lookupScenario(s Scenario) (scenarioSpec, bool) {
+	if s == toy {
+		return toySpec, true
+	}
 	for _, e := range scenarioTable {
 		if e.name == s {
 			return e.spec, true
@@ -937,7 +962,11 @@ func RunPoint(cfg PointConfig) PointResult {
 	if part != nil {
 		summary = driveSharded(se, d, part, envs, spec, rng, sc)
 	} else {
-		d.ScheduleStream(spec.Stream(rng, 1).Next)
+		if sp.flows != nil {
+			d.Schedule(sp.flows)
+		} else {
+			d.ScheduleStream(spec.Stream(rng, 1).Next)
+		}
 		var err error
 		if summary, err = d.Run(0); err != nil {
 			panic(err)
