@@ -77,6 +77,7 @@ var flagTable = []flagRow{
 	{flag: "protocol", args: small("-protocol", "DCTCP"), cfg: func(c *pase.SimConfig) { c.Protocol = pase.ProtocolDCTCP }},
 	{flag: "protocol", args: small("-protocol", "SCTP"), reject: "SCTP"},
 	{flag: "scenario", args: small("-scenario", "left-right"), cfg: func(c *pase.SimConfig) { c.Scenario = pase.ScenarioLeftRight }},
+	{flag: "scenario", args: small("-scenario", "toy"), reject: "unknown scenario"},
 	{flag: "load", args: small("-load", "0.5"), cfg: func(c *pase.SimConfig) { c.Load = 0.5 }},
 	{flag: "load", args: small("-load", "1.5"), reject: "Load"},
 	{flag: "flows", args: small("-flows", "15"), cfg: func(c *pase.SimConfig) { c.NumFlows = 15 }},

@@ -491,6 +491,9 @@ func RunFigure(id string, opts FigureOpts) (*FigureData, error) {
 	if err := validate(opts, "Loads", "Racks"); err != nil {
 		return nil, err
 	}
+	if opts.Stream && fig.PerFlow() {
+		return nil, fmt.Errorf("pase: figure %s plots per-flow records, which Stream does not keep", id)
+	}
 	return fig.Run(opts), nil
 }
 
