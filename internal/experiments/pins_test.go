@@ -204,6 +204,9 @@ func pinTable() []pin {
 			protects: "a faulted PASE run's control spans; PASE's serial fallback traces like serial", mover: "item 6"},
 		pin{name: "traced-sampled", out: perfettoOut, input: point(sampled), twins: []string{"shards=3"},
 			protects: "1-in-8 trace sampling keeps the same flows at every shard count", mover: "none"},
+		pin{name: "traced-fig3", out: perfettoOut, file: "traced_fig3.json",
+			input:    point(PointConfig{Protocol: PASE, Scenario: toy, Check: true, Trace: TraceConfig{Spans: true}}),
+			protects: "Figure 3 as a trace: the toy's three PASE flows, their grants and priority-queue epochs, and every arbitration exchange", mover: "item 6"},
 	)
 	for _, p := range []Protocol{DCTCP, D2TCP, L2DCT, PFabric, ExpressPass} {
 		for _, s := range []Scenario{LeftRight, LeafSpine} {
