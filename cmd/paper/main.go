@@ -168,7 +168,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "paper: fig %s: invariant checker clean (%d points)\n", id, fig.Points)
 		}
 		fmt.Fprintln(stdout, fig.Render())
-		fmt.Fprintf(stdout, "(%d flows/point, seed %d, took %v)\n\n", opts.NumFlows, opts.Seed, wall.Round(time.Millisecond))
+		flows := strconv.Itoa(fig.MinFlows)
+		if fig.MaxFlows != fig.MinFlows {
+			flows += "-" + strconv.Itoa(fig.MaxFlows)
+		}
+		fmt.Fprintf(stdout, "(%s flows/point, seed %d, took %v)\n\n", flows, opts.Seed, wall.Round(time.Millisecond))
 		base := "fig" + strings.ReplaceAll(id, "/", "_")
 		if *out != "" {
 			if err := cliutil.WriteFile(filepath.Join(*out, base+".tsv"), fig.WriteTSV); err != nil {

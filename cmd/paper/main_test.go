@@ -68,6 +68,15 @@ func wrote(names ...string) func(t *testing.T, r result) {
 	}
 }
 
+// printed checks the run's stdout holds want.
+func printed(want string) func(t *testing.T, r result) {
+	return func(t *testing.T, r result) {
+		if !strings.Contains(r.stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, r.stdout)
+		}
+	}
+}
+
 func allIDs() []string {
 	var ids []string
 	for _, f := range pase.ListFigures() {
@@ -79,6 +88,7 @@ func allIDs() []string {
 var flagTable = []flagRow{
 	{flag: "fig", args: []string{"-fig", "4", "-flows", "20"}, ids: []string{"4"}},
 	{flag: "fig", args: []string{"-fig", "nope"}, reject: `"nope"`},
+	{flag: "fig", args: toy(), ids: fig3, out: printed("(3 flows/point, seed 1,")},
 	{flag: "all", args: []string{"-all", "-flows", "20", "-racks", "16"}, ids: allIDs(), opts: func(o *pase.FigureOpts) { o.Racks = 16 }},
 	{flag: "list", args: []string{"-list"}, out: func(t *testing.T, r result) {
 		if len(r.ids) != 0 || !strings.Contains(r.stdout, "9a       AFCT vs load") {
@@ -142,7 +152,8 @@ var flagTable = []flagRow{
 		opts: func(o *pase.FigureOpts) { o.Trace = pase.TraceConfig{Spans: true, SampleN: 4} }},
 	{flag: "trace-sample", args: fig("-trace-sample", "-3"), reject: "Trace.SampleN"},
 	{flag: "trace-sample", args: []string{"-fig", "3", "-flows", "20", "-trace-sample", "-3"}, reject: "Trace.SampleN"},
-	{flag: "scale", args: []string{"-scale", "20"}, ids: []string{"scale"}, opts: func(o *pase.FigureOpts) { o.Stream = true }},
+	{flag: "scale", args: []string{"-scale", "20"}, ids: []string{"scale"}, opts: func(o *pase.FigureOpts) { o.Stream = true },
+		out: printed("(10-20 flows/point, seed 1,")},
 	{flag: "scale", args: []string{"-scale", "-1"}, reject: "-scale"},
 	{flag: "scale", args: []string{"-fig", "3", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -fig"},
 	{flag: "scale", args: []string{"-all", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -all"},

@@ -105,8 +105,11 @@ type Result struct {
 	Series []Series
 	Notes  []string
 
-	// Points is how many simulation points produced the figure.
-	Points int
+	// Points is how many simulation points produced the figure, and
+	// MinFlows / MaxFlows the fewest and most foreground flows one of
+	// them ran.
+	Points             int
+	MinFlows, MaxFlows int
 	// Retx / Timeouts total the retransmission churn across points.
 	Retx     int64
 	Timeouts int64
