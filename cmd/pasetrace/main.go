@@ -1,5 +1,5 @@
 // Command pasetrace analyzes a Perfetto trace-event JSON file produced
-// by pasesim -trace (or pase.Report.WritePerfetto). It validates the
+// by pasesim -trace (or pase.Report.Trace.WritePerfetto). It validates the
 // file against the exporter's schema — exiting 1 on anything
 // malformed, so CI can gate on it — and prints the run's story: the
 // top-N slowest flows with a critical-path breakdown (arbitration
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -80,30 +81,38 @@ type queueStats struct {
 	samples   int
 }
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "pasetrace: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	topN := flag.Int("top", 10, "slowest flows to break down")
-	queueN := flag.Int("queues", 10, "queue tracks to list (by peak bytes)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pasetrace [-top N] [-queues N] <trace.json>")
-		os.Exit(2)
+// run is the command: it parses args, analyzes the trace onto stdout
+// and returns the exit status — 2 for a usage error, 1 for a file that
+// cannot be read or breaks the exporter's schema, named on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pasetrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topN := fs.Int("top", 10, "slowest flows to break down")
+	queueN := fs.Int("queues", 10, "queue tracks to list (by peak bytes)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	path := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: pasetrace [-top N] [-queues N] <trace.json>")
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pasetrace: "+format+"\n", a...)
+		return 1
+	}
+	path := fs.Arg(0)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	var tf traceFile
 	if err := json.Unmarshal(raw, &tf); err != nil {
-		fail("%s: invalid JSON: %v", path, err)
+		return fail("%s: invalid JSON: %v", path, err)
 	}
 	if err := validate(&tf); err != nil {
-		fail("%s: invalid trace: %v", path, err)
+		return fail("%s: invalid trace: %v", path, err)
 	}
 
 	flows := map[int64]*flow{}
@@ -115,7 +124,7 @@ func main() {
 		case ev.Cat == "flow" && ev.Ph == "X":
 			var fa flowArgs
 			if err := json.Unmarshal(ev.Args, &fa); err != nil {
-				fail("%s: event %d: bad flow args: %v", path, i, err)
+				return fail("%s: event %d: bad flow args: %v", path, i, err)
 			}
 			f := getFlow(flows, ev.Tid)
 			f.args, f.fctUS = fa, ev.Dur
@@ -131,7 +140,7 @@ func main() {
 		case ev.Cat == "ctrl" && ev.Ph == "X":
 			var ca ctrlArgs
 			if err := json.Unmarshal(ev.Args, &ca); err != nil {
-				fail("%s: event %d: bad ctrl args: %v", path, i, err)
+				return fail("%s: event %d: bad ctrl args: %v", path, i, err)
 			}
 			ls := levels[ca.Level]
 			if ls == nil {
@@ -145,7 +154,7 @@ func main() {
 		case ev.Ph == "C":
 			var qa queueArgs
 			if err := json.Unmarshal(ev.Args, &qa); err != nil {
-				fail("%s: event %d: bad counter args: %v", path, i, err)
+				return fail("%s: event %d: bad counter args: %v", path, i, err)
 			}
 			qs := queues[ev.Name]
 			if qs == nil {
@@ -163,13 +172,14 @@ func main() {
 	}
 
 	nicBps, _ := strconv.ParseInt(tf.OtherData["nic_bps"], 10, 64)
-	fmt.Printf("%s: proto %s, scenario %s, %d events, %d flows, %d queue tracks\n",
+	fmt.Fprintf(stdout, "%s: proto %s, scenario %s, %d events, %d flows, %d queue tracks\n",
 		path, tf.OtherData["proto"], tf.OtherData["scenario"],
 		len(tf.TraceEvents), len(flows), len(queues))
 
-	printSlowest(flows, *topN, nicBps)
-	printCtrl(levels)
-	printQueues(queues, *queueN)
+	printSlowest(stdout, flows, *topN, nicBps)
+	printCtrl(stdout, levels)
+	printQueues(stdout, queues, *queueN)
+	return 0
 }
 
 func getFlow(m map[int64]*flow, id int64) *flow {
@@ -223,7 +233,7 @@ func validate(tf *traceFile) error {
 	return nil
 }
 
-func printSlowest(flows map[int64]*flow, topN int, nicBps int64) {
+func printSlowest(w io.Writer, flows map[int64]*flow, topN int, nicBps int64) {
 	all := make([]*flow, 0, len(flows))
 	for _, f := range flows {
 		if f.fctUS > 0 { // orphan phase/mark tids guard
@@ -239,8 +249,8 @@ func printSlowest(flows map[int64]*flow, topN int, nicBps int64) {
 	if topN > len(all) {
 		topN = len(all)
 	}
-	fmt.Printf("\nTop %d slowest flows (critical path):\n", topN)
-	fmt.Printf("  %6s %6s %9s %12s %11s %11s %9s  %s\n",
+	fmt.Fprintf(w, "\nTop %d slowest flows (critical path):\n", topN)
+	fmt.Fprintf(w, "  %6s %6s %9s %12s %11s %11s %9s  %s\n",
 		"flow", "src", "size_B", "fct_us", "wait-ctrl%", "serialize%", "queued%", "notes")
 	for _, f := range all[:topN] {
 		serialUS := 0.0
@@ -272,15 +282,15 @@ func printSlowest(flows map[int64]*flow, topN int, nicBps int64) {
 		for _, k := range keys {
 			notes += fmt.Sprintf(" %s×%d", k, f.marks[k])
 		}
-		fmt.Printf("  %6d %6d %9d %12.3f %10.1f%% %10.1f%% %8.1f%% %s\n",
+		fmt.Fprintf(w, "  %6d %6d %9d %12.3f %10.1f%% %10.1f%% %8.1f%% %s\n",
 			f.id, f.args.Src, f.args.Size, f.fctUS,
 			pct(f.waitUS), pct(serialUS), pct(queuedUS), notes)
 	}
 }
 
-func printCtrl(levels map[int]*levelStats) {
+func printCtrl(w io.Writer, levels map[int]*levelStats) {
 	if len(levels) == 0 {
-		fmt.Printf("\nControl plane: no arbitration spans (protocol without an arbitrator, or sampled out).\n")
+		fmt.Fprintf(w, "\nControl plane: no arbitration spans (protocol without an arbitrator, or sampled out).\n")
 		return
 	}
 	lvls := make([]int, 0, len(levels))
@@ -288,13 +298,13 @@ func printCtrl(levels map[int]*levelStats) {
 		lvls = append(lvls, l)
 	}
 	sort.Ints(lvls)
-	fmt.Printf("\nControl-plane latency by hierarchy level:\n")
-	fmt.Printf("  %5s %8s %8s %8s %8s %10s %10s %10s\n",
+	fmt.Fprintf(w, "\nControl-plane latency by hierarchy level:\n")
+	fmt.Fprintf(w, "  %5s %8s %8s %8s %8s %10s %10s %10s\n",
 		"level", "ok", "reqdrop", "respdrop", "dead", "p50_us", "p99_us", "mean_us")
 	for _, l := range lvls {
 		ls := levels[l]
 		p50, p99, mean := latStats(ls.okLatUS)
-		fmt.Printf("  %5d %8d %8d %8d %8d %10.3f %10.3f %10.3f\n",
+		fmt.Fprintf(w, "  %5d %8d %8d %8d %8d %10.3f %10.3f %10.3f\n",
 			l, ls.outcomes["ok"], ls.outcomes["req_dropped"],
 			ls.outcomes["resp_dropped"], ls.outcomes["dead_arb"],
 			p50, p99, mean)
@@ -315,9 +325,9 @@ func latStats(lat []float64) (p50, p99, mean float64) {
 	return q(0.5), q(0.99), sum / float64(len(s))
 }
 
-func printQueues(queues map[string]*queueStats, queueN int) {
+func printQueues(w io.Writer, queues map[string]*queueStats, queueN int) {
 	if len(queues) == 0 {
-		fmt.Printf("\nQueues: no occupancy samples (run without queue sampling).\n")
+		fmt.Fprintf(w, "\nQueues: no occupancy samples (run without queue sampling).\n")
 		return
 	}
 	names := make([]string, 0, len(queues))
@@ -334,10 +344,10 @@ func printQueues(queues map[string]*queueStats, queueN int) {
 	if queueN > len(names) {
 		queueN = len(names)
 	}
-	fmt.Printf("\nQueue peaks (top %d of %d ports by bytes):\n", queueN, len(names))
-	fmt.Printf("  %-24s %10s %12s %9s\n", "port", "peak_pkts", "peak_bytes", "samples")
+	fmt.Fprintf(w, "\nQueue peaks (top %d of %d ports by bytes):\n", queueN, len(names))
+	fmt.Fprintf(w, "  %-24s %10s %12s %9s\n", "port", "peak_pkts", "peak_bytes", "samples")
 	for _, n := range names[:queueN] {
 		q := queues[n]
-		fmt.Printf("  %-24s %10d %12d %9d\n", n, q.peakPkts, q.peakBytes, q.samples)
+		fmt.Fprintf(w, "  %-24s %10d %12d %9d\n", n, q.peakPkts, q.peakBytes, q.samples)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"pase/internal/pkt"
 	"pase/internal/sim"
 	"pase/internal/topology"
+	"pase/internal/trace"
 )
 
 func newArb(c netem.BitRate) (*sim.Engine, *Arbitrator) {
@@ -182,6 +183,19 @@ func buildSys(t *testing.T, p Params) (*sim.Engine, *topology.Network, *System) 
 	eng := sim.NewEngine()
 	net := topology.Build(eng, topology.Baseline(prioQ))
 	return eng, net, NewSystem(net, p)
+}
+
+// climbLevel runs refresh with a fresh span recorder on sys and
+// returns the Level of the control span it recorded (-1 for none).
+func climbLevel(eng *sim.Engine, sys *System, refresh func()) int {
+	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
+	sys.Rec = rec.Shard(eng)
+	refresh()
+	ctrl := rec.Take().Ctrl
+	if len(ctrl) == 0 {
+		return -1
+	}
+	return ctrl[len(ctrl)-1].Level
 }
 
 func TestClientIntraRackLocalOnlyMessages(t *testing.T) {
@@ -372,9 +386,7 @@ func TestPruneSavedCountsAvoidedHops(t *testing.T) {
 	for _, deleg := range []bool{true, false} {
 		p := DefaultParams()
 		p.Delegation = deleg
-		_, net, sys := buildSys(t, p)
-		level := 0
-		sys.OnCtrl = func(ev CtrlEvent) { level = ev.Level }
+		eng, net, sys := buildSys(t, p)
 		var want int64
 		left := 2 * net.Cfg.HostsPerRack // racks 0 and 1 sit under agg 0
 		for f := 1; f <= 160; f++ {
@@ -390,7 +402,7 @@ func TestPruneSavedCountsAvoidedHops(t *testing.T) {
 					full--
 				}
 				pruned := sys.Stats.Pruned
-				c.refreshHalf(int64(f), netem.Gbps, srcSide)
+				level := climbLevel(eng, sys, func() { c.refreshHalf(int64(f), netem.Gbps, srcSide) })
 				if sys.Stats.Pruned > pruned {
 					want += int64(2 * (full - level))
 				}

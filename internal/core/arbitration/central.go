@@ -3,6 +3,7 @@ package arbitration
 import (
 	"pase/internal/netem"
 	"pase/internal/sim"
+	"pase/internal/trace"
 )
 
 // centralPerRequest is the controller's per-request service time:
@@ -50,7 +51,7 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 	fi := sys.Faults
 	if fi != nil && fi.DropRequest() {
 		sys.o.reqDrop.Inc()
-		sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: true, Start: start, Outcome: CtrlReqDropped})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: true, Start: start, Outcome: trace.CtrlReqDropped})
 		return
 	}
 
@@ -58,7 +59,7 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 	sys.countClimb(hops)
 	if dead {
 		sys.o.dead.Inc()
-		sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Outcome: CtrlDeadArb})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Outcome: trace.CtrlDead})
 		return
 	}
 
@@ -76,13 +77,13 @@ func (c *Client) refreshCentral(key int64, demand netem.BitRate) {
 	if fi != nil {
 		if fi.DropResponse() {
 			sys.o.respDrop.Inc()
-			sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Outcome: CtrlRespDropped})
+			sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Outcome: trace.CtrlRespDropped})
 			return
 		}
 		latency += fi.CtrlExtraDelay()
 	}
 	sys.o.rtt[sys.lvl(hops)].Observe(int64(latency))
-	sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Latency: latency, Outcome: CtrlOK})
+	sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: true, Level: hops, Start: start, Latency: latency, Outcome: trace.CtrlOK})
 	// One response covers the whole path: both halves land at once.
 	sys.respond(c, worst, true, true, latency)
 }

@@ -58,8 +58,6 @@ func FuzzClimb(f *testing.F) {
 		net := topology.Build(eng, cfg)
 		sys := NewSystem(net, p)
 		sys.AttachCheck(check.NewStrict(func() int64 { return int64(eng.Now()) }))
-		level := 0
-		sys.OnCtrl = func(ev CtrlEvent) { level = ev.Level }
 		hosts := len(net.Hosts)
 
 		const slots = 12
@@ -100,12 +98,13 @@ func FuzzClimb(f *testing.F) {
 					}
 					full := reach(sys, c, srcSide)
 					pruned, saved := sys.Stats.Pruned, sys.Stats.PruneSavedMsgs
-					level = -1
-					if sys.central != nil {
-						c.Refresh(key, demand)
-					} else {
-						c.refreshHalf(key, demand, srcSide)
-					}
+					level := climbLevel(eng, sys, func() {
+						if sys.central != nil {
+							c.Refresh(key, demand)
+						} else {
+							c.refreshHalf(key, demand, srcSide)
+						}
+					})
 					if level > full && sys.central == nil {
 						t.Fatalf("flow %d: climbed to depth %d, past its reach %d", c.flow, level, full)
 					}

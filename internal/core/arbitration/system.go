@@ -12,6 +12,7 @@ import (
 	"pase/internal/pool"
 	"pase/internal/sim"
 	"pase/internal/topology"
+	"pase/internal/trace"
 )
 
 // pruneQueues is early pruning's cut-off: a flow a lower-level
@@ -100,35 +101,6 @@ type ControlFaults interface {
 	CtrlExtraDelay() sim.Duration
 }
 
-// CtrlOutcome classifies how one arbitration half-exchange ended.
-type CtrlOutcome uint8
-
-const (
-	// CtrlOK: the request climbed the hierarchy and the response was
-	// scheduled after the modelled latency.
-	CtrlOK CtrlOutcome = iota
-	// CtrlReqDropped: the fault injector lost the request leg.
-	CtrlReqDropped
-	// CtrlRespDropped: the fault injector lost the response leg.
-	CtrlRespDropped
-	// CtrlDeadArb: the bottom-up walk hit a crashed arbitrator.
-	CtrlDeadArb
-)
-
-// CtrlEvent describes one arbitration half-exchange for observers:
-// which flow asked, which half, how far up the hierarchy the request
-// climbed (Level: 0 = resolved at the host-local arbitrator), when it
-// started, the modelled response latency (0 unless CtrlOK) and how it
-// ended. The flight recorder consumes these as control-plane spans.
-type CtrlEvent struct {
-	Flow    pkt.FlowID
-	SrcSide bool
-	Level   int
-	Start   sim.Time
-	Latency sim.Duration
-	Outcome CtrlOutcome
-}
-
 // CtrlLevels bounds the per-level RTT histograms: Level is the hop
 // count past the host-local arbitrator, at most 2 in a 3-tier fabric
 // (host→ToR→agg→core), so 4 leaves headroom.
@@ -149,10 +121,10 @@ type System struct {
 	// Faults, when set, injects control-plane message loss and delay.
 	Faults ControlFaults
 
-	// OnCtrl, when set, observes every arbitration half-exchange
-	// (including ones the fault injector killed). Nil — the default —
-	// costs one pointer test per refresh half.
-	OnCtrl func(ev CtrlEvent)
+	// Rec, when set, records every arbitration half-exchange as a
+	// control span, ones the fault injector killed included. Nil — the
+	// default — records nothing.
+	Rec *trace.ShardRecorder
 
 	inflight int64 // live (not yet released) client allocations
 
@@ -365,13 +337,6 @@ func (sys *System) Instrument(reg *obs.Registry) {
 	sys.o.reqDrop = reg.Counter("arb/ctrl_req_dropped")
 	sys.o.respDrop = reg.Counter("arb/ctrl_resp_dropped")
 	sys.o.dead = reg.Counter("arb/ctrl_dead_arb")
-}
-
-// emitCtrl hands one half-exchange to the observer hook.
-func (sys *System) emitCtrl(ev CtrlEvent) {
-	if sys.OnCtrl != nil {
-		sys.OnCtrl(ev)
-	}
 }
 
 // visit applies f to the arbitrator of the given link and its
@@ -644,7 +609,7 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 	if fi != nil && remote && fi.DropRequest() {
 		// Request lost in the fabric; the endpoint retries.
 		sys.o.reqDrop.Inc()
-		sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: srcSide, Start: start, Outcome: CtrlReqDropped})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Start: start, Outcome: trace.CtrlReqDropped})
 		return
 	}
 
@@ -652,7 +617,7 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 	sys.countClimb(depth)
 	if dead {
 		sys.o.dead.Inc()
-		sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: CtrlDeadArb})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: trace.CtrlDead})
 		return
 	}
 
@@ -666,13 +631,13 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 		if fi.DropResponse() {
 			// Response lost on the way back; the endpoint retries.
 			sys.o.respDrop.Inc()
-			sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: CtrlRespDropped})
+			sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: trace.CtrlRespDropped})
 			return
 		}
 		latency += fi.CtrlExtraDelay()
 	}
 	sys.o.rtt[sys.lvl(depth)].Observe(int64(latency))
-	sys.emitCtrl(CtrlEvent{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Latency: latency, Outcome: CtrlOK})
+	sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Latency: latency, Outcome: trace.CtrlOK})
 	sys.respond(c, worst, srcSide, !srcSide, latency)
 }
 

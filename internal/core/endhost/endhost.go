@@ -12,6 +12,7 @@ import (
 	"pase/internal/obs"
 	"pase/internal/pkt"
 	"pase/internal/sim"
+	"pase/internal/trace"
 	"pase/internal/transport"
 	"pase/internal/transport/dctcp"
 )
@@ -72,22 +73,12 @@ type Transport struct {
 	Sys *arbitration.System
 	Cfg Config
 
-	// Flight-recorder hooks, all optional (nil = off) and invoked off
-	// the per-packet hot path:
-	//
-	//	OnGrant    — the flow's first usable arbitration response was
-	//	             adopted (q is the assigned priority queue)
-	//	OnEpoch    — the flow switched onto priority queue q (every
-	//	             adoption, including the grant and the fallback's
-	//	             forced bottom queue)
-	//	OnFallback — the flow gave up on the control plane and entered
-	//	             DCTCP-mode fallback
-	//	OnResync   — the flow re-adopted a fresh allocation after a
-	//	             fallback
-	OnGrant    func(s *transport.Sender, q int8)
-	OnEpoch    func(s *transport.Sender, q int8)
-	OnFallback func(s *transport.Sender)
-	OnResync   func(s *transport.Sender)
+	// Rec, when set, is the flight recorder the flows' arbitration
+	// story lands in, off the per-packet hot path: the grant (the first
+	// usable allocation adopted), every epoch (each switch onto a
+	// priority queue, the grant's and the fallback's included), and the
+	// fallback and resync marks. Nil records nothing.
+	Rec *trace.ShardRecorder
 
 	o struct {
 		retries   *obs.Counter
@@ -293,12 +284,8 @@ func (c *control) enterFallback(s *transport.Sender) {
 	s.Cwnd = 1
 	c.isInterQueue = false
 	c.updateHold(s)
-	if c.t.OnFallback != nil {
-		c.t.OnFallback(s)
-	}
-	if c.t.OnEpoch != nil {
-		c.t.OnEpoch(s, c.activePrio)
-	}
+	c.t.Rec.Mark(s.Spec.ID, trace.MarkFallback, 0)
+	c.t.Rec.Epoch(s.Spec.ID, int(c.activePrio))
 	s.Kick()
 }
 
@@ -317,9 +304,7 @@ func (c *control) onArbitration(s *transport.Sender) {
 		// and re-adopt the fresh allocation in full.
 		c.fallback = false
 		c.t.o.resyncs.Inc()
-		if c.t.OnResync != nil {
-			c.t.OnResync(s)
-		}
+		c.t.Rec.Mark(s.Spec.ID, trace.MarkResync, 0)
 	}
 	d := c.client.Combined()
 	c.rref = d.Rref
@@ -330,9 +315,7 @@ func (c *control) onArbitration(s *transport.Sender) {
 		}
 		c.started = true
 		c.t.o.waitCtrl.Observe(int64(s.Now().Sub(s.Spec.Start)))
-		if c.t.OnGrant != nil {
-			c.t.OnGrant(s, d.Queue)
-		}
+		c.t.Rec.Mark(s.Spec.ID, trace.MarkGrant, int64(d.Queue))
 		c.adopt(s, d.Queue)
 		c.applyWindow(s)
 		c.updateHold(s)
@@ -390,9 +373,7 @@ func (c *control) adopt(s *transport.Sender, q int8) {
 	if !c.probeMode {
 		c.probeTimer.Stop()
 	}
-	if c.t.OnEpoch != nil {
-		c.t.OnEpoch(s, q)
-	}
+	c.t.Rec.Epoch(s.Spec.ID, int(q))
 }
 
 // applyWindow sets the congestion window for the newly adopted queue

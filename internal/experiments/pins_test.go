@@ -23,7 +23,6 @@ import (
 	"pase/internal/faults"
 	"pase/internal/route"
 	"pase/internal/sim"
-	"pase/internal/trace"
 )
 
 // The pin registry is the determinism contract in one table (DESIGN.md
@@ -302,16 +301,16 @@ var (
 	eventsOut = out{"flow-event TSV", func(t *testing.T, in input) []byte {
 		r := runChecked(t, in.cfg)
 		if spill, ok := in.cfg.Trace.FlowLogWriter.(*bytes.Buffer); ok {
-			if len(r.FlowEvents) != 0 {
-				t.Fatalf("spilling run retained %d flow events", len(r.FlowEvents))
+			if len(r.Trace.Events) != 0 {
+				t.Fatalf("spilling run retained %d flow events", len(r.Trace.Events))
 			}
 			return spill.Bytes()
 		}
-		if len(r.FlowEvents) == 0 {
+		if len(r.Trace.Events) == 0 {
 			t.Fatal("traced run recorded no flow events")
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteFlowEvents(&buf, r.FlowEvents); err != nil {
+		if err := r.Trace.WriteFlowEvents(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -328,11 +327,11 @@ var (
 	}}
 	samplesOut = out{"queue-sample TSV", func(t *testing.T, in input) []byte {
 		r := runChecked(t, in.cfg)
-		if len(r.QueueSamples) == 0 {
+		if len(r.Trace.Queue) == 0 {
 			t.Fatal("traced run recorded no queue samples")
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteQueueSamples(&buf, r.QueueSamples); err != nil {
+		if err := r.Trace.WriteQueueSamples(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -136,22 +136,22 @@ type PASEOptions struct {
 }
 
 // TraceConfig selects optional per-point tracing: which tracks of the
-// run's one recorder are on. Each track keeps its newest records, up
-// to the trace package's Default*Cap; what a cap sheds is counted in
-// PointResult.TraceStats.
+// run's one recorder are on; the recording is PointResult.Trace. Each
+// track keeps its newest records, up to the trace package's
+// Default*Cap; what a cap sheds is counted in Trace.Stats.
 type TraceConfig struct {
 	// FlowLog records flow start/done/abort events (write them with
-	// Report.WriteFlowTrace).
+	// Trace.WriteFlowEvents).
 	FlowLog bool
 	// QueueSample, when positive, samples every queue's occupancy at
-	// this interval (Report.WriteQueueTrace).
+	// this interval (Trace.WriteQueueSamples).
 	QueueSample sim.Duration
 	// Spans enables the span tracks: per-flow lifecycle spans
 	// (wait-for-control, transmission epochs per priority queue,
-	// retx/timeout/fallback marks) plus control-plane exchange spans,
-	// merged into PointResult.Trace in canonical order (export with
-	// Report.WritePerfetto). Traced runs shard and stream like untraced
-	// ones, and the exported bytes are identical at every shard count.
+	// retx/timeout/fallback marks) plus control-plane exchange spans
+	// (export with Trace.WritePerfetto). Traced runs shard and stream
+	// like untraced ones, and the exported bytes are identical at every
+	// shard count.
 	Spans bool
 	// SampleN keeps 1 in N flow traces (0 or 1 = every flow),
 	// seed-driven so re-runs trace the same flows. Flows that
@@ -257,15 +257,11 @@ type PointResult struct {
 	// the retained details.
 	Violations      int64
 	CheckViolations []check.Violation
-	// FlowEvents / QueueSamples are the recording's flow-event and
-	// queue tracks, each in canonical order; TraceStats counts what the
-	// recorder kept and shed (zero unless a TraceConfig track was on).
-	FlowEvents   []trace.FlowEvent
-	QueueSamples []trace.QueueSample
-	TraceStats   trace.TraceStats
-	// Trace is the whole recording (nil unless TraceConfig.Spans was
-	// set). In spill mode the flow traces have already streamed to the
-	// writer; Trace still carries control spans, stats and meta.
+	// Trace is the run's recording, every track in canonical order
+	// with Stats counting what the recorder kept and shed (nil unless a
+	// TraceConfig track was on). In spill mode the flow events and
+	// traces have already streamed to their writers; Trace still
+	// carries control spans, queue samples, stats and meta.
 	Trace *trace.RunTrace
 	// ShardFallback names why a PointConfig.Shards > 1 request ran on
 	// the serial engine: "pase", "pdq", "trace_spill" or "single_atom";
@@ -900,10 +896,12 @@ func RunPoint(cfg PointConfig) PointResult {
 
 	// Tracing: one recorder shard per environment, each touched only
 	// from its shard's goroutine and merged into the canonical order
-	// after the run. The hooks chain after protocol attach (PDQ and PASE
-	// claim OnFlowDone above, and the traces must observe those runs
-	// too) and never schedule events; only the queue track does, and it
-	// starts last, in shard order.
+	// after the run. Every stack records into its host's shard, PASE's
+	// endpoint and arbitration into shard 0 (PASE never shards). The
+	// driver hooks chain after protocol attach (PDQ and PASE claim
+	// OnFlowDone above, and the traces must observe those runs too).
+	// Recording never schedules events; only the queue track does, and
+	// it starts last, in shard order.
 	var rec *trace.Recorder
 	if cfg.Trace.Enabled() {
 		rec = trace.NewRecorder(trace.RecorderConfig{
@@ -915,8 +913,11 @@ func RunPoint(cfg PointConfig) PointResult {
 			envs[i].srec = rec.Shard(envs[i].eng)
 		}
 		rec.SetMeta(traceMeta(cfg, net))
-		if paseT != nil && cfg.Trace.Spans {
-			wirePASETraceHooks(envs[0].srec, paseT, paseSys)
+		for _, st := range d.Stacks {
+			st.Rec = envOf(st.Host.ID()).srec
+		}
+		if paseT != nil {
+			paseT.Rec, paseSys.Rec = envs[0].srec, envs[0].srec
 		}
 	}
 	wireTraceHooks(cfg, d, envOf)
@@ -1002,10 +1003,7 @@ func RunPoint(cfg PointConfig) PointResult {
 		if err := rec.FinishSpill(rt); err != nil {
 			panic(err)
 		}
-		res.FlowEvents, res.QueueSamples, res.TraceStats = rt.Events, rt.Queue, rt.Stats
-		if cfg.Trace.Spans {
-			res.Trace = rt
-		}
+		res.Trace = rt
 	}
 	if checked {
 		if sc != nil && sc.Completed() > 0 {
@@ -1028,7 +1026,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	if cfg.Obs {
 		scrapeRun(coordReg, envs[0].eng, net, summary, paseSys, pdqSys, epSys)
 		scrapeCheck(coordReg, envs)
-		scrapeTrace(coordReg, res)
+		scrapeTrace(coordReg, res.Trace, cfg.Trace.Spans)
 		if sc != nil {
 			sk := sc.Sketch()
 			coordReg.Counter("metrics/sketch_adds").Add(sk.Count())
@@ -1142,9 +1140,13 @@ func traceMeta(cfg PointConfig, net *topology.Network) trace.Meta {
 }
 
 // scrapeTrace folds the recorder's retention stats into the registry
-// so run manifests report what the trace kept and shed.
-func scrapeTrace(reg *obs.Registry, res PointResult) {
-	st := res.TraceStats
+// so run manifests report what the trace kept and shed; the span
+// tracks' counters appear only when spans were on.
+func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace, spans bool) {
+	if rt == nil {
+		return
+	}
+	st := rt.Stats
 	// Only runs past a cap count these, so other manifests keep their
 	// bytes.
 	if st.EventsEvicted > 0 {
@@ -1153,8 +1155,7 @@ func scrapeTrace(reg *obs.Registry, res PointResult) {
 	if st.SamplesEvicted > 0 {
 		reg.Counter("trace/queue_samples_evicted").Add(st.SamplesEvicted)
 	}
-	rt := res.Trace
-	if rt == nil {
+	if !spans {
 		return
 	}
 	reg.Counter("trace/flows_started").Add(st.FlowsStarted)
@@ -1172,11 +1173,11 @@ func scrapeTrace(reg *obs.Registry, res PointResult) {
 	}
 }
 
-// wireTraceHooks installs the recorder's lifecycle hooks on the driver,
-// one recorder call per event, chaining after any protocol-installed
-// completion hook. envOf routes a flow to its shard's recorder by
-// source host. The hooks observe only — they never schedule events —
-// so installing them cannot perturb the simulation.
+// wireTraceHooks installs the recorder's flow lifecycle hooks on the
+// driver, chaining after any protocol-installed completion hook. envOf
+// routes a flow to its shard's recorder by source host. The hooks
+// observe only — they never schedule events — so installing them
+// cannot perturb the simulation.
 func wireTraceHooks(cfg PointConfig, d *transport.Driver, envOf func(src pkt.NodeID) *shardEnv) {
 	if !cfg.Trace.FlowLog && !cfg.Trace.Spans {
 		return
@@ -1205,55 +1206,4 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver, envOf func(src pkt.Nod
 			prevDone(s)
 		}
 	}
-	if cfg.Trace.Spans {
-		for _, st := range d.Stacks {
-			st.OnRetx = func(s *transport.Sender, seq int32) {
-				envOf(s.Spec.Src).srec.Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
-			}
-			st.OnTimeout = func(s *transport.Sender) {
-				envOf(s.Spec.Src).srec.Mark(s.Spec.ID, trace.MarkTimeout, 0)
-			}
-		}
-	}
-}
-
-// wirePASETraceHooks connects the PASE endpoint and the arbitration
-// hierarchy to the flight recorder: allocation grants, epoch (priority
-// queue) transitions, fallback/resync marks and every control-plane
-// half-exchange. One shard only — PASE never shards.
-func wirePASETraceHooks(srec *trace.ShardRecorder, paseT *endhost.Transport, paseSys *arbitration.System) {
-	paseT.OnGrant = func(s *transport.Sender, q int8) {
-		srec.Mark(s.Spec.ID, trace.MarkGrant, int64(q))
-	}
-	paseT.OnEpoch = func(s *transport.Sender, q int8) {
-		srec.Epoch(s.Spec.ID, int(q))
-	}
-	paseT.OnFallback = func(s *transport.Sender) {
-		srec.Mark(s.Spec.ID, trace.MarkFallback, 0)
-	}
-	paseT.OnResync = func(s *transport.Sender) {
-		srec.Mark(s.Spec.ID, trace.MarkResync, 0)
-	}
-	paseSys.OnCtrl = func(ev arbitration.CtrlEvent) {
-		srec.Ctrl(trace.CtrlSpan{
-			Flow: ev.Flow, SrcSide: ev.SrcSide, Level: ev.Level,
-			Start: ev.Start, Latency: ev.Latency,
-			Outcome: ctrlOutcome(ev.Outcome),
-		})
-	}
-}
-
-// ctrlOutcome maps the arbitration layer's outcome to the trace
-// layer's (the packages are decoupled so netem/arbitration never
-// import tracing).
-func ctrlOutcome(o arbitration.CtrlOutcome) trace.CtrlOutcome {
-	switch o {
-	case arbitration.CtrlReqDropped:
-		return trace.CtrlReqDropped
-	case arbitration.CtrlRespDropped:
-		return trace.CtrlRespDropped
-	case arbitration.CtrlDeadArb:
-		return trace.CtrlDead
-	}
-	return trace.CtrlOK
 }

@@ -149,14 +149,14 @@ func writeFlowEvent(w *bufio.Writer, e FlowEvent) {
 		int64(e.At), e.Kind, e.Flow, e.Src, e.Dst, e.Size, int64(e.FCT))
 }
 
-// WriteFlowEvents dumps a flow-event slice with a header row. Times
-// are nanoseconds — the clock's native unit — so sub-µs flow
+// WriteFlowEvents dumps the flow-event track as TSV with a header row.
+// Times are nanoseconds — the clock's native unit — so sub-µs flow
 // completion times survive (the old µs columns truncated them to 0).
 // A bufio.Writer keeps its first write error, so Flush reports it.
-func WriteFlowEvents(w io.Writer, events []FlowEvent) error {
+func (rt *RunTrace) WriteFlowEvents(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	writeFlowHeader(bw)
-	for _, e := range events {
+	for _, e := range rt.Events {
 		writeFlowEvent(bw, e)
 	}
 	return bw.Flush()
@@ -204,12 +204,12 @@ func AllPorts(n *topology.Network) []*netem.Port {
 	return out
 }
 
-// WriteQueueSamples dumps a queue-sample slice with a header row.
+// WriteQueueSamples dumps the queue track as TSV with a header row.
 // Times are nanoseconds (see WriteFlowEvents).
-func WriteQueueSamples(w io.Writer, samples []QueueSample) error {
+func (rt *RunTrace) WriteQueueSamples(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# time_ns\tport\tqlen\tqbytes")
-	for _, sm := range samples {
+	for _, sm := range rt.Queue {
 		fmt.Fprintf(bw, "%d\t%s\t%d\t%d\n", int64(sm.At), sm.Port, sm.Len, sm.Bytes)
 	}
 	return bw.Flush()

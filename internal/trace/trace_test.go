@@ -20,7 +20,7 @@ func TestFlowLogTSV(t *testing.T) {
 	l.Add(trace.FlowEvent{At: sim.Time(1500), Kind: "start", Flow: 7, Src: 0, Dst: 1, Size: 1000})
 	l.Add(trace.FlowEvent{At: sim.Time(2_000_000), Kind: "done", Flow: 7, Src: 0, Dst: 1, Size: 1000, FCT: 1_998_500})
 	var sb strings.Builder
-	if err := trace.WriteFlowEvents(&sb, l.Items()); err != nil {
+	if err := (&trace.RunTrace{Events: l.Items()}).WriteFlowEvents(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -105,7 +105,7 @@ func TestSamplerObservesCongestion(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := trace.WriteQueueSamples(&sb, rt.Queue); err != nil {
+	if err := rt.WriteQueueSamples(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), bottleneck) {

@@ -5,6 +5,7 @@ import (
 	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/sim"
+	"pase/internal/trace"
 	"pase/internal/workload"
 )
 
@@ -277,9 +278,7 @@ func (s *Sender) transmit(seq int32) {
 		s.Retx++
 		s.state[seq] |= segRetx
 		s.st.obs.retx.Inc()
-		if s.st.OnRetx != nil {
-			s.st.OnRetx(s, seq)
-		}
+		s.st.Rec.Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
 	}
 	s.st.Host.Send(p)
 }
@@ -542,9 +541,7 @@ func (s *Sender) onTimeout() {
 	}
 	s.Timeouts++
 	s.st.obs.timeouts.Inc()
-	if s.st.OnTimeout != nil {
-		s.st.OnTimeout(s)
-	}
+	s.st.Rec.Mark(s.Spec.ID, trace.MarkTimeout, 0)
 	if s.backoff < maxRTOBackoff {
 		s.backoff++
 	}

@@ -19,6 +19,7 @@ import (
 	"pase/internal/obs"
 	"pase/internal/pkt"
 	"pase/internal/sim"
+	"pase/internal/trace"
 	"pase/internal/workload"
 )
 
@@ -85,12 +86,11 @@ type Stack struct {
 	// receiver processes it (ExpressPass's credit engine counts
 	// deliveries for its credit-waste feedback).
 	OnData func(p *pkt.Packet)
-	// OnRetx / OnTimeout, when set, observe every retransmitted data
-	// segment and every RTO firing — the flight recorder's flagging
-	// hooks. Nil (the default) costs one pointer test on paths that
-	// only run when a flow already misbehaved.
-	OnRetx    func(s *Sender, seq int32)
-	OnTimeout func(s *Sender)
+	// Rec, when set, is the host's shard of the flight recorder: every
+	// retransmitted data segment and every RTO firing is marked on the
+	// flow's trace. Nil (the default) records nothing, like the obs
+	// and check handles.
+	Rec *trace.ShardRecorder
 
 	// senders and receivers are made at the first flow that needs
 	// them: most hosts of a large fabric never see one.

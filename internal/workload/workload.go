@@ -132,13 +132,14 @@ type Spec struct {
 	// individual flows.
 	Fanin int
 
-	// Background flows: long-lived transfers started at time zero
-	// between pattern-chosen pairs (the paper runs two).
+	// Background flows: long-lived 1 GiB transfers started at time
+	// zero between pattern-chosen pairs (the paper runs two).
 	BackgroundFlows int
-	// BackgroundSize is the size of each background flow; it should
-	// be large enough to outlive the run (default 1 GB).
-	BackgroundSize int64
 }
+
+// backgroundSize is the size of each background flow, large enough to
+// outlive any run.
+const backgroundSize = 1 << 30
 
 // Validate reports the first precondition s breaks: a pattern with
 // two hosts to pair (AllToAll) or a host on each side (LeftRight),
@@ -198,14 +199,10 @@ func (s Spec) Generate(r *sim.Rand, firstID pkt.FlowID) []FlowSpec {
 	var out []FlowSpec
 	id := firstID
 
-	bgSize := s.BackgroundSize
-	if bgSize == 0 {
-		bgSize = 1 << 30
-	}
 	for i := 0; i < s.BackgroundFlows; i++ {
 		src, dst := s.Pattern.Pair(r)
 		out = append(out, FlowSpec{
-			ID: id, Src: src, Dst: dst, Size: bgSize, Start: 0, Background: true,
+			ID: id, Src: src, Dst: dst, Size: backgroundSize, Start: 0, Background: true,
 		})
 		id++
 	}
@@ -257,7 +254,6 @@ type Stream struct {
 	spec    Spec
 	r       *sim.Rand
 	id      pkt.FlowID
-	bgSize  int64
 	bgLeft  int
 	meanGap sim.Duration
 	t       sim.Time
@@ -274,10 +270,6 @@ func (s Spec) Stream(r *sim.Rand, firstID pkt.FlowID) *Stream {
 		panic(err)
 	}
 	st := &Stream{spec: s, r: r, id: firstID, bgLeft: s.BackgroundFlows}
-	st.bgSize = s.BackgroundSize
-	if st.bgSize == 0 {
-		st.bgSize = 1 << 30
-	}
 	st.meanGap = sim.Duration(float64(sim.Second) / s.ArrivalRate())
 	if s.Fanin > 1 {
 		st.meanGap *= sim.Duration(s.Fanin)
@@ -292,7 +284,7 @@ func (st *Stream) Next() (FlowSpec, bool) {
 	if st.bgLeft > 0 {
 		st.bgLeft--
 		src, dst := s.Pattern.Pair(st.r)
-		f := FlowSpec{ID: st.id, Src: src, Dst: dst, Size: st.bgSize, Start: 0, Background: true}
+		f := FlowSpec{ID: st.id, Src: src, Dst: dst, Size: backgroundSize, Start: 0, Background: true}
 		st.id++
 		return f, true
 	}

@@ -3,6 +3,7 @@ package pase_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -134,6 +135,21 @@ func TestSimulateDefaults(t *testing.T) {
 	}
 	if len(rep.CDF) == 0 {
 		t.Fatal("CDF missing")
+	}
+}
+
+// TestUntracedReportHasNoTrace: a run with no trace track on carries a
+// nil Trace, and exporting it fails with an error instead of a panic.
+func TestUntracedReportHasNoTrace(t *testing.T) {
+	rep, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Trace != nil {
+		t.Fatalf("untraced run returned a trace: %+v", rep.Trace.Stats)
+	}
+	if err := rep.Trace.WritePerfetto(io.Discard); err == nil || !strings.Contains(err.Error(), "no span trace recorded") {
+		t.Fatalf("WritePerfetto on an untraced run: err = %v, want the no-span-trace error", err)
 	}
 }
 
