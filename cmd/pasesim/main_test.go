@@ -125,6 +125,8 @@ var flagTable = []flagRow{
 	{flag: "queueinterval", args: small("-queuetrace", "q.tsv", "-queueinterval", "50us"),
 		cfg: func(c *pase.SimConfig) { c.Trace.QueueSample = pase.Duration(50 * time.Microsecond) },
 		out: contains("every 50µs")},
+	{flag: "queueinterval", args: small("-queuetrace", "q.tsv", "-queueinterval", "0"), reject: "-queueinterval"},
+	{flag: "queueinterval", args: small("-queuetrace", "q.tsv", "-queueinterval", "-5us"), reject: "-queueinterval"},
 	{flag: "trace", args: small("-trace", "t.json"),
 		cfg: func(c *pase.SimConfig) {
 			c.Trace.Spans, c.Trace.QueueSample = true, pase.Duration(100*time.Microsecond)
