@@ -35,7 +35,7 @@ func refreshRound(tb testing.TB, cfg topology.Config, p Params) func() {
 	for i := range clients {
 		src := i * (hosts / 2) / len(clients)
 		clients[i] = sys.NewClient(pkt.FlowID(i+1), pkt.NodeID(src), pkt.NodeID(src+hosts/2))
-		clients[i].OnUpdate = func() { updates++ }
+		clients[i].OnUpdate = onUpdate(func() { updates++ })
 	}
 	round := 0
 	return func() {
@@ -125,6 +125,11 @@ func TestTreeRefreshSharesAllocFree(t *testing.T) {
 	}
 }
 
+// onUpdate is a test's Client.OnUpdate target.
+type onUpdate func()
+
+func (f onUpdate) Fire(any) { f() }
+
 // lateFirst delays the first n surviving responses and drops nothing.
 type lateFirst struct {
 	n    int
@@ -160,7 +165,7 @@ func TestRepliesCarryTheirOwnDecision(t *testing.T) {
 		a := sys.NewClient(1, 0, 159)
 		rival := sys.NewClient(2, 0, 159)
 		var seen []Decision
-		a.OnUpdate = func() { seen = append(seen, a.Combined()) }
+		a.OnUpdate = onUpdate(func() { seen = append(seen, a.Combined()) })
 
 		a.Refresh(5000, netem.Gbps)
 		rival.Refresh(100, netem.Gbps) // more urgent, takes the whole link
@@ -186,5 +191,37 @@ func TestRepliesCarryTheirOwnDecision(t *testing.T) {
 			// refresh's decision, not a copy of the second's.
 			t.Fatalf("after the delayed responses: %+v, want the last to be %+v", seen, first)
 		}
+	}
+}
+
+// TestStaleReplyMissesTheNextLife: a client record goes round with its
+// flow's control, so a response still in flight from one life can land
+// on the next. Flow 1's responses are held back past its release; the
+// same record starts over as flow 2, which a more urgent rival pushes
+// to queue 1. Flow 2 must see its own two responses and nothing of flow
+// 1's top-queue grant.
+func TestStaleReplyMissesTheNextLife(t *testing.T) {
+	const late = 5 * sim.Millisecond
+	base := netem.BitRate(float64(pkt.MTU*8) / DefaultParams().Epoch.Seconds())
+	own := Decision{Queue: 1, Rref: base}
+
+	eng, _, sys := buildSys(t, DefaultParams())
+	sys.Faults = &lateFirst{n: 2, late: late} // both halves of flow 1's refresh
+	c := sys.NewClient(1, 0, 159)
+	c.Refresh(5000, netem.Gbps)
+	c.Release()
+
+	rival := sys.NewClient(3, 0, 159)
+	rival.Refresh(100, netem.Gbps) // more urgent, takes the whole path
+	sys.InitClient(c, 2, 0, 159)
+	var seen []Decision
+	c.OnUpdate = onUpdate(func() { seen = append(seen, c.Combined()) })
+	c.Refresh(5000, netem.Gbps)
+
+	if err := eng.RunUntil(sim.Time(2 * late)); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] != own || seen[1] != own || c.Combined() != own {
+		t.Fatalf("flow 2 saw %+v and holds %+v, want its own two responses of %+v", seen, c.Combined(), own)
 	}
 }

@@ -75,10 +75,10 @@ type Arbitrator struct {
 	// entries is made at the first registration: most links of a
 	// large fabric never carry a flow.
 	entries map[pkt.FlowID]*entry
-	// sorted is rebuilt from entries at the head of every allocation
-	// pass and read only inside that pass: between a Remove and the next
-	// pass it may still point at an entry already back in the pool.
-	sorted []*entry
+	// sorted is the sort scratch a pass refills from entries and reads
+	// only inside that pass: the owning System's, or a standalone
+	// arbitrator's own, made at its first pass.
+	sorted *[]*entry
 	// pool is the owning System's entry free list; nil on a standalone
 	// arbitrator, whose entries come from and go back to the allocator.
 	pool   *pool.List[entry]
@@ -119,9 +119,10 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 	}
 }
 
-// withPool makes a System's arbitrator draw its entries from l.
-func (a *Arbitrator) withPool(l *pool.List[entry]) *Arbitrator {
-	a.pool = l
+// withPool makes a System's arbitrator draw its entries from l and
+// sort them in the system's scratch.
+func (a *Arbitrator) withPool(l *pool.List[entry], sorted *[]*entry) *Arbitrator {
+	a.pool, a.sorted = l, sorted
 	return a
 }
 
@@ -180,7 +181,6 @@ func (a *Arbitrator) Crash() {
 		delete(a.entries, id)
 		a.release(e)
 	}
-	a.sorted = a.sorted[:0]
 	a.epoch = -1
 }
 
@@ -219,6 +219,7 @@ func (a *Arbitrator) update(flow pkt.FlowID, key, key2 int64, demand netem.BitRa
 			a.entries = make(map[pkt.FlowID]*entry)
 		}
 		a.entries[flow] = e
+		a.epoch = -1 // a newcomer never waits for an epoch edge
 	}
 	e.key = key
 	e.key2 = key2
@@ -226,9 +227,6 @@ func (a *Arbitrator) update(flow pkt.FlowID, key, key2 int64, demand netem.BitRa
 	if a.period > 0 {
 		e.lease = now.Add(leaseEpochs * a.period)
 	}
-	// A registration leaves len(sorted) != len(entries), which forces
-	// maybeRecompute to run a full pass immediately — newcomers never
-	// wait for an epoch edge.
 	a.maybeRecompute(now)
 	return e.decision
 }
@@ -272,29 +270,33 @@ func entryOrder(x, y *entry) int {
 
 // maybeRecompute refreshes every cached decision once per epoch.
 func (a *Arbitrator) maybeRecompute(now sim.Time) {
-	if a.epoch >= 0 && now < a.epoch.Add(a.period) && len(a.sorted) == len(a.entries) {
+	if a.epoch >= 0 && now < a.epoch.Add(a.period) {
 		return
 	}
 	a.epoch = now
+	if a.sorted == nil {
+		a.sorted = new([]*entry)
+	}
 
 	// Drop expired entries (flows that died without releasing).
-	a.sorted = a.sorted[:0]
+	sorted := (*a.sorted)[:0]
 	for id, e := range a.entries {
 		if e.lease < now {
 			delete(a.entries, id)
 			a.release(e)
 			continue
 		}
-		a.sorted = append(a.sorted, e)
+		sorted = append(sorted, e)
 	}
-	slices.SortFunc(a.sorted, entryOrder)
-	a.obsSorted.Add(int64(len(a.sorted)))
+	*a.sorted = sorted
+	slices.SortFunc(sorted, entryOrder)
+	a.obsSorted.Add(int64(len(sorted)))
 
 	// Algorithm 1, one pass: ADH accumulates the demand ahead of each
 	// flow, drain the time the flows granted so far take to finish.
 	var adh netem.BitRate
 	var drain sim.Duration
-	for _, e := range a.sorted {
+	for _, e := range sorted {
 		e.decision = a.decide(adh, e.demand)
 		adh += e.demand
 		if a.horizon > 0 {
@@ -318,7 +320,7 @@ func (a *Arbitrator) maybeRecompute(now sim.Time) {
 // the top queue is an Early Start grant, in queue 1.
 func (a *Arbitrator) checkAllocation() {
 	var topSum netem.BitRate
-	for _, e := range a.sorted {
+	for _, e := range *a.sorted {
 		d := e.decision
 		if e.lease == entryFreed {
 			a.chk.Reportf(check.InvArbCapacity, a.chkLabel, uint64(e.flow), "allocation pass read a released entry")

@@ -21,8 +21,8 @@ import (
 //
 // That arbitrator is standalone — its entries come from the allocator —
 // and doubles as the oracle for a pooled twin fed the same ops, which
-// shares its free list with a neighbour churning entries of its own
-// (unchecked, so entries really recycle): the twin must return the same
+// shares its free list and sort scratch with a neighbour churning
+// entries of its own (unchecked, so entries really recycle): the twin must return the same
 // decisions and hold the same flows, i.e. a recycled entry never
 // carries a key, lease or decision into its next life.
 func FuzzArbitrator(f *testing.F) {
@@ -43,10 +43,11 @@ func FuzzArbitrator(f *testing.F) {
 			func() sim.Time { return now })
 		a.AttachCheck(check.NewStrict(func() int64 { return int64(now) }))
 		free := pool.New[entry](32, math.MaxInt32)
+		var sorted []*entry
 		twin := NewArbitrator(0, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&free)
+			func() sim.Time { return now }).withPool(&free, &sorted)
 		neighbour := NewArbitrator(1, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&free)
+			func() sim.Time { return now }).withPool(&free, &sorted)
 
 		for i, op := range data[2:] {
 			flow := pkt.FlowID(op%13 + 1)

@@ -18,7 +18,7 @@ import (
 func TestReleasedEntryPoisoned(t *testing.T) {
 	free := pool.New[entry](32, math.MaxInt32)
 	_, a := newArb(netem.Gbps)
-	a.withPool(&free)
+	a.withPool(&free, nil)
 	a.AttachCheck(check.NewStrict(nil))
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
@@ -41,9 +41,10 @@ func TestReleasedEntryPoisoned(t *testing.T) {
 func TestEntriesRecycleAcrossArbitrators(t *testing.T) {
 	free := pool.New[entry](32, math.MaxInt32)
 	var now sim.Time
+	var sorted []*entry
 	clock := func() sim.Time { return now }
 	mk := func(id int) *Arbitrator {
-		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&free)
+		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&free, &sorted)
 	}
 	a, b := mk(0), mk(1)
 	a.Update(1, 10, netem.Gbps)

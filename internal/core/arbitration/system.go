@@ -152,6 +152,9 @@ type System struct {
 	// a climb visits, for entries).
 	entryPool pool.List[entry]
 	replyPool pool.List[reply]
+	// sorted is the sort scratch of every arbitrator's allocation pass
+	// (one goroutine, and no pass runs inside another).
+	sorted []*entry
 	// upTree/downTree, when Hierarchy is enabled, are the directional
 	// multi-level virtual aggregation trees that replace the flat
 	// delegation above the access links.
@@ -197,7 +200,7 @@ func NewSystem(net *topology.Network, p Params) *System {
 	clock := sys.eng.Now
 	baseRate := netem.BitRate(float64(pkt.MTU*8) / p.Epoch.Seconds())
 	newArb := func(id int, capacity netem.BitRate) *Arbitrator {
-		return NewArbitrator(id, capacity, p.NumQueues, baseRate, p.Epoch, clock).withPool(&sys.entryPool)
+		return NewArbitrator(id, capacity, p.NumQueues, baseRate, p.Epoch, clock).withPool(&sys.entryPool, &sys.sorted)
 	}
 	for _, l := range net.Links {
 		sys.arbs[l.ID] = newArb(l.ID, l.Capacity())
@@ -225,8 +228,8 @@ func NewSystem(net *topology.Network, p Params) *System {
 			}
 		}
 		racks := net.Cfg.Racks
-		sys.upTree = newTree(&sys.entryPool, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
-		sys.downTree = newTree(&sys.entryPool, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
+		sys.upTree = newTree(&sys.entryPool, &sys.sorted, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
+		sys.downTree = newTree(&sys.entryPool, &sys.sorted, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
 		sys.nlevels = sys.upTree.MaxDepth() + 1
 		if sys.nlevels > MaxCtrlLevels {
 			sys.nlevels = MaxCtrlLevels
@@ -387,6 +390,9 @@ type Client struct {
 	flow pkt.FlowID
 	src  pkt.NodeID
 	dst  pkt.NodeID
+	// gen counts the record's lives: InitClient moves it on, so a reply
+	// stamped in an earlier life lands on nothing.
+	gen uint32
 
 	// upPath is the src half bottom-up; dstClimb is the dst half in the
 	// same bottom-up order (the reverse of the traversal order), computed
@@ -398,23 +404,34 @@ type Client struct {
 	srcHalf, dstHalf Decision
 
 	released bool
-	// OnUpdate is invoked whenever a half-result lands; the transport
-	// re-reads Combined.
-	OnUpdate func()
+	// OnUpdate, when set, fires with UpdateArg whenever a half-result
+	// lands; the transport re-reads Combined.
+	OnUpdate  sim.Action
+	UpdateArg any
 }
 
 // NewClient creates the per-flow arbitration handle.
 func (sys *System) NewClient(flow pkt.FlowID, src, dst pkt.NodeID) *Client {
+	c := new(Client)
+	sys.InitClient(c, flow, src, dst)
+	return c
+}
+
+// InitClient starts c over, in place, as the handle of a new flow: it
+// overwrites every field, refills the dst climb into c's own backing
+// array and moves the generation on. c must be new or released.
+func (sys *System) InitClient(c *Client, flow pkt.FlowID, src, dst pkt.NodeID) {
 	sys.Stats.Setups++
 	sys.inflight++
 	sys.o.inflight.Update(sys.inflight)
-	dstClimb := slices.Clone(sys.net.PathDownFlow(src, dst, flow))
+	dstClimb := append(c.dstClimb[:0], sys.net.PathDownFlow(src, dst, flow)...)
 	slices.Reverse(dstClimb)
-	return &Client{
+	*c = Client{
 		sys:      sys,
 		flow:     flow,
 		src:      src,
 		dst:      dst,
+		gen:      c.gen + 1,
 		upPath:   sys.net.PathUpFlow(src, dst, flow),
 		dstClimb: dstClimb,
 	}
@@ -522,6 +539,7 @@ func (d Decision) worse(h Decision) Decision {
 // next refresh of the same half produces another.
 type reply struct {
 	c        *Client
+	gen      uint32 // c's life the response answers
 	d        Decision
 	src, dst bool // the halves this response answers (central: both)
 }
@@ -529,20 +547,21 @@ type reply struct {
 // respond schedules a response's delivery after the modelled latency.
 func (sys *System) respond(c *Client, d Decision, src, dst bool, latency sim.Duration) {
 	r := sys.replyPool.Take()
-	*r = reply{c, d, src, dst}
+	*r = reply{c, c.gen, d, src, dst}
 	sys.eng.ScheduleAction(latency, (*replyAction)(sys), r)
 }
 
 // replyAction delivers a response: the record goes back first, so the
-// refresh OnUpdate may trigger finds it free.
+// refresh OnUpdate may trigger finds it free. A response to a released
+// flow, or to an earlier life of a reused client, changes nothing.
 type replyAction System
 
 func (a *replyAction) Fire(arg any) {
 	r := arg.(*reply)
-	c, d, src, dst := r.c, r.d, r.src, r.dst
+	c, gen, d, src, dst := r.c, r.gen, r.d, r.src, r.dst
 	*r = reply{}
 	(*System)(a).replyPool.Put(r)
-	if c.released {
+	if c.released || c.gen != gen {
 		return
 	}
 	if src {
@@ -552,7 +571,7 @@ func (a *replyAction) Fire(arg any) {
 		c.dstHalf, c.haveDst = d, true
 	}
 	if c.OnUpdate != nil {
-		c.OnUpdate()
+		c.OnUpdate.Fire(c.UpdateArg)
 	}
 }
 

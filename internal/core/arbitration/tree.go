@@ -66,12 +66,13 @@ const (
 )
 
 // newTree builds one directional aggregation tree over `racks` racks,
-// every arbitrator drawing its entries from pool (nil = the
-// allocator). rackCap is the capacity a single rack's uplink tier
-// contributes; topCap bounds every aggregate (the core's bisection in
-// that direction). numQueues/baseRate/period/clock configure the
-// embedded arbitrators exactly like physical ones.
-func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
+// every arbitrator drawing its entries from pool (nil = the allocator)
+// and sorting them in sorted (nil = a scratch of its own). rackCap is
+// the capacity a single rack's uplink tier contributes; topCap bounds
+// every aggregate (the core's bisection in that direction).
+// numQueues/baseRate/period/clock configure the embedded arbitrators
+// exactly like physical ones.
+func newTree(entries *pool.List[entry], sorted *[]*entry, h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
 	if !h.Enabled() || racks < 1 {
 		return nil
 	}
@@ -99,7 +100,7 @@ func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, t
 			row := make([]*Arbitrator, shards)
 			for s := range row {
 				id := idBase + lv*treeLevelStride + s
-				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(entries)
+				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(entries, sorted)
 			}
 			t.levels = append(t.levels, row)
 			continue
@@ -107,7 +108,7 @@ func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, t
 		row := make([]*Arbitrator, n)
 		for i := range row {
 			id := idBase + lv*treeLevelStride + i
-			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(entries)
+			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(entries, sorted)
 		}
 		t.levels = append(t.levels, row)
 	}
@@ -124,7 +125,7 @@ func newTree(entries *pool.List[entry], h HierarchyParams, racks int, rackCap, t
 			p := c / h.FanOut
 			share := t.levels[lv][p].Capacity() / netem.BitRate(len(t.under(t.levels[lv-1], p)))
 			id := -(idBase + lv*treeLevelStride + c)
-			row[c] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries)
+			row[c] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries, sorted)
 		}
 		t.slices[lv-1] = row
 	}

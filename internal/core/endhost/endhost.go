@@ -122,15 +122,18 @@ func Attach(d *transport.Driver, sys *arbitration.System, cfg Config) *Transport
 	return t
 }
 
-// NewControl implements the transport.Control factory.
+// NewControl implements the transport.Control factory; the control,
+// its client included, goes round with its sender record.
 func (t *Transport) NewControl(s *transport.Sender) transport.Control {
-	return &control{t: t}
+	c := transport.ReuseControl[control](s)
+	*c = control{t: t, client: c.client}
+	return c
 }
 
 // control is per-flow PASE state.
 type control struct {
 	t      *Transport
-	client *arbitration.Client
+	client arbitration.Client
 
 	// DCTCP's mark estimation and once-per-window cut.
 	w dctcp.Window
@@ -172,8 +175,8 @@ func (c *control) Init(s *transport.Sender) {
 	c.targetPrio = c.activePrio
 	s.Prio = c.activePrio
 	s.Hold = true
-	c.client = c.t.Sys.NewClient(s.Spec.ID, s.Spec.Src, s.Spec.Dst)
-	c.client.OnUpdate = func() { c.onArbitration(s) }
+	c.t.Sys.InitClient(&c.client, s.Spec.ID, s.Spec.Src, s.Spec.Dst)
+	c.client.OnUpdate, c.client.UpdateArg = (*updateAction)(c), s
 	c.lastHeard = s.Now()
 	c.awaiting = true
 	c.client.Refresh(c.key(s), c.demand(s))
@@ -228,13 +231,16 @@ func (c *control) scheduleRefresh(s *transport.Sender) {
 	c.refreshTimer = s.Stack().Eng.ScheduleAction(period, (*refreshAction)(c), s)
 }
 
-// The control's two timers are pre-bound sim.Actions on the control
-// with the sender as argument, so re-arming them every RTT allocates
-// nothing.
+// The control's two timers and its client's update hook are
+// pre-bound sim.Actions on the control with the sender as argument, so
+// re-arming them every RTT, or starting a flow, allocates nothing.
 type (
 	refreshAction control
 	probeAction   control
+	updateAction  control
 )
+
+func (a *updateAction) Fire(arg any) { (*control)(a).onArbitration(arg.(*transport.Sender)) }
 
 func (a *refreshAction) Fire(arg any) {
 	c, s := (*control)(a), arg.(*transport.Sender)

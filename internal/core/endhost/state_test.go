@@ -284,7 +284,7 @@ func TestFallbackTimeoutHalvesSSThresh(t *testing.T) {
 	// The rig's arbitration is all rack-local, which control faults
 	// never drop, so silence the control plane at the flow: answers
 	// still come, but the flow no longer hears them.
-	c.client.OnUpdate = func() {}
+	c.client.OnUpdate = nil
 	if err := r.eng.RunUntil(r.eng.Now().Add(r.t.Cfg.FallbackAfter + 2*retryCap)); err != nil {
 		t.Fatal(err)
 	}

@@ -170,10 +170,9 @@ func (s *Sender) Stack() *Stack { return s.st }
 
 // ReuseControl is for NewControl factories: it returns the *C that s,
 // a recycled record, still holds from its previous life, or a new C.
-// The factory must overwrite every field. Only a control that owns
-// nothing able to outlive its flow may come back this way — no timer,
-// no closure, no in-flight record pointing at it; PDQ's, PASE's and
-// ExpressPass's do and are allocated per flow.
+// The factory must overwrite every field, and nothing of the last flow
+// may reach the control after it: PASE stops its timers and stamps its
+// replies; PDQ's and ExpressPass's controls are allocated per flow.
 func ReuseControl[C any](s *Sender) *C {
 	if c, ok := any(s.ctrl).(*C); ok {
 		return c
