@@ -155,9 +155,9 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamCollectorMatchesCollector runs identical records through
-// both sinks: everything but P50/P99 must match exactly, and those
-// must be within the sketch's ε.
+// TestStreamCollectorMatchesCollector runs identical records, aborted
+// and timed-out flows among them, through both sinks: everything but
+// P50/P99 must match exactly, and those must be within the sketch's ε.
 func TestStreamCollectorMatchesCollector(t *testing.T) {
 	r := sim.NewRand(11)
 	stored := NewCollector()
@@ -166,12 +166,14 @@ func TestStreamCollectorMatchesCollector(t *testing.T) {
 		start := sim.Time(r.UniformInt(0, int64(sim.Second)))
 		fct := r.ExpDuration(3 * sim.Millisecond)
 		rec := FlowRecord{
-			ID:     uint64(i + 1),
-			Size:   r.UniformInt(1000, 100_000),
-			Start:  start,
-			Finish: start.Add(fct),
-			Done:   i%97 != 0, // sprinkle unfinished flows
-			Retx:   i % 5,
+			ID:       uint64(i + 1),
+			Size:     r.UniformInt(1000, 100_000),
+			Start:    start,
+			Finish:   start.Add(fct),
+			Done:     i%97 != 0, // sprinkle unfinished flows
+			Aborted:  i%97 == 0 && i%2 == 0,
+			Retx:     i % 5,
+			Timeouts: i % 3,
 		}
 		if i%7 == 0 {
 			rec.Deadline = start.Add(4 * sim.Millisecond)
@@ -180,9 +182,9 @@ func TestStreamCollectorMatchesCollector(t *testing.T) {
 		stream.Add(rec)
 	}
 	a, b := stored.Summarize(), stream.Summarize()
-	if a.Flows != b.Flows || a.Completed != b.Completed || a.AFCT != b.AFCT ||
-		a.MaxFCT != b.MaxFCT || a.Retx != b.Retx || a.Timeouts != b.Timeouts ||
-		a.DeadlineFlows != b.DeadlineFlows || a.AppThroughput != b.AppThroughput {
+	exactA, exactB := a, b
+	exactA.P50, exactA.P99, exactB.P50, exactB.P99 = 0, 0, 0, 0
+	if exactA != exactB || a.Aborted == 0 || a.Timeouts == 0 {
 		t.Fatalf("exact fields diverge:\nstored %+v\nstream %+v", a, b)
 	}
 	eps := sketchEps(stream.Sketch())

@@ -8,35 +8,17 @@ var (
 )
 
 // StreamCollector is the bounded-memory Sink for large runs: it keeps
-// online aggregates (count, FCT sum, exact max, deadline hits,
-// retransmission totals) plus a QuantileSketch for P50/P99 and
-// downsampled CDFs, and never retains individual FlowRecords. Memory
-// is O(1) in the number of flows and Add is allocation-free, so a
-// 10^6-flow run costs the same heap as a 10^3-flow one.
+// the same exact tally as the stored Collector plus a QuantileSketch
+// for P50/P99 and downsampled CDFs, and never retains individual
+// FlowRecords. Memory is O(1) in the number of flows and Add is
+// allocation-free, so a 10^6-flow run costs the same heap as a
+// 10^3-flow one.
 //
 // Relative to the stored Collector, Summarize differs only in P50/P99
-// (within the sketch's ε) — Flows, Completed, AFCT, MaxFCT,
-// AppThroughput, Retx and Timeouts are computed from the same exact
-// sums.
+// (within the sketch's ε); every other field comes from the same tally.
 type StreamCollector struct {
+	tally
 	sketch *QuantileSketch
-
-	flows     int
-	completed int
-	aborted   int
-	fctSum    int64
-	maxFCT    sim.Duration
-
-	deadlineFlows int
-	deadlineMet   int
-
-	retx     int64
-	timeouts int64
-
-	// CtrlMessages / CtrlBytes mirror Collector's arbitration
-	// control-plane counters.
-	CtrlMessages int64
-	CtrlBytes    int64
 }
 
 // NewStreamCollector returns an empty streaming collector whose
@@ -56,75 +38,24 @@ func (c *StreamCollector) Completed() int { return c.completed }
 // Add records one finished flow. It implements Sink and is
 // allocation-free.
 func (c *StreamCollector) Add(r FlowRecord) {
-	c.flows++
-	c.retx += int64(r.Retx)
-	c.timeouts += int64(r.Timeouts)
-	if r.Deadline > 0 {
-		c.deadlineFlows++
-		if r.MetDeadline() {
-			c.deadlineMet++
-		}
+	if c.add(r) {
+		c.sketch.Add(int64(r.FCT()))
 	}
-	if r.Aborted {
-		c.aborted++
-	}
-	if !r.Done {
-		return
-	}
-	c.completed++
-	fct := r.FCT()
-	c.fctSum += int64(fct)
-	if fct > c.maxFCT {
-		c.maxFCT = fct
-	}
-	c.sketch.Add(int64(fct))
 }
 
-// Summarize implements Sink. AFCT and MaxFCT are exact (same integer
-// arithmetic as the stored Collector); P50 and P99 come from the
-// sketch.
+// Summarize implements Sink: the tally's exact fields, with P50 and
+// P99 from the sketch.
 func (c *StreamCollector) Summarize() Summary {
-	s := Summary{
-		Flows:         c.flows,
-		Completed:     c.completed,
-		Aborted:       c.aborted,
-		DeadlineFlows: c.deadlineFlows,
-		Retx:          c.retx,
-		Timeouts:      c.timeouts,
-		CtrlMessages:  c.CtrlMessages,
-		CtrlBytes:     c.CtrlBytes,
-	}
-	if c.deadlineFlows > 0 {
-		s.AppThroughput = float64(c.deadlineMet) / float64(c.deadlineFlows)
-	}
-	if c.completed == 0 {
-		return s
-	}
-	s.AFCT = sim.Duration(c.fctSum / int64(c.completed))
+	s := c.summary()
 	s.P50 = sim.Duration(c.sketch.Quantile(50))
 	s.P99 = sim.Duration(c.sketch.Quantile(99))
-	s.MaxFCT = c.maxFCT
 	return s
 }
 
-// CDF implements Sink: the same evenly spaced rank grid as the stored
-// Collector's CDF, with values read from the sketch (so each step is
-// within ε of the exact one).
+// CDF implements Sink: the stored Collector's rank grid, with values
+// read from the sketch (so each step is within ε of the exact one).
 func (c *StreamCollector) CDF(maxPoints int) []CDFPoint {
-	n := int64(c.completed)
-	if n == 0 {
-		return nil
-	}
-	if maxPoints <= 0 || int64(maxPoints) > n {
-		maxPoints = int(n)
-	}
-	out := make([]CDFPoint, 0, maxPoints)
-	for i := 1; i <= maxPoints; i++ {
-		rank := int64(i) * n / int64(maxPoints)
-		out = append(out, CDFPoint{
-			Value:    sim.Duration(c.sketch.valueAtRank(rank)),
-			Fraction: float64(rank) / float64(n),
-		})
-	}
-	return out
+	return cdf(c.completed, maxPoints, func(rank int64) sim.Duration {
+		return sim.Duration(c.sketch.valueAtRank(rank))
+	})
 }

@@ -190,66 +190,23 @@ func (s Spec) ArrivalRate() float64 {
 	return s.Load * float64(s.Reference) / meanBits
 }
 
-// Generate materializes the workload: background flows at t=0 followed
-// by NumFlows Poisson arrivals. IDs start at firstID and increase.
+// Generate materializes the sequence Stream(r, firstID) yields:
+// background flows at t=0 followed by NumFlows Poisson arrivals, with
+// IDs from firstID up.
 func (s Spec) Generate(r *sim.Rand, firstID pkt.FlowID) []FlowSpec {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	var out []FlowSpec
-	id := firstID
-
-	for i := 0; i < s.BackgroundFlows; i++ {
-		src, dst := s.Pattern.Pair(r)
-		out = append(out, FlowSpec{
-			ID: id, Src: src, Dst: dst, Size: backgroundSize, Start: 0, Background: true,
-		})
-		id++
-	}
-
-	meanGap := sim.Duration(float64(sim.Second) / s.ArrivalRate())
-	if s.Fanin > 1 {
-		// Query events of Fanin simultaneous flows each.
-		meanGap *= sim.Duration(s.Fanin)
-	}
-	t := sim.Time(0)
-	aggNext := 0
-	for i := 0; i < s.NumFlows; {
-		t = t.Add(r.ExpDuration(meanGap))
-		if s.Fanin <= 1 {
-			src, dst := s.Pattern.Pair(r)
-			out = append(out, s.flow(r, id, src, dst, t))
-			id++
-			i++
-			continue
-		}
-		a2a := s.Pattern.(AllToAll)
-		dst := a2a.Hosts[aggNext%len(a2a.Hosts)]
-		aggNext++
-		task := uint64(aggNext) // tasks numbered in arrival order
-		workers := pickWorkers(r, a2a.Hosts, dst, s.Fanin)
-		for _, src := range workers {
-			if i >= s.NumFlows {
-				break
-			}
-			f := s.flow(r, id, src, dst, t)
-			f.Task = task
-			out = append(out, f)
-			id++
-			i++
-		}
+	st := s.Stream(r, firstID)
+	out := make([]FlowSpec, 0, s.BackgroundFlows+s.NumFlows)
+	for f, ok := st.Next(); ok; f, ok = st.Next() {
+		out = append(out, f)
 	}
 	return out
 }
 
-// Stream is an iterator over the same flow sequence Generate
-// materializes: background flows first, then Poisson arrivals one at a
-// time, drawing from the RNG in exactly the order Generate does so the
-// two are interchangeable (the conformance suite pins sequence
-// equality, fan-in included). A Stream holds only the current fan-in
-// batch — O(Fanin) memory regardless of NumFlows — which is what lets
-// million-flow runs schedule arrivals lazily instead of building the
-// whole []FlowSpec up front.
+// Stream is an iterator over a Spec's flows: background flows first,
+// then Poisson arrivals one at a time. A Stream holds only the current
+// fan-in batch — O(Fanin) memory regardless of NumFlows — which is
+// what lets million-flow runs schedule arrivals lazily instead of
+// building the whole []FlowSpec up front.
 type Stream struct {
 	spec    Spec
 	r       *sim.Rand
@@ -263,8 +220,8 @@ type Stream struct {
 	batchi  int
 }
 
-// Stream returns an iterator yielding the flow sequence of
-// Generate(r, firstID) one FlowSpec at a time.
+// Stream returns an iterator yielding the workload one FlowSpec at a
+// time, with IDs from firstID up.
 func (s Spec) Stream(r *sim.Rand, firstID pkt.FlowID) *Stream {
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -319,7 +276,7 @@ func (st *Stream) Next() (FlowSpec, bool) {
 			st.emitted++
 		}
 		// An all-aggregator query draw can yield zero workers only when
-		// the pool is empty; the outer loop then redraws, like Generate.
+		// the pool is empty; the loop then draws the next arrival.
 		if len(st.batch) > 0 {
 			st.batchi = 1
 			return st.batch[0], true
