@@ -31,8 +31,7 @@ const (
 	DataClass
 	// AckClass matches acknowledgements.
 	AckClass
-	// CtrlClass matches control traffic: probes, probe-acks and
-	// explicit control messages.
+	// CtrlClass matches control traffic: PASE's probes and probe-acks.
 	CtrlClass
 )
 
@@ -47,7 +46,7 @@ func (c Class) Matches(t pkt.Type) bool {
 	case AckClass:
 		return t == pkt.Ack
 	case CtrlClass:
-		return t == pkt.Probe || t == pkt.ProbeAck || t == pkt.Ctrl
+		return t == pkt.Probe || t == pkt.ProbeAck
 	}
 	return false
 }

@@ -128,14 +128,14 @@ func TestClassMatches(t *testing.T) {
 		want bool
 	}{
 		{Any, pkt.Data, true},
-		{Any, pkt.Ctrl, true},
+		{Any, pkt.Credit, true},
 		{DataClass, pkt.Data, true},
 		{DataClass, pkt.Ack, false},
 		{AckClass, pkt.Ack, true},
 		{AckClass, pkt.Probe, false},
 		{CtrlClass, pkt.Probe, true},
 		{CtrlClass, pkt.ProbeAck, true},
-		{CtrlClass, pkt.Ctrl, true},
+		{CtrlClass, pkt.Credit, false},
 		{CtrlClass, pkt.Data, false},
 	}
 	for _, tc := range tests {

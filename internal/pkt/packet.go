@@ -33,8 +33,6 @@ const (
 	Probe
 	// ProbeAck answers a Probe.
 	ProbeAck
-	// Ctrl carries arbitration control-plane messages.
-	Ctrl
 	// Credit is an ExpressPass-style minimum-size credit packet sent
 	// by a receiver; each credit entitles the sender to transmit one
 	// data segment on the reverse path.
@@ -44,7 +42,7 @@ const (
 	CreditReq
 )
 
-var typeNames = [...]string{"DATA", "ACK", "PROBE", "PROBEACK", "CTRL", "CREDIT", "CREDITREQ"}
+var typeNames = [...]string{"DATA", "ACK", "PROBE", "PROBEACK", "CREDIT", "CREDITREQ"}
 
 func (t Type) String() string {
 	if int(t) < len(typeNames) {
@@ -112,9 +110,6 @@ type Packet struct {
 	// loss precisely — only credits whose round trip completed count —
 	// instead of guessing from a lagged send/receive ratio.
 	CSeq int64
-
-	// Ctrl and protocol-specific header contents.
-	Ctrl any
 
 	// SentAt is stamped by the sender for RTT sampling; EnqAt by the
 	// queue for queueing-delay accounting.

@@ -58,7 +58,7 @@ func TestSegmentSizesSumToFlow(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	if Data.String() != "DATA" || Ack.String() != "ACK" || Ctrl.String() != "CTRL" {
+	if Data.String() != "DATA" || Ack.String() != "ACK" || Credit.String() != "CREDIT" {
 		t.Fatal("type names wrong")
 	}
 	if Type(99).String() == "" {

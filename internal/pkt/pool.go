@@ -63,7 +63,6 @@ func (pl *Pool) Put(p *Packet) {
 		return
 	}
 	p.origin = released
-	p.Ctrl = nil
 	(*pool.List[Packet])(pl).Put(p)
 }
 

@@ -15,13 +15,10 @@ func idle(pl *Pool) int { return (*pool.List[Packet])(pl).Len() }
 func TestPoolReusesAndZeroes(t *testing.T) {
 	pl := PoolOf(sim.NewEngine())
 	p := pl.Get()
-	p.Flow, p.Seq, p.CE, p.Ctrl = 7, 3, true, "hdr"
+	p.Flow, p.Seq, p.CE = 7, 3, true
 	pl.Put(p)
 	if !p.Released() {
 		t.Fatal("a packet handed to Put must read as released")
-	}
-	if p.Ctrl != nil {
-		t.Fatal("Put must drop the Ctrl reference at once")
 	}
 	q := pl.Get()
 	if q != p {

@@ -74,10 +74,6 @@ type Stack struct {
 	AbortAfter sim.Duration
 	// OnFlowDone, when set, is invoked after a flow completes.
 	OnFlowDone func(s *Sender)
-	// CtrlHandler, when set, receives arbitration control-plane
-	// packets addressed to this host (PASE wires its arbitration
-	// client here).
-	CtrlHandler func(p *pkt.Packet)
 	// CreditHandler, when set, receives credit-plane packets
 	// (ExpressPass credits arriving at a sender, credit requests
 	// arriving at a receiver).
@@ -160,7 +156,7 @@ func (st *Stack) StartFlow(spec workload.FlowSpec) *Sender {
 
 // receive demultiplexes an arriving packet. The packet dies here: it
 // returns to the pool once its handler is done, so no Control,
-// CtrlHandler, CreditHandler or OnData hook may retain it past return.
+// CreditHandler or OnData hook may retain it past return.
 func (st *Stack) receive(p *pkt.Packet) {
 	switch p.Type {
 	case pkt.Data, pkt.Probe:
@@ -171,10 +167,6 @@ func (st *Stack) receive(p *pkt.Packet) {
 	case pkt.Ack, pkt.ProbeAck:
 		if s, ok := st.senders[p.Flow]; ok {
 			s.onAck(p)
-		}
-	case pkt.Ctrl:
-		if st.CtrlHandler != nil {
-			st.CtrlHandler(p)
 		}
 	case pkt.Credit, pkt.CreditReq:
 		if st.CreditHandler != nil {
