@@ -112,7 +112,7 @@ func Attach(d *transport.Driver, sys *arbitration.System, cfg Config) *Transport
 	}
 	prev := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {
-		if c, ok := s.CC.(*control); ok {
+		if c, ok := s.Control().(*control); ok {
 			c.shutdown()
 		}
 		if prev != nil {
@@ -169,7 +169,6 @@ func (c *control) bottomQueue() int8 { return int8(c.t.Sys.P.NumQueues - 1) }
 // Init implements transport.Control: register with the arbitration
 // control plane and hold transmission until the source half answers.
 func (c *control) Init(s *transport.Sender) {
-	s.CC = c
 	c.w.Reset()
 	c.activePrio = c.bottomQueue()
 	c.targetPrio = c.activePrio

@@ -67,7 +67,7 @@ func TestControlStartsOverWithItsSender(t *testing.T) {
 	var made []*control
 	var started []control
 	r.d.OnFlowStart = func(s *transport.Sender) {
-		c := s.CC.(*control)
+		c := s.Control().(*control)
 		made, started = append(made, c), append(started, *c)
 		if c.client.Ready() || c.client.Combined() != (arbitration.Decision{Queue: c.bottomQueue()}) {
 			t.Errorf("flow %d opened with an answered client: %+v", s.Spec.ID, c.client.Combined())
@@ -77,7 +77,7 @@ func TestControlStartsOverWithItsSender(t *testing.T) {
 	ended := 0
 	r.d.OnFlowDone = func(s *transport.Sender) {
 		shutdown(s)
-		c := s.CC.(*control)
+		c := s.Control().(*control)
 		if c.client.Ready() {
 			ended++
 		}

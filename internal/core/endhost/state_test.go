@@ -42,7 +42,7 @@ func newRig(tb testing.TB, cfg Config) *rig {
 func (r *rig) startFlow(tb testing.TB, spec workload.FlowSpec) (*transport.Sender, *control) {
 	tb.Helper()
 	s := r.d.Stack(spec.Src).StartFlow(spec)
-	c, ok := s.CC.(*control)
+	c, ok := s.Control().(*control)
 	if !ok {
 		tb.Fatal("sender not carrying a PASE control")
 	}
@@ -249,7 +249,7 @@ func TestRefreshTimerAllocFree(t *testing.T) {
 	cfg.FallbackAfter = 0
 	Attach(d, sys, cfg)
 	s := d.Stack(0).StartFlow(workload.FlowSpec{ID: 1, Src: 0, Dst: 159, Size: 1 << 20})
-	c := s.CC.(*control)
+	c := s.Control().(*control)
 
 	tick := func() {
 		if err := eng.RunUntil(eng.Now().Add(retryCap)); err != nil {

@@ -68,7 +68,7 @@ func TestNothingSurvivesALife(t *testing.T) {
 	}
 	if s2.Cwnd != 1 || s2.SSThresh != 1<<20 || s2.Retx != 0 || s2.Timeouts != 0 || s2.srtt != 0 ||
 		s2.rttvar != 0 || s2.backoff != 0 || s2.cumAck != 0 || s2.ackedCount != 0 || s2.ackedBytes != 0 ||
-		s2.dupAcks != 0 || s2.recoverSeq != 0 || len(s2.retxQ) != 0 || s2.Done || s2.Aborted || s2.CC != nil {
+		s2.dupAcks != 0 || s2.recoverSeq != 0 || len(s2.retxQ) != 0 || s2.Done || s2.Aborted {
 		t.Fatalf("second life started with first-life state: %+v", *s2)
 	}
 	if len(s2.state) != 3 || s2.state[0] != segInflight || s2.state[1] != segUnsent || s2.state[2] != segUnsent {

@@ -109,7 +109,7 @@ func (sys *System) newControl(s *transport.Sender) transport.Control {
 }
 
 func (sys *System) release(s *transport.Sender) {
-	c, ok := s.CC.(*control)
+	c, ok := s.Control().(*control)
 	if !ok {
 		return
 	}
@@ -134,7 +134,6 @@ type control struct {
 
 // Init implements transport.Control.
 func (c *control) Init(s *transport.Sender) {
-	s.CC = c
 	s.Paced = true
 	s.Rate = 0 // paused until the first allocation arrives
 	c.path = c.sys.net.PathFlow(s.Spec.Src, s.Spec.Dst, s.Spec.ID)

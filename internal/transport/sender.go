@@ -63,9 +63,6 @@ type Sender struct {
 	// PASE and any PRIO-queue protocol).
 	Prio int8
 
-	// CC is protocol-private per-flow state.
-	CC any
-
 	// CreditEcho is the credit sequence number of the most recent
 	// ExpressPass credit; FillData echoes it on the data packet that
 	// credit triggers so the receiver can measure credit loss exactly.
@@ -167,6 +164,10 @@ func resetStates(prev []segState, n int) []segState {
 
 // Stack returns the owning stack.
 func (s *Sender) Stack() *Stack { return s.st }
+
+// Control returns the protocol control the stack's factory built for
+// the flow.
+func (s *Sender) Control() Control { return s.ctrl }
 
 // ReuseControl is for NewControl factories: it returns the *C that s,
 // a recycled record, still holds from its previous life, or a new C.
