@@ -31,9 +31,11 @@ test:
 
 # The parallel point pool and the experiment determinism tests under
 # the race detector; sim is included because the engine is what the
-# pooled goroutines drive hardest.
+# pooled goroutines drive hardest. Under -race internal/experiments
+# takes about ten minutes on 2 vCPUs, go test's default timeout, so the
+# target sets its own.
 race:
-	$(GO) test -race ./internal/experiments/ ./internal/sim/
+	$(GO) test -race -timeout 30m ./internal/experiments/ ./internal/sim/
 
 # The full test suite with the runtime invariant checker force-enabled:
 # every simulation any test runs is verified against the packet
