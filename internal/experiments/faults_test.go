@@ -218,3 +218,33 @@ func TestRobustnessDegradesTowardDCTCP(t *testing.T) {
 		t.Errorf("degraded PASE (%.3f ms) collapsed far past the DCTCP baseline (%.3f ms)", lossy, dctcp)
 	}
 }
+
+// TestChaosCentral runs the centralized control-plane arm through a
+// lossy control plane and periodic arbitrator crashes: requests and
+// responses are lost, refreshes hit a dead arbitrator and releases go
+// missing, yet every flow must complete with no invariant broken.
+func TestChaosCentral(t *testing.T) {
+	r := RunPoint(PointConfig{
+		Protocol: PASE, Scenario: Scenario("ctrlscale-16"), Load: 0.6,
+		Seed: 11, NumFlows: 200, PASE: PASEOptions{Central: true},
+		Check: true, Obs: true,
+		Faults: &faults.Plan{
+			Seed: 4,
+			Ctrl: []faults.CtrlFault{{Drop: 0.2}},
+			Crashes: []faults.CrashFault{
+				{Link: -1, At: 2 * sim.Millisecond, For: 500 * sim.Microsecond, Every: 4 * sim.Millisecond},
+			},
+		},
+	})
+	if r.Violations != 0 {
+		t.Fatalf("invariant checker reported %d violations:\n%v", r.Violations, r.CheckViolations)
+	}
+	if r.Summary.Completed != r.Summary.Flows {
+		t.Fatalf("%d of %d flows completed under control-plane chaos", r.Summary.Completed, r.Summary.Flows)
+	}
+	for _, c := range []string{"arb/ctrl_req_dropped", "arb/ctrl_resp_dropped", "arb/ctrl_dead_arb"} {
+		if r.Obs.Counters[c] == 0 {
+			t.Errorf("counter %s = 0, want > 0", c)
+		}
+	}
+}
