@@ -68,26 +68,28 @@ chaos-smoke:
 scale-smoke:
 	PASE_CHECK=1 PASE_SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke' -count=1 -v ./internal/experiments/
 
-# Sharded-engine smoke: every pin's shards=N twins (digests, figure
-# TSV, traces, faults, GOMAXPROCS) under the forced invariant checker,
-# the race detector over the worker-barrier machinery, and one
-# 10^5-flow sharded streaming run end to end.
+# Sharded-engine smoke: every pin's shards=N twins under the forced
+# invariant checker — on untraced, fault-free, unrouted rows (digests,
+# figure TSV, GOMAXPROCS) they shard, on traced, faulted and routed
+# rows they check the serial fallback changes nothing — plus the
+# fallback table, the race detector over the worker-barrier machinery,
+# and one 10^5-flow sharded streaming run end to end.
 shard-smoke:
 	$(call pins,PASE_CHECK=1,-run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
 	$(call pins,,-race -run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
 
 # Recorder smoke: the trace-* and traced-* pins (Perfetto bytes
-# identical at shards 0-4, stream/stored, faulted chaos, golden trace
+# stream/stored, faulted chaos, route and abort tracks, golden trace
 # and TSVs, spilled == buffered) under the forced invariant checker,
-# then one checked, sharded, streamed, faulted traced run end to end
-# whose trace the pasetrace analyzer must validate and digest (exit 0),
+# then one checked, streamed, faulted traced run end to end whose
+# trace the pasetrace analyzer must validate and digest (exit 0),
 # and one serial streamed run that spills the flow-event TSV and writes
 # the queue TSV, each of which must start with its header.
 trace-smoke:
 	mkdir -p artifacts
 	$(call pins,PASE_CHECK=1,-run 'TestTraced|TestPASETrace|TestTraceSampling|TestSpillMatchesBuffered|TestRecorderCaps|TestPins/trace' ./internal/experiments/ ./internal/trace/)
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -shards 4 -stream -check \
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
 	rm -f artifacts/flows.tsv artifacts/q.tsv
@@ -113,8 +115,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
 
 # ExpressPass conformance gate: the credit transport's digest suite
-# (pinned digest, sharded equality at 0-4 shards, stream==stored,
-# faulted chaos, incast regression, highspeed sweep) under the forced
+# (pinned digest, sharded equality at 0-4 shards on fault-free runs,
+# stream==stored, faulted chaos on the serial engine, incast
+# regression, highspeed sweep) under the forced
 # invariant checker — credit_pace included — then one checked
 # 10^5-flow 100 Gbps incast run end to end.
 highspeed-smoke:
@@ -123,8 +126,9 @@ highspeed-smoke:
 
 # Routing-control-loop gate: the route-table unit pins (clean == pure
 # ECMP, minimal-churn failover, exact recovery, link-ID helpers), the
-# te-failover survival + control-arm + sharded-equality + idle
-# non-interference pins under the forced invariant checker
+# te-failover survival + control-arm + repeatability + idle
+# non-interference pins (routed runs stay serial; the idle row still
+# shards) under the forced invariant checker
 # (route_valid / route_loop included), then one checked rerouted run
 # through a real uplink outage end to end.
 te-smoke:

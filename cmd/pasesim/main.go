@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar((*time.Duration)(&cfg.Route.Epoch), "te-epoch", 0, "TE decision period (0 = 1ms default)")
 	fs.DurationVar((*time.Duration)(&cfg.AbortAfter), "abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
 	fs.BoolVar(&cfg.Stream, "stream", false, "bounded-memory run: flow records fold into sketch quantiles instead of being kept")
-	fs.IntVar(&cfg.Shards, "shards", 0, "engine shards for the run (0/1 = serial; results and traces byte-identical at any setting; PASE/PDQ run serially and say so on stderr)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "engine shards for the run (0/1 = serial; results byte-identical at any setting; PASE/PDQ and traced, faulted or routed runs run serially and say so on stderr)")
 	fs.BoolVar(&cfg.Obs, "obs", false, "collect run observability and write a manifest (see -manifest)")
 	fs.BoolVar(&cfg.Check, "check", false, "run with the runtime invariant checker; exit 1 on any violation")
 	var (
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		queueLog  = fs.String("queuetrace", "", "write sampled queue occupancies as TSV to this file")
 		queueInt  = fs.Duration("queueinterval", 100*time.Microsecond, "queue sampling interval for -queuetrace")
 		traceOut  = fs.String("trace", "", "write the span-based flight recording as Perfetto trace-event JSON to this file (inspect with pasetrace or ui.perfetto.dev)")
-		traceSp   = fs.Bool("trace-spill", false, "stream the -trace output as flows complete (O(in-flight) memory; forces the serial engine)")
+		traceSp   = fs.Bool("trace-spill", false, "stream the -trace output as flows complete (O(in-flight) memory)")
 		outcomes  = fs.String("outcomes", "", "write per-flow outcomes (size, fct, deadline, retx) as TSV to this file")
 		faultSpec = fs.String("faults", "", `fault-injection plan, e.g. "loss:link=*,class=data,rate=0.01; ctrl:drop=0.2"`)
 		scale     = fs.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
@@ -133,9 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceSp && *traceOut == "" {
 		return fail(fmt.Errorf("-trace-spill needs -trace <file>"))
 	}
-	if *traceSp && cfg.Shards > 1 {
-		return fail(fmt.Errorf("-trace-spill streams to a single writer and needs the serial engine; drop -shards"))
-	}
 
 	cfg.Trace.FlowLog = *flowLog != ""
 	cfg.Trace.Spans = *traceOut != ""
@@ -175,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Trace.SpanWriter, spills = w, append(spills, finish)
 	}
-	flowLogSpills := cfg.Stream && *flowLog != "" && cfg.Shards <= 1
+	flowLogSpills := cfg.Stream && *flowLog != ""
 	if flowLogSpills {
 		w, finish, err := cliutil.CreateFile(*flowLog)
 		if err != nil {

@@ -119,6 +119,17 @@ var flagTable = []flagRow{
 	{flag: "hier-shards", args: small("-hier-shards", "-3"), reject: "PASE.HierTopShards"},
 	{flag: "flowlog", args: small("-flowlog", "f.tsv"), cfg: func(c *pase.SimConfig) { c.Trace.FlowLog = true },
 		out: wrote("f.tsv", "# time_ns\tkind\tflow")},
+	{flag: "flowlog", args: small("-protocol", "DCTCP", "-flowlog", "f.tsv", "-stream", "-shards", "2"),
+		cfg: func(c *pase.SimConfig) {
+			c.Protocol, c.Trace.FlowLog, c.Stream, c.Shards = pase.ProtocolDCTCP, true, true, 2
+		},
+		out: func(t *testing.T, r result) {
+			contains("(streamed)")(t, r)
+			wrote("f.tsv", "# time_ns\tkind\tflow")(t, r)
+			if !strings.Contains(r.stderr, "ran on the serial engine (trace)") {
+				t.Errorf("stderr %q does not name the trace fallback", r.stderr)
+			}
+		}},
 	{flag: "queuetrace", args: small("-queuetrace", "q.tsv"),
 		cfg: func(c *pase.SimConfig) { c.Trace.QueueSample = pase.Duration(100 * time.Microsecond) },
 		out: wrote("q.tsv", "# time_ns\tport\tqlen")},
@@ -143,7 +154,14 @@ var flagTable = []flagRow{
 			wrote("t.json", "{")(t, r)
 		}},
 	{flag: "trace-spill", args: small("-trace-spill"), reject: "-trace-spill"},
-	{flag: "trace-spill", args: small("-trace", "t.json", "-trace-spill", "-shards", "2"), reject: "-trace-spill"},
+	{flag: "trace-spill", args: small("-trace", "t.json", "-trace-spill", "-shards", "2"),
+		cfg: func(c *pase.SimConfig) {
+			c.Trace.Spans, c.Trace.QueueSample, c.Shards = true, pase.Duration(100*time.Microsecond), 2
+		},
+		out: func(t *testing.T, r result) {
+			contains("(streamed)")(t, r)
+			wrote("t.json", "{")(t, r)
+		}},
 	{flag: "outcomes", args: small("-outcomes", "o.tsv"), out: wrote("o.tsv", "# id\tsize")},
 	{flag: "outcomes", args: small("-outcomes", "o.tsv", "-stream"), reject: "-outcomes"},
 	{flag: "faults", args: small("-faults", "loss:rate=0.01"), cfg: func(c *pase.SimConfig) {

@@ -188,10 +188,9 @@ func buildSys(t *testing.T, p Params) (*sim.Engine, *topology.Network, *System) 
 // climbLevel runs refresh with a fresh span recorder on sys and
 // returns the Level of the control span it recorded (-1 for none).
 func climbLevel(eng *sim.Engine, sys *System, refresh func()) int {
-	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
-	sys.Rec = rec.Shard(eng)
+	sys.Rec = trace.NewRecorder(eng, trace.RecorderConfig{Spans: true})
 	refresh()
-	ctrl := rec.Take().Ctrl
+	ctrl := sys.Rec.Take().Ctrl
 	if len(ctrl) == 0 {
 		return -1
 	}

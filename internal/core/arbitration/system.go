@@ -124,7 +124,7 @@ type System struct {
 	// Rec, when set, records every arbitration half-exchange as a
 	// control span, ones the fault injector killed included. Nil — the
 	// default — records nothing.
-	Rec *trace.ShardRecorder
+	Rec *trace.Recorder
 
 	inflight int64 // live (not yet released) client allocations
 

@@ -78,7 +78,7 @@ type Transport struct {
 	// usable allocation adopted), every epoch (each switch onto a
 	// priority queue, the grant's and the fallback's included), and the
 	// fallback and resync marks. Nil records nothing.
-	Rec *trace.ShardRecorder
+	Rec *trace.Recorder
 
 	o struct {
 		retries   *obs.Counter

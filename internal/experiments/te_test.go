@@ -9,7 +9,7 @@ import (
 // Tests for the reactive routing control loop on the te-failover
 // scenario: failure rerouting keeps flows alive through uplink
 // outages and frozen ECMP strands them. The te-reroute and te-idle pins
-// (pins_test.go) hold the loop repeatable and shard-identical.
+// (pins_test.go) hold the loop repeatable.
 
 // teChaosPoint is the te figure's stress point at test scale: PASE on
 // the 4-leaf × 3-spine fabric with every leaf's spine-0 uplink failing

@@ -21,18 +21,12 @@ const streamLabel = 0xfa017
 // (runSeed, plan.Seed), so the workload stream never observes the
 // plan. Each bound link draws from its own stream, keyed by link ID
 // alone — loss draws on one link cannot perturb another link's
-// sequence, which keeps fault behavior identical between serial and
-// sharded runs regardless of the order links transmit in.
+// sequence, whatever order the links transmit in.
 type Injector struct {
 	eng     *sim.Engine
 	plan    *Plan
 	runSeed uint64
 	rng     *sim.Rand // control-plane stream (stream index 0)
-
-	// OmitCrashes skips arbitrator crash/restart timers in Arm.
-	// Sharded runs arm them on one shard only, so the faults/arb_*
-	// counters keep their serial totals after the per-shard merge.
-	OmitCrashes bool
 
 	// ports maps link ID -> transmitting port; bound keeps the IDs
 	// sorted so link=-1 rules fire in a deterministic order.
@@ -51,8 +45,7 @@ type Injector struct {
 	// OnLinkState fires on a link's up/down edges — once when the
 	// first overlapping outage takes the link down and once when the
 	// last one lifts, before queued packets resume draining. The
-	// routing control loop subscribes here. It runs on the shard that
-	// transmits on the link (the injector's engine).
+	// routing control loop subscribes here.
 	OnLinkState func(link int, down bool)
 
 	// reg backs the lazily created per-link blackhole counters (nil
@@ -173,9 +166,6 @@ func (in *Injector) Arm() {
 			}
 		}
 		fire(r.At)
-	}
-	if in.OmitCrashes {
-		return
 	}
 	for _, r := range in.plan.Crashes {
 		r := r

@@ -4,7 +4,7 @@
 package pool
 
 // List is a free list of *T records for one goroutine (one engine, one
-// arbitration system, one trace shard), so it takes no lock. An empty
+// arbitration system, one trace recorder), so it takes no lock. An empty
 // list refills from a fresh slab, so a working set growing to its size
 // costs one object per slab; at most cap idle records are kept, so a
 // burst does not pin memory for the rest of the run.

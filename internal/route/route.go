@@ -7,12 +7,12 @@
 //   - Failure rerouting: the fault injector reports link up/down
 //     transitions (Injector.OnLinkState) and the controller immediately
 //     repairs the affected tables. A leaf→spine uplink outage is
-//     handled synchronously on the leaf's shard — the flows hashed onto
-//     the dead uplink detour to surviving spines before the next packet
-//     routes. A spine→leaf downlink outage is observed on the spine's
-//     shard; every leaf learns of it one control-propagation delay
-//     later (Params.Deliver) and detours its traffic toward the
-//     orphaned rack around that spine.
+//     handled synchronously — the flows hashed onto the dead uplink
+//     detour to surviving spines before the next packet routes. A
+//     spine→leaf downlink outage is observed at the spine; every leaf
+//     learns of it one control-propagation delay (the fabric's link
+//     delay) later and detours its traffic toward the orphaned rack
+//     around that spine.
 //
 //   - Traffic engineering: each leaf runs a periodic epoch timer that
 //     reads its uplink utilization (Port.BusyTime deltas) and, when the
@@ -20,13 +20,6 @@
 //     hysteresis band, pins one ECMP bucket from hot to cold. A dwell
 //     time per bucket stops the loop from thrashing a bucket back and
 //     forth across epochs.
-//
-// Determinism: all decisions read only state owned by the shard they
-// run on, cross-shard updates ride the conservative-lookahead handoff
-// with explicitly captured rank slots (Params.Deliver), and the TE
-// inputs (BusyTime) are themselves byte-identical between serial and
-// sharded runs — so a routed run keeps the serial-equals-sharded
-// property the engine guarantees.
 package route
 
 import (
@@ -70,29 +63,16 @@ type Config struct {
 // Enabled reports whether any control loop is requested.
 func (c Config) Enabled() bool { return c.Reroute || c.TE }
 
-// Params wires a Controller into one run. The per-rack accessors let
-// sharded runs hand each leaf its own shard's engine, registry,
-// checker and recorder; serial runs return the same instance for every
-// rack.
+// Params wires a Controller into one run.
 type Params struct {
 	Net *topology.Network
 	Cfg Config
-
-	// EngineOf returns the engine that owns rack r (its leaf's shard).
-	EngineOf func(rack int) *sim.Engine
-	// Deliver runs fn on dstRack's shard one control-propagation delay
-	// after now, from's shard being the caller. Serial runs Schedule on
-	// the one engine; sharded runs hand off with a captured rank slot.
-	// Both must consume exactly one rank child slot per call so event
-	// order matches between the two.
-	Deliver func(from netem.Node, dstRack int, fn func())
-	// ChkOf returns rack r's invariant checker (nil-safe).
-	ChkOf func(rack int) *check.Checker
-	// RegOf returns rack r's observability registry (nil-safe).
-	RegOf func(rack int) *obs.Registry
-	// Record emits a routing event into rack r's shard recorder; nil
-	// when the run is untraced.
-	Record func(rack int, ev trace.RouteEvent)
+	Eng *sim.Engine
+	// Chk, Reg and Rec are the run's invariant checker, observability
+	// registry and flight recorder; each may be nil.
+	Chk *check.Checker
+	Reg *obs.Registry
+	Rec *trace.Recorder
 }
 
 // Controller owns the per-leaf control state. One per run.
@@ -100,23 +80,6 @@ type Controller struct {
 	p     Params
 	epoch sim.Duration // the TE period: Cfg.Epoch, or DefaultEpoch
 	racks []*rackCtl
-}
-
-// rackCtl is one leaf's share of the controller; touched only from
-// that leaf's shard.
-type rackCtl struct {
-	c    *Controller
-	rack int
-	tbl  *topology.RouteTable
-	eng  *sim.Engine
-	chk  *check.Checker
-
-	// upPorts[s] transmits on the leaf→spine s uplink.
-	upPorts []*netem.Port
-	// lastBusy[s] is BusyTime at the previous TE epoch boundary.
-	lastBusy []sim.Duration
-	// lastMoved[b] is when TE last pinned bucket b (0 = never).
-	lastMoved []sim.Time
 
 	o struct {
 		linkDown, linkUp  *obs.Counter
@@ -125,10 +88,24 @@ type rackCtl struct {
 	}
 }
 
+// rackCtl is one leaf's share of the controller.
+type rackCtl struct {
+	*Controller
+	rack int
+	tbl  *topology.RouteTable
+
+	// upPorts[s] transmits on the leaf→spine s uplink.
+	upPorts []*netem.Port
+	// lastBusy[s] is BusyTime at the previous TE epoch boundary.
+	lastBusy []sim.Duration
+	// lastMoved[b] is when TE last pinned bucket b (0 = never).
+	lastMoved []sim.Time
+}
+
 // Attach builds the controller and arms its loops: failure rerouting
 // activates as soon as the caller points Injector.OnLinkState at
 // LinkState, and the TE epoch timers are scheduled here, one per leaf
-// in rack order (the order fixes their setup rank slots). Returns nil
+// in rack order (the order fixes their event order). Returns nil
 // when the config is disabled or the fabric has no route tables (tree
 // topologies route single-path; there is nothing to steer).
 func Attach(p Params) *Controller {
@@ -139,39 +116,30 @@ func Attach(p Params) *Controller {
 	if c.epoch <= 0 {
 		c.epoch = DefaultEpoch
 	}
-	racks := p.Net.Cfg.Racks
-	for r := 0; r < racks; r++ {
-		rc := &rackCtl{
-			c:    c,
-			rack: r,
-			tbl:  p.Net.RouteTable(r),
-			eng:  p.EngineOf(r),
-			chk:  p.ChkOf(r),
-		}
+	c.o.linkDown = p.Reg.Counter("route/link_down")
+	c.o.linkUp = p.Reg.Counter("route/link_up")
+	c.o.reroutes = p.Reg.Counter("route/reroutes")
+	c.o.teEpochs = p.Reg.Counter("route/te_epochs")
+	c.o.teMoves = p.Reg.Counter("route/te_moves")
+	for r := 0; r < p.Net.Cfg.Racks; r++ {
+		rc := &rackCtl{Controller: c, rack: r, tbl: p.Net.RouteTable(r)}
 		for _, l := range p.Net.SpineUpLinks(r) {
 			rc.upPorts = append(rc.upPorts, l.Port)
 		}
 		rc.lastBusy = make([]sim.Duration, len(rc.upPorts))
 		rc.lastMoved = make([]sim.Time, rc.tbl.Buckets())
-		reg := p.RegOf(r)
-		rc.o.linkDown = reg.Counter("route/link_down")
-		rc.o.linkUp = reg.Counter("route/link_up")
-		rc.o.reroutes = reg.Counter("route/reroutes")
-		rc.o.teEpochs = reg.Counter("route/te_epochs")
-		rc.o.teMoves = reg.Counter("route/te_moves")
 		c.racks = append(c.racks, rc)
 	}
 	if p.Cfg.TE && c.racks[0].tbl.Spines() > 1 {
 		for _, rc := range c.racks {
-			rc.eng.Schedule(c.epoch, rc.tick)
+			p.Eng.Schedule(c.epoch, rc.tick)
 		}
 	}
 	return c
 }
 
-// LinkState is the fault-injector subscription point: it runs on the
-// shard that transmits on the link (the injector's engine). Host edge
-// links are not reroutable (a host has one NIC) and are left to the
+// LinkState is the fault-injector subscription point. Host edge links
+// are not reroutable (a host has one NIC) and are left to the
 // transports' loss recovery.
 func (c *Controller) LinkState(link int, down bool) {
 	if c == nil || !c.p.Cfg.Reroute {
@@ -182,26 +150,17 @@ func (c *Controller) LinkState(link int, down bool) {
 		return
 	}
 	if info.Up {
-		// Leaf→spine uplink: the leaf owns the transmitting port, so we
-		// are on its shard and can repair its table in place.
+		// Leaf→spine uplink: the leaf owns the transmitting port and
+		// repairs its table in place.
 		c.racks[info.Rack].uplinkState(info.Spine, down)
 		return
 	}
-	// Spine→leaf downlink: observed on the spine's shard. Every leaf
-	// must detour its traffic toward the orphaned rack, so fan the
-	// update out — rack order fixes the rank slots the deliveries take.
-	spine := c.p.Net.Spines[info.Spine]
+	// Spine→leaf downlink: observed at the spine. Every leaf must
+	// detour its traffic toward the orphaned rack, so fan the update
+	// out, in rack order.
 	q, s := info.Rack, info.Spine
-	for r := range c.racks {
-		rc := c.racks[r]
-		c.p.Deliver(spine, r, func() { rc.dstState(q, s, down) })
-	}
-}
-
-// record emits ev into the rack's shard recorder if the run traces.
-func (rc *rackCtl) record(ev trace.RouteEvent) {
-	if rc.c.p.Record != nil {
-		rc.c.p.Record(rc.rack, ev)
+	for _, rc := range c.racks {
+		c.p.Eng.Schedule(c.p.Net.Cfg.LinkDelay, func() { rc.dstState(q, s, down) })
 	}
 }
 
@@ -217,8 +176,8 @@ func (rc *rackCtl) uplinkState(s int, down bool) {
 		rc.o.linkUp.Inc()
 	}
 	rc.o.reroutes.Add(int64(moved))
-	rc.record(trace.RouteEvent{
-		At: rc.eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
+	rc.p.Rec.Route(trace.RouteEvent{
+		At: rc.p.Eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
 	})
 	rc.validate()
 }
@@ -238,8 +197,8 @@ func (rc *rackCtl) dstState(q, s int, down bool) {
 		} else {
 			rc.o.linkUp.Inc()
 		}
-		rc.record(trace.RouteEvent{
-			At: rc.eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
+		rc.p.Rec.Route(trace.RouteEvent{
+			At: rc.p.Eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
 		})
 	}
 	rc.validate()
@@ -254,7 +213,7 @@ func (rc *rackCtl) tick() {
 	var hotU, coldU float64
 	for s := 0; s < t.Spines(); s++ {
 		busy := rc.upPorts[s].BusyTime()
-		u := float64(busy-rc.lastBusy[s]) / float64(rc.c.epoch)
+		u := float64(busy-rc.lastBusy[s]) / float64(rc.epoch)
 		rc.lastBusy[s] = busy
 		if !t.SpineUp(s) {
 			continue
@@ -267,7 +226,7 @@ func (rc *rackCtl) tick() {
 		}
 	}
 	if hot != -1 && cold != -1 && hot != cold && hotU-coldU > hysteresis {
-		now := rc.eng.Now()
+		now := rc.p.Eng.Now()
 		for b := 0; b < t.Buckets(); b++ {
 			if t.BucketSpine(b) != hot {
 				continue
@@ -278,14 +237,14 @@ func (rc *rackCtl) tick() {
 			t.SetOverride(b, cold)
 			rc.lastMoved[b] = now
 			rc.o.teMoves.Inc()
-			rc.record(trace.RouteEvent{
+			rc.p.Rec.Route(trace.RouteEvent{
 				At: now, Rack: rc.rack, Kind: trace.RouteTEMove, Spine: cold, Arg: int64(b),
 			})
 			rc.validate()
 			break
 		}
 	}
-	rc.eng.Schedule(rc.c.epoch, rc.tick)
+	rc.p.Eng.Schedule(rc.epoch, rc.tick)
 }
 
 // validate re-verifies the table's routing invariants after an edit:
@@ -293,12 +252,12 @@ func (rc *rackCtl) tick() {
 // TTL-bounded walk from the leaf reaches every foreign rack without
 // looping. Skipped entirely when the run has no checker.
 func (rc *rackCtl) validate() {
-	if !rc.chk.Enabled() {
+	if !rc.p.Chk.Enabled() {
 		return
 	}
 	t := rc.tbl
 	where := fmt.Sprintf("leaf%d/routes", rc.rack)
-	for q := 0; q < rc.c.p.Net.Cfg.Racks; q++ {
+	for q := 0; q < rc.p.Net.Cfg.Racks; q++ {
 		if q == rc.rack {
 			continue
 		}
@@ -310,7 +269,7 @@ func (rc *rackCtl) validate() {
 		}
 		for b := 0; b < t.Buckets(); b++ {
 			if s := t.PickBucket(q, b); !t.Avail(q, s) {
-				rc.chk.RouteValid(where, q, b, s, avail)
+				rc.p.Chk.RouteValid(where, q, b, s, avail)
 			}
 		}
 		rc.walk(where, q)
@@ -320,9 +279,8 @@ func (rc *rackCtl) validate() {
 // walk traces one sample flow's forwarding path toward rack q through
 // the switches' resolution tables (off the data path — nothing is
 // sent) and reports a route_loop violation if it cycles or dead-ends.
-// Spine resolution state is static, so reading it cross-shard is safe.
 func (rc *rackCtl) walk(where string, q int) {
-	net := rc.c.p.Net
+	net := rc.p.Net
 	dst := net.Hosts[q*net.Cfg.HostsPerRack].ID()
 	const flow = pkt.FlowID(1)
 	var node netem.Node = net.ToRs[rc.rack]
@@ -343,5 +301,5 @@ func (rc *rackCtl) walk(where string, q int) {
 			break
 		}
 	}
-	rc.chk.RouteLoop(where, uint64(flow), q, hops, walkTTL, reached)
+	rc.p.Chk.RouteLoop(where, uint64(flow), q, hops, walkTTL, reached)
 }

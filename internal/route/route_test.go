@@ -14,25 +14,23 @@ import (
 )
 
 // fixture is a controller on the te-failover shape — 4 leaves × 3
-// spines, a non-power-of-two spine count — wired the way a one-engine
-// run wires it: every per-rack accessor returns the same instance and
-// Deliver is a Schedule one link delay out.
+// spines, a non-power-of-two spine count — wired the way a run wires
+// it.
 type fixture struct {
-	eng  *sim.Engine
-	ls   topology.LeafSpineConfig
-	net  *topology.Network
-	reg  *obs.Registry
-	chk  *check.Checker
-	ctl  *Controller
-	recs []trace.RouteEvent
-	// delivers lists the destination rack of every Deliver call.
-	delivers []int
+	eng *sim.Engine
+	ls  topology.LeafSpineConfig
+	net *topology.Network
+	reg *obs.Registry
+	chk *check.Checker
+	rec *trace.Recorder
+	ctl *Controller
 }
 
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{eng: sim.NewEngine(), reg: obs.NewRegistry()}
 	f.chk = check.New(func() int64 { return int64(f.eng.Now()) })
+	f.rec = trace.NewRecorder(f.eng, trace.RecorderConfig{Spans: true})
 	f.ls = topology.DefaultLeafSpine(func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(1024)
 	})
@@ -51,18 +49,11 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 }
 
 func (f *fixture) params(cfg Config) Params {
-	return Params{
-		Net: f.net, Cfg: cfg,
-		EngineOf: func(int) *sim.Engine { return f.eng },
-		Deliver: func(from netem.Node, dstRack int, fn func()) {
-			f.delivers = append(f.delivers, dstRack)
-			f.eng.Schedule(f.ls.LinkDelay, fn)
-		},
-		ChkOf:  func(int) *check.Checker { return f.chk },
-		RegOf:  func(int) *obs.Registry { return f.reg },
-		Record: func(_ int, ev trace.RouteEvent) { f.recs = append(f.recs, ev) },
-	}
+	return Params{Net: f.net, Cfg: cfg, Eng: f.eng, Chk: f.chk, Reg: f.reg, Rec: f.rec}
 }
+
+// routes returns the route events recorded so far.
+func (f *fixture) routes() []trace.RouteEvent { return f.rec.Take().Route }
 
 func (f *fixture) counter(name string) int64 { return f.reg.Snapshot().Counters[name] }
 
@@ -130,8 +121,8 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 			t.Errorf("leaf %d's table changed on leaf %d's uplink failure", r, rack)
 		}
 	}
-	if len(f.delivers) != 0 {
-		t.Errorf("uplink failure issued %d Deliver calls, want 0 (the leaf owns the port)", len(f.delivers))
+	if f.eng.Step() {
+		t.Error("uplink failure scheduled an event; the leaf owns the port and repairs in place")
 	}
 
 	f.ctl.LinkState(link, false)
@@ -151,8 +142,8 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 		{At: 0, Rack: rack, Kind: trace.RouteLinkDown, Spine: dead, Arg: moved},
 		{At: 0, Rack: rack, Kind: trace.RouteLinkUp, Spine: dead, Arg: moved},
 	}
-	if !slices.Equal(f.recs, want) {
-		t.Errorf("recorded %+v, want %+v", f.recs, want)
+	if got := f.routes(); !slices.Equal(got, want) {
+		t.Errorf("recorded %+v, want %+v", got, want)
 	}
 	for name, v := range map[string]int64{
 		"route/link_down": 1, "route/link_up": 1, "route/reroutes": 2 * moved,
@@ -175,17 +166,26 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 	const orphan, dead = 2, 1
 
 	f.ctl.LinkState(f.ls.UplinkID(orphan, dead)+1, true)
-	if want := []int{0, 1, 2, 3}; !slices.Equal(f.delivers, want) {
-		t.Fatalf("Deliver calls went to racks %v, want %v", f.delivers, want)
-	}
-	// The leaves learn one control-propagation delay later, not now.
+	// The leaves learn one control-propagation delay later, not now,
+	// one update per leaf in rack order.
 	for r := 0; r < f.ls.Leaves; r++ {
 		if !f.net.RouteTable(r).Clean() {
 			t.Errorf("leaf %d's table changed before the update was delivered", r)
 		}
 	}
-	if err := f.eng.Run(); err != nil {
-		t.Fatal(err)
+	for r := 0; r < f.ls.Leaves; r++ {
+		if !f.eng.Step() {
+			t.Fatalf("%d updates delivered, want one per leaf (%d)", r, f.ls.Leaves)
+		}
+		if f.eng.Now() != sim.Time(f.ls.LinkDelay) {
+			t.Errorf("update %d delivered at %v, want one link delay out", r, f.eng.Now())
+		}
+		if f.net.RouteTable(r).Avail(orphan, dead) {
+			t.Errorf("update %d did not reach leaf %d: updates go out in rack order", r, r)
+		}
+	}
+	if f.eng.Step() {
+		t.Error("a downlink failure delivered more updates than there are leaves")
 	}
 	for r := 0; r < f.ls.Leaves; r++ {
 		tbl := f.net.RouteTable(r)
@@ -203,8 +203,8 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 	want := trace.RouteEvent{
 		At: sim.Time(f.ls.LinkDelay), Rack: orphan, Kind: trace.RouteLinkDown, Spine: dead, Arg: moved,
 	}
-	if len(f.recs) != 1 || f.recs[0] != want {
-		t.Errorf("recorded %+v, want exactly %+v (once, at the orphaned rack)", f.recs, want)
+	if got := f.routes(); len(got) != 1 || got[0] != want {
+		t.Errorf("recorded %+v, want exactly %+v (once, at the orphaned rack)", got, want)
 	}
 	if got := f.counter("route/link_down"); got != 1 {
 		t.Errorf("route/link_down = %d, want 1 (one transition, not one per leaf)", got)
@@ -267,7 +267,7 @@ func TestTEHysteresisMoveAndDwell(t *testing.T) {
 		{At: 2 * epoch, Rack: rack, Kind: trace.RouteTEMove, Spine: 1, Arg: 0},
 		{At: 3 * epoch, Rack: rack, Kind: trace.RouteTEMove, Spine: 0, Arg: 1},
 	}
-	if !slices.Equal(f.recs, want) {
-		t.Errorf("recorded %+v, want %+v", f.recs, want)
+	if got := f.routes(); !slices.Equal(got, want) {
+		t.Errorf("recorded %+v, want %+v", got, want)
 	}
 }

@@ -143,8 +143,8 @@ func (ps *perfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []R
 }
 
 // WritePerfetto exports the trace as Chrome/Perfetto trace-event JSON.
-// The output is byte-identical for byte-identical traces — shard count
-// and parallelism never change it. A nil trace (an untraced run) or
+// The output is byte-identical for byte-identical traces —
+// parallelism never changes it. A nil trace (an untraced run) or
 // one recorded without its span tracks returns an error.
 func (rt *RunTrace) WritePerfetto(w io.Writer) error {
 	if rt == nil || !rt.Spans {

@@ -19,13 +19,12 @@ import (
 // events and the queues' occupancy, on the simulated clock. It is built
 // to the same contract as the rest of the run machinery:
 //
-//   - Deterministic. A run traced at any shard count or GOMAXPROCS
-//     produces byte-identical output: each shard records into its own
-//     rings (no cross-goroutine state), and Take merges each track in
-//     its canonical order — flow events by (At, Flow, kind), flow
+//   - Deterministic. A run traced at any GOMAXPROCS, stored or
+//     streamed, produces byte-identical output: Take sorts each track
+//     into its canonical order — flow events by (At, Flow, kind), flow
 //     traces by (End, Flow), control spans by (Start, Flow, side,
-//     level), queue samples by (At, Idx) — that both the serial engine
-//     and the sharded engine reproduce exactly.
+//     level), queue samples by (At, Idx) — so records of one instant
+//     come out in one order however their events interleaved.
 //   - Bounded. Every track is a newest-N ring. Live flows cost
 //     O(in-flight): a flow's spans accumulate only while it is open,
 //     and at completion the trace is either committed to the ring
@@ -39,7 +38,7 @@ import (
 // In spill mode (RecorderConfig.EventWriter / SpanWriter) flow events
 // stream out as TSV and committed flow traces as Perfetto JSON while
 // the run goes, instead of being retained — the bounded-memory path for
-// serial streaming runs. Both flush same-instant groups in canonical
+// streaming runs. Both flush same-instant groups in canonical
 // order, so their bytes match the buffered views exactly (as long as
 // the buffered run stays under the caps).
 
@@ -234,9 +233,7 @@ type Meta struct {
 	Seed    uint64
 }
 
-// TraceStats summarizes what the recorder kept and shed. Every field
-// is derived from shard-count-invariant quantities, so a traced run
-// reports identical stats at any shard count.
+// TraceStats summarizes what the recorder kept and shed.
 type TraceStats struct {
 	FlowsStarted    int64
 	FlowsFinal      int64 // traces in the output
@@ -273,7 +270,7 @@ type RecorderConfig struct {
 	// Events records the flow-event track: every flow's start and its
 	// done or abort. Spans records the span tracks: flow spans and
 	// marks, control spans and route events. A track left off costs
-	// nothing; the queue track is on once a shard's SampleQueues runs.
+	// nothing; the queue track is on once SampleQueues runs.
 	Events bool
 	Spans  bool
 	// SampleN keeps 1 in N flow traces (seed-driven, per-flow
@@ -284,8 +281,7 @@ type RecorderConfig struct {
 	Seed uint64
 	// EventWriter, with Events, streams the flow events as canonical
 	// TSV instead of retaining them; SpanWriter, with Spans, streams
-	// committed flow traces as Perfetto JSON. A spilling recorder has
-	// one shard, since each stream has one writer.
+	// committed flow traces as Perfetto JSON.
 	EventWriter io.Writer
 	SpanWriter  io.Writer
 	FlowCap     int
@@ -294,93 +290,13 @@ type RecorderConfig struct {
 	SampleCap   int
 }
 
-// Recorder owns a run's recording: one ShardRecorder per engine shard
-// (a serial run has exactly one) and the merge that produces the
-// canonical RunTrace.
+// Recorder records one run's tracks on one engine's clock. Its
+// recording methods are nil-safe no-ops, so call sites can stay
+// unconditional when tracing is off.
 type Recorder struct {
-	cfg    RecorderConfig
-	shards []*ShardRecorder
-	meta   Meta
-	// The spill streams, nil unless the config asked for them.
-	events *bufio.Writer
-	spans  *perfettoStream
-}
-
-// NewRecorder builds a recorder, applying config defaults. A spilled
-// flow-event stream gets its header now.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	cfg.FlowCap = cmp.Or(cfg.FlowCap, DefaultFlowCap)
-	cfg.MaxPerFlow = cmp.Or(cfg.MaxPerFlow, DefaultMaxPerFlow)
-	cfg.EventCap = cmp.Or(cfg.EventCap, DefaultEventCap)
-	cfg.SampleCap = cmp.Or(cfg.SampleCap, DefaultSampleCap)
-	r := &Recorder{cfg: cfg}
-	if cfg.Events && cfg.EventWriter != nil {
-		r.events = bufio.NewWriter(cfg.EventWriter)
-		writeFlowHeader(r.events)
-	}
-	if cfg.Spans && cfg.SpanWriter != nil {
-		r.spans = newPerfettoStream(cfg.SpanWriter)
-	}
-	return r
-}
-
-// SetMeta records the run description; in spill mode it also opens the
-// span stream (the Perfetto header carries the meta, so it must be
-// known before the first flow commits).
-func (r *Recorder) SetMeta(m Meta) {
-	m.SampleN = r.cfg.SampleN
-	m.Seed = r.cfg.Seed
-	r.meta = m
-	if r.spans != nil {
-		r.spans.Begin(m)
-	}
-}
-
-// Shard creates the recorder for one engine shard. Each shard's
-// methods are called only from that shard's goroutine; shards share
-// nothing mutable.
-func (r *Recorder) Shard(eng *sim.Engine) *ShardRecorder {
-	if (r.events != nil || r.spans != nil) && len(r.shards) > 0 {
-		panic("trace: spill-mode recorder is single-shard")
-	}
-	cfg := &r.cfg
-	s := &ShardRecorder{
-		r: r, eng: eng,
-		events: Ring[FlowEvent]{Cap: cfg.EventCap},
-		done:   Ring[*FlowTrace]{Cap: cfg.FlowCap},
-		ctrl:   Ring[CtrlSpan]{Cap: DefaultCtrlCap},
-		route:  Ring[RouteEvent]{Cap: DefaultRouteCap},
-		queue:  Ring[QueueSample]{Cap: cfg.SampleCap},
-	}
-	if cfg.Spans {
-		s.live = make(map[pkt.FlowID]*FlowTrace)
-		s.free = pool.New[FlowTrace](1, 1024)
-	}
-	if r.events != nil {
-		s.eventSpill = &group[FlowEvent]{at: eventAt, less: eventLess, flush: func(es []FlowEvent) {
-			for _, e := range es {
-				writeFlowEvent(r.events, e)
-			}
-		}}
-	}
-	if r.spans != nil {
-		s.traceSpill = &group[*FlowTrace]{at: traceEnd, less: traceLess, flush: func(fts []*FlowTrace) {
-			r.spans.Flows(fts)
-			for _, ft := range fts {
-				s.free.Put(ft)
-			}
-		}}
-	}
-	r.shards = append(r.shards, s)
-	return s
-}
-
-// ShardRecorder records one engine shard's tracks. Its recording
-// methods are nil-safe no-ops, so call sites can stay unconditional
-// when tracing is off.
-type ShardRecorder struct {
-	r   *Recorder
-	eng *sim.Engine
+	cfg  RecorderConfig
+	eng  *sim.Engine
+	meta Meta
 
 	// The tracks' rings. done holds committed flow traces; the one it
 	// evicts goes back to free.
@@ -395,8 +311,11 @@ type ShardRecorder struct {
 	live map[pkt.FlowID]*FlowTrace
 	free pool.List[FlowTrace]
 
-	// Spill mode: the flow events and committed traces of the current
-	// instant, flushed in canonical order once the clock moves on.
+	// Spill mode: the streams, nil unless the config asked for them,
+	// and the flow events and committed traces of the current instant,
+	// flushed in canonical order once the clock moves on.
+	eventW     *bufio.Writer
+	spanW      *perfettoStream
 	eventSpill *group[FlowEvent]
 	traceSpill *group[*FlowTrace]
 
@@ -404,8 +323,60 @@ type ShardRecorder struct {
 	sampledOut int64
 }
 
+// NewRecorder builds a recorder on eng's clock, applying config
+// defaults. A spilled flow-event stream gets its header now.
+func NewRecorder(eng *sim.Engine, cfg RecorderConfig) *Recorder {
+	cfg.FlowCap = cmp.Or(cfg.FlowCap, DefaultFlowCap)
+	cfg.MaxPerFlow = cmp.Or(cfg.MaxPerFlow, DefaultMaxPerFlow)
+	cfg.EventCap = cmp.Or(cfg.EventCap, DefaultEventCap)
+	cfg.SampleCap = cmp.Or(cfg.SampleCap, DefaultSampleCap)
+	r := &Recorder{
+		cfg: cfg, eng: eng,
+		events: Ring[FlowEvent]{Cap: cfg.EventCap},
+		done:   Ring[*FlowTrace]{Cap: cfg.FlowCap},
+		ctrl:   Ring[CtrlSpan]{Cap: DefaultCtrlCap},
+		route:  Ring[RouteEvent]{Cap: DefaultRouteCap},
+		queue:  Ring[QueueSample]{Cap: cfg.SampleCap},
+	}
+	if cfg.Spans {
+		r.live = make(map[pkt.FlowID]*FlowTrace)
+		r.free = pool.New[FlowTrace](1, 1024)
+	}
+	if cfg.Events && cfg.EventWriter != nil {
+		r.eventW = bufio.NewWriter(cfg.EventWriter)
+		writeFlowHeader(r.eventW)
+		r.eventSpill = &group[FlowEvent]{at: eventAt, less: eventLess, flush: func(es []FlowEvent) {
+			for _, e := range es {
+				writeFlowEvent(r.eventW, e)
+			}
+		}}
+	}
+	if cfg.Spans && cfg.SpanWriter != nil {
+		r.spanW = newPerfettoStream(cfg.SpanWriter)
+		r.traceSpill = &group[*FlowTrace]{at: traceEnd, less: traceLess, flush: func(fts []*FlowTrace) {
+			r.spanW.Flows(fts)
+			for _, ft := range fts {
+				r.free.Put(ft)
+			}
+		}}
+	}
+	return r
+}
+
+// SetMeta records the run description; in spill mode it also opens the
+// span stream (the Perfetto header carries the meta, so it must be
+// known before the first flow commits).
+func (r *Recorder) SetMeta(m Meta) {
+	m.SampleN = r.cfg.SampleN
+	m.Seed = r.cfg.Seed
+	r.meta = m
+	if r.spanW != nil {
+		r.spanW.Begin(m)
+	}
+}
+
 // sampleHash is a SplitMix64 finalizer over (seed, flow): a cheap,
-// well-mixed, shard-independent per-flow coin.
+// well-mixed per-flow coin.
 func sampleHash(seed uint64, f pkt.FlowID) uint64 {
 	z := seed + 0x9e3779b97f4a7c15*(uint64(f)+1)
 	z ^= z >> 30
@@ -424,55 +395,55 @@ func (r *Recorder) Sampled(f pkt.FlowID) bool {
 }
 
 // event records e on the flow-event track, stamped now as kind.
-func (s *ShardRecorder) event(e FlowEvent, kind string) {
-	if !s.r.cfg.Events {
+func (r *Recorder) event(e FlowEvent, kind string) {
+	if !r.cfg.Events {
 		return
 	}
-	e.At, e.Kind = s.eng.Now(), kind
-	if s.eventSpill != nil {
-		s.eventSpill.add(e)
+	e.At, e.Kind = r.eng.Now(), kind
+	if r.eventSpill != nil {
+		r.eventSpill.add(e)
 		return
 	}
-	s.events.Add(e)
+	r.events.Add(e)
 }
 
 // FlowArrive records a flow's arrival: e (Flow, Src, Dst, Size) as its
 // "start" event, and the opening of its trace. held reports whether the
 // flow is waiting for a control-plane allocation (PASE's
 // hold-at-source); otherwise it is transmitting immediately at prio.
-func (s *ShardRecorder) FlowArrive(e FlowEvent, prio int, held bool) {
-	if s == nil {
+func (r *Recorder) FlowArrive(e FlowEvent, prio int, held bool) {
+	if r == nil {
 		return
 	}
-	s.event(e, "start")
-	if s.live == nil {
+	r.event(e, "start")
+	if r.live == nil {
 		return
 	}
-	s.started++
-	now := s.eng.Now()
-	ft := s.free.Take()
+	r.started++
+	now := r.eng.Now()
+	ft := r.free.Take()
 	*ft = FlowTrace{Flow: e.Flow, Src: e.Src, Dst: e.Dst, Size: e.Size, Start: now, Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
 	kind := SpanXfer
 	if held {
 		kind = SpanWait
 	}
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: kind, Prio: prio})
-	s.live[e.Flow] = ft
+	r.live[e.Flow] = ft
 }
 
 // Epoch records a transmission-epoch transition: the current phase
 // ends now and a new transmit span opens at prio. A transition into
 // the phase already running is a no-op.
-func (s *ShardRecorder) Epoch(f pkt.FlowID, prio int) {
-	if s != nil {
-		s.epoch(f, prio)
+func (r *Recorder) Epoch(f pkt.FlowID, prio int) {
+	if r != nil {
+		r.epoch(f, prio)
 	}
 }
 
 // epoch is Epoch's body, kept out of line so that Epoch inlines and an
 // unrecorded run pays one nil check per queue switch.
-func (s *ShardRecorder) epoch(f pkt.FlowID, prio int) {
-	ft := s.live[f]
+func (r *Recorder) epoch(f pkt.FlowID, prio int) {
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
@@ -481,56 +452,56 @@ func (s *ShardRecorder) epoch(f pkt.FlowID, prio int) {
 		if cur.Kind == SpanXfer && cur.Prio == prio {
 			return
 		}
-		cur.End = s.eng.Now()
+		cur.End = r.eng.Now()
 	}
-	if len(ft.Spans) >= s.r.cfg.MaxPerFlow {
+	if len(ft.Spans) >= r.cfg.MaxPerFlow {
 		ft.Truncated++
 		return
 	}
-	now := s.eng.Now()
+	now := r.eng.Now()
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: SpanXfer, Prio: prio})
 }
 
 // Mark annotates the flow's timeline at the current instant. Marks
 // other than grants flag the flow as always-kept.
-func (s *ShardRecorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
-	if s == nil {
+func (r *Recorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
+	if r == nil {
 		return
 	}
-	ft := s.live[f]
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
 	if kind.flags() {
 		ft.Flagged = true
 	}
-	if len(ft.Marks) >= s.r.cfg.MaxPerFlow {
+	if len(ft.Marks) >= r.cfg.MaxPerFlow {
 		ft.Truncated++
 		return
 	}
-	ft.Marks = append(ft.Marks, Mark{At: s.eng.Now(), Kind: kind, Arg: arg})
+	ft.Marks = append(ft.Marks, Mark{At: r.eng.Now(), Kind: kind, Arg: arg})
 }
 
 // FlowEnd records a flow's end: e (Flow, Src, Dst, Size, and FCT
 // unless aborted) as its "done" or "abort" event, and the closing of
 // its trace, which is committed or discarded: flagged flows and flows
 // passing the sample draw are kept, the rest recycle.
-func (s *ShardRecorder) FlowEnd(e FlowEvent, aborted bool) {
-	if s == nil {
+func (r *Recorder) FlowEnd(e FlowEvent, aborted bool) {
+	if r == nil {
 		return
 	}
 	kind := "done"
 	if aborted {
 		kind = "abort"
 	}
-	s.event(e, kind)
+	r.event(e, kind)
 	f := e.Flow
-	ft := s.live[f]
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
-	delete(s.live, f)
-	now := s.eng.Now()
+	delete(r.live, f)
+	now := r.eng.Now()
 	ft.End = now
 	if n := len(ft.Spans); n > 0 {
 		ft.Spans[n-1].End = now
@@ -538,23 +509,23 @@ func (s *ShardRecorder) FlowEnd(e FlowEvent, aborted bool) {
 	if aborted {
 		ft.Aborted = true
 		ft.Flagged = true
-		if len(ft.Marks) < s.r.cfg.MaxPerFlow {
+		if len(ft.Marks) < r.cfg.MaxPerFlow {
 			ft.Marks = append(ft.Marks, Mark{At: now, Kind: MarkAbort})
 		} else {
 			ft.Truncated++
 		}
 	}
-	if !ft.Flagged && !s.r.Sampled(f) {
-		s.sampledOut++
-		s.free.Put(ft)
+	if !ft.Flagged && !r.Sampled(f) {
+		r.sampledOut++
+		r.free.Put(ft)
 		return
 	}
-	if s.traceSpill != nil {
-		s.traceSpill.add(ft)
+	if r.traceSpill != nil {
+		r.traceSpill.add(ft)
 		return
 	}
-	if old := s.done.Add(ft); old != nil {
-		s.free.Put(old)
+	if old := r.done.Add(ft); old != nil {
+		r.free.Put(old)
 	}
 }
 
@@ -569,11 +540,11 @@ func traceLess(a, b *FlowTrace) bool {
 func traceEnd(ft *FlowTrace) sim.Time { return ft.End }
 
 // Ctrl records one control-plane exchange on the span tracks.
-func (s *ShardRecorder) Ctrl(cs CtrlSpan) {
-	if s == nil || !s.r.cfg.Spans {
+func (r *Recorder) Ctrl(cs CtrlSpan) {
+	if r == nil || !r.cfg.Spans {
 		return
 	}
-	s.ctrl.Add(cs)
+	r.ctrl.Add(cs)
 }
 
 // ctrlLess is the canonical (Start, Flow, side, level) order of control
@@ -591,15 +562,14 @@ func ctrlLess(a, b CtrlSpan) bool {
 	return a.Level < b.Level
 }
 
-// Route records one routing-control update on the span tracks. Call on
-// the shard whose leaf table changed; a run that never reroutes records
-// nothing and its trace bytes stay identical to a build without routing
-// control.
-func (s *ShardRecorder) Route(ev RouteEvent) {
-	if s == nil || !s.r.cfg.Spans {
+// Route records one routing-control update on the span tracks. A run
+// that never reroutes records nothing and its trace bytes stay
+// identical to a build without routing control.
+func (r *Recorder) Route(ev RouteEvent) {
+	if r == nil || !r.cfg.Spans {
 		return
 	}
-	s.route.Add(ev)
+	r.route.Add(ev)
 }
 
 // routeLess is the canonical (At, Rack, Kind, Spine, Arg) order of
@@ -622,12 +592,11 @@ func routeLess(a, b RouteEvent) bool {
 
 // SampleQueues starts the queue track: every interval it records the
 // occupancy of each non-empty port in ports (idle queues are implied,
-// which keeps the track sparse). Ticks run at the head of their instant
-// (AtHead), so a sample reads the queue state at the start of the tick
-// time regardless of how same-instant packet events interleave — serial
-// and sharded runs observe the same state. idx[i] is ports[i]'s
-// run-wide index (see AllPorts); nil means the identity.
-func (s *ShardRecorder) SampleQueues(every sim.Duration, ports []*netem.Port, idx []int) {
+// which keeps the track sparse); a sample's Idx is its port's index in
+// ports. Ticks run at the head of their instant (AtHead), so a sample
+// reads the queue state at the start of the tick time regardless of how
+// same-instant packet events interleave.
+func (r *Recorder) SampleQueues(every sim.Duration, ports []*netem.Port) {
 	if every <= 0 {
 		panic("trace: non-positive sampling interval")
 	}
@@ -635,7 +604,7 @@ func (s *ShardRecorder) SampleQueues(every sim.Duration, ports []*netem.Port, id
 	names := make([]string, len(ports))
 	var tick func()
 	tick = func() {
-		now := s.eng.Now()
+		now := r.eng.Now()
 		for i, p := range ports {
 			q := p.Queue()
 			if q.Len() == 0 {
@@ -644,22 +613,17 @@ func (s *ShardRecorder) SampleQueues(every sim.Duration, ports []*netem.Port, id
 			if names[i] == "" {
 				names[i] = p.Name()
 			}
-			sm := QueueSample{At: now, Port: names[i], Idx: i, Len: q.Len(), Bytes: q.Bytes()}
-			if idx != nil {
-				sm.Idx = idx[i]
-			}
-			s.queue.Add(sm)
+			r.queue.Add(QueueSample{At: now, Port: names[i], Idx: i, Len: q.Len(), Bytes: q.Bytes()})
 		}
-		s.eng.AtHead(now.Add(every), tick)
+		r.eng.AtHead(now.Add(every), tick)
 	}
-	s.eng.AtHead(s.eng.Now().Add(every), tick)
+	r.eng.AtHead(r.eng.Now().Add(every), tick)
 }
 
-// RunTrace is a run's merged flight recording in canonical order:
-// Flows by (End, Flow), Ctrl by (Start, Flow, side, level), Queue by
-// (At, Idx). The order — and therefore the exported bytes — is
-// identical at every shard count and parallelism (up to the capacity
-// caps; see Stats for what was shed).
+// RunTrace is a run's flight recording in canonical order: Flows by
+// (End, Flow), Ctrl by (Start, Flow, side, level), Queue by (At, Idx).
+// The order — and therefore the exported bytes — is identical at every
+// parallelism (up to the capacity caps; see Stats for what was shed).
 type RunTrace struct {
 	Meta Meta
 	// Events holds the flow-event track in canonical (At, Flow, kind)
@@ -678,30 +642,28 @@ type RunTrace struct {
 	Spans bool
 }
 
-// Take merges every shard's tracks into the canonical RunTrace. Call
-// once, after the run. In spill mode the flow events and traces are
-// already gone to their streams (Take flushes the last instant's); the
-// caller finishes with FinishSpill.
+// Take returns the run's tracks in canonical order. Call once, after
+// the run. In spill mode the flow events and traces are already gone
+// to their streams (Take flushes the last instant's); the caller
+// finishes with FinishSpill.
 func (r *Recorder) Take() *RunTrace {
+	if r.eventSpill != nil {
+		r.eventSpill.done()
+	}
+	if r.traceSpill != nil {
+		r.traceSpill.done()
+	}
 	rt := &RunTrace{Meta: r.meta, Spans: r.cfg.Spans}
 	st := &rt.Stats
-	for _, s := range r.shards {
-		if s.eventSpill != nil {
-			s.eventSpill.done()
-		}
-		if s.traceSpill != nil {
-			s.traceSpill.done()
-		}
-		st.FlowsStarted += s.started
-		st.FlowsSampledOut += s.sampledOut
-		st.FlowsUnfinished += int64(len(s.live))
-		st.CtrlTotal += s.ctrl.Added()
-	}
-	rt.Events, st.EventsEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[FlowEvent] { return &s.events }, eventLess)
-	rt.Flows, _ = newest(r.shards, func(s *ShardRecorder) *Ring[*FlowTrace] { return &s.done }, traceLess)
-	rt.Ctrl, st.CtrlEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[CtrlSpan] { return &s.ctrl }, ctrlLess)
-	rt.Route, _ = newest(r.shards, func(s *ShardRecorder) *Ring[RouteEvent] { return &s.route }, routeLess)
-	rt.Queue, st.SamplesEvicted = newest(r.shards, func(s *ShardRecorder) *Ring[QueueSample] { return &s.queue }, sampleLess)
+	rt.Events, st.EventsEvicted = canonical(&r.events, eventLess)
+	rt.Flows, _ = canonical(&r.done, traceLess)
+	rt.Ctrl, st.CtrlEvicted = canonical(&r.ctrl, ctrlLess)
+	rt.Route, _ = canonical(&r.route, routeLess)
+	rt.Queue, st.SamplesEvicted = canonical(&r.queue, sampleLess)
+	st.FlowsStarted = r.started
+	st.FlowsSampledOut = r.sampledOut
+	st.FlowsUnfinished = int64(len(r.live))
+	st.CtrlTotal = r.ctrl.Added()
 	st.FlowsFinal = int64(len(rt.Flows))
 	st.FlowsEvicted = st.FlowsStarted - st.FlowsSampledOut - st.FlowsUnfinished - st.FlowsFinal
 	for _, ft := range rt.Flows {
@@ -715,13 +677,13 @@ func (r *Recorder) Take() *RunTrace {
 // route events after its flow sections and closes. It returns the first
 // write error; a recorder that spills nothing returns nil.
 func (r *Recorder) FinishSpill(rt *RunTrace) error {
-	if r.events != nil {
-		if err := r.events.Flush(); err != nil {
+	if r.eventW != nil {
+		if err := r.eventW.Flush(); err != nil {
 			return err
 		}
 	}
-	if r.spans != nil {
-		return r.spans.Finish(rt.Ctrl, rt.Queue, rt.Route)
+	if r.spanW != nil {
+		return r.spanW.Finish(rt.Ctrl, rt.Queue, rt.Route)
 	}
 	return nil
 }

@@ -10,13 +10,17 @@ import (
 	"pase/internal/trace"
 )
 
-// driveFlows runs n flows through a single-shard recorder on a real
+// testMeta is the run description every recorder here carries.
+var testMeta = trace.Meta{Proto: "PASE", Scenario: "test", NICBps: 1e9}
+
+// driveFlows runs n flows through a recorder built from cfg on a real
 // engine clock: flow i arrives at i µs and completes 10 µs later, with
 // an epoch transition in between. flag(i) flows get a retx mark.
-func driveFlows(t *testing.T, rec *trace.Recorder, n int, flag func(int) bool) {
+func driveFlows(t *testing.T, cfg trace.RecorderConfig, n int, flag func(int) bool) *trace.Recorder {
 	t.Helper()
 	eng := sim.NewEngine()
-	s := rec.Shard(eng)
+	s := trace.NewRecorder(eng, cfg)
+	s.SetMeta(testMeta)
 	for i := 0; i < n; i++ {
 		i := i
 		f := pkt.FlowID(i + 1)
@@ -37,6 +41,7 @@ func driveFlows(t *testing.T, rec *trace.Recorder, n int, flag func(int) bool) {
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
+	return s
 }
 
 func TestRecorderSamplingDeterministic(t *testing.T) {
@@ -45,9 +50,7 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 	// different set, and flagged flows survive regardless of the draw.
 	const n, sampleN = 400, 4
 	take := func(seed uint64, flag func(int) bool) *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: sampleN, Seed: seed})
-		driveFlows(t, rec, n, flag)
-		return rec.Take()
+		return driveFlows(t, trace.RecorderConfig{Spans: true, SampleN: sampleN, Seed: seed}, n, flag).Take()
 	}
 	a, b := take(7, nil), take(7, nil)
 	if a.Digest() != b.Digest() {
@@ -77,9 +80,7 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 
 func TestRecorderRingEviction(t *testing.T) {
 	const n, cap = 100, 16
-	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, FlowCap: cap})
-	driveFlows(t, rec, n, nil)
-	rt := rec.Take()
+	rt := driveFlows(t, trace.RecorderConfig{Spans: true, FlowCap: cap}, n, nil).Take()
 	if len(rt.Flows) != cap {
 		t.Fatalf("kept %d flows, want cap %d", len(rt.Flows), cap)
 	}
@@ -96,9 +97,8 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderMaxPerFlow(t *testing.T) {
 	const perFlow = 8
-	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true, MaxPerFlow: perFlow})
 	eng := sim.NewEngine()
-	s := rec.Shard(eng)
+	s := trace.NewRecorder(eng, trace.RecorderConfig{Spans: true, MaxPerFlow: perFlow})
 	e := trace.FlowEvent{Flow: 1, Src: 0, Dst: 1, Size: 1000}
 	eng.Schedule(0, func() { s.FlowArrive(e, 0, false) })
 	for i := 0; i < 3*perFlow; i++ {
@@ -109,7 +109,7 @@ func TestRecorderMaxPerFlow(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	rt := rec.Take()
+	rt := s.Take()
 	if len(rt.Flows) != 1 {
 		t.Fatalf("kept %d flows, want 1", len(rt.Flows))
 	}
@@ -126,23 +126,16 @@ func TestRecorderMaxPerFlow(t *testing.T) {
 func TestSpillMatchesBuffered(t *testing.T) {
 	// Spill mode streams flows out at completion; its bytes must equal
 	// the buffered path's canonical export exactly.
-	meta := trace.Meta{Proto: "DCTCP", Scenario: "test", NICBps: 1e9}
-	run := func(rec *trace.Recorder) {
-		driveFlows(t, rec, 50, func(i int) bool { return i%5 == 0 })
-	}
-
-	buffered := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3})
-	buffered.SetMeta(meta)
-	run(buffered)
+	cfg := trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3}
+	flag := func(i int) bool { return i%5 == 0 }
 	var want bytes.Buffer
-	if err := buffered.Take().WritePerfetto(&want); err != nil {
+	if err := driveFlows(t, cfg, 50, flag).Take().WritePerfetto(&want); err != nil {
 		t.Fatal(err)
 	}
 
 	var got bytes.Buffer
-	spill := trace.NewRecorder(trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3, SpanWriter: &got})
-	spill.SetMeta(meta)
-	run(spill)
+	cfg.SpanWriter = &got
+	spill := driveFlows(t, cfg, 50, flag)
 	rt := spill.Take()
 	if len(rt.Flows) != 0 {
 		t.Fatalf("spill mode retained %d flows", len(rt.Flows))
@@ -157,10 +150,7 @@ func TestSpillMatchesBuffered(t *testing.T) {
 }
 
 func TestPerfettoValidJSON(t *testing.T) {
-	rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
-	rec.SetMeta(trace.Meta{Proto: "PASE", Scenario: "test", NICBps: 1e9})
-	driveFlows(t, rec, 10, func(i int) bool { return i == 3 })
-	rt := rec.Take()
+	rt := driveFlows(t, trace.RecorderConfig{Spans: true}, 10, func(i int) bool { return i == 3 }).Take()
 	rt.Ctrl = []trace.CtrlSpan{
 		{Flow: 1, SrcSide: true, Level: 1, Start: 100, Latency: 500, Outcome: trace.CtrlOK},
 		{Flow: 2, Level: 0, Start: 200, Outcome: trace.CtrlReqDropped},
@@ -198,9 +188,7 @@ func TestPerfettoValidJSON(t *testing.T) {
 
 func TestRunTraceDigestSensitivity(t *testing.T) {
 	mk := func() *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{Spans: true})
-		driveFlows(t, rec, 5, nil)
-		return rec.Take()
+		return driveFlows(t, trace.RecorderConfig{Spans: true}, 5, nil).Take()
 	}
 	a, b := mk(), mk()
 	if a.Digest() != b.Digest() {

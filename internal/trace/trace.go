@@ -1,14 +1,13 @@
 // Package trace records what a simulation run did, for observation: one
-// Recorder (span.go) per run, one ShardRecorder per engine, each
-// capturing five tracks — flow events, flow spans, control spans, route
-// events and queue samples. The flow-event and queue-sample TSVs and the
-// Chrome/Perfetto export (perfetto.go) are views over the one merged
-// RunTrace. Every track is bounded and merged in a canonical order, so
-// traced output is deterministic and shard-count-invariant. The
-// simulator itself never depends on tracing; experiments opt in.
+// Recorder (span.go) per run captures five tracks — flow events, flow
+// spans, control spans, route events and queue samples. The flow-event
+// and queue-sample TSVs and the Chrome/Perfetto export (perfetto.go) are
+// views over the one RunTrace. Every track is bounded and sorted into a
+// canonical order, so traced output is deterministic. The simulator
+// itself never depends on tracing; experiments opt in.
 //
 // The three primitives below carry every track: a newest-N Ring, the
-// newest merge of per-shard rings, and the same-instant group that
+// canonical sort of a ring's items, and the same-instant group that
 // spill writers flush in canonical order.
 package trace
 
@@ -61,27 +60,12 @@ func (r *Ring[T]) Items() []T {
 	return append(out, r.items[:at]...)
 }
 
-// newest merges one track across shards: it concatenates every shard's
-// ring in shard order, sorts by less and keeps the newest Cap. The
-// result is shard-count-invariant: each ring holds its shard's newest
-// items, and any item in the run-wide newest-Cap set is necessarily
-// among its own shard's newest. It also returns how many items the
-// track shed, per shard or run-wide.
-func newest[T any](shards []*ShardRecorder, track func(*ShardRecorder) *Ring[T], less func(a, b T) bool) ([]T, int64) {
-	var all []T
-	var added int64
-	cap := 0
-	for _, s := range shards {
-		r := track(s)
-		all = append(all, r.Items()...)
-		added += r.Added()
-		cap = r.Cap
-	}
-	sort.Slice(all, func(i, j int) bool { return less(all[i], all[j]) })
-	if cap > 0 && len(all) > cap {
-		all = all[len(all)-cap:]
-	}
-	return all, added - int64(len(all))
+// canonical returns a track's retained items sorted by less, and how
+// many items the ring shed.
+func canonical[T any](r *Ring[T], less func(a, b T) bool) ([]T, int64) {
+	items := r.Items()
+	sort.Slice(items, func(i, j int) bool { return less(items[i], items[j]) })
+	return items, r.Added() - int64(len(items))
 }
 
 // group is a spill writer's same-instant group. Items arrive in clock
@@ -126,8 +110,7 @@ type FlowLog = Ring[FlowEvent]
 
 // eventLess is the canonical (At, Flow, kind) order, starts before
 // completions within one instant — the order every writer emits, which
-// is what makes traced output byte-identical across shard counts and
-// run modes.
+// is what makes traced output byte-identical across run modes.
 func eventLess(a, b FlowEvent) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -166,9 +149,8 @@ func (rt *RunTrace) WriteFlowEvents(w io.Writer) error {
 type QueueSample struct {
 	At   sim.Time
 	Port string
-	// Idx is the port's index in the run-wide sampling order (see
-	// AllPorts) — the tie-breaker that keeps merged multi-shard sample
-	// streams in one canonical order.
+	// Idx is the port's index in the sampling order (see AllPorts) —
+	// the tie-breaker of the canonical order.
 	Idx   int
 	Len   int
 	Bytes int64

@@ -49,16 +49,16 @@ func TestRingKeepsNewest(t *testing.T) {
 }
 
 // congest runs three DCTCP senders into one receiver of a 4-host rack
-// with rec recording its flow events and sampling every queue each
-// 50 µs, and returns the merged trace.
-func congest(t *testing.T, rec *trace.Recorder) *trace.RunTrace {
+// with a recorder built from cfg recording its flow events and sampling
+// every queue each 50 µs, and returns the trace.
+func congest(t *testing.T, cfg trace.RecorderConfig) *trace.RunTrace {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := topology.Build(eng, topology.SingleRack(4, func(topology.QueueKind) netem.Queue {
 		return netem.NewREDECN(225, 65)
 	}))
-	s := rec.Shard(eng)
-	s.SampleQueues(50*sim.Microsecond, trace.AllPorts(net), nil)
+	s := trace.NewRecorder(eng, cfg)
+	s.SampleQueues(50*sim.Microsecond, trace.AllPorts(net))
 	d := transport.NewDriver(net, dctcp.New(dctcp.DefaultConfig()))
 	event := func(x *transport.Sender) trace.FlowEvent {
 		return trace.FlowEvent{Flow: x.Spec.ID, Src: x.Spec.Src, Dst: x.Spec.Dst, Size: x.Spec.Size}
@@ -80,11 +80,11 @@ func congest(t *testing.T, rec *trace.Recorder) *trace.RunTrace {
 	if _, err := d.Run(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return rec.Take()
+	return s.Take()
 }
 
 func TestSamplerObservesCongestion(t *testing.T) {
-	rt := congest(t, trace.NewRecorder(trace.RecorderConfig{}))
+	rt := congest(t, trace.RecorderConfig{})
 	if len(rt.Queue) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -116,9 +116,9 @@ func TestSamplerObservesCongestion(t *testing.T) {
 // TestRecorderCapsCountEvicted: past a track's cap the recorder keeps
 // the newest items and counts the rest, so a truncated TSV can say so.
 func TestRecorderCapsCountEvicted(t *testing.T) {
-	full := congest(t, trace.NewRecorder(trace.RecorderConfig{Events: true}))
+	full := congest(t, trace.RecorderConfig{Events: true})
 	const eventCap, sampleCap = 4, 16
-	capped := congest(t, trace.NewRecorder(trace.RecorderConfig{Events: true, EventCap: eventCap, SampleCap: sampleCap}))
+	capped := congest(t, trace.RecorderConfig{Events: true, EventCap: eventCap, SampleCap: sampleCap})
 	if len(full.Events) != 6 || len(full.Queue) <= sampleCap {
 		t.Fatalf("uncapped run kept %d events, %d samples; the caps would not bite", len(full.Events), len(full.Queue))
 	}
@@ -145,8 +145,8 @@ func TestSamplerSparseness(t *testing.T) {
 	net := topology.Build(eng, topology.SingleRack(2, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(100)
 	}))
-	rec := trace.NewRecorder(trace.RecorderConfig{})
-	rec.Shard(eng).SampleQueues(100*sim.Microsecond, trace.AllPorts(net), nil)
+	rec := trace.NewRecorder(eng, trace.RecorderConfig{})
+	rec.SampleQueues(100*sim.Microsecond, trace.AllPorts(net))
 	if err := eng.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,5 +161,5 @@ func TestSamplerInvalidInterval(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	trace.NewRecorder(trace.RecorderConfig{}).Shard(sim.NewEngine()).SampleQueues(0, nil, nil)
+	trace.NewRecorder(sim.NewEngine(), trace.RecorderConfig{}).SampleQueues(0, nil)
 }

@@ -82,11 +82,11 @@ type Stack struct {
 	// receiver processes it (ExpressPass's credit engine counts
 	// deliveries for its credit-waste feedback).
 	OnData func(p *pkt.Packet)
-	// Rec, when set, is the host's shard of the flight recorder: every
+	// Rec, when set, is the run's flight recorder: every
 	// retransmitted data segment and every RTO firing is marked on the
 	// flow's trace. Nil (the default) records nothing, like the obs
 	// and check handles.
-	Rec *trace.ShardRecorder
+	Rec *trace.Recorder
 
 	// senders and receivers are made at the first flow that needs
 	// them: most hosts of a large fabric never see one.

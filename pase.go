@@ -218,8 +218,9 @@ type Report struct {
 	ViolationDetails []string
 
 	// ShardFallback names why a SimConfig.Shards > 1 request ran on the
-	// serial engine — "pase", "pdq", "trace_spill" or "single_atom" —
-	// and is empty when the run sharded or no sharding was asked for.
+	// serial engine — "pase", "pdq", "trace", "faults", "route" or
+	// "single_atom" — and is empty when the run sharded or no sharding
+	// was asked for.
 	ShardFallback string
 
 	// Trace is the run's flight recording (nil unless SimConfig.Trace
