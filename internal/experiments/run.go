@@ -606,7 +606,6 @@ type shardEnv struct {
 	eng *sim.Engine
 	reg *obs.Registry
 	chk *check.Checker
-	buf *bufSink
 }
 
 // partition decides whether a run shards. It returns the fabric
@@ -918,7 +917,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	var summary metrics.Summary
 	rng := sim.NewRand(cfg.Seed + 1)
 	if part != nil {
-		summary = driveSharded(se, d, part, envs, spec, rng, sc)
+		summary = driveSharded(se, d, part, spec.Stream(rng, 1))
 	} else {
 		if sp.flows != nil {
 			d.Schedule(sp.flows)

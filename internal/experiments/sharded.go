@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"pase/internal/metrics"
@@ -17,9 +16,9 @@ import (
 // cross-shard port proxies on the cut links, per-shard record buffers,
 // and the window/tail drive loop in place of Engine.Run.
 
-// bufSink buffers flow records on one shard; the coordinator drains it
-// at barriers (streaming) or once at the end (stored). Summarize/CDF
-// are never called on it.
+// bufSink buffers flow records on one shard; the coordinator drains
+// it into the driver's sink at every barrier. Summarize/CDF are never
+// called on it.
 type bufSink struct {
 	recs []metrics.FlowRecord
 }
@@ -57,20 +56,20 @@ func cutLinks(se *sim.ShardedEngine, part *topology.Partition, net *topology.Net
 // their source host's shard engine, barrier windows run until the last
 // arrival is in, and the serial tail drains the rest. Per-shard record
 // buffers replace the driver's sink on the stacks' data path; the
-// coordinator owns the real sink (sc when streaming).
+// coordinator drains them into d.Sink, stored or streamed, at every
+// barrier (every consumer of the records is insertion-order
+// independent).
 func driveSharded(se *sim.ShardedEngine, d *transport.Driver, part *topology.Partition,
-	envs []shardEnv, spec workload.Spec, rng *sim.Rand, sc *metrics.StreamCollector) metrics.Summary {
+	it *workload.Stream) metrics.Summary {
 
-	for i := range envs {
-		envs[i].buf = &bufSink{}
-	}
+	bufs := make([]bufSink, part.Shards)
 	for _, st := range d.Stacks {
-		st.Collector = envs[part.ShardOf(st.Host)].buf
+		st.Collector = &bufs[part.ShardOf(st.Host)]
 	}
-	drainBufs := func(sink metrics.Sink) {
-		for i := range envs {
-			for _, r := range envs[i].buf.take() {
-				sink.Add(r)
+	drainBufs := func() {
+		for i := range bufs {
+			for _, r := range bufs[i].take() {
+				d.Sink.Add(r)
 			}
 		}
 	}
@@ -89,55 +88,12 @@ func driveSharded(se *sim.ShardedEngine, d *transport.Driver, part *topology.Par
 			d.Stacks[dst].DropReceiver(flow)
 		})
 	}
-	if sc != nil {
-		runShardedStream(se, d, part, spec.Stream(rng, 1), sc, drainBufs)
-		return sc.Summarize()
-	}
-
-	flows := spec.Generate(rng, 1)
-	fg := 0
-	for _, f := range flows {
-		if !f.Background {
-			fg++
-		}
-	}
-	d.Prime(fg)
-	d.OnZero = se.RequestStop
-	for _, f := range flows {
-		f := f
-		se.Shard(part.ShardOfID(f.Src)).At(f.Start, func() { d.StartArrival(f) })
-	}
-	lastArrival := flows[len(flows)-1].Start
-	for {
-		mp, ok := se.MinPendingTime()
-		if !ok {
-			break
-		}
-		end := mp.Add(lookahead)
-		if end > lastArrival {
-			break
-		}
-		se.StepWindow(end)
-	}
-	se.RunTail(lastArrival.Add(sim.Duration(10*sim.Second)), true)
-
-	// Merge the per-shard buffers into the driver's stored collector in
-	// a canonical order (flow IDs are unique; every consumer of the
-	// records is insertion-order independent).
-	var all []metrics.FlowRecord
-	for i := range envs {
-		all = append(all, envs[i].buf.take()...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	for _, r := range all {
-		d.Collector.Add(r)
-	}
-	d.FlushUnfinished()
-	return d.Collector.Summarize()
+	runShardedStream(se, d, part, it, drainBufs)
+	return d.Sink.Summarize()
 }
 
-// runShardedStream drives a streaming workload across the shards: the
-// coordinator pulls the arrival iterator between windows and injects
+// runShardedStream drives the arrival stream across the shards: the
+// coordinator pulls the iterator between windows and injects
 // each flow start as a ranked event on its source shard, reproducing
 // ScheduleStream's serial event order exactly. Each batch of
 // same-timestamp arrivals gets one coordinator rank node standing for
@@ -147,16 +103,15 @@ func driveSharded(se *sim.ShardedEngine, d *transport.Driver, part *topology.Par
 // onArrival's call order (start all but the last flow, schedule the
 // next arrival or the watchdog, start the last flow).
 func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology.Partition,
-	it *workload.Stream, sc *metrics.StreamCollector, drainBufs func(metrics.Sink)) {
-
-	// The serial path's one setup Schedule (the first AtHead).
-	slot0 := se.SetupSlot()
+	it *workload.Stream, drainBufs func()) {
 
 	pending, hasPending := it.Next()
 	if !hasPending {
 		panic(fmt.Errorf("transport: no foreground flows scheduled"))
 	}
 
+	// drained: the iterator is exhausted. The coordinator sets it
+	// between windows; OnZero reads it on the shards.
 	var drained atomic.Bool
 	d.OnZero = func() {
 		if drained.Load() {
@@ -165,11 +120,10 @@ func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology
 	}
 	lookahead := sim.Duration(se.Lookahead())
 
+	// The serial path's one setup Schedule (the first AtHead).
 	var prevCtx *sim.Rank
-	prevK := slot0
+	prevK := se.SetupSlot()
 	var lastArrival sim.Time
-	allInjected := false
-	iterDone := false
 	var batch []workload.FlowSpec
 
 	injectFlow := func(t sim.Time, ctx *sim.Rank, k uint64, f workload.FlowSpec) {
@@ -189,7 +143,7 @@ func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology
 			for {
 				f, ok := it.Next()
 				if !ok {
-					iterDone = true
+					drained.Store(true)
 					break
 				}
 				if f.Start == t {
@@ -205,13 +159,10 @@ func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology
 				injectFlow(t, r, uint64(j), batch[j])
 			}
 			last := batch[m-1]
-			lastShard := part.ShardOfID(last.Src)
-			if iterDone {
-				se.Shard(lastShard).InjectAt(t.Add(transport.StreamGrace), false, r, uint64(m-1), se.RequestStop)
+			if drained.Load() {
+				se.Shard(part.ShardOfID(last.Src)).InjectAt(t.Add(transport.StreamGrace), false, r, uint64(m-1), se.RequestStop)
 				injectFlow(t, r, uint64(m), last)
 				lastArrival = t
-				allInjected = true
-				drained.Store(true)
 			} else {
 				prevCtx, prevK = r, uint64(m-1)
 				injectFlow(t, r, uint64(m), last)
@@ -228,15 +179,14 @@ func runShardedStream(se *sim.ShardedEngine, d *transport.Driver, part *topology
 			break
 		}
 		end := cand.Add(lookahead)
-		if allInjected && end > lastArrival {
+		if drained.Load() && end > lastArrival {
 			break
 		}
 		injectBefore(end)
 		se.StepWindow(end)
-		drainBufs(sc)
+		drainBufs()
 	}
-	se.RunTail(0, false)
-	drainBufs(sc)
+	se.RunTail()
+	drainBufs()
 	d.FlushUnfinished()
-	drainBufs(sc)
 }

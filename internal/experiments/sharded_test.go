@@ -86,26 +86,33 @@ func TestShardedFallback(t *testing.T) {
 	}
 }
 
-// TestShardedStreamEquality: the streaming path's exact metrics
-// (counts, AFCT, retransmissions, queue totals) must match between a
-// serial streaming run and a sharded streaming run.
-func TestShardedStreamEquality(t *testing.T) {
-	cfg := shardPoint(DCTCP, LeafSpine)
-	cfg.NumFlows = 400
-	cfg.Stream = true
-	want := runShards(t, cfg, 0)
-	for _, shards := range []int{2, 4} {
-		got := runShards(t, cfg, shards)
-		a, b := want.Summary, got.Summary
-		if a.Flows != b.Flows || a.Completed != b.Completed ||
-			a.AFCT != b.AFCT || a.MaxFCT != b.MaxFCT ||
-			a.Retx != b.Retx || a.Timeouts != b.Timeouts {
-			t.Errorf("shards=%d: streaming summary diverged:\nserial:  %+v\nsharded: %+v",
-				shards, a, b)
-		}
-		if want.Queues != got.Queues {
-			t.Errorf("shards=%d: queue totals diverged:\nserial:  %+v\nsharded: %+v",
-				shards, want.Queues, got.Queues)
+// TestShardedSinkEquality: with either sink, stored or streamed, a
+// sharded run's exact metrics (counts, AFCT, retransmissions, queue
+// totals and the simulated end time) must match the serial run's.
+func TestShardedSinkEquality(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		cfg := shardPoint(DCTCP, LeafSpine)
+		cfg.NumFlows = 400
+		cfg.Stream = stream
+		cfg.Obs = true
+		want := runShards(t, cfg, 0)
+		for _, shards := range []int{2, 4} {
+			got := runShards(t, cfg, shards)
+			a, b := want.Summary, got.Summary
+			if a.Flows != b.Flows || a.Completed != b.Completed ||
+				a.AFCT != b.AFCT || a.MaxFCT != b.MaxFCT ||
+				a.Retx != b.Retx || a.Timeouts != b.Timeouts {
+				t.Errorf("stream=%v shards=%d: summary diverged:\nserial:  %+v\nsharded: %+v",
+					stream, shards, a, b)
+			}
+			if want.Queues != got.Queues {
+				t.Errorf("stream=%v shards=%d: queue totals diverged:\nserial:  %+v\nsharded: %+v",
+					stream, shards, want.Queues, got.Queues)
+			}
+			const elapsed = "sim/elapsed_ns"
+			if w, g := want.Obs.Counters[elapsed], got.Obs.Counters[elapsed]; w != g {
+				t.Errorf("stream=%v shards=%d: %s = %d, want serial %d", stream, shards, elapsed, g, w)
+			}
 		}
 	}
 }

@@ -279,8 +279,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // AdvanceTo moves the clock forward to t without executing anything
 // (no-op if the clock is already past t). The sharded runner uses it
-// to land every shard on the run's final deadline, mirroring
-// RunUntil's trailing clock advance.
+// to align every shard clock on the latest one at the end of a run.
 func (e *Engine) AdvanceTo(t Time) {
 	if e.now < t {
 		e.now = t

@@ -193,7 +193,7 @@ func (p rankProgram) run(t testing.TB, shards int, checked bool) *rankRun {
 		}
 		r.se.StepWindow(at.Add(rankLookahead))
 	}
-	r.se.RunTail(0, false)
+	r.se.RunTail()
 	return r
 }
 

@@ -471,12 +471,11 @@ func (se *ShardedEngine) EnterTail() {
 
 // RunTail drains the calendars serially: repeatedly execute the
 // globally least event (by time, head flag, rank) until a stop is
-// requested, the calendars empty, or — when hasDeadline — the next
-// event lies beyond deadline. Cross-shard handoffs are released after
-// every step, which is trivially safe: the coordinator is the only
-// runner. Afterwards every shard clock is advanced to the deadline
-// (mirroring RunUntil) or aligned on the latest shard.
-func (se *ShardedEngine) RunTail(deadline Time, hasDeadline bool) {
+// requested or the calendars empty. Cross-shard handoffs are released
+// after every step, which is trivially safe: the coordinator is the
+// only runner. Afterwards every shard clock is aligned on the latest
+// shard.
+func (se *ShardedEngine) RunTail() {
 	se.EnterTail()
 	for !se.stopReq.Load() {
 		best := -1
@@ -496,9 +495,6 @@ func (se *ShardedEngine) RunTail(deadline Time, hasDeadline bool) {
 		if best == -1 {
 			break
 		}
-		if hasDeadline && bAt > deadline {
-			break
-		}
 		eng := se.engs[best]
 		eng.Step()
 		se.o.tailEvs.Inc()
@@ -506,11 +502,6 @@ func (se *ShardedEngine) RunTail(deadline Time, hasDeadline bool) {
 			se.stopReq.Store(true)
 		}
 		se.deliver(best)
-	}
-	if hasDeadline {
-		for _, e := range se.engs {
-			e.AdvanceTo(deadline)
-		}
 	}
 	var latest Time
 	for _, e := range se.engs {

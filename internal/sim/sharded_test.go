@@ -62,7 +62,7 @@ func pingPong(t *testing.T, n, parallelWindows int, forceWorkers bool) []Time {
 		}
 		se.StepWindow(at + lookahead)
 	}
-	se.RunTail(0, false)
+	se.RunTail()
 	return times
 }
 
@@ -141,7 +141,7 @@ func TestShardedObsCounters(t *testing.T) {
 		}
 		se.StepWindow(at + lookahead)
 	}
-	se.RunTail(0, false)
+	se.RunTail()
 
 	snap := reg.Snapshot()
 	counter := func(name string) int64 {
