@@ -115,11 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		opts.Faults = plan
 	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return fail(err)
-		}
-	}
 	if *loads != "" {
 		for _, s := range strings.Split(*loads, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -127,6 +122,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(fmt.Errorf("bad load %q: %v", s, err))
 			}
 			opts.Loads = append(opts.Loads, v)
+		}
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return fail(err)
 		}
 	}
 

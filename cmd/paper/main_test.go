@@ -103,6 +103,7 @@ var flagTable = []flagRow{
 	{flag: "loads", args: fig("-loads", "0.3,x"), reject: `bad load "x"`},
 	{flag: "loads", args: fig("-loads", "1.5"), reject: "Loads"},
 	{flag: "out", args: fig("-out", "o"), ids: fig9a, out: wrote("o/fig9a.tsv", "o/fig9a.manifest.json")},
+	{flag: "out", args: fig("-loads", "0.5,abc", "-out", "d"), reject: `bad load "abc"`},
 	{flag: "parallel", args: fig("-parallel", "3"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Parallelism = 3 }},
 	{flag: "obs", args: fig(), ids: fig9a, out: wrote("fig9a.manifest.json")},
 	{flag: "obs", args: toy(), ids: fig3, out: func(t *testing.T, r result) {
@@ -184,6 +185,9 @@ func TestFlagTable(t *testing.T) {
 			if row.reject != "" {
 				if r.code != 1 || !strings.Contains(r.stderr, row.reject) {
 					t.Fatalf("exit %d, stderr %q: want exit 1 naming %s", r.code, r.stderr, row.reject)
+				}
+				if left, _ := os.ReadDir(r.dir); len(left) > 0 {
+					t.Errorf("rejected run left %s in its working directory", left[0].Name())
 				}
 				return
 			}

@@ -162,6 +162,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Faults = plan
 	}
 
+	if *seeds > 1 && (*flowLog != "" || *queueLog != "" || *outcomes != "" || *traceOut != "" || *cdf) {
+		return fail(fmt.Errorf("-flowlog/-queuetrace/-outcomes/-trace/-cdf need a single run; drop -seeds"))
+	}
+	// A rejected run writes nothing: the config is checked before any
+	// output or profile opens.
+	if err := pase.Validate(cfg); err != nil {
+		return fail(err)
+	}
+
 	// Spill mode opens the outputs up front: the trace streams while
 	// the run executes instead of being written afterwards.
 	var spills []func() error
@@ -190,9 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	started := time.Now()
 	var reps []*pase.Report
 	if *seeds > 1 {
-		if *flowLog != "" || *queueLog != "" || *outcomes != "" || *traceOut != "" || *cdf {
-			return fail(fmt.Errorf("-flowlog/-queuetrace/-outcomes/-trace/-cdf need a single run; drop -seeds"))
-		}
 		meter := cliutil.NewProgress(fmt.Sprintf("%s @ %.0f%%", cfg.Protocol, cfg.Load*100), *progress)
 		reps, err = simulateSeeds(cfg, *seeds, *parallel, meter.Update)
 		meter.Done()

@@ -80,6 +80,7 @@ var flagTable = []flagRow{
 	{flag: "scenario", args: small("-scenario", "toy"), reject: "unknown scenario"},
 	{flag: "load", args: small("-load", "0.5"), cfg: func(c *pase.SimConfig) { c.Load = 0.5 }},
 	{flag: "load", args: small("-load", "1.5"), reject: "Load"},
+	{flag: "load", args: small("-load", "2", "-trace", "t.json", "-trace-spill"), reject: "Load"},
 	{flag: "flows", args: small("-flows", "15"), cfg: func(c *pase.SimConfig) { c.NumFlows = 15 }},
 	{flag: "seed", args: small("-seed", "5"), cfg: func(c *pase.SimConfig) { c.Seed = 5 }},
 	{flag: "seeds", args: small("-seeds", "2", "-parallel", "1"), out: func(t *testing.T, r result) {
@@ -90,6 +91,9 @@ var flagTable = []flagRow{
 	}},
 	{flag: "seeds", args: small("-seeds", "-2"), reject: "-seeds"},
 	{flag: "seeds", args: small("-seeds", "2", "-flowlog", "f.tsv"), reject: "-seeds"},
+	{flag: "seeds", args: small("-seeds", "2", "-stream", "-flowlog", "f.tsv"), reject: "-seeds"},
+	{flag: "seeds", args: small("-seeds", "2", "-trace", "t.json", "-trace-spill"), reject: "-seeds"},
+	{flag: "seeds", args: small("-seeds", "2", "-cdf", "-cpuprofile", "p.out"), reject: "-seeds"},
 	{flag: "parallel", args: small("-seeds", "2", "-parallel", "3"), out: func(t *testing.T, r result) {
 		if r.parallel != 3 {
 			t.Errorf("SimulateSeeds got parallelism %d, want 3", r.parallel)
@@ -208,6 +212,9 @@ func TestFlagTable(t *testing.T) {
 			if row.reject != "" {
 				if r.code != 1 || !strings.Contains(r.stderr, row.reject) {
 					t.Fatalf("exit %d, stderr %q: want exit 1 naming %s", r.code, r.stderr, row.reject)
+				}
+				if left, _ := os.ReadDir(r.dir); len(left) > 0 {
+					t.Errorf("rejected run left %s in its working directory", left[0].Name())
 				}
 				return
 			}

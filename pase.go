@@ -339,6 +339,13 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	return cfg, nil
 }
 
+// Validate reports the first field of cfg that Simulate would reject,
+// without running anything.
+func Validate(cfg SimConfig) error {
+	_, err := normalize(cfg)
+	return err
+}
+
 // Simulate runs one simulation point.
 func Simulate(cfg SimConfig) (*Report, error) {
 	cfg, err := normalize(cfg)
