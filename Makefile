@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
+.PHONY: build loc vet test race check-test alloc-gate scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample ci
 
 build:
 	$(GO) build ./...
@@ -12,14 +12,6 @@ loc:
 	wc -l $$files | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
 		n[d == "" ? "." : d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2; \
 	cat $$files | wc -l | xargs printf '%7d total\n'
-
-# pins runs `go test -count=1 -v $(2)` with the environment $(1) and
-# fails when go test fails or when its -run pattern selected no TestPins
-# subtest: go test exits 0 on "no tests to run". The log goes to a temp
-# file, not through a pipe, so go test's exit status is kept.
-pins = log=$$(mktemp) && { $(1) $(GO) test -count=1 -v $(2) >$$log 2>&1; st=$$?; cat $$log; \
-	n=$$(grep -c -- '--- PASS: TestPins/[^/ ]*/' $$log); rm -f $$log; \
-	echo "$$n TestPins subtests passed"; [ $$st -eq 0 ] && [ $$n -gt 0 ]; }
 
 # go vet, plus gofmt as a gate: any file gofmt would rewrite fails.
 vet:
@@ -54,13 +46,6 @@ check-test:
 alloc-gate:
 	$(GO) test -run 'TestAllocGate|TestSetupScalesWithLinks' -count=1 -v .
 
-# A short randomized-fault soak under the forced invariant checker:
-# PASE runs through link flaps, packet loss/corruption, a lossy slow
-# control plane and periodic arbitrator crashes, and must finish every
-# flow with zero invariant violations (plus the chaos pins' re-runs).
-chaos-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestChaos|TestPins/(chaos|figure-robust-axis)' ./internal/experiments/)
-
 # The streaming scale sweep at 10^5 flows with invariants force-enabled
 # and a hard 256 MB Go-heap ceiling: a dedicated test process (so no
 # other test inflates the heap first) proving bounded-memory runs stay
@@ -68,27 +53,19 @@ chaos-smoke:
 scale-smoke:
 	PASE_CHECK=1 PASE_SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke' -count=1 -v ./internal/experiments/
 
-# Sharded-engine smoke: every pin's shards=N twins under the forced
-# invariant checker — on untraced, fault-free, unrouted rows (digests,
-# figure TSV, GOMAXPROCS) they shard, on traced, faulted and routed
-# rows they check the serial fallback changes nothing — plus the
-# fallback table, the race detector over the worker-barrier machinery,
-# and one 10^5-flow sharded streaming run end to end.
+# Sharded-engine smoke: one checked 10^5-flow sharded streaming run end
+# to end (the shards=N twins and TestSharded* run in check-test, and
+# under the race detector in race).
 shard-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
-	$(call pins,,-race -run 'TestSharded|TestPins/.*/shards' ./internal/experiments/ ./internal/sim/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
 
-# Recorder smoke: the trace-* and traced-* pins (Perfetto bytes
-# stream/stored, faulted chaos, route and abort tracks, golden trace
-# and TSVs, spilled == buffered) under the forced invariant checker,
-# then one checked, streamed, faulted traced run end to end whose
-# trace the pasetrace analyzer must validate and digest (exit 0),
+# Recorder smoke: one checked, streamed, faulted traced run end to end
+# whose trace the pasetrace analyzer must validate and digest (exit 0),
 # and one serial streamed run that spills the flow-event TSV and writes
-# the queue TSV, each of which must start with its header.
+# the queue TSV, each of which must start with its header (the trace
+# pins and recorder tests run in check-test).
 trace-smoke:
 	mkdir -p artifacts
-	$(call pins,PASE_CHECK=1,-run 'TestTraced|TestPASETrace|TestTraceSampling|TestSpillMatchesBuffered|TestRecorderCaps|TestPins/trace' ./internal/experiments/ ./internal/trace/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
@@ -114,37 +91,24 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRankOrder$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
 
-# ExpressPass conformance gate: the credit transport's digest suite
-# (pinned digest, sharded equality at 0-4 shards on fault-free runs,
-# stream==stored, faulted chaos on the serial engine, incast
-# regression, highspeed sweep) under the forced
-# invariant checker — credit_pace included — then one checked
-# 10^5-flow 100 Gbps incast run end to end.
+# ExpressPass gate: one checked 10^5-flow 100 Gbps incast run end to
+# end, credit_pace included (the credit transport's pins and tests run
+# in check-test).
 highspeed-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestExpressPass|TestHighspeed|TestPins/(conformance|sharded|expresspass|figure-highspeed-axis)' ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -flows 100000 -stream -check -progress=false
 
-# Routing-control-loop gate: the route-table unit pins (clean == pure
-# ECMP, minimal-churn failover, exact recovery, link-ID helpers), the
-# te-failover survival + control-arm + repeatability + idle
-# non-interference pins (routed runs stay serial; the idle row still
-# shards) under the forced invariant checker
-# (route_valid / route_loop included), then one checked rerouted run
-# through a real uplink outage end to end.
+# Routing-control-loop gate: one checked rerouted run through a real
+# uplink outage end to end, route_valid / route_loop included (the
+# route-table and te-* pins and tests run in check-test).
 te-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestRouteTable|TestECMPSpine|TestLeafSpineLinkID|TestTE|TestPins/(^te-|^figure-te-axis)' ./internal/topology/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
 		-reroute -te -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 
-# Arbitration-control-plane gate: the hierarchy unit suite, the tree
-# and System-climb fuzzer seeds, the control-plane conformance pins
-# (hierarchy / deep-hierarchy / centralized digests, shard equality,
-# scaling acceptance) and the arbstats count pins under the forced
-# invariant checker, then one checked
-# 512-rack run per arm end to end — the hierarchy at datacenter scale
-# and the centralized comparison on the same fabric.
+# Arbitration-control-plane gate: one checked 512-rack run per arm end
+# to end — the hierarchy at datacenter scale and the centralized
+# comparison on the same fabric (the hierarchy suite, fuzzer seeds and
+# ctrlplane/arbstats pins run in check-test).
 ctrlscale-smoke:
-	$(call pins,PASE_CHECK=1,-run 'TestTree|FuzzArbitrationTree|FuzzClimb|TestCtrlScale|TestPins/(ctrlplane|arbstats|figure-ctrlscale-axis)' ./internal/core/arbitration/ ./internal/experiments/)
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
 
@@ -173,4 +137,4 @@ manifest-sample:
 	$(GO) run ./cmd/paper -fig 9a -flows 120 -loads 0.5,0.8 -out artifacts -progress=false
 
 # The same stages, in the same order, as .github/workflows/ci.yml.
-ci: vet build loc test race check-test alloc-gate chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample
+ci: vet build loc test race check-test alloc-gate scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample
