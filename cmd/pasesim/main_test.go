@@ -291,3 +291,48 @@ func runIn(t *testing.T, args []string, fs **flag.FlagSet) result {
 	r.meter = string(b)
 	return r
 }
+
+// TestOutputGolden pins pasesim's bytes: the stdout of a checked
+// single run with -cdf and -outcomes plus its outcomes TSV, and the
+// stdout of a serial three-seed table. PASE_UPDATE=1 rewrites the
+// files under testdata/.
+func TestOutputGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		file string // an output the run writes, pinned too
+	}{
+		{"single", []string{"-scenario", "deadline", "-flows", "100", "-check", "-cdf", "-outcomes", "o.tsv"}, "o.tsv"},
+		{"seeds", []string{"-protocol", "DCTCP", "-flows", "100", "-seeds", "3", "-parallel", "1"}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var fs *flag.FlagSet
+			r := runIn(t, append(append([]string(nil), base...), c.args...), &fs)
+			if r.code != 0 {
+				t.Fatalf("exit %d, stderr %q", r.code, r.stderr)
+			}
+			golden(t, c.name+".stdout", r.stdout)
+			if c.file != "" {
+				golden(t, c.name+"."+c.file, r.file(t, c.file))
+			}
+		})
+	}
+}
+
+// golden compares got with testdata/<name>.golden.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if os.Getenv("PASE_UPDATE") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v; pin it with PASE_UPDATE=1", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs; got:\n%s", path, got)
+	}
+}
