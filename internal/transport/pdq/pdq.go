@@ -167,6 +167,10 @@ func (a *publishAction) Fire(arg any) {
 		return
 	}
 	c.rate = c.sync(s, c.rtt)
+	if c.stopped {
+		// Early Termination killed the flow and released its sender.
+		return
+	}
 	s.Stack().Eng.ScheduleAction(c.rtt/2, (*applyAction)(c), s)
 }
 

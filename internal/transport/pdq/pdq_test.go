@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pase/internal/check"
 	"pase/internal/core/arbitration"
 	"pase/internal/netem"
 	"pase/internal/pkt"
@@ -13,7 +14,9 @@ import (
 	"pase/internal/workload"
 )
 
-func rack(n int) (*topology.Network, *transport.Driver, *System) { return rackWithCfg(n, false) }
+func rack(n int) (*topology.Network, *transport.Driver, *System) {
+	return rackOn(sim.NewEngine(), n, false)
+}
 
 // newArb is one link's allocator as Attach builds it, on a 1 Gbps
 // link with a clock that never moves.
@@ -139,28 +142,37 @@ func TestPreemptionShortFirst(t *testing.T) {
 	}
 }
 
+// TestEarlyTerminationKillsDoomedFlow runs on a plain and on a checked
+// engine: the doomed flow is killed inside its own header exchange, and
+// a checked engine retires its sender at once, so nothing after the
+// kill may touch it.
 func TestEarlyTerminationKillsDoomedFlow(t *testing.T) {
-	net, d, _ := rackWithCfg(4, true)
-	_ = net
-	// 2 MB needs 16ms at line rate; 5ms deadline is impossible.
-	d.Schedule([]workload.FlowSpec{
-		{ID: 1, Src: 0, Dst: 1, Size: 2_000_000, Start: 0, Deadline: sim.Time(5 * sim.Millisecond)},
-		{ID: 2, Src: 2, Dst: 3, Size: 50_000, Start: 0, Deadline: sim.Time(20 * sim.Millisecond)},
-	})
-	s, err := d.Run(sim.Time(sim.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Completed != 1 {
-		t.Fatalf("completed = %d: doomed flow should be killed, feasible one finish", s.Completed)
-	}
-	if s.AppThroughput != 0.5 {
-		t.Fatalf("app throughput = %v, want 0.5", s.AppThroughput)
+	for _, checked := range []bool{false, true} {
+		eng := sim.NewEngine()
+		if checked {
+			eng.AttachCheck(check.New(func() int64 { return int64(eng.Now()) }))
+		}
+		_, d, _ := rackOn(eng, 4, true)
+		// 2 MB needs 16ms at line rate; 5ms deadline is impossible.
+		d.Schedule([]workload.FlowSpec{
+			{ID: 1, Src: 0, Dst: 1, Size: 2_000_000, Start: 0, Deadline: sim.Time(5 * sim.Millisecond)},
+			{ID: 2, Src: 2, Dst: 3, Size: 50_000, Start: 0, Deadline: sim.Time(20 * sim.Millisecond)},
+		})
+		s, err := d.Run(sim.Time(sim.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Completed != 1 {
+			t.Fatalf("checked=%v: completed = %d: doomed flow should be killed, feasible one finish", checked, s.Completed)
+		}
+		if s.AppThroughput != 0.5 {
+			t.Fatalf("checked=%v: app throughput = %v, want 0.5", checked, s.AppThroughput)
+		}
 	}
 }
 
-func rackWithCfg(n int, earlyTermination bool) (*topology.Network, *transport.Driver, *System) {
-	net := topology.Build(sim.NewEngine(), topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
+func rackOn(eng *sim.Engine, n int, earlyTermination bool) (*topology.Network, *transport.Driver, *System) {
+	net := topology.Build(eng, topology.SingleRack(n, func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(225)
 	}))
 	d := transport.NewDriver(net, nil)
