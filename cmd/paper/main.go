@@ -124,11 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts.Loads = append(opts.Loads, v)
 		}
 	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return fail(err)
-		}
-	}
 
 	var ids []string
 	switch {
@@ -141,6 +136,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintln(stderr, "paper: need -fig <id>, -all, or -list")
 		return 2
+	}
+	// A rejected run writes nothing: every figure is checked before any
+	// output or profile opens.
+	for _, id := range ids {
+		if err := pase.ValidateFigure(id, opts); err != nil {
+			return fail(err)
+		}
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return fail(err)
+		}
 	}
 
 	stopCPU, err := cliutil.StartCPUProfile(*cpuProf)

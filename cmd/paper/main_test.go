@@ -88,6 +88,7 @@ func allIDs() []string {
 var flagTable = []flagRow{
 	{flag: "fig", args: []string{"-fig", "4", "-flows", "20"}, ids: []string{"4"}},
 	{flag: "fig", args: []string{"-fig", "nope"}, reject: `"nope"`},
+	{flag: "fig", args: []string{"-fig", "nope", "-out", "d"}, reject: `"nope"`},
 	{flag: "fig", args: toy(), ids: fig3, out: printed("(3 flows/point, seed 1,")},
 	{flag: "all", args: []string{"-all", "-flows", "20", "-racks", "16"}, ids: allIDs(), opts: func(o *pase.FigureOpts) { o.Racks = 16 }},
 	{flag: "list", args: []string{"-list"}, out: func(t *testing.T, r result) {
@@ -102,6 +103,7 @@ var flagTable = []flagRow{
 	{flag: "loads", args: fig("-loads", "0.3, 0.6"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Loads = []float64{0.3, 0.6} }},
 	{flag: "loads", args: fig("-loads", "0.3,x"), reject: `bad load "x"`},
 	{flag: "loads", args: fig("-loads", "1.5"), reject: "Loads"},
+	{flag: "loads", args: fig("-loads", "1.5", "-out", "d"), reject: "Loads"},
 	{flag: "out", args: fig("-out", "o"), ids: fig9a, out: wrote("o/fig9a.tsv", "o/fig9a.manifest.json")},
 	{flag: "out", args: fig("-loads", "0.5,abc", "-out", "d"), reject: `bad load "abc"`},
 	{flag: "parallel", args: fig("-parallel", "3"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Parallelism = 3 }},
@@ -147,6 +149,7 @@ var flagTable = []flagRow{
 	}},
 	{flag: "stream", args: fig("-stream"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Stream = true }},
 	{flag: "stream", args: toy("-stream"), reject: "Stream"},
+	{flag: "stream", args: toy("-stream", "-out", "d"), reject: "Stream"},
 	{flag: "shards", args: fig("-shards", "2"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Shards = 2 }},
 	{flag: "trace", args: fig("-trace"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Trace.Spans = true }},
 	{flag: "trace-sample", args: fig("-trace", "-trace-sample", "4"), ids: fig9a,
@@ -173,6 +176,7 @@ var flagTable = []flagRow{
 		}
 	}},
 	{flag: "cpuprofile", args: fig("-cpuprofile", "cpu.out"), ids: fig9a, out: wrote("cpu.out")},
+	{flag: "cpuprofile", args: []string{"-fig", "nope", "-cpuprofile", "c.out"}, reject: `"nope"`},
 	{flag: "memprofile", args: fig("-memprofile", "mem.out"), ids: fig9a, out: wrote("mem.out")},
 }
 
