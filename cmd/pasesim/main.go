@@ -246,11 +246,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "queue trace     %s (%d samples%s, every %v)\n", *queueLog, len(rep.Trace.Queue), evicted(rep.Trace.Stats.SamplesEvicted), *queueInt)
 		}
 		if *outcomes != "" {
-			outs := rep.FlowLog()
-			if err := cliutil.WriteFile(*outcomes, func(w io.Writer) error { return writeFlowOutcomes(w, outs) }); err != nil {
+			if err := cliutil.WriteFile(*outcomes, func(w io.Writer) error { return writeFlowOutcomes(w, rep) }); err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(stdout, "flow outcomes   %s (%d flows)\n", *outcomes, len(outs))
+			fmt.Fprintf(stdout, "flow outcomes   %s (%d flows)\n", *outcomes, len(rep.Records))
 		}
 	}
 
@@ -260,15 +259,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if cfg.Check {
 		var total int64
-		var details []string
 		for _, r := range reps {
 			total += r.Violations
-			details = append(details, r.ViolationDetails...)
 		}
 		if total > 0 {
 			fmt.Fprintf(stderr, "pasesim: %d invariant violations\n", total)
-			for _, d := range details {
-				fmt.Fprintln(stderr, "  ", d)
+			for _, r := range reps {
+				for _, v := range r.CheckViolations {
+					fmt.Fprintln(stderr, "  ", v.String())
+				}
 			}
 			return 1
 		}
@@ -321,7 +320,7 @@ func printReport(w io.Writer, cfg pase.SimConfig, rep *pase.Report, cdf bool) {
 	if cdf {
 		fmt.Fprintln(w, "\nFCT CDF:")
 		for _, p := range rep.CDF {
-			fmt.Fprintf(w, "%12v  %.4f\n", p.FCT, p.Fraction)
+			fmt.Fprintf(w, "%12v  %.4f\n", p.Value, p.Fraction)
 		}
 	}
 }
@@ -339,10 +338,10 @@ func printSeedTable(w io.Writer, cfg pase.SimConfig, reps []*pase.Report) {
 	for i, r := range reps {
 		fmt.Fprintf(w, "%-7d %9d %11d %11d %10.2f %10d %10d\n",
 			cfg.Seed+uint64(i), r.Completed,
-			r.AFCT.Microseconds(), r.P99.Microseconds(), r.LossRate*100,
+			r.AFCT/1000, r.P99/1000, r.LossRate*100,
 			r.Retransmits, r.Timeouts)
-		afct += float64(r.AFCT.Microseconds())
-		p99 += float64(r.P99.Microseconds())
+		afct += float64(r.AFCT / 1000)
+		p99 += float64(r.P99 / 1000)
 		loss += r.LossRate * 100
 		retx += r.Retransmits
 		timeouts += r.Timeouts
@@ -353,13 +352,14 @@ func printSeedTable(w io.Writer, cfg pase.SimConfig, reps []*pase.Report) {
 		retx/int64(len(reps)), timeouts/int64(len(reps)))
 }
 
-// writeFlowOutcomes dumps per-flow outcomes as TSV.
-func writeFlowOutcomes(w io.Writer, flows []pase.FlowOutcome) error {
+// writeFlowOutcomes dumps the run's per-flow records as TSV, times in
+// whole microseconds.
+func writeFlowOutcomes(w io.Writer, rep *pase.Report) error {
 	fmt.Fprintln(w, "# id\tsize\tstart_us\tfct_us\tdeadline_us\tdone\taborted\tretx\ttimeouts")
-	for _, fl := range flows {
+	for _, fl := range rep.Records {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%v\t%v\t%d\t%d\n",
-			fl.ID, fl.Size, fl.Start.Microseconds(), fl.FCT.Microseconds(),
-			fl.Deadline.Microseconds(), fl.Done, fl.Aborted, fl.Retx, fl.Timeouts)
+			fl.ID, fl.Size, fl.Start/1000, fl.FCT()/1000,
+			fl.Deadline/1000, fl.Done, fl.Aborted, fl.Retx, fl.Timeouts)
 	}
 	return nil
 }

@@ -81,7 +81,7 @@ func ExampleSimulate_incast() {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-8.0f%% %-9s %12v %12v %9.1f%%\n",
-				load*100, p, rep.AFCT.Round(10_000), rep.P99.Round(10_000), rep.LossRate*100)
+				load*100, p, rep.AFCT.Std().Round(10_000), rep.P99.Std().Round(10_000), rep.LossRate*100)
 		}
 	}
 
@@ -182,7 +182,7 @@ func ExampleSimulate_ablation() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-34s %12v %12v %10d\n",
-			v.name, rep.AFCT.Round(10_000), rep.P99.Round(10_000), rep.CtrlMessages)
+			v.name, rep.AFCT.Std().Round(10_000), rep.P99.Std().Round(10_000), rep.CtrlMessages)
 	}
 	// Output:
 	// variant                                    AFCT      p99 FCT  ctrl msgs

@@ -210,18 +210,18 @@ func (c cells) mean(a, j int, name string) float64 {
 	return c.sums[a][j][slices.IndexFunc(c.metrics, func(m metric) bool { return m.name == name })] / float64(c.seeds)
 }
 
-func afctMS(r PointResult) float64      { return r.Summary.AFCT.Millis() }
-func afctNS(r PointResult) float64      { return float64(r.Summary.AFCT) }
-func p99MS(r PointResult) float64       { return r.Summary.P99.Millis() }
-func appTput(r PointResult) float64     { return r.Summary.AppThroughput }
+func afctMS(r PointResult) float64      { return r.AFCT.Millis() }
+func afctNS(r PointResult) float64      { return float64(r.AFCT) }
+func p99MS(r PointResult) float64       { return r.P99.Millis() }
+func appTput(r PointResult) float64     { return r.AppThroughput }
 func lossRatePct(r PointResult) float64 { return r.LossRate * 100 }
 func ctrlMsgs(r PointResult) float64    { return float64(r.CtrlMessages) }
 func queuePeak(r PointResult) float64   { return float64(r.Queues.MaxLen) }
 func droppedData(r PointResult) float64 { return float64(r.Queues.DroppedData) }
-func aborted(r PointResult) float64     { return float64(r.Summary.Aborted) }
+func aborted(r PointResult) float64     { return float64(r.Aborted) }
 func ctrlMB(r PointResult) float64      { return metric{counter: "ctrl/bytes"}.value(r) / 1e6 }
 func survival(r PointResult) float64 {
-	return float64(r.Summary.Completed) / float64(max(r.Summary.Flows, 1))
+	return float64(r.Completed) / float64(max(r.Flows, 1))
 }
 
 // meanTCT runs from a query's first response starting to its last

@@ -106,8 +106,8 @@ func mapPoints(cfgs []PointConfig, o Opts, res *Result, keep func(i int, r Point
 	flows := make([]int, len(cfgs))
 	forEachPoint(cfgs, o, func(i int, r PointResult) {
 		keep(i, r)
-		snaps[i], totals[i] = r.Obs, [3]int64{r.Summary.Retx, r.Summary.Timeouts, r.Violations}
-		flows[i] = r.Summary.Flows
+		snaps[i], totals[i] = r.Obs, [3]int64{r.Retransmits, r.Timeouts, r.Violations}
+		flows[i] = r.Flows
 	})
 	res.Obs, res.Points = obs.MergeAll(snaps), len(cfgs)
 	for _, t := range totals {

@@ -151,7 +151,7 @@ func TestMapPointsMatchesRunPoints(t *testing.T) {
 	ys := make([]float64, len(cfgs))
 	var res Result
 	mapPoints(cfgs, Opts{Parallelism: 4}, &res, func(i int, r PointResult) { ys[i] = afctMS(r) })
-	if res.Points != len(cfgs) || res.Retx != full[0].Summary.Retx+full[1].Summary.Retx {
+	if res.Points != len(cfgs) || res.Retx != full[0].Retransmits+full[1].Retransmits {
 		t.Fatalf("mapPoints totals: %d points, %d retx", res.Points, res.Retx)
 	}
 	for i := range cfgs {

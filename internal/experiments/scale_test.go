@@ -24,7 +24,7 @@ func TestStreamMatchesStoredCollector(t *testing.T) {
 
 	a, b := stored.Summary, got.Summary
 	if a.Flows != b.Flows || a.Completed != b.Completed || a.AFCT != b.AFCT ||
-		a.MaxFCT != b.MaxFCT || a.Retx != b.Retx || a.Timeouts != b.Timeouts {
+		a.MaxFCT != b.MaxFCT || a.Retransmits != b.Retransmits || a.Timeouts != b.Timeouts {
 		t.Fatalf("exact metrics diverge:\nstored %+v\nstream %+v", a, b)
 	}
 	if stored.LossRate != got.LossRate || stored.CtrlMessages != got.CtrlMessages {

@@ -101,7 +101,7 @@ func TestShardedSinkEquality(t *testing.T) {
 			a, b := want.Summary, got.Summary
 			if a.Flows != b.Flows || a.Completed != b.Completed ||
 				a.AFCT != b.AFCT || a.MaxFCT != b.MaxFCT ||
-				a.Retx != b.Retx || a.Timeouts != b.Timeouts {
+				a.Retransmits != b.Retransmits || a.Timeouts != b.Timeouts {
 				t.Errorf("stream=%v shards=%d: summary diverged:\nserial:  %+v\nsharded: %+v",
 					stream, shards, a, b)
 			}

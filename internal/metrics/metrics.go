@@ -84,8 +84,8 @@ type Summary struct {
 	AppThroughput float64
 	DeadlineFlows int
 
-	Retx     int64
-	Timeouts int64
+	Retransmits int64
+	Timeouts    int64
 }
 
 // tally is what the stored and streamed sinks count alike: exact
@@ -135,7 +135,7 @@ func (t *tally) summary() Summary {
 		Completed:     t.completed,
 		Aborted:       t.aborted,
 		DeadlineFlows: t.deadlineFlows,
-		Retx:          t.retx,
+		Retransmits:   t.retx,
 		Timeouts:      t.timeouts,
 		MaxFCT:        t.maxFCT,
 	}
@@ -174,7 +174,7 @@ func (c *Collector) sortedFCTs() []sim.Duration {
 
 func (s Summary) String() string {
 	return fmt.Sprintf("flows=%d done=%d aborted=%d afct=%.3fms p99=%.3fms appTput=%.3f retx=%d timeouts=%d",
-		s.Flows, s.Completed, s.Aborted, s.AFCT.Millis(), s.P99.Millis(), s.AppThroughput, s.Retx, s.Timeouts)
+		s.Flows, s.Completed, s.Aborted, s.AFCT.Millis(), s.P99.Millis(), s.AppThroughput, s.Retransmits, s.Timeouts)
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of a sorted

@@ -123,7 +123,7 @@ func TestPoolDifferential(t *testing.T) {
 	if idle == 0 {
 		t.Fatal("the pool kept nothing: the differential compared the allocator with itself")
 	}
-	if wantSum.Completed != 500 || wantSum.Retx == 0 || wantSum.Timeouts == 0 {
+	if wantSum.Completed != 500 || wantSum.Retransmits == 0 || wantSum.Timeouts == 0 {
 		t.Fatalf("workload is not lossy enough to mean anything: %+v", wantSum)
 	}
 	if !reflect.DeepEqual(got, want) || gotSum != wantSum {

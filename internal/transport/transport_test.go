@@ -44,8 +44,8 @@ func TestSingleFlowCompletes(t *testing.T) {
 	if s.AFCT > 5*sim.Millisecond {
 		t.Fatalf("AFCT %v too slow", s.AFCT)
 	}
-	if s.Retx != 0 {
-		t.Fatalf("unexpected retransmissions: %d", s.Retx)
+	if s.Retransmits != 0 {
+		t.Fatalf("unexpected retransmissions: %d", s.Retransmits)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestLossRecoveryUnderTinyBuffers(t *testing.T) {
 	if net.QueueStatsTotal().Dropped == 0 {
 		t.Fatal("scenario should actually drop packets")
 	}
-	if s.Retx == 0 {
+	if s.Retransmits == 0 {
 		t.Fatal("recovery must have retransmitted something")
 	}
 }

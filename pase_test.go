@@ -12,6 +12,7 @@ import (
 	"pase"
 	"pase/internal/experiments"
 	"pase/internal/faults"
+	"pase/internal/metrics"
 )
 
 func TestSimulateValidation(t *testing.T) {
@@ -218,7 +219,7 @@ func TestSimManifestGolden(t *testing.T) {
 	cfg := pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.7, NumFlows: 150, Seed: 3,
 		Check: true, Faults: plan, Route: pase.RouteConfig{Reroute: true}, AbortAfter: pase.Duration(time.Millisecond),
 		Stream: true, Shards: 2, Trace: pase.TraceConfig{Spans: true}, PASE: pase.PASEOptions{NoPruning: true}}
-	reps := []*pase.Report{{Retransmits: 5, Timeouts: 1}, {Retransmits: 7, Timeouts: 2}}
+	reps := []*pase.Report{{Summary: metrics.Summary{Retransmits: 5, Timeouts: 1}}, {Summary: metrics.Summary{Retransmits: 7, Timeouts: 2}}}
 	m := pase.NewSimManifest("pasesim", cfg, reps, 2, time.Now(), time.Second)
 	m.GitRev, m.GoVersion, m.Started, m.WallClockMS, m.PeakRSSBytes, m.HeapSysBytes = "", "", "", 0, 0, 0
 	var got bytes.Buffer
