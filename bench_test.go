@@ -231,15 +231,6 @@ func BenchmarkAblationDelegation(b *testing.B) {
 	b.ReportMetric(float64(off.CtrlMessages), "msgs_delegation_off")
 }
 
-func BenchmarkAblationReorderGuard(b *testing.B) {
-	on := benchPoint(b, pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioWorkerAgg,
-		Load: 0.8, NumFlows: 250, Seed: 1})
-	off := benchPoint(b, pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioWorkerAgg,
-		Load: 0.8, NumFlows: 250, Seed: 1, PASE: pase.PASEOptions{NoReorderGuard: true}})
-	b.ReportMetric(float64(on.Retransmits), "retx_guard_on")
-	b.ReportMetric(float64(off.Retransmits), "retx_guard_off")
-}
-
 func BenchmarkAblationQueueCounts(b *testing.B) {
 	for _, q := range []int{3, 8} {
 		rep := benchPoint(b, pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight,
