@@ -215,17 +215,14 @@ func (s *Sender) Remaining() int64 { return s.Spec.Size - s.ackedBytes }
 // Inflight returns the number of in-flight segments.
 func (s *Sender) Inflight() int32 { return s.inflight }
 
-// CumAck returns the lowest unacknowledged sequence number.
+// CumAck returns the lowest unacknowledged sequence number, the
+// retransmission candidate.
 func (s *Sender) CumAck() int32 { return s.cumAck }
 
 // NextWindowEdge returns the highest sequence number reached by the
 // sender so far; once-per-window logic (DCTCP's alpha refresh and
 // window cut) uses it as the edge marker.
 func (s *Sender) NextWindowEdge() int32 { return s.nextSeq }
-
-// FirstMissing returns the lowest unacked segment (== CumAck), the
-// retransmission candidate.
-func (s *Sender) FirstMissing() int32 { return s.cumAck }
 
 // WindowSegs returns the effective window in whole segments.
 func (s *Sender) WindowSegs() int32 {
