@@ -112,13 +112,11 @@ ctrlscale-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
 
-# One-iteration figure regenerations: catches perf cliffs and keeps
-# the bench harness compiling without paying full bench time. The
-# Fig09a pattern also covers BenchmarkFig09aObsOverhead and
-# BenchmarkFig09aCheckOverhead, so the instrumented and checked paths
-# are exercised too.
+# One iteration of each benchmark: the root set-up costs and the engine
+# and queue micro-benchmarks, so they keep compiling and running without
+# paying full bench time.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkFig03|BenchmarkFig09a|BenchmarkFig10a|BenchmarkSetup' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkSetup' -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/netem/
 
 bench:

@@ -150,6 +150,7 @@ var flagTable = []flagRow{
 	{flag: "stream", args: fig("-stream"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Stream = true }},
 	{flag: "stream", args: toy("-stream"), reject: "Stream"},
 	{flag: "stream", args: toy("-stream", "-out", "d"), reject: "Stream"},
+	{flag: "stream", args: []string{"-fig", "task", "-stream", "-out", "d"}, reject: "Stream"},
 	{flag: "shards", args: fig("-shards", "2"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Shards = 2 }},
 	{flag: "trace", args: fig("-trace"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Trace.Spans = true }},
 	{flag: "trace-sample", args: fig("-trace", "-trace-sample", "4"), ids: fig9a,

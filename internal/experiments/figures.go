@@ -58,8 +58,8 @@ type Opts struct {
 	// path (workload iterator + quantile-sketch collector). Headline
 	// sweep metrics (AFCT, app throughput, loss) are identical to
 	// stored runs; P50/P99 and CDFs are within the sketch's
-	// metrics.DefaultSketchEps. Per-flow figures, which plot Records,
-	// reject it.
+	// metrics.DefaultSketchEps. Figures that read Records (per-flow
+	// figures and the task figure) reject it.
 	Stream bool `json:"stream,omitempty"`
 	// Shards splits every point's fabric across this many
 	// independently-clocked engine shards (0 or 1 = serial). Results are
@@ -175,12 +175,14 @@ type arm struct {
 }
 
 // metric is one scalar read off every point: of(r), or the point's obs
-// counter when counter is set. A note metric only feeds annotate.
+// counter when counter is set. A note metric only feeds annotate; a
+// records metric reads the per-flow records a streamed run does not keep.
 type metric struct {
 	name    string
 	of      func(PointResult) float64
 	counter string
 	note    bool
+	records bool
 }
 
 func (m metric) value(r PointResult) float64 {
@@ -348,7 +350,7 @@ var Figures = []Figure{
 			{name: "task-aware (FIFO-LM)", cfg: PointConfig{PASE: PASEOptions{TaskAware: true}}},
 			{name: "size-based (SJF)"},
 		},
-		xs: []float64{0.3, 0.6, 0.9}, metrics: []metric{{name: "TCT", of: meanTCT}, {name: "inversions", of: taskInversions, note: true}},
+		xs: []float64{0.3, 0.6, 0.9}, metrics: []metric{{name: "TCT", of: meanTCT, records: true}, {name: "inversions", of: taskInversions, note: true, records: true}},
 		annotate: taskNote},
 	// PASE's per-link arbitration composes with per-flow ECMP: it
 	// arbitrates exactly the links the flow's hash selects.
@@ -419,9 +421,12 @@ var Figures = []Figure{
 		annotate: ctrlScaleNote},
 }
 
-// PerFlow reports whether the figure plots each flow's FCT, which needs
-// the per-flow records a streamed run does not keep.
-func (f Figure) PerFlow() bool { return f.perFlow }
+// Records reports whether the figure reads per-flow records, which a
+// streamed run does not keep: it plots each flow's FCT, or one of its
+// metrics reads them.
+func (f Figure) Records() bool {
+	return f.perFlow || slices.ContainsFunc(f.metrics, func(m metric) bool { return m.records })
+}
 
 // Lookup returns the figure with the given ID.
 func Lookup(id string) (Figure, bool) {

@@ -583,22 +583,10 @@ const (
 	docEnd   = "<!-- pins:end -->"
 )
 
-// syncDesignDoc holds DESIGN.md's pin table to the registry, or rewrites
-// that section alone under PASE_UPDATE=1.
+// syncDesignDoc holds DESIGN.md's pin table to the registry.
 func syncDesignDoc(t *testing.T, update bool) {
-	path := filepath.Join("..", "..", "DESIGN.md")
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, rest, ok := bytes.Cut(doc, []byte(docBegin))
-	_, tail, ok2 := bytes.Cut(rest, []byte(docEnd))
-	if !ok || !ok2 {
-		t.Fatalf("%s has no %q … %q section", path, docBegin, docEnd)
-	}
-	var b bytes.Buffer
-	b.Write(head)
-	b.WriteString(docBegin + "\n\n| pin | output | twins | protects | mover |\n|---|---|---|---|---|\n")
+	var b strings.Builder
+	b.WriteString("\n\n| pin | output | twins | protects | mover |\n|---|---|---|---|---|\n")
 	for _, p := range pins {
 		stored := "`testdata/" + p.file + "`"
 		if p.file == "" {
@@ -610,17 +598,30 @@ func syncDesignDoc(t *testing.T, update bool) {
 		fmt.Fprintf(&b, "| `%s` | %s, %s | %s | %s | %s |\n",
 			p.name, p.out.name, stored, cmp.Or(strings.Join(p.twins, ", "), "—"), p.protects, p.mover)
 	}
-	b.WriteString("\n" + docEnd)
-	b.Write(tail)
+	b.WriteString("\n")
+	syncDoc(t, "DESIGN.md", docBegin, docEnd, b.String(), update)
+}
+
+// syncDoc holds the block between begin and end in the repository's file
+// to body, or rewrites that block alone under update.
+func syncDoc(t *testing.T, file, begin, end, body string, update bool) {
+	path := filepath.Join("..", "..", file)
+	doc, err := os.ReadFile(path)
+	head, rest, ok := strings.Cut(string(doc), begin)
+	_, tail, ok2 := strings.Cut(rest, end)
+	if err != nil || !ok || !ok2 {
+		t.Fatalf("%s has no %q … %q block (%v)", path, begin, end, err)
+	}
+	want := head + begin + body + end + tail
 	switch {
-	case bytes.Equal(b.Bytes(), doc):
+	case want == string(doc):
 	case update:
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s's pin table", path)
+		t.Logf("rewrote %s's %s block", path, begin)
 	default:
-		t.Errorf("%s's pin table differs from the registry; regenerate it with PASE_UPDATE=1 go test -run TestPins ./internal/experiments", path)
+		t.Errorf("%s's %s block differs from its rendering; regenerate it with PASE_UPDATE=1 go test -run %s ./internal/experiments", path, begin, t.Name())
 	}
 }
 

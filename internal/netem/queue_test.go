@@ -330,22 +330,3 @@ func TestQueueConservation(t *testing.T) {
 		}
 	}
 }
-
-func TestSwitchDB(t *testing.T) {
-	if len(CommoditySwitches) != 5 {
-		t.Fatalf("Table 2 has 5 switches, got %d", len(CommoditySwitches))
-	}
-	ecn, lo, hi := 0, CommoditySwitches[0].Queues, CommoditySwitches[0].Queues
-	for _, s := range CommoditySwitches {
-		if s.ECN {
-			ecn++
-		}
-		lo, hi = min(lo, s.Queues), max(hi, s.Queues)
-	}
-	if lo != 3 || hi != 10 {
-		t.Fatalf("queues span %d..%d, want 3 (Dell S4810) .. 10 (Broadcom BCM56820)", lo, hi)
-	}
-	if ecn != 4 {
-		t.Fatalf("ECN-capable = %d, want 4", ecn)
-	}
-}

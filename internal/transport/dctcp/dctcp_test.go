@@ -35,6 +35,25 @@ func TestLongTransferApproachesLineRate(t *testing.T) {
 	}
 }
 
+// A lone one-packet flow on SingleRack(2) is exact arithmetic: each way
+// crosses two links, and the ToR stores and forwards the 1 040 B data
+// packet and the 40 B ACK.
+func TestLoneFlowExact(t *testing.T) {
+	cfg := topology.SingleRack(2, nil)
+	ser := func(bytes int) sim.Duration { return cfg.EdgeRate.Serialize(int32(bytes)) }
+	const size = 1000
+	want := 4*cfg.LinkDelay + 2*ser(size+pkt.HeaderSize) + 2*ser(pkt.HeaderSize)
+	d := transport.NewDriver(rack(2), dctcp.New(dctcp.DefaultConfig()))
+	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: size, Start: 0}})
+	s, err := d.Run(sim.Time(sim.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.AFCT != want {
+		t.Errorf("DCTCP lone %d B flow FCT = %v, want %v", size, s.AFCT, want)
+	}
+}
+
 func TestIncastManyToOne(t *testing.T) {
 	// 10 senders to 1 receiver: the classic DCTCP scenario; ECN must
 	// keep it lossless and all flows complete.

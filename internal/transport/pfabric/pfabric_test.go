@@ -20,17 +20,34 @@ func pfRack(n int) *topology.Network {
 	}))
 }
 
+// A lone flow on SingleRack(2) is exact arithmetic: the host sends at
+// line rate from its first packet, the ToR's egress runs one
+// store-and-forward of the first packet behind it, and one 40 B ACK
+// returns; each way crosses two links. The 150 KB flow's short tail
+// segment reaches the ToR while the last full one is still leaving, so
+// the pipeline delay is a full packet's.
 func TestLoneFlowFast(t *testing.T) {
-	net := pfRack(2)
-	d := transport.NewDriver(net, pfabric.New())
-	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: 150_000, Start: 0}})
-	s, err := d.Run(sim.Time(sim.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Line-rate start: 150 KB over 1 Gbps ≈ 1.2 ms + RTT; no ramp-up.
-	if s.AFCT > 2*sim.Millisecond {
-		t.Fatalf("pFabric lone flow FCT = %v, want < 2ms", s.AFCT)
+	cfg := topology.SingleRack(2, nil)
+	ser := func(bytes int) sim.Duration { return cfg.EdgeRate.Serialize(int32(bytes)) }
+	base := 4*cfg.LinkDelay + 2*ser(pkt.HeaderSize) // propagation and the ACK
+	const big = 150_000
+	full, tail := big/pkt.MSS, big%pkt.MSS+pkt.HeaderSize // 102 × 1 500 B and one 1 120 B
+	for _, c := range []struct {
+		size int64
+		want sim.Duration
+	}{
+		{1000, base + 2*ser(1000+pkt.HeaderSize)},
+		{big, base + sim.Duration(full)*ser(pkt.MTU) + ser(tail) + ser(pkt.MTU)},
+	} {
+		d := transport.NewDriver(pfRack(2), pfabric.New())
+		d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: c.size, Start: 0}})
+		s, err := d.Run(sim.Time(sim.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.AFCT != c.want {
+			t.Errorf("pFabric lone %d B flow FCT = %v, want %v", c.size, s.AFCT, c.want)
+		}
 	}
 }
 

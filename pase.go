@@ -327,7 +327,7 @@ func ListFigures() []FigureInfo {
 
 // ValidateFigure reports why RunFigure would reject figure id with
 // opts, without running anything: an unknown id, a field out of range,
-// or Stream on a figure that plots per-flow records.
+// or Stream on a figure that reads per-flow records.
 func ValidateFigure(id string, opts FigureOpts) error {
 	fig, ok := experiments.Lookup(id)
 	if !ok {
@@ -336,8 +336,8 @@ func ValidateFigure(id string, opts FigureOpts) error {
 	if err := validate(opts, "Loads", "Racks"); err != nil {
 		return err
 	}
-	if opts.Stream && fig.PerFlow() {
-		return fmt.Errorf("pase: figure %s plots per-flow records, which Stream does not keep", id)
+	if opts.Stream && fig.Records() {
+		return fmt.Errorf("pase: figure %s reads per-flow records, which Stream does not keep", id)
 	}
 	return nil
 }
