@@ -7,7 +7,8 @@ import (
 	"pase/internal/sim"
 )
 
-// The paper's who-wins claims are TestClaims' rows (claims_test.go);
+// The paper's who-wins claims are the claims table's rows
+// (claims_test.go), graded by TestClaims and the TestFig* tests there;
 // these tests check what those rows do not: every point completes, the
 // toy's per-flow FCTs, and the extensions.
 
