@@ -42,9 +42,12 @@ check-test:
 # counts repeat almost exactly, so this is a hard test, not a timing
 # comparison; a dedicated process keeps other tests out of the counts.
 # TestSetupScalesWithLinks holds set-up linear in the fabric's links:
-# ctrlscale-2048 may cost at most 4.4x ctrlscale-512.
+# ctrlscale-2048 may cost at most 4.4x ctrlscale-512. The two
+# TestFlowTurnoverAllocs pin one warm flow of every protocol at zero
+# objects: transport's for the six of its tree, endhost's for PASE.
 alloc-gate:
 	$(GO) test -run 'TestAllocGate|TestSetupScalesWithLinks' -count=1 -v .
+	$(GO) test -run 'TestFlowTurnoverAllocs' -count=1 -v ./internal/transport/ ./internal/core/endhost/
 
 # The streaming scale sweep at 10^5 flows with invariants force-enabled
 # and a hard 256 MB Go-heap ceiling: a dedicated test process (so no

@@ -76,11 +76,12 @@ type Arbitrator struct {
 	// large fabric never carry a flow.
 	entries map[pkt.FlowID]*entry
 	// sorted is the sort scratch a pass refills from entries and reads
-	// only inside that pass: the owning System's, or a standalone
+	// only inside that pass: its EntryPool's, or a standalone
 	// arbitrator's own, made at its first pass.
 	sorted *[]*entry
-	// pool is the owning System's entry free list; nil on a standalone
-	// arbitrator, whose entries come from and go back to the allocator.
+	// pool is the free list of the EntryPool the arbitrator draws
+	// from; nil on a standalone arbitrator, whose entries come from and
+	// go back to the allocator.
 	pool   *pool.List[entry]
 	epoch  sim.Time // when the current allocation pass happened
 	period sim.Duration
@@ -119,10 +120,27 @@ func NewArbitrator(linkID int, capacity netem.BitRate, numQueues int, baseRate n
 	}
 }
 
-// withPool makes a System's arbitrator draw its entries from l and
-// sort them in the system's scratch.
-func (a *Arbitrator) withPool(l *pool.List[entry], sorted *[]*entry) *Arbitrator {
-	a.pool, a.sorted = l, sorted
+// EntryPool is the entry free list and sort scratch that a set of
+// arbitrators on one goroutine share: every arbitrator of a System, or
+// PDQ's per-link ones. Its list is not capped: it is bounded by the
+// flows in flight times the links each registers on.
+type EntryPool struct {
+	free pool.List[entry]
+	// sorted serves every pass of the set: no pass runs inside another.
+	sorted []*entry
+}
+
+// NewEntryPool returns an empty entry pool.
+func NewEntryPool() *EntryPool {
+	return &EntryPool{free: pool.New[entry](32, math.MaxInt32)}
+}
+
+// DrawFrom makes a draw its entries from p and sort them in p's
+// scratch, and returns a. A nil p leaves a standalone.
+func (a *Arbitrator) DrawFrom(p *EntryPool) *Arbitrator {
+	if p != nil {
+		a.pool, a.sorted = &p.free, &p.sorted
+	}
 	return a
 }
 

@@ -1,13 +1,11 @@
 package arbitration
 
 import (
-	"math"
 	"testing"
 
 	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/pkt"
-	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -42,12 +40,11 @@ func FuzzArbitrator(f *testing.F) {
 		a := NewArbitrator(0, capacity, numQueues, base, 300*sim.Microsecond,
 			func() sim.Time { return now })
 		a.AttachCheck(check.NewStrict(func() int64 { return int64(now) }))
-		free := pool.New[entry](32, math.MaxInt32)
-		var sorted []*entry
+		entries := NewEntryPool()
 		twin := NewArbitrator(0, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&free, &sorted)
+			func() sim.Time { return now }).DrawFrom(entries)
 		neighbour := NewArbitrator(1, capacity, numQueues, base, 300*sim.Microsecond,
-			func() sim.Time { return now }).withPool(&free, &sorted)
+			func() sim.Time { return now }).DrawFrom(entries)
 
 		for i, op := range data[2:] {
 			flow := pkt.FlowID(op%13 + 1)

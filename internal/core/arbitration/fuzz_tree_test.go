@@ -28,7 +28,7 @@ func FuzzArbitrationTree(f *testing.F) {
 		racks := 1 + int(data[0])%32
 		h := HierarchyParams{FanOut: 2 + int(data[1])%4, TopShards: int(data[2]) % 3}
 		var now sim.Time
-		tr := newTree(nil, nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
+		tr := newTree(nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
 			testPeriod, func() sim.Time { return now }, TreeUpIDBase)
 		if tr == nil {
 			t.Fatal("newTree returned nil for enabled params")

@@ -1,13 +1,11 @@
 package arbitration
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"pase/internal/check"
 	"pase/internal/netem"
-	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -16,15 +14,15 @@ import (
 // still reaches it through a stale sorted pointer trips the checker
 // instead of silently reordering a neighbour's flows.
 func TestReleasedEntryPoisoned(t *testing.T) {
-	free := pool.New[entry](32, math.MaxInt32)
+	p := NewEntryPool()
 	_, a := newArb(netem.Gbps)
-	a.withPool(&free, nil)
+	a.DrawFrom(p)
 	a.AttachCheck(check.NewStrict(nil))
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
-	idle := free.Len()
+	idle := p.free.Len()
 	a.Remove(2)
-	if free.Len() != idle {
+	if p.free.Len() != idle {
 		t.Fatal("a released entry went back into circulation under the checker")
 	}
 	defer func() {
@@ -39,23 +37,22 @@ func TestReleasedEntryPoisoned(t *testing.T) {
 // by Remove, lease expiry and Crash all go back to the shared list and
 // start over whole for whichever arbitrator registers a flow next.
 func TestEntriesRecycleAcrossArbitrators(t *testing.T) {
-	free := pool.New[entry](32, math.MaxInt32)
+	p := NewEntryPool()
 	var now sim.Time
-	var sorted []*entry
 	clock := func() sim.Time { return now }
 	mk := func(id int) *Arbitrator {
-		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).withPool(&free, &sorted)
+		return NewArbitrator(id, netem.Gbps, 8, 40*netem.Mbps, 300*sim.Microsecond, clock).DrawFrom(p)
 	}
 	a, b := mk(0), mk(1)
 	a.Update(1, 10, netem.Gbps)
 	a.Update(2, 20, netem.Gbps)
 	a.Update(3, 30, netem.Gbps)
-	idle := free.Len()
+	idle := p.free.Len()
 	a.Remove(1)
 	now = now.Add(9 * 300 * sim.Microsecond) // past the 8-epoch lease
 	a.Update(3, 30, netem.Gbps)              // the pass expires flow 2
 	a.Crash()                                // and the wipe returns flow 3
-	if got := free.Len() - idle; got != 3 {
+	if got := p.free.Len() - idle; got != 3 {
 		t.Fatalf("Remove + expiry + Crash returned %d entries, want 3", got)
 	}
 	if d := b.Update(7, 99, 300*netem.Mbps); d.Queue != 0 || d.Rref != 300*netem.Mbps || b.Flows() != 1 {

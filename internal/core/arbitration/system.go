@@ -146,15 +146,12 @@ type System struct {
 	// switch, indexed by the rack's offset within that agg (rack %
 	// RacksPerAgg); other links hold none. Nil in the other arms.
 	slices [][]*Arbitrator
-	// entryPool feeds every arbitrator of the system; replyPool holds
+	// entries feeds every arbitrator of the system; replyPool holds
 	// the response records between Refresh and delivery. Neither is
 	// capped: both are bounded by the flows in flight (times the links
 	// a climb visits, for entries).
-	entryPool pool.List[entry]
+	entries   *EntryPool
 	replyPool pool.List[reply]
-	// sorted is the sort scratch of every arbitrator's allocation pass
-	// (one goroutine, and no pass runs inside another).
-	sorted []*entry
 	// upTree/downTree, when Hierarchy is enabled, are the directional
 	// multi-level virtual aggregation trees that replace the flat
 	// delegation above the access links.
@@ -194,13 +191,13 @@ func NewSystem(net *topology.Network, p Params) *System {
 		net:       net,
 		eng:       net.Eng,
 		arbs:      make([]*Arbitrator, len(net.Links)),
-		entryPool: pool.New[entry](32, math.MaxInt32),
+		entries:   NewEntryPool(),
 		replyPool: pool.New[reply](32, math.MaxInt32),
 	}
 	clock := sys.eng.Now
 	baseRate := netem.BitRate(float64(pkt.MTU*8) / p.Epoch.Seconds())
 	newArb := func(id int, capacity netem.BitRate) *Arbitrator {
-		return NewArbitrator(id, capacity, p.NumQueues, baseRate, p.Epoch, clock).withPool(&sys.entryPool, &sys.sorted)
+		return NewArbitrator(id, capacity, p.NumQueues, baseRate, p.Epoch, clock).DrawFrom(sys.entries)
 	}
 	for _, l := range net.Links {
 		sys.arbs[l.ID] = newArb(l.ID, l.Capacity())
@@ -228,8 +225,8 @@ func NewSystem(net *topology.Network, p Params) *System {
 			}
 		}
 		racks := net.Cfg.Racks
-		sys.upTree = newTree(&sys.entryPool, &sys.sorted, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
-		sys.downTree = newTree(&sys.entryPool, &sys.sorted, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
+		sys.upTree = newTree(sys.entries, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeUpIDBase)
+		sys.downTree = newTree(sys.entries, p.Hierarchy, racks, rackCap, topCap, p.NumQueues, baseRate, p.Epoch, clock, TreeDownIDBase)
 		sys.nlevels = sys.upTree.MaxDepth() + 1
 		if sys.nlevels > MaxCtrlLevels {
 			sys.nlevels = MaxCtrlLevels

@@ -3,7 +3,6 @@ package arbitration
 import (
 	"pase/internal/netem"
 	"pase/internal/pkt"
-	"pase/internal/pool"
 	"pase/internal/sim"
 )
 
@@ -66,13 +65,13 @@ const (
 )
 
 // newTree builds one directional aggregation tree over `racks` racks,
-// every arbitrator drawing its entries from pool (nil = the allocator)
-// and sorting them in sorted (nil = a scratch of its own). rackCap is
+// every arbitrator drawing its entries from entries (nil = standalone
+// arbitrators: the allocator, and a scratch of their own). rackCap is
 // the capacity a single rack's uplink tier contributes; topCap bounds
 // every aggregate (the core's bisection in that direction).
 // numQueues/baseRate/period/clock configure the embedded arbitrators
 // exactly like physical ones.
-func newTree(entries *pool.List[entry], sorted *[]*entry, h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
+func newTree(entries *EntryPool, h HierarchyParams, racks int, rackCap, topCap netem.BitRate, numQueues int, baseRate netem.BitRate, period sim.Duration, clock func() sim.Time, idBase int) *Tree {
 	if !h.Enabled() || racks < 1 {
 		return nil
 	}
@@ -100,7 +99,7 @@ func newTree(entries *pool.List[entry], sorted *[]*entry, h HierarchyParams, rac
 			row := make([]*Arbitrator, shards)
 			for s := range row {
 				id := idBase + lv*treeLevelStride + s
-				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).withPool(entries, sorted)
+				row[s] = NewArbitrator(id, topCap/netem.BitRate(shards), numQueues, baseRate, period, clock).DrawFrom(entries)
 			}
 			t.levels = append(t.levels, row)
 			continue
@@ -108,7 +107,7 @@ func newTree(entries *pool.List[entry], sorted *[]*entry, h HierarchyParams, rac
 		row := make([]*Arbitrator, n)
 		for i := range row {
 			id := idBase + lv*treeLevelStride + i
-			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).withPool(entries, sorted)
+			row[i] = NewArbitrator(id, t.nodeCap(lv, i, rackCap), numQueues, baseRate, period, clock).DrawFrom(entries)
 		}
 		t.levels = append(t.levels, row)
 	}
@@ -125,7 +124,7 @@ func newTree(entries *pool.List[entry], sorted *[]*entry, h HierarchyParams, rac
 			p := c / h.FanOut
 			share := t.levels[lv][p].Capacity() / netem.BitRate(len(t.under(t.levels[lv-1], p)))
 			id := -(idBase + lv*treeLevelStride + c)
-			row[c] = NewArbitrator(id, share, numQueues, baseRate, period, clock).withPool(entries, sorted)
+			row[c] = NewArbitrator(id, share, numQueues, baseRate, period, clock).DrawFrom(entries)
 		}
 		t.slices[lv-1] = row
 	}

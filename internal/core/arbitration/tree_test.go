@@ -20,7 +20,7 @@ func newTestTree(h HierarchyParams, racks int, clock func() sim.Time) *Tree {
 	if clock == nil {
 		clock = func() sim.Time { return 0 }
 	}
-	return newTree(nil, nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
+	return newTree(nil, h, racks, testRackCap, testTopCap, testQueues, testBase,
 		testPeriod, clock, TreeUpIDBase)
 }
 

@@ -1,6 +1,6 @@
 // Package pool is the one free list the simulator recycles records
 // through: calendar events, packets, arbitrator entries and replies,
-// flow senders and receivers, flow traces.
+// flow senders and receivers, ExpressPass credit states, flow traces.
 package pool
 
 // List is a free list of *T records for one goroutine (one engine, one

@@ -164,12 +164,21 @@ func (n *Network) PathDownFlow(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
 	return out
 }
 
-// PathFlow returns the full flow-aware path in traversal order.
-func (n *Network) PathFlow(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
-	up := n.PathUpFlow(src, dst, flow)
-	down := n.PathDownFlow(src, dst, flow)
-	out := make([]*Link, 0, len(up)+len(down))
-	out = append(out, up...)
-	out = append(out, down...)
-	return out
+// AppendPathFlow appends the flow-aware path from src to dst, in
+// traversal order, to path and returns the extended slice. On tree
+// fabrics it is PathUp then PathDown; on leaf-spine fabrics an
+// inter-leaf flow climbs to the spine its route picks (the source
+// leaf's route table, or the static ECMP hash) and back down. It
+// allocates only when path lacks the room, so a caller that refills
+// its own slice pays nothing per flow.
+func (n *Network) AppendPathFlow(path []*Link, src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
+	if !n.IsLeafSpine() {
+		return append(append(path, n.PathUp(src, dst)...), n.PathDown(src, dst)...)
+	}
+	path = append(path, n.UpLinks(src)...)
+	if srcRack, dstRack := n.RackOf(src), n.RackOf(dst); srcRack != dstRack {
+		spine := n.routeSpine(srcRack, dstRack, flow)
+		path = append(path, n.SpineUpLinks(srcRack)[spine], n.SpineDownLinks(dstRack)[spine])
+	}
+	return append(path, n.DownLinks(dst)...)
 }

@@ -61,6 +61,12 @@ func TestLeafSpinePathsFollowHash(t *testing.T) {
 	if len(n.PathUpFlow(0, 1, 5)) != 1 || len(n.PathDownFlow(0, 1, 5)) != 1 {
 		t.Fatal("intra-leaf halves should be host links only")
 	}
+	// AppendPathFlow lands the whole path in the caller's array when it
+	// has the room.
+	buf := make([]*Link, 0, 4)
+	if a := testing.AllocsPerRun(100, func() { buf = n.AppendPathFlow(buf[:0], 0, 15, 3) }); a != 0 || len(buf) != 4 {
+		t.Fatalf("refilling a 4-link array with a %d-link path allocates %.1f objects, want 4 links and 0", len(buf), a)
+	}
 }
 
 func TestLeafSpineDeliveryMatchesHash(t *testing.T) {
@@ -116,7 +122,7 @@ func TestBaseRTTCountsHopsWithoutAPath(t *testing.T) {
 		hosts := pkt.NodeID(n.NumHosts())
 		for src := pkt.NodeID(0); src < hosts; src++ {
 			for dst := pkt.NodeID(0); dst < hosts; dst++ {
-				want := sim.Duration(2*len(n.PathFlow(src, dst, 0))) * n.Cfg.LinkDelay
+				want := sim.Duration(2*len(n.AppendPathFlow(nil, src, dst, 0))) * n.Cfg.LinkDelay
 				if got := n.BaseRTT(src, dst); got != want {
 					t.Fatalf("leaf-spine=%v: BaseRTT(%d, %d) = %v, the path says %v", n.IsLeafSpine(), src, dst, got, want)
 				}

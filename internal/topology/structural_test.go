@@ -127,6 +127,9 @@ func TestPathArraysMatchLinks(t *testing.T) {
 							t.Fatalf("PathUpFlow/PathDownFlow(%d, %d, %d) = %v / %v, Links say %v / %v",
 								src, dst, flow, n.PathUpFlow(src, dst, flow), n.PathDownFlow(src, dst, flow), wantUp, wantDown)
 						}
+						if got := n.AppendPathFlow(nil, src, dst, flow); !slices.Equal(got, slices.Concat(wantUp, wantDown)) {
+							t.Fatalf("AppendPathFlow(%d, %d, %d) = %v, Links say %v then %v", src, dst, flow, got, wantUp, wantDown)
+						}
 					}
 				}
 			}
@@ -161,7 +164,7 @@ func TestStructuralRoutesFollowPaths(t *testing.T) {
 						continue
 					}
 					for flow := pkt.FlowID(1); flow <= 8; flow++ {
-						for _, l := range n.PathFlow(src, dst, flow) {
+						for _, l := range n.AppendPathFlow(nil, src, dst, flow) {
 							sw, ok := l.From.(*netem.Switch)
 							if !ok {
 								continue

@@ -152,7 +152,10 @@ func (d *Driver) Stack(id pkt.NodeID) *Stack { return d.Stacks[id] }
 // checkFCT verifies one completed flow's FCT lower bound.
 func (d *Driver) checkFCT(chk *check.Checker, s *Sender) {
 	var bottleneck netem.BitRate
-	for _, l := range d.Net.PathFlow(s.Spec.Src, s.Spec.Dst, s.Spec.ID) {
+	// The path lands in a stack array: shards check their flows
+	// concurrently, so no scratch on the driver could be shared.
+	var buf [8]*topology.Link
+	for _, l := range d.Net.AppendPathFlow(buf[:0], s.Spec.Src, s.Spec.Dst, s.Spec.ID) {
 		if bottleneck == 0 || l.Capacity() < bottleneck {
 			bottleneck = l.Capacity()
 		}

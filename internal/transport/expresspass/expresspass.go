@@ -25,6 +25,7 @@ package expresspass
 import (
 	"pase/internal/netem"
 	"pase/internal/pkt"
+	"pase/internal/pool"
 	"pase/internal/sim"
 	"pase/internal/transport"
 )
@@ -94,6 +95,10 @@ type hostState struct {
 	st      *transport.Stack
 	maxRate float64 // line ceiling for triggered data (bits/s)
 	flows   map[pkt.FlowID]*creditState
+	// free is the credit-state list of the host's engine, shared by
+	// every host on it: one host's requests and completions rarely
+	// pair up.
+	free *pool.List[creditState]
 
 	credits     int64
 	creditBytes int64
@@ -110,7 +115,7 @@ type creditState struct {
 
 	rate   float64 // current credit rate, in triggered-data bits/s
 	w      float64 // aggressiveness weight
-	rng    *sim.Rand
+	rng    sim.Rand
 	period sim.Duration
 
 	creditsSent int64
@@ -125,19 +130,28 @@ type creditState struct {
 	periodEnd  sim.Time
 	stopAt     sim.Time
 
-	timer   sim.Timer
-	stopped bool
+	timer sim.Timer
 }
+
+// creditPoolCap bounds each engine's credit-state list, as the flow
+// pool bounds its senders and receivers.
+const creditPoolCap = 1024
 
 // Attach installs ExpressPass on every stack of the driver, seeding
 // the credit jitter with seed.
 func Attach(d *transport.Driver, seed uint64) *System {
 	sys := &System{seed: seed}
+	lists := make(map[*sim.Engine]*pool.List[creditState])
 	for _, st := range d.Stacks {
+		if lists[st.Eng] == nil {
+			l := pool.New[creditState](1, creditPoolCap)
+			lists[st.Eng] = &l
+		}
 		h := &hostState{
 			sys:   sys,
 			st:    st,
 			flows: make(map[pkt.FlowID]*creditState),
+			free:  lists[st.Eng],
 			maxRate: float64(st.NICRate()) * float64(pkt.MTU) /
 				float64(pkt.MTU+pkt.CreditSize),
 		}
@@ -199,14 +213,15 @@ func (h *hostState) onCreditReq(p *pkt.Packet) {
 	if period < minPeriod {
 		period = minPeriod
 	}
-	cs = &creditState{
+	cs = h.free.Take()
+	*cs = creditState{
 		host:      h,
 		flow:      p.Flow,
 		peer:      p.Src,
 		segs:      p.Seq,
 		rate:      h.maxRate * initRatio,
 		w:         wMax,
-		rng:       sim.NewRand(h.sys.seed ^ 0xc3ed17).Split(uint64(p.Flow)),
+		rng:       *sim.NewRand(h.sys.seed ^ 0xc3ed17).Split(uint64(p.Flow)),
 		period:    period,
 		periodEnd: now.Add(period),
 		stopAt:    now.Add(idleTimeout),
@@ -232,19 +247,24 @@ func (h *hostState) onData(p *pkt.Packet) {
 	}
 }
 
-// drop stops and forgets a flow's crediting state.
+// drop stops and forgets a flow's crediting state and hands the record
+// back: its credit timer is stopped, so no tick of this life reaches
+// the next. On a checked engine the record is poisoned and retired
+// instead, so a touch after release panics (Fire) rather than crediting
+// the flow that would have reused it.
 func (h *hostState) drop(cs *creditState) {
-	cs.stopped = true
 	cs.timer.Stop()
 	delete(h.flows, cs.flow)
+	if h.st.Eng.Checked() {
+		cs.host = nil
+		return
+	}
+	h.free.Put(cs)
 }
 
 // tick sends one credit and schedules the next at the current rate
 // (plus jitter), running the feedback update at period boundaries.
 func (h *hostState) tick(cs *creditState) {
-	if cs.stopped {
-		return
-	}
 	now := h.st.Eng.Now()
 	if cs.dataRcvd >= int64(cs.segs) || now >= cs.stopAt {
 		h.drop(cs)
@@ -268,7 +288,8 @@ func (h *hostState) tick(cs *creditState) {
 }
 
 // Fire implements sim.Action: the per-credit timer is pre-bound to the
-// flow's crediting state, so pacing credits allocates nothing.
+// flow's crediting state, so pacing credits allocates nothing. On a
+// retired record (no host) it panics.
 func (cs *creditState) Fire(any) { cs.host.tick(cs) }
 
 // gap returns the next credit spacing: the serialization time of the

@@ -59,6 +59,7 @@ type System struct {
 
 	// arbs is each link's allocator, by link ID: two queues, no base
 	// rate and period 0, so every sync recomputes the link's grants.
+	// All of them draw their entries from one EntryPool.
 	arbs []*arbitration.Arbitrator
 
 	// SyncMessages counts header exchanges (sender<->path), the
@@ -70,8 +71,9 @@ type System struct {
 // turns on PDQ's Early Termination.
 func Attach(d *transport.Driver, earlyTermination bool) *System {
 	sys := &System{earlyTermination: earlyTermination, net: d.Net, arbs: make([]*arbitration.Arbitrator, len(d.Net.Links))}
+	entries := arbitration.NewEntryPool()
 	for _, l := range d.Net.Links {
-		sys.arbs[l.ID] = arbitration.NewArbitrator(l.ID, l.Capacity(), 2, 0, 0, d.Net.Eng.Now)
+		sys.arbs[l.ID] = arbitration.NewArbitrator(l.ID, l.Capacity(), 2, 0, 0, d.Net.Eng.Now).DrawFrom(entries)
 	}
 	newControl := sys.newControl
 	for _, st := range d.Stacks {
@@ -104,27 +106,37 @@ func (sys *System) AttachCheck(c *check.Checker) {
 	}
 }
 
+// newControl starts over the control a recycled sender still holds
+// (or a new one): the path keeps its backing array, and nothing of the
+// last flow can reach the control, because release stopped all three
+// of its phases.
 func (sys *System) newControl(s *transport.Sender) transport.Control {
-	return &control{sys: sys}
+	c := transport.ReuseControl[control](s)
+	*c = control{sys: sys, path: c.path[:0]}
+	return c
 }
 
+// release ends a flow's header exchange: its pending phases are
+// stopped, so none can fire on the record's next life, and the flow
+// leaves every arbitrator on its path.
 func (sys *System) release(s *transport.Sender) {
 	c, ok := s.Control().(*control)
 	if !ok {
 		return
 	}
-	c.stopped = true
 	c.syncTimer.Stop()
+	c.publishTimer.Stop()
+	c.applyTimer.Stop()
 	for _, l := range c.path {
 		sys.arbs[l.ID].Remove(s.Spec.ID)
 	}
 }
 
 type control struct {
-	sys       *System
-	path      []*topology.Link
-	syncTimer sim.Timer
-	stopped   bool
+	sys  *System
+	path []*topology.Link
+	// The pending sync, publish and apply; release stops all three.
+	syncTimer, publishTimer, applyTimer sim.Timer
 	// rtt (taken at sync, read by publish) and rate (granted at
 	// publish, set by apply) pass between the phases; both phases fire
 	// before the next sync.
@@ -136,7 +148,7 @@ type control struct {
 func (c *control) Init(s *transport.Sender) {
 	s.Paced = true
 	s.Rate = 0 // paused until the first allocation arrives
-	c.path = c.sys.net.PathFlow(s.Spec.Src, s.Spec.Dst, s.Spec.ID)
+	c.path = c.sys.net.AppendPathFlow(c.path, s.Spec.Src, s.Spec.Dst, s.Spec.ID)
 	c.syncTimer = s.Stack().Eng.ScheduleAction(0, (*syncAction)(c), s)
 }
 
@@ -152,33 +164,24 @@ type (
 
 func (a *syncAction) Fire(arg any) {
 	c, s := (*control)(a), arg.(*transport.Sender)
-	if c.stopped || s.Done {
-		return
-	}
 	c.rtt = s.RTT()
 	eng := s.Stack().Eng
-	eng.ScheduleAction(c.rtt/2, (*publishAction)(c), s)
+	c.publishTimer = eng.ScheduleAction(c.rtt/2, (*publishAction)(c), s)
 	c.syncTimer = eng.ScheduleAction(sim.Duration(syncEvery*float64(c.rtt)), a, s)
 }
 
 func (a *publishAction) Fire(arg any) {
 	c, s := (*control)(a), arg.(*transport.Sender)
-	if c.stopped || s.Done {
-		return
-	}
 	c.rate = c.sync(s, c.rtt)
-	if c.stopped {
+	if s.Done {
 		// Early Termination killed the flow and released its sender.
 		return
 	}
-	s.Stack().Eng.ScheduleAction(c.rtt/2, (*applyAction)(c), s)
+	c.applyTimer = s.Stack().Eng.ScheduleAction(c.rtt/2, (*applyAction)(c), s)
 }
 
 func (a *applyAction) Fire(arg any) {
 	c, s := (*control)(a), arg.(*transport.Sender)
-	if c.stopped || s.Done {
-		return
-	}
 	s.SetRate(c.rate)
 }
 

@@ -11,6 +11,8 @@ import (
 	"pase/internal/topology"
 	"pase/internal/transport"
 	"pase/internal/transport/dctcp"
+	"pase/internal/transport/expresspass"
+	"pase/internal/transport/pdq"
 	"pase/internal/transport/pfabric"
 	"pase/internal/workload"
 )
@@ -48,28 +50,45 @@ func TestPacketPathAllocs(t *testing.T) {
 
 // TestFlowTurnoverAllocs pins flow turnover: one complete flow —
 // arrival, sender and receiver records, control, every packet, the
-// last ACK, the flow record — allocates nothing once the pools are
-// warm, for each protocol whose control goes round with its sender and
-// for both sinks. The arrivals are one endless chain, 10 ms apart, so
-// each measured call runs exactly one flow from start to finish.
+// last ACK, the flow record, and ExpressPass's credit state or PDQ's
+// path and arbitrator entries — allocates nothing once the pools are
+// warm, for every protocol of this package's tree and for both sinks
+// (core/endhost holds PASE to the same). The arrivals are one endless
+// chain, 10 ms apart, so each measured call runs exactly one flow from
+// start to finish.
 func TestFlowTurnoverAllocs(t *testing.T) {
 	const segments, gap = 40, 10 * sim.Millisecond
+	uses := func(ctl func(*transport.Sender) transport.Control) func(*transport.Driver) {
+		return func(d *transport.Driver) {
+			for _, st := range d.Stacks {
+				st.NewControl = ctl
+			}
+		}
+	}
 	protocols := []struct {
-		name  string
-		queue func(topology.QueueKind) netem.Queue
-		ctl   func(*transport.Sender) transport.Control
+		name   string
+		queue  func(topology.QueueKind) netem.Queue
+		attach func(*transport.Driver)
 	}{
-		{"DCTCP", redQueue, dctcp.New(dctcp.DefaultConfig())},
-		{"D2TCP", redQueue, dctcp.NewD2TCP(dctcp.DefaultConfig())},
-		{"L2DCT", redQueue, dctcp.NewL2DCT(dctcp.DefaultConfig())},
-		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, pfabric.New()},
+		{"DCTCP", redQueue, uses(dctcp.New(dctcp.DefaultConfig()))},
+		{"D2TCP", redQueue, uses(dctcp.NewD2TCP(dctcp.DefaultConfig()))},
+		{"L2DCT", redQueue, uses(dctcp.NewL2DCT(dctcp.DefaultConfig()))},
+		{"pFabric", func(topology.QueueKind) netem.Queue { return netem.NewPFabric(76) }, uses(pfabric.New())},
+		{"ExpressPass", func(topology.QueueKind) netem.Queue { return netem.NewCreditQueue(225, 8, 64) }, func(d *transport.Driver) {
+			for _, l := range d.Net.Links {
+				l.Port.Queue().(*netem.CreditQueue).Bind(l.Port)
+			}
+			expresspass.Attach(d, 1)
+		}},
+		{"PDQ", func(topology.QueueKind) netem.Queue { return netem.NewDropTail(225) }, func(d *transport.Driver) { pdq.Attach(d, false) }},
 	}
 	for _, p := range protocols {
 		for _, sink := range []string{"stored", "stream"} {
 			t.Run(p.name+"/"+sink, func(t *testing.T) {
 				eng := sim.NewEngine()
 				net := topology.Build(eng, topology.SingleRack(2, p.queue))
-				d := transport.NewDriver(net, p.ctl)
+				d := transport.NewDriver(net, nil)
+				p.attach(d)
 				completed := func() int { return len(d.Collector.Records()) }
 				if sink == "stream" {
 					sc := metrics.NewStreamCollector(0.01)

@@ -173,7 +173,8 @@ func (s *Sender) Control() Control { return s.ctrl }
 // a recycled record, still holds from its previous life, or a new C.
 // The factory must overwrite every field, and nothing of the last flow
 // may reach the control after it: PASE stops its timers and stamps its
-// replies; PDQ's and ExpressPass's controls are allocated per flow.
+// replies, PDQ stops its three sync phases at release. ExpressPass's
+// control is an empty struct; its per-flow state lives at the receiver.
 func ReuseControl[C any](s *Sender) *C {
 	if c, ok := any(s.ctrl).(*C); ok {
 		return c
