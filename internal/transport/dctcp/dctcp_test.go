@@ -1,6 +1,7 @@
 package dctcp_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pase/internal/netem"
@@ -35,22 +36,46 @@ func TestLongTransferApproachesLineRate(t *testing.T) {
 	}
 }
 
-// A lone one-packet flow on SingleRack(2) is exact arithmetic: each way
-// crosses two links, and the ToR stores and forwards the 1 040 B data
-// packet and the 40 B ACK.
+// A lone flow on SingleRack(2) is exact arithmetic for all three laws
+// of the package: a window cut or a gain only acts on a later window,
+// and with InitCwnd 10 a 10 KB flow's seven segments all leave in the
+// first. Each way crosses two links at one rate; the ToR stores and
+// forwards, so a segment leaves it one serialization after the one
+// before, and the last ACK (40 B) crosses both links back.
 func TestLoneFlowExact(t *testing.T) {
 	cfg := topology.SingleRack(2, nil)
-	ser := func(bytes int) sim.Duration { return cfg.EdgeRate.Serialize(int32(bytes)) }
-	const size = 1000
-	want := 4*cfg.LinkDelay + 2*ser(size+pkt.HeaderSize) + 2*ser(pkt.HeaderSize)
-	d := transport.NewDriver(rack(2), dctcp.New(dctcp.DefaultConfig()))
-	d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: size, Start: 0}})
-	s, err := d.Run(sim.Time(sim.Second))
-	if err != nil {
-		t.Fatal(err)
+	ser := func(bytes int32) sim.Duration { return cfg.EdgeRate.Serialize(bytes) }
+	ack := 2 * (cfg.LinkDelay + ser(pkt.HeaderSize))
+	// 1 000 B: one 1 040 B segment, stored and forwarded once.
+	oneSeg := 2*(cfg.LinkDelay+ser(1000+pkt.HeaderSize)) + ack
+	// 10 KB: six full segments and a 1 240 B tail. The first reaches
+	// the ToR one MTU serialization and one link delay out; the ToR then
+	// sends the six back to back, the tail right behind them.
+	tail := int32(10_000-6*pkt.MSS) + pkt.HeaderSize
+	tenKB := ser(pkt.MTU) + cfg.LinkDelay + 6*ser(pkt.MTU) + ser(tail) + cfg.LinkDelay + ack
+	if dctcp.DefaultConfig().InitCwnd < float64(pkt.DataPackets(10_000)) {
+		t.Fatal("10 KB no longer fits the initial window; the 10 KB form does not hold")
 	}
-	if s.AFCT != want {
-		t.Errorf("DCTCP lone %d B flow FCT = %v, want %v", size, s.AFCT, want)
+	for _, law := range []struct {
+		name    string
+		factory func(dctcp.Config) func(*transport.Sender) transport.Control
+	}{{"DCTCP", dctcp.New}, {"D2TCP", dctcp.NewD2TCP}, {"L2DCT", dctcp.NewL2DCT}} {
+		for _, row := range []struct {
+			size int64
+			form sim.Duration
+		}{{1000, oneSeg}, {10_000, tenKB}} {
+			t.Run(fmt.Sprintf("%s/%dB", law.name, row.size), func(t *testing.T) {
+				d := transport.NewDriver(rack(2), law.factory(dctcp.DefaultConfig()))
+				d.Schedule([]workload.FlowSpec{{ID: 1, Src: 0, Dst: 1, Size: row.size, Start: 0}})
+				s, err := d.Run(sim.Time(sim.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.AFCT != row.form {
+					t.Errorf("lone %d B flow FCT = %v, want %v", row.size, s.AFCT, row.form)
+				}
+			})
+		}
 	}
 }
 
