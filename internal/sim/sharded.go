@@ -58,7 +58,7 @@ type ShardedEngine struct {
 	// processors make progress) between windows. Spinning keeps the
 	// per-window cost in the hundreds of nanoseconds — windows are one
 	// link delay of simulated time, so there are many. Parking the
-	// waiters instead was measured and lost (EXPERIMENTS.md, PR 16).
+	// waiters instead was measured and lost (PERF_HISTORY.md, rank mode).
 	//
 	// workerDone[w] belongs to the worker of shard w+1. When only one
 	// OS thread can run (GOMAXPROCS=1) there are no workers and the
