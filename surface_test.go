@@ -23,33 +23,11 @@ import (
 // testdata/surface_allow.txt, one "key reason" line each; an entry the
 // scan no longer flags fails too, so the list only shrinks.
 func TestSurface(t *testing.T) {
-	files := map[string][]byte{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		p = filepath.ToSlash(p)
-		if strings.HasSuffix(p, "_test.go") {
-			files[p] = nil // only its presence matters
-			return nil
-		}
-		src, err := os.ReadFile(p)
-		files[p] = src
-		return err
-	})
+	files, err := moduleFiles()
 	if err != nil {
 		t.Fatal(err)
 	}
-	allow, err := readSurfaceAllow("testdata/surface_allow.txt")
+	allow, err := readAllow("testdata/surface_allow.txt", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +91,31 @@ func main() { _ = a.Used(); var t a.T; _ = t; b.Lone() }
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// moduleFiles reads every .go file of the module, test files
+// included, keyed by module-relative slash path; testdata and dot
+// directories are skipped.
+func moduleFiles() (map[string][]byte, error) {
+	files := map[string][]byte{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		files[filepath.ToSlash(p)] = src
+		return err
+	})
+	return files, err
 }
 
 // surfaceProblems scans files (module-relative slash paths; a _test.go
@@ -211,11 +214,10 @@ func declaredIdents(f *ast.File) []*ast.Ident {
 	return ids
 }
 
-// readSurfaceAllow reads the allowlist: one "key reason" line each,
-// where key is pkg.Name for an identifier or the directory of a
-// package allowed to have no tests. Blank lines and # comments are
-// skipped; an entry without a reason is an error.
-func readSurfaceAllow(name string) (map[string]string, error) {
+// readAllow reads an allowlist of at most max entries: one
+// "key reason" line each. Blank lines and # comments are skipped; an
+// entry without a reason is an error.
+func readAllow(name string, max int) (map[string]string, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
@@ -234,8 +236,8 @@ func readSurfaceAllow(name string) (map[string]string, error) {
 		}
 		allow[key] = reason
 	}
-	if len(allow) > 20 {
-		return nil, fmt.Errorf("%s: %d entries, at most 20", name, len(allow))
+	if len(allow) > max {
+		return nil, fmt.Errorf("%s: %d entries, at most %d", name, len(allow), max)
 	}
 	return allow, sc.Err()
 }
