@@ -125,6 +125,8 @@ func pinTable() []pin {
 	sampled.Trace.SampleN = 8
 	teReroute := teChaosPoint(DCTCP, route.Config{Reroute: true, TE: true})
 	teReroute.Obs = false
+	rerouteOnly := teChaosPoint(DCTCP, route.Config{Reroute: true})
+	rerouteOnly.Obs = false
 	tracedTE := teChaosPoint(DCTCP, route.Config{TE: true})
 	tracedTE.Obs, tracedTE.Trace = false, TraceConfig{Spans: true}
 	faulted := func(c PointConfig) PointConfig { c.Faults = flapLossPlan(); return c }
@@ -228,6 +230,8 @@ func pinTable() []pin {
 			protects: "link flaps, loss and corruption on per-link fault RNG streams; a Shards request runs serially and changes nothing", mover: "none"},
 		pin{name: "te-reroute", out: digestOut, input: point(teReroute), twins: append([]string{"rerun"}, shards...),
 			protects: "failure rerouting, TE moves and aborts through an uplink-failure wave repeat exactly; a Shards request runs serially and changes nothing", mover: "none"},
+		pin{name: "reroute-only", out: digestOut, input: point(rerouteOnly), twins: []string{"rerun"},
+			protects: "failure rerouting without TE: the uplink-failure wave meets tables no TE move has dirtied, so every detour rides the outage count alone", mover: "none"},
 		pin{name: "te-idle", out: digestOut, twins: append([]string{"rerun"}, shards24...),
 			input:    point(PointConfig{Protocol: DCTCP, Scenario: TEFailover, Load: 0.6, Seed: 1, NumFlows: 200, Check: true}),
 			protects: "the idle route machinery perturbs nothing on te-failover", mover: "none"},
