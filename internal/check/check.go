@@ -40,8 +40,6 @@ const (
 	InvFCTBound     = "fct_bound"    // no flow beats its size/bottleneck lower bound
 	InvSketchBound  = "sketch_bound" // sketch quantiles ordered and inside the exact [min, max] envelope
 	InvCreditPace   = "credit_pace"  // credits leave a credit-shaped queue no faster than the configured rate
-	InvRouteValid   = "route_valid"  // no route resolves onto a down link while an up one exists
-	InvRouteLoop    = "route_loop"   // every routed walk reaches its destination within the TTL
 	InvPktLive      = "pkt_live"     // no packet is sent, queued or delivered after its release to a pool
 )
 
@@ -294,36 +292,6 @@ func (c *Checker) CreditPace(where string, now, eligible int64) {
 	if now < eligible {
 		c.Reportf(InvCreditPace, where, 0,
 			"credit released at t=%d before pacing eligibility t=%d", now, eligible)
-	}
-}
-
-// RouteValid verifies one route-table resolution after a control-plane
-// update: bucket b for destination rack dstRack resolved onto spine,
-// whose path is down, while avail other spines could carry the
-// traffic. A clean table never trips this; a table with every spine
-// dead may keep the dead assignment (the packet blackholes and the
-// fault layer counts it), which is why avail gates the report.
-func (c *Checker) RouteValid(where string, dstRack, b, spine, avail int) {
-	if c == nil {
-		return
-	}
-	if avail > 0 {
-		c.Reportf(InvRouteValid, where, 0,
-			"bucket %d for rack %d resolves to down spine %d with %d spine(s) up",
-			b, dstRack, spine, avail)
-	}
-}
-
-// RouteLoop verifies a TTL-bounded forwarding walk: a routed packet
-// toward dstRack must reach its destination within ttl hops; hops is
-// how far the walk got (== ttl when it cycled or dead-ended).
-func (c *Checker) RouteLoop(where string, flow uint64, dstRack, hops, ttl int, reached bool) {
-	if c == nil {
-		return
-	}
-	if !reached {
-		c.Reportf(InvRouteLoop, where, flow,
-			"walk toward rack %d not delivered after %d/%d hops", dstRack, hops, ttl)
 	}
 }
 

@@ -786,8 +786,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	// The routing control loop attaches right after fault arming, so
 	// its TE epoch timers follow the fault timers.
 	routeCtl := route.Attach(route.Params{
-		Net: net, Cfg: cfg.Route, Eng: envs[0].eng,
-		Chk: envs[0].chk, Reg: envs[0].reg, Rec: rec,
+		Net: net, Cfg: cfg.Route, Eng: envs[0].eng, Reg: envs[0].reg, Rec: rec,
 	})
 	if routeCtl != nil && inj != nil {
 		inj.OnLinkState = routeCtl.LinkState

@@ -30,11 +30,26 @@ func teChaosPoint(p Protocol, rt route.Config) PointConfig {
 	}
 }
 
-// TestTERerouteSurvival is the issue's acceptance pin: with the
-// control loop on, PASE keeps at least 95% of flows alive through the
-// full uplink-failure wave, with AFCT within 2x of the fault-free run,
-// and the checker's route invariants stay clean.
+// TestTERerouteSurvival: with the control loop on, PASE keeps at
+// least 95% of flows alive through the full uplink-failure wave, with
+// AFCT within 2x of the fault-free run and a clean checked run. With
+// rerouting alone (no TE move dirties a table first) every DCTCP flow
+// completes and no packet meets a dead link.
 func TestTERerouteSurvival(t *testing.T) {
+	t.Run("reroute-only", func(t *testing.T) {
+		cfg := teChaosPoint(DCTCP, route.Config{Reroute: true})
+		r := RunPoint(cfg)
+		if r.Violations != 0 {
+			t.Fatalf("invariant checker reported %d violations:\n%v", r.Violations, r.CheckViolations)
+		}
+		if sum := r.Summary; sum.Flows == 0 || sum.Completed != sum.Flows {
+			t.Errorf("%d/%d flows completed (%d aborted) with rerouting on, want all", sum.Completed, sum.Flows, sum.Aborted)
+		}
+		if n := r.Obs.Counters["faults/blackholed"]; n != 0 {
+			t.Errorf("faults/blackholed = %d: rerouted traffic still met a dead uplink", n)
+		}
+	})
+
 	cfg := teChaosPoint(PASE, route.Config{Reroute: true, TE: true})
 	r := RunPoint(cfg)
 	if r.Violations != 0 {

@@ -108,15 +108,9 @@ func Connect(a, b *Port) {
 	b.peer = a
 }
 
-// Owner returns the node this port belongs to.
-func (pt *Port) Owner() Node { return pt.owner }
-
 // Engine returns the engine the port's transmitter is clocked by (the
 // owner's shard engine in sharded runs).
 func (pt *Port) Engine() *sim.Engine { return pt.eng }
-
-// Peer returns the port at the other end of the link.
-func (pt *Port) Peer() *Port { return pt.peer }
 
 // Queue returns the port's egress queue.
 func (pt *Port) Queue() Queue { return pt.queue }

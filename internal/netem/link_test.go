@@ -156,11 +156,8 @@ func TestSwitchRangeEdges(t *testing.T) {
 	sw.SetDown(10, 6, 2)
 	const none = -1
 	portOf := func(dst pkt.NodeID) int {
-		pt := sw.NextPort(dst, 7)
-		for i, p := range sw.Ports() {
-			if p == pt {
-				return i
-			}
+		if i, ok := sw.route(dst, 7); ok {
+			return i
 		}
 		return none
 	}

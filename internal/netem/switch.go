@@ -89,18 +89,6 @@ func (s *Switch) route(dst pkt.NodeID, flow pkt.FlowID) (int, bool) {
 	return 0, false
 }
 
-// NextPort resolves the egress port a packet for (dst, flow) would
-// take, without forwarding anything: the routing-control validity
-// walks use it to traverse the fabric off the data path. Returns nil
-// when the switch has no route (a model bug Receive would panic on).
-func (s *Switch) NextPort(dst pkt.NodeID, flow pkt.FlowID) *Port {
-	idx, ok := s.route(dst, flow)
-	if !ok {
-		return nil
-	}
-	return s.ports[idx]
-}
-
 // Receive implements Node: route and forward.
 func (s *Switch) Receive(p *pkt.Packet, _ *Port) {
 	p.Hops++

@@ -23,12 +23,8 @@
 package route
 
 import (
-	"fmt"
-
-	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/obs"
-	"pase/internal/pkt"
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/trace"
@@ -44,8 +40,6 @@ const (
 	hysteresis = 0.10
 	// dwell is the minimum time between moves of one bucket.
 	dwell = 5 * sim.Millisecond
-	// walkTTL bounds the route-validity forwarding walks.
-	walkTTL = 8
 )
 
 // Config selects which control loops run and their TE epoch.
@@ -68,9 +62,8 @@ type Params struct {
 	Net *topology.Network
 	Cfg Config
 	Eng *sim.Engine
-	// Chk, Reg and Rec are the run's invariant checker, observability
-	// registry and flight recorder; each may be nil.
-	Chk *check.Checker
+	// Reg and Rec are the run's observability registry and flight
+	// recorder; either may be nil.
 	Reg *obs.Registry
 	Rec *trace.Recorder
 }
@@ -179,7 +172,6 @@ func (rc *rackCtl) uplinkState(s int, down bool) {
 	rc.p.Rec.Route(trace.RouteEvent{
 		At: rc.p.Eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
 	})
-	rc.validate()
 }
 
 // dstState applies a spine s → rack q downlink transition to this
@@ -201,7 +193,6 @@ func (rc *rackCtl) dstState(q, s int, down bool) {
 			At: rc.p.Eng.Now(), Rack: rc.rack, Kind: kind, Spine: s, Arg: int64(moved),
 		})
 	}
-	rc.validate()
 }
 
 // tick is one TE epoch on one leaf: measure, maybe move one bucket,
@@ -240,66 +231,8 @@ func (rc *rackCtl) tick() {
 			rc.p.Rec.Route(trace.RouteEvent{
 				At: now, Rack: rc.rack, Kind: trace.RouteTEMove, Spine: cold, Arg: int64(b),
 			})
-			rc.validate()
 			break
 		}
 	}
 	rc.p.Eng.Schedule(rc.epoch, rc.tick)
-}
-
-// validate re-verifies the table's routing invariants after an edit:
-// no bucket resolves onto a dead path while a live spine exists, and a
-// TTL-bounded walk from the leaf reaches every foreign rack without
-// looping. Skipped entirely when the run has no checker.
-func (rc *rackCtl) validate() {
-	if !rc.p.Chk.Enabled() {
-		return
-	}
-	t := rc.tbl
-	where := fmt.Sprintf("leaf%d/routes", rc.rack)
-	for q := 0; q < rc.p.Net.Cfg.Racks; q++ {
-		if q == rc.rack {
-			continue
-		}
-		avail := 0
-		for s := 0; s < t.Spines(); s++ {
-			if t.Avail(q, s) {
-				avail++
-			}
-		}
-		for b := 0; b < t.Buckets(); b++ {
-			if s := t.PickBucket(q, b); !t.Avail(q, s) {
-				rc.p.Chk.RouteValid(where, q, b, s, avail)
-			}
-		}
-		rc.walk(where, q)
-	}
-}
-
-// walk traces one sample flow's forwarding path toward rack q through
-// the switches' resolution tables (off the data path — nothing is
-// sent) and reports a route_loop violation if it cycles or dead-ends.
-func (rc *rackCtl) walk(where string, q int) {
-	net := rc.p.Net
-	dst := net.Hosts[q*net.Cfg.HostsPerRack].ID()
-	const flow = pkt.FlowID(1)
-	var node netem.Node = net.ToRs[rc.rack]
-	hops, reached := 0, false
-	for hops < walkTTL {
-		sw, ok := node.(*netem.Switch)
-		if !ok {
-			break
-		}
-		pt := sw.NextPort(dst, flow)
-		if pt == nil {
-			break
-		}
-		node = pt.Peer().Owner()
-		hops++
-		if node.ID() == dst {
-			reached = true
-			break
-		}
-	}
-	rc.p.Chk.RouteLoop(where, uint64(flow), q, hops, walkTTL, reached)
 }

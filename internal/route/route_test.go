@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"pase/internal/check"
 	"pase/internal/netem"
 	"pase/internal/obs"
 	"pase/internal/pkt"
@@ -21,7 +20,6 @@ type fixture struct {
 	ls  topology.LeafSpineConfig
 	net *topology.Network
 	reg *obs.Registry
-	chk *check.Checker
 	rec *trace.Recorder
 	ctl *Controller
 }
@@ -29,7 +27,6 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{eng: sim.NewEngine(), reg: obs.NewRegistry()}
-	f.chk = check.New(func() int64 { return int64(f.eng.Now()) })
 	f.rec = trace.NewRecorder(f.eng, trace.RecorderConfig{Spans: true})
 	f.ls = topology.DefaultLeafSpine(func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(1024)
@@ -40,16 +37,11 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if f.ctl == nil {
 		t.Fatal("Attach returned nil for an enabled config on a leaf-spine fabric")
 	}
-	t.Cleanup(func() {
-		if n := f.chk.Total(); n != 0 {
-			t.Errorf("route_valid / route_loop: %d violations: %s", n, f.chk.Summary())
-		}
-	})
 	return f
 }
 
 func (f *fixture) params(cfg Config) Params {
-	return Params{Net: f.net, Cfg: cfg, Eng: f.eng, Chk: f.chk, Reg: f.reg, Rec: f.rec}
+	return Params{Net: f.net, Cfg: cfg, Eng: f.eng, Reg: f.reg, Rec: f.rec}
 }
 
 // routes returns the route events recorded so far.

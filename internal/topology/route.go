@@ -14,10 +14,10 @@ const RouteBucketsPerSpine = 8
 // time. It replaces the closed-over ECMP hash that froze routing at
 // build time.
 //
-// Edits change the table in place. All reads and writes for one leaf
-// happen on that leaf's shard goroutine (cross-shard updates arrive
-// via the conservative-lookahead handoff), so no reader can see an
-// edit half done and no atomics or copies are needed.
+// Edits change the table in place. A routed run keeps the serial
+// engine, so every read and edit happens on its one goroutine: no
+// reader can see an edit half done and no atomics or copies are
+// needed.
 //
 // Determinism contract: with no overrides and no down links the table
 // is "clean" and Pick reproduces ECMPSpine exactly — bucket count is a
@@ -90,8 +90,7 @@ func (t *RouteTable) BucketSpine(b int) int {
 func (t *RouteTable) SpineUp(s int) bool { return t.upDown[s] == 0 }
 
 // Avail reports whether spine s can carry this leaf's traffic to
-// dstRack (uplink and far-side downlink both up). The route-validity
-// checker scans it after every table edit.
+// dstRack (uplink and far-side downlink both up).
 func (t *RouteTable) Avail(dstRack, s int) bool {
 	return t.upDown[s] == 0 && t.dstDown[dstRack][s] == 0
 }

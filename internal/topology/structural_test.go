@@ -145,34 +145,54 @@ func TestPathArraysMatchLinks(t *testing.T) {
 	}
 }
 
-// TestStructuralRoutesFollowPaths: at every switch, for every
-// destination host, NextPort is the port of the link the path names
-// there — and the walk covers every (switch, destination) pair.
+// TestStructuralRoutesFollowPaths forwards a real packet for every
+// (source, destination, flow) and checks that it crosses exactly the
+// links Network.AppendPathFlow names: it lands at its destination after
+// one hop per path link, each of which transmitted it once. The packets
+// leave every switch toward every destination host.
 func TestStructuralRoutesFollowPaths(t *testing.T) {
 	for _, shape := range structuralShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			n := shape.build()
 			hosts := pkt.NodeID(n.NumHosts())
+			var at pkt.NodeID
+			var hops int
+			for _, h := range n.Hosts {
+				h.Handler = func(p *pkt.Packet) { at, hops = h.ID(), int(p.Hops) }
+			}
 			type hop struct {
 				sw  *netem.Switch
 				dst pkt.NodeID
 			}
 			seen := map[hop]bool{}
+			var tx []int64
 			for src := pkt.NodeID(0); src < hosts; src++ {
 				for dst := pkt.NodeID(0); dst < hosts; dst++ {
 					if src == dst {
 						continue
 					}
 					for flow := pkt.FlowID(1); flow <= 8; flow++ {
-						for _, l := range n.AppendPathFlow(nil, src, dst, flow) {
-							sw, ok := l.From.(*netem.Switch)
-							if !ok {
-								continue
+						path := n.AppendPathFlow(nil, src, dst, flow)
+						tx = tx[:0]
+						for _, l := range path {
+							tx = append(tx, l.Port.TxPackets)
+						}
+						at = -1
+						n.Hosts[src].Send(&pkt.Packet{Size: 100, Src: src, Dst: dst, Flow: flow})
+						if err := n.Eng.Run(); err != nil {
+							t.Fatal(err)
+						}
+						if at != dst || hops != len(path) {
+							t.Fatalf("(src %d, dst %d, flow %d) landed at node %d after %d hops, the path %v ends at %d after %d",
+								src, dst, flow, at, hops, path, dst, len(path))
+						}
+						for i, l := range path {
+							if l.Port.TxPackets != tx[i]+1 {
+								t.Fatalf("(src %d, dst %d, flow %d) did not cross %v of its path %v", src, dst, flow, l, path)
 							}
-							if got := sw.NextPort(dst, flow); got != l.Port {
-								t.Fatalf("%s routes (dst %d, flow %d) to %s, the path takes %s", sw.Name(), dst, flow, got.Name(), l.Port.Name())
+							if sw, ok := l.From.(*netem.Switch); ok {
+								seen[hop{sw, dst}] = true
 							}
-							seen[hop{sw, dst}] = true
 						}
 					}
 				}
