@@ -62,15 +62,19 @@ scale-smoke:
 shard-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
 
-# Recorder smoke: one checked, streamed, faulted traced run end to end
-# whose trace the pasetrace analyzer must validate and digest (exit 0),
-# and one serial streamed run that spills the flow-event TSV and writes
-# the queue TSV, each of which must start with its header (the trace
-# pins and recorder tests run in check-test).
+# Recorder smoke: one checked, faulted traced run end to end, stored
+# and streamed (-stream), whose two trace files must be byte-identical
+# and which the pasetrace analyzer must validate and digest (exit 0),
+# and one serial streamed run that writes the flow-event and queue
+# TSVs, each of which must start with its header (the trace pins and
+# recorder tests run in check-test).
 trace-smoke:
 	mkdir -p artifacts
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -check \
+		-faults "loss:rate=0.002" -trace artifacts/trace-smoke-stored.json -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
+	cmp artifacts/trace-smoke-stored.json artifacts/trace-smoke.json
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
 	rm -f artifacts/flows.tsv artifacts/q.tsv
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario left-right -load 0.7 -flows 2000 -stream -check \

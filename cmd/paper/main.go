@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	// Flags that set an option bind straight to it; opts' starting
 	// values are the flag defaults.
-	opts := pase.FigureOpts{NumFlows: 2000, Seed: 1, Seeds: 1, Obs: true, Trace: pase.TraceConfig{SampleN: 1}}
+	opts := pase.FigureOpts{NumFlows: 2000, Seed: 1, Seeds: 1, Obs: true}
 	fs.IntVar(&opts.NumFlows, "flows", opts.NumFlows, "foreground flows per simulation point")
 	fs.Uint64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
 	fs.IntVar(&opts.Seeds, "seeds", opts.Seeds, "average each sweep point over this many seeds")
@@ -59,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&opts.Check, "check", false, "run every point with the runtime invariant checker; exit 1 on any violation")
 	fs.BoolVar(&opts.Stream, "stream", false, "run every point on the bounded-memory streaming path (sketch quantiles)")
 	fs.IntVar(&opts.Shards, "shards", 0, "engine shards per simulation point (0/1 = serial; output is identical at any setting; multiplies with -parallel)")
-	fs.BoolVar(&opts.Trace.Spans, "trace", false, "attach the span flight recorder to every point; trace/* retention counters and arb/rtt/* histograms land in the manifest snapshot")
-	fs.IntVar(&opts.Trace.SampleN, "trace-sample", opts.Trace.SampleN, "with -trace, keep 1-in-N flow traces (violating/faulted flows always kept)")
 	fs.StringVar(&opts.Ctrl, "ctrl", "", `restrict the ctrlscale figure's PASE arm: "hierarchy" or "central" (default: both arms)`)
 	fs.IntVar(&opts.Racks, "racks", 0, "restrict the ctrlscale figure to one rack count (default: full 16..2048 sweep)")
 	var (

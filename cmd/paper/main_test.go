@@ -45,7 +45,7 @@ type flagRow struct {
 // built with fig builds.
 var (
 	base     = []string{"-loads", "0.5", "-progress=false"}
-	baseOpts = pase.FigureOpts{NumFlows: 20, Seed: 1, Seeds: 1, Loads: []float64{0.5}, Obs: true, Trace: pase.TraceConfig{SampleN: 1}}
+	baseOpts = pase.FigureOpts{NumFlows: 20, Seed: 1, Seeds: 1, Loads: []float64{0.5}, Obs: true}
 	fig9a    = []string{"9a"}
 	fig3     = []string{"3"}
 )
@@ -152,11 +152,6 @@ var flagTable = []flagRow{
 	{flag: "stream", args: toy("-stream", "-out", "d"), reject: "Stream"},
 	{flag: "stream", args: []string{"-fig", "task", "-stream", "-out", "d"}, reject: "Stream"},
 	{flag: "shards", args: fig("-shards", "2"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Shards = 2 }},
-	{flag: "trace", args: fig("-trace"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Trace.Spans = true }},
-	{flag: "trace-sample", args: fig("-trace", "-trace-sample", "4"), ids: fig9a,
-		opts: func(o *pase.FigureOpts) { o.Trace = pase.TraceConfig{Spans: true, SampleN: 4} }},
-	{flag: "trace-sample", args: fig("-trace-sample", "-3"), reject: "Trace.SampleN"},
-	{flag: "trace-sample", args: []string{"-fig", "3", "-flows", "20", "-trace-sample", "-3"}, reject: "Trace.SampleN"},
 	{flag: "scale", args: []string{"-scale", "20"}, ids: []string{"scale"}, opts: func(o *pase.FigureOpts) { o.Stream = true },
 		out: printed("(10-20 flows/point, seed 1,")},
 	{flag: "scale", args: []string{"-scale", "-1"}, reject: "-scale"},

@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.PASE.DisableProbing, "no-probing", false, "PASE: disable probe-based recovery")
 	fs.IntVar(&cfg.PASE.HierFanOut, "hier-fanout", 0, "PASE: aggregation-tree fan-out of the deep arbitration hierarchy (0 = scenario default)")
 	fs.IntVar(&cfg.PASE.HierTopShards, "hier-shards", 0, "PASE: replicated root shards of the deep arbitration hierarchy (0 = scenario default)")
-	fs.IntVar(&cfg.Trace.SampleN, "trace-sample", 0, "keep 1 in N flow traces (0/1 = all; misbehaving flows are always kept)")
+	fs.IntVar(&cfg.Trace.SampleN, "trace-sample", 0, "with -trace, keep 1 in N flow traces (0/1 = all; misbehaving flows are always kept)")
 	fs.BoolVar(&cfg.Route.Reroute, "reroute", false, "leaf-spine fabrics: reroute around failed fabric links (reacts to -faults link outages)")
 	fs.BoolVar(&cfg.Route.TE, "te", false, "leaf-spine fabrics: periodic traffic engineering, shifting hot ECMP buckets off loaded uplinks")
 	fs.DurationVar((*time.Duration)(&cfg.Route.Epoch), "te-epoch", 0, "TE decision period (0 = 1ms default)")
@@ -78,9 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		racks     = fs.Int("racks", 0, "shortcut for -scenario ctrlscale-<racks>: the control-plane-at-scale fabric with this many racks")
 		flowLog   = fs.String("flowlog", "", "write the flow event trace (start/done/abort) as TSV to this file")
 		queueLog  = fs.String("queuetrace", "", "write sampled queue occupancies as TSV to this file")
-		queueInt  = fs.Duration("queueinterval", 100*time.Microsecond, "queue sampling interval for -queuetrace")
+		queueInt  = fs.Duration("queueinterval", 100*time.Microsecond, "queue sampling interval for -queuetrace and -trace")
 		traceOut  = fs.String("trace", "", "write the span-based flight recording as Perfetto trace-event JSON to this file (inspect with pasetrace or ui.perfetto.dev)")
-		traceSp   = fs.Bool("trace-spill", false, "stream the -trace output as flows complete (O(in-flight) memory)")
 		outcomes  = fs.String("outcomes", "", "write per-flow outcomes (size, fct, deadline, retx) as TSV to this file")
 		faultSpec = fs.String("faults", "", `fault-injection plan, e.g. "loss:link=*,class=data,rate=0.01; ctrl:drop=0.2"`)
 		scale     = fs.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
@@ -130,12 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Stream && *outcomes != "" {
 		return fail(fmt.Errorf("-outcomes needs per-flow records, which streaming runs do not keep; drop -stream/-scale"))
 	}
-	if *traceSp && *traceOut == "" {
-		return fail(fmt.Errorf("-trace-spill needs -trace <file>"))
-	}
-
-	cfg.Trace.FlowLog = *flowLog != ""
-	cfg.Trace.Spans = *traceOut != ""
 	cfg.PASE.Central = *ctrl == "central"
 	if *ctrl != "" && *ctrl != "hierarchy" && *ctrl != "central" {
 		return fail(fmt.Errorf("-ctrl %q: want \"hierarchy\" or \"central\"", *ctrl))
@@ -170,24 +163,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := pase.Validate(cfg); err != nil {
 		return fail(err)
 	}
-
-	// Spill mode opens the outputs up front: the trace streams while
-	// the run executes instead of being written afterwards.
-	var spills []func() error
-	if *traceSp {
-		w, finish, err := cliutil.CreateFile(*traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Trace.SpanWriter, spills = w, append(spills, finish)
+	if set["trace-sample"] && *traceOut == "" {
+		return fail(fmt.Errorf("-trace-sample samples the -trace output; add -trace <file>"))
 	}
-	flowLogSpills := cfg.Stream && *flowLog != ""
-	if flowLogSpills {
-		w, finish, err := cliutil.CreateFile(*flowLog)
-		if err != nil {
-			return fail(err)
+	if set["queueinterval"] && *queueLog == "" && *traceOut == "" {
+		return fail(fmt.Errorf("-queueinterval sets the -queuetrace and -trace sampling; add one of them"))
+	}
+
+	// The flow tracks stream into their files while the run executes,
+	// so both open up front.
+	var finishes []func() error
+	open := func(path string, w *io.Writer) error {
+		if path == "" {
+			return nil
 		}
-		cfg.Trace.FlowLogWriter, spills = w, append(spills, finish)
+		f, finish, err := cliutil.CreateFile(path)
+		if err == nil {
+			*w, finishes = f, append(finishes, finish)
+		}
+		return err
+	}
+	if err := open(*traceOut, &cfg.Trace.SpanWriter); err != nil {
+		return fail(err)
+	}
+	if err := open(*flowLog, &cfg.Trace.FlowLogWriter); err != nil {
+		return fail(err)
 	}
 
 	stopCPU, err := cliutil.StartCPUProfile(*cpuProf)
@@ -213,31 +213,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		reps = []*pase.Report{rep}
 		printReport(stdout, cfg, rep, *cdf)
-		for _, finish := range spills {
+		for _, finish := range finishes {
 			if err := finish(); err != nil {
 				return fail(err)
 			}
 		}
 		if *flowLog != "" {
-			if flowLogSpills {
-				fmt.Fprintf(stdout, "flow trace      %s (streamed)\n", *flowLog)
-			} else {
-				if err := cliutil.WriteFile(*flowLog, rep.Trace.WriteFlowEvents); err != nil {
-					return fail(err)
-				}
-				fmt.Fprintf(stdout, "flow trace      %s (%d events%s)\n", *flowLog, len(rep.Trace.Events), evicted(rep.Trace.Stats.EventsEvicted))
-			}
+			fmt.Fprintf(stdout, "flow trace      %s (%d events)\n", *flowLog, rep.Trace.Stats.FlowEvents)
 		}
 		if *traceOut != "" {
-			if *traceSp {
-				fmt.Fprintf(stdout, "span trace      %s (streamed)\n", *traceOut)
-			} else {
-				if err := cliutil.WriteFile(*traceOut, rep.Trace.WritePerfetto); err != nil {
-					return fail(err)
-				}
-				fmt.Fprintf(stdout, "span trace      %s (%d flows, digest %016x)\n",
-					*traceOut, len(rep.Trace.Flows), rep.Trace.Digest())
-			}
+			fmt.Fprintf(stdout, "span trace      %s (%d flows, digest %016x)\n",
+				*traceOut, rep.Trace.Stats.FlowsFinal, rep.Trace.Digest())
 		}
 		if *queueLog != "" {
 			if err := cliutil.WriteFile(*queueLog, rep.Trace.WriteQueueSamples); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -53,6 +54,9 @@ var (
 	baseCfg = pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioIntraRack, Load: 0.7, NumFlows: 20, Seed: 1}
 )
 
+// opened stands in a wanted config for a trace writer the run opened.
+var opened io.Writer = io.Discard
+
 // small runs args at 20 flows.
 func small(args ...string) []string { return append([]string{"-flows", "20"}, args...) }
 
@@ -80,7 +84,7 @@ var flagTable = []flagRow{
 	{flag: "scenario", args: small("-scenario", "toy"), reject: "unknown scenario"},
 	{flag: "load", args: small("-load", "0.5"), cfg: func(c *pase.SimConfig) { c.Load = 0.5 }},
 	{flag: "load", args: small("-load", "1.5"), reject: "Load"},
-	{flag: "load", args: small("-load", "2", "-trace", "t.json", "-trace-spill"), reject: "Load"},
+	{flag: "load", args: small("-load", "2", "-trace", "t.json"), reject: "Load"},
 	{flag: "flows", args: small("-flows", "15"), cfg: func(c *pase.SimConfig) { c.NumFlows = 15 }},
 	{flag: "seed", args: small("-seed", "5"), cfg: func(c *pase.SimConfig) { c.Seed = 5 }},
 	{flag: "seeds", args: small("-seeds", "2", "-parallel", "1"), out: func(t *testing.T, r result) {
@@ -92,7 +96,7 @@ var flagTable = []flagRow{
 	{flag: "seeds", args: small("-seeds", "-2"), reject: "-seeds"},
 	{flag: "seeds", args: small("-seeds", "2", "-flowlog", "f.tsv"), reject: "-seeds"},
 	{flag: "seeds", args: small("-seeds", "2", "-stream", "-flowlog", "f.tsv"), reject: "-seeds"},
-	{flag: "seeds", args: small("-seeds", "2", "-trace", "t.json", "-trace-spill"), reject: "-seeds"},
+	{flag: "seeds", args: small("-seeds", "2", "-trace", "t.json"), reject: "-seeds"},
 	{flag: "seeds", args: small("-seeds", "2", "-cdf", "-cpuprofile", "p.out"), reject: "-seeds"},
 	{flag: "parallel", args: small("-seeds", "2", "-parallel", "3"), out: func(t *testing.T, r result) {
 		if r.parallel != 3 {
@@ -121,14 +125,17 @@ var flagTable = []flagRow{
 	{flag: "hier-shards", args: small("-scenario", "ctrlscale-16", "-hier-shards", "3"),
 		cfg: func(c *pase.SimConfig) { c.Scenario, c.PASE.HierTopShards = "ctrlscale-16", 3 }},
 	{flag: "hier-shards", args: small("-hier-shards", "-3"), reject: "PASE.HierTopShards"},
-	{flag: "flowlog", args: small("-flowlog", "f.tsv"), cfg: func(c *pase.SimConfig) { c.Trace.FlowLog = true },
-		out: wrote("f.tsv", "# time_ns\tkind\tflow")},
+	{flag: "flowlog", args: small("-flowlog", "f.tsv"), cfg: func(c *pase.SimConfig) { c.Trace.FlowLogWriter = opened },
+		out: func(t *testing.T, r result) {
+			contains("f.tsv (42 events)")(t, r)
+			wrote("f.tsv", "# time_ns\tkind\tflow")(t, r)
+		}},
 	{flag: "flowlog", args: small("-protocol", "DCTCP", "-flowlog", "f.tsv", "-stream", "-shards", "2"),
 		cfg: func(c *pase.SimConfig) {
-			c.Protocol, c.Trace.FlowLog, c.Stream, c.Shards = pase.ProtocolDCTCP, true, true, 2
+			c.Protocol, c.Trace.FlowLogWriter, c.Stream, c.Shards = pase.ProtocolDCTCP, opened, true, 2
 		},
 		out: func(t *testing.T, r result) {
-			contains("(streamed)")(t, r)
+			contains(" events)")(t, r)
 			wrote("f.tsv", "# time_ns\tkind\tflow")(t, r)
 			if !strings.Contains(r.stderr, "ran on the serial engine (trace)") {
 				t.Errorf("stderr %q does not name the trace fallback", r.stderr)
@@ -142,30 +149,32 @@ var flagTable = []flagRow{
 		out: contains("every 50µs")},
 	{flag: "queueinterval", args: small("-queuetrace", "q.tsv", "-queueinterval", "0"), reject: "-queueinterval"},
 	{flag: "queueinterval", args: small("-queuetrace", "q.tsv", "-queueinterval", "-5us"), reject: "-queueinterval"},
+	{flag: "queueinterval", args: small("-queueinterval", "50us"), reject: "-queueinterval"},
 	{flag: "trace", args: small("-trace", "t.json"),
 		cfg: func(c *pase.SimConfig) {
-			c.Trace.Spans, c.Trace.QueueSample = true, pase.Duration(100*time.Microsecond)
+			c.Trace.SpanWriter, c.Trace.QueueSample = opened, pase.Duration(100*time.Microsecond)
 		},
-		out: wrote("t.json", "{")},
-	{flag: "trace-sample", args: small("-trace-sample", "4"), cfg: func(c *pase.SimConfig) { c.Trace.SampleN = 4 }},
+		out: func(t *testing.T, r result) {
+			contains("t.json (20 flows, digest ")(t, r)
+			wrote("t.json", "{")(t, r)
+		}},
+	{flag: "trace", args: small("-protocol", "DCTCP", "-trace", "t.json", "-shards", "2"),
+		cfg: func(c *pase.SimConfig) {
+			c.Protocol, c.Trace.SpanWriter, c.Shards = pase.ProtocolDCTCP, opened, 2
+			c.Trace.QueueSample = pase.Duration(100 * time.Microsecond)
+		},
+		out: func(t *testing.T, r result) {
+			wrote("t.json", "{")(t, r)
+			if !strings.Contains(r.stderr, "ran on the serial engine (trace)") {
+				t.Errorf("stderr %q does not name the trace fallback", r.stderr)
+			}
+		}},
+	{flag: "trace-sample", args: small("-trace", "t.json", "-trace-sample", "4"),
+		cfg: func(c *pase.SimConfig) {
+			c.Trace = pase.TraceConfig{SpanWriter: opened, QueueSample: pase.Duration(100 * time.Microsecond), SampleN: 4}
+		}},
+	{flag: "trace-sample", args: small("-trace-sample", "4"), reject: "-trace-sample"},
 	{flag: "trace-sample", args: small("-trace-sample", "-3"), reject: "Trace.SampleN"},
-	{flag: "trace-spill", args: small("-trace", "t.json", "-trace-spill"),
-		cfg: func(c *pase.SimConfig) {
-			c.Trace.Spans, c.Trace.QueueSample = true, pase.Duration(100*time.Microsecond)
-		},
-		out: func(t *testing.T, r result) {
-			contains("(streamed)")(t, r)
-			wrote("t.json", "{")(t, r)
-		}},
-	{flag: "trace-spill", args: small("-trace-spill"), reject: "-trace-spill"},
-	{flag: "trace-spill", args: small("-trace", "t.json", "-trace-spill", "-shards", "2"),
-		cfg: func(c *pase.SimConfig) {
-			c.Trace.Spans, c.Trace.QueueSample, c.Shards = true, pase.Duration(100*time.Microsecond), 2
-		},
-		out: func(t *testing.T, r result) {
-			contains("(streamed)")(t, r)
-			wrote("t.json", "{")(t, r)
-		}},
 	{flag: "outcomes", args: small("-outcomes", "o.tsv"), out: wrote("o.tsv", "# id\tsize")},
 	{flag: "outcomes", args: small("-outcomes", "o.tsv", "-stream"), reject: "-outcomes"},
 	{flag: "faults", args: small("-faults", "loss:rate=0.01"), cfg: func(c *pase.SimConfig) {
@@ -226,7 +235,11 @@ func TestFlagTable(t *testing.T) {
 				row.cfg(&want)
 			}
 			got := r.cfg
-			got.Trace.SpanWriter, got.Trace.FlowLogWriter = nil, nil
+			for _, w := range []*io.Writer{&got.Trace.SpanWriter, &got.Trace.FlowLogWriter} {
+				if *w != nil {
+					*w = opened
+				}
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("config\n got %+v\nwant %+v", got, want)
 			}

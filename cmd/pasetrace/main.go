@@ -1,10 +1,11 @@
 // Command pasetrace analyzes a Perfetto trace-event JSON file produced
-// by pasesim -trace (or pase.Report.Trace.WritePerfetto). It validates the
-// file against the exporter's schema — exiting 1 on anything
-// malformed, so CI can gate on it — and prints the run's story: the
-// top-N slowest flows with a critical-path breakdown (arbitration
-// wait vs wire serialization vs queueing), control-plane latency
-// tables per arbitration hierarchy level, and per-port queue peaks.
+// by pasesim -trace (or by a pase.SimConfig.Trace.SpanWriter). It
+// validates the file against the exporter's schema — exiting 1 on
+// anything malformed, so CI can gate on it — and prints the run's
+// story: the top-N slowest flows with a critical-path breakdown
+// (arbitration wait vs wire serialization vs queueing), control-plane
+// latency tables per arbitration hierarchy level, and per-port queue
+// peaks.
 //
 // Examples:
 //

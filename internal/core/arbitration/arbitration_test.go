@@ -1,6 +1,7 @@
 package arbitration
 
 import (
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -188,9 +189,10 @@ func buildSys(t *testing.T, p Params) (*sim.Engine, *topology.Network, *System) 
 // climbLevel runs refresh with a fresh span recorder on sys and
 // returns the Level of the control span it recorded (-1 for none).
 func climbLevel(eng *sim.Engine, sys *System, refresh func()) int {
-	sys.Rec = trace.NewRecorder(eng, trace.RecorderConfig{Spans: true})
+	sys.Rec = trace.NewRecorder(eng, trace.RecorderConfig{SpanWriter: io.Discard})
 	refresh()
-	ctrl := sys.Rec.Take().Ctrl
+	rt, _ := sys.Rec.Take()
+	ctrl := rt.Ctrl
 	if len(ctrl) == 0 {
 		return -1
 	}

@@ -70,14 +70,6 @@ type Opts struct {
 	// multiplicative core budget with Parallelism: a pooled figure runs
 	// up to Parallelism × Shards goroutines at once.
 	Shards int `json:"shards,omitempty"`
-	// Trace applies a trace configuration to every point that does not
-	// carry its own. Figure grids keep only scalars per point, so the
-	// recorded traces themselves are dropped — but the flight
-	// recorder's retention stats (trace/*) and PASE's per-level
-	// arbitration RTT histograms (arb/rtt/*) land in the merged Obs
-	// snapshot. Spill writers are dropped here: points run
-	// concurrently and a single writer cannot be shared.
-	Trace TraceConfig `json:"-"`
 	// Ctrl forces every PASE point onto one control plane: "central"
 	// swaps in the single-controller arm, "" (or "hierarchy") keeps
 	// the default arbitration hierarchy. The ctrlscale figure, which

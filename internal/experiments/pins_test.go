@@ -23,7 +23,6 @@ import (
 	"pase/internal/faults"
 	"pase/internal/route"
 	"pase/internal/sim"
-	"pase/internal/trace"
 )
 
 // The pin registry is the determinism contract in one table (DESIGN.md
@@ -128,7 +127,7 @@ func pinTable() []pin {
 	rerouteOnly := teChaosPoint(DCTCP, route.Config{Reroute: true})
 	rerouteOnly.Obs = false
 	tracedTE := teChaosPoint(DCTCP, route.Config{TE: true})
-	tracedTE.Obs, tracedTE.Trace = false, TraceConfig{Spans: true}
+	tracedTE.Obs = false
 	faulted := func(c PointConfig) PointConfig { c.Faults = flapLossPlan(); return c }
 
 	ps := []pin{
@@ -192,18 +191,18 @@ func pinTable() []pin {
 	}
 	ps = append(ps,
 		pin{name: "trace-perfetto", out: perfettoOut, file: "golden_trace.json",
-			input:    goldenTrace(TraceConfig{Spans: true, QueueSample: 200 * sim.Microsecond}),
+			input:    goldenTrace(TraceConfig{QueueSample: 200 * sim.Microsecond}),
 			protects: "the Perfetto export: flow spans, queue counter tracks, JSON layout", mover: "none"},
 		pin{name: "trace-flow-events", out: eventsOut, file: "flow_events.tsv",
-			input:    goldenTrace(TraceConfig{FlowLog: true, QueueSample: 200 * sim.Microsecond}),
+			input:    goldenTrace(TraceConfig{QueueSample: 200 * sim.Microsecond}),
 			protects: "the flow-event TSV: event order and columns", mover: "none"},
 		pin{name: "trace-queue-samples", out: samplesOut, file: "queue_samples.tsv",
-			input:    goldenTrace(TraceConfig{FlowLog: true, QueueSample: 200 * sim.Microsecond}),
+			input:    goldenTrace(TraceConfig{QueueSample: 200 * sim.Microsecond}),
 			protects: "the queue-sample TSV: sampling tick, port order and columns", mover: "none"},
 		pin{name: "traced-perfetto", out: perfettoOut, input: point(traced), twins: tracedTwins,
 			protects: "traced runs stream: one Perfetto export, stored or streamed; a Shards request runs serially and changes no byte", mover: "none"},
-		pin{name: "traced-flow-events", out: eventsOut, input: point(traced), twins: append(slices.Clone(tracedTwins), "stream+spill"),
-			protects: "flow events in canonical order, stored or streamed, and a spilled log equals the buffered one; a Shards request changes no byte", mover: "none"},
+		pin{name: "traced-flow-events", out: eventsOut, input: point(traced), twins: tracedTwins,
+			protects: "flow events in canonical order, stored or streamed; a Shards request changes no byte", mover: "none"},
 		pin{name: "traced-pase-chaos", out: perfettoOut, input: point(tracedChaosPoint()), twins: shards24,
 			protects: "a faulted PASE run's control spans; PASE's serial fallback traces like serial", mover: "item 6"},
 		pin{name: "traced-sampled", out: perfettoOut, input: point(sampled), twins: []string{"shards=3"},
@@ -211,7 +210,7 @@ func pinTable() []pin {
 		pin{name: "traced-te", out: routedTraceOut, input: point(tracedTE), twins: []string{"stream"},
 			protects: "the route and abort tracks: TE moves in the Perfetto routing process, aborted flows, and both in the trace digest", mover: "none"},
 		pin{name: "traced-fig3", out: perfettoOut, file: "traced_fig3.json",
-			input:    point(PointConfig{Protocol: PASE, Scenario: toy, Check: true, Trace: TraceConfig{Spans: true}}),
+			input:    point(PointConfig{Protocol: PASE, Scenario: toy, Check: true}),
 			protects: "Figure 3 as a trace: the toy's three PASE flows, their grants and priority-queue epochs, and every arbitration exchange", mover: "item 6"},
 	)
 	for _, p := range []Protocol{DCTCP, D2TCP, L2DCT, PFabric, ExpressPass} {
@@ -246,12 +245,12 @@ func pinTable() []pin {
 }
 
 // manifestPin pins the manifest of a figure run under plan. The Opts
-// also set fields the manifest does not record (Check, Progress,
-// Trace, Ctrl, Racks), which must stay out of it.
+// also set fields the manifest does not record (Check, Progress, Ctrl,
+// Racks), which must stay out of it.
 func manifestPin(name string, plan *faults.Plan, what string) pin {
 	o := Opts{NumFlows: 120, Seed: 4, Seeds: 3, Loads: []float64{0.5, 0.8}, Parallelism: 2,
 		Check: true, Progress: func(int, int) {}, Faults: plan, Stream: true, Shards: 2,
-		Trace: TraceConfig{Spans: true, SampleN: 8}, Ctrl: "central", Racks: 100}
+		Ctrl: "central", Racks: 100}
 	return pin{name: name, out: manifestOut, file: name + ".json", input: input{opts: o}, protects: what, mover: "none"}
 }
 
@@ -315,25 +314,17 @@ var (
 		if len(r.Trace.Route) == 0 {
 			t.Fatal("routed run recorded no route events")
 		}
-		if !slices.ContainsFunc(r.Trace.Flows, func(ft *trace.FlowTrace) bool { return ft.Aborted }) {
+		if !bytes.Contains(b, []byte(`"aborted":true`)) {
 			t.Fatal("routed run traced no aborted flow")
 		}
 		return fmt.Appendf(b, "digest %#x\n", r.Trace.Digest())
 	}}
 	eventsOut = out{"flow-event TSV", func(t *testing.T, in input) []byte {
-		r := runChecked(t, in.cfg)
-		if spill, ok := in.cfg.Trace.FlowLogWriter.(*bytes.Buffer); ok {
-			if len(r.Trace.Events) != 0 {
-				t.Fatalf("spilling run retained %d flow events", len(r.Trace.Events))
-			}
-			return spill.Bytes()
-		}
-		if len(r.Trace.Events) == 0 {
-			t.Fatal("traced run recorded no flow events")
-		}
 		var buf bytes.Buffer
-		if err := r.Trace.WriteFlowEvents(&buf); err != nil {
-			t.Fatal(err)
+		cfg := in.cfg
+		cfg.Trace.FlowLogWriter = &buf
+		if runChecked(t, cfg).Trace.Stats.FlowEvents == 0 {
+			t.Fatal("traced run recorded no flow events")
 		}
 		return buf.Bytes()
 	}}
@@ -378,8 +369,6 @@ func applyTwin(t *testing.T, in *input, kind string) {
 		in.cfg.Faults, in.opts.Faults = &faults.Plan{}, &faults.Plan{}
 	case "zero-plan":
 		in.cfg.Faults, in.opts.Faults = zeroPlan(), zeroPlan()
-	case "spill":
-		in.cfg.Trace.FlowLogWriter = new(bytes.Buffer)
 	default:
 		t.Fatalf("unknown twin kind %q", kind)
 	}

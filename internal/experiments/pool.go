@@ -23,7 +23,7 @@ import (
 // observability for every point; o.Progress (if set) is called after
 // each point completes, possibly from a worker goroutine.
 func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
-	if o.Obs || o.Check || o.Faults != nil || o.Stream || o.Shards > 1 || o.Trace.Enabled() || o.Ctrl == "central" {
+	if o.Obs || o.Check || o.Faults != nil || o.Stream || o.Shards > 1 || o.Ctrl == "central" {
 		for i := range cfgs {
 			cfgs[i].Obs = cfgs[i].Obs || o.Obs
 			cfgs[i].Check = cfgs[i].Check || o.Check
@@ -36,13 +36,6 @@ func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
 			cfgs[i].Stream = cfgs[i].Stream || o.Stream
 			if cfgs[i].Shards == 0 {
 				cfgs[i].Shards = o.Shards
-			}
-			if !cfgs[i].Trace.Enabled() {
-				// Points run concurrently: never share spill writers
-				// through grid-level opts.
-				t := o.Trace
-				t.FlowLogWriter, t.SpanWriter = nil, nil
-				cfgs[i].Trace = t
 			}
 		}
 	}

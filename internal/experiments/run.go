@@ -135,39 +135,36 @@ type PASEOptions struct {
 }
 
 // TraceConfig selects optional per-point tracing: which tracks of the
-// run's one recorder are on; the recording is PointResult.Trace. Each
-// track keeps its newest records, up to the trace package's
-// Default*Cap; what a cap sheds is counted in Trace.Stats.
+// run's one recorder are on. The flow tracks stream to their writers as
+// the run goes; the retained tracks are PointResult.Trace, each keeping
+// its newest records up to the trace package's Default*Cap, with what a
+// cap sheds counted in Trace.Stats. The output is byte-identical
+// stored or streamed.
 type TraceConfig struct {
-	// FlowLog records flow start/done/abort events (write them with
-	// Trace.WriteFlowEvents).
-	FlowLog bool
 	// QueueSample, when positive, samples every queue's occupancy at
 	// this interval (Trace.WriteQueueSamples).
 	QueueSample sim.Duration
-	// Spans enables the span tracks: per-flow lifecycle spans
-	// (wait-for-control, transmission epochs per priority queue,
-	// retx/timeout/fallback marks) plus control-plane exchange spans
-	// (export with Trace.WritePerfetto). Traced runs stream like
-	// untraced ones, and the exported bytes are identical stored or
-	// streamed.
-	Spans bool
 	// SampleN keeps 1 in N flow traces (0 or 1 = every flow),
 	// seed-driven so re-runs trace the same flows. Flows that
 	// misbehaved — retransmissions, timeouts, fallback, abort — are
 	// always kept regardless of the draw.
 	SampleN int
-	// FlowLogWriter, with FlowLog, streams flow events to this writer
-	// as canonical TSV instead of retaining them — the bounded-memory
-	// pairing for Stream runs.
+	// FlowLogWriter, when set, records flow start/done/abort events
+	// and writes them to it as canonical TSV.
 	FlowLogWriter io.Writer
-	// SpanWriter, with Spans, streams the Perfetto trace at flow
-	// completion instead of retaining traces.
+	// SpanWriter, when set, records the span tracks — per-flow
+	// lifecycle spans (wait-for-control, transmission epochs per
+	// priority queue, retx/timeout/fallback marks) plus control-plane
+	// exchange spans and route events — and writes them to it as
+	// Chrome/Perfetto trace-event JSON, with the queue samples as
+	// counter tracks.
 	SpanWriter io.Writer
 }
 
 // Enabled reports whether any tracing is requested.
-func (t TraceConfig) Enabled() bool { return t.FlowLog || t.QueueSample > 0 || t.Spans }
+func (t TraceConfig) Enabled() bool {
+	return t.FlowLogWriter != nil || t.QueueSample > 0 || t.SpanWriter != nil
+}
 
 // PointConfig is one (protocol, scenario, load) simulation — the one
 // run configuration, which the pase façade exposes as SimConfig.
@@ -253,11 +250,11 @@ type PointResult struct {
 	// the retained details.
 	Violations      int64
 	CheckViolations []check.Violation
-	// Trace is the run's recording, every track in canonical order
-	// with Stats counting what the recorder kept and shed (nil unless a
-	// TraceConfig track was on). In spill mode the flow events and
-	// traces have already streamed to their writers; Trace still
-	// carries control spans, queue samples, stats and meta.
+	// Trace is what the run's recording retains — control spans,
+	// queue samples and route events in canonical order, meta, and
+	// Stats counting what the recorder wrote, kept and shed (nil unless
+	// a TraceConfig track was on). The flow events and traces have
+	// already streamed to their writers.
 	Trace *trace.RunTrace
 	// ShardFallback names why a PointConfig.Shards > 1 request ran on
 	// the serial engine: "pase", "pdq", "trace", "faults", "route" or
@@ -765,11 +762,9 @@ func RunPoint(cfg PointConfig) PointResult {
 	var rec *trace.Recorder
 	if cfg.Trace.Enabled() {
 		rec = trace.NewRecorder(envs[0].eng, trace.RecorderConfig{
-			Events: cfg.Trace.FlowLog, Spans: cfg.Trace.Spans,
-			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed,
+			Meta: traceMeta(cfg, net), SampleN: cfg.Trace.SampleN, Seed: cfg.Seed,
 			EventWriter: cfg.Trace.FlowLogWriter, SpanWriter: cfg.Trace.SpanWriter,
 		})
-		rec.SetMeta(traceMeta(cfg, net))
 	}
 	var inj *faults.Injector
 	if !cfg.Faults.Empty() {
@@ -954,8 +949,8 @@ func RunPoint(cfg PointConfig) PointResult {
 		res.CtrlMessages = epSys.Totals().Messages
 	}
 	if rec != nil {
-		rt := rec.Take()
-		if err := rec.FinishSpill(rt); err != nil {
+		rt, err := rec.Take()
+		if err != nil {
 			panic(err)
 		}
 		res.Trace = rt
@@ -981,7 +976,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	if cfg.Obs {
 		scrapeRun(coordReg, envs[0].eng, net, summary, paseSys, pdqSys, epSys)
 		scrapeCheck(coordReg, envs)
-		scrapeTrace(coordReg, res.Trace, cfg.Trace.Spans)
+		scrapeTrace(coordReg, res.Trace, cfg.Trace.SpanWriter != nil)
 		if sc != nil {
 			sk := sc.Sketch()
 			coordReg.Counter("metrics/sketch_adds").Add(sk.Count())
@@ -1102,11 +1097,8 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace, spans bool) {
 		return
 	}
 	st := rt.Stats
-	// Only runs past a cap count these, so other manifests keep their
+	// Only runs past the cap count this, so other manifests keep their
 	// bytes.
-	if st.EventsEvicted > 0 {
-		reg.Counter("trace/flow_events_evicted").Add(st.EventsEvicted)
-	}
 	if st.SamplesEvicted > 0 {
 		reg.Counter("trace/queue_samples_evicted").Add(st.SamplesEvicted)
 	}
@@ -1116,7 +1108,6 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace, spans bool) {
 	reg.Counter("trace/flows_started").Add(st.FlowsStarted)
 	reg.Counter("trace/flows_final").Add(st.FlowsFinal)
 	reg.Counter("trace/flows_sampled_out").Add(st.FlowsSampledOut)
-	reg.Counter("trace/flows_evicted").Add(st.FlowsEvicted)
 	reg.Counter("trace/flows_unfinished").Add(st.FlowsUnfinished)
 	reg.Counter("trace/spans_truncated").Add(st.SpansTruncated)
 	reg.Counter("trace/ctrl_spans").Add(st.CtrlTotal)
@@ -1133,7 +1124,7 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace, spans bool) {
 // hooks observe only — they never schedule events — so installing them
 // cannot perturb the simulation.
 func wireTraceHooks(cfg PointConfig, d *transport.Driver, rec *trace.Recorder) {
-	if !cfg.Trace.FlowLog && !cfg.Trace.Spans {
+	if cfg.Trace.FlowLogWriter == nil && cfg.Trace.SpanWriter == nil {
 		return
 	}
 	// PASE holds a new flow at the source until its first arbitration

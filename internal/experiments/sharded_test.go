@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"testing"
 
 	"pase/internal/route"
@@ -36,7 +37,7 @@ func runShards(t *testing.T, cfg PointConfig, shards int) PointResult {
 // when Obs is on.
 func TestShardedFallback(t *testing.T) {
 	traced := shardPoint(DCTCP, LeftRight)
-	traced.Trace = TraceConfig{FlowLog: true}
+	traced.Trace = TraceConfig{FlowLogWriter: io.Discard}
 	faulted := shardPoint(DCTCP, LeftRight)
 	faulted.Faults = flapLossPlan()
 	routed := shardPoint(DCTCP, TEFailover)

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
-	"strings"
 	"testing"
 
 	"pase/internal/faults"
 	"pase/internal/sim"
-	"pase/internal/trace"
 )
 
 // The flight recorder's contract is the same as the rest of the run
@@ -25,11 +24,7 @@ func tracedPoint() PointConfig {
 		Seed:     11,
 		NumFlows: 150,
 		Check:    true,
-		Trace: TraceConfig{
-			FlowLog:     true,
-			QueueSample: 100 * sim.Microsecond,
-			Spans:       true,
-		},
+		Trace:    TraceConfig{QueueSample: 100 * sim.Microsecond},
 	}
 }
 
@@ -42,16 +37,15 @@ func tracedChaosPoint() PointConfig {
 	return cfg
 }
 
-// perfettoBytes runs cfg and exports the recorded trace.
+// perfettoBytes runs cfg with its span tracks streaming into a buffer
+// and returns the Perfetto bytes.
 func perfettoBytes(t *testing.T, cfg PointConfig) ([]byte, PointResult) {
 	t.Helper()
+	var buf bytes.Buffer
+	cfg.Trace.SpanWriter = &buf
 	r := runChecked(t, cfg)
 	if r.Trace == nil {
 		t.Fatal("no trace recorded")
-	}
-	var buf bytes.Buffer
-	if err := r.Trace.WritePerfetto(&buf); err != nil {
-		t.Fatal(err)
 	}
 	return buf.Bytes(), r
 }
@@ -79,21 +73,19 @@ func TestTracedChaosDeterminism(t *testing.T) {
 // TestOffTracksRecordNothing: the PASE endpoint, the arbitration
 // hierarchy and every stack hold the recorder whenever any track is on,
 // so a faulted PASE run with only the flow-event track, or only the
-// queue track, must still record no flow traces and no control spans.
+// queue track, must still open no flow traces and record no control
+// spans.
 func TestOffTracksRecordNothing(t *testing.T) {
-	for _, tc := range []TraceConfig{{FlowLog: true}, {QueueSample: 100 * sim.Microsecond}} {
+	for _, tc := range []TraceConfig{{FlowLogWriter: io.Discard}, {QueueSample: 100 * sim.Microsecond}} {
 		cfg := tracedChaosPoint()
 		cfg.Trace = tc
 		r := runChecked(t, cfg)
-		if r.Trace == nil || len(r.Trace.Events)+len(r.Trace.Queue) == 0 {
+		if r.Trace == nil || r.Trace.Stats.FlowEvents+int64(len(r.Trace.Queue)) == 0 {
 			t.Fatalf("%+v: the track that was on recorded nothing", tc)
 		}
-		if rt := r.Trace; len(rt.Ctrl) != 0 || len(rt.Flows) != 0 || rt.Stats.CtrlTotal != 0 {
+		if rt, st := r.Trace, r.Trace.Stats; len(rt.Ctrl) != 0 || st.CtrlTotal != 0 || st.FlowsStarted != 0 {
 			t.Errorf("%+v: span tracks off, yet %d control spans (%d offered) and %d flow traces recorded",
-				tc, len(rt.Ctrl), rt.Stats.CtrlTotal, len(rt.Flows))
-		}
-		if err := r.Trace.WritePerfetto(io.Discard); err == nil || !strings.Contains(err.Error(), "no span trace recorded") {
-			t.Errorf("%+v: WritePerfetto without span tracks: err = %v, want the no-span-trace error", tc, err)
+				tc, len(rt.Ctrl), st.CtrlTotal, st.FlowsStarted)
 		}
 	}
 }
@@ -105,22 +97,28 @@ func TestPASETraceCtrlAndHistograms(t *testing.T) {
 	cfg := tracedPoint()
 	cfg.Protocol = PASE
 	cfg.Obs = true
-	_, r := perfettoBytes(t, cfg)
+	b, r := perfettoBytes(t, cfg)
 	if r.Trace.Stats.CtrlTotal == 0 {
 		t.Fatal("no control spans recorded")
 	}
-	var waits, grants int
-	for _, ft := range r.Trace.Flows {
-		for _, sp := range ft.Spans {
-			if sp.Kind == trace.SpanWait && sp.End > sp.Start {
-				waits++
-				break
-			}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Cat  string
+			Dur  float64
 		}
-		for _, m := range ft.Marks {
-			if m.Kind.String() == "grant" {
-				grants++
-			}
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	// A flow has at most one wait span, its first.
+	var waits, grants int
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Cat == "phase" && ev.Name == "wait-ctrl" && ev.Dur > 0:
+			waits++
+		case ev.Cat == "mark" && ev.Name == "grant":
+			grants++
 		}
 	}
 	if waits == 0 || grants == 0 {
@@ -159,7 +157,7 @@ func TestTraceSamplingKeepsBudget(t *testing.T) {
 	if st.FlowsSampledOut == 0 {
 		t.Fatal("sampleN=8 kept every flow")
 	}
-	if st.FlowsStarted != st.FlowsFinal+st.FlowsSampledOut+st.FlowsUnfinished+st.FlowsEvicted {
+	if st.FlowsStarted != st.FlowsFinal+st.FlowsSampledOut+st.FlowsUnfinished {
 		t.Fatalf("retention stats don't add up: %+v", st)
 	}
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"io"
 	"slices"
 	"testing"
 
@@ -27,7 +28,7 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{eng: sim.NewEngine(), reg: obs.NewRegistry()}
-	f.rec = trace.NewRecorder(f.eng, trace.RecorderConfig{Spans: true})
+	f.rec = trace.NewRecorder(f.eng, trace.RecorderConfig{SpanWriter: io.Discard})
 	f.ls = topology.DefaultLeafSpine(func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(1024)
 	})
@@ -45,7 +46,10 @@ func (f *fixture) params(cfg Config) Params {
 }
 
 // routes returns the route events recorded so far.
-func (f *fixture) routes() []trace.RouteEvent { return f.rec.Take().Route }
+func (f *fixture) routes() []trace.RouteEvent {
+	rt, _ := f.rec.Take()
+	return rt.Route
+}
 
 func (f *fixture) counter(name string) int64 { return f.reg.Snapshot().Counters[name] }
 

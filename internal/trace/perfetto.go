@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -27,36 +26,25 @@ const (
 	pidRoute  = 4
 )
 
-// perfettoStream writes trace-event JSON incrementally: Begin, any
+// perfettoStream writes trace-event JSON incrementally: the header, any
 // number of Flows calls (flow traces in canonical order), Finish. The
-// spill path of the Recorder drives it flow-group by flow-group; the
-// buffered path drives it once via RunTrace.WritePerfetto.
+// Recorder drives it one same-instant flow group at a time.
 type perfettoStream struct {
 	b     *bufio.Writer
 	n     int // events written (comma bookkeeping)
 	arrow int // flow-arrow id allocator
-	began bool
-	err   error
 }
 
-// newPerfettoStream wraps w; nothing is written until Begin.
-func newPerfettoStream(w io.Writer) *perfettoStream {
-	return &perfettoStream{b: bufio.NewWriter(w)}
-}
-
-// Begin writes the header and process metadata. Must be called once,
-// before any Flows call.
-func (ps *perfettoStream) Begin(meta Meta) {
-	if ps.began {
-		return
-	}
-	ps.began = true
+// newPerfettoStream wraps w and writes the header and process metadata.
+func newPerfettoStream(w io.Writer, meta Meta) *perfettoStream {
+	ps := &perfettoStream{b: bufio.NewWriter(w)}
 	fmt.Fprintf(ps.b,
 		`{"displayTimeUnit":"ns","otherData":{"tool":"pase","proto":%q,"scenario":%q,"nic_bps":"%d","sample_n":"%d","seed":"%d"},"traceEvents":[`,
 		meta.Proto, meta.Scenario, meta.NICBps, meta.SampleN, meta.Seed)
 	ps.event(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"flows"}}`, pidFlows)
 	ps.event(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"arbitration"}}`, pidCtrl)
 	ps.event(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"queues"}}`, pidQueues)
+	return ps
 }
 
 // event writes one comma-separated JSON object.
@@ -102,9 +90,6 @@ func (ps *perfettoStream) Flows(fts []*FlowTrace) {
 // Finish writes the control-plane, queue and routing sections, closes
 // the JSON and flushes. It returns the first underlying write error.
 func (ps *perfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []RouteEvent) error {
-	if !ps.began {
-		panic("trace: perfettoStream.Finish before Begin")
-	}
 	for _, c := range ctrl {
 		side := "dst"
 		if c.SrcSide {
@@ -136,22 +121,5 @@ func (ps *perfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []R
 		}
 	}
 	ps.b.WriteString("\n]}\n")
-	if err := ps.b.Flush(); err != nil {
-		return err
-	}
-	return ps.err
-}
-
-// WritePerfetto exports the trace as Chrome/Perfetto trace-event JSON.
-// The output is byte-identical for byte-identical traces —
-// parallelism never changes it. A nil trace (an untraced run) or
-// one recorded without its span tracks returns an error.
-func (rt *RunTrace) WritePerfetto(w io.Writer) error {
-	if rt == nil || !rt.Spans {
-		return errors.New("trace: no span trace recorded (set Trace.Spans; with a SpanWriter the trace already streamed)")
-	}
-	ps := newPerfettoStream(w)
-	ps.Begin(rt.Meta)
-	ps.Flows(rt.Flows)
-	return ps.Finish(rt.Ctrl, rt.Queue, rt.Route)
+	return ps.b.Flush()
 }

@@ -20,27 +20,22 @@ import (
 // to the same contract as the rest of the run machinery:
 //
 //   - Deterministic. A run traced at any GOMAXPROCS, stored or
-//     streamed, produces byte-identical output: Take sorts each track
-//     into its canonical order — flow events by (At, Flow, kind), flow
+//     streamed, produces byte-identical output: every track comes out
+//     in its canonical order — flow events by (At, Flow, kind), flow
 //     traces by (End, Flow), control spans by (Start, Flow, side,
 //     level), queue samples by (At, Idx) — so records of one instant
 //     come out in one order however their events interleaved.
-//   - Bounded. Every track is a newest-N ring. Live flows cost
-//     O(in-flight): a flow's spans accumulate only while it is open,
-//     and at completion the trace is either committed to the ring
-//     (recycling the one it evicts) or recycled. Per-flow span/mark
-//     counts are capped too.
+//   - Bounded. The two flow tracks are write-only: flow events stream
+//     out as TSV (RecorderConfig.EventWriter) and committed flow traces
+//     as Perfetto JSON (SpanWriter) while the run goes, each flushed one
+//     same-instant group at a time. Live flows cost O(in-flight): a
+//     flow's spans accumulate only while it is open, and at completion
+//     the trace is written or dropped, then recycled. Per-flow span/mark
+//     counts are capped, and the retained tracks are newest-N rings.
 //   - Production-shaped. Seed-driven sampling keeps 1 in N flows; a
 //     flow that misbehaved (retransmissions, timeouts, control-plane
 //     fallback, abort) is always kept regardless of the sample draw,
 //     so the interesting traces survive aggressive sampling.
-//
-// In spill mode (RecorderConfig.EventWriter / SpanWriter) flow events
-// stream out as TSV and committed flow traces as Perfetto JSON while
-// the run goes, instead of being retained — the bounded-memory path for
-// streaming runs. Both flush same-instant groups in canonical
-// order, so their bytes match the buffered views exactly (as long as
-// the buffered run stays under the caps).
 
 // SpanKind classifies one phase of a flow's lifetime.
 type SpanKind uint8
@@ -233,60 +228,53 @@ type Meta struct {
 	Seed    uint64
 }
 
-// TraceStats summarizes what the recorder kept and shed.
+// TraceStats summarizes what the recorder wrote, kept and shed.
 type TraceStats struct {
+	FlowEvents      int64 // flow events written
 	FlowsStarted    int64
-	FlowsFinal      int64 // traces in the output
+	FlowsFinal      int64 // flow traces written
 	FlowsSampledOut int64 // completed clean but lost the sample draw
-	FlowsEvicted    int64 // committed but pushed out by FlowCap
 	FlowsUnfinished int64 // still open when the run ended
 	SpansTruncated  int64 // spans/marks over the per-flow cap (kept flows)
 	CtrlTotal       int64
 	CtrlEvicted     int64
-	EventsEvicted   int64 // flow events pushed out by EventCap
 	SamplesEvicted  int64 // queue samples pushed out by SampleCap
 }
 
-// Recorder defaults, one newest-N cap per track: FlowCap bounds
-// retained flow traces run-wide, MaxPerFlow one flow's spans and marks
-// (each), EventCap flow events and SampleCap queue samples.
-// DefaultCtrlCap and DefaultRouteCap are the control-span and route
-// tracks' fixed caps.
+// Recorder defaults: MaxPerFlow bounds one flow's spans and marks
+// (each), and each retained track has a newest-N cap — DefaultCtrlCap
+// for control spans, DefaultRouteCap for route events and
+// DefaultSampleCap for queue samples.
 const (
-	DefaultFlowCap    = 1 << 17
 	DefaultMaxPerFlow = 256
 	DefaultCtrlCap    = 1 << 18
 	// DefaultRouteCap bounds retained routing-control events; route
 	// updates are rare (failures and one TE move per epoch per leaf),
 	// so the ring almost never wraps.
 	DefaultRouteCap  = 1 << 16
-	DefaultEventCap  = 1 << 18
 	DefaultSampleCap = 1 << 18
 )
 
 // RecorderConfig parameterizes a Recorder. Zero caps take the defaults
 // above; SampleN <= 1 keeps every flow.
 type RecorderConfig struct {
-	// Events records the flow-event track: every flow's start and its
-	// done or abort. Spans records the span tracks: flow spans and
-	// marks, control spans and route events. A track left off costs
-	// nothing; the queue track is on once SampleQueues runs.
-	Events bool
-	Spans  bool
+	// Meta describes the run; the Perfetto header carries it.
+	Meta Meta
 	// SampleN keeps 1 in N flow traces (seed-driven, per-flow
 	// deterministic). Flagged flows are always kept.
 	SampleN int
 	// Seed drives the sampling hash; use the run seed so re-runs trace
 	// the same flows.
 	Seed uint64
-	// EventWriter, with Events, streams the flow events as canonical
-	// TSV instead of retaining them; SpanWriter, with Spans, streams
-	// committed flow traces as Perfetto JSON.
+	// EventWriter turns on the flow-event track — every flow's start
+	// and its done or abort — written to it as canonical TSV.
+	// SpanWriter turns on the span tracks — flow spans and marks,
+	// control spans and route events — and receives them as Perfetto
+	// JSON. A track left off costs nothing; the queue track is on once
+	// SampleQueues runs.
 	EventWriter io.Writer
 	SpanWriter  io.Writer
-	FlowCap     int
 	MaxPerFlow  int
-	EventCap    int
 	SampleCap   int
 }
 
@@ -294,85 +282,71 @@ type RecorderConfig struct {
 // recording methods are nil-safe no-ops, so call sites can stay
 // unconditional when tracing is off.
 type Recorder struct {
-	cfg  RecorderConfig
-	eng  *sim.Engine
-	meta Meta
+	cfg RecorderConfig
+	eng *sim.Engine
 
-	// The tracks' rings. done holds committed flow traces; the one it
-	// evicts goes back to free.
-	events Ring[FlowEvent]
-	done   Ring[*FlowTrace]
-	ctrl   Ring[CtrlSpan]
-	route  Ring[RouteEvent]
-	queue  Ring[QueueSample]
+	// The retained tracks' rings.
+	ctrl  Ring[CtrlSpan]
+	route Ring[RouteEvent]
+	queue Ring[QueueSample]
 
-	// Open flow traces and recycled ones (sampled-out and shed flows);
-	// both stay empty, and live nil, without the span tracks.
+	// Open flow traces and recycled ones; both stay empty, and live
+	// nil, without the span tracks.
 	live map[pkt.FlowID]*FlowTrace
 	free pool.List[FlowTrace]
 
-	// Spill mode: the streams, nil unless the config asked for them,
-	// and the flow events and committed traces of the current instant,
-	// flushed in canonical order once the clock moves on.
-	eventW     *bufio.Writer
-	spanW      *perfettoStream
-	eventSpill *group[FlowEvent]
-	traceSpill *group[*FlowTrace]
+	// The flow tracks' streams, nil when off, and the flow events and
+	// committed traces of the current instant, flushed in canonical
+	// order once the clock moves on.
+	eventW *bufio.Writer
+	spanW  *perfettoStream
+	events *group[FlowEvent]
+	flows  *group[*FlowTrace]
+	// flowSum folds every written flow trace, in canonical order, into
+	// the trace digest.
+	flowSum digest
 
-	started    int64
-	sampledOut int64
+	stats TraceStats
 }
 
 // NewRecorder builds a recorder on eng's clock, applying config
-// defaults. A spilled flow-event stream gets its header now.
+// defaults. Each flow-track stream gets its header now.
 func NewRecorder(eng *sim.Engine, cfg RecorderConfig) *Recorder {
-	cfg.FlowCap = cmp.Or(cfg.FlowCap, DefaultFlowCap)
 	cfg.MaxPerFlow = cmp.Or(cfg.MaxPerFlow, DefaultMaxPerFlow)
-	cfg.EventCap = cmp.Or(cfg.EventCap, DefaultEventCap)
 	cfg.SampleCap = cmp.Or(cfg.SampleCap, DefaultSampleCap)
+	cfg.Meta.SampleN, cfg.Meta.Seed = cfg.SampleN, cfg.Seed
 	r := &Recorder{
 		cfg: cfg, eng: eng,
-		events: Ring[FlowEvent]{Cap: cfg.EventCap},
-		done:   Ring[*FlowTrace]{Cap: cfg.FlowCap},
-		ctrl:   Ring[CtrlSpan]{Cap: DefaultCtrlCap},
-		route:  Ring[RouteEvent]{Cap: DefaultRouteCap},
-		queue:  Ring[QueueSample]{Cap: cfg.SampleCap},
+		ctrl:    Ring[CtrlSpan]{Cap: DefaultCtrlCap},
+		route:   Ring[RouteEvent]{Cap: DefaultRouteCap},
+		queue:   Ring[QueueSample]{Cap: cfg.SampleCap},
+		flowSum: digestBasis,
 	}
-	if cfg.Spans {
-		r.live = make(map[pkt.FlowID]*FlowTrace)
-		r.free = pool.New[FlowTrace](1, 1024)
-	}
-	if cfg.Events && cfg.EventWriter != nil {
+	if cfg.EventWriter != nil {
 		r.eventW = bufio.NewWriter(cfg.EventWriter)
 		writeFlowHeader(r.eventW)
-		r.eventSpill = &group[FlowEvent]{at: eventAt, less: eventLess, flush: func(es []FlowEvent) {
+		r.events = &group[FlowEvent]{at: eventAt, less: eventLess, flush: func(es []FlowEvent) {
 			for _, e := range es {
 				writeFlowEvent(r.eventW, e)
 			}
+			r.stats.FlowEvents += int64(len(es))
 		}}
 	}
-	if cfg.Spans && cfg.SpanWriter != nil {
-		r.spanW = newPerfettoStream(cfg.SpanWriter)
-		r.traceSpill = &group[*FlowTrace]{at: traceEnd, less: traceLess, flush: func(fts []*FlowTrace) {
+	if cfg.SpanWriter != nil {
+		r.live = make(map[pkt.FlowID]*FlowTrace)
+		r.free = pool.New[FlowTrace](1, 1024)
+		r.spanW = newPerfettoStream(cfg.SpanWriter, cfg.Meta)
+		r.flows = &group[*FlowTrace]{at: traceEnd, less: traceLess, flush: func(fts []*FlowTrace) {
 			r.spanW.Flows(fts)
 			for _, ft := range fts {
+				r.flowSum.flow(ft)
+				r.stats.SpansTruncated += ft.Truncated
 				r.free.Put(ft)
 			}
+			r.stats.FlowsFinal += int64(len(fts))
 		}}
 	}
 	return r
-}
-
-// SetMeta records the run description; in spill mode it also opens the
-// span stream (the Perfetto header carries the meta, so it must be
-// known before the first flow commits).
-func (r *Recorder) SetMeta(m Meta) {
-	m.SampleN = r.cfg.SampleN
-	m.Seed = r.cfg.Seed
-	r.meta = m
-	if r.spanW != nil {
-		r.spanW.Begin(m)
-	}
 }
 
 // sampleHash is a SplitMix64 finalizer over (seed, flow): a cheap,
@@ -396,15 +370,10 @@ func (r *Recorder) Sampled(f pkt.FlowID) bool {
 
 // event records e on the flow-event track, stamped now as kind.
 func (r *Recorder) event(e FlowEvent, kind string) {
-	if !r.cfg.Events {
-		return
+	if r.events != nil {
+		e.At, e.Kind = r.eng.Now(), kind
+		r.events.add(e)
 	}
-	e.At, e.Kind = r.eng.Now(), kind
-	if r.eventSpill != nil {
-		r.eventSpill.add(e)
-		return
-	}
-	r.events.Add(e)
 }
 
 // FlowArrive records a flow's arrival: e (Flow, Src, Dst, Size) as its
@@ -419,7 +388,7 @@ func (r *Recorder) FlowArrive(e FlowEvent, prio int, held bool) {
 	if r.live == nil {
 		return
 	}
-	r.started++
+	r.stats.FlowsStarted++
 	now := r.eng.Now()
 	ft := r.free.Take()
 	*ft = FlowTrace{Flow: e.Flow, Src: e.Src, Dst: e.Dst, Size: e.Size, Start: now, Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
@@ -484,7 +453,7 @@ func (r *Recorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
 
 // FlowEnd records a flow's end: e (Flow, Src, Dst, Size, and FCT
 // unless aborted) as its "done" or "abort" event, and the closing of
-// its trace, which is committed or discarded: flagged flows and flows
+// its trace, which is written or discarded: flagged flows and flows
 // passing the sample draw are kept, the rest recycle.
 func (r *Recorder) FlowEnd(e FlowEvent, aborted bool) {
 	if r == nil {
@@ -516,17 +485,11 @@ func (r *Recorder) FlowEnd(e FlowEvent, aborted bool) {
 		}
 	}
 	if !ft.Flagged && !r.Sampled(f) {
-		r.sampledOut++
+		r.stats.FlowsSampledOut++
 		r.free.Put(ft)
 		return
 	}
-	if r.traceSpill != nil {
-		r.traceSpill.add(ft)
-		return
-	}
-	if old := r.done.Add(ft); old != nil {
-		r.free.Put(old)
-	}
+	r.flows.add(ft)
 }
 
 // traceLess is the canonical (End, Flow) order of flow traces.
@@ -541,7 +504,7 @@ func traceEnd(ft *FlowTrace) sim.Time { return ft.End }
 
 // Ctrl records one control-plane exchange on the span tracks.
 func (r *Recorder) Ctrl(cs CtrlSpan) {
-	if r == nil || !r.cfg.Spans {
+	if r == nil || r.spanW == nil {
 		return
 	}
 	r.ctrl.Add(cs)
@@ -566,7 +529,7 @@ func ctrlLess(a, b CtrlSpan) bool {
 // that never reroutes records nothing and its trace bytes stay
 // identical to a build without routing control.
 func (r *Recorder) Route(ev RouteEvent) {
-	if r == nil || !r.cfg.Spans {
+	if r == nil || r.spanW == nil {
 		return
 	}
 	r.route.Add(ev)
@@ -620,132 +583,117 @@ func (r *Recorder) SampleQueues(every sim.Duration, ports []*netem.Port) {
 	r.eng.AtHead(r.eng.Now().Add(every), tick)
 }
 
-// RunTrace is a run's flight recording in canonical order: Flows by
-// (End, Flow), Ctrl by (Start, Flow, side, level), Queue by (At, Idx).
-// The order — and therefore the exported bytes — is identical at every
-// parallelism (up to the capacity caps; see Stats for what was shed).
+// RunTrace is what a run's recording retains, in canonical order: Ctrl
+// by (Start, Flow, side, level), Queue by (At, Idx), Route by (At,
+// Rack, Kind, Spine, Arg). The order — and therefore the exported
+// bytes — is identical at every parallelism (up to the capacity caps;
+// see Stats for what was shed). The flow tracks went to their writers
+// as the run went.
 type RunTrace struct {
-	Meta Meta
-	// Events holds the flow-event track in canonical (At, Flow, kind)
-	// order. Digest leaves it out: it pins the span and queue tracks
-	// the Perfetto export shows.
-	Events []FlowEvent
-	Flows  []*FlowTrace
-	Ctrl   []CtrlSpan
-	Queue  []QueueSample
-	// Route holds the routing-control events in canonical
-	// (At, Rack, Kind, Spine, Arg) order; empty unless the run rerouted.
+	Meta  Meta
+	Ctrl  []CtrlSpan
+	Queue []QueueSample
+	// Route is empty unless the run rerouted.
 	Route []RouteEvent
 	Stats TraceStats
-	// Spans reports whether the span tracks were recorded; without
-	// them WritePerfetto has nothing to export.
-	Spans bool
+	// flowSum is the digest of the written flow traces.
+	flowSum digest
 }
 
-// Take returns the run's tracks in canonical order. Call once, after
-// the run. In spill mode the flow events and traces are already gone
-// to their streams (Take flushes the last instant's); the caller
-// finishes with FinishSpill.
-func (r *Recorder) Take() *RunTrace {
-	if r.eventSpill != nil {
-		r.eventSpill.done()
+// Take ends the recording, once, after the run. It flushes the last
+// instant's flow groups and finishes the streams — the flow-event TSV
+// flushes, and the Perfetto stream gets the control spans, queue
+// samples and route events after its flow sections and closes — and
+// returns the retained tracks with the streams' first write error.
+func (r *Recorder) Take() (*RunTrace, error) {
+	var err error
+	if r.events != nil {
+		r.events.done()
+		err = r.eventW.Flush()
 	}
-	if r.traceSpill != nil {
-		r.traceSpill.done()
+	if r.flows != nil {
+		r.flows.done()
 	}
-	rt := &RunTrace{Meta: r.meta, Spans: r.cfg.Spans}
+	rt := &RunTrace{Meta: r.cfg.Meta, Stats: r.stats, flowSum: r.flowSum}
 	st := &rt.Stats
-	rt.Events, st.EventsEvicted = canonical(&r.events, eventLess)
-	rt.Flows, _ = canonical(&r.done, traceLess)
 	rt.Ctrl, st.CtrlEvicted = canonical(&r.ctrl, ctrlLess)
 	rt.Route, _ = canonical(&r.route, routeLess)
 	rt.Queue, st.SamplesEvicted = canonical(&r.queue, sampleLess)
-	st.FlowsStarted = r.started
-	st.FlowsSampledOut = r.sampledOut
 	st.FlowsUnfinished = int64(len(r.live))
 	st.CtrlTotal = r.ctrl.Added()
-	st.FlowsFinal = int64(len(rt.Flows))
-	st.FlowsEvicted = st.FlowsStarted - st.FlowsSampledOut - st.FlowsUnfinished - st.FlowsFinal
-	for _, ft := range rt.Flows {
-		st.SpansTruncated += ft.Truncated
-	}
-	return rt
-}
-
-// FinishSpill completes the spill streams: the flow-event TSV flushes,
-// and the Perfetto stream gets the control spans, queue samples and
-// route events after its flow sections and closes. It returns the first
-// write error; a recorder that spills nothing returns nil.
-func (r *Recorder) FinishSpill(rt *RunTrace) error {
-	if r.eventW != nil {
-		if err := r.eventW.Flush(); err != nil {
-			return err
-		}
-	}
 	if r.spanW != nil {
-		return r.spanW.Finish(rt.Ctrl, rt.Queue, rt.Route)
+		err = cmp.Or(err, r.spanW.Finish(rt.Ctrl, rt.Queue, rt.Route))
 	}
-	return nil
+	return rt, err
 }
 
-// Digest folds the trace's canonical content into one FNV-1a hash —
-// the cheap equality pin for determinism tests.
+// digest is an FNV-1a hash folded over 64-bit words: the trace digest.
+type digest uint64
+
+const digestBasis digest = 1469598103934665603
+
+func (h *digest) mix(v int64) {
+	u := uint64(v)
+	for i := 0; i < 8; i++ {
+		*h ^= digest(u & 0xff)
+		*h *= 1099511628211
+		u >>= 8
+	}
+}
+
+// flow folds one written flow trace into h.
+func (h *digest) flow(ft *FlowTrace) {
+	h.mix(int64(ft.Flow))
+	h.mix(int64(ft.Start))
+	h.mix(int64(ft.End))
+	h.mix(ft.Size)
+	b := int64(0)
+	if ft.Flagged {
+		b = 1
+	}
+	if ft.Aborted {
+		b |= 2
+	}
+	h.mix(b)
+	for _, sp := range ft.Spans {
+		h.mix(int64(sp.Start))
+		h.mix(int64(sp.End))
+		h.mix(int64(sp.Kind))
+		h.mix(int64(sp.Prio))
+	}
+	for _, m := range ft.Marks {
+		h.mix(int64(m.At))
+		h.mix(int64(m.Kind))
+		h.mix(m.Arg)
+	}
+}
+
+// Digest folds the trace's canonical content — the written flow traces
+// in (End, Flow) order, then the retained tracks — into one FNV-1a
+// hash: the cheap equality pin for determinism tests.
 func (rt *RunTrace) Digest() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v int64) {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= 1099511628211
-			u >>= 8
-		}
-	}
-	for _, ft := range rt.Flows {
-		mix(int64(ft.Flow))
-		mix(int64(ft.Start))
-		mix(int64(ft.End))
-		mix(ft.Size)
-		b := int64(0)
-		if ft.Flagged {
-			b = 1
-		}
-		if ft.Aborted {
-			b |= 2
-		}
-		mix(b)
-		for _, sp := range ft.Spans {
-			mix(int64(sp.Start))
-			mix(int64(sp.End))
-			mix(int64(sp.Kind))
-			mix(int64(sp.Prio))
-		}
-		for _, m := range ft.Marks {
-			mix(int64(m.At))
-			mix(int64(m.Kind))
-			mix(m.Arg)
-		}
-	}
+	h := rt.flowSum
 	for _, c := range rt.Ctrl {
-		mix(int64(c.Flow))
-		mix(int64(c.Start))
-		mix(int64(c.Latency))
-		mix(int64(c.Level))
-		mix(int64(c.Outcome))
+		h.mix(int64(c.Flow))
+		h.mix(int64(c.Start))
+		h.mix(int64(c.Latency))
+		h.mix(int64(c.Level))
+		h.mix(int64(c.Outcome))
 	}
 	for _, q := range rt.Queue {
-		mix(int64(q.At))
-		mix(int64(q.Idx))
-		mix(int64(q.Len))
-		mix(q.Bytes)
+		h.mix(int64(q.At))
+		h.mix(int64(q.Idx))
+		h.mix(int64(q.Len))
+		h.mix(q.Bytes)
 	}
 	// Route events mix last: a run with none keeps the digest it had
 	// before routing control existed.
 	for _, r := range rt.Route {
-		mix(int64(r.At))
-		mix(int64(r.Rack))
-		mix(int64(r.Kind))
-		mix(int64(r.Spine))
-		mix(r.Arg)
+		h.mix(int64(r.At))
+		h.mix(int64(r.Rack))
+		h.mix(int64(r.Kind))
+		h.mix(int64(r.Spine))
+		h.mix(r.Arg)
 	}
-	return h
+	return uint64(h)
 }

@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 
 	"pase/internal/pkt"
@@ -19,8 +21,8 @@ var testMeta = trace.Meta{Proto: "PASE", Scenario: "test", NICBps: 1e9}
 func driveFlows(t *testing.T, cfg trace.RecorderConfig, n int, flag func(int) bool) *trace.Recorder {
 	t.Helper()
 	eng := sim.NewEngine()
+	cfg.Meta = testMeta
 	s := trace.NewRecorder(eng, cfg)
-	s.SetMeta(testMeta)
 	for i := 0; i < n; i++ {
 		i := i
 		f := pkt.FlowID(i + 1)
@@ -44,22 +46,61 @@ func driveFlows(t *testing.T, cfg trace.RecorderConfig, n int, flag func(int) bo
 	return s
 }
 
+// take ends r's recording, failing t on a write error.
+func take(t *testing.T, r *trace.Recorder) *trace.RunTrace {
+	t.Helper()
+	rt, err := r.Take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// spans drives n flows (see driveFlows) with the span tracks on, and
+// returns the trace and its Perfetto bytes.
+func spans(t *testing.T, cfg trace.RecorderConfig, n int, flag func(int) bool) (*trace.RunTrace, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.SpanWriter = &buf
+	return take(t, driveFlows(t, cfg, n, flag)), buf.Bytes()
+}
+
+// perfettoEvents parses Perfetto JSON and returns its trace events of
+// category cat (every event when cat is "").
+func perfettoEvents(t *testing.T, b []byte, cat string) []map[string]any {
+	t.Helper()
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, b)
+	}
+	var out []map[string]any
+	for _, ev := range doc.TraceEvents {
+		if cat == "" || ev["cat"] == cat {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func TestRecorderSamplingDeterministic(t *testing.T) {
 	// The sample draw is a pure function of (seed, flow): two recorders
 	// with the same seed keep the same flows, a different seed keeps a
 	// different set, and flagged flows survive regardless of the draw.
 	const n, sampleN = 400, 4
-	take := func(seed uint64, flag func(int) bool) *trace.RunTrace {
-		return driveFlows(t, trace.RecorderConfig{Spans: true, SampleN: sampleN, Seed: seed}, n, flag).Take()
+	run := func(seed uint64, flag func(int) bool) (*trace.RunTrace, []byte) {
+		return spans(t, trace.RecorderConfig{SampleN: sampleN, Seed: seed}, n, flag)
 	}
-	a, b := take(7, nil), take(7, nil)
-	if a.Digest() != b.Digest() {
+	a, ab := run(7, nil)
+	b, bb := run(7, nil)
+	if a.Digest() != b.Digest() || !bytes.Equal(ab, bb) {
 		t.Fatal("same seed produced different traces")
 	}
-	if len(a.Flows) == 0 || len(a.Flows) == n {
-		t.Fatalf("sampleN=%d kept %d of %d flows", sampleN, len(a.Flows), n)
+	if kept := a.Stats.FlowsFinal; kept == 0 || kept == n || len(perfettoEvents(t, ab, "flow")) != int(kept) {
+		t.Fatalf("sampleN=%d kept %d of %d flows, %d written", sampleN, kept, n, len(perfettoEvents(t, ab, "flow")))
 	}
-	if c := take(8, nil); c.Digest() == a.Digest() {
+	if c, _ := run(8, nil); c.Digest() == a.Digest() {
 		t.Fatal("different seed produced identical sample set")
 	}
 	if got := a.Stats.FlowsSampledOut + a.Stats.FlowsFinal; got != n {
@@ -67,38 +108,23 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 			a.Stats.FlowsSampledOut, a.Stats.FlowsFinal, n)
 	}
 
-	flagged := take(7, func(i int) bool { return true })
-	if len(flagged.Flows) != n {
-		t.Fatalf("flagged flows dropped by sampling: kept %d of %d", len(flagged.Flows), n)
+	_, fb := run(7, func(i int) bool { return true })
+	flows := perfettoEvents(t, fb, "flow")
+	if len(flows) != n {
+		t.Fatalf("flagged flows dropped by sampling: kept %d of %d", len(flows), n)
 	}
-	for _, ft := range flagged.Flows {
-		if !ft.Flagged {
-			t.Fatalf("flow %d not flagged after retx mark", ft.Flow)
+	for _, ev := range flows {
+		if ev["args"].(map[string]any)["flagged"] != true {
+			t.Fatalf("%s not flagged after retx mark", ev["name"])
 		}
-	}
-}
-
-func TestRecorderRingEviction(t *testing.T) {
-	const n, cap = 100, 16
-	rt := driveFlows(t, trace.RecorderConfig{Spans: true, FlowCap: cap}, n, nil).Take()
-	if len(rt.Flows) != cap {
-		t.Fatalf("kept %d flows, want cap %d", len(rt.Flows), cap)
-	}
-	// The ring keeps the newest by (End, Flow): flows n-cap+1 .. n.
-	for i, ft := range rt.Flows {
-		if want := pkt.FlowID(n - cap + 1 + i); ft.Flow != want {
-			t.Fatalf("flows[%d] = %d, want %d (newest-first retention broken)", i, ft.Flow, want)
-		}
-	}
-	if rt.Stats.FlowsEvicted != n-cap {
-		t.Fatalf("FlowsEvicted = %d, want %d", rt.Stats.FlowsEvicted, n-cap)
 	}
 }
 
 func TestRecorderMaxPerFlow(t *testing.T) {
 	const perFlow = 8
 	eng := sim.NewEngine()
-	s := trace.NewRecorder(eng, trace.RecorderConfig{Spans: true, MaxPerFlow: perFlow})
+	var buf bytes.Buffer
+	s := trace.NewRecorder(eng, trace.RecorderConfig{SpanWriter: &buf, MaxPerFlow: perFlow})
 	e := trace.FlowEvent{Flow: 1, Src: 0, Dst: 1, Size: 1000}
 	eng.Schedule(0, func() { s.FlowArrive(e, 0, false) })
 	for i := 0; i < 3*perFlow; i++ {
@@ -109,61 +135,83 @@ func TestRecorderMaxPerFlow(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	rt := s.Take()
-	if len(rt.Flows) != 1 {
-		t.Fatalf("kept %d flows, want 1", len(rt.Flows))
+	rt := take(t, s)
+	flows := perfettoEvents(t, buf.Bytes(), "flow")
+	if len(flows) != 1 || rt.Stats.FlowsFinal != 1 {
+		t.Fatalf("wrote %d flows (stats %d), want 1", len(flows), rt.Stats.FlowsFinal)
 	}
-	ft := rt.Flows[0]
-	if len(ft.Spans) != perFlow {
-		t.Fatalf("spans = %d, want cap %d", len(ft.Spans), perFlow)
+	if n := len(perfettoEvents(t, buf.Bytes(), "phase")); n != perFlow {
+		t.Fatalf("spans = %d, want cap %d", n, perFlow)
 	}
-	if ft.Truncated == 0 || rt.Stats.SpansTruncated != ft.Truncated {
-		t.Fatalf("Truncated = %d, stats %d — truncation not counted",
-			ft.Truncated, rt.Stats.SpansTruncated)
+	truncated := flows[0]["args"].(map[string]any)["truncated"].(float64)
+	if truncated == 0 || rt.Stats.SpansTruncated != int64(truncated) {
+		t.Fatalf("truncated = %v, stats %d — truncation not counted", truncated, rt.Stats.SpansTruncated)
 	}
 }
 
-func TestSpillMatchesBuffered(t *testing.T) {
-	// Spill mode streams flows out at completion; its bytes must equal
-	// the buffered path's canonical export exactly.
-	cfg := trace.RecorderConfig{Spans: true, SampleN: 2, Seed: 3}
-	flag := func(i int) bool { return i%5 == 0 }
-	var want bytes.Buffer
-	if err := driveFlows(t, cfg, 50, flag).Take().WritePerfetto(&want); err != nil {
-		t.Fatal(err)
+// TestFlowTracksCanonicalOrder: flows that start and end at one instant
+// come out of both flow tracks in canonical order whatever order their
+// events fired in, and the digest does not see that order either.
+func TestFlowTracksCanonicalOrder(t *testing.T) {
+	run := func(ids []pkt.FlowID) (*trace.RunTrace, string, []byte) {
+		var events, spans bytes.Buffer
+		eng := sim.NewEngine()
+		s := trace.NewRecorder(eng, trace.RecorderConfig{Meta: testMeta, EventWriter: &events, SpanWriter: &spans})
+		at := func(d sim.Duration, fn func(trace.FlowEvent)) {
+			eng.Schedule(d, func() {
+				for _, f := range ids {
+					fn(trace.FlowEvent{Flow: f, Src: 0, Dst: 1, Size: 1000})
+				}
+			})
+		}
+		at(0, func(e trace.FlowEvent) { s.FlowArrive(e, 0, false) })
+		at(10*sim.Microsecond, func(e trace.FlowEvent) { s.FlowEnd(e, false) })
+		// A later flow moves the clock on, so the 10 µs group flushes
+		// while the run goes rather than at Take.
+		late := trace.FlowEvent{Flow: 9, Src: 0, Dst: 1, Size: 1000}
+		eng.Schedule(20*sim.Microsecond, func() { s.FlowArrive(late, 0, false) })
+		eng.Schedule(30*sim.Microsecond, func() { s.FlowEnd(late, false) })
+		if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return take(t, s), events.String(), spans.Bytes()
 	}
+	fwd, fwdEvents, fwdSpans := run([]pkt.FlowID{1, 2, 3, 4})
+	rev, revEvents, revSpans := run([]pkt.FlowID{4, 3, 2, 1})
 
-	var got bytes.Buffer
-	cfg.SpanWriter = &got
-	spill := driveFlows(t, cfg, 50, flag)
-	rt := spill.Take()
-	if len(rt.Flows) != 0 {
-		t.Fatalf("spill mode retained %d flows", len(rt.Flows))
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(revEvents), "\n")[1:] {
+		f := strings.Split(line, "\t")
+		rows = append(rows, f[1]+" "+f[2])
 	}
-	if err := spill.FinishSpill(rt); err != nil {
-		t.Fatal(err)
+	want := []string{"start 1", "start 2", "start 3", "start 4", "done 1", "done 2", "done 3", "done 4", "start 9", "done 9"}
+	if !slices.Equal(rows, want) {
+		t.Errorf("flow-event TSV rows %v, want %v", rows, want)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("spill output differs from buffered:\nspill:\n%s\nbuffered:\n%s",
-			got.String(), want.String())
+	var names []string
+	for _, ev := range perfettoEvents(t, revSpans, "flow") {
+		names = append(names, ev["name"].(string))
+	}
+	if want := []string{"flow 1", "flow 2", "flow 3", "flow 4", "flow 9"}; !slices.Equal(names, want) {
+		t.Errorf("Perfetto flow sections %v, want %v", names, want)
+	}
+	if revEvents != fwdEvents || !bytes.Equal(revSpans, fwdSpans) {
+		t.Error("flows ended in reverse id order wrote other bytes than in id order")
+	}
+	if rev.Digest() != fwd.Digest() {
+		t.Errorf("digest %#x for flows ended in reverse id order, %#x in id order", rev.Digest(), fwd.Digest())
 	}
 }
 
 func TestPerfettoValidJSON(t *testing.T) {
-	rt := driveFlows(t, trace.RecorderConfig{Spans: true}, 10, func(i int) bool { return i == 3 }).Take()
-	rt.Ctrl = []trace.CtrlSpan{
-		{Flow: 1, SrcSide: true, Level: 1, Start: 100, Latency: 500, Outcome: trace.CtrlOK},
-		{Flow: 2, Level: 0, Start: 200, Outcome: trace.CtrlReqDropped},
-	}
-	rt.Queue = []trace.QueueSample{{At: 1000, Port: "h0->tor0", Idx: 0, Len: 3, Bytes: 4500}}
 	var buf bytes.Buffer
-	if err := rt.WritePerfetto(&buf); err != nil {
-		t.Fatal(err)
-	}
+	s := driveFlows(t, trace.RecorderConfig{SpanWriter: &buf}, 10, func(i int) bool { return i == 3 })
+	s.Ctrl(trace.CtrlSpan{Flow: 1, SrcSide: true, Level: 1, Start: 100, Latency: 500, Outcome: trace.CtrlOK})
+	s.Ctrl(trace.CtrlSpan{Flow: 2, Level: 0, Start: 200, Outcome: trace.CtrlReqDropped})
+	take(t, s)
 	var doc struct {
 		DisplayTimeUnit string            `json:"displayTimeUnit"`
 		OtherData       map[string]string `json:"otherData"`
-		TraceEvents     []map[string]any  `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
@@ -171,31 +219,21 @@ func TestPerfettoValidJSON(t *testing.T) {
 	if doc.OtherData["proto"] != "PASE" || doc.OtherData["nic_bps"] != "1000000000" {
 		t.Fatalf("otherData = %v", doc.OtherData)
 	}
-	var ctrl, counters int
-	for _, ev := range doc.TraceEvents {
-		switch ev["cat"] {
-		case "ctrl":
-			ctrl++
-		}
-		if ev["ph"] == "C" {
-			counters++
-		}
-	}
-	if ctrl != 2 || counters != 1 {
-		t.Fatalf("ctrl events = %d (want 2), counters = %d (want 1)", ctrl, counters)
+	if ctrl, flows := len(perfettoEvents(t, buf.Bytes(), "ctrl")), len(perfettoEvents(t, buf.Bytes(), "flow")); ctrl != 2 || flows != 10 {
+		t.Fatalf("ctrl events = %d (want 2), flows = %d (want 10)", ctrl, flows)
 	}
 }
 
 func TestRunTraceDigestSensitivity(t *testing.T) {
-	mk := func() *trace.RunTrace {
-		return driveFlows(t, trace.RecorderConfig{Spans: true}, 5, nil).Take()
+	mk := func(flag func(int) bool) *trace.RunTrace {
+		rt, _ := spans(t, trace.RecorderConfig{}, 5, flag)
+		return rt
 	}
-	a, b := mk(), mk()
+	a, b := mk(nil), mk(nil)
 	if a.Digest() != b.Digest() {
 		t.Fatal("identical runs digest differently")
 	}
-	b.Flows[0].Size++
-	if a.Digest() == b.Digest() {
+	if c := mk(func(i int) bool { return i == 2 }); a.Digest() == c.Digest() {
 		t.Fatal("digest blind to flow content")
 	}
 }

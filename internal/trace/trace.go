@@ -1,14 +1,16 @@
 // Package trace records what a simulation run did, for observation: one
 // Recorder (span.go) per run captures five tracks — flow events, flow
-// spans, control spans, route events and queue samples. The flow-event
-// and queue-sample TSVs and the Chrome/Perfetto export (perfetto.go) are
-// views over the one RunTrace. Every track is bounded and sorted into a
-// canonical order, so traced output is deterministic. The simulator
-// itself never depends on tracing; experiments opt in.
+// spans, control spans, route events and queue samples. The two flow
+// tracks stream to their writers as the run goes: flow events as TSV,
+// flow spans as the flow sections of the Chrome/Perfetto export
+// (perfetto.go), which ends with the control spans, queue samples and
+// route events the RunTrace retains. Every track is bounded and comes
+// out in a canonical order, so traced output is deterministic. The
+// simulator itself never depends on tracing; experiments opt in.
 //
 // The three primitives below carry every track: a newest-N Ring, the
 // canonical sort of a ring's items, and the same-instant group that
-// spill writers flush in canonical order.
+// the flow-track writers flush in canonical order.
 package trace
 
 import (
@@ -31,18 +33,14 @@ type Ring[T any] struct {
 	added int64
 }
 
-// Add appends v. Once the ring is full, v overwrites the oldest item,
-// which Add returns so its owner can recycle it; otherwise it returns
-// the zero T.
-func (r *Ring[T]) Add(v T) (evicted T) {
+// Add appends v. Once the ring is full, v overwrites the oldest item.
+func (r *Ring[T]) Add(v T) {
 	if r.Cap > 0 && len(r.items) >= r.Cap {
-		i := r.added % int64(r.Cap)
-		evicted, r.items[i] = r.items[i], v
+		r.items[r.added%int64(r.Cap)] = v
 	} else {
 		r.items = append(r.items, v)
 	}
 	r.added++
-	return evicted
 }
 
 // Added returns how many items were offered to the ring, evicted ones
@@ -68,10 +66,11 @@ func canonical[T any](r *Ring[T], less func(a, b T) bool) ([]T, int64) {
 	return items, r.Added() - int64(len(items))
 }
 
-// group is a spill writer's same-instant group. Items arrive in clock
-// order; those sharing one instant are held until a later one arrives,
-// then flushed sorted by less, so a stream written while the run goes
-// matches the buffered path's canonical order byte for byte.
+// group is a flow-track writer's same-instant group. Items arrive in
+// clock order; those sharing one instant are held until a later one
+// arrives, then flushed sorted by less, so a stream written while the
+// run goes comes out in canonical order whatever order one instant's
+// events fired in.
 type group[T any] struct {
 	items []T
 	at    func(T) sim.Time
@@ -105,7 +104,8 @@ type FlowEvent struct {
 	FCT sim.Duration
 }
 
-// FlowLog is the flow-event track's ring.
+// FlowLog is a ring of flow events, for callers that keep a bounded
+// flow-event log of their own; the Recorder streams its flow events.
 type FlowLog = Ring[FlowEvent]
 
 // eventLess is the canonical (At, Flow, kind) order, starts before
@@ -123,6 +123,8 @@ func eventLess(a, b FlowEvent) bool {
 
 func eventAt(e FlowEvent) sim.Time { return e.At }
 
+// writeFlowHeader starts the flow-event TSV. Its times are nanoseconds —
+// the clock's native unit — so sub-µs flow completion times survive.
 func writeFlowHeader(w *bufio.Writer) {
 	fmt.Fprintln(w, "# time_ns\tkind\tflow\tsrc\tdst\tsize\tfct_ns")
 }
@@ -130,19 +132,6 @@ func writeFlowHeader(w *bufio.Writer) {
 func writeFlowEvent(w *bufio.Writer, e FlowEvent) {
 	fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%d\n",
 		int64(e.At), e.Kind, e.Flow, e.Src, e.Dst, e.Size, int64(e.FCT))
-}
-
-// WriteFlowEvents dumps the flow-event track as TSV with a header row.
-// Times are nanoseconds — the clock's native unit — so sub-µs flow
-// completion times survive (the old µs columns truncated them to 0).
-// A bufio.Writer keeps its first write error, so Flush reports it.
-func (rt *RunTrace) WriteFlowEvents(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	writeFlowHeader(bw)
-	for _, e := range rt.Events {
-		writeFlowEvent(bw, e)
-	}
-	return bw.Flush()
 }
 
 // QueueSample is one observation of one port's queue.
@@ -187,7 +176,8 @@ func AllPorts(n *topology.Network) []*netem.Port {
 }
 
 // WriteQueueSamples dumps the queue track as TSV with a header row.
-// Times are nanoseconds (see WriteFlowEvents).
+// Times are nanoseconds, the clock's native unit, as in the flow-event
+// TSV.
 func (rt *RunTrace) WriteQueueSamples(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# time_ns\tport\tqlen\tqbytes")

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -16,35 +17,41 @@ import (
 )
 
 func TestFlowLogTSV(t *testing.T) {
-	var l trace.FlowLog
-	l.Add(trace.FlowEvent{At: sim.Time(1500), Kind: "start", Flow: 7, Src: 0, Dst: 1, Size: 1000})
-	l.Add(trace.FlowEvent{At: sim.Time(2_000_000), Kind: "done", Flow: 7, Src: 0, Dst: 1, Size: 1000, FCT: 1_998_500})
 	var sb strings.Builder
-	if err := (&trace.RunTrace{Events: l.Items()}).WriteFlowEvents(&sb); err != nil {
+	eng := sim.NewEngine()
+	s := trace.NewRecorder(eng, trace.RecorderConfig{EventWriter: &sb})
+	e := trace.FlowEvent{Flow: 7, Src: 0, Dst: 1, Size: 1000}
+	eng.Schedule(1500, func() { s.FlowArrive(e, 0, false) })
+	eng.Schedule(2_000_000, func() {
+		e.FCT = 1_998_500
+		s.FlowEnd(e, false)
+	})
+	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "start\t7") || !strings.Contains(out, "done\t7") {
-		t.Fatalf("unexpected TSV:\n%s", out)
+	rt := take(t, s)
+	// Times and FCTs are nanoseconds, so sub-µs values survive.
+	want := "# time_ns\tkind\tflow\tsrc\tdst\tsize\tfct_ns\n" +
+		"1500\tstart\t7\t0\t1\t1000\t0\n" +
+		"2000000\tdone\t7\t0\t1\t1000\t1998500\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("TSV:\n%s\nwant:\n%s", got, want)
 	}
-	if len(l.Items()) != 2 {
-		t.Fatal("events lost")
+	if rt.Stats.FlowEvents != 2 {
+		t.Fatalf("FlowEvents = %d, want 2", rt.Stats.FlowEvents)
 	}
 }
 
 func TestRingKeepsNewest(t *testing.T) {
 	r := trace.Ring[int]{Cap: 3}
-	var evicted []int
 	for i := 1; i <= 7; i++ {
-		if old := r.Add(i); old != 0 {
-			evicted = append(evicted, old)
-		}
+		r.Add(i)
 	}
 	if got := r.Items(); !slices.Equal(got, []int{5, 6, 7}) {
 		t.Fatalf("Items = %v, want the newest three oldest first", got)
 	}
-	if !slices.Equal(evicted, []int{1, 2, 3, 4}) || r.Added() != 7 {
-		t.Fatalf("evicted %v of %d added, want [1 2 3 4] of 7", evicted, r.Added())
+	if r.Added() != 7 {
+		t.Fatalf("Added = %d, want 7", r.Added())
 	}
 }
 
@@ -57,6 +64,7 @@ func congest(t *testing.T, cfg trace.RecorderConfig) *trace.RunTrace {
 	net := topology.Build(eng, topology.SingleRack(4, func(topology.QueueKind) netem.Queue {
 		return netem.NewREDECN(225, 65)
 	}))
+	cfg.Meta = testMeta
 	s := trace.NewRecorder(eng, cfg)
 	s.SampleQueues(50*sim.Microsecond, trace.AllPorts(net))
 	d := transport.NewDriver(net, dctcp.New(dctcp.DefaultConfig()))
@@ -80,11 +88,12 @@ func congest(t *testing.T, cfg trace.RecorderConfig) *trace.RunTrace {
 	if _, err := d.Run(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return s.Take()
+	return take(t, s)
 }
 
 func TestSamplerObservesCongestion(t *testing.T) {
-	rt := congest(t, trace.RecorderConfig{})
+	var perfetto bytes.Buffer
+	rt := congest(t, trace.RecorderConfig{SpanWriter: &perfetto})
 	if len(rt.Queue) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -111,25 +120,30 @@ func TestSamplerObservesCongestion(t *testing.T) {
 	if !strings.Contains(sb.String(), bottleneck) {
 		t.Fatal("TSV missing bottleneck port")
 	}
+	// The Perfetto export carries every sample as a counter event.
+	var counters int
+	for _, ev := range perfettoEvents(t, perfetto.Bytes(), "") {
+		if ev["ph"] == "C" {
+			counters++
+		}
+	}
+	if counters != len(rt.Queue) {
+		t.Fatalf("Perfetto counter events = %d, want one per sample (%d)", counters, len(rt.Queue))
+	}
 }
 
-// TestRecorderCapsCountEvicted: past a track's cap the recorder keeps
-// the newest items and counts the rest, so a truncated TSV can say so.
+// TestRecorderCapsCountEvicted: past the queue track's cap the recorder
+// keeps the newest samples and counts the rest, so a truncated TSV can
+// say so.
 func TestRecorderCapsCountEvicted(t *testing.T) {
-	full := congest(t, trace.RecorderConfig{Events: true})
-	const eventCap, sampleCap = 4, 16
-	capped := congest(t, trace.RecorderConfig{Events: true, EventCap: eventCap, SampleCap: sampleCap})
-	if len(full.Events) != 6 || len(full.Queue) <= sampleCap {
-		t.Fatalf("uncapped run kept %d events, %d samples; the caps would not bite", len(full.Events), len(full.Queue))
+	full := congest(t, trace.RecorderConfig{})
+	const sampleCap = 16
+	capped := congest(t, trace.RecorderConfig{SampleCap: sampleCap})
+	if len(full.Queue) <= sampleCap {
+		t.Fatalf("uncapped run kept %d samples; the cap would not bite", len(full.Queue))
 	}
-	if st := full.Stats; st.EventsEvicted != 0 || st.SamplesEvicted != 0 {
-		t.Fatalf("uncapped run evicted %d events, %d samples", st.EventsEvicted, st.SamplesEvicted)
-	}
-	if !slices.Equal(capped.Events, full.Events[len(full.Events)-eventCap:]) {
-		t.Errorf("capped events %v, want the newest %d of %v", capped.Events, eventCap, full.Events)
-	}
-	if got, want := capped.Stats.EventsEvicted, int64(len(full.Events)-eventCap); got != want {
-		t.Errorf("EventsEvicted = %d, want %d", got, want)
+	if st := full.Stats; st.SamplesEvicted != 0 {
+		t.Fatalf("uncapped run evicted %d samples", st.SamplesEvicted)
 	}
 	if !slices.Equal(capped.Queue, full.Queue[len(full.Queue)-sampleCap:]) {
 		t.Errorf("capped samples are not the newest %d", sampleCap)
@@ -150,7 +164,7 @@ func TestSamplerSparseness(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rec.Take().Queue); n != 0 {
+	if n := len(take(t, rec).Queue); n != 0 {
 		t.Fatalf("idle fabric recorded %d samples", n)
 	}
 }

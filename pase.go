@@ -134,14 +134,15 @@ type PASEOptions = experiments.PASEOptions
 // tracing.
 type TraceConfig = experiments.TraceConfig
 
-// Trace is a run's flight recording, every track in canonical order:
-// Events, Flows, Ctrl, Queue and Route, with Stats counting what the
-// retention caps shed. WriteFlowEvents and WriteQueueSamples write the
-// TSV tracks, WritePerfetto the Chrome/Perfetto JSON view (flows as
-// spans, arbitration exchanges as spans with flow arrows, queues as
-// counter tracks) for https://ui.perfetto.dev, and Digest hashes the
-// canonical content. WritePerfetto returns an error unless the run
-// set SimConfig.Trace.Spans.
+// Trace is what a run's flight recording retains, every track in
+// canonical order: Ctrl, Queue and Route, with Stats counting what was
+// written and what the retention caps shed. WriteQueueSamples writes
+// the queue TSV, and Digest hashes the canonical content, the flow
+// traces written included. The flow tracks go to the writers in
+// SimConfig.Trace while the run goes: flow events as TSV, and the
+// Chrome/Perfetto JSON view (flows as spans, arbitration exchanges as
+// spans with flow arrows, queues as counter tracks) for
+// https://ui.perfetto.dev.
 type Trace = trace.RunTrace
 
 // RouteConfig enables failure rerouting and hotspot traffic
@@ -180,7 +181,7 @@ type Report = experiments.PointResult
 
 // validate is the one check of what Simulate and RunFigure both take
 // in, naming the offending field: every load in (0, 1], no negative
-// flow, seed, rack or trace-sample count, a valid fault plan, a known
+// flow, seed or rack count, a valid fault plan, a known
 // control plane and a ctrlscale rack count within the ceiling.
 // Simulate passes its config as a one-load Opts.
 func validate(o FigureOpts, loadField, racksField string) error {
@@ -194,9 +195,6 @@ func validate(o FigureOpts, loadField, racksField string) error {
 	}
 	if o.Seeds < 0 {
 		return fmt.Errorf("pase: Seeds must not be negative, got %d", o.Seeds)
-	}
-	if o.Trace.SampleN < 0 {
-		return fmt.Errorf("pase: Trace.SampleN must not be negative, got %d", o.Trace.SampleN)
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return fmt.Errorf("pase: %w", err)
@@ -216,9 +214,15 @@ func validate(o FigureOpts, loadField, racksField string) error {
 // normalize validates cfg and fills defaults.
 func normalize(cfg SimConfig) (SimConfig, error) {
 	o := FigureOpts{Loads: []float64{cfg.Load}, NumFlows: cfg.NumFlows, Faults: cfg.Faults,
-		Trace: cfg.Trace, Racks: experiments.CtrlScaleRacksOf(cfg.Scenario)}
+		Racks: experiments.CtrlScaleRacksOf(cfg.Scenario)}
 	if err := validate(o, "Load", "Scenario"); err != nil {
 		return cfg, err
+	}
+	if cfg.Trace.SampleN < 0 {
+		return cfg, fmt.Errorf("pase: Trace.SampleN must not be negative, got %d", cfg.Trace.SampleN)
+	}
+	if cfg.Trace.QueueSample < 0 {
+		return cfg, fmt.Errorf("pase: Trace.QueueSample must not be negative, got %v", cfg.Trace.QueueSample)
 	}
 	if q := cfg.PASE.NumQueues; q != 0 && (q < 2 || q > 127) {
 		// Below 2 there is no class to demote into; above 127 the int8
@@ -282,6 +286,10 @@ func SimulateSeeds(cfg SimConfig, seeds, parallelism int, progress func(done, to
 	cfg, err := normalize(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if seeds > 1 && (cfg.Trace.FlowLogWriter != nil || cfg.Trace.SpanWriter != nil) {
+		// The seeds run concurrently and would interleave in one writer.
+		return nil, fmt.Errorf("pase: Trace writers trace one run; %d seeds cannot share them", seeds)
 	}
 	cfgs := make([]SimConfig, max(seeds, 1))
 	for i := range cfgs {

@@ -3,7 +3,6 @@ package pase_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -104,6 +103,7 @@ func TestSimulateRejectsOutOfRange(t *testing.T) {
 		{"PASE.HierFanOut", pase.SimConfig{PASE: pase.PASEOptions{HierFanOut: -3}}},
 		{"PASE.HierTopShards", pase.SimConfig{PASE: pase.PASEOptions{HierTopShards: -3}}},
 		{"Trace.SampleN", pase.SimConfig{Trace: pase.TraceConfig{SampleN: -3}}},
+		{"Trace.QueueSample", pase.SimConfig{Trace: pase.TraceConfig{QueueSample: -pase.Duration(1)}}},
 		{"AbortAfter", pase.SimConfig{AbortAfter: -pase.Duration(1)}},
 		{"Route.Epoch", pase.SimConfig{Route: pase.RouteConfig{TE: true, Epoch: -pase.Duration(1)}}},
 	} {
@@ -111,10 +111,6 @@ func TestSimulateRejectsOutOfRange(t *testing.T) {
 		if _, err := pase.Simulate(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s: got %v, want an error naming the field", c.field, err)
 		}
-	}
-	_, err := pase.RunFigure("13b", pase.FigureOpts{NumFlows: 10, Trace: pase.TraceConfig{SampleN: -3}})
-	if err == nil || !strings.Contains(err.Error(), "Trace.SampleN") {
-		t.Errorf("RunFigure Trace.SampleN: got %v, want an error naming the field", err)
 	}
 	for _, ok := range []pase.PASEOptions{{HierFanOut: 2}, {HierTopShards: 1}} {
 		if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 10, Scenario: "ctrlscale-16", PASE: ok}); err != nil {
@@ -140,7 +136,7 @@ func TestSimulateDefaults(t *testing.T) {
 }
 
 // TestUntracedReportHasNoTrace: a run with no trace track on carries a
-// nil Trace, and exporting it fails with an error instead of a panic.
+// nil Trace.
 func TestUntracedReportHasNoTrace(t *testing.T) {
 	rep, err := pase.Simulate(pase.SimConfig{Load: 0.5, NumFlows: 20, Seed: 1})
 	if err != nil {
@@ -149,8 +145,30 @@ func TestUntracedReportHasNoTrace(t *testing.T) {
 	if rep.Trace != nil {
 		t.Fatalf("untraced run returned a trace: %+v", rep.Trace.Stats)
 	}
-	if err := rep.Trace.WritePerfetto(io.Discard); err == nil || !strings.Contains(err.Error(), "no span trace recorded") {
-		t.Fatalf("WritePerfetto on an untraced run: err = %v, want the no-span-trace error", err)
+}
+
+// TestSimulateSeedsRejectsSharedTraceWriters: the seeds of a
+// SimulateSeeds call run concurrently, so a config's trace writers
+// would take every seed's records interleaved. Such a config is
+// rejected, naming Trace, before anything runs; one seed traces as
+// Simulate does.
+func TestSimulateSeedsRejectsSharedTraceWriters(t *testing.T) {
+	var events, spans bytes.Buffer
+	for _, c := range []struct {
+		tc pase.TraceConfig
+		w  *bytes.Buffer
+	}{{pase.TraceConfig{FlowLogWriter: &events}, &events}, {pase.TraceConfig{SpanWriter: &spans}, &spans}} {
+		cfg := pase.SimConfig{Protocol: pase.ProtocolDCTCP, Load: 0.5, NumFlows: 20, Seed: 1, Trace: c.tc}
+		_, err := pase.SimulateSeeds(cfg, 2, 2, nil)
+		if err == nil || !strings.Contains(err.Error(), "Trace") {
+			t.Errorf("%+v over 2 seeds: got %v, want an error naming Trace", c.tc, err)
+		}
+		if c.w.Len() != 0 {
+			t.Errorf("%+v: the rejected call wrote %d bytes", c.tc, c.w.Len())
+		}
+		if _, err := pase.SimulateSeeds(cfg, 1, 1, nil); err != nil || c.w.Len() == 0 {
+			t.Errorf("%+v over 1 seed: err %v, %d bytes written", c.tc, err, c.w.Len())
+		}
 	}
 }
 
@@ -218,7 +236,7 @@ func TestSimManifestGolden(t *testing.T) {
 	}
 	cfg := pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.7, NumFlows: 150, Seed: 3,
 		Check: true, Faults: plan, Route: pase.RouteConfig{Reroute: true}, AbortAfter: pase.Duration(time.Millisecond),
-		Stream: true, Shards: 2, Trace: pase.TraceConfig{Spans: true}, PASE: pase.PASEOptions{NoPruning: true}}
+		Stream: true, Shards: 2, Trace: pase.TraceConfig{SampleN: 4}, PASE: pase.PASEOptions{NoPruning: true}}
 	reps := []*pase.Report{{Summary: metrics.Summary{Retransmits: 5, Timeouts: 1}}, {Summary: metrics.Summary{Retransmits: 7, Timeouts: 2}}}
 	m := pase.NewSimManifest("pasesim", cfg, reps, 2, time.Now(), time.Second)
 	m.GitRev, m.GoVersion, m.Started, m.WallClockMS, m.PeakRSSBytes, m.HeapSysBytes = "", "", "", 0, 0, 0
