@@ -89,6 +89,20 @@ func pinTable() []pin {
 	ctrlCfg := func(opt PASEOptions) PointConfig {
 		return PointConfig{Protocol: PASE, Scenario: Scenario("ctrlscale-16"), Load: 0.8, Seed: 7, NumFlows: 120, Check: true, PASE: opt}
 	}
+	// ctrlChaos adds control-plane faults alone to a ctrlscale-16 point:
+	// lossy, slow control messages and every arbitrator crashing for
+	// 2 ms of every 4 ms. At 300 flows a host often opens a flow while a
+	// lost release still holds entries on its path, so what a lost
+	// release cleans shows in the counts.
+	ctrlChaos := func(opt PASEOptions) PointConfig {
+		cfg := ctrlCfg(opt)
+		cfg.NumFlows = 300
+		cfg.Faults = &faults.Plan{
+			Ctrl:    []faults.CtrlFault{{Drop: 0.3, Delay: 20 * sim.Microsecond}},
+			Crashes: []faults.CrashFault{{Link: -1, At: sim.Millisecond, For: 2 * sim.Millisecond, Every: 4 * sim.Millisecond}},
+		}
+		return cfg
+	}
 	ctrl := func(arm string, opt PASEOptions, what string, twins ...string) pin {
 		return pin{name: "ctrlplane-" + arm, out: digestOut, input: point(ctrlCfg(opt)), twins: twins,
 			protects: what + " on ctrlscale-16, every flow outcome and queue total", mover: "item 6"}
@@ -141,12 +155,16 @@ func pinTable() []pin {
 		ctrl("hierarchy", PASEOptions{}, "the default arbitration hierarchy (fan-out 4, 2 root shards), untouched by engine sharding", shards...),
 		ctrl("deep-hierarchy", PASEOptions{HierFanOut: 2, HierTopShards: 1}, "a five-level binary hierarchy's delegation and pruning", "rerun"),
 		ctrl("central", PASEOptions{Central: true}, "the centralized arm's queueing and per-epoch sync"),
+		{name: "ctrlplane-central-chaos", out: digestOut, input: point(ctrlChaos(PASEOptions{Central: true})), twins: []string{"rerun"},
+			protects: "the centralized arm under lost and late control messages and arbitrator crashes on ctrlscale-16, every flow outcome and queue total", mover: "item 6"},
 		arbstats("flat", flat(PASEOptions{}), "the flat 3-tier climb with delegation and early pruning"),
 		arbstats("flat-nodelegation", flat(PASEOptions{NoDelegation: true}), "the flat climb without delegation"),
 		arbstats("flat-localonly", flat(PASEOptions{LocalOnly: true}), "access-link-only arbitration (Fig 12a)"),
 		arbstats("hierarchy", ctrlCfg(PASEOptions{}), "the default arbitration hierarchy"),
 		arbstats("deep-hierarchy", ctrlCfg(PASEOptions{HierFanOut: 2, HierTopShards: 1}), "a five-level binary hierarchy"),
 		arbstats("central", ctrlCfg(PASEOptions{Central: true}), "the centralized arm"),
+		arbstats("hierarchy-chaos", ctrlChaos(PASEOptions{}), "the default arbitration hierarchy under control-message loss and delay and arbitrator crashes"),
+		arbstats("central-chaos", ctrlChaos(PASEOptions{Central: true}), "the centralized arm under control-message loss and delay and arbitrator crashes"),
 		workcounts("fig9a-dctcp", fig9a(DCTCP), "none"),
 		workcounts("fig9a-pase", fig9a(PASE), "item 6"),
 		workcounts("fig9a-pfabric", fig9a(PFabric), "none"),
