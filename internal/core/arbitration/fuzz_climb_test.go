@@ -93,19 +93,13 @@ func FuzzClimb(f *testing.F) {
 				demand := netem.BitRate(1+int(op)%8) * 500 * netem.Mbps
 				climbed := 0
 				for _, srcSide := range [2]bool{true, false} {
-					if sys.central != nil && !srcSide {
+					if sys.P.Central && !srcSide {
 						break // one exchange covers both halves
 					}
 					full := reach(sys, c, srcSide)
 					pruned, saved := sys.Stats.Pruned, sys.Stats.PruneSavedMsgs
-					level := climbLevel(eng, sys, func() {
-						if sys.central != nil {
-							c.Refresh(key, demand)
-						} else {
-							c.refreshHalf(key, demand, srcSide)
-						}
-					})
-					if level > full && sys.central == nil {
+					level := climbLevel(eng, sys, func() { c.exchange(key, demand, srcSide, !srcSide || sys.P.Central) })
+					if level > full {
 						t.Fatalf("flow %d: climbed to depth %d, past its reach %d", c.flow, level, full)
 					}
 					want := int64(0)
@@ -176,7 +170,7 @@ func reach(sys *System, c *Client, srcSide bool) int {
 	}
 	last := links[len(links)-1]
 	switch tr := sys.treeFor(srcSide); {
-	case sys.central != nil:
+	case sys.P.Central:
 		return len(c.upPath)
 	case sys.P.LocalOnly || len(links) == 1:
 		return 0

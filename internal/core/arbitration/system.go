@@ -159,8 +159,9 @@ type System struct {
 	// climb is the scratch stop list every refresh and release fills
 	// (one system, one goroutine: a climb never outlives its caller).
 	climb []stop
-	// central, when Central is set, is the single-controller arm.
-	central *central
+	// busyUntil, in the central arm, is when the controller drains the
+	// requests it has queued.
+	busyUntil sim.Time
 	// nlevels is how many per-level instruments this configuration
 	// can reach; deeper climbs clamp onto nlevels-1.
 	nlevels int
@@ -205,7 +206,6 @@ func NewSystem(net *topology.Network, p Params) *System {
 	sys.nlevels = CtrlLevels
 	switch {
 	case p.Central:
-		sys.central = &central{}
 		sys.scheduleEpoch()
 	case p.Hierarchy.Enabled() && !p.LocalOnly && net.Cfg.Racks > 1 && len(net.Aggs) > 0:
 		// Deep hierarchy: two directional virtual aggregation trees
@@ -269,7 +269,7 @@ func (sys *System) scheduleEpoch() {
 func (a *epochAction) Fire(any) {
 	sys := (*System)(a)
 	switch {
-	case sys.central != nil:
+	case sys.P.Central:
 		sys.centralSync()
 	case sys.upTree != nil:
 		sys.upTree.RefreshShares(pruneQueues, sys.countMessages)
@@ -330,7 +330,7 @@ func (sys *System) Instrument(reg *obs.Registry) {
 		sys.o.rtt[d] = reg.Histogram(fmt.Sprintf("arb/rtt/level%d", d))
 		sys.o.msgs[d] = reg.Counter(fmt.Sprintf("arb/msgs/level%d", d))
 	}
-	if sys.central != nil {
+	if sys.P.Central {
 		sys.o.centralQ = reg.Histogram("arb/central/queue_ns")
 	}
 	sys.o.inflight = reg.Gauge("arb/inflight_allocs")
@@ -455,7 +455,7 @@ func (c *Client) stops(srcSide bool) []stop {
 	}
 	rack := sys.net.RackOf(leaf)
 	switch tr := sys.treeFor(srcSide); {
-	case sys.central != nil:
+	case sys.P.Central:
 		hops := len(c.upPath)
 		for _, l := range c.upPath {
 			s = append(s, stop{arb: sys.arbs[l.ID], depth: hops})
@@ -594,51 +594,60 @@ func (c *Client) Combined() Decision {
 }
 
 // Refresh re-arbitrates both halves of the path with the flow's
-// current criterion key and demand. Results arrive asynchronously
-// (control-plane latency) and trigger OnUpdate.
+// current criterion key and demand: one exchange per half, or one for
+// both in the central arm. Results arrive asynchronously (control-plane
+// latency) and trigger OnUpdate.
 func (c *Client) Refresh(key int64, demand netem.BitRate) {
 	if c.released {
 		return
 	}
 	c.sys.Stats.Refreshes++
-	if c.sys.central != nil {
-		c.refreshCentral(key, demand)
+	if c.sys.P.Central {
+		c.exchange(key, demand, true, true)
 		return
 	}
-	c.refreshHalf(key, demand, true)
-	c.refreshHalf(key, demand, false)
+	c.exchange(key, demand, true, false)
+	c.exchange(key, demand, false, true)
 }
 
-// refreshHalf climbs one half's stops, applying early pruning, and
-// schedules the result delivery after the modelled control latency.
-func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
+// exchange climbs the stops of the src half, the dst half or, in the
+// central arm, both, and schedules the response after the modelled
+// control latency. The central arm never prunes, always climbs the
+// host's upward hop count to the controller, and waits in its queue.
+func (c *Client) exchange(key int64, demand netem.BitRate, src, dst bool) {
 	sys := c.sys
-	stops := c.stops(srcSide)
+	stops := c.stops(src)
 
-	// A half is remote when the exchange crosses the network: the dst
-	// half always does (the setup travels to the receiver and back);
-	// the src half only when it climbs past the host-local access-link
+	// An exchange is remote when it crosses the network: the dst half
+	// always does (the setup travels to the receiver and back); the src
+	// half only when it climbs past the host-local access-link
 	// arbitrator.
 	start := sys.eng.Now()
 	fi := sys.Faults
-	remote := !srcSide || len(stops) > 1
+	remote := dst || len(stops) > 1
 	if fi != nil && remote && fi.DropRequest() {
 		// Request lost in the fabric; the endpoint retries.
 		sys.o.reqDrop.Inc()
-		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Start: start, Outcome: trace.CtrlReqDropped})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: src, Start: start, Outcome: trace.CtrlReqDropped})
 		return
 	}
 
-	worst, depth, dead := c.update(stops, key, demand, sys.P.EarlyPruning)
+	worst, depth, dead := c.update(stops, key, demand, sys.P.EarlyPruning && !sys.P.Central)
+	if sys.P.Central {
+		depth = stops[0].depth
+	}
 	sys.countClimb(depth)
 	if dead {
 		sys.o.dead.Inc()
-		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: trace.CtrlDead})
+		sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: src, Level: depth, Start: start, Outcome: trace.CtrlDead})
 		return
 	}
 
 	latency := sim.Duration(2*depth) * sys.P.CtrlPerHop
-	if !srcSide {
+	switch {
+	case sys.P.Central:
+		latency = sys.centralLatency(start, depth)
+	case dst:
 		// The destination half is initiated by the receiver after the
 		// setup reaches it and the result returns to the sender.
 		latency += sim.Duration(len(c.upPath)+len(c.dstClimb)) * sys.net.Cfg.LinkDelay * 2
@@ -647,17 +656,19 @@ func (c *Client) refreshHalf(key int64, demand netem.BitRate, srcSide bool) {
 		if fi.DropResponse() {
 			// Response lost on the way back; the endpoint retries.
 			sys.o.respDrop.Inc()
-			sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Outcome: trace.CtrlRespDropped})
+			sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: src, Level: depth, Start: start, Outcome: trace.CtrlRespDropped})
 			return
 		}
 		latency += fi.CtrlExtraDelay()
 	}
 	sys.o.rtt[sys.lvl(depth)].Observe(int64(latency))
-	sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: srcSide, Level: depth, Start: start, Latency: latency, Outcome: trace.CtrlOK})
-	sys.respond(c, worst, srcSide, !srcSide, latency)
+	sys.Rec.Ctrl(trace.CtrlSpan{Flow: c.flow, SrcSide: src, Level: depth, Start: start, Latency: latency, Outcome: trace.CtrlOK})
+	sys.respond(c, worst, src, dst, latency)
 }
 
-// Release deregisters the flow everywhere (sent as one-way messages).
+// Release deregisters the flow everywhere (sent as one-way messages),
+// walking the same stops as its refreshes: each half's, or in the
+// central arm the one list of both.
 func (c *Client) Release() {
 	if c.released {
 		return
@@ -667,15 +678,17 @@ func (c *Client) Release() {
 	sys.Stats.Releases++
 	sys.inflight--
 	sys.o.inflight.Update(sys.inflight)
-	if sys.central != nil {
-		c.releaseCentral()
-		return
+	halves := [2]bool{true, false}
+	n := len(halves)
+	if sys.P.Central {
+		n = 1
 	}
-	for _, srcSide := range [2]bool{true, false} {
+	for _, srcSide := range halves[:n] {
 		stops := c.stops(srcSide)
 		// Releases are one-way and unacknowledged; a lost one leaves
 		// remote entries to lease expiry. The src half's first stop
-		// lives on the releasing host and is always cleaned.
+		// lives on the releasing host and is cleaned even so, unless
+		// the controller holds it.
 		remote := len(stops)
 		if srcSide {
 			remote--
@@ -683,7 +696,7 @@ func (c *Client) Release() {
 		lost := remote > 0 && sys.Faults != nil && sys.Faults.DropRequest()
 		hops := 0
 		for i, st := range stops {
-			if lost && !(srcSide && i == 0) {
+			if lost && (i > 0 || !srcSide || sys.P.Central) {
 				break
 			}
 			st.arb.Remove(c.flow)
