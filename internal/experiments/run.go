@@ -1127,15 +1127,14 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver, rec *trace.Recorder) {
 	if cfg.Trace.FlowLogWriter == nil && cfg.Trace.SpanWriter == nil {
 		return
 	}
-	// PASE holds a new flow at the source until its first arbitration
-	// response; every other protocol transmits immediately.
-	held := cfg.Protocol == PASE || cfg.Protocol == ExpressPass
 	event := func(s *transport.Sender) trace.FlowEvent {
 		return trace.FlowEvent{Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size}
 	}
 	prevStart := d.OnFlowStart
 	d.OnFlowStart = func(s *transport.Sender) {
-		rec.FlowArrive(event(s), 0, held)
+		// A flow its sender's gate holds at start (Hold, or paced at
+		// rate 0 until a grant or credit) opens waiting.
+		rec.FlowArrive(event(s), 0, s.Hold || s.Paced && s.Rate <= 0)
 		if prevStart != nil {
 			prevStart(s)
 		}

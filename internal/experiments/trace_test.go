@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"pase/internal/faults"
@@ -93,6 +94,55 @@ func TestOffTracksRecordNothing(t *testing.T) {
 // TestPASETraceCtrlAndHistograms: a traced PASE run records the full
 // control-plane story — wait spans, grant marks, per-level arbitration
 // RTT histograms and the inflight-allocations gauge.
+// TestHeldFlowsOpenWaiting reads each flow's phase spans from the
+// Perfetto track: a flow its protocol holds at start (PASE until its
+// grant, PDQ until its first rate, ExpressPass until its first credit)
+// opens with one wait-ctrl span and transmits after it; a DCTCP flow
+// transmits from its arrival.
+func TestHeldFlowsOpenWaiting(t *testing.T) {
+	for _, p := range []Protocol{DCTCP, PASE, PDQ, ExpressPass} {
+		cfg := tracedPoint()
+		cfg.Protocol, cfg.NumFlows = p, 40
+		b, _ := perfettoBytes(t, cfg)
+		var doc struct {
+			TraceEvents []struct {
+				Pid, Tid  int
+				Name, Cat string
+			}
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		phases := map[int][]string{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Pid == 1 && ev.Cat == "phase" {
+				phases[ev.Tid] = append(phases[ev.Tid], ev.Name)
+			}
+		}
+		if len(phases) != cfg.NumFlows {
+			t.Fatalf("%s: %d flow tracks, want %d", p, len(phases), cfg.NumFlows)
+		}
+		held := p != DCTCP
+		for flow, names := range phases {
+			xfer := names
+			if held {
+				if names[0] != "wait-ctrl" {
+					t.Errorf("%s flow %d opens with %q, want wait-ctrl", p, flow, names[0])
+				}
+				xfer = names[1:]
+			}
+			if len(xfer) == 0 {
+				t.Errorf("%s flow %d has no transmit span: %q", p, flow, names)
+			}
+			for _, n := range xfer {
+				if !strings.HasPrefix(n, "xfer q") {
+					t.Errorf("%s flow %d: %q after its first phase, want only transmit spans: %q", p, flow, n, names)
+				}
+			}
+		}
+	}
+}
+
 func TestPASETraceCtrlAndHistograms(t *testing.T) {
 	cfg := tracedPoint()
 	cfg.Protocol = PASE

@@ -42,7 +42,8 @@ type SpanKind uint8
 
 const (
 	// SpanWait: the flow is held, waiting for a control-plane
-	// allocation (PASE's arbitration request is in flight).
+	// allocation (PASE's arbitration, PDQ's first rate) or, in
+	// ExpressPass, its first credit.
 	SpanWait SpanKind = iota
 	// SpanXfer: the flow is transmitting on priority queue Prio — one
 	// span per contiguous epoch at that priority.
@@ -378,8 +379,8 @@ func (r *Recorder) event(e FlowEvent, kind string) {
 
 // FlowArrive records a flow's arrival: e (Flow, Src, Dst, Size) as its
 // "start" event, and the opening of its trace. held reports whether the
-// flow is waiting for a control-plane allocation (PASE's
-// hold-at-source); otherwise it is transmitting immediately at prio.
+// flow opens waiting, until Epoch or FirstSend ends the wait; otherwise
+// it is transmitting immediately at prio.
 func (r *Recorder) FlowArrive(e FlowEvent, prio int, held bool) {
 	if r == nil {
 		return
@@ -429,6 +430,21 @@ func (r *Recorder) epoch(f pkt.FlowID, prio int) {
 	}
 	now := r.eng.Now()
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: SpanXfer, Prio: prio})
+}
+
+// FirstSend records a flow's first data packet: a flow still waiting
+// leaves its wait span for a transmit span at prio.
+func (r *Recorder) FirstSend(f pkt.FlowID, prio int) {
+	if r != nil {
+		r.firstSend(f, prio)
+	}
+}
+
+// firstSend is FirstSend's body, kept out of line as epoch is.
+func (r *Recorder) firstSend(f pkt.FlowID, prio int) {
+	if ft := r.live[f]; ft != nil && ft.Spans[len(ft.Spans)-1].Kind == SpanWait {
+		r.epoch(f, prio)
+	}
 }
 
 // Mark annotates the flow's timeline at the current instant. Marks

@@ -277,6 +277,8 @@ func (s *Sender) transmit(seq int32) {
 		s.state[seq] |= segRetx
 		s.st.obs.retx.Inc()
 		s.st.Rec.Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
+	} else if seq == 0 {
+		s.st.Rec.FirstSend(s.Spec.ID, int(s.Prio))
 	}
 	s.st.Host.Send(p)
 }
