@@ -117,11 +117,14 @@ te-smoke:
 
 # Arbitration-control-plane gate: one checked 512-rack run per arm end
 # to end — the hierarchy at datacenter scale and the centralized
-# comparison on the same fabric (the hierarchy suite, fuzzer seeds and
-# ctrlplane/arbstats pins run in check-test).
+# comparison on the same fabric — and the centralized arm again under
+# lost and late control messages and arbitrator crashes (the hierarchy
+# suite, fuzzer seeds and ctrlplane/arbstats pins run in check-test).
 ctrlscale-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false \
+		-faults "ctrl:drop=0.2,delay=20us; crash:link=*,at=2ms,for=1ms,every=10ms"
 
 # One iteration of each benchmark: the root set-up costs and the engine
 # and queue micro-benchmarks, so they keep compiling and running without

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&opts.Check, "check", false, "run every point with the runtime invariant checker; exit 1 on any violation")
 	fs.BoolVar(&opts.Stream, "stream", false, "run every point on the bounded-memory streaming path (sketch quantiles)")
 	fs.IntVar(&opts.Shards, "shards", 0, "engine shards per simulation point (0/1 = serial; output is identical at any setting; multiplies with -parallel)")
-	fs.StringVar(&opts.Ctrl, "ctrl", "", `restrict the ctrlscale figure's PASE arm: "hierarchy" or "central" (default: both arms)`)
+	fs.StringVar(&opts.Ctrl, "ctrl", "", `put every figure's PASE points on one control plane, "hierarchy" or "central"; the ctrlscale figure, which sweeps both, runs only that arm (default: the hierarchy, and both arms in ctrlscale)`)
 	fs.IntVar(&opts.Racks, "racks", 0, "restrict the ctrlscale figure to one rack count (default: full 16..2048 sweep)")
 	var (
 		figID     = fs.String("fig", "", "figure id to regenerate: "+figureIDs())
