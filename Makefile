@@ -104,14 +104,10 @@ fuzz-smoke:
 highspeed-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -flows 100000 -stream -check -progress=false
 
-# Routing-control-loop gate: checked rerouted runs through a real
-# uplink outage end to end, with TE and without it (without TE no move
-# has dirtied the table before the outage, so the detour rides the
-# outage count alone). The route-table proof, the te-* pins and tests
-# run in check-test.
+# Routing-control-loop gate: one checked rerouted run through a real
+# uplink outage end to end. The route-table proof, the reroute pins and
+# tests run in check-test.
 te-smoke:
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
-		-reroute -te -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario te-failover -load 0.6 -flows 2000 \
 		-reroute -abort-after 100ms -faults "linkdown:link=80,at=3100us,for=250ms" -check -progress=false
 

@@ -62,9 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.PASE.HierFanOut, "hier-fanout", 0, "PASE: aggregation-tree fan-out of the deep arbitration hierarchy (0 = scenario default)")
 	fs.IntVar(&cfg.PASE.HierTopShards, "hier-shards", 0, "PASE: replicated root shards of the deep arbitration hierarchy (0 = scenario default)")
 	fs.IntVar(&cfg.Trace.SampleN, "trace-sample", 0, "with -trace, keep 1 in N flow traces (0/1 = all; misbehaving flows are always kept)")
-	fs.BoolVar(&cfg.Route.Reroute, "reroute", false, "leaf-spine fabrics: reroute around failed fabric links (reacts to -faults link outages)")
-	fs.BoolVar(&cfg.Route.TE, "te", false, "leaf-spine fabrics: periodic traffic engineering, shifting hot ECMP buckets off loaded uplinks")
-	fs.DurationVar((*time.Duration)(&cfg.Route.Epoch), "te-epoch", 0, "TE decision period (0 = 1ms default)")
+	fs.BoolVar(&cfg.Reroute, "reroute", false, "leaf-spine fabrics: reroute around failed fabric links (reacts to -faults link outages)")
 	fs.DurationVar((*time.Duration)(&cfg.AbortAfter), "abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
 	fs.BoolVar(&cfg.Stream, "stream", false, "bounded-memory run: flow records fold into sketch quantiles instead of being kept")
 	fs.IntVar(&cfg.Shards, "shards", 0, "engine shards for the run (0/1 = serial; results byte-identical at any setting; PASE/PDQ and traced, faulted or routed runs run serially and say so on stderr)")

@@ -114,6 +114,8 @@ var flagTable = []flagRow{
 	{flag: "ctrl", args: small("-ctrl", "central"), cfg: func(c *pase.SimConfig) { c.PASE.Central = true }},
 	{flag: "ctrl", args: small("-ctrl", "hierarchy")},
 	{flag: "ctrl", args: small("-ctrl", "ring"), reject: "-ctrl"},
+	{flag: "ctrl", args: small("-ctrl", "central", "-local-only"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.LocalOnly"},
+	{flag: "ctrl", args: small("-scenario", "ctrlscale-16", "-ctrl", "central", "-hier-fanout", "2"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.HierFanOut"},
 	{flag: "racks", args: small("-racks", "16"), cfg: func(c *pase.SimConfig) { c.Scenario = "ctrlscale-16" }},
 	{flag: "racks", args: small("-racks", "-4"), reject: "-racks"},
 	{flag: "racks", args: small("-racks", "16", "-scenario", "left-right"), reject: "-racks picks the scenario; drop -scenario"},
@@ -181,10 +183,10 @@ var flagTable = []flagRow{
 		c.Faults, _ = pase.ParseFaults("loss:rate=0.01")
 	}},
 	{flag: "faults", args: small("-faults", "zzz"), reject: "zzz"},
-	{flag: "reroute", args: small("-reroute"), cfg: func(c *pase.SimConfig) { c.Route.Reroute = true }},
-	{flag: "te", args: small("-te"), cfg: func(c *pase.SimConfig) { c.Route.TE = true }},
-	{flag: "te-epoch", args: small("-te-epoch", "2ms"), cfg: func(c *pase.SimConfig) { c.Route.Epoch = pase.Duration(2 * time.Millisecond) }},
-	{flag: "te-epoch", args: small("-te-epoch", "-1ms"), reject: "Route.Epoch"},
+	{flag: "reroute", args: small("-scenario", "te-failover", "-reroute"),
+		cfg: func(c *pase.SimConfig) { c.Scenario, c.Reroute = "te-failover", true }},
+	{flag: "reroute", args: small("-reroute"), reject: "Reroute needs a leaf-spine Scenario; \"intra-rack\""},
+	{flag: "reroute", args: small("-scenario", "left-right", "-reroute"), reject: "Reroute needs a leaf-spine Scenario; \"left-right\""},
 	{flag: "abort-after", args: small("-abort-after", "5ms"), cfg: func(c *pase.SimConfig) { c.AbortAfter = pase.Duration(5 * time.Millisecond) }},
 	{flag: "abort-after", args: small("-abort-after", "-1ms"), reject: "AbortAfter"},
 	{flag: "stream", args: small("-stream"), cfg: func(c *pase.SimConfig) { c.Stream = true }},

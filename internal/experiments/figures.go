@@ -10,7 +10,6 @@ import (
 	"pase/internal/metrics"
 	"pase/internal/netem"
 	"pase/internal/obs"
-	"pase/internal/route"
 	"pase/internal/sim"
 	"pase/internal/topology"
 )
@@ -149,13 +148,13 @@ const (
 	flows                     // flows per point: x is a fraction of the row's flow count, at least 10
 	linkRate                  // the highspeed-<x> fabric, x in Gbps
 	racks                     // the ctrlscale-<x> fabric; Opts.Racks caps the sweep
-	failedUplinks             // x leaf→spine-0 uplinks fail, under the TE progress deadline
+	failedUplinks             // x leaf→spine-0 uplinks fail, under the TEAbortAfter progress deadline
 	ctrlLoss                  // a fraction x of arbitration messages is dropped, plotted in %
 	arbDown                   // arbitrators are down a fraction x of each crash period, plotted in %
 )
 
 // arm is a named partial PointConfig: protocol (default PASE),
-// PASEOptions, route config and any field it fixes against the row,
+// PASEOptions, Reroute and any field it fixes against the row,
 // such as its scenario or load. An arm may sweep its own axis; an arm
 // the axis does not touch runs once per seed and is replicated across
 // x. A note arm only feeds annotate.
@@ -386,13 +385,13 @@ var Figures = []Figure{
 		metrics: []metric{{name: "AFCT", of: afctMS}, {name: "p99", of: p99MS}, {name: "queue peak", of: queuePeak},
 			{name: "messages", of: ctrlMsgs, note: true}, {name: "bytes", counter: "ctrl/bytes", note: true}, {name: "dropped", of: droppedData, note: true}},
 		annotate: highspeedNote},
-	// PASE+TE rehashes the dead spine's ECMP buckets onto the survivors;
+	// PASE+reroute detours the dead spine's flows onto the survivors;
 	// PASE and DCTCP keep the build-time hash, so flows hashed onto
 	// spine 0 blackhole until the progress deadline aborts them.
-	{ID: "te", Title: "Robustness: reactive rerouting + hotspot TE under fabric-link failures (te-failover)",
-		title: "Reactive rerouting + hotspot TE under uplink failures (te-failover)", xlabel: "Failed leaf→spine-0 uplinks", ylabel: "Fraction of flows completing",
+	{ID: "te", Title: "Robustness: reactive rerouting under fabric-link failures (te-failover)",
+		title: "Reactive rerouting under uplink failures (te-failover)", xlabel: "Failed leaf→spine-0 uplinks", ylabel: "Fraction of flows completing",
 		scenario: TEFailover, axis: failedUplinks, xs: []float64{0, 1, 2, 3, 4}, arms: []arm{
-			{name: "PASE+TE", cfg: PointConfig{Load: 0.6, Route: route.Config{Reroute: true, TE: true}}},
+			{name: "PASE+reroute", cfg: PointConfig{Load: 0.6, Reroute: true}},
 			{name: "PASE", cfg: PointConfig{Load: 0.6}},
 			{name: "DCTCP", cfg: PointConfig{Protocol: DCTCP, Load: 0.6}},
 		},
@@ -693,8 +692,7 @@ func ratio(a, b float64) float64 {
 }
 
 // teUplinkChaos downs the first k leaf→spine-0 uplinks, staggered
-// TEFaultStagger apart so no two rules fire at one instant and none
-// lands on a TE-epoch multiple.
+// TEFaultStagger apart so no two rules fire at one instant.
 func teUplinkChaos(ls topology.LeafSpineConfig, k int, seed uint64) *faults.Plan {
 	if k <= 0 {
 		return nil

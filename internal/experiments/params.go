@@ -79,10 +79,10 @@ const WorkerFanin = 19
 
 // Routing-control-loop (te figure) parameters: the chaos plan downs
 // leaf→spine-0 uplinks one per TEFaultStagger starting at TEFaultStart
-// — staggered so no two rules share an instant and none lands on a
-// TE-epoch multiple — each outage lasting TEFaultFor; TEAbortAfter is
-// the progress deadline that turns blackholed flows into aborts. The
-// values are kept because the te pins and figure are measured at them.
+// — staggered so no two rules share an instant — each outage lasting
+// TEFaultFor; TEAbortAfter is the progress deadline that turns
+// blackholed flows into aborts. The values are kept because the
+// reroute pins and the te figure are measured at them.
 const (
 	TEFaultStart   = 3100 * sim.Microsecond
 	TEFaultStagger = 1000 * sim.Microsecond

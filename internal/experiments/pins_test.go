@@ -21,7 +21,6 @@ import (
 
 	"pase/internal/core/arbitration"
 	"pase/internal/faults"
-	"pase/internal/route"
 	"pase/internal/sim"
 )
 
@@ -136,12 +135,10 @@ func pinTable() []pin {
 	tracedTwins := append(slices.Clone(shards), "shards=1+stream", "shards=2+stream", "shards=3+stream", "shards=4+stream")
 	sampled := tracedPoint()
 	sampled.Trace.SampleN = 8
-	teReroute := teChaosPoint(DCTCP, route.Config{Reroute: true, TE: true})
-	teReroute.Obs = false
-	rerouteOnly := teChaosPoint(DCTCP, route.Config{Reroute: true})
+	rerouteOnly := teChaosPoint(DCTCP, true)
 	rerouteOnly.Obs = false
-	tracedTE := teChaosPoint(DCTCP, route.Config{TE: true})
-	tracedTE.Obs = false
+	tracedReroute := teChaosPoint(PASE, true)
+	tracedReroute.Obs = false
 	faulted := func(c PointConfig) PointConfig { c.Faults = flapLossPlan(); return c }
 
 	ps := []pin{
@@ -194,7 +191,7 @@ func pinTable() []pin {
 		opts Opts
 		flat []string
 	}{
-		{"te", Opts{NumFlows: 200, Seed: 1}, []string{"PASE+TE"}},
+		{"te", Opts{NumFlows: 200, Seed: 1}, []string{"PASE+reroute"}},
 		{"robust", Opts{NumFlows: 80, Seed: 1}, []string{"DCTCP (no faults)"}},
 		{"scale", Opts{NumFlows: 1000, Seed: 1, Loads: []float64{0.5}}, nil},
 		{"task", Opts{NumFlows: 60, Seed: 1}, nil},
@@ -225,8 +222,8 @@ func pinTable() []pin {
 			protects: "a faulted PASE run's control spans; PASE's serial fallback traces like serial", mover: "item 6"},
 		pin{name: "traced-sampled", out: perfettoOut, input: point(sampled), twins: []string{"shards=3"},
 			protects: "1-in-8 trace sampling keeps the same flows; a Shards request changes no byte", mover: "none"},
-		pin{name: "traced-te", out: routedTraceOut, input: point(tracedTE), twins: []string{"stream"},
-			protects: "the route and abort tracks: TE moves in the Perfetto routing process, aborted flows, and both in the trace digest", mover: "none"},
+		pin{name: "traced-reroute", out: routedTraceOut, input: point(tracedReroute), twins: []string{"stream"},
+			protects: "the route and abort tracks: link-down reroutes in the Perfetto routing process, aborted flows, and both in the trace digest", mover: "item 6"},
 		pin{name: "traced-fig3", out: perfettoOut, file: "traced_fig3.json",
 			input:    point(PointConfig{Protocol: PASE, Scenario: toy, Check: true}),
 			protects: "Figure 3 as a trace: the toy's three PASE flows, their grants and priority-queue epochs, and every arbitration exchange", mover: "item 6"},
@@ -245,10 +242,8 @@ func pinTable() []pin {
 	return append(ps,
 		pin{name: "sharded-faults", out: digestOut, input: point(faulted(shardPoint(DCTCP, LeftRight))), twins: shards24,
 			protects: "link flaps, loss and corruption on per-link fault RNG streams; a Shards request runs serially and changes nothing", mover: "none"},
-		pin{name: "te-reroute", out: digestOut, input: point(teReroute), twins: append([]string{"rerun"}, shards...),
-			protects: "failure rerouting, TE moves and aborts through an uplink-failure wave repeat exactly; a Shards request runs serially and changes nothing", mover: "none"},
-		pin{name: "reroute-only", out: digestOut, input: point(rerouteOnly), twins: []string{"rerun"},
-			protects: "failure rerouting without TE: the uplink-failure wave meets tables no TE move has dirtied, so every detour rides the outage count alone", mover: "none"},
+		pin{name: "reroute-only", out: digestOut, input: point(rerouteOnly), twins: append([]string{"rerun"}, shards...),
+			protects: "failure rerouting through an uplink-failure wave repeats exactly, every detour riding the outage count alone; a Shards request runs serially and changes nothing", mover: "none"},
 		pin{name: "te-idle", out: digestOut, twins: append([]string{"rerun"}, shards24...),
 			input:    point(PointConfig{Protocol: DCTCP, Scenario: TEFailover, Load: 0.6, Seed: 1, NumFlows: 200, Check: true}),
 			protects: "the idle route machinery perturbs nothing on te-failover", mover: "none"},

@@ -80,10 +80,10 @@ const (
 	// atoms that -shards 8 still gets distinct work per shard.
 	LeafSpineWide Scenario = "leaf-spine-wide"
 	// TEFailover: a 4-leaf × 3-spine fabric (non-power-of-two spine
-	// count, so ECMP bucket math gets exercised off the easy modulus)
+	// count, so the ECMP hash and detour scan run off the easy modulus)
 	// for the routing-control-loop experiments: chaos plans down
-	// leaf↔spine links mid-run and the reactive reroute + hotspot-TE
-	// loop keeps flows alive.
+	// leaf↔spine links mid-run and reactive rerouting keeps flows
+	// alive.
 	TEFailover Scenario = "te-failover"
 	// The highspeed family: scenarios the paper never had, where
 	// credit-based and window/arbitration-based control diverge most.
@@ -123,8 +123,9 @@ type PASEOptions struct {
 	// Central swaps the arbitration hierarchy for the fully
 	// centralized comparison arm: one controller behind the core
 	// computes whole-path allocations in a single serialized exchange
-	// (Shah & Xie-style). Hierarchy, delegation and pruning are
-	// ignored.
+	// (Shah & Xie-style). pase.Validate rejects it together with
+	// LocalOnly, NoPruning, NoDelegation, HierFanOut or HierTopShards,
+	// which shape the hierarchy it does not run.
 	Central bool
 	// HierFanOut / HierTopShards override the scenario's deep-
 	// hierarchy shape — aggregation-tree fan-out and replicated root
@@ -196,11 +197,11 @@ type PointConfig struct {
 	// run byte-identical to a fault-free one (the injector is never
 	// built and the fault RNG stream is never created).
 	Faults *faults.Plan
-	// Route enables the reactive routing control loop (failure
-	// rerouting and/or hotspot TE) on leaf-spine fabrics. The zero
-	// value leaves routing frozen at the build-time ECMP hash and the
-	// run byte-identical to one before the control loop existed.
-	Route route.Config
+	// Reroute detours leaf-spine traffic around the fabric links the
+	// fault plan takes down (Reroutable scenarios only). Off, routing
+	// stays frozen at the build-time ECMP hash and the run is
+	// byte-identical to one before the control loop existed.
+	Reroute bool
 	// AbortAfter, when positive, makes every sender abort its flow
 	// after this much time without forward progress (new data acked).
 	// Aborted flows are excluded from AFCT and reported separately in
@@ -352,6 +353,14 @@ func Scenarios() []Scenario {
 func KnownScenario(s Scenario) bool {
 	return slices.ContainsFunc(scenarioTable, func(e scenarioEntry) bool { return e.name == s }) ||
 		CtrlScaleRacksOf(s) > 0
+}
+
+// Reroutable reports whether s runs on a leaf-spine fabric, whose
+// route tables Reroute edits; a tree fabric routes single-path and has
+// nothing to reroute.
+func Reroutable(s Scenario) bool {
+	sp, ok := lookupScenario(s)
+	return ok && sp.buildLS != nil
 }
 
 // toy is Figure 3's example, which no CLI offers: one rack, hosts
@@ -612,8 +621,8 @@ type shardEnv struct {
 // switch state are fabric-synchronous — senders call into shared
 // structures inline, with no link delay between shards to hide the
 // latency — so those runs keep the serial engine. So do runs with a
-// trace track, a fault plan or a routing control loop (a route.Config
-// on a leaf-spine fabric; tree fabrics have nothing to steer): the
+// trace track, a fault plan or rerouting (on a leaf-spine fabric; tree
+// fabrics have nothing to steer): the
 // recorder, the fault injector and the controller each run on one
 // engine. A single-atom fabric has nothing to cut.
 func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
@@ -629,7 +638,7 @@ func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 		return nil, "trace"
 	case !cfg.Faults.Empty():
 		return nil, "faults"
-	case cfg.Route.Enabled() && sp.buildLS != nil:
+	case cfg.Reroute && sp.buildLS != nil:
 		return nil, "route"
 	}
 	var part *topology.Partition
@@ -649,8 +658,8 @@ func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 // synchronized engine shards. The wiring below is written once over a
 // slice of per-shard environments; only the drive loop at the end
 // differs. The relative order of the setup Schedule calls (fault
-// arming, route TE timers, protocol attach, the recorder's queue track,
-// arrivals) fixes the events' order and must not change: the pinned
+// arming, protocol attach, the recorder's queue track, arrivals)
+// fixes the events' order and must not change: the pinned
 // digests depend on it, and the calls a sharded run makes fix the rank
 // slots that keep it equal to the serial run.
 func RunPoint(cfg PointConfig) PointResult {
@@ -778,13 +787,12 @@ func RunPoint(cfg PointConfig) PointResult {
 		}
 		inj.Arm()
 	}
-	// The routing control loop attaches right after fault arming, so
-	// its TE epoch timers follow the fault timers.
-	routeCtl := route.Attach(route.Params{
-		Net: net, Cfg: cfg.Route, Eng: envs[0].eng, Reg: envs[0].reg, Rec: rec,
-	})
-	if routeCtl != nil && inj != nil {
-		inj.OnLinkState = routeCtl.LinkState
+	// Rerouting reacts to the injector's link reports, so a run without
+	// faults has nothing for it to do.
+	if cfg.Reroute && inj != nil {
+		if ctl := route.Attach(route.Params{Net: net, Eng: envs[0].eng, Reg: envs[0].reg, Rec: rec}); ctl != nil {
+			inj.OnLinkState = ctl.LinkState
+		}
 	}
 
 	d := transport.NewDriver(net, nil)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"io"
 	"testing"
-
-	"pase/internal/route"
 )
 
 // The sharded engine's contract is byte-identical results at every
@@ -41,7 +39,7 @@ func TestShardedFallback(t *testing.T) {
 	faulted := shardPoint(DCTCP, LeftRight)
 	faulted.Faults = flapLossPlan()
 	routed := shardPoint(DCTCP, TEFailover)
-	routed.Route = route.Config{TE: true}
+	routed.Reroute = true
 	for _, c := range []struct {
 		why string
 		cfg PointConfig
@@ -76,12 +74,12 @@ func TestShardedFallback(t *testing.T) {
 	streamed := shardPoint(DCTCP, LeftRight)
 	streamed.Stream = true
 	treeRoute := shardPoint(DCTCP, LeftRight)
-	treeRoute.Route = route.Config{Reroute: true, TE: true}
+	treeRoute.Reroute = true
 	for _, c := range []PointConfig{shardPoint(DCTCP, LeftRight), streamed, treeRoute} {
 		for _, shards := range []int{0, 4} {
 			if got := runShards(t, c, shards).ShardFallback; got != "" {
 				t.Errorf("%s %s stream=%v route=%v shards=%d: ShardFallback = %q, want none",
-					c.Protocol, c.Scenario, c.Stream, c.Route.Enabled(), shards, got)
+					c.Protocol, c.Scenario, c.Stream, c.Reroute, shards, got)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // after each step. A data-path check reads Pick (what FlowRoute
 // forwards by) and forwards one real packet per (leaf, destination
 // rack), so it sees the clean-table fast path and the dirty count that
-// gates it, which the table's own PickBucket does not.
+// gates it, which the table's own PickFrom does not.
 
 // prover drives one leaf-spine fabric's controller through failure
 // sequences and checks every leaf's data path after each step.
@@ -32,10 +32,7 @@ type prover struct {
 	downs []int
 	trail []int
 	steps int
-	// pins[r] is leaf r's one TE override, bucket b → spine s (b = -1:
-	// none).
-	pins []struct{ b, s int }
-	// probe[b] is a flow that hashes into bucket b.
+	// probe[s] is a flow that hashes onto spine s.
 	probe []pkt.FlowID
 
 	// at and hops record where the last delivered packet landed.
@@ -49,20 +46,16 @@ type prover struct {
 func newProver(t *testing.T, leaves, spines, hostsPerLeaf int) *prover {
 	ls := topology.DefaultLeafSpine(func(topology.QueueKind) netem.Queue { return netem.NewDropTail(64) })
 	ls.Leaves, ls.Spines, ls.HostsPerLeaf = leaves, spines, hostsPerLeaf
-	p := &prover{t: t, ls: ls, eng: sim.NewEngine(), live: make([]bool, spines), pins: make([]struct{ b, s int }, leaves)}
-	for r := range p.pins {
-		p.pins[r].b = -1
-	}
+	p := &prover{t: t, ls: ls, eng: sim.NewEngine(), live: make([]bool, spines)}
 	p.net = topology.BuildLeafSpine(p.eng, ls)
-	p.ctl = Attach(Params{Net: p.net, Cfg: Config{Reroute: true}, Eng: p.eng})
+	p.ctl = Attach(Params{Net: p.net, Eng: p.eng})
 	for _, h := range p.net.Hosts {
 		h.Handler = func(pk *pkt.Packet) { p.at, p.hops = h.ID(), int(pk.Hops) }
 	}
-	tbl := p.net.RouteTable(0)
-	p.probe = make([]pkt.FlowID, tbl.Buckets())
-	for n, f := 0, pkt.FlowID(1); n < len(p.probe); f++ {
-		if b := tbl.BucketOf(f); p.probe[b] == 0 {
-			p.probe[b], n = f, n+1
+	p.probe = make([]pkt.FlowID, spines)
+	for n, f := 0, pkt.FlowID(1); n < spines; f++ {
+		if s := topology.ECMPSpine(f, spines); p.probe[s] == 0 {
+			p.probe[s], n = f, n+1
 		}
 	}
 	return p
@@ -73,18 +66,10 @@ func (p *prover) downlink(q, s int) int { return p.ls.UplinkID(q, s) + 1 }
 
 func (p *prover) down(link int) bool { return slices.Contains(p.downs, link) }
 
-// assigned is leaf r's bucket b's spine before failure detours.
-func (p *prover) assigned(r, b int) int {
-	if b == p.pins[r].b {
-		return p.pins[r].s
-	}
-	return b % p.ls.Spines
-}
-
 func (p *prover) failf(format string, args ...any) {
 	p.t.Helper()
-	p.t.Fatalf("%dx%d, pins %v, after %v: "+format,
-		append([]any{p.ls.Leaves, p.ls.Spines, p.pins, p.trail}, args...)...)
+	p.t.Fatalf("%dx%d, after %v: "+format,
+		append([]any{p.ls.Leaves, p.ls.Spines, p.trail}, args...)...)
 }
 
 // set moves one fabric link through the controller, as the fault
@@ -106,10 +91,10 @@ func (p *prover) set(link int, down bool) {
 }
 
 // check asserts, for every leaf, the table's cleanliness and, for a
-// probe flow in every bucket toward every foreign rack, where Pick
-// sends it; then it forwards one real packet per destination rack.
+// probe flow hashed onto every spine toward every foreign rack, where
+// Pick sends it; then it forwards one real packet per destination rack.
 func (p *prover) check() {
-	spines, buckets := p.ls.Spines, len(p.probe)
+	spines := p.ls.Spines
 	for r := 0; r < p.ls.Leaves; r++ {
 		tbl := p.net.RouteTable(r)
 		// Every leaf hears of every downlink outage; an uplink outage
@@ -119,9 +104,8 @@ func (p *prover) check() {
 			info, _ := p.net.LeafSpineLinkInfo(l)
 			outage = outage || !info.Up || info.Rack == r
 		}
-		pinned := p.pins[r].b >= 0
-		if clean := !pinned && !outage; tbl.Clean() != clean {
-			p.failf("leaf %d: Clean() = %v, want %v", r, tbl.Clean(), clean)
+		if tbl.Clean() == outage {
+			p.failf("leaf %d: Clean() = %v with outage %v", r, tbl.Clean(), outage)
 		}
 		for q := 0; q < p.ls.Leaves; q++ {
 			if q == r {
@@ -135,27 +119,25 @@ func (p *prover) check() {
 				anyLive = anyLive || p.live[s]
 			}
 			send := -1
-			for b, f := range p.probe {
-				a, got := p.assigned(r, b), tbl.Pick(q, f)
+			for a, f := range p.probe {
+				got := tbl.Pick(q, f)
 				switch {
 				case p.live[a] && got != a:
-					p.failf("leaf %d → rack %d bucket %d: Pick moved it off its live spine %d to %d", r, q, b, a, got)
+					p.failf("leaf %d → rack %d flow %d: Pick moved it off its live spine %d to %d", r, q, f, a, got)
 				case anyLive && !p.live[got]:
-					p.failf("leaf %d → rack %d bucket %d: Pick lands on dead spine %d while a live one exists", r, q, b, got)
+					p.failf("leaf %d → rack %d flow %d: Pick lands on dead spine %d while a live one exists", r, q, f, got)
 				case !anyLive && got != a:
-					p.failf("leaf %d → rack %d bucket %d: with no live spine Pick = %d, want the assigned %d", r, q, b, got, a)
-				case len(p.downs) == 0 && !pinned && got != topology.ECMPSpine(f, spines):
-					p.failf("leaf %d → rack %d flow %d: recovered Pick = %d, ECMPSpine = %d", r, q, f, got, topology.ECMPSpine(f, spines))
+					p.failf("leaf %d → rack %d flow %d: with no live spine Pick = %d, want its hashed spine %d", r, q, f, got, a)
 				}
 				if send < 0 && got != a {
-					send = b
+					send = a
 				}
 			}
 			if !anyLive { // the packet would blackhole at the dead link
 				continue
 			}
-			if send < 0 { // nothing detours: any bucket will do
-				send = (p.steps + q) % buckets
+			if send < 0 { // nothing detours: any probe will do
+				send = (p.steps + q) % spines
 			}
 			p.forward(r, q, p.probe[send])
 		}
@@ -256,75 +238,36 @@ func (p *prover) sweep(sets [][]int) {
 	}
 }
 
-// pin gives leaf r the one TE override bucket b → spine s, or clears
-// its override when b is -1.
-func (p *prover) pin(r, b, s int) {
-	if old := p.pins[r].b; old >= 0 {
-		p.net.RouteTable(r).SetOverride(old, -1)
-	}
-	if b >= 0 {
-		p.net.RouteTable(r).SetOverride(b, s)
-	}
-	p.pins[r].b, p.pins[r].s = b, s
-}
-
 // TestRoutesEveryFailureSet is the proof over every small failure set
 // on the scenario fabrics (leaf-spine, te-failover, leaf-spine-wide)
-// and a 5 × 4 fabric with a prime host count per leaf. On te-failover
-// every sequence also runs under each single TE override.
+// and a 5 × 4 fabric with a prime host count per leaf.
 func TestRoutesEveryFailureSet(t *testing.T) {
 	for _, fab := range []struct {
 		name                  string
 		leaves, spines, hosts int
-		te                    bool
 	}{
-		{"leaf-spine-4x2", 4, 2, 10, false},
-		{"te-failover-4x3", 4, 3, 10, true},
-		{"leaf-spine-wide-8x4", 8, 4, 10, false},
-		{"5x4-7-hosts", 5, 4, 7, false},
+		{"leaf-spine-4x2", 4, 2, 10},
+		{"te-failover-4x3", 4, 3, 10},
+		{"leaf-spine-wide-8x4", 8, 4, 10},
+		{"5x4-7-hosts", 5, 4, 7},
 	} {
 		t.Run(fab.name, func(t *testing.T) {
 			p := newProver(t, fab.leaves, fab.spines, fab.hosts)
 			p.check()
 			sets := p.failureSets()
 			p.sweep(sets)
-			if fab.te {
-				// Every TE move a table can hold alone, bucket b off
-				// its default spine to s, dealt one per leaf per round.
-				var moves [][2]int
-				for b := range p.probe {
-					for s := 0; s < fab.spines; s++ {
-						if s != b%fab.spines {
-							moves = append(moves, [2]int{b, s})
-						}
-					}
-				}
-				for len(moves) > 0 {
-					for r := 0; r < fab.leaves && len(moves) > 0; r++ {
-						p.pin(r, moves[0][0], moves[0][1])
-						moves = moves[1:]
-					}
-					p.trail = p.trail[:0]
-					p.check()
-					p.sweep(sets)
-					for r := 0; r < fab.leaves; r++ {
-						p.pin(r, -1, 0)
-					}
-					p.check()
-				}
-			}
 			t.Logf("%d failure sets, %d checked steps", len(sets), p.steps)
 		})
 	}
 }
 
-// TestRouteTableEveryBucketState covers, for 2–4 spines, every state
-// one bucket can reach: each spine live or dead toward the destination
-// by either outage kind, × the bucket's default or a TE pin to each
-// spine. Pick and PickBucket keep a live assigned spine, else take the
-// first live one scanning upward, else keep the assigned one; the
-// table is clean only with no outage and no pin.
-func TestRouteTableEveryBucketState(t *testing.T) {
+// TestRouteTableEverySpineState covers, for 2–4 spines, every state
+// the table can be in toward one destination: each spine live or dead
+// by either outage kind. For a flow hashed onto each spine, Pick and
+// PickFrom keep a live hashed spine, else take the first live one
+// scanning upward, else keep the hashed one; the table is clean only
+// with no outage.
+func TestRouteTableEverySpineState(t *testing.T) {
 	const dst = 1
 	for spines := 2; spines <= 4; spines++ {
 		ports := make([]int, spines)
@@ -350,35 +293,27 @@ func TestRouteTableEveryBucketState(t *testing.T) {
 					tbl.SetDstDown(dst, s, true)
 				}
 			}
-			for b := 0; b < tbl.Buckets(); b++ {
+			if clean := state == 0; tbl.Clean() != clean {
+				t.Fatalf("%d spines, live %v: Clean() = %v, want %v", spines, live, tbl.Clean(), clean)
+			}
+			for h := 0; h < spines; h++ {
 				f := pkt.FlowID(1)
-				for tbl.BucketOf(f) != b {
+				for topology.ECMPSpine(f, spines) != h {
 					f++
 				}
-				for pin := -1; pin < spines; pin++ {
-					tbl.SetOverride(b, pin)
-					a := b % spines
-					if pin >= 0 {
-						a = pin
-					}
-					want := a
-					for k := 0; k < spines; k++ {
-						if c := (a + k) % spines; live[c] {
-							want = c
-							break
-						}
-					}
-					if got := tbl.PickBucket(dst, b); got != want {
-						t.Fatalf("%d spines, live %v, bucket %d pinned %d: PickBucket = %d, want %d", spines, live, b, pin, got, want)
-					}
-					if got := tbl.Pick(dst, f); got != want {
-						t.Fatalf("%d spines, live %v, bucket %d pinned %d: Pick(flow %d) = %d, want %d", spines, live, b, pin, f, got, want)
-					}
-					if clean := state == 0 && pin < 0; tbl.Clean() != clean {
-						t.Fatalf("%d spines, live %v, bucket %d pinned %d: Clean() = %v, want %v", spines, live, b, pin, tbl.Clean(), clean)
+				want := h
+				for k := 0; k < spines; k++ {
+					if c := (h + k) % spines; live[c] {
+						want = c
+						break
 					}
 				}
-				tbl.SetOverride(b, -1)
+				if got := tbl.PickFrom(dst, h); got != want {
+					t.Fatalf("%d spines, live %v: PickFrom(%d) = %d, want %d", spines, live, h, got, want)
+				}
+				if got := tbl.Pick(dst, f); got != want {
+					t.Fatalf("%d spines, live %v: Pick(flow %d, hashed %d) = %d, want %d", spines, live, f, h, got, want)
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"pase/internal/netem"
 	"pase/internal/obs"
-	"pase/internal/pkt"
 	"pase/internal/sim"
 	"pase/internal/topology"
 	"pase/internal/trace"
@@ -25,7 +24,7 @@ type fixture struct {
 	ctl *Controller
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{eng: sim.NewEngine(), reg: obs.NewRegistry()}
 	f.rec = trace.NewRecorder(f.eng, trace.RecorderConfig{SpanWriter: io.Discard})
@@ -34,15 +33,11 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	})
 	f.ls.Spines = 3
 	f.net = topology.BuildLeafSpine(f.eng, f.ls)
-	f.ctl = Attach(f.params(cfg))
+	f.ctl = Attach(Params{Net: f.net, Eng: f.eng, Reg: f.reg, Rec: f.rec})
 	if f.ctl == nil {
-		t.Fatal("Attach returned nil for an enabled config on a leaf-spine fabric")
+		t.Fatal("Attach returned nil on a leaf-spine fabric")
 	}
 	return f
-}
-
-func (f *fixture) params(cfg Config) Params {
-	return Params{Net: f.net, Cfg: cfg, Eng: f.eng, Reg: f.reg, Rec: f.rec}
 }
 
 // routes returns the route events recorded so far.
@@ -53,48 +48,35 @@ func (f *fixture) routes() []trace.RouteEvent {
 
 func (f *fixture) counter(name string) int64 { return f.reg.Snapshot().Counters[name] }
 
-// picks returns leaf rack's resolved spine for every (dstRack, bucket).
+// picks returns leaf rack's resolved spine for every (dstRack, hashed
+// spine).
 func (f *fixture) picks(rack int) [][]int {
 	tbl := f.net.RouteTable(rack)
 	out := make([][]int, f.ls.Leaves)
 	for q := range out {
-		for b := 0; b < tbl.Buckets(); b++ {
-			out[q] = append(out[q], tbl.PickBucket(q, b))
+		for s := 0; s < f.ls.Spines; s++ {
+			out[q] = append(out[q], tbl.PickFrom(q, s))
 		}
 	}
 	return out
 }
 
-// load keeps leaf rack's uplink to spine busy for n MTU serializations
-// (1.2 µs each at the fabric's 10 Gbps) starting now; the packets die
-// at the destination host, which has no transport installed.
-func (f *fixture) load(rack, spine, n int) {
-	port := f.net.SpineUpLinks(rack)[spine].Port
-	dst := f.net.Hosts[((rack+1)%f.ls.Leaves)*f.ls.HostsPerLeaf].ID()
-	for i := 0; i < n; i++ {
-		port.Send(&pkt.Packet{Size: pkt.MTU, Dst: dst, Flow: 1})
-	}
-}
-
+// TestAttachDisabledOrTree: a tree fabric has no route tables, so
+// Attach returns nil, and a nil controller is a valid, inert
+// OnLinkState target.
 func TestAttachDisabledOrTree(t *testing.T) {
-	f := newFixture(t, Config{Reroute: true})
-	if c := Attach(f.params(Config{})); c != nil {
-		t.Error("Attach with the zero Config returned a controller, want nil")
-	}
+	f := newFixture(t)
 	tree := topology.Build(sim.NewEngine(), topology.Baseline(func(topology.QueueKind) netem.Queue {
 		return netem.NewDropTail(16)
 	}))
-	p := f.params(Config{Reroute: true, TE: true})
-	p.Net = tree
-	if c := Attach(p); c != nil {
+	if c := Attach(Params{Net: tree, Eng: f.eng}); c != nil {
 		t.Error("Attach on a tree fabric returned a controller, want nil")
 	}
-	// A nil controller is a valid, inert OnLinkState target.
 	(*Controller)(nil).LinkState(f.ls.UplinkID(0, 0), true)
 }
 
 func TestUplinkFailoverAndExactRecovery(t *testing.T) {
-	f := newFixture(t, Config{Reroute: true})
+	f := newFixture(t)
 	const rack, dead = 1, 2
 	before := f.picks(rack)
 	link := f.ls.UplinkID(rack, dead)
@@ -102,13 +84,13 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 	f.ctl.LinkState(link, true)
 	// Repaired before LinkState returns: no event has run.
 	for q, row := range f.picks(rack) {
-		for b, s := range row {
-			want := before[q][b]
+		for h, s := range row {
+			want := before[q][h]
 			if want == dead {
 				want = (dead + 1) % f.ls.Spines
 			}
 			if s != want {
-				t.Errorf("down: dst rack %d bucket %d resolves to spine %d, want %d", q, b, s, want)
+				t.Errorf("down: dst rack %d, hashed spine %d resolves to spine %d, want %d", q, h, s, want)
 			}
 		}
 	}
@@ -126,25 +108,21 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 		t.Error("table not clean after the uplink came back")
 	}
 	for q, row := range f.picks(rack) {
-		for b, s := range row {
-			if s != before[q][b] {
-				t.Errorf("up: dst rack %d bucket %d resolves to spine %d, want %d", q, b, s, before[q][b])
+		for h, s := range row {
+			if s != before[q][h] {
+				t.Errorf("up: dst rack %d, hashed spine %d resolves to spine %d, want %d", q, h, s, before[q][h])
 			}
 		}
 	}
 
-	moved := int64(topology.RouteBucketsPerSpine)
 	want := []trace.RouteEvent{
-		{At: 0, Rack: rack, Kind: trace.RouteLinkDown, Spine: dead, Arg: moved},
-		{At: 0, Rack: rack, Kind: trace.RouteLinkUp, Spine: dead, Arg: moved},
+		{At: 0, Rack: rack, Kind: trace.RouteLinkDown, Spine: dead},
+		{At: 0, Rack: rack, Kind: trace.RouteLinkUp, Spine: dead},
 	}
 	if got := f.routes(); !slices.Equal(got, want) {
 		t.Errorf("recorded %+v, want %+v", got, want)
 	}
-	for name, v := range map[string]int64{
-		"route/link_down": 1, "route/link_up": 1, "route/reroutes": 2 * moved,
-		"route/te_epochs": 0, "route/te_moves": 0,
-	} {
+	for name, v := range map[string]int64{"route/link_down": 1, "route/link_up": 1} {
 		if got := f.counter(name); got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
@@ -158,7 +136,7 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 }
 
 func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
-	f := newFixture(t, Config{Reroute: true})
+	f := newFixture(t)
 	const orphan, dead = 2, 1
 
 	f.ctl.LinkState(f.ls.UplinkID(orphan, dead)+1, true)
@@ -188,82 +166,18 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 		if tbl.Avail(orphan, dead) {
 			t.Errorf("leaf %d still routes to rack %d over spine %d", r, orphan, dead)
 		}
-		for b := 0; b < tbl.Buckets(); b++ {
-			if tbl.PickBucket(orphan, b) == dead {
-				t.Errorf("leaf %d bucket %d still resolves to the dead spine", r, b)
+		for s := 0; s < f.ls.Spines; s++ {
+			if tbl.PickFrom(orphan, s) == dead {
+				t.Errorf("leaf %d: flows hashed onto spine %d still resolve to the dead spine", r, s)
 			}
 		}
 	}
 
-	moved := int64(topology.RouteBucketsPerSpine)
-	want := trace.RouteEvent{
-		At: sim.Time(f.ls.LinkDelay), Rack: orphan, Kind: trace.RouteLinkDown, Spine: dead, Arg: moved,
-	}
+	want := trace.RouteEvent{At: sim.Time(f.ls.LinkDelay), Rack: orphan, Kind: trace.RouteLinkDown, Spine: dead}
 	if got := f.routes(); len(got) != 1 || got[0] != want {
 		t.Errorf("recorded %+v, want exactly %+v (once, at the orphaned rack)", got, want)
 	}
 	if got := f.counter("route/link_down"); got != 1 {
 		t.Errorf("route/link_down = %d, want 1 (one transition, not one per leaf)", got)
-	}
-	if got, want := f.counter("route/reroutes"), int64(f.ls.Leaves)*moved; got != want {
-		t.Errorf("route/reroutes = %d, want %d", got, want)
-	}
-}
-
-func TestTEHysteresisMoveAndDwell(t *testing.T) {
-	f := newFixture(t, Config{TE: true})
-	const rack = 0
-	tbl := f.net.RouteTable(rack)
-	epoch := sim.Time(DefaultEpoch)
-	runTo := func(at sim.Time) {
-		t.Helper()
-		if err := f.eng.RunUntil(at); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Epoch 1: spine 0 at 6 % against idle spines — inside the 10 %
-	// hysteresis band, nothing moves.
-	f.load(rack, 0, 50)
-	runTo(epoch)
-	if !tbl.Clean() || f.counter("route/te_moves") != 0 {
-		t.Fatalf("a 6%% gap moved a bucket (te_moves = %d)", f.counter("route/te_moves"))
-	}
-
-	// Epoch 2: spine 0 at 24 % — one bucket, the first on spine 0,
-	// moves to the coldest spine; only one per epoch.
-	f.load(rack, 0, 200)
-	runTo(2 * epoch)
-	if got := tbl.BucketSpine(0); got != 1 {
-		t.Fatalf("bucket 0 on spine %d after the hot epoch, want 1", got)
-	}
-	if got := f.counter("route/te_moves"); got != 1 {
-		t.Fatalf("te_moves = %d after one hot epoch, want 1", got)
-	}
-
-	// Epoch 3: spine 1 is now the hot one. Bucket 0 sits on it but
-	// moved 1 ms ago, inside the 5 ms dwell, so it stays and the next
-	// bucket on spine 1 moves instead (to spine 0, the first idle one).
-	f.load(rack, 1, 200)
-	runTo(3 * epoch)
-	if got := tbl.BucketSpine(0); got != 1 {
-		t.Errorf("bucket 0 moved again inside its dwell time (now on spine %d)", got)
-	}
-	if got := tbl.BucketSpine(1); got != 0 {
-		t.Errorf("bucket 1 on spine %d, want 0: dwell must skip one bucket, not the epoch", got)
-	}
-
-	if got, want := f.counter("route/te_epochs"), int64(3*f.ls.Leaves); got != want {
-		t.Errorf("route/te_epochs = %d, want %d (every leaf, every epoch)", got, want)
-	}
-	if got := f.counter("route/te_moves"); got != 2 {
-		t.Errorf("route/te_moves = %d, want 2", got)
-	}
-	want := []trace.RouteEvent{
-		{At: 2 * epoch, Rack: rack, Kind: trace.RouteTEMove, Spine: 1, Arg: 0},
-		{At: 3 * epoch, Rack: rack, Kind: trace.RouteTEMove, Spine: 0, Arg: 1},
-	}
-	if got := f.routes(); !slices.Equal(got, want) {
-		t.Errorf("recorded %+v, want %+v", got, want)
 	}
 }

@@ -48,9 +48,6 @@ func TestRouteTableCleanMatchesECMP(t *testing.T) {
 		if !rt.Clean() {
 			t.Fatalf("spines=%d: fresh table is not clean", spines)
 		}
-		if rt.Buckets() != spines*RouteBucketsPerSpine {
-			t.Fatalf("spines=%d: buckets=%d", spines, rt.Buckets())
-		}
 		for f := pkt.FlowID(1); f <= 2000; f++ {
 			for dst := 0; dst < 4; dst++ {
 				if got, want := rt.Pick(dst, f), ECMPSpine(f, spines); got != want {
@@ -62,8 +59,8 @@ func TestRouteTableCleanMatchesECMP(t *testing.T) {
 }
 
 // TestRouteTableRehashMinimalChurn pins the failover property on a
-// 3-spine table: downing one uplink moves exactly the buckets assigned
-// to that spine (everything else keeps its path), and bringing it back
+// 3-spine table: downing one uplink moves exactly the flows hashed onto
+// that spine (everything else keeps its path), and bringing it back
 // restores the original assignment bit-for-bit.
 func TestRouteTableRehashMinimalChurn(t *testing.T) {
 	const spines, racks, flows = 3, 4, 2000
@@ -74,10 +71,8 @@ func TestRouteTableRehashMinimalChurn(t *testing.T) {
 	}
 
 	const dead = 1
-	if moved := rt.SetUplink(dead, true); moved != RouteBucketsPerSpine {
-		t.Fatalf("SetUplink moved %d buckets, want %d", moved, RouteBucketsPerSpine)
-	}
-	if rt.Clean() || rt.SpineUp(dead) {
+	rt.SetUplink(dead, true)
+	if rt.Clean() || rt.Avail(1, dead) {
 		t.Fatal("downed table should be dirty with the spine marked down")
 	}
 	for f := pkt.FlowID(1); f <= flows; f++ {
@@ -138,47 +133,12 @@ func TestRouteTableOutagesNest(t *testing.T) {
 	rt.SetUplink(0, true)
 	rt.SetUplink(0, true)
 	rt.SetUplink(0, false)
-	if rt.SpineUp(0) {
+	if rt.Avail(1, 0) {
 		t.Fatal("one up should not clear two downs")
 	}
 	rt.SetUplink(0, false)
-	if !rt.SpineUp(0) || !rt.Clean() {
+	if !rt.Avail(1, 0) || !rt.Clean() {
 		t.Fatal("second up should restore the clean table")
-	}
-}
-
-// TestRouteTableOverride pins the TE move: an override shifts exactly
-// its bucket, composes with failures, and -1 restores the default.
-func TestRouteTableOverride(t *testing.T) {
-	const spines = 3
-	rt := testTable(spines, 2)
-	const b = 4 // default spine 4 % 3 = 1
-	rt.SetOverride(b, 2)
-	if rt.Clean() || rt.BucketSpine(b) != 2 {
-		t.Fatalf("override: clean=%v spine=%d", rt.Clean(), rt.BucketSpine(b))
-	}
-	for f := pkt.FlowID(1); f <= 2000; f++ {
-		want := ECMPSpine(f, spines)
-		if rt.BucketOf(f) == b {
-			want = 2
-		}
-		if got := rt.Pick(0, f); got != want {
-			t.Fatalf("flow %d: Pick=%d, want %d", f, got, want)
-		}
-	}
-	// The override target failing detours the bucket like any other.
-	rt.SetUplink(2, true)
-	if got := rt.PickBucket(0, b); got != 0 {
-		t.Fatalf("overridden bucket with dead target picked %d, want survivor 0", got)
-	}
-	rt.SetUplink(2, false)
-	// Re-pinning a pinned bucket, and clearing a clear one, leave one
-	// pin to clear.
-	rt.SetOverride(b, 0)
-	rt.SetOverride(b+1, -1)
-	rt.SetOverride(b, -1)
-	if !rt.Clean() {
-		t.Fatal("clearing the override should restore the clean table")
 	}
 }
 

@@ -116,8 +116,8 @@ func (ps *perfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []R
 		// route-free exports stay byte-identical to pre-routing builds.
 		ps.event(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"routing"}}`, pidRoute)
 		for _, r := range route {
-			ps.event(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%q,"cat":"route","args":{"rack":%d,"spine":%d,"arg":%d}}`,
-				pidRoute, r.Rack, ts(int64(r.At)), r.Kind.String(), r.Rack, r.Spine, r.Arg)
+			ps.event(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%q,"cat":"route","args":{"rack":%d,"spine":%d}}`,
+				pidRoute, r.Rack, ts(int64(r.At)), r.Kind.String(), r.Rack, r.Spine)
 		}
 	}
 	ps.b.WriteString("\n]}\n")

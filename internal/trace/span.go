@@ -133,14 +133,10 @@ type RouteKind uint8
 
 const (
 	// RouteLinkDown: a link failure reached a leaf's route table and
-	// the affected buckets detoured (Arg = buckets rerouted).
+	// the flows on it detoured.
 	RouteLinkDown RouteKind = iota
-	// RouteLinkUp: the failed link recovered and its buckets returned
-	// (Arg = buckets restored).
+	// RouteLinkUp: the failed link recovered and its flows returned.
 	RouteLinkUp
-	// RouteTEMove: a TE epoch shifted one bucket off a hot spine
-	// (Spine = source, Arg = target spine).
-	RouteTEMove
 )
 
 // String names the route event kind for export.
@@ -150,24 +146,18 @@ func (k RouteKind) String() string {
 		return "link_down"
 	case RouteLinkUp:
 		return "link_up"
-	case RouteTEMove:
-		return "te_move"
 	}
 	return "route?"
 }
 
 // RouteEvent is one routing-control update applied to a leaf's route
-// table — a reroute around a failure or a TE bucket move.
+// table: a reroute around a failed link, or its recovery.
 type RouteEvent struct {
 	At   sim.Time
 	Rack int // the leaf whose table changed
 	Kind RouteKind
-	// Spine is the subject spine (the failed/recovered one, or the
-	// source of a TE move).
+	// Spine is the failed or recovered spine.
 	Spine int
-	// Arg carries kind-specific detail: buckets moved for link events,
-	// the target spine for TE moves.
-	Arg int64
 }
 
 // CtrlOutcome classifies one arbitration half-exchange.
@@ -250,8 +240,8 @@ const (
 	DefaultMaxPerFlow = 256
 	DefaultCtrlCap    = 1 << 18
 	// DefaultRouteCap bounds retained routing-control events; route
-	// updates are rare (failures and one TE move per epoch per leaf),
-	// so the ring almost never wraps.
+	// updates are rare (one per link failure or recovery), so the ring
+	// almost never wraps.
 	DefaultRouteCap  = 1 << 16
 	DefaultSampleCap = 1 << 18
 )
@@ -551,8 +541,8 @@ func (r *Recorder) Route(ev RouteEvent) {
 	r.route.Add(ev)
 }
 
-// routeLess is the canonical (At, Rack, Kind, Spine, Arg) order of
-// route events.
+// routeLess is the canonical (At, Rack, Kind, Spine) order of route
+// events.
 func routeLess(a, b RouteEvent) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -563,10 +553,7 @@ func routeLess(a, b RouteEvent) bool {
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind
 	}
-	if a.Spine != b.Spine {
-		return a.Spine < b.Spine
-	}
-	return a.Arg < b.Arg
+	return a.Spine < b.Spine
 }
 
 // SampleQueues starts the queue track: every interval it records the
@@ -601,7 +588,7 @@ func (r *Recorder) SampleQueues(every sim.Duration, ports []*netem.Port) {
 
 // RunTrace is what a run's recording retains, in canonical order: Ctrl
 // by (Start, Flow, side, level), Queue by (At, Idx), Route by (At,
-// Rack, Kind, Spine, Arg). The order — and therefore the exported
+// Rack, Kind, Spine). The order — and therefore the exported
 // bytes — is identical at every parallelism (up to the capacity caps;
 // see Stats for what was shed). The flow tracks went to their writers
 // as the run went.
@@ -709,7 +696,6 @@ func (rt *RunTrace) Digest() uint64 {
 		h.mix(int64(r.Rack))
 		h.mix(int64(r.Kind))
 		h.mix(int64(r.Spine))
-		h.mix(r.Arg)
 	}
 	return uint64(h)
 }

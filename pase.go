@@ -47,7 +47,6 @@ import (
 	"pase/internal/experiments"
 	"pase/internal/faults"
 	"pase/internal/obs"
-	"pase/internal/route"
 	"pase/internal/sim"
 	"pase/internal/trace"
 )
@@ -145,10 +144,6 @@ type TraceConfig = experiments.TraceConfig
 // https://ui.perfetto.dev.
 type Trace = trace.RunTrace
 
-// RouteConfig enables failure rerouting and hotspot traffic
-// engineering on leaf-spine fabrics.
-type RouteConfig = route.Config
-
 // Duration is simulated time in nanoseconds; convert a time.Duration
 // with Duration(d).
 type Duration = sim.Duration
@@ -239,9 +234,6 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	if cfg.AbortAfter < 0 {
 		return cfg, fmt.Errorf("pase: AbortAfter must not be negative, got %v", cfg.AbortAfter)
 	}
-	if cfg.Route.Epoch < 0 {
-		return cfg, fmt.Errorf("pase: Route.Epoch must not be negative, got %v", cfg.Route.Epoch)
-	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolPASE
 	}
@@ -253,6 +245,18 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	}
 	if !experiments.KnownScenario(cfg.Scenario) {
 		return cfg, fmt.Errorf("pase: unknown scenario %q", cfg.Scenario)
+	}
+	if cfg.Reroute && !experiments.Reroutable(cfg.Scenario) {
+		return cfg, fmt.Errorf("pase: Reroute needs a leaf-spine Scenario; %q has no route tables to reroute", cfg.Scenario)
+	}
+	if p := cfg.PASE; p.Central {
+		// The central arm arbitrates whole paths in one exchange: there
+		// is no hierarchy to shape, prune, delegate or cut short.
+		set := []bool{p.LocalOnly, p.NoPruning, p.NoDelegation, p.HierFanOut != 0, p.HierTopShards != 0}
+		if i := slices.Index(set, true); i >= 0 {
+			field := []string{"LocalOnly", "NoPruning", "NoDelegation", "HierFanOut", "HierTopShards"}[i]
+			return cfg, fmt.Errorf("pase: PASE.Central runs no arbitration hierarchy, so it cannot take PASE.%s", field)
+		}
 	}
 	return cfg, nil
 }

@@ -105,7 +105,10 @@ func TestSimulateRejectsOutOfRange(t *testing.T) {
 		{"Trace.SampleN", pase.SimConfig{Trace: pase.TraceConfig{SampleN: -3}}},
 		{"Trace.QueueSample", pase.SimConfig{Trace: pase.TraceConfig{QueueSample: -pase.Duration(1)}}},
 		{"AbortAfter", pase.SimConfig{AbortAfter: -pase.Duration(1)}},
-		{"Route.Epoch", pase.SimConfig{Route: pase.RouteConfig{TE: true, Epoch: -pase.Duration(1)}}},
+		{"Reroute", pase.SimConfig{Reroute: true}},
+		{"PASE.NoPruning", pase.SimConfig{PASE: pase.PASEOptions{Central: true, NoPruning: true}}},
+		{"PASE.NoDelegation", pase.SimConfig{PASE: pase.PASEOptions{Central: true, NoDelegation: true}}},
+		{"PASE.HierTopShards", pase.SimConfig{PASE: pase.PASEOptions{Central: true, HierTopShards: 1}}},
 	} {
 		c.cfg.Load, c.cfg.NumFlows, c.cfg.Scenario = 0.5, 10, "ctrlscale-16"
 		if _, err := pase.Simulate(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
@@ -227,7 +230,7 @@ func TestListFiguresAndRun(t *testing.T) {
 
 // TestSimManifestGolden pins the manifest pasesim writes: the recorded
 // SimConfig fields, the seed count and the report totals. Fields the
-// manifest does not record (Check, Route, AbortAfter, PASE, Trace) are
+// manifest does not record (Check, Reroute, AbortAfter, PASE, Trace) are
 // set too and must stay out. PASE_UPDATE=1 rewrites the file.
 func TestSimManifestGolden(t *testing.T) {
 	plan, err := pase.ParseFaults("loss:link=*,class=data,rate=0.01")
@@ -235,7 +238,7 @@ func TestSimManifestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: pase.ScenarioLeftRight, Load: 0.7, NumFlows: 150, Seed: 3,
-		Check: true, Faults: plan, Route: pase.RouteConfig{Reroute: true}, AbortAfter: pase.Duration(time.Millisecond),
+		Check: true, Faults: plan, Reroute: true, AbortAfter: pase.Duration(time.Millisecond),
 		Stream: true, Shards: 2, Trace: pase.TraceConfig{SampleN: 4}, PASE: pase.PASEOptions{NoPruning: true}}
 	reps := []*pase.Report{{Summary: metrics.Summary{Retransmits: 5, Timeouts: 1}}, {Summary: metrics.Summary{Retransmits: 7, Timeouts: 2}}}
 	m := pase.NewSimManifest("pasesim", cfg, reps, 2, time.Now(), time.Second)
