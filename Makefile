@@ -56,11 +56,21 @@ alloc-gate:
 scale-smoke:
 	PASE_CHECK=1 PASE_SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke' -count=1 -v ./internal/experiments/
 
-# Sharded-engine smoke: one checked 10^5-flow sharded streaming run end
-# to end (the shards=N twins and TestSharded* run in check-test, and
+# Sharded-engine smoke: checked 4-shard runs end to end — a 10^5-flow
+# leaf-spine streaming run, a tree run and a fault-free rerouted
+# leaf-spine run. A leg fails if pasesim reports a serial fallback on
+# stderr (the shards=N twins and TestSharded* run in check-test, and
 # under the race detector in race).
 shard-smoke:
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
+	@mkdir -p artifacts; for leg in \
+		"-scenario leaf-spine-wide -scale 100000 -load 0.6" \
+		"-scenario left-right -load 0.6 -stream -flows 20000" \
+		"-scenario leaf-spine -load 0.6 -flows 2000 -reroute"; do \
+		echo "pasesim -protocol DCTCP $$leg -shards 4"; \
+		PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP $$leg -shards 4 -progress=false 2>artifacts/shard-smoke.err; \
+		status=$$?; cat artifacts/shard-smoke.err >&2; \
+		if [ $$status -ne 0 ] || grep -q 'ran on the serial engine' artifacts/shard-smoke.err; then exit 1; fi; \
+	done
 
 # Recorder smoke: one checked, faulted traced run end to end, stored
 # and streamed (-stream), whose two trace files must be byte-identical

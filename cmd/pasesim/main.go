@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.Reroute, "reroute", false, "leaf-spine fabrics: reroute around failed fabric links (reacts to -faults link outages)")
 	fs.DurationVar((*time.Duration)(&cfg.AbortAfter), "abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
 	fs.BoolVar(&cfg.Stream, "stream", false, "bounded-memory run: flow records fold into sketch quantiles instead of being kept")
-	fs.IntVar(&cfg.Shards, "shards", 0, "engine shards for the run (0/1 = serial; results byte-identical at any setting; PASE/PDQ and traced, faulted or routed runs run serially and say so on stderr)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "engine shards for the run (0/1 = serial; results byte-identical at any setting; PASE/PDQ and traced or faulted runs run serially and say so on stderr)")
 	fs.BoolVar(&cfg.Obs, "obs", false, "collect run observability and write a manifest (see -manifest)")
 	fs.BoolVar(&cfg.Check, "check", false, "run with the runtime invariant checker; exit 1 on any violation")
 	var (

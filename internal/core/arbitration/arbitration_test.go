@@ -345,7 +345,7 @@ func TestReleaseRemovesEverywhere(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	up := net.PathUp(0, 159)
+	up := net.PathUp(0, 159, 1)
 	if sys.Arbitrator(up[0].ID).Flows() != 1 {
 		t.Fatal("flow not registered at host uplink")
 	}

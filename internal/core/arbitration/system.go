@@ -421,7 +421,7 @@ func (sys *System) InitClient(c *Client, flow pkt.FlowID, src, dst pkt.NodeID) {
 	sys.Stats.Setups++
 	sys.inflight++
 	sys.o.inflight.Update(sys.inflight)
-	dstClimb := append(c.dstClimb[:0], sys.net.PathDownFlow(src, dst, flow)...)
+	dstClimb := append(c.dstClimb[:0], sys.net.PathDown(src, dst, flow)...)
 	slices.Reverse(dstClimb)
 	*c = Client{
 		sys:      sys,
@@ -429,7 +429,7 @@ func (sys *System) InitClient(c *Client, flow pkt.FlowID, src, dst pkt.NodeID) {
 		src:      src,
 		dst:      dst,
 		gen:      c.gen + 1,
-		upPath:   sys.net.PathUpFlow(src, dst, flow),
+		upPath:   sys.net.PathUp(src, dst, flow),
 		dstClimb: dstClimb,
 	}
 }

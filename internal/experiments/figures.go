@@ -63,7 +63,7 @@ type Opts struct {
 	// Shards splits every point's fabric across this many
 	// independently-clocked engine shards (0 or 1 = serial). Results are
 	// byte-identical to serial runs at every setting; points that cannot
-	// shard (PASE, PDQ, traced, faulted or routed runs, single-atom
+	// shard (PASE, PDQ, traced or faulted runs, single-atom
 	// topologies) run on the serial engine and report why in
 	// PointResult.ShardFallback. Note the
 	// multiplicative core budget with Parallelism: a pooled figure runs
@@ -693,7 +693,7 @@ func ratio(a, b float64) float64 {
 
 // teUplinkChaos downs the first k leaf→spine-0 uplinks, staggered
 // TEFaultStagger apart so no two rules fire at one instant.
-func teUplinkChaos(ls topology.LeafSpineConfig, k int, seed uint64) *faults.Plan {
+func teUplinkChaos(ls topology.Config, k int, seed uint64) *faults.Plan {
 	if k <= 0 {
 		return nil
 	}

@@ -220,7 +220,7 @@ type PointConfig struct {
 	// synchronized by conservative lookahead (0 or 1 = serial).
 	// Results are byte-identical to serial at every shard count.
 	// Protocols with fabric-synchronous control planes (PASE, PDQ),
-	// traced, faulted and routed runs, and single-atom fabrics run on
+	// traced and faulted runs, and single-atom fabrics run on
 	// the serial engine instead: PointResult.ShardFallback names the
 	// reason (and, when Obs is set, so does the shard/fallback_serial
 	// counter).
@@ -258,7 +258,7 @@ type PointResult struct {
 	// already streamed to their writers.
 	Trace *trace.RunTrace
 	// ShardFallback names why a PointConfig.Shards > 1 request ran on
-	// the serial engine: "pase", "pdq", "trace", "faults", "route" or
+	// the serial engine: "pase", "pdq", "trace", "faults" or
 	// "single_atom"; "" when the run sharded or no sharding was asked
 	// for.
 	ShardFallback string
@@ -266,10 +266,9 @@ type PointResult struct {
 
 // scenarioSpec bundles what a scenario needs.
 type scenarioSpec struct {
-	// tree is the tree fabric; buildLS, when set, builds a leaf-spine
-	// fabric instead. Both leave the queue factory to the runner.
-	tree      topology.Config
-	buildLS   *topology.LeafSpineConfig
+	// fabric is the scenario's tree or leaf-spine (Spines > 0); the
+	// runner fills in its queue factory and shard hooks.
+	fabric    topology.Config
 	pattern   workload.Pattern
 	sizes     workload.SizeDist
 	reference netem.BitRate
@@ -289,9 +288,9 @@ type scenarioSpec struct {
 
 // teFailoverLS is the te-failover fabric. The te figure's fault
 // plans compute link IDs from it, so they read the scenario's own.
-func teFailoverLS() topology.LeafSpineConfig {
+func teFailoverLS() topology.Config {
 	sp, _ := lookupScenario(TEFailover)
-	return *sp.buildLS
+	return sp.fabric
 }
 
 type scenarioEntry struct {
@@ -304,7 +303,7 @@ type scenarioEntry struct {
 // members parse separately (CtrlScaleRacksOf).
 var scenarioTable = []scenarioEntry{
 	{LeftRight, scenarioSpec{
-		tree:      topology.Baseline(nil),
+		fabric:    topology.Baseline(nil),
 		pattern:   workload.LeftRight{Left: workload.HostRange(0, 80), Right: workload.HostRange(80, 160)},
 		sizes:     workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		reference: leftRightReference,
@@ -318,7 +317,7 @@ var scenarioTable = []scenarioEntry{
 	{WorkerAgg, intraRackSpec(ShortFlowMin, ShortFlowMax, WorkerFanin, false)},
 	{Deadline, intraRackSpec(DeadlineFlowMin, DeadlineFlowMax, 0, true)},
 	{Testbed, scenarioSpec{
-		tree:      topology.Testbed(nil),
+		fabric:    topology.Testbed(nil),
 		pattern:   workload.LeftRight{Left: workload.HostRange(0, 9), Right: []pkt.NodeID{9}},
 		sizes:     workload.UniformSize{Min: DeadlineFlowMin, Max: DeadlineFlowMax},
 		reference: netem.Gbps, // the server's access link
@@ -360,7 +359,7 @@ func KnownScenario(s Scenario) bool {
 // nothing to reroute.
 func Reroutable(s Scenario) bool {
 	sp, ok := lookupScenario(s)
-	return ok && sp.buildLS != nil
+	return ok && sp.fabric.Spines > 0
 }
 
 // toy is Figure 3's example, which no CLI offers: one rack, hosts
@@ -371,7 +370,7 @@ func Reroutable(s Scenario) bool {
 const toy Scenario = "toy"
 
 var toySpec = scenarioSpec{
-	tree: topology.SingleRack(4, nil),
+	fabric: topology.SingleRack(4, nil),
 	flows: []workload.FlowSpec{
 		{ID: 1, Src: 0, Dst: 2, Size: 500_000},
 		{ID: 2, Src: 1, Dst: 2, Size: 750_000},
@@ -401,7 +400,7 @@ func lookupScenario(s Scenario) (scenarioSpec, bool) {
 // sizes U[minSize, maxSize], worker fan-in and deadlines as given.
 func intraRackSpec(minSize, maxSize int64, fanin int, deadlines bool) scenarioSpec {
 	return scenarioSpec{
-		tree:      topology.SingleRack(IntraRackHosts, nil),
+		fabric:    topology.SingleRack(IntraRackHosts, nil),
 		pattern:   workload.AllToAll{Hosts: workload.HostRange(0, IntraRackHosts)},
 		sizes:     workload.UniformSize{Min: minSize, Max: maxSize},
 		reference: intraRackReference(IntraRackHosts),
@@ -419,10 +418,10 @@ func intraRackSpec(minSize, maxSize int64, fanin int, deadlines bool) scenarioSp
 // cross leaves).
 func leafSpineSpec(leaves, spines int) scenarioSpec {
 	ls := topology.DefaultLeafSpine(nil)
-	ls.Leaves, ls.Spines = leaves, spines
-	hosts := ls.Leaves * ls.HostsPerLeaf
+	ls.Racks, ls.Spines = leaves, spines
+	hosts := ls.Racks * ls.HostsPerRack
 	return scenarioSpec{
-		buildLS: &ls,
+		fabric:  ls,
 		pattern: workload.AllToAll{Hosts: workload.HostRange(0, hosts)},
 		sizes:   workload.UniformSize{Min: ShortFlowMin, Max: ShortFlowMax},
 		// Load is defined against the total leaf-spine fabric
@@ -445,7 +444,7 @@ func leafSpineSpec(leaves, spines int) scenarioSpec {
 // so the access links stay the bottleneck at every sweep rate.
 func highspeedSpec(rate netem.BitRate, hosts, qSize, markK int) scenarioSpec {
 	return scenarioSpec{
-		tree: topology.Config{
+		fabric: topology.Config{
 			Racks: 2, HostsPerRack: hosts / 2, RacksPerAgg: 2,
 			EdgeRate: rate, FabricRate: netem.BitRate(hosts/2) * rate,
 			LinkDelay: HighspeedLinkDelay,
@@ -494,7 +493,7 @@ func ctrlScaleSpec(racks int) scenarioSpec {
 	}
 	hosts := racks * CtrlScaleHostsPerRack
 	return scenarioSpec{
-		tree: topology.Config{
+		fabric: topology.Config{
 			Racks: racks, HostsPerRack: CtrlScaleHostsPerRack, RacksPerAgg: rpa,
 			EdgeRate: netem.Gbps, FabricRate: 10 * netem.Gbps,
 			LinkDelay: HighspeedLinkDelay,
@@ -519,7 +518,7 @@ func ctrlScaleSpec(racks int) scenarioSpec {
 func incastSpec(senders int, rate netem.BitRate) scenarioSpec {
 	hosts := senders + 1
 	return scenarioSpec{
-		tree: topology.Config{
+		fabric: topology.Config{
 			Racks: 1, HostsPerRack: hosts, RacksPerAgg: 1,
 			EdgeRate: rate, FabricRate: rate,
 			LinkDelay: HighspeedLinkDelay,
@@ -621,10 +620,9 @@ type shardEnv struct {
 // switch state are fabric-synchronous — senders call into shared
 // structures inline, with no link delay between shards to hide the
 // latency — so those runs keep the serial engine. So do runs with a
-// trace track, a fault plan or rerouting (on a leaf-spine fabric; tree
-// fabrics have nothing to steer): the
-// recorder, the fault injector and the controller each run on one
-// engine. A single-atom fabric has nothing to cut.
+// trace track or a fault plan: the recorder, the fault injector and
+// the routing controller (attached only to a faulted run) each run on
+// one engine. A single-atom fabric has nothing to cut.
 func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 	if cfg.Shards <= 1 {
 		return nil, ""
@@ -638,15 +636,8 @@ func partition(cfg PointConfig, sp scenarioSpec) (*topology.Partition, string) {
 		return nil, "trace"
 	case !cfg.Faults.Empty():
 		return nil, "faults"
-	case cfg.Reroute && sp.buildLS != nil:
-		return nil, "route"
 	}
-	var part *topology.Partition
-	if sp.buildLS != nil {
-		part = topology.PartitionLeafSpine(*sp.buildLS, cfg.Shards)
-	} else {
-		part = topology.PartitionTree(sp.tree, cfg.Shards)
-	}
+	part := topology.PartitionFabric(sp.fabric, cfg.Shards)
 	if part.Shards < 2 {
 		return nil, "single_atom"
 	}
@@ -675,10 +666,7 @@ func RunPoint(cfg PointConfig) PointResult {
 	if numQueues == 0 {
 		numQueues = PASENumQueues
 	}
-	linkDelay := sp.tree.LinkDelay
-	if sp.buildLS != nil {
-		linkDelay = sp.buildLS.LinkDelay
-	}
+	linkDelay := sp.fabric.LinkDelay
 
 	part, fallback := partition(cfg, sp)
 	shardOf := func(pkt.NodeID) int { return 0 }
@@ -737,20 +725,11 @@ func RunPoint(cfg PointConfig) PointResult {
 	for i := range envs {
 		qf[i] = queueFactory(cfg.Protocol, sp, numQueues, envs[i].reg)
 	}
-	engineOf := func(o netem.Node) *sim.Engine { return envOf(o.ID()).eng }
-	queueFor := func(kind topology.QueueKind, o netem.Node) netem.Queue {
+	sp.fabric.EngineOf = func(o netem.Node) *sim.Engine { return envOf(o.ID()).eng }
+	sp.fabric.NewQueueFor = func(kind topology.QueueKind, o netem.Node) netem.Queue {
 		return qf[shardOf(o.ID())](kind)
 	}
-	var net *topology.Network
-	if sp.buildLS != nil {
-		ls := *sp.buildLS
-		ls.EngineOf, ls.NewQueueFor = engineOf, queueFor
-		net = topology.BuildLeafSpine(envs[0].eng, ls)
-	} else {
-		tree := sp.tree
-		tree.EngineOf, tree.NewQueueFor = engineOf, queueFor
-		net = topology.Build(envs[0].eng, tree)
-	}
+	net := topology.Build(envs[0].eng, sp.fabric)
 	// Every CreditQueue learns its port (engine clock, transmitter kick,
 	// rate-derived pacing gap) and every port its shard's checker.
 	for _, l := range net.Links {

@@ -22,7 +22,7 @@ func teChaosPoint(p Protocol, reroute bool) PointConfig {
 		Obs:        true,
 		Reroute:    reroute,
 		AbortAfter: TEAbortAfter,
-		Faults:     teUplinkChaos(ls, ls.Leaves, 1),
+		Faults:     teUplinkChaos(ls, ls.Racks, 1),
 	}
 }
 
@@ -59,9 +59,9 @@ func TestTERerouteSurvival(t *testing.T) {
 		t.Errorf("survival %.3f (%d/%d completed, %d aborted), want >= 0.95",
 			survival, sum.Completed, sum.Flows, sum.Aborted)
 	}
-	if n := r.Obs.Counters["route/link_down"]; n != int64(teFailoverLS().Leaves) {
+	if n := r.Obs.Counters["route/link_down"]; n != int64(teFailoverLS().Racks) {
 		t.Errorf("route/link_down = %d, want %d (one per failed uplink)",
-			n, teFailoverLS().Leaves)
+			n, teFailoverLS().Racks)
 	}
 
 	clean := cfg

@@ -54,6 +54,22 @@ type QueueStats struct {
 	MaxLen         int
 }
 
+// Add folds o into s: the counts add and MaxLen takes the larger, so
+// a total over many queues reads MaxLen as "deepest any queue ever
+// got".
+func (s *QueueStats) Add(o *QueueStats) {
+	s.Enqueued += o.Enqueued
+	s.Dequeued += o.Dequeued
+	s.Dropped += o.Dropped
+	s.DroppedBytes += o.DroppedBytes
+	s.Marked += o.Marked
+	s.EnqueuedData += o.EnqueuedData
+	s.DroppedData += o.DroppedData
+	s.EnqueuedCredit += o.EnqueuedCredit
+	s.DroppedCredit += o.DroppedCredit
+	s.MaxLen = max(s.MaxLen, o.MaxLen)
+}
+
 func (s *QueueStats) drop(p *pkt.Packet) {
 	s.Dropped++
 	s.DroppedBytes += int64(p.Size)

@@ -22,7 +22,7 @@ import (
 // sequences and checks every leaf's data path after each step.
 type prover struct {
 	t   *testing.T
-	ls  topology.LeafSpineConfig
+	ls  topology.Config
 	eng *sim.Engine
 	net *topology.Network
 	ctl *Controller
@@ -45,9 +45,9 @@ type prover struct {
 
 func newProver(t *testing.T, leaves, spines, hostsPerLeaf int) *prover {
 	ls := topology.DefaultLeafSpine(func(topology.QueueKind) netem.Queue { return netem.NewDropTail(64) })
-	ls.Leaves, ls.Spines, ls.HostsPerLeaf = leaves, spines, hostsPerLeaf
+	ls.Racks, ls.Spines, ls.HostsPerRack = leaves, spines, hostsPerLeaf
 	p := &prover{t: t, ls: ls, eng: sim.NewEngine(), live: make([]bool, spines)}
-	p.net = topology.BuildLeafSpine(p.eng, ls)
+	p.net = topology.Build(p.eng, ls)
 	p.ctl = Attach(Params{Net: p.net, Eng: p.eng})
 	for _, h := range p.net.Hosts {
 		h.Handler = func(pk *pkt.Packet) { p.at, p.hops = h.ID(), int(pk.Hops) }
@@ -69,7 +69,7 @@ func (p *prover) down(link int) bool { return slices.Contains(p.downs, link) }
 func (p *prover) failf(format string, args ...any) {
 	p.t.Helper()
 	p.t.Fatalf("%dx%d, after %v: "+format,
-		append([]any{p.ls.Leaves, p.ls.Spines, p.trail}, args...)...)
+		append([]any{p.ls.Racks, p.ls.Spines, p.trail}, args...)...)
 }
 
 // set moves one fabric link through the controller, as the fault
@@ -95,7 +95,7 @@ func (p *prover) set(link int, down bool) {
 // Pick sends it; then it forwards one real packet per destination rack.
 func (p *prover) check() {
 	spines := p.ls.Spines
-	for r := 0; r < p.ls.Leaves; r++ {
+	for r := 0; r < p.ls.Racks; r++ {
 		tbl := p.net.RouteTable(r)
 		// Every leaf hears of every downlink outage; an uplink outage
 		// is its own leaf's alone.
@@ -107,7 +107,7 @@ func (p *prover) check() {
 		if tbl.Clean() == outage {
 			p.failf("leaf %d: Clean() = %v with outage %v", r, tbl.Clean(), outage)
 		}
-		for q := 0; q < p.ls.Leaves; q++ {
+		for q := 0; q < p.ls.Racks; q++ {
 			if q == r {
 				continue
 			}
@@ -150,7 +150,7 @@ func (p *prover) check() {
 // down: it must land at its destination after one hop per path link,
 // each of which transmitted it once.
 func (p *prover) forward(r, q int, flow pkt.FlowID) {
-	h := p.ls.HostsPerLeaf
+	h := p.ls.HostsPerRack
 	src, dst := pkt.NodeID(r*h+p.steps%h), pkt.NodeID(q*h+(p.steps+r)%h)
 	p.path = p.net.AppendPathFlow(p.path[:0], src, dst, flow)
 	p.tx = p.tx[:0]
@@ -180,7 +180,7 @@ func (p *prover) forward(r, q int, flow pkt.FlowID) {
 // that is larger, every leaf's all-but-one uplinks.
 func (p *prover) failureSets() [][]int {
 	var links []int
-	for r := 0; r < p.ls.Leaves; r++ {
+	for r := 0; r < p.ls.Racks; r++ {
 		for s := 0; s < p.ls.Spines; s++ {
 			links = append(links, p.uplink(r, s), p.downlink(r, s))
 		}
@@ -192,7 +192,7 @@ func (p *prover) failureSets() [][]int {
 			sets = append(sets, []int{a, b})
 		}
 	}
-	for r := 0; p.ls.Spines > 3 && r < p.ls.Leaves; r++ {
+	for r := 0; p.ls.Spines > 3 && r < p.ls.Racks; r++ {
 		for keep := 0; keep < p.ls.Spines; keep++ {
 			var set []int
 			for s := 0; s < p.ls.Spines; s++ {

@@ -17,7 +17,7 @@ import (
 // it.
 type fixture struct {
 	eng *sim.Engine
-	ls  topology.LeafSpineConfig
+	ls  topology.Config
 	net *topology.Network
 	reg *obs.Registry
 	rec *trace.Recorder
@@ -32,7 +32,7 @@ func newFixture(t *testing.T) *fixture {
 		return netem.NewDropTail(1024)
 	})
 	f.ls.Spines = 3
-	f.net = topology.BuildLeafSpine(f.eng, f.ls)
+	f.net = topology.Build(f.eng, f.ls)
 	f.ctl = Attach(Params{Net: f.net, Eng: f.eng, Reg: f.reg, Rec: f.rec})
 	if f.ctl == nil {
 		t.Fatal("Attach returned nil on a leaf-spine fabric")
@@ -52,7 +52,7 @@ func (f *fixture) counter(name string) int64 { return f.reg.Snapshot().Counters[
 // spine).
 func (f *fixture) picks(rack int) [][]int {
 	tbl := f.net.RouteTable(rack)
-	out := make([][]int, f.ls.Leaves)
+	out := make([][]int, f.ls.Racks)
 	for q := range out {
 		for s := 0; s < f.ls.Spines; s++ {
 			out[q] = append(out[q], tbl.PickFrom(q, s))
@@ -94,7 +94,7 @@ func TestUplinkFailoverAndExactRecovery(t *testing.T) {
 			}
 		}
 	}
-	for r := 0; r < f.ls.Leaves; r++ {
+	for r := 0; r < f.ls.Racks; r++ {
 		if r != rack && !f.net.RouteTable(r).Clean() {
 			t.Errorf("leaf %d's table changed on leaf %d's uplink failure", r, rack)
 		}
@@ -142,14 +142,14 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 	f.ctl.LinkState(f.ls.UplinkID(orphan, dead)+1, true)
 	// The leaves learn one control-propagation delay later, not now,
 	// one update per leaf in rack order.
-	for r := 0; r < f.ls.Leaves; r++ {
+	for r := 0; r < f.ls.Racks; r++ {
 		if !f.net.RouteTable(r).Clean() {
 			t.Errorf("leaf %d's table changed before the update was delivered", r)
 		}
 	}
-	for r := 0; r < f.ls.Leaves; r++ {
+	for r := 0; r < f.ls.Racks; r++ {
 		if !f.eng.Step() {
-			t.Fatalf("%d updates delivered, want one per leaf (%d)", r, f.ls.Leaves)
+			t.Fatalf("%d updates delivered, want one per leaf (%d)", r, f.ls.Racks)
 		}
 		if f.eng.Now() != sim.Time(f.ls.LinkDelay) {
 			t.Errorf("update %d delivered at %v, want one link delay out", r, f.eng.Now())
@@ -161,7 +161,7 @@ func TestDownlinkFailureFansOutInRackOrder(t *testing.T) {
 	if f.eng.Step() {
 		t.Error("a downlink failure delivered more updates than there are leaves")
 	}
-	for r := 0; r < f.ls.Leaves; r++ {
+	for r := 0; r < f.ls.Racks; r++ {
 		tbl := f.net.RouteTable(r)
 		if tbl.Avail(orphan, dead) {
 			t.Errorf("leaf %d still routes to rack %d over spine %d", r, orphan, dead)

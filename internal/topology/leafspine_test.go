@@ -3,20 +3,19 @@ package topology
 import (
 	"testing"
 
-	"pase/internal/netem"
 	"pase/internal/pkt"
 	"pase/internal/sim"
 )
 
-func buildLS(t *testing.T) (*sim.Engine, *Network) {
+func buildDefaultLeafSpine(t *testing.T) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.NewEngine()
-	n := BuildLeafSpine(eng, DefaultLeafSpine(dtq))
+	n := Build(eng, DefaultLeafSpine(dtq))
 	return eng, n
 }
 
 func TestLeafSpineShape(t *testing.T) {
-	_, n := buildLS(t)
+	_, n := buildDefaultLeafSpine(t)
 	if !n.IsLeafSpine() {
 		t.Fatal("fabric should report leaf-spine")
 	}
@@ -44,11 +43,11 @@ func TestLeafSpineECMPDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestLeafSpinePathsFollowHash(t *testing.T) {
-	_, n := buildLS(t)
+	_, n := buildDefaultLeafSpine(t)
 	// Hosts 0 (leaf 0) and 15 (leaf 1).
 	for f := pkt.FlowID(1); f <= 20; f++ {
-		up := n.PathUpFlow(0, 15, f)
-		down := n.PathDownFlow(0, 15, f)
+		up := n.PathUp(0, 15, f)
+		down := n.PathDown(0, 15, f)
 		if len(up) != 2 || len(down) != 2 {
 			t.Fatalf("flow %d: halves %d/%d, want 2/2", f, len(up), len(down))
 		}
@@ -58,7 +57,7 @@ func TestLeafSpinePathsFollowHash(t *testing.T) {
 		}
 	}
 	// Intra-leaf: one hop halves.
-	if len(n.PathUpFlow(0, 1, 5)) != 1 || len(n.PathDownFlow(0, 1, 5)) != 1 {
+	if len(n.PathUp(0, 1, 5)) != 1 || len(n.PathDown(0, 1, 5)) != 1 {
 		t.Fatal("intra-leaf halves should be host links only")
 	}
 	// AppendPathFlow lands the whole path in the caller's array when it
@@ -70,7 +69,7 @@ func TestLeafSpinePathsFollowHash(t *testing.T) {
 }
 
 func TestLeafSpineDeliveryMatchesHash(t *testing.T) {
-	eng, n := buildLS(t)
+	eng, n := buildDefaultLeafSpine(t)
 	// Count data packets at each spine's ingress by tapping leaf
 	// uplink TX counters after a run.
 	got := make(map[pkt.NodeID]bool)
@@ -102,7 +101,7 @@ func TestLeafSpineDeliveryMatchesHash(t *testing.T) {
 }
 
 func TestLeafSpineBaseRTT(t *testing.T) {
-	_, n := buildLS(t)
+	_, n := buildDefaultLeafSpine(t)
 	// Cross-leaf: 4 links × 25µs × 2 = 200µs; intra-leaf 100µs.
 	if rtt := n.BaseRTT(0, 15); rtt != 200*sim.Microsecond {
 		t.Fatalf("cross-leaf RTT = %v", rtt)
@@ -117,7 +116,7 @@ func TestLeafSpineBaseRTT(t *testing.T) {
 // builds no path (senders ask on every send before the first sample).
 func TestBaseRTTCountsHopsWithoutAPath(t *testing.T) {
 	_, tree := buildBaseline(t)
-	_, ls := buildLS(t)
+	_, ls := buildDefaultLeafSpine(t)
 	for _, n := range []*Network{tree, ls} {
 		hosts := pkt.NodeID(n.NumHosts())
 		for src := pkt.NodeID(0); src < hosts; src++ {
@@ -131,23 +130,5 @@ func TestBaseRTTCountsHopsWithoutAPath(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { n.BaseRTT(0, hosts-1) }); a != 0 {
 			t.Errorf("leaf-spine=%v: BaseRTT allocates %.0f objects, want 0", n.IsLeafSpine(), a)
 		}
-	}
-}
-
-func TestLeafSpineInvalidConfigPanics(t *testing.T) {
-	bad := []LeafSpineConfig{
-		{Leaves: 0, Spines: 1, HostsPerLeaf: 1, NewQueue: dtq, EdgeRate: netem.Gbps, FabricRate: netem.Gbps},
-		{Leaves: 1, Spines: 1, HostsPerLeaf: 1}, // no queue factory
-	}
-	for i, cfg := range bad {
-		cfg := cfg
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %d should panic", i)
-				}
-			}()
-			BuildLeafSpine(sim.NewEngine(), cfg)
-		}()
 	}
 }

@@ -28,66 +28,27 @@ func (p *Partition) ShardOf(n netem.Node) int { return p.byNode[n.ID()] }
 // ShardOfID returns the shard of the node with the given ID.
 func (p *Partition) ShardOfID(id pkt.NodeID) int { return p.byNode[id] }
 
-func dealAtoms(atomOf []int, atoms, shards int) *Partition {
-	if shards > atoms {
-		shards = atoms
+// PartitionFabric maps the fabric cfg describes onto at most shards
+// shards. Atoms: rack r (its hosts and ToR/leaf) -> atom r, then each
+// upper-tier switch — a multi-rack tree's aggs and core, or the
+// spines — one atom each. Build numbers nodes hosts, ToRs, then the
+// upper tier, so a switch's atom is its NodeID less the host count.
+func PartitionFabric(cfg Config, shards int) *Partition {
+	hosts, upper := cfg.Racks*cfg.HostsPerRack, cfg.Spines
+	if upper == 0 && cfg.Racks > 1 {
+		upper = cfg.Racks/cfg.RacksPerAgg + 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	byNode := make([]int, len(atomOf))
-	for id, a := range atomOf {
-		byNode[id] = a % shards
+	atoms := cfg.Racks + upper
+	shards = max(min(shards, atoms), 1)
+	byNode := make([]int, hosts+atoms)
+	for id := range byNode {
+		atom := id - hosts
+		if id < hosts {
+			atom = id / cfg.HostsPerRack
+		}
+		byNode[id] = atom % shards
 	}
 	return &Partition{Shards: shards, Atoms: atoms, byNode: byNode}
-}
-
-// PartitionTree maps the tree fabric described by cfg onto at most
-// shards shards. Atoms: rack r -> atom r; aggregation switch a ->
-// atom Racks+a; the core -> the last atom. NodeIDs follow Build's
-// assignment order (hosts, ToRs, aggs, core).
-func PartitionTree(cfg Config, shards int) *Partition {
-	numHosts := cfg.Racks * cfg.HostsPerRack
-	multiTier := cfg.Racks > 1
-	numAggs := 0
-	core := 0
-	if multiTier {
-		numAggs = cfg.Racks / cfg.RacksPerAgg
-		core = 1
-	}
-	atomOf := make([]int, 0, numHosts+cfg.Racks+numAggs+core)
-	for h := 0; h < numHosts; h++ {
-		atomOf = append(atomOf, h/cfg.HostsPerRack)
-	}
-	for r := 0; r < cfg.Racks; r++ {
-		atomOf = append(atomOf, r)
-	}
-	for a := 0; a < numAggs; a++ {
-		atomOf = append(atomOf, cfg.Racks+a)
-	}
-	if multiTier {
-		atomOf = append(atomOf, cfg.Racks+numAggs)
-	}
-	return dealAtoms(atomOf, cfg.Racks+numAggs+core, shards)
-}
-
-// PartitionLeafSpine maps a leaf-spine fabric onto at most shards
-// shards. Atoms: leaf l (with its hosts) -> atom l; spine s -> atom
-// Leaves+s. NodeIDs follow BuildLeafSpine's order (hosts, leaves,
-// spines).
-func PartitionLeafSpine(cfg LeafSpineConfig, shards int) *Partition {
-	numHosts := cfg.Leaves * cfg.HostsPerLeaf
-	atomOf := make([]int, 0, numHosts+cfg.Leaves+cfg.Spines)
-	for h := 0; h < numHosts; h++ {
-		atomOf = append(atomOf, h/cfg.HostsPerLeaf)
-	}
-	for l := 0; l < cfg.Leaves; l++ {
-		atomOf = append(atomOf, l)
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		atomOf = append(atomOf, cfg.Leaves+s)
-	}
-	return dealAtoms(atomOf, cfg.Leaves+cfg.Spines, shards)
 }
 
 // CutLinks enumerates the directed links whose endpoints live on

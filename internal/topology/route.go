@@ -18,9 +18,7 @@ import (
 // Pick is ECMPSpine exactly, so a run that never edits the table is
 // byte-identical to one built before route tables existed.
 type RouteTable struct {
-	rack   int
 	spines int
-	racks  int
 	// ports[s] is the leaf's egress port index toward spine s.
 	ports []int
 	// upDown[s] counts outages on the leaf→spine s uplink.
@@ -35,11 +33,12 @@ type RouteTable struct {
 
 // NewRouteTable builds the clean table for one leaf. ports maps spine
 // index → the leaf's egress port index for that spine; racks is the
-// leaf count (the destination-rack dimension of downlink state).
-func NewRouteTable(rack int, ports []int, racks int) *RouteTable {
+// leaf count (the destination-rack dimension of downlink state). The
+// first argument, the leaf's own rack, is unused.
+func NewRouteTable(_ int, ports []int, racks int) *RouteTable {
 	spines := len(ports)
 	t := &RouteTable{
-		rack: rack, spines: spines, racks: racks, ports: ports,
+		spines: spines, ports: ports,
 		upDown:  make([]int32, spines),
 		dstDown: make([][]int32, racks),
 	}

@@ -159,13 +159,13 @@ func TestRouteTableTotalBlackhole(t *testing.T) {
 }
 
 // TestLeafSpineLinkIDHelpers pins UplinkID, and the downlink at the
-// next ID, against the IDs BuildLeafSpine actually assigns, via the
+// next ID, against the IDs Build actually assigns, via the
 // fabric's own link classification.
 func TestLeafSpineLinkIDHelpers(t *testing.T) {
 	cfg := DefaultLeafSpine(dtq)
 	cfg.Spines = 3
-	n := BuildLeafSpine(sim.NewEngine(), cfg)
-	for r := 0; r < cfg.Leaves; r++ {
+	n := Build(sim.NewEngine(), cfg)
+	for r := 0; r < cfg.Racks; r++ {
 		for s := 0; s < cfg.Spines; s++ {
 			up, ok := n.LeafSpineLinkInfo(cfg.UplinkID(r, s))
 			if !ok || up != (LeafSpineLink{Rack: r, Spine: s, Up: true}) {

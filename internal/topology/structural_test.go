@@ -11,7 +11,7 @@ import (
 
 // The structural-route differential: switches route by a host range
 // and the Network keeps paths in flat arrays, both filled from the
-// builders' arithmetic. These tests rebuild the same answers from
+// builder's arithmetic. These tests rebuild the same answers from
 // Links alone — who is wired to whom — and compare.
 
 var structuralShapes = []struct {
@@ -25,8 +25,8 @@ var structuralShapes = []struct {
 	{"7x3-prime", func() *Network { return Build(sim.NewEngine(), treeShape(7, 3, 1)) }},
 	{"leaf-spine-4x3x5", func() *Network {
 		cfg := DefaultLeafSpine(dtq)
-		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 4, 3, 5
-		return BuildLeafSpine(sim.NewEngine(), cfg)
+		cfg.Racks, cfg.Spines, cfg.HostsPerRack = 4, 3, 5
+		return Build(sim.NewEngine(), cfg)
 	}},
 }
 
@@ -115,17 +115,10 @@ func TestPathArraysMatchLinks(t *testing.T) {
 								m++
 							}
 							wantUp, wantDown = wantUp[:m+1], wantDown[len(wantDown)-(m+1):]
-							if !slices.Equal(n.PathUp(src, dst), wantUp) || !slices.Equal(n.PathDown(src, dst), wantDown) {
-								t.Fatalf("PathUp/PathDown(%d, %d) = %v / %v, Links say %v / %v",
-									src, dst, n.PathUp(src, dst), n.PathDown(src, dst), wantUp, wantDown)
-							}
-							if !slices.Equal(slices.Concat(n.PathUp(src, dst), n.PathDown(src, dst)), append(slices.Clone(wantUp), wantDown...)) {
-								t.Fatalf("Path(%d, %d) = %v, Links say %v then %v", src, dst, slices.Concat(n.PathUp(src, dst), n.PathDown(src, dst)), wantUp, wantDown)
-							}
 						}
-						if !slices.Equal(n.PathUpFlow(src, dst, flow), wantUp) || !slices.Equal(n.PathDownFlow(src, dst, flow), wantDown) {
-							t.Fatalf("PathUpFlow/PathDownFlow(%d, %d, %d) = %v / %v, Links say %v / %v",
-								src, dst, flow, n.PathUpFlow(src, dst, flow), n.PathDownFlow(src, dst, flow), wantUp, wantDown)
+						if !slices.Equal(n.PathUp(src, dst, flow), wantUp) || !slices.Equal(n.PathDown(src, dst, flow), wantDown) {
+							t.Fatalf("PathUp/PathDown(%d, %d, %d) = %v / %v, Links say %v / %v",
+								src, dst, flow, n.PathUp(src, dst, flow), n.PathDown(src, dst, flow), wantUp, wantDown)
 						}
 						if got := n.AppendPathFlow(nil, src, dst, flow); !slices.Equal(got, slices.Concat(wantUp, wantDown)) {
 							t.Fatalf("AppendPathFlow(%d, %d, %d) = %v, Links say %v then %v", src, dst, flow, got, wantUp, wantDown)

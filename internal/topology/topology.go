@@ -2,8 +2,9 @@
 // the paper's evaluation: the baseline 3-tier tree (160 hosts, 4 ToR
 // switches, 2 aggregation switches, 1 core; 1 Gbps edge links and
 // 10 Gbps fabric links; 4:1 oversubscription at the ToR uplink), the
-// single-rack variants used by the intra-rack experiments, and the
-// 10-node "testbed" configuration.
+// single-rack variants used by the intra-rack experiments, the
+// 10-node "testbed" configuration, and — as an extension — leaf-spine
+// fabrics, which one Config describes with Spines set.
 //
 // Besides wiring nodes and declaring each switch's structural route
 // (the host range below it), the package assigns every directed link
@@ -75,18 +76,27 @@ const (
 	QueueSwitchUp                    // switch egress toward the core
 )
 
-// Config describes a tree fabric.
+// Config describes a fabric: a tree, or a leaf-spine when Spines is
+// positive.
 type Config struct {
-	// Racks is the number of ToR switches. HostsPerRack hosts hang
-	// off each.
+	// Racks is the number of ToR (leaf) switches. HostsPerRack hosts
+	// hang off each.
 	Racks        int
 	HostsPerRack int
-	// RacksPerAgg groups ToRs under aggregation switches. If Racks is
-	// 1 the fabric is a single ToR and no agg/core layer is built.
+	// RacksPerAgg groups a tree's ToRs under aggregation switches. If
+	// Racks is 1 the tree is a single ToR and no agg/core layer is
+	// built. A leaf-spine has no agg tier and leaves it 0.
 	RacksPerAgg int
+	// Spines, when positive, makes the fabric a leaf-spine: every
+	// leaf connects to each of Spines spine switches and flows spread
+	// across them by per-flow ECMP — the modern alternative to the
+	// paper's single-path tree, included as an extension to show PASE's
+	// arbitration generalizes beyond one path per host pair. 0 builds
+	// a tree.
+	Spines int
 
 	EdgeRate   netem.BitRate // host <-> ToR
-	FabricRate netem.BitRate // ToR <-> agg, agg <-> core
+	FabricRate netem.BitRate // ToR <-> agg, agg <-> core, leaf <-> spine
 
 	// LinkDelay is the one-way propagation delay of every link. The
 	// paper's 300µs base RTT across the core corresponds to 25µs per
@@ -155,7 +165,7 @@ type Network struct {
 	ToRs  []*netem.Switch
 	Aggs  []*netem.Switch
 	Core  *netem.Switch
-	// Spines is populated by BuildLeafSpine (leaf-spine fabrics).
+	// Spines is populated on leaf-spine fabrics.
 	Spines []*netem.Switch
 
 	Links []*Link
@@ -185,9 +195,8 @@ type LeafSpineLink struct {
 }
 
 // LeafSpineLinkInfo classifies a link ID on a leaf-spine fabric — the
-// inverse of LeafSpineConfig.UplinkID (a downlink's ID is its uplink's
-// plus one); ok is false for
-// host links and tree fabrics.
+// inverse of Config.UplinkID (a downlink's ID is its uplink's plus
+// one); ok is false for host links and tree fabrics.
 func (n *Network) LeafSpineLinkInfo(id int) (LeafSpineLink, bool) {
 	k := id - 2*len(n.Hosts)
 	if !n.IsLeafSpine() || k < 0 || id >= len(n.Links) {
@@ -218,8 +227,8 @@ func (n *Network) SpineDownLinks(rack int) []*Link { return row(n.spineDown, rac
 // append by the caller cannot reach the next row.
 func row(flat []*Link, i, width int) []*Link { return flat[i*width : (i+1)*width : (i+1)*width] }
 
-// fabric is a Network under construction: what Build and
-// BuildLeafSpine share.
+// fabric is a Network under construction: what the tree and the
+// leaf-spine wiring share.
 type fabric struct {
 	*Network
 	engOf    func(owner netem.Node) *sim.Engine
@@ -296,18 +305,24 @@ func (f *fabric) link(level Level, up bool, port *netem.Port, from, to netem.Nod
 // agg-core.
 const treeLevels = 3
 
-// Build wires the fabric described by cfg onto the engine.
+// Build wires the fabric described by cfg onto the engine: a
+// leaf-spine when cfg.Spines is positive, a tree otherwise.
 func Build(eng *sim.Engine, cfg Config) *Network {
 	if cfg.NewQueue == nil && cfg.NewQueueFor == nil {
 		panic("topology: Config.NewQueue is required")
 	}
-	if cfg.Racks < 1 || cfg.HostsPerRack < 1 {
-		panic("topology: need at least one rack and one host")
+	if cfg.Racks < 1 || cfg.HostsPerRack < 1 || cfg.Spines < 0 {
+		panic("topology: need at least one rack and one host, and Spines >= 0")
 	}
-	if cfg.Racks == 1 {
+	switch {
+	case cfg.Spines > 0:
+		if cfg.RacksPerAgg != 0 {
+			panic("topology: a leaf-spine (Spines > 0) has no aggregation tier: RacksPerAgg must be 0")
+		}
+		return buildLeafSpine(eng, cfg)
+	case cfg.Racks == 1:
 		return newFabric(eng, cfg, "tor", cfg.HostsPerRack, 1, 2*cfg.HostsPerRack).Network
-	}
-	if cfg.RacksPerAgg < 1 || cfg.Racks%cfg.RacksPerAgg != 0 {
+	case cfg.RacksPerAgg < 1 || cfg.Racks%cfg.RacksPerAgg != 0:
 		panic("topology: Racks must be a multiple of RacksPerAgg")
 	}
 	hosts, aggs := cfg.Racks*cfg.HostsPerRack, cfg.Racks/cfg.RacksPerAgg
@@ -349,8 +364,8 @@ func (n *Network) Host(i int) *netem.Host { return n.Hosts[i] }
 // RackOf returns the rack index of a host.
 func (n *Network) RackOf(h pkt.NodeID) int { return int(h) / n.Cfg.HostsPerRack }
 
-// AggOf returns the aggregation-switch index of a host (0 for
-// single-rack fabrics).
+// AggOf returns the aggregation-switch index of a host (0 on fabrics
+// without an agg tier: a single rack or a leaf-spine).
 func (n *Network) AggOf(h pkt.NodeID) int {
 	if len(n.Aggs) == 0 {
 		return 0
@@ -358,8 +373,9 @@ func (n *Network) AggOf(h pkt.NodeID) int {
 	return n.RackOf(h) / n.Cfg.RacksPerAgg
 }
 
-// meetLevel returns how far up the tree a packet between two hosts
-// must climb: 0 = same ToR, 1 = same agg (different ToR), 2 = via core.
+// meetLevel returns how far up the fabric a packet between two hosts
+// must climb: 0 = same ToR, 1 = same agg (different ToR) or, on a
+// leaf-spine, via a spine, 2 = via core.
 func (n *Network) meetLevel(src, dst pkt.NodeID) int {
 	switch {
 	case n.RackOf(src) == n.RackOf(dst):
@@ -371,17 +387,50 @@ func (n *Network) meetLevel(src, dst pkt.NodeID) int {
 	}
 }
 
-// PathUp returns the links of the source-side half of the src->dst
-// path: from src's NIC upward, ending at the meeting switch.
-func (n *Network) PathUp(src, dst pkt.NodeID) []*Link {
-	return n.UpLinks(src)[:n.meetLevel(src, dst)+1]
+// PathUp returns the links of the source-side half of flow's src->dst
+// path: from src's NIC upward, ending at the meeting switch. A tree
+// has one path per pair and ignores flow; on a leaf-spine an
+// inter-leaf half ends with the leaf→spine link the source leaf's
+// route table picks for flow.
+func (n *Network) PathUp(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
+	up, meet := n.UpLinks(src), n.meetLevel(src, dst)
+	if !n.IsLeafSpine() || meet == 0 {
+		return up[:meet+1]
+	}
+	srcRack := n.RackOf(src)
+	spine := n.routes[srcRack].Pick(n.RackOf(dst), flow)
+	return []*Link{up[0], n.SpineUpLinks(srcRack)[spine]}
 }
 
 // PathDown returns the links of the destination-side half, in
-// top-down order starting just below the meeting switch.
-func (n *Network) PathDown(src, dst pkt.NodeID) []*Link {
-	down := n.DownLinks(dst)
-	return down[len(down)-(n.meetLevel(src, dst)+1):]
+// top-down order starting just below the meeting switch (flow as in
+// PathUp).
+func (n *Network) PathDown(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
+	down, meet := n.DownLinks(dst), n.meetLevel(src, dst)
+	if !n.IsLeafSpine() || meet == 0 {
+		return down[len(down)-(meet+1):]
+	}
+	dstRack := n.RackOf(dst)
+	spine := n.routes[n.RackOf(src)].Pick(dstRack, flow)
+	return []*Link{n.SpineDownLinks(dstRack)[spine], down[0]}
+}
+
+// AppendPathFlow appends the flow-aware path from src to dst, in
+// traversal order, to path and returns the extended slice. On tree
+// fabrics it is PathUp then PathDown; on leaf-spine fabrics an
+// inter-leaf flow climbs to the spine the source leaf's route table
+// picks and back down. It allocates only when path lacks the room, so
+// a caller that refills its own slice pays nothing per flow.
+func (n *Network) AppendPathFlow(path []*Link, src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
+	if !n.IsLeafSpine() {
+		return append(append(path, n.PathUp(src, dst, flow)...), n.PathDown(src, dst, flow)...)
+	}
+	path = append(path, n.UpLinks(src)...)
+	if srcRack, dstRack := n.RackOf(src), n.RackOf(dst); srcRack != dstRack {
+		spine := n.routes[srcRack].Pick(dstRack, flow)
+		path = append(path, n.SpineUpLinks(srcRack)[spine], n.SpineDownLinks(dstRack)[spine])
+	}
+	return append(path, n.DownLinks(dst)...)
 }
 
 // UpLinks returns all links from host h toward the core (edge first).
@@ -395,64 +444,19 @@ func (n *Network) DownLinks(h pkt.NodeID) []*Link { return row(n.down, int(h), n
 // at these MTUs). On multipath fabrics every path between a pair has
 // the same hop count, so the flow choice does not matter.
 func (n *Network) BaseRTT(src, dst pkt.NodeID) sim.Duration {
-	// Hops are counted without building the path: a leaf-spine pair is
-	// host→leaf→host or host→leaf→spine→leaf→host, and a tree's halves
-	// are sub-slices of the per-host link tables.
-	var hops int
-	switch {
-	case !n.IsLeafSpine():
-		hops = len(n.PathUp(src, dst)) + len(n.PathDown(src, dst))
-	case n.RackOf(src) == n.RackOf(dst):
-		hops = 2
-	default:
-		hops = 4
-	}
+	// Hops are counted without building the path: each half climbs
+	// meetLevel+1 links, on a leaf-spine as on a tree.
+	hops := 2 * (n.meetLevel(src, dst) + 1)
 	return sim.Duration(2*hops) * n.Cfg.LinkDelay
 }
 
 // QueueStatsTotal aggregates the queue counters of every port in the
-// fabric (hosts and switches).
+// fabric (hosts and switches): each port is the egress of exactly one
+// directed link.
 func (n *Network) QueueStatsTotal() netem.QueueStats {
 	var total netem.QueueStats
-	add := func(p *netem.Port) {
-		s := p.Queue().Stats()
-		total.Enqueued += s.Enqueued
-		total.Dequeued += s.Dequeued
-		total.Dropped += s.Dropped
-		total.DroppedBytes += s.DroppedBytes
-		total.EnqueuedData += s.EnqueuedData
-		total.DroppedData += s.DroppedData
-		total.EnqueuedCredit += s.EnqueuedCredit
-		total.DroppedCredit += s.DroppedCredit
-		total.Marked += s.Marked
-		// MaxLen aggregates as the fabric-wide peak, not a sum: the
-		// high-speed figure reads it as "deepest any queue ever got".
-		if s.MaxLen > total.MaxLen {
-			total.MaxLen = s.MaxLen
-		}
-	}
-	for _, h := range n.Hosts {
-		add(h.Port())
-	}
-	for _, sw := range n.ToRs {
-		for _, p := range sw.Ports() {
-			add(p)
-		}
-	}
-	for _, sw := range n.Aggs {
-		for _, p := range sw.Ports() {
-			add(p)
-		}
-	}
-	if n.Core != nil {
-		for _, p := range n.Core.Ports() {
-			add(p)
-		}
-	}
-	for _, sw := range n.Spines {
-		for _, p := range sw.Ports() {
-			add(p)
-		}
+	for _, l := range n.Links {
+		total.Add(l.Port.Queue().Stats())
 	}
 	return total
 }
@@ -464,14 +468,7 @@ func (n *Network) QueueStatsTotal() netem.QueueStats {
 func (n *Network) HostQueueStats() netem.QueueStats {
 	var total netem.QueueStats
 	for _, h := range n.Hosts {
-		s := h.Port().Queue().Stats()
-		total.Enqueued += s.Enqueued
-		total.Dequeued += s.Dequeued
-		total.Dropped += s.Dropped
-		total.DroppedBytes += s.DroppedBytes
-		total.EnqueuedData += s.EnqueuedData
-		total.DroppedData += s.DroppedData
-		total.Marked += s.Marked
+		total.Add(h.Port().Queue().Stats())
 	}
 	return total
 }
