@@ -106,6 +106,12 @@ var flagTable = []flagRow{
 	{flag: "cdf", args: small("-cdf"), out: contains("FCT CDF:")},
 	{flag: "cdf", args: small("-seeds", "2", "-cdf"), reject: "-cdf need a single run; drop -seeds"},
 	{flag: "local-only", args: small("-local-only"), cfg: func(c *pase.SimConfig) { c.PASE.LocalOnly = true }},
+	{flag: "local-only", args: small("-local-only", "-no-pruning"), reject: "PASE.LocalOnly runs no arbitration hierarchy, so it cannot take PASE.NoPruning"},
+	{flag: "local-only", args: small("-local-only", "-no-delegation"), reject: "PASE.LocalOnly runs no arbitration hierarchy, so it cannot take PASE.NoDelegation"},
+	{flag: "local-only", args: small("-scenario", "ctrlscale-16", "-local-only", "-hier-fanout", "2"), reject: "PASE.LocalOnly runs no arbitration hierarchy, so it cannot take PASE.HierFanOut"},
+	{flag: "local-only", args: small("-protocol", "DCTCP", "-local-only", "-queues", "3"), reject: "PASE.LocalOnly is a PASE option; protocol \"DCTCP\" cannot take it"},
+	{flag: "no-refrate", args: small("-protocol", "DCTCP", "-no-refrate"), reject: "PASE.DisableRefRate is a PASE option; protocol \"DCTCP\" cannot take it"},
+	{flag: "ctrl", args: small("-protocol", "DCTCP", "-ctrl", "central"), reject: "PASE.Central is a PASE option; protocol \"DCTCP\" cannot take it"},
 	{flag: "no-pruning", args: small("-no-pruning"), cfg: func(c *pase.SimConfig) { c.PASE.NoPruning = true }},
 	{flag: "no-delegation", args: small("-no-delegation"), cfg: func(c *pase.SimConfig) { c.PASE.NoDelegation = true }},
 	{flag: "queues", args: small("-queues", "4"), cfg: func(c *pase.SimConfig) { c.PASE.NumQueues = 4 }},

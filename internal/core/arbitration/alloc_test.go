@@ -225,3 +225,33 @@ func TestStaleReplyMissesTheNextLife(t *testing.T) {
 		t.Fatalf("flow 2 saw %+v and holds %+v, want its own two responses of %+v", seen, c.Combined(), own)
 	}
 }
+
+// TestInitClientAllocFree: restarting a released client for a new flow
+// refills its path into the client's own array, so a warm InitClient
+// and Release allocate nothing: within a leaf, across a leaf-spine's
+// spines and across a tree's core.
+func TestInitClientAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      topology.Config
+		src, dst pkt.NodeID
+	}{
+		{"intra-leaf", topology.DefaultLeafSpine(prioQ), 0, 1},
+		{"inter-leaf", topology.DefaultLeafSpine(prioQ), 0, 39},
+		{"cross-core", topology.Baseline(prioQ), 0, 159},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := NewSystem(topology.Build(sim.NewEngine(), tc.cfg), DefaultParams())
+			c := sys.NewClient(1, tc.src, tc.dst)
+			c.Release()
+			flow := pkt.FlowID(1)
+			if n := testing.AllocsPerRun(100, func() {
+				flow++
+				sys.InitClient(c, flow, tc.src, tc.dst)
+				c.Release()
+			}); n != 0 {
+				t.Errorf("InitClient and Release of a recycled client allocate %.1f objects, want 0", n)
+			}
+		})
+	}
+}

@@ -109,6 +109,8 @@ func TestSimulateRejectsOutOfRange(t *testing.T) {
 		{"PASE.NoPruning", pase.SimConfig{PASE: pase.PASEOptions{Central: true, NoPruning: true}}},
 		{"PASE.NoDelegation", pase.SimConfig{PASE: pase.PASEOptions{Central: true, NoDelegation: true}}},
 		{"PASE.HierTopShards", pase.SimConfig{PASE: pase.PASEOptions{Central: true, HierTopShards: 1}}},
+		{"PASE.LocalOnly runs no arbitration hierarchy, so it cannot take PASE.HierFanOut", pase.SimConfig{PASE: pase.PASEOptions{LocalOnly: true, HierFanOut: 2}}},
+		{"PASE.HierTopShards is a PASE option; protocol \"DCTCP\"", pase.SimConfig{Protocol: pase.ProtocolDCTCP, PASE: pase.PASEOptions{HierTopShards: 1}}},
 	} {
 		c.cfg.Load, c.cfg.NumFlows, c.cfg.Scenario = 0.5, 10, "ctrlscale-16"
 		if _, err := pase.Simulate(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
