@@ -108,8 +108,8 @@ const (
 	CtrlScale Scenario = "ctrlscale"
 )
 
-// PASEOptions toggle PASE's internal mechanisms (ablations); other
-// protocols ignore them.
+// PASEOptions toggle PASE's internal mechanisms (ablations);
+// pase.Validate rejects any of them set on another protocol.
 type PASEOptions struct {
 	LocalOnly      bool // Fig 12a: arbitrate the hosts' access links only
 	NoPruning      bool // Fig 11: disable early pruning (§3.1.2)
@@ -123,9 +123,9 @@ type PASEOptions struct {
 	// Central swaps the arbitration hierarchy for the fully
 	// centralized comparison arm: one controller behind the core
 	// computes whole-path allocations in a single serialized exchange
-	// (Shah & Xie-style). pase.Validate rejects it together with
-	// LocalOnly, NoPruning, NoDelegation, HierFanOut or HierTopShards,
-	// which shape the hierarchy it does not run.
+	// (Shah & Xie-style). Neither it nor LocalOnly runs a hierarchy,
+	// so pase.Validate rejects either with NoPruning, NoDelegation,
+	// HierFanOut or HierTopShards, and the two together.
 	Central bool
 	// HierFanOut / HierTopShards override the scenario's deep-
 	// hierarchy shape — aggregation-tree fan-out and replicated root

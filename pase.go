@@ -41,6 +41,7 @@ package pase
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"time"
 
@@ -249,13 +250,25 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	if cfg.Reroute && !experiments.Reroutable(cfg.Scenario) {
 		return cfg, fmt.Errorf("pase: Reroute needs a leaf-spine Scenario; %q has no route tables to reroute", cfg.Scenario)
 	}
-	if p := cfg.PASE; p.Central {
-		// The central arm arbitrates whole paths in one exchange: there
-		// is no hierarchy to shape, prune, delegate or cut short.
-		set := []bool{p.LocalOnly, p.NoPruning, p.NoDelegation, p.HierFanOut != 0, p.HierTopShards != 0}
+	if p := reflect.ValueOf(cfg.PASE); cfg.Protocol != ProtocolPASE && !p.IsZero() {
+		for i := range p.NumField() {
+			if !p.Field(i).IsZero() {
+				return cfg, fmt.Errorf("pase: PASE.%s is a PASE option; protocol %q cannot take it", p.Type().Field(i).Name, cfg.Protocol)
+			}
+		}
+	}
+	if p := cfg.PASE; p.Central || p.LocalOnly {
+		// The central arm arbitrates whole paths in one exchange and the
+		// local one the access links alone: neither has a hierarchy to
+		// shape, prune, delegate or cut short.
+		arm := "LocalOnly"
+		if p.Central {
+			arm = "Central"
+		}
+		set := []bool{p.Central && p.LocalOnly, p.NoPruning, p.NoDelegation, p.HierFanOut != 0, p.HierTopShards != 0}
 		if i := slices.Index(set, true); i >= 0 {
 			field := []string{"LocalOnly", "NoPruning", "NoDelegation", "HierFanOut", "HierTopShards"}[i]
-			return cfg, fmt.Errorf("pase: PASE.Central runs no arbitration hierarchy, so it cannot take PASE.%s", field)
+			return cfg, fmt.Errorf("pase: PASE.%s runs no arbitration hierarchy, so it cannot take PASE.%s", arm, field)
 		}
 	}
 	return cfg, nil
