@@ -345,12 +345,12 @@ func TestReleaseRemovesEverywhere(t *testing.T) {
 	if err := eng.RunUntil(sim.Time(sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	up := net.PathUp(0, 159, 1)
-	if sys.Arbitrator(up[0].ID).Flows() != 1 {
+	path, _ := net.AppendPath(nil, 0, 159, 1)
+	if sys.Arbitrator(path[0].ID).Flows() != 1 {
 		t.Fatal("flow not registered at host uplink")
 	}
 	c.Release()
-	for _, l := range up {
+	for _, l := range path {
 		if a := sys.Arbitrator(l.ID); a.Flows() != 0 {
 			t.Fatalf("link %v still has %d flows after release", l, a.Flows())
 		}

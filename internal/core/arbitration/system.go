@@ -393,7 +393,8 @@ type Client struct {
 
 	// upPath is the src half bottom-up; dstClimb is the dst half in the
 	// same bottom-up order (the reverse of the traversal order), computed
-	// once here because every refresh and the release climb it.
+	// once here because every refresh and the release climb it. Both
+	// share one array, which upPath's capacity spans.
 	upPath   []*topology.Link
 	dstClimb []*topology.Link
 
@@ -415,22 +416,22 @@ func (sys *System) NewClient(flow pkt.FlowID, src, dst pkt.NodeID) *Client {
 }
 
 // InitClient starts c over, in place, as the handle of a new flow: it
-// overwrites every field, refills the dst climb into c's own backing
-// array and moves the generation on. c must be new or released.
+// overwrites every field, refills the path into c's own backing array
+// and moves the generation on. c must be new or released.
 func (sys *System) InitClient(c *Client, flow pkt.FlowID, src, dst pkt.NodeID) {
 	sys.Stats.Setups++
 	sys.inflight++
 	sys.o.inflight.Update(sys.inflight)
-	dstClimb := append(c.dstClimb[:0], sys.net.PathDown(src, dst, flow)...)
-	slices.Reverse(dstClimb)
+	path, up := sys.net.AppendPath(c.upPath[:0], src, dst, flow)
+	slices.Reverse(path[up:])
 	*c = Client{
 		sys:      sys,
 		flow:     flow,
 		src:      src,
 		dst:      dst,
 		gen:      c.gen + 1,
-		upPath:   sys.net.PathUp(src, dst, flow),
-		dstClimb: dstClimb,
+		upPath:   path[:up],
+		dstClimb: path[up:],
 	}
 }
 

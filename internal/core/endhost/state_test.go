@@ -216,7 +216,7 @@ func TestShutdownReleasesAndStops(t *testing.T) {
 		t.Fatal("control must shut down with the flow")
 	}
 	// Arbitrators must be clean.
-	for _, l := range r.net.UpLinks(0) {
+	for _, l := range r.net.Links {
 		if r.sys.Arbitrator(l.ID).Flows() != 0 {
 			t.Fatal("arbitration state leaked")
 		}

@@ -145,18 +145,18 @@ func (p *prover) check() {
 }
 
 // forward sends one real packet from a host on leaf r to a host on
-// rack q and checks that it crossed exactly the links AppendPathFlow
+// rack q and checks that it crossed exactly the links AppendPath
 // names (the links PASE and PDQ arbitrate for the flow), none of them
 // down: it must land at its destination after one hop per path link,
 // each of which transmitted it once.
 func (p *prover) forward(r, q int, flow pkt.FlowID) {
 	h := p.ls.HostsPerRack
 	src, dst := pkt.NodeID(r*h+p.steps%h), pkt.NodeID(q*h+(p.steps+r)%h)
-	p.path = p.net.AppendPathFlow(p.path[:0], src, dst, flow)
+	p.path, _ = p.net.AppendPath(p.path[:0], src, dst, flow)
 	p.tx = p.tx[:0]
 	for _, l := range p.path {
 		if p.down(l.ID) {
-			p.failf("flow %d from leaf %d to rack %d: AppendPathFlow crosses down link %d", flow, r, q, l.ID)
+			p.failf("flow %d from leaf %d to rack %d: AppendPath crosses down link %d", flow, r, q, l.ID)
 		}
 		p.tx = append(p.tx, l.Port.TxPackets)
 	}

@@ -27,21 +27,21 @@ func DefaultLeafSpine(newQueue func(QueueKind) netem.Queue) Config {
 	}
 }
 
-// UplinkID returns the link ID Build assigns to a leaf-spine's
-// rack→spine uplink: host↔leaf pairs are wired first (two links per
-// host, up before down), then the leaf↔spine mesh in (leaf, spine)
-// order, up before down. Fault plans use it to aim at fabric links
-// before the network exists.
+// UplinkID returns the link ID Build assigns to rack's uplink toward
+// spine (toward its agg on a tree, spine 0; the downlink is the next
+// ID): the host pairs come first, two links per host, up before down,
+// then each rack's pairs above it in (rack, spine) order. Fault plans
+// use it to aim at fabric links before the network exists.
 func (cfg Config) UplinkID(rack, spine int) int {
-	return 2*cfg.Racks*cfg.HostsPerRack + 2*(rack*cfg.Spines+spine)
+	return 2*cfg.Racks*cfg.HostsPerRack + 2*(rack*max(cfg.Spines, 1)+spine)
 }
 
 // buildLeafSpine wires a leaf-spine fabric. The returned Network
 // reuses the tree Network type: leaves populate ToRs, spines populate
-// Spines, and the path methods dispatch on the fabric kind.
+// Spines, and AppendPath dispatches on the fabric kind.
 func buildLeafSpine(eng *sim.Engine, cfg Config) *Network {
 	hosts, mesh := cfg.Racks*cfg.HostsPerRack, cfg.Racks*cfg.Spines
-	f := newFabric(eng, cfg, "leaf", cfg.HostsPerRack+cfg.Spines, 1, 2*(hosts+mesh))
+	f := newFabric(eng, cfg, "leaf", cfg.HostsPerRack+cfg.Spines, 2*(hosts+mesh))
 	f.Spines = make([]*netem.Switch, cfg.Spines)
 	for s := range f.Spines {
 		// Spines know every host's leaf: their down ports are added in
@@ -49,7 +49,6 @@ func buildLeafSpine(eng *sim.Engine, cfg Config) *Network {
 		f.Spines[s] = netem.NewSwitch(pkt.NodeID(hosts+cfg.Racks+s), "spine", s, cfg.Racks)
 		f.Spines[s].SetDown(0, hosts, cfg.HostsPerRack)
 	}
-	f.spineUp, f.spineDown = make([]*Link, mesh), make([]*Link, mesh)
 	f.routes = make([]*RouteTable, cfg.Racks)
 
 	// Leaf <-> spine mesh with per-flow ECMP at the leaves.
@@ -57,7 +56,7 @@ func buildLeafSpine(eng *sim.Engine, cfg Config) *Network {
 		spinePorts := make([]int, cfg.Spines)
 		for s, spine := range f.Spines {
 			spinePorts[s] = len(leaf.Ports())
-			f.spineUp[r*cfg.Spines+s], f.spineDown[r*cfg.Spines+s] = f.connect(LevelToRSpine, leaf, spine, QueueSwitchUp, cfg.FabricRate)
+			f.connect(LevelToRSpine, leaf, spine, QueueSwitchUp, cfg.FabricRate)
 		}
 		// Remote destinations route through the leaf's runtime ECMP
 		// table; as built (clean, no failures) this is exactly the

@@ -46,24 +46,23 @@ func TestLeafSpinePathsFollowHash(t *testing.T) {
 	_, n := buildDefaultLeafSpine(t)
 	// Hosts 0 (leaf 0) and 15 (leaf 1).
 	for f := pkt.FlowID(1); f <= 20; f++ {
-		up := n.PathUp(0, 15, f)
-		down := n.PathDown(0, 15, f)
-		if len(up) != 2 || len(down) != 2 {
-			t.Fatalf("flow %d: halves %d/%d, want 2/2", f, len(up), len(down))
+		path, up := n.AppendPath(nil, 0, 15, f)
+		if len(path) != 4 || up != 2 {
+			t.Fatalf("flow %d: halves %d/%d, want 2/2", f, up, len(path)-up)
 		}
 		spine := ECMPSpine(f, 2)
-		if up[1].To != n.Spines[spine] || down[0].From != n.Spines[spine] {
+		if path[1].To != n.Spines[spine] || path[2].From != n.Spines[spine] {
 			t.Fatalf("flow %d path does not follow its ECMP spine", f)
 		}
 	}
 	// Intra-leaf: one hop halves.
-	if len(n.PathUp(0, 1, 5)) != 1 || len(n.PathDown(0, 1, 5)) != 1 {
+	if path, up := n.AppendPath(nil, 0, 1, 5); len(path) != 2 || up != 1 {
 		t.Fatal("intra-leaf halves should be host links only")
 	}
-	// AppendPathFlow lands the whole path in the caller's array when it
-	// has the room.
+	// AppendPath lands the whole path in the caller's array when it has
+	// the room.
 	buf := make([]*Link, 0, 4)
-	if a := testing.AllocsPerRun(100, func() { buf = n.AppendPathFlow(buf[:0], 0, 15, 3) }); a != 0 || len(buf) != 4 {
+	if a := testing.AllocsPerRun(100, func() { buf, _ = n.AppendPath(buf[:0], 0, 15, 3) }); a != 0 || len(buf) != 4 {
 		t.Fatalf("refilling a 4-link array with a %d-link path allocates %.1f objects, want 4 links and 0", len(buf), a)
 	}
 }
@@ -121,7 +120,8 @@ func TestBaseRTTCountsHopsWithoutAPath(t *testing.T) {
 		hosts := pkt.NodeID(n.NumHosts())
 		for src := pkt.NodeID(0); src < hosts; src++ {
 			for dst := pkt.NodeID(0); dst < hosts; dst++ {
-				want := sim.Duration(2*len(n.AppendPathFlow(nil, src, dst, 0))) * n.Cfg.LinkDelay
+				path, _ := n.AppendPath(nil, src, dst, 0)
+				want := sim.Duration(2*len(path)) * n.Cfg.LinkDelay
 				if got := n.BaseRTT(src, dst); got != want {
 					t.Fatalf("leaf-spine=%v: BaseRTT(%d, %d) = %v, the path says %v", n.IsLeafSpine(), src, dst, got, want)
 				}

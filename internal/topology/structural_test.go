@@ -10,7 +10,7 @@ import (
 )
 
 // The structural-route differential: switches route by a host range
-// and the Network keeps paths in flat arrays, both filled from the
+// and the Network reads paths from the link-ID rule, both the
 // builder's arithmetic. These tests rebuild the same answers from
 // Links alone — who is wired to whom — and compare.
 
@@ -80,6 +80,10 @@ func refDown(t *testing.T, n *Network, h pkt.NodeID) []*Link {
 	return out
 }
 
+// TestPathArraysMatchLinks is the oracle for AppendPath's link-ID
+// rule: every (source, destination, flow) path it reads, and its up
+// count, must be the one rebuilt from Links, and the paths together
+// must cross every link of the fabric.
 func TestPathArraysMatchLinks(t *testing.T) {
 	for _, shape := range structuralShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -88,19 +92,14 @@ func TestPathArraysMatchLinks(t *testing.T) {
 			ups, downs := make([][]*Link, hosts), make([][]*Link, hosts)
 			for h := pkt.NodeID(0); h < hosts; h++ {
 				ups[h], downs[h] = refUp(n, h), refDown(t, n, h)
-				if !slices.Equal(n.UpLinks(h), ups[h]) {
-					t.Fatalf("UpLinks(%d) = %v, Links say %v", h, n.UpLinks(h), ups[h])
-				}
-				if !slices.Equal(n.DownLinks(h), downs[h]) {
-					t.Fatalf("DownLinks(%d) = %v, Links say %v", h, n.DownLinks(h), downs[h])
-				}
 			}
+			crossed := map[*Link]bool{}
 			for src := pkt.NodeID(0); src < hosts; src++ {
 				for dst := pkt.NodeID(0); dst < hosts; dst++ {
 					if src == dst {
 						continue
 					}
-					for flow := pkt.FlowID(1); flow <= 3; flow++ {
+					for flow := pkt.FlowID(1); flow <= 8; flow++ {
 						wantUp, wantDown := ups[src], downs[dst]
 						if n.IsLeafSpine() {
 							if n.RackOf(src) != n.RackOf(dst) {
@@ -116,23 +115,18 @@ func TestPathArraysMatchLinks(t *testing.T) {
 							}
 							wantUp, wantDown = wantUp[:m+1], wantDown[len(wantDown)-(m+1):]
 						}
-						if !slices.Equal(n.PathUp(src, dst, flow), wantUp) || !slices.Equal(n.PathDown(src, dst, flow), wantDown) {
-							t.Fatalf("PathUp/PathDown(%d, %d, %d) = %v / %v, Links say %v / %v",
-								src, dst, flow, n.PathUp(src, dst, flow), n.PathDown(src, dst, flow), wantUp, wantDown)
+						got, up := n.AppendPath(nil, src, dst, flow)
+						if !slices.Equal(got, slices.Concat(wantUp, wantDown)) || up != len(wantUp) {
+							t.Fatalf("AppendPath(%d, %d, %d) = %v with up %d, Links say %v then %v", src, dst, flow, got, up, wantUp, wantDown)
 						}
-						if got := n.AppendPathFlow(nil, src, dst, flow); !slices.Equal(got, slices.Concat(wantUp, wantDown)) {
-							t.Fatalf("AppendPathFlow(%d, %d, %d) = %v, Links say %v then %v", src, dst, flow, got, wantUp, wantDown)
+						for _, l := range got {
+							crossed[l] = true
 						}
 					}
 				}
 			}
-			for r, leaf := range n.ToRs {
-				for s, spine := range n.Spines {
-					if up, down := linkBetween(t, n, leaf, spine), linkBetween(t, n, spine, leaf); n.SpineUpLinks(r)[s] != up || n.SpineDownLinks(r)[s] != down {
-						t.Fatalf("SpineUpLinks/SpineDownLinks(%d)[%d] = %v / %v, Links say %v / %v",
-							r, s, n.SpineUpLinks(r)[s], n.SpineDownLinks(r)[s], up, down)
-					}
-				}
+			if len(crossed) != len(n.Links) {
+				t.Fatalf("the paths cross %d of the fabric's %d links", len(crossed), len(n.Links))
 			}
 		})
 	}
@@ -140,7 +134,7 @@ func TestPathArraysMatchLinks(t *testing.T) {
 
 // TestStructuralRoutesFollowPaths forwards a real packet for every
 // (source, destination, flow) and checks that it crosses exactly the
-// links Network.AppendPathFlow names: it lands at its destination after
+// links Network.AppendPath names: it lands at its destination after
 // one hop per path link, each of which transmitted it once. The packets
 // leave every switch toward every destination host.
 func TestStructuralRoutesFollowPaths(t *testing.T) {
@@ -165,7 +159,7 @@ func TestStructuralRoutesFollowPaths(t *testing.T) {
 						continue
 					}
 					for flow := pkt.FlowID(1); flow <= 8; flow++ {
-						path := n.AppendPathFlow(nil, src, dst, flow)
+						path, _ := n.AppendPath(nil, src, dst, flow)
 						tx = tx[:0]
 						for _, l := range path {
 							tx = append(tx, l.Port.TxPackets)

@@ -8,10 +8,10 @@
 //
 // Besides wiring nodes and declaring each switch's structural route
 // (the host range below it), the package assigns every directed link
-// an ID and level and can enumerate the links on the path between two
-// hosts split into the source-up half and the destination-down half —
-// exactly the structure PASE's bottom-up arbitration operates on
-// (§3.1.2 of the paper).
+// an ID and level by a fixed rule and reads the links on the path
+// between two hosts from it, split into the source-up half and the
+// destination-down half — exactly the structure PASE's bottom-up
+// arbitration operates on (§3.1.2 of the paper).
 package topology
 
 import (
@@ -168,19 +168,11 @@ type Network struct {
 	// Spines is populated on leaf-spine fabrics.
 	Spines []*netem.Switch
 
+	// Links is indexed by link ID, which Build assigns in wiring
+	// order, up before down: host h's pair is 2h and 2h+1, then each
+	// rack's pairs above it (Config.UplinkID), then each agg's.
 	Links []*Link
 
-	// levels is how many links a host has toward the top of the
-	// fabric: treeLevels on a multi-rack tree, 1 on a single rack and
-	// on leaf-spine fabrics (whose mesh hop is per flow).
-	levels int
-	// up[h*levels+i] is host h's i-th link toward the core, edge first;
-	// down[h*levels+i] its i-th link from the core, top first. The
-	// builder writes each slot once, in its final place.
-	up, down []*Link
-	// spineUp[rack*spines+s] / spineDown[rack*spines+s] hold the
-	// leaf-spine mesh links (leaf-spine fabrics only).
-	spineUp, spineDown []*Link
 	// routes[rack] is each leaf's runtime ECMP route table (leaf-spine
 	// fabrics only; nil on trees).
 	routes []*RouteTable
@@ -215,18 +207,6 @@ func (n *Network) RouteTable(rack int) *RouteTable {
 	return n.routes[rack]
 }
 
-// SpineUpLinks returns rack's leaf→spine links indexed by spine
-// (leaf-spine fabrics only).
-func (n *Network) SpineUpLinks(rack int) []*Link { return row(n.spineUp, rack, len(n.Spines)) }
-
-// SpineDownLinks returns the spine→leaf links toward rack, indexed by
-// spine (leaf-spine fabrics only).
-func (n *Network) SpineDownLinks(rack int) []*Link { return row(n.spineDown, rack, len(n.Spines)) }
-
-// row returns row i of a flat table of width-wide rows, capped so an
-// append by the caller cannot reach the next row.
-func row(flat []*Link, i, width int) []*Link { return flat[i*width : (i+1)*width : (i+1)*width] }
-
 // fabric is a Network under construction: what the tree and the
 // leaf-spine wiring share.
 type fabric struct {
@@ -241,17 +221,15 @@ type fabric struct {
 // newFabric starts a Network with its rack tier, which trees and
 // leaf-spine fabrics wire alike: the hosts, one torKind switch of
 // torPorts ports per rack, and the host links. links is the fabric's
-// directed-link count, levels the Network field.
-func newFabric(eng *sim.Engine, cfg Config, torKind string, torPorts, levels, links int) *fabric {
+// directed-link count.
+func newFabric(eng *sim.Engine, cfg Config, torKind string, torPorts, links int) *fabric {
 	hosts := cfg.Racks * cfg.HostsPerRack
 	f := &fabric{
 		Network: &Network{
-			Eng: eng, Cfg: cfg, levels: levels,
+			Eng: eng, Cfg: cfg,
 			Hosts: make([]*netem.Host, hosts),
 			ToRs:  make([]*netem.Switch, cfg.Racks),
 			Links: make([]*Link, 0, links),
-			up:    make([]*Link, hosts*levels),
-			down:  make([]*Link, hosts*levels),
 		},
 		engOf:    func(netem.Node) *sim.Engine { return eng },
 		queueFor: func(kind QueueKind, _ netem.Node) netem.Queue { return cfg.NewQueue(kind) },
@@ -269,7 +247,7 @@ func newFabric(eng *sim.Engine, cfg Config, torKind string, torPorts, levels, li
 		tor.SetDown(pkt.NodeID(first), cfg.HostsPerRack, 1)
 		for i := first; i < first+cfg.HostsPerRack; i++ {
 			f.Hosts[i] = netem.NewHost(pkt.NodeID(i))
-			f.up[i*levels], f.down[(i+1)*levels-1] = f.connect(LevelHostToR, f.Hosts[i], tor, QueueHostNIC, cfg.EdgeRate)
+			f.connect(LevelHostToR, f.Hosts[i], tor, QueueHostNIC, cfg.EdgeRate)
 		}
 		f.ToRs[r] = tor
 	}
@@ -277,10 +255,10 @@ func newFabric(eng *sim.Engine, cfg Config, torKind string, torPorts, levels, li
 }
 
 // connect wires a full-duplex link between lower and the switch above
-// it and returns its two directions. Ports are added in call order, so
-// a switch whose down links are connected first, in host order, has
-// them at ports 0, 1, … — what Switch.SetDown's range rule relies on.
-func (f *fabric) connect(level Level, lower netem.Node, upper *netem.Switch, lowerKind QueueKind, rate netem.BitRate) (up, down *Link) {
+// it as the next two link IDs, up then down. Ports are added in call
+// order, so a switch whose down links are connected first, in host
+// order, has them at ports 0, 1, … — what SetDown's range rule needs.
+func (f *fabric) connect(level Level, lower netem.Node, upper *netem.Switch, lowerKind QueueKind, rate netem.BitRate) {
 	lp := netem.NewPort(f.engOf(lower), lower, f.queueFor(lowerKind, lower), rate, f.Cfg.LinkDelay)
 	hp := netem.NewPort(f.engOf(upper), upper, f.queueFor(QueueSwitchDown, upper), rate, f.Cfg.LinkDelay)
 	netem.Connect(lp, hp)
@@ -291,19 +269,15 @@ func (f *fabric) connect(level Level, lower netem.Node, upper *netem.Switch, low
 		lo.AddPort(lp)
 	}
 	upper.AddPort(hp)
-	return f.link(level, true, lp, lower, upper), f.link(level, false, hp, upper, lower)
+	f.link(level, true, lp, lower, upper)
+	f.link(level, false, hp, upper, lower)
 }
 
-func (f *fabric) link(level Level, up bool, port *netem.Port, from, to netem.Node) *Link {
+func (f *fabric) link(level Level, up bool, port *netem.Port, from, to netem.Node) {
 	l := &f.slab[len(f.Links)]
 	*l = Link{ID: len(f.Links), Level: level, Up: up, Port: port, From: from, To: to}
 	f.Links = append(f.Links, l)
-	return l
 }
-
-// treeLevels is a multi-rack tree's height in links: host-ToR, ToR-agg,
-// agg-core.
-const treeLevels = 3
 
 // Build wires the fabric described by cfg onto the engine: a
 // leaf-spine when cfg.Spines is positive, a tree otherwise.
@@ -321,13 +295,13 @@ func Build(eng *sim.Engine, cfg Config) *Network {
 		}
 		return buildLeafSpine(eng, cfg)
 	case cfg.Racks == 1:
-		return newFabric(eng, cfg, "tor", cfg.HostsPerRack, 1, 2*cfg.HostsPerRack).Network
+		return newFabric(eng, cfg, "tor", cfg.HostsPerRack, 2*cfg.HostsPerRack).Network
 	case cfg.RacksPerAgg < 1 || cfg.Racks%cfg.RacksPerAgg != 0:
 		panic("topology: Racks must be a multiple of RacksPerAgg")
 	}
 	hosts, aggs := cfg.Racks*cfg.HostsPerRack, cfg.Racks/cfg.RacksPerAgg
 	perAgg := cfg.RacksPerAgg * cfg.HostsPerRack
-	f := newFabric(eng, cfg, "tor", cfg.HostsPerRack+1, treeLevels, 2*(hosts+cfg.Racks+aggs))
+	f := newFabric(eng, cfg, "tor", cfg.HostsPerRack+1, 2*(hosts+cfg.Racks+aggs))
 	f.Aggs = make([]*netem.Switch, aggs)
 	for a := range f.Aggs {
 		f.Aggs[a] = netem.NewSwitch(pkt.NodeID(hosts+cfg.Racks+a), "agg", a, cfg.RacksPerAgg+1)
@@ -340,17 +314,11 @@ func Build(eng *sim.Engine, cfg Config) *Network {
 	// added: ToR <-> Agg links, then Agg <-> Core.
 	for r, tor := range f.ToRs {
 		tor.SetUp(len(tor.Ports()))
-		up, down := f.connect(LevelToRAgg, tor, f.Aggs[r/cfg.RacksPerAgg], QueueSwitchUp, cfg.FabricRate)
-		for i := r * cfg.HostsPerRack; i < (r+1)*cfg.HostsPerRack; i++ {
-			f.up[i*treeLevels+1], f.down[i*treeLevels+1] = up, down
-		}
+		f.connect(LevelToRAgg, tor, f.Aggs[r/cfg.RacksPerAgg], QueueSwitchUp, cfg.FabricRate)
 	}
-	for a, agg := range f.Aggs {
+	for _, agg := range f.Aggs {
 		agg.SetUp(len(agg.Ports()))
-		up, down := f.connect(LevelAggCore, agg, f.Core, QueueSwitchUp, cfg.FabricRate)
-		for i := a * perAgg; i < (a+1)*perAgg; i++ {
-			f.up[i*treeLevels+2], f.down[i*treeLevels] = up, down
-		}
+		f.connect(LevelAggCore, agg, f.Core, QueueSwitchUp, cfg.FabricRate)
 	}
 	return f.Network
 }
@@ -387,57 +355,28 @@ func (n *Network) meetLevel(src, dst pkt.NodeID) int {
 	}
 }
 
-// PathUp returns the links of the source-side half of flow's src->dst
-// path: from src's NIC upward, ending at the meeting switch. A tree
-// has one path per pair and ignores flow; on a leaf-spine an
-// inter-leaf half ends with the leaf→spine link the source leaf's
-// route table picks for flow.
-func (n *Network) PathUp(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
-	up, meet := n.UpLinks(src), n.meetLevel(src, dst)
-	if !n.IsLeafSpine() || meet == 0 {
-		return up[:meet+1]
+// AppendPath appends flow's src->dst path, read from the link-ID rule
+// (see Links), to path in traversal order and returns it with up, the
+// length of the source half: src's NIC up to the meeting switch. A tree
+// ignores flow; a leaf-spine crosses the spine the source leaf's route
+// table picks for it. It allocates only when path lacks the room.
+func (n *Network) AppendPath(path []*Link, src, dst pkt.NodeID, flow pkt.FlowID) ([]*Link, int) {
+	l, cfg := n.Links, n.Cfg
+	srcRack, dstRack := n.RackOf(src), n.RackOf(dst)
+	switch n.meetLevel(src, dst) {
+	case 0:
+		return append(path, l[2*src], l[2*dst+1]), 1
+	case 1:
+		s := 0
+		if n.IsLeafSpine() {
+			s = n.routes[srcRack].Pick(dstRack, flow)
+		}
+		return append(path, l[2*src], l[cfg.UplinkID(srcRack, s)], l[cfg.UplinkID(dstRack, s)+1], l[2*dst+1]), 2
 	}
-	srcRack := n.RackOf(src)
-	spine := n.routes[srcRack].Pick(n.RackOf(dst), flow)
-	return []*Link{up[0], n.SpineUpLinks(srcRack)[spine]}
+	agg := 2 * (len(n.Hosts) + cfg.Racks) // the agg pairs follow the rack pairs
+	return append(path, l[2*src], l[cfg.UplinkID(srcRack, 0)], l[agg+2*n.AggOf(src)],
+		l[agg+2*n.AggOf(dst)+1], l[cfg.UplinkID(dstRack, 0)+1], l[2*dst+1]), 3
 }
-
-// PathDown returns the links of the destination-side half, in
-// top-down order starting just below the meeting switch (flow as in
-// PathUp).
-func (n *Network) PathDown(src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
-	down, meet := n.DownLinks(dst), n.meetLevel(src, dst)
-	if !n.IsLeafSpine() || meet == 0 {
-		return down[len(down)-(meet+1):]
-	}
-	dstRack := n.RackOf(dst)
-	spine := n.routes[n.RackOf(src)].Pick(dstRack, flow)
-	return []*Link{n.SpineDownLinks(dstRack)[spine], down[0]}
-}
-
-// AppendPathFlow appends the flow-aware path from src to dst, in
-// traversal order, to path and returns the extended slice. On tree
-// fabrics it is PathUp then PathDown; on leaf-spine fabrics an
-// inter-leaf flow climbs to the spine the source leaf's route table
-// picks and back down. It allocates only when path lacks the room, so
-// a caller that refills its own slice pays nothing per flow.
-func (n *Network) AppendPathFlow(path []*Link, src, dst pkt.NodeID, flow pkt.FlowID) []*Link {
-	if !n.IsLeafSpine() {
-		return append(append(path, n.PathUp(src, dst, flow)...), n.PathDown(src, dst, flow)...)
-	}
-	path = append(path, n.UpLinks(src)...)
-	if srcRack, dstRack := n.RackOf(src), n.RackOf(dst); srcRack != dstRack {
-		spine := n.routes[srcRack].Pick(dstRack, flow)
-		path = append(path, n.SpineUpLinks(srcRack)[spine], n.SpineDownLinks(dstRack)[spine])
-	}
-	return append(path, n.DownLinks(dst)...)
-}
-
-// UpLinks returns all links from host h toward the core (edge first).
-func (n *Network) UpLinks(h pkt.NodeID) []*Link { return row(n.up, int(h), n.levels) }
-
-// DownLinks returns all links from the core down to host h (top-down).
-func (n *Network) DownLinks(h pkt.NodeID) []*Link { return row(n.down, int(h), n.levels) }
 
 // BaseRTT returns the zero-queueing round-trip time between two hosts,
 // counting propagation only (serialization is load-dependent and small

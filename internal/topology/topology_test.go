@@ -31,7 +31,8 @@ func TestBaselineShape(t *testing.T) {
 		t.Fatalf("links = %d, want %d", got, (160+4+2)*2)
 	}
 	// Oversubscription: 40 hosts × 1Gbps vs one 10Gbps uplink = 4:1.
-	up := n.UpLinks(0)
+	path, hops := n.AppendPath(nil, 0, 159, 0)
+	up := path[:hops]
 	if len(up) != 3 {
 		t.Fatalf("up links = %d, want 3", len(up))
 	}
@@ -50,10 +51,16 @@ func TestRackAndAggAssignment(t *testing.T) {
 	}
 }
 
+// halves returns the source and destination halves of a path.
+func halves(n *Network, src, dst pkt.NodeID) (up, down []*Link) {
+	path, k := n.AppendPath(nil, src, dst, 0)
+	return path[:k], path[k:]
+}
+
 func TestPathHalves(t *testing.T) {
 	_, n := buildBaseline(t)
 	// Same rack: 1 up + 1 down.
-	up, down := n.PathUp(0, 1, 0), n.PathDown(0, 1, 0)
+	up, down := halves(n, 0, 1)
 	if len(up) != 1 || len(down) != 1 {
 		t.Fatalf("intra-rack halves = %d/%d, want 1/1", len(up), len(down))
 	}
@@ -61,7 +68,7 @@ func TestPathHalves(t *testing.T) {
 		t.Fatal("intra-rack links misclassified")
 	}
 	// Same agg, different rack (host 0 rack 0, host 40 rack 1): 2 up + 2 down.
-	up, down = n.PathUp(0, 40, 0), n.PathDown(0, 40, 0)
+	up, down = halves(n, 0, 40)
 	if len(up) != 2 || len(down) != 2 {
 		t.Fatalf("intra-agg halves = %d/%d, want 2/2", len(up), len(down))
 	}
@@ -69,7 +76,7 @@ func TestPathHalves(t *testing.T) {
 		t.Fatal("down half must be top-down ordered")
 	}
 	// Across core (host 0, host 159): 3 up + 3 down.
-	up, down = n.PathUp(0, 159, 0), n.PathDown(0, 159, 0)
+	up, down = halves(n, 0, 159)
 	if len(up) != 3 || len(down) != 3 {
 		t.Fatalf("cross-core halves = %d/%d, want 3/3", len(up), len(down))
 	}
@@ -180,8 +187,8 @@ func TestPathMatchesRouting(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if int(hops) != len(slices.Concat(n.PathUp(0, 159, 0), n.PathDown(0, 159, 0))) {
-		t.Fatalf("hops = %d, path length = %d", hops, len(slices.Concat(n.PathUp(0, 159, 0), n.PathDown(0, 159, 0))))
+	if path, _ := n.AppendPath(nil, 0, 159, 0); int(hops) != len(path) {
+		t.Fatalf("hops = %d, path length = %d", hops, len(path))
 	}
 }
 
@@ -191,11 +198,11 @@ func TestSingleRackHasNoFabricLayer(t *testing.T) {
 	if len(n.Aggs) != 0 || n.Core != nil {
 		t.Fatal("single rack should not build agg/core")
 	}
-	if len(n.UpLinks(0)) != 1 || len(n.DownLinks(0)) != 1 {
+	if len(n.Links) != 2*20 {
 		t.Fatal("single-rack hosts have exactly one up and one down link")
 	}
-	if got := len(slices.Concat(n.PathUp(0, 19, 0), n.PathDown(0, 19, 0))); got != 2 {
-		t.Fatalf("path length = %d, want 2", got)
+	if path, up := n.AppendPath(nil, 0, 19, 0); len(path) != 2 || up != 1 {
+		t.Fatalf("path length = %d with %d up, want 2 with 1", len(path), up)
 	}
 }
 
@@ -251,11 +258,13 @@ func TestQueueStatsTotalAggregates(t *testing.T) {
 		n.Hosts[far].Handler = func(*pkt.Packet) {}
 		// A burst from two hosts to a far one queues behind itself; one
 		// packet stays in the rack.
-		hops := len(n.AppendPathFlow(nil, 0, 1, 0))
+		path, _ := n.AppendPath(nil, 0, 1, 0)
+		hops := len(path)
 		n.Host(0).Send(&pkt.Packet{Src: 0, Dst: 1, Size: pkt.MTU, Type: pkt.Data})
 		for f := pkt.FlowID(1); f <= 20; f++ {
 			for _, src := range []pkt.NodeID{0, 2} {
-				hops += len(n.AppendPathFlow(nil, src, far, f))
+				path, _ = n.AppendPath(path[:0], src, far, f)
+				hops += len(path)
 				n.Hosts[src].Send(&pkt.Packet{Flow: f, Src: src, Dst: far, Size: pkt.MTU, Type: pkt.Data})
 			}
 		}

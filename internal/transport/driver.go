@@ -155,7 +155,8 @@ func (d *Driver) checkFCT(chk *check.Checker, s *Sender) {
 	// The path lands in a stack array: shards check their flows
 	// concurrently, so no scratch on the driver could be shared.
 	var buf [8]*topology.Link
-	for _, l := range d.Net.AppendPathFlow(buf[:0], s.Spec.Src, s.Spec.Dst, s.Spec.ID) {
+	path, _ := d.Net.AppendPath(buf[:0], s.Spec.Src, s.Spec.Dst, s.Spec.ID)
+	for _, l := range path {
 		if bottleneck == 0 || l.Capacity() < bottleneck {
 			bottleneck = l.Capacity()
 		}

@@ -34,7 +34,7 @@ func runOne(t *testing.T, net *topology.Network, d *Driver, id pkt.FlowID, segs 
 func TestNothingSurvivesALife(t *testing.T) {
 	net, d, ctrl := testRig(t)
 	ctrl.initCwnd = 64
-	net.UpLinks(0)[0].Port.Faults = loseOnce{10: true, 11: true, 2000: true}
+	net.Links[0].Port.Faults = loseOnce{10: true, 11: true, 2000: true}
 	var s1 *Sender
 	d.OnFlowStart = func(s *Sender) { s1 = s }
 	runOne(t, net, d, 1, 4000)

@@ -148,7 +148,7 @@ type control struct {
 func (c *control) Init(s *transport.Sender) {
 	s.Paced = true
 	s.Rate = 0 // paused until the first allocation arrives
-	c.path = c.sys.net.AppendPathFlow(c.path, s.Spec.Src, s.Spec.Dst, s.Spec.ID)
+	c.path, _ = c.sys.net.AppendPath(c.path, s.Spec.Src, s.Spec.Dst, s.Spec.ID)
 	c.syncTimer = s.Stack().Eng.ScheduleAction(0, (*syncAction)(c), s)
 }
 

@@ -296,7 +296,7 @@ func TestSegmentRecordGrowsWithWhatWasSent(t *testing.T) {
 	for seq := int32(segStateInit - 32); seq < segStateInit+32; seq++ {
 		lose[seq], lost[seq] = true, true
 	}
-	net.UpLinks(0)[0].Port.Faults = loseOnce(lose)
+	net.Links[0].Port.Faults = loseOnce(lose)
 	s := start(t, d, segs*pkt.MSS)
 	if len(s.state) != segStateInit {
 		t.Fatalf("record starts at %d, want %d", len(s.state), segStateInit)
