@@ -63,7 +63,7 @@ scale-smoke:
 # under the race detector in race).
 shard-smoke:
 	@mkdir -p artifacts; for leg in \
-		"-scenario leaf-spine-wide -scale 100000 -load 0.6" \
+		"-scenario leaf-spine-wide -stream -flows 100000 -load 0.6" \
 		"-scenario left-right -load 0.6 -stream -flows 20000" \
 		"-scenario leaf-spine -load 0.6 -flows 2000 -reroute"; do \
 		echo "pasesim -protocol DCTCP $$leg -shards 4"; \
@@ -128,8 +128,8 @@ te-smoke:
 # suite, fuzzer seeds and ctrlplane/arbstats pins run in check-test).
 ctrlscale-smoke:
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -check -progress=false
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -ctrl central -check -progress=false \
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -central -check -progress=false
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -flows 2000 -central -check -progress=false \
 		-faults "ctrl:drop=0.2,delay=20us; crash:link=*,at=2ms,for=1ms,every=10ms"
 
 # One iteration of each benchmark: the root set-up costs and the engine

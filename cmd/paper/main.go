@@ -14,7 +14,8 @@
 //	paper -all -flows 1000
 //	paper -fig 9a -parallel 4 -cpuprofile cpu.out
 //	paper -fig 9a -stream
-//	paper -scale 1000000
+//	paper -fig scale -flows 1000000
+//	paper -fig ctrlscale -ctrl central -racks 256
 package main
 
 import (
@@ -59,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&opts.Check, "check", false, "run every point with the runtime invariant checker; exit 1 on any violation")
 	fs.BoolVar(&opts.Stream, "stream", false, "run every point on the bounded-memory streaming path (sketch quantiles)")
 	fs.IntVar(&opts.Shards, "shards", 0, "engine shards per simulation point (0/1 = serial; output is identical at any setting; multiplies with -parallel)")
-	fs.StringVar(&opts.Ctrl, "ctrl", "", `put every figure's PASE points on one control plane, "hierarchy" or "central"; the ctrlscale figure, which sweeps both, runs only that arm (default: the hierarchy, and both arms in ctrlscale)`)
-	fs.IntVar(&opts.Racks, "racks", 0, "restrict the ctrlscale figure to one rack count (default: full 16..2048 sweep)")
+	fs.StringVar(&opts.Ctrl, "ctrl", "", `run one arm of the ctrlscale figure, "hierarchy" or "central" (default: both; other figures reject it)`)
+	fs.IntVar(&opts.Racks, "racks", 0, "end the ctrlscale figure's rack sweep at this count (default: full 16..2048 sweep; other figures reject it)")
 	var (
 		figID     = fs.String("fig", "", "figure id to regenerate: "+figureIDs())
 		all       = fs.Bool("all", false, "regenerate every figure")
@@ -68,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		loads     = fs.String("loads", "", "comma-separated load override, e.g. 0.2,0.5,0.8")
 		out       = fs.String("out", "", "write each figure's TSV and manifest into this directory (default: manifest only, working directory)")
 		faultSpec = fs.String("faults", "", `fault-injection plan applied to every simulation point, e.g. "ctrl:drop=0.2"`)
-		scale     = fs.Int("scale", 0, "shortcut for the scale figure: -fig scale -stream with this many flows at the sweep top")
 		progress  = fs.Bool("progress", true, "live progress meter on stderr")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -91,21 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *scale < 0 {
-		return fail(fmt.Errorf("-scale must not be negative, got %d", *scale))
-	}
-	if *scale > 0 {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"fig", "all", "flows"} {
-			if set[name] {
-				return fail(fmt.Errorf("-scale picks the figure and its flow count; drop -%s", name))
-			}
-		}
-		*figID = "scale"
-		opts.NumFlows = *scale
-		opts.Stream = true
-	}
 	if *faultSpec != "" {
 		plan, err := pase.ParseFaults(*faultSpec)
 		if err != nil {

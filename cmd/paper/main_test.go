@@ -90,7 +90,9 @@ var flagTable = []flagRow{
 	{flag: "fig", args: []string{"-fig", "nope"}, reject: `"nope"`},
 	{flag: "fig", args: []string{"-fig", "nope", "-out", "d"}, reject: `"nope"`},
 	{flag: "fig", args: toy(), ids: fig3, out: printed("(3 flows/point, seed 1,")},
-	{flag: "all", args: []string{"-all", "-flows", "20", "-racks", "16"}, ids: allIDs(), opts: func(o *pase.FigureOpts) { o.Racks = 16 }},
+	{flag: "all", args: []string{"-all", "-flows", "20"}, ids: allIDs()},
+	{flag: "all", args: []string{"-all", "-flows", "20", "-racks", "16"}, reject: "figure 1 sweeps no racks for Racks to cap"},
+	{flag: "all", args: []string{"-all", "-flows", "20", "-ctrl", "central"}, reject: "figure 1 has no control-plane arm \"central\" for Ctrl to pick"},
 	{flag: "list", args: []string{"-list"}, out: func(t *testing.T, r result) {
 		if len(r.ids) != 0 || !strings.Contains(r.stdout, "9a       AFCT vs load") {
 			t.Errorf("ran %v, stdout:\n%s", r.ids, r.stdout)
@@ -152,20 +154,23 @@ var flagTable = []flagRow{
 	{flag: "stream", args: toy("-stream", "-out", "d"), reject: "Stream"},
 	{flag: "stream", args: []string{"-fig", "task", "-stream", "-out", "d"}, reject: "Stream"},
 	{flag: "shards", args: fig("-shards", "2"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Shards = 2 }},
-	{flag: "scale", args: []string{"-scale", "20"}, ids: []string{"scale"}, opts: func(o *pase.FigureOpts) { o.Stream = true },
-		out: printed("(10-20 flows/point, seed 1,")},
-	{flag: "scale", args: []string{"-scale", "-1"}, reject: "-scale"},
-	{flag: "scale", args: []string{"-fig", "3", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -fig"},
-	{flag: "scale", args: []string{"-all", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -all"},
-	{flag: "scale", args: []string{"-scale", "20", "-flows", "15"}, reject: "-scale picks the figure and its flow count; drop -flows"},
-	{flag: "scale", args: []string{"-fig", "3", "-flows", "20", "-scale", "-1"}, reject: "-scale"},
-	{flag: "scale", args: []string{"-fig", "3", "-flows", "20", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -fig"},
-	{flag: "scale", args: []string{"-all", "-flows", "20", "-scale", "20"}, reject: "-scale picks the figure and its flow count; drop -all"},
-	{flag: "scale", args: []string{"-flows", "20", "-scale", "20", "-flows", "30"}, reject: "-scale picks the figure and its flow count; drop -flows"},
-	{flag: "ctrl", args: fig("-ctrl", "central"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Ctrl = "central" }},
+	{flag: "fig", args: []string{"-fig", "scale", "-flows", "20"}, ids: []string{"scale"}, out: printed("(10-20 flows/point, seed 1,")},
+	{flag: "ctrl", args: []string{"-fig", "ctrlscale", "-flows", "20", "-ctrl", "central", "-racks", "16"}, ids: []string{"ctrlscale"},
+		opts: func(o *pase.FigureOpts) { o.Ctrl, o.Racks = "central", 16 }, out: func(t *testing.T, r result) {
+			if !strings.Contains(r.stdout, "central AFCT") || strings.Contains(r.stdout, "hierarchy AFCT") {
+				t.Errorf("-ctrl central did not run the central arm alone:\n%s", r.stdout)
+			}
+		}},
+	{flag: "ctrl", args: []string{"-fig", "ctrlscale", "-flows", "20", "-ctrl", "ring"}, reject: "figure ctrlscale has no control-plane arm \"ring\" for Ctrl to pick"},
+	{flag: "ctrl", args: fig("-ctrl", "central"), reject: "figure 9a has no control-plane arm \"central\" for Ctrl to pick"},
 	{flag: "ctrl", args: fig("-ctrl", "ring"), reject: "Ctrl"},
+	{flag: "ctrl", args: fig("-ctrl", "PASE"), reject: "figure 9a has no control-plane arm \"PASE\" for Ctrl to pick"},
+	{flag: "ctrl", args: []string{"-fig", "11a", "-flows", "20", "-ctrl", "central"}, reject: "figure 11a has no control-plane arm \"central\" for Ctrl to pick"},
+	{flag: "ctrl", args: []string{"-fig", "11a", "-flows", "20", "-ctrl", "on"}, reject: "figure 11a has no control-plane arm \"on\" for Ctrl to pick"},
+	{flag: "ctrl", args: []string{"-fig", "12a", "-flows", "20", "-ctrl", "central"}, reject: "figure 12a has no control-plane arm \"central\" for Ctrl to pick"},
 	{flag: "racks", args: []string{"-fig", "ctrlscale", "-flows", "20", "-racks", "16"}, ids: []string{"ctrlscale"}, opts: func(o *pase.FigureOpts) { o.Racks = 16 }},
 	{flag: "racks", args: fig("-racks", "-1"), reject: "Racks"},
+	{flag: "racks", args: fig("-racks", "16"), reject: "figure 9a sweeps no racks for Racks to cap"},
 	{flag: "progress", args: fig("-progress"), ids: fig9a, out: func(t *testing.T, r result) {
 		if !strings.Contains(r.meter, "fig 9a: ") {
 			t.Errorf("progress meter drew %q", r.meter)

@@ -12,7 +12,8 @@
 //	pasesim -protocol PASE -scenario left-right -load 0.9 -local-only
 //	pasesim -protocol DCTCP -load 0.8 -flowlog flows.tsv -queuetrace q.tsv
 //	pasesim -protocol PASE -load 0.7 -obs -manifest run.json
-//	pasesim -protocol DCTCP -scenario leaf-spine -load 0.6 -scale 1000000
+//	pasesim -protocol DCTCP -scenario leaf-spine -load 0.6 -stream -flows 1000000
+//	pasesim -protocol PASE -scenario ctrlscale-512 -load 0.6 -central
 //	pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -check
 package main
 
@@ -25,7 +26,6 @@ import (
 
 	"pase"
 	"pase/internal/cliutil"
-	"pase/internal/experiments"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -59,6 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.PASE.NumQueues, "queues", 0, "PASE: switch priority queues (default 8)")
 	fs.BoolVar(&cfg.PASE.DisableRefRate, "no-refrate", false, "PASE: ignore the reference rate (PASE-DCTCP)")
 	fs.BoolVar(&cfg.PASE.DisableProbing, "no-probing", false, "PASE: disable probe-based recovery")
+	fs.BoolVar(&cfg.PASE.Central, "central", false, "PASE: run the single-controller comparison arm instead of the arbitration hierarchy")
 	fs.IntVar(&cfg.PASE.HierFanOut, "hier-fanout", 0, "PASE: aggregation-tree fan-out of the deep arbitration hierarchy (0 = scenario default)")
 	fs.IntVar(&cfg.PASE.HierTopShards, "hier-shards", 0, "PASE: replicated root shards of the deep arbitration hierarchy (0 = scenario default)")
 	fs.IntVar(&cfg.Trace.SampleN, "trace-sample", 0, "with -trace, keep 1 in N flow traces (0/1 = all; misbehaving flows are always kept)")
@@ -72,15 +73,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds     = fs.Int("seeds", 1, "run this many consecutive seeds and report each plus the mean")
 		parallel  = fs.Int("parallel", 0, "seed runs executed concurrently (0 = one per CPU, 1 = serial)")
 		cdf       = fs.Bool("cdf", false, "print the FCT CDF")
-		ctrl      = fs.String("ctrl", "", `PASE control plane: "hierarchy" (default) or "central" (single-controller comparison arm)`)
-		racks     = fs.Int("racks", 0, "shortcut for -scenario ctrlscale-<racks>: the control-plane-at-scale fabric with this many racks")
 		flowLog   = fs.String("flowlog", "", "write the flow event trace (start/done/abort) as TSV to this file")
 		queueLog  = fs.String("queuetrace", "", "write sampled queue occupancies as TSV to this file")
 		queueInt  = fs.Duration("queueinterval", 100*time.Microsecond, "queue sampling interval for -queuetrace and -trace")
 		traceOut  = fs.String("trace", "", "write the span-based flight recording as Perfetto trace-event JSON to this file (inspect with pasetrace or ui.perfetto.dev)")
 		outcomes  = fs.String("outcomes", "", "write per-flow outcomes (size, fct, deadline, retx) as TSV to this file")
 		faultSpec = fs.String("faults", "", `fault-injection plan, e.g. "loss:link=*,class=data,rate=0.01; ctrl:drop=0.2"`)
-		scale     = fs.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
 		manifest  = fs.String("manifest", "", "manifest output path (implies -obs; default pasesim.manifest.json when -obs is set)")
 		progress  = fs.Bool("progress", true, "live progress meter on stderr for multi-seed runs")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -97,22 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *racks < 0 {
-		return fail(fmt.Errorf("-racks must not be negative, got %d", *racks))
-	}
-	if *scale < 0 {
-		return fail(fmt.Errorf("-scale must not be negative, got %d", *scale))
-	}
 	if *seeds < 1 {
 		return fail(fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *scale > 0 && set["flows"] {
-		return fail(fmt.Errorf("-scale sets the flow count; drop -flows"))
-	}
-	if *racks > 0 && set["scenario"] {
-		return fail(fmt.Errorf("-racks picks the scenario; drop -scenario"))
 	}
 	if *manifest != "" {
 		cfg.Obs = true
@@ -120,22 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Obs && *manifest == "" {
 		*manifest = "pasesim.manifest.json"
 	}
-	if *scale > 0 {
-		cfg.Stream = true
-		cfg.NumFlows = *scale
-	}
 	if cfg.Stream && *outcomes != "" {
-		return fail(fmt.Errorf("-outcomes needs per-flow records, which streaming runs do not keep; drop -stream/-scale"))
-	}
-	cfg.PASE.Central = *ctrl == "central"
-	if *ctrl != "" && *ctrl != "hierarchy" && *ctrl != "central" {
-		return fail(fmt.Errorf("-ctrl %q: want \"hierarchy\" or \"central\"", *ctrl))
-	}
-	if *racks > 0 {
-		if *racks > experiments.CtrlScaleMaxRacks {
-			return fail(fmt.Errorf("-racks asks for %d ctrlscale racks, at most %d are supported", *racks, experiments.CtrlScaleMaxRacks))
-		}
-		cfg.Scenario = pase.Scenario(fmt.Sprintf("%s-%d", pase.ScenarioCtrlScale, *racks))
+		return fail(fmt.Errorf("-outcomes needs per-flow records, which streaming runs do not keep; drop -stream"))
 	}
 	if *queueLog != "" && *queueInt <= 0 {
 		return fail(fmt.Errorf("-queueinterval %v: -queuetrace needs a positive sampling interval", *queueInt))
@@ -161,6 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := pase.Validate(cfg); err != nil {
 		return fail(err)
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["trace-sample"] && *traceOut == "" {
 		return fail(fmt.Errorf("-trace-sample samples the -trace output; add -trace <file>"))
 	}

@@ -82,6 +82,8 @@ var flagTable = []flagRow{
 	{flag: "protocol", args: small("-protocol", "SCTP"), reject: "SCTP"},
 	{flag: "scenario", args: small("-scenario", "left-right"), cfg: func(c *pase.SimConfig) { c.Scenario = pase.ScenarioLeftRight }},
 	{flag: "scenario", args: small("-scenario", "toy"), reject: "unknown scenario"},
+	{flag: "scenario", args: small("-scenario", "ctrlscale-16"), cfg: func(c *pase.SimConfig) { c.Scenario = "ctrlscale-16" }},
+	{flag: "scenario", args: small("-scenario", "ctrlscale-20000"), reject: "Scenario asks for 20000 ctrlscale racks"},
 	{flag: "load", args: small("-load", "0.5"), cfg: func(c *pase.SimConfig) { c.Load = 0.5 }},
 	{flag: "load", args: small("-load", "1.5"), reject: "Load"},
 	{flag: "load", args: small("-load", "2", "-trace", "t.json"), reject: "Load"},
@@ -111,21 +113,15 @@ var flagTable = []flagRow{
 	{flag: "local-only", args: small("-scenario", "ctrlscale-16", "-local-only", "-hier-fanout", "2"), reject: "PASE.LocalOnly runs no arbitration hierarchy, so it cannot take PASE.HierFanOut"},
 	{flag: "local-only", args: small("-protocol", "DCTCP", "-local-only", "-queues", "3"), reject: "PASE.LocalOnly is a PASE option; protocol \"DCTCP\" cannot take it"},
 	{flag: "no-refrate", args: small("-protocol", "DCTCP", "-no-refrate"), reject: "PASE.DisableRefRate is a PASE option; protocol \"DCTCP\" cannot take it"},
-	{flag: "ctrl", args: small("-protocol", "DCTCP", "-ctrl", "central"), reject: "PASE.Central is a PASE option; protocol \"DCTCP\" cannot take it"},
+	{flag: "central", args: small("-protocol", "DCTCP", "-central"), reject: "PASE.Central is a PASE option; protocol \"DCTCP\" cannot take it"},
 	{flag: "no-pruning", args: small("-no-pruning"), cfg: func(c *pase.SimConfig) { c.PASE.NoPruning = true }},
 	{flag: "no-delegation", args: small("-no-delegation"), cfg: func(c *pase.SimConfig) { c.PASE.NoDelegation = true }},
 	{flag: "queues", args: small("-queues", "4"), cfg: func(c *pase.SimConfig) { c.PASE.NumQueues = 4 }},
 	{flag: "no-refrate", args: small("-no-refrate"), cfg: func(c *pase.SimConfig) { c.PASE.DisableRefRate = true }},
 	{flag: "no-probing", args: small("-no-probing"), cfg: func(c *pase.SimConfig) { c.PASE.DisableProbing = true }},
-	{flag: "ctrl", args: small("-ctrl", "central"), cfg: func(c *pase.SimConfig) { c.PASE.Central = true }},
-	{flag: "ctrl", args: small("-ctrl", "hierarchy")},
-	{flag: "ctrl", args: small("-ctrl", "ring"), reject: "-ctrl"},
-	{flag: "ctrl", args: small("-ctrl", "central", "-local-only"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.LocalOnly"},
-	{flag: "ctrl", args: small("-scenario", "ctrlscale-16", "-ctrl", "central", "-hier-fanout", "2"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.HierFanOut"},
-	{flag: "racks", args: small("-racks", "16"), cfg: func(c *pase.SimConfig) { c.Scenario = "ctrlscale-16" }},
-	{flag: "racks", args: small("-racks", "-4"), reject: "-racks"},
-	{flag: "racks", args: small("-racks", "16", "-scenario", "left-right"), reject: "-racks picks the scenario; drop -scenario"},
-	{flag: "racks", args: small("-racks", "20000"), reject: "-racks"},
+	{flag: "central", args: small("-central"), cfg: func(c *pase.SimConfig) { c.PASE.Central = true }},
+	{flag: "central", args: small("-central", "-local-only"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.LocalOnly"},
+	{flag: "central", args: small("-scenario", "ctrlscale-16", "-central", "-hier-fanout", "2"), reject: "PASE.Central runs no arbitration hierarchy, so it cannot take PASE.HierFanOut"},
 	{flag: "hier-fanout", args: small("-scenario", "ctrlscale-16", "-hier-fanout", "2"),
 		cfg: func(c *pase.SimConfig) { c.Scenario, c.PASE.HierFanOut = "ctrlscale-16", 2 }},
 	{flag: "hier-fanout", args: small("-hier-fanout", "-3"), reject: "PASE.HierFanOut"},
@@ -197,11 +193,6 @@ var flagTable = []flagRow{
 	{flag: "abort-after", args: small("-abort-after", "-1ms"), reject: "AbortAfter"},
 	{flag: "stream", args: small("-stream"), cfg: func(c *pase.SimConfig) { c.Stream = true }},
 	{flag: "shards", args: small("-shards", "2"), cfg: func(c *pase.SimConfig) { c.Shards = 2 }},
-	{flag: "scale", args: []string{"-scale", "30"}, cfg: func(c *pase.SimConfig) { c.NumFlows, c.Stream = 30, true }},
-	{flag: "scale", args: []string{"-scale", "-5"}, reject: "-scale"},
-	{flag: "scale", args: []string{"-scale", "30", "-flows", "15"}, reject: "-scale sets the flow count; drop -flows"},
-	{flag: "scale", args: small("-scale", "-5"), reject: "-scale"},
-	{flag: "scale", args: small("-scale", "60", "-flows", "30"), reject: "-scale sets the flow count; drop -flows"},
 	{flag: "obs", args: small("-obs"), cfg: func(c *pase.SimConfig) { c.Obs = true },
 		out: wrote("pasesim.manifest.json", "{\n  \"tool\": \"pasesim\"")},
 	{flag: "check", args: small("-check"), cfg: func(c *pase.SimConfig) { c.Check = true }, out: contains("invariants      clean")},

@@ -48,8 +48,9 @@ type Params struct {
 	Hierarchy HierarchyParams
 	// Central switches the control plane to the fully centralized
 	// comparison arm: one controller behind the core computes
-	// whole-path allocations in a single serialized exchange
-	// (Hierarchy, delegation and pruning are ignored).
+	// whole-path allocations in a single serialized exchange. It runs
+	// no hierarchy, so pase.Validate rejects it with LocalOnly or with
+	// the hierarchy, delegation and pruning options.
 	Central bool
 }
 

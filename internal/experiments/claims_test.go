@@ -150,7 +150,7 @@ var claimRuns = struct {
 	res map[PointConfig]PointResult
 }{res: map[PointConfig]PointResult{}}
 
-// claimResults runs, in one RunPointsOpts batch, each point of rows not
+// claimResults runs, in one RunPoints batch, each point of rows not
 // yet run, and returns the results of rows' points.
 func claimResults(rows []claim) map[PointConfig]PointResult {
 	claimRuns.Lock()
@@ -169,7 +169,7 @@ func claimResults(rows []claim) map[PointConfig]PointResult {
 			}
 		}
 	}
-	for i, r := range RunPointsOpts(cfgs, Opts{}) {
+	for i, r := range RunPoints(cfgs, 0, nil) {
 		claimRuns.res[cfgs[i]], out[cfgs[i]] = r, r
 	}
 	return out

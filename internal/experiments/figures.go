@@ -69,14 +69,13 @@ type Opts struct {
 	// multiplicative core budget with Parallelism: a pooled figure runs
 	// up to Parallelism × Shards goroutines at once.
 	Shards int `json:"shards,omitempty"`
-	// Ctrl forces every PASE point onto one control plane: "central"
-	// swaps in the single-controller arm, "" (or "hierarchy") keeps
-	// the default arbitration hierarchy. The ctrlscale figure, which
-	// sweeps both arms itself, reads it as an arm filter.
+	// Ctrl runs one control-plane arm of a racks sweep ("hierarchy" or
+	// "central" in ctrlscale; "" = every arm). Check rejects it on any
+	// other figure, and a name that is not one of the sweep's arms.
 	Ctrl string `json:"-"`
-	// Racks caps the ctrlscale figure's rack sweep (0 = the full
-	// 16 → 2048 sweep; negative is an error at pase.RunFigure). Other
-	// figures ignore it.
+	// Racks caps a racks sweep (0 = the full 16 → 2048 sweep). Check
+	// rejects it on a figure that sweeps no racks, and pase.RunFigure
+	// a negative count or one past CtrlScaleMaxRacks.
 	Racks int `json:"-"`
 }
 
@@ -398,7 +397,7 @@ var Figures = []Figure{
 		metrics:  []metric{{name: "survival", of: survival}, {name: "AFCT", of: afctMS, note: true}, {name: "aborted", of: aborted, note: true}},
 		annotate: teNote},
 	// PASE's two control planes as the fabric grows under one fixed
-	// aggregate workload; Opts.Ctrl picks one arm.
+	// aggregate workload; Opts.Ctrl picks one arm, Opts.Racks caps the sweep.
 	{ID: "ctrlscale", Title: "Extension: control plane at datacenter scale — arbitration hierarchy vs centralized",
 		title: "Control plane at datacenter scale: hierarchy vs centralized (extension)", xlabel: "Racks", ylabel: "AFCT (ms) / ctrl MB",
 		axis: racks, xs: []float64{16, 64, 256, 1024, 2048}, flows: 400, arms: []arm{
@@ -412,11 +411,21 @@ var Figures = []Figure{
 		annotate: ctrlScaleNote},
 }
 
-// Records reports whether the figure reads per-flow records, which a
-// streamed run does not keep: it plots each flow's FCT, or one of its
-// metrics reads them.
-func (f Figure) Records() bool {
-	return f.perFlow || slices.ContainsFunc(f.metrics, func(m metric) bool { return m.records })
+// Check reports an option the figure cannot honour, naming the figure
+// and the field: Stream on a figure that reads per-flow records (it
+// plots each flow's FCT, or one of its metrics reads them), Racks on a
+// figure that sweeps no racks, and a Ctrl that names none of a racks
+// sweep's arms — the only arms that are control planes.
+func (f Figure) Check(o Opts) error {
+	switch {
+	case o.Stream && (f.perFlow || slices.ContainsFunc(f.metrics, func(m metric) bool { return m.records })):
+		return fmt.Errorf("figure %s reads per-flow records, which Stream does not keep", f.ID)
+	case o.Racks != 0 && f.axis != racks:
+		return fmt.Errorf("figure %s sweeps no racks for Racks to cap", f.ID)
+	case o.Ctrl != "" && (f.axis != racks || !slices.ContainsFunc(f.arms, func(a arm) bool { return a.name == o.Ctrl })):
+		return fmt.Errorf("figure %s has no control-plane arm %q for Ctrl to pick", f.ID, o.Ctrl)
+	}
+	return nil
 }
 
 // Lookup returns the figure with the given ID.
@@ -431,8 +440,9 @@ func Lookup(id string) (Figure, bool) {
 
 // Run regenerates the figure. A row's (arm × x × seed) grid fans out
 // over the point pool in that order; each curve point is the mean of
-// its seeds' metric. Opts.Ctrl naming one of the row's arms runs that
-// arm alone instead of forcing a control plane on every point.
+// its seeds' metric. Every point takes Opts' run switches (Obs, Check,
+// Faults, Stream, Shards) where its arm and axis leave them unset, and
+// Opts.Ctrl naming one of the row's arms runs that arm alone.
 func (f Figure) Run(o Opts) *Result {
 	c := cells{load: 0.6, flows: cmp.Or(o.NumFlows, f.flows), seeds: cmp.Or(f.seeds, max(o.Seeds, 1))}
 	if len(o.Loads) > 0 {
@@ -448,7 +458,7 @@ func (f Figure) Run(o Opts) *Result {
 	}
 	c.arms = append(c.arms, f.arms...)
 	if i := slices.IndexFunc(c.arms, func(a arm) bool { return a.name == o.Ctrl }); i >= 0 {
-		c.arms, o.Ctrl = c.arms[i:i+1], ""
+		c.arms = c.arms[i : i+1]
 	}
 	var cfgs []PointConfig
 	first := make([][]int, len(c.arms)) // the first point of each (arm, x)
@@ -461,6 +471,8 @@ func (f Figure) Run(o Opts) *Result {
 				first[a] = append(first[a], first[a][0])
 				continue
 			}
+			p.Obs, p.Check, p.Stream = p.Obs || o.Obs, p.Check || o.Check, p.Stream || o.Stream
+			p.Faults, p.Shards = cmp.Or(p.Faults, o.Faults), cmp.Or(p.Shards, o.Shards)
 			first[a] = append(first[a], len(cfgs))
 			for k := 0; k < c.seeds; k++ {
 				p.Seed = o.Seed + uint64(k)
@@ -472,7 +484,7 @@ func (f Figure) Run(o Opts) *Result {
 	vals := make([]float64, len(cfgs)*nm)
 	curves := make([]Series, len(cfgs))
 	res := &Result{ID: f.ID, Title: f.title, XLabel: f.xlabel, YLabel: f.ylabel, Notes: slices.Clone(f.notes)}
-	mapPoints(cfgs, o, res, func(i int, r PointResult) {
+	mapPoints(cfgs, o.Parallelism, o.Progress, res, func(i int, r PointResult) {
 		for m, mt := range f.metrics {
 			vals[i*nm+m] = mt.value(r)
 		}

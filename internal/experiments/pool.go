@@ -18,36 +18,20 @@ import (
 
 // forEachPoint runs fn(i, RunPoint(cfgs[i])) for every config across a
 // bounded worker pool. fn is called concurrently from the workers but
-// never twice for the same index. o.Parallelism <= 0 means GOMAXPROCS
-// workers; 1 runs everything inline with no goroutines. o.Obs turns on
-// observability for every point; o.Progress (if set) is called after
-// each point completes, possibly from a worker goroutine.
-func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
-	if o.Obs || o.Check || o.Faults != nil || o.Stream || o.Shards > 1 || o.Ctrl == "central" {
-		for i := range cfgs {
-			cfgs[i].Obs = cfgs[i].Obs || o.Obs
-			cfgs[i].Check = cfgs[i].Check || o.Check
-			if o.Ctrl == "central" && cfgs[i].Protocol == PASE {
-				cfgs[i].PASE.Central = true
-			}
-			if cfgs[i].Faults == nil {
-				cfgs[i].Faults = o.Faults
-			}
-			cfgs[i].Stream = cfgs[i].Stream || o.Stream
-			if cfgs[i].Shards == 0 {
-				cfgs[i].Shards = o.Shards
-			}
-		}
-	}
+// never twice for the same index. parallelism <= 0 means GOMAXPROCS
+// workers; 1 runs everything inline with no goroutines. progress (if
+// set) is called after each point completes, possibly from a worker
+// goroutine.
+func forEachPoint(cfgs []PointConfig, parallelism int, progress func(done, total int), fn func(i int, r PointResult)) {
 	var done atomic.Int64
 	total := len(cfgs)
 	run := func(i int) {
 		fn(i, RunPoint(cfgs[i]))
-		if o.Progress != nil {
-			o.Progress(int(done.Add(1)), total)
+		if progress != nil {
+			progress(int(done.Add(1)), total)
 		}
 	}
-	workers := o.Parallelism
+	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -78,12 +62,11 @@ func forEachPoint(cfgs []PointConfig, o Opts, fn func(i int, r PointResult)) {
 	wg.Wait()
 }
 
-// RunPointsOpts executes every config across the pool under o —
-// parallelism, observability and a progress callback — and returns the
+// RunPoints executes every config across the pool and returns the
 // results in input order.
-func RunPointsOpts(cfgs []PointConfig, o Opts) []PointResult {
+func RunPoints(cfgs []PointConfig, parallelism int, progress func(done, total int)) []PointResult {
 	out := make([]PointResult, len(cfgs))
-	forEachPoint(cfgs, o, func(i int, r PointResult) { out[i] = r })
+	forEachPoint(cfgs, parallelism, progress, func(i int, r PointResult) { out[i] = r })
 	return out
 }
 
@@ -93,11 +76,11 @@ func RunPointsOpts(cfgs []PointConfig, o Opts) []PointResult {
 // the grid into res: point count, flow-count range, retransmissions,
 // violations and the snapshots merged in input order (so independent
 // of scheduling). Workers write disjoint indices; no locking needed.
-func mapPoints(cfgs []PointConfig, o Opts, res *Result, keep func(i int, r PointResult)) {
+func mapPoints(cfgs []PointConfig, parallelism int, progress func(done, total int), res *Result, keep func(i int, r PointResult)) {
 	snaps := make([]*obs.Snapshot, len(cfgs))
 	totals := make([][3]int64, len(cfgs))
 	flows := make([]int, len(cfgs))
-	forEachPoint(cfgs, o, func(i int, r PointResult) {
+	forEachPoint(cfgs, parallelism, progress, func(i int, r PointResult) {
 		keep(i, r)
 		snaps[i], totals[i] = r.Obs, [3]int64{r.Retransmits, r.Timeouts, r.Violations}
 		flows[i] = r.Flows

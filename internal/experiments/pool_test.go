@@ -111,8 +111,8 @@ func TestRunPointsOrderAndCompleteness(t *testing.T) {
 				Load: load, Seed: 3, NumFlows: 50})
 		}
 	}
-	serial := RunPointsOpts(cfgs, Opts{Parallelism: 1})
-	parallel := RunPointsOpts(cfgs, Opts{Parallelism: 8})
+	serial := RunPoints(cfgs, 1, nil)
+	parallel := RunPoints(cfgs, 8, nil)
 	if len(serial) != len(cfgs) || len(parallel) != len(cfgs) {
 		t.Fatalf("result count: serial=%d parallel=%d want %d",
 			len(serial), len(parallel), len(cfgs))
@@ -128,14 +128,14 @@ func TestRunPointsOrderAndCompleteness(t *testing.T) {
 }
 
 func TestRunPointsEdgeCases(t *testing.T) {
-	if got := RunPointsOpts(nil, Opts{Parallelism: 4}); len(got) != 0 {
+	if got := RunPoints(nil, 4, nil); len(got) != 0 {
 		t.Fatalf("empty input should yield empty output, got %d", len(got))
 	}
 	one := []PointConfig{{Protocol: DCTCP, Scenario: IntraRack, Load: 0.5, Seed: 1, NumFlows: 40}}
 	// More workers than work, zero (= GOMAXPROCS) and negative
 	// parallelism must all behave.
 	for _, par := range []int{-1, 0, 1, 16} {
-		got := RunPointsOpts(one, Opts{Parallelism: par})
+		got := RunPoints(one, par, nil)
 		if len(got) != 1 || got[0].Summary.Completed != 40 {
 			t.Fatalf("parallelism %d: %+v", par, got[0].Summary)
 		}
@@ -147,16 +147,16 @@ func TestMapPointsMatchesRunPoints(t *testing.T) {
 		{Protocol: DCTCP, Scenario: IntraRack, Load: 0.4, Seed: 2, NumFlows: 50},
 		{Protocol: PASE, Scenario: IntraRack, Load: 0.6, Seed: 2, NumFlows: 50},
 	}
-	full := RunPointsOpts(cfgs, Opts{Parallelism: 1})
+	full := RunPoints(cfgs, 1, nil)
 	ys := make([]float64, len(cfgs))
 	var res Result
-	mapPoints(cfgs, Opts{Parallelism: 4}, &res, func(i int, r PointResult) { ys[i] = afctMS(r) })
+	mapPoints(cfgs, 4, nil, &res, func(i int, r PointResult) { ys[i] = afctMS(r) })
 	if res.Points != len(cfgs) || res.Retx != full[0].Retransmits+full[1].Retransmits {
 		t.Fatalf("mapPoints totals: %d points, %d retx", res.Points, res.Retx)
 	}
 	for i := range cfgs {
 		if ys[i] != afctMS(full[i]) {
-			t.Fatalf("point %d: mapPoints %v vs RunPointsOpts %v", i, ys[i], afctMS(full[i]))
+			t.Fatalf("point %d: mapPoints %v vs RunPoints %v", i, ys[i], afctMS(full[i]))
 		}
 	}
 }

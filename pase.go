@@ -177,9 +177,9 @@ type Report = experiments.PointResult
 
 // validate is the one check of what Simulate and RunFigure both take
 // in, naming the offending field: every load in (0, 1], no negative
-// flow, seed or rack count, a valid fault plan, a known
-// control plane and a ctrlscale rack count within the ceiling.
-// Simulate passes its config as a one-load Opts.
+// flow, seed or rack count, a valid fault plan and a ctrlscale rack
+// count within the ceiling. Simulate passes its config as a one-load
+// Opts.
 func validate(o FigureOpts, loadField, racksField string) error {
 	for _, l := range o.Loads {
 		if !(l > 0 && l <= 1) {
@@ -194,9 +194,6 @@ func validate(o FigureOpts, loadField, racksField string) error {
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return fmt.Errorf("pase: %w", err)
-	}
-	if o.Ctrl != "" && o.Ctrl != "hierarchy" && o.Ctrl != "central" {
-		return fmt.Errorf("pase: unknown Ctrl %q (want \"hierarchy\" or \"central\")", o.Ctrl)
 	}
 	if o.Racks < 0 {
 		return fmt.Errorf("pase: %s must not be negative, got %d", racksField, o.Racks)
@@ -314,7 +311,7 @@ func SimulateSeeds(cfg SimConfig, seeds, parallelism int, progress func(done, to
 		cfgs[i].Seed = cfg.Seed + uint64(i)
 	}
 	reps := make([]*Report, len(cfgs))
-	res := experiments.RunPointsOpts(cfgs, FigureOpts{Parallelism: parallelism, Progress: progress})
+	res := experiments.RunPoints(cfgs, parallelism, progress)
 	for i := range res {
 		reps[i] = &res[i]
 	}
@@ -322,8 +319,9 @@ func SimulateSeeds(cfg SimConfig, seeds, parallelism int, progress func(done, to
 }
 
 // FigureOpts scale a figure regeneration run: flows, seeds and loads
-// per point, parallelism, and the observability, checking, fault,
-// streaming, sharding and tracing switches applied to every point.
+// per point, parallelism, the observability, checking, fault,
+// streaming and sharding switches applied to every point, and Ctrl and
+// Racks, which narrow the ctrlscale sweep.
 type FigureOpts = experiments.Opts
 
 // FigureSeries is one curve of a regenerated figure.
@@ -352,7 +350,9 @@ func ListFigures() []FigureInfo {
 
 // ValidateFigure reports why RunFigure would reject figure id with
 // opts, without running anything: an unknown id, a field out of range,
-// or Stream on a figure that reads per-flow records.
+// Stream on a figure that reads per-flow records, Racks on a figure
+// that sweeps no racks, or a Ctrl that names none of its control-plane
+// arms.
 func ValidateFigure(id string, opts FigureOpts) error {
 	fig, ok := experiments.Lookup(id)
 	if !ok {
@@ -361,8 +361,8 @@ func ValidateFigure(id string, opts FigureOpts) error {
 	if err := validate(opts, "Loads", "Racks"); err != nil {
 		return err
 	}
-	if opts.Stream && fig.Records() {
-		return fmt.Errorf("pase: figure %s reads per-flow records, which Stream does not keep", id)
+	if err := fig.Check(opts); err != nil {
+		return fmt.Errorf("pase: %w", err)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package pase_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -262,4 +264,94 @@ func TestSimManifestGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("manifest differs from %s; got:\n%s", path, got.Bytes())
 	}
+}
+
+// TestEveryOptionReachesARun holds each PASEOptions field, and Reroute,
+// to being honoured or rejected out loud. On every protocol but PASE,
+// Validate rejects a PASE field, naming it and the protocol; Reroute is
+// rejected on a fabric without route tables instead. On PASE, setting
+// the field alone moves the digest of a run of at most 300 flows. A
+// field that acts only on a rare event runs where the event happens,
+// and its row's name says which.
+func TestEveryOptionReachesARun(t *testing.T) {
+	rows := []struct {
+		name, field string
+		val         any
+		scenario    pase.Scenario
+		faults      string
+	}{
+		{"LocalOnly", "PASE.LocalOnly", true, pase.ScenarioLeftRight, ""},
+		{"NoPruning", "PASE.NoPruning", true, pase.ScenarioLeftRight, ""},
+		{"NoDelegation", "PASE.NoDelegation", true, pase.ScenarioLeftRight, ""},
+		{"NumQueues", "PASE.NumQueues", 3, pase.ScenarioLeftRight, ""},
+		{"DisableRefRate", "PASE.DisableRefRate", true, pase.ScenarioIntraRackLarge, ""},
+		{"DisableProbing/data-loss", "PASE.DisableProbing", true, pase.ScenarioLeftRight, "loss:class=data,rate=0.02"},
+		{"TaskAware/worker-agg", "PASE.TaskAware", true, pase.ScenarioWorkerAgg, ""},
+		{"Central", "PASE.Central", true, pase.ScenarioLeftRight, ""},
+		{"HierFanOut/ctrlscale-16", "PASE.HierFanOut", 2, "ctrlscale-16", ""},
+		{"HierTopShards/ctrlscale-16", "PASE.HierTopShards", 1, "ctrlscale-16", ""},
+		{"Reroute/uplink-outage", "Reroute", true, pase.ScenarioTEFailover, "linkdown:link=80,at=3100us,for=250ms"},
+	}
+	covered := map[string]bool{}
+	for _, r := range rows {
+		covered[r.field] = true
+	}
+	opts := reflect.TypeOf(pase.PASEOptions{})
+	for i := range opts.NumField() {
+		if f := "PASE." + opts.Field(i).Name; !covered[f] {
+			t.Errorf("%s has no row", f)
+		}
+	}
+	digests := map[string]uint64{} // base runs, by row config
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			base := pase.SimConfig{Protocol: pase.ProtocolPASE, Scenario: r.scenario, Load: 0.6, NumFlows: 200, Seed: 1}
+			if r.faults != "" {
+				plan, err := pase.ParseFaults(r.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base.Faults = plan
+			}
+			cfg := base
+			field := reflect.ValueOf(&cfg).Elem()
+			for _, name := range strings.Split(r.field, ".") {
+				field = field.FieldByName(name)
+			}
+			field.Set(reflect.ValueOf(r.val))
+			for _, p := range pase.Protocols() {
+				bad := cfg
+				bad.Protocol = p
+				want := fmt.Sprintf("%s is a PASE option; protocol %q cannot take it", r.field, p)
+				if !strings.HasPrefix(r.field, "PASE.") {
+					bad.Scenario, want = pase.ScenarioLeftRight, r.field+" needs a leaf-spine Scenario"
+				} else if p == pase.ProtocolPASE {
+					continue
+				}
+				if err := pase.Validate(bad); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s on %s/%s: got %v, want an error naming %q", r.field, p, bad.Scenario, err, want)
+				}
+			}
+			key := fmt.Sprint(r.scenario, r.faults)
+			if _, ok := digests[key]; !ok {
+				digests[key] = reportDigest(t, base)
+			}
+			if digests[key] == reportDigest(t, cfg) {
+				t.Errorf("%s = %v moves no digest of PASE on %s", r.field, r.val, r.scenario)
+			}
+		})
+	}
+}
+
+// reportDigest runs cfg and hashes what its flows and queues did: every
+// flow record and the queue totals.
+func reportDigest(t *testing.T, cfg pase.SimConfig) uint64 {
+	t.Helper()
+	rep, err := pase.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, rep.Records, rep.Queues)
+	return h.Sum64()
 }
