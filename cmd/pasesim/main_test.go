@@ -129,6 +129,12 @@ var flagTable = []flagRow{
 	{flag: "hier-shards", args: small("-scenario", "ctrlscale-16", "-hier-shards", "3"),
 		cfg: func(c *pase.SimConfig) { c.Scenario, c.PASE.HierTopShards = "ctrlscale-16", 3 }},
 	{flag: "hier-shards", args: small("-hier-shards", "-3"), reject: "PASE.HierTopShards"},
+	{flag: "hier-shards", args: small("-hier-shards", "3"), reject: `PASE.HierTopShards shards a deep hierarchy's root, and scenario "intra-rack" runs the flat climb`},
+	{flag: "hier-shards", args: small("-scenario", "left-right", "-hier-shards", "3"), reject: `scenario "left-right" runs the flat climb unless PASE.HierFanOut is set`},
+	{flag: "hier-shards", args: small("-scenario", "left-right", "-hier-fanout", "2", "-hier-shards", "3"),
+		cfg: func(c *pase.SimConfig) {
+			c.Scenario, c.PASE.HierFanOut, c.PASE.HierTopShards = pase.ScenarioLeftRight, 2, 3
+		}},
 	{flag: "flowlog", args: small("-flowlog", "f.tsv"), cfg: func(c *pase.SimConfig) { c.Trace.FlowLogWriter = opened },
 		out: func(t *testing.T, r result) {
 			contains("f.tsv (42 events)")(t, r)

@@ -270,27 +270,33 @@ func TestSimManifestGolden(t *testing.T) {
 // to being honoured or rejected out loud. On every protocol but PASE,
 // Validate rejects a PASE field, naming it and the protocol; Reroute is
 // rejected on a fabric without route tables instead. On PASE, setting
-// the field alone moves the digest of a run of at most 300 flows. A
-// field that acts only on a rare event runs where the event happens,
-// and its row's name says which.
+// the field alone moves the digest of a run of at most 300 flows, or,
+// on a scenario the field cannot act on, Validate rejects it naming the
+// field and the scenario. A field that acts only on a rare event runs
+// where the event happens, and its row's name says which.
 func TestEveryOptionReachesARun(t *testing.T) {
 	rows := []struct {
 		name, field string
 		val         any
 		scenario    pase.Scenario
 		faults      string
+		reject      string // PASE's rejection on this scenario; "" = the field moves the digest
 	}{
-		{"LocalOnly", "PASE.LocalOnly", true, pase.ScenarioLeftRight, ""},
-		{"NoPruning", "PASE.NoPruning", true, pase.ScenarioLeftRight, ""},
-		{"NoDelegation", "PASE.NoDelegation", true, pase.ScenarioLeftRight, ""},
-		{"NumQueues", "PASE.NumQueues", 3, pase.ScenarioLeftRight, ""},
-		{"DisableRefRate", "PASE.DisableRefRate", true, pase.ScenarioIntraRackLarge, ""},
-		{"DisableProbing/data-loss", "PASE.DisableProbing", true, pase.ScenarioLeftRight, "loss:class=data,rate=0.02"},
-		{"TaskAware/worker-agg", "PASE.TaskAware", true, pase.ScenarioWorkerAgg, ""},
-		{"Central", "PASE.Central", true, pase.ScenarioLeftRight, ""},
-		{"HierFanOut/ctrlscale-16", "PASE.HierFanOut", 2, "ctrlscale-16", ""},
-		{"HierTopShards/ctrlscale-16", "PASE.HierTopShards", 1, "ctrlscale-16", ""},
-		{"Reroute/uplink-outage", "Reroute", true, pase.ScenarioTEFailover, "linkdown:link=80,at=3100us,for=250ms"},
+		{"LocalOnly", "PASE.LocalOnly", true, pase.ScenarioLeftRight, "", ""},
+		{"NoPruning", "PASE.NoPruning", true, pase.ScenarioLeftRight, "", ""},
+		{"NoDelegation", "PASE.NoDelegation", true, pase.ScenarioLeftRight, "", ""},
+		{"NumQueues", "PASE.NumQueues", 3, pase.ScenarioLeftRight, "", ""},
+		{"DisableRefRate", "PASE.DisableRefRate", true, pase.ScenarioIntraRackLarge, "", ""},
+		{"DisableProbing/data-loss", "PASE.DisableProbing", true, pase.ScenarioLeftRight, "loss:class=data,rate=0.02", ""},
+		{"TaskAware/worker-agg", "PASE.TaskAware", true, pase.ScenarioWorkerAgg, "", ""},
+		{"TaskAware/left-right", "PASE.TaskAware", true, pase.ScenarioLeftRight, "",
+			`PASE.TaskAware orders tasks, and scenario "left-right" carries none`},
+		{"Central", "PASE.Central", true, pase.ScenarioLeftRight, "", ""},
+		{"HierFanOut/ctrlscale-16", "PASE.HierFanOut", 2, "ctrlscale-16", "", ""},
+		{"HierTopShards/ctrlscale-16", "PASE.HierTopShards", 1, "ctrlscale-16", "", ""},
+		{"HierTopShards/left-right", "PASE.HierTopShards", 2, pase.ScenarioLeftRight, "",
+			`PASE.HierTopShards shards a deep hierarchy's root, and scenario "left-right" runs the flat climb unless PASE.HierFanOut is set`},
+		{"Reroute/uplink-outage", "Reroute", true, pase.ScenarioTEFailover, "linkdown:link=80,at=3100us,for=250ms", ""},
 	}
 	covered := map[string]bool{}
 	for _, r := range rows {
@@ -331,6 +337,12 @@ func TestEveryOptionReachesARun(t *testing.T) {
 				if err := pase.Validate(bad); err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("%s on %s/%s: got %v, want an error naming %q", r.field, p, bad.Scenario, err, want)
 				}
+			}
+			if r.reject != "" {
+				if err := pase.Validate(cfg); err == nil || !strings.Contains(err.Error(), r.reject) {
+					t.Errorf("%s on PASE/%s: got %v, want an error naming %q", r.field, r.scenario, err, r.reject)
+				}
+				return
 			}
 			key := fmt.Sprint(r.scenario, r.faults)
 			if _, ok := digests[key]; !ok {
