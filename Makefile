@@ -149,10 +149,12 @@ bench:
 obs-bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/obs/
 
-# A small end-to-end run that writes fig9a's TSV + run manifest into
-# artifacts/ (CI uploads the manifest so every build carries a sample).
+# Small end-to-end runs that write fig9a's and fig11a's TSVs + run
+# manifests into artifacts/ (CI uploads the manifests so every build
+# carries a sample; fig11a's records the seed count its figure defaults).
 manifest-sample:
 	$(GO) run ./cmd/paper -fig 9a -flows 120 -loads 0.5,0.8 -out artifacts -progress=false
+	$(GO) run ./cmd/paper -fig 11a -flows 60 -loads 0.5 -out artifacts -progress=false
 
 # The same stages, in the same order, as .github/workflows/ci.yml.
 ci: vet build loc test race check-test alloc-gate scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench manifest-sample

@@ -45,7 +45,7 @@ type flagRow struct {
 // built with fig builds.
 var (
 	base     = []string{"-loads", "0.5", "-progress=false"}
-	baseOpts = pase.FigureOpts{NumFlows: 20, Seed: 1, Seeds: 1, Loads: []float64{0.5}, Obs: true}
+	baseOpts = pase.FigureOpts{NumFlows: 20, Seed: 1, Loads: []float64{0.5}, Obs: true}
 	fig9a    = []string{"9a"}
 	fig3     = []string{"3"}
 )
@@ -63,6 +63,21 @@ func wrote(names ...string) func(t *testing.T, r result) {
 		for _, n := range names {
 			if !r.has(n) {
 				t.Errorf("no %s written", n)
+			}
+		}
+	}
+}
+
+// manifest checks the run's manifest for figure id holds each want.
+func manifest(id string, want ...string) func(t *testing.T, r result) {
+	return func(t *testing.T, r result) {
+		b, err := os.ReadFile(filepath.Join(r.dir, "fig"+id+".manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(string(b), w) {
+				t.Errorf("manifest lacks %q:\n%.600s", w, b)
 			}
 		}
 	}
@@ -93,6 +108,8 @@ var flagTable = []flagRow{
 	{flag: "all", args: []string{"-all", "-flows", "20"}, ids: allIDs()},
 	{flag: "all", args: []string{"-all", "-flows", "20", "-racks", "16"}, reject: "figure 1 sweeps no racks for Racks to cap"},
 	{flag: "all", args: []string{"-all", "-flows", "20", "-ctrl", "central"}, reject: "figure 1 has no control-plane arm \"central\" for Ctrl to pick"},
+	{flag: "all", args: []string{"-all", "-flows", "20", "-seeds", "2"}, reject: "figure 3 plots one run per arm, which Seeds 2 cannot average"},
+	{flag: "all", args: []string{"-all", "-flows", "20", "-loads", "0.3,0.5"}, reject: "figure 3 sweeps no load, so Loads takes one value, not 2"},
 	{flag: "list", args: []string{"-list"}, out: func(t *testing.T, r result) {
 		if len(r.ids) != 0 || !strings.Contains(r.stdout, "9a       AFCT vs load") {
 			t.Errorf("ran %v, stdout:\n%s", r.ids, r.stdout)
@@ -102,10 +119,19 @@ var flagTable = []flagRow{
 	{flag: "seed", args: fig("-seed", "5"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Seed = 5 }},
 	{flag: "seeds", args: fig("-seeds", "2"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Seeds = 2 }},
 	{flag: "seeds", args: fig("-seeds", "-2"), reject: "Seeds"},
+	{flag: "seeds", args: []string{"-fig", "11a", "-flows", "20", "-seeds", "5"}, ids: []string{"11a"}, opts: func(o *pase.FigureOpts) { o.Seeds = 5 },
+		out: manifest("11a", `"seeds": 5,`)},
+	{flag: "seeds", args: []string{"-fig", "11a", "-flows", "20"}, ids: []string{"11a"}, out: manifest("11a", `"seeds": 3,`)},
+	{flag: "seeds", args: []string{"-fig", "9b", "-flows", "20", "-seeds", "3"}, reject: "figure 9b plots one run per arm, which Seeds 3 cannot average"},
 	{flag: "loads", args: fig("-loads", "0.3, 0.6"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Loads = []float64{0.3, 0.6} }},
 	{flag: "loads", args: fig("-loads", "0.3,x"), reject: `bad load "x"`},
 	{flag: "loads", args: fig("-loads", "1.5"), reject: "Loads"},
 	{flag: "loads", args: fig("-loads", "1.5", "-out", "d"), reject: "Loads"},
+	{flag: "loads", args: []string{"-fig", "9b", "-flows", "20", "-loads", "0.9"}, ids: []string{"9b"}, opts: func(o *pase.FigureOpts) { o.Loads = []float64{0.9} },
+		out: printed("FCT CDF at 90% load")},
+	{flag: "loads", args: []string{"-fig", "9b", "-flows", "20", "-loads="}, ids: []string{"9b"}, opts: func(o *pase.FigureOpts) { o.Loads = nil },
+		out: manifest("9b", "\"loads\": [\n      0.7\n    ]")},
+	{flag: "loads", args: []string{"-fig", "highspeed", "-flows", "20", "-loads", "0.3,0.9"}, reject: "figure highspeed sweeps no load, so Loads takes one value, not 2"},
 	{flag: "out", args: fig("-out", "o"), ids: fig9a, out: wrote("o/fig9a.tsv", "o/fig9a.manifest.json")},
 	{flag: "out", args: fig("-loads", "0.5,abc", "-out", "d"), reject: `bad load "abc"`},
 	{flag: "parallel", args: fig("-parallel", "3"), ids: fig9a, opts: func(o *pase.FigureOpts) { o.Parallelism = 3 }},

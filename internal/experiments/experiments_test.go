@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"pase/internal/metrics"
@@ -148,5 +150,61 @@ func TestLeafSpineExtension(t *testing.T) {
 	}
 	if pase.CtrlMessages == 0 {
 		t.Error("cross-leaf flows must arbitrate through leaf arbitrators")
+	}
+}
+
+// TestEveryFigureOptionIsHonouredOrRejected holds every registered
+// figure to each option that shapes its grid: Check rejects the option,
+// naming the figure and the field, or the points the figure builds
+// differ from those it builds at its defaults (two loads: from those of
+// the first load alone). It compares built configs and runs no
+// simulation.
+func TestEveryFigureOptionIsHonouredOrRejected(t *testing.T) {
+	base := Opts{Seed: 1}
+	options := []struct {
+		name, field string
+		set         func(*Opts)
+		ref         Opts // the options the points must differ from
+	}{
+		{"NumFlows", "NumFlows", func(o *Opts) { o.NumFlows = 500 }, base},
+		{"Seeds", "Seeds", func(o *Opts) { o.Seeds = 5 }, base},
+		{"one load", "Loads", func(o *Opts) { o.Loads = []float64{0.9} }, base},
+		{"two loads", "Loads", func(o *Opts) { o.Loads = []float64{0.3, 0.9} }, Opts{Seed: 1, Loads: []float64{0.3}}},
+		{"Racks", "Racks", func(o *Opts) { o.Racks = 16 }, base},
+		{"Ctrl", "Ctrl", func(o *Opts) { o.Ctrl = "central" }, base},
+		{"Stream", "Stream", func(o *Opts) { o.Stream = true }, base},
+	}
+	// exempt names the pairs whose points need not move, with the reason.
+	exempt := map[string]string{
+		"3/NumFlows":   "the toy runs its own three flows and draws no workload",
+		"3/one load":   "the toy runs its own three flows and draws no workload",
+		"scale/Stream": "its arms stream every point already, as Stream asks",
+	}
+	points := func(f Figure, o Opts) []PointConfig {
+		_, cfgs, _ := f.grid(f.resolve(o))
+		return cfgs
+	}
+	for _, f := range Figures {
+		if err := f.Check(base); err != nil {
+			t.Fatalf("figure %s rejects its defaults: %v", f.ID, err)
+		}
+		for _, opt := range options {
+			t.Run(f.ID+"/"+opt.name, func(t *testing.T) {
+				o := base
+				opt.set(&o)
+				if err := f.Check(o); err != nil {
+					if msg := err.Error(); !strings.Contains(msg, "figure "+f.ID+" ") || !strings.Contains(msg, opt.field) {
+						t.Errorf("Check: %v, want an error naming figure %s and %s", err, f.ID, opt.field)
+					}
+					return
+				}
+				if why, ok := exempt[f.ID+"/"+opt.name]; ok {
+					t.Skip(why)
+				}
+				if reflect.DeepEqual(points(f, opt.ref), points(f, o)) {
+					t.Errorf("%s is accepted and builds the same points as %+v", opt.field, opt.ref)
+				}
+			})
+		}
 	}
 }

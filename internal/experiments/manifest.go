@@ -75,7 +75,8 @@ func GitRev() string {
 	return rev + modified
 }
 
-// NewManifest assembles the manifest for one figure run.
+// NewManifest assembles the manifest for one run: a figure's res, whose
+// params are the options its Run resolved, or, with res nil, a run of o.
 func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.Duration) *Manifest {
 	m := &Manifest{
 		Tool:         tool,
@@ -85,9 +86,6 @@ func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.
 		Params:       o,
 		PeakRSSBytes: peakRSS(),
 	}
-	if o.Faults.Empty() {
-		m.Params.Faults = nil // a plan that injects nothing is not recorded
-	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.HeapSysBytes = ms.HeapSys
@@ -95,12 +93,16 @@ func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.
 		m.GoVersion = bi.GoVersion
 	}
 	if res != nil {
+		m.Params = res.opts
 		m.Figure = res.ID
 		m.Title = res.Title
 		m.Points = res.Points
 		m.Retx = res.Retx
 		m.Timeouts = res.Timeouts
 		m.Snapshot = res.Obs
+	}
+	if m.Params.Faults.Empty() {
+		m.Params.Faults = nil // a plan that injects nothing is not recorded
 	}
 	return m
 }

@@ -47,6 +47,9 @@ func DefaultPASEParams() arbitration.Params { return arbitration.DefaultParams()
 // Default sweep used across figures.
 var DefaultLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
+// DefaultFlows is the flow count of a point or figure that sets none.
+const DefaultFlows = 2000
+
 // Workload constants from §4.1.
 const (
 	// ShortFlowMin/Max bound the query/short-message sizes.

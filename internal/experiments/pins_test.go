@@ -178,8 +178,12 @@ func pinTable() []pin {
 		if f.ID == "1" || f.ID == "4" { // neither runs PASE or PDQ
 			mover = "none"
 		}
+		o := Opts{NumFlows: 30, Seed: 1, Loads: []float64{0.5}}
+		if f.ID == "9b" || f.ID == "10b" || f.ID == "robust" || f.ID == "te" { // at their own load
+			o.Loads = nil
+		}
 		ps = append(ps, pin{name: "figure-" + f.ID, out: tsvOut, file: "figures/" + f.ID + ".tsv",
-			input:    input{fig: f.ID, opts: Opts{NumFlows: 30, Seed: 1, Loads: []float64{0.5}}},
+			input:    input{fig: f.ID, opts: o},
 			protects: "figure " + f.ID + "'s grid, metric, notes and TSV layout", mover: mover})
 	}
 	// The 30-flow goldens leave these figures' x axes flat or unswept;
@@ -342,8 +346,8 @@ var (
 		return buf.Bytes()
 	}}
 	manifestOut = out{"run manifest", func(t *testing.T, in input) []byte {
-		res := &Result{ID: "9a", Title: "AFCT vs load", Points: 6, Retx: 11, Timeouts: 2}
-		m := NewManifest("paper", res, in.opts, time.Now(), time.Second)
+		res := &Result{ID: "9a", Title: "AFCT vs load", Points: 6, Retx: 11, Timeouts: 2, opts: in.opts}
+		m := NewManifest("paper", res, Opts{}, time.Now(), time.Second)
 		m.GitRev, m.GoVersion, m.Started, m.WallClockMS, m.PeakRSSBytes, m.HeapSysBytes = "", "", "", 0, 0, 0
 		var buf bytes.Buffer
 		if err := m.Write(&buf); err != nil {
